@@ -11,40 +11,16 @@ Usage: python demos/convergence_orders.py
 
 import numpy as np
 
-from nhcontact import (
-    ContactSystem,
-    DiscretizationRule,
-    NewtonConfig,
-    PositionRule,
-    ZRule,
-)
+from nhcontact import DiscretizationRule, NewtonConfig, PositionRule, ZRule
 from nhcontact.analysis import convergence_order
 from nhcontact.contact import run_contact
+from nhcontact.systems import damped_oscillator, damped_oscillator_solution
 
 ALPHA, OMEGA, T_FINAL = 0.1, 1.0, 10.0
 
 
-def oscillator() -> ContactSystem:
-    return ContactSystem(
-        dim_q=1,
-        dim_c=0,
-        lagrangian=lambda t, q, v, z: 0.5 * v[0] ** 2
-        - 0.5 * OMEGA ** 2 * q[0] ** 2 - ALPHA * z,
-        constraint_matrix=lambda q: np.zeros((0, 1)),
-        lagrangian_gradients=lambda t, q, v, z: (-OMEGA ** 2 * q, v.copy(), -ALPHA),
-        energy=lambda q, v: 0.5 * v[0] ** 2 + 0.5 * OMEGA ** 2 * q[0] ** 2,
-        dissipation_alpha=ALPHA,
-    )
-
-
-def exact(t):
-    wd = np.sqrt(OMEGA ** 2 - ALPHA ** 2 / 4.0)
-    return np.exp(-ALPHA * t / 2.0) * (np.cos(wd * t)
-                                       + (ALPHA / 2.0) / wd * np.sin(wd * t))
-
-
 def main() -> None:
-    system = oscillator()
+    system = damped_oscillator(ALPHA, OMEGA)
     rules = [
         ("left endpoint + explicit action", PositionRule.LEFT_ENDPOINT,
          ZRule.FIRST_ORDER),
@@ -60,8 +36,8 @@ def main() -> None:
             traj = run_contact(system, rule, np.array([1.0]), np.array([0.0]),
                                int(round(T_FINAL / h)),
                                solver=NewtonConfig(tolerance=1e-12))
-            err = float(np.max(np.abs(traj.configurations[:, 0]
-                                      - exact(traj.times))))
+            exact = damped_oscillator_solution(ALPHA, OMEGA, traj.times)
+            err = float(np.max(np.abs(traj.configurations[:, 0] - exact)))
             pairs.append((h, err))
             print(f"  {h:>8.4f} {err:>12.3e}")
         print(f"  fitted order: {convergence_order(pairs):.2f}")

@@ -35,6 +35,7 @@ from .model import (
     discrete_constraint,
 )
 from .newton import NewtonConfig
+from .systems import damped_oscillator, damped_oscillator_solution
 
 OUTPUT_ROOT_ENV = "NHCONTACT_OUTPUT_ROOT"
 
@@ -261,30 +262,10 @@ def cmd_compare(args) -> int:
     return status
 
 
-def _damped_oscillator(alpha: float = 0.1, omega: float = 1.0) -> ContactSystem:
-    return ContactSystem(
-        dim_q=1,
-        dim_c=0,
-        lagrangian=lambda t, q, v, z: 0.5 * v[0] ** 2
-        - 0.5 * omega ** 2 * q[0] ** 2 - alpha * z,
-        constraint_matrix=lambda q: np.zeros((0, 1)),
-        lagrangian_gradients=lambda t, q, v, z: (-omega ** 2 * q, v.copy(), -alpha),
-        energy=lambda q, v: 0.5 * v[0] ** 2 + 0.5 * omega ** 2 * q[0] ** 2,
-        dissipation_alpha=alpha,
-    )
-
-
-def damped_oscillator_solution(alpha: float, omega: float, t):
-    """Analytic underdamped solution with x(0) = 1, xdot(0) = 0."""
-    wd = np.sqrt(omega ** 2 - alpha ** 2 / 4.0)
-    return np.exp(-alpha * t / 2.0) * (np.cos(wd * t)
-                                       + (alpha / 2.0) / wd * np.sin(wd * t))
-
-
 def cmd_convergence(args) -> int:
     out = _output_dir(args, "convergence")
     alpha, omega, t_final = 0.1, 1.0, 10.0
-    system = _damped_oscillator(alpha, omega)
+    system = damped_oscillator(alpha, omega)
     h_list = [float(v) for v in args.h_list.split(",")]
     rows = []
     for rule_name in args.rules.split(","):

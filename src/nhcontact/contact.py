@@ -8,12 +8,15 @@ accumulated action ``z`` and the constraint multipliers:
   - lambda^T A(q_j)``,
 * one action-update component ``z_{j+1} - z_j - h L_d(fwd)``,
 * m discrete-constraint components ``A(q_d) qdot_d + b(q_d)``.
+
+The trajectory driver :func:`run_steps` is shared with the
+Lagrange-d'Alembert integrator, which differs only in its seed and step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from .model import (
     Array,
     ContactSystem,
     DiscretizationRule,
+    EvaluationError,
     ExperimentSpec,
     StepState,
     Termination,
@@ -43,10 +47,6 @@ class ContactStepResidualSpec:
     system: ContactSystem
     rule: DiscretizationRule
     window: StepState
-
-    @property
-    def n_unknowns(self) -> int:
-        return self.system.dim_q + 1 + self.system.dim_c
 
 
 def contact_residual(spec: ContactStepResidualSpec, unknowns: Array) -> Array:
@@ -197,7 +197,7 @@ def initialize_window(
     q1 = project_seed_position(system, rule, q0, q1)
     z1 = solve_z_update(system, rule, t0, q0, q1, z0)
     return StepState(q_prev=q0, q_curr=q1, z_prev=z0, z_curr=z1,
-                     t_curr=t0 + rule.h, step_index=1)
+                     t_curr=t0 + rule.h)
 
 
 @dataclass
@@ -214,17 +214,24 @@ class StepStats:
         self.steps += 1
 
 
-def run_contact(
+def run_steps(
     system: ContactSystem,
     rule: DiscretizationRule,
     q0: Array,
     v0: Array,
     n_steps: int,
-    solver: NewtonConfig = NewtonConfig(),
+    seed: Callable[..., StepState],
+    step: Callable,
     t0: float = 0.0,
     stats: Optional[StepStats] = None,
 ) -> Trajectory:
-    """Integrate ``n_steps`` contact steps from ``(q0, v0)``."""
+    """Integrate ``n_steps`` two-point steps from ``(q0, v0)``.
+
+    ``seed(system, rule, q0, v0, t0=t0)`` builds the first window, which
+    takes step 1; ``step(window, lam)`` takes each later step and returns
+    ``(q_next, z_next, lam, iterations)``.  A numerical failure in either
+    ends the run as a ``solver_failure`` at the last accepted step.
+    """
     from .analysis import reconstruct_velocities_from_arrays
 
     n, m, h = system.dim_q, system.dim_c, rule.h
@@ -232,28 +239,22 @@ def run_contact(
 
     qs = np.empty((n_steps + 1, n))
     zs = np.empty(n_steps + 1)
-    lams = np.empty((n_steps, m))
+    # the seeding step q1 = q0 + h v0 + ... carries no multiplier of its own
+    lams = np.zeros((n_steps, m))
     qs[0] = q0
     zs[0] = 0.0
     termination = Termination.done()
     steps_done = 0
 
-    if n_steps > 0:
-        window = initialize_window(system, rule, q0, v0, t0=t0)
-        qs[1] = window.q_curr
-        zs[1] = window.z_curr
-        lam = np.zeros(m)
-        steps_done = 1
-        # The seeding step q1 = q0 + h v0 carries no multiplier of its own.
-        if m:
-            lams[0] = 0.0
+    try:
+        if n_steps > 0:
+            window = seed(system, rule, q0, v0, t0=t0)
+            qs[1] = window.q_curr
+            zs[1] = window.z_curr
+            lam = np.zeros(m)
+            steps_done = 1
         for j in range(1, n_steps):
-            spec = ContactStepResidualSpec(system, rule, window)
-            try:
-                q_next, z_next, lam, iters = contact_step(spec, solver, lam_prev=lam)
-            except (NewtonDivergence, SingularJacobian, DenominatorSingular) as exc:
-                termination = Termination.failure(step=j + 1, message=str(exc))
-                break
+            q_next, z_next, lam, iters = step(window, lam)
             if stats is not None:
                 stats.record(iters)
             qs[j + 1] = q_next
@@ -263,8 +264,11 @@ def run_contact(
             window = StepState(
                 q_prev=window.q_curr, q_curr=q_next,
                 z_prev=window.z_curr, z_curr=z_next,
-                t_curr=window.t_curr + h, step_index=window.step_index + 1,
+                t_curr=window.t_curr + h,
             )
+    except (NewtonDivergence, SingularJacobian, DenominatorSingular,
+            EvaluationError) as exc:
+        termination = Termination.failure(step=steps_done + 1, message=str(exc))
 
     qs = qs[: steps_done + 1]
     zs = zs[: steps_done + 1]
@@ -279,6 +283,25 @@ def run_contact(
         times=times, configurations=qs, velocities=vels, z_values=zs,
         multipliers=lams, energies=energies, termination=termination,
     )
+
+
+def run_contact(
+    system: ContactSystem,
+    rule: DiscretizationRule,
+    q0: Array,
+    v0: Array,
+    n_steps: int,
+    solver: NewtonConfig = NewtonConfig(),
+    t0: float = 0.0,
+    stats: Optional[StepStats] = None,
+) -> Trajectory:
+    """Integrate ``n_steps`` contact steps from ``(q0, v0)``."""
+    def step(window, lam):
+        spec = ContactStepResidualSpec(system, rule, window)
+        return contact_step(spec, solver, lam_prev=lam)
+
+    return run_steps(system, rule, q0, v0, n_steps, initialize_window, step,
+                     t0=t0, stats=stats)
 
 
 def simulate_contact(

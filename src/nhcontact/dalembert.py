@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from .contact import project_seed_position, project_velocity, run_steps
 from .model import (
     Array,
     ContactSystem,
@@ -19,13 +20,12 @@ from .model import (
     ExperimentSpec,
     PositionRule,
     StepState,
-    Termination,
     Trajectory,
     discrete_constraint,
     initial_acceleration,
     partials_of_Ld,
 )
-from .newton import NewtonConfig, NewtonDivergence, SingularJacobian, newton_solve
+from .newton import NewtonConfig, newton_solve
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,6 @@ class ForcedStepResidualSpec:
     rule: DiscretizationRule
     window: StepState
     force_split: str = "all-left"   # "all-left" | "all-right" | "half-half"
-
-    @property
-    def n_unknowns(self) -> int:
-        return self.system.dim_q + self.system.dim_c
 
 
 def _discrete_force(system, rule, t, q, q_next):
@@ -102,6 +98,23 @@ def la_step(
     return x[:n], x[n:], iterations
 
 
+def _seed_window(
+    system: ContactSystem,
+    rule: DiscretizationRule,
+    q0: Array,
+    v0: Array,
+    t0: float = 0.0,
+) -> StepState:
+    """First window of the forced scheme: the second-order seed of
+    :func:`~nhcontact.contact.initialize_window` with the external force in
+    the initial acceleration, and z frozen at zero."""
+    h = rule.h
+    v = project_velocity(system, q0, np.asarray(v0, dtype=float))
+    acc = initial_acceleration(system, q0, v, t0=t0, include_external_force=True)
+    q1 = project_seed_position(system, rule, q0, q0 + h * v + 0.5 * h ** 2 * acc)
+    return StepState(q_prev=q0, q_curr=q1, z_prev=0.0, z_curr=0.0, t_curr=t0 + h)
+
+
 def run_la(
     system: ContactSystem,
     rule: DiscretizationRule,
@@ -114,61 +127,13 @@ def run_la(
     stats=None,
 ) -> Trajectory:
     """Integrate ``n_steps`` forced variational steps from ``(q0, v0)``."""
-    from .analysis import reconstruct_velocities_from_arrays
-    from .contact import project_seed_position, project_velocity
+    def step(window, lam):
+        spec = ForcedStepResidualSpec(system, rule, window, force_split)
+        q_next, lam, iterations = la_step(spec, solver, lam_prev=lam)
+        return q_next, 0.0, lam, iterations
 
-    n, m, h = system.dim_q, system.dim_c, rule.h
-    q0 = np.asarray(q0, dtype=float)
-
-    qs = np.empty((n_steps + 1, n))
-    lams = np.empty((n_steps, m))
-    qs[0] = q0
-    termination = Termination.done()
-    steps_done = 0
-
-    if n_steps > 0:
-        v = project_velocity(system, q0, np.asarray(v0, dtype=float))
-        acc = initial_acceleration(system, q0, v, t0=t0,
-                                   include_external_force=True)
-        qs[1] = project_seed_position(system, rule, q0,
-                                      q0 + h * v + 0.5 * h ** 2 * acc)
-        if m:
-            lams[0] = 0.0
-        lam = np.zeros(m)
-        steps_done = 1
-        window = StepState(q_prev=qs[0], q_curr=qs[1], z_prev=0.0, z_curr=0.0,
-                           t_curr=t0 + h, step_index=1)
-        for j in range(1, n_steps):
-            spec = ForcedStepResidualSpec(system, rule, window, force_split)
-            try:
-                q_next, lam, iters = la_step(spec, solver, lam_prev=lam)
-            except (NewtonDivergence, SingularJacobian) as exc:
-                termination = Termination.failure(step=j + 1, message=str(exc))
-                break
-            if stats is not None:
-                stats.record(iters)
-            qs[j + 1] = q_next
-            lams[j] = lam
-            steps_done = j + 1
-            window = StepState(q_prev=window.q_curr, q_curr=q_next,
-                               z_prev=0.0, z_curr=0.0,
-                               t_curr=window.t_curr + h,
-                               step_index=window.step_index + 1)
-
-    qs = qs[: steps_done + 1]
-    lams = lams[:steps_done]
-    times = t0 + h * np.arange(steps_done + 1)
-    if steps_done == 0:
-        from .contact import project_velocity as _proj
-        vels = np.asarray([_proj(system, q0, np.asarray(v0, dtype=float))])
-    else:
-        vels = reconstruct_velocities_from_arrays(qs, h)
-    energies = np.array([system.energy(q, v) for q, v in zip(qs, vels)])
-    return Trajectory(
-        times=times, configurations=qs, velocities=vels,
-        z_values=np.zeros(steps_done + 1), multipliers=lams,
-        energies=energies, termination=termination,
-    )
+    return run_steps(system, rule, q0, v0, n_steps, _seed_window, step,
+                     t0=t0, stats=stats)
 
 
 def simulate_la(

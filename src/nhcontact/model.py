@@ -25,6 +25,23 @@ class EvaluationError(RuntimeError):
     """A Lagrangian or derivative evaluation produced a non-finite value."""
 
 
+def central_difference(f: Callable, x, probe: float = SQRT_EPS) -> Array:
+    """Central-difference Jacobian of ``f`` at ``x``, in C order.
+
+    Column ``i`` is ``(f(x + e_i) - f(x - e_i)) / (2 e_i)`` with
+    ``e_i = probe * max(1, |x_i|)``; a scalar-valued ``f`` gives the gradient.
+    """
+    x = np.asarray(x, dtype=float)
+    columns = []
+    for i in range(len(x)):
+        e = probe * max(1.0, abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += e
+        xm[i] -= e
+        columns.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2 * e))
+    return np.stack(columns, axis=-1)
+
+
 def _zero_offset(q: Array) -> Array:
     return np.zeros(0)
 
@@ -53,8 +70,6 @@ class ContactSystem:
         (Lagrange-d'Alembert) formulation; zero for pure contact systems.
     energy:
         ``(q, qdot) -> float`` diagnostic, kinetic plus potential.
-    dissipation_alpha:
-        Coefficient of the ``-alpha * z`` term in the Lagrangian.
     lagrangian_gradients:
         Optional ``(t, q, qdot, z) -> (dL/dq, dL/dqdot, dL/dz)``.  When
         provided, discrete-Lagrangian partials use it via the chain rule
@@ -68,7 +83,6 @@ class ContactSystem:
     constraint_offset: Callable[[Array], Array] = _zero_offset
     external_force: Callable[[float, Array, Array], Array] = _zero_force
     energy: Callable[[Array, Array], float] = lambda q, qdot: 0.0
-    dissipation_alpha: float = 0.0
     lagrangian_gradients: Optional[Callable] = None
 
     def __post_init__(self) -> None:
@@ -118,7 +132,6 @@ class StepState:
     z_prev: float
     z_curr: float
     t_curr: float
-    step_index: int = 1
 
 
 @dataclass(frozen=True)
@@ -260,31 +273,16 @@ def _partials_analytic(system, rule, t, q, q_next, z, z_next):
 
 
 def _partials_fd(system, rule, t, q, q_next, z, z_next):
-    n = system.dim_q
-
     def ld(qa, qb, za, zb):
         return evaluate_discrete_lagrangian(system, rule, t, qa, qb, za, zb)
 
-    d1 = np.empty(n)
-    d2 = np.empty(n)
-    for i in range(n):
-        e = SQRT_EPS * max(1.0, abs(q[i]))
-        qp, qm = q.copy(), q.copy()
-        qp[i] += e
-        qm[i] -= e
-        d1[i] = (ld(qp, q_next, z, z_next) - ld(qm, q_next, z, z_next)) / (2 * e)
-        e = SQRT_EPS * max(1.0, abs(q_next[i]))
-        qp, qm = q_next.copy(), q_next.copy()
-        qp[i] += e
-        qm[i] -= e
-        d2[i] = (ld(q, qp, z, z_next) - ld(q, qm, z, z_next)) / (2 * e)
-    e = SQRT_EPS * max(1.0, abs(z))
-    d3 = (ld(q, q_next, z + e, z_next) - ld(q, q_next, z - e, z_next)) / (2 * e)
+    d1 = central_difference(lambda x: ld(x, q_next, z, z_next), q)
+    d2 = central_difference(lambda x: ld(q, x, z, z_next), q_next)
+    d3 = float(central_difference(lambda x: ld(q, q_next, x[0], z_next), [z])[0])
     if rule.z_rule is ZRule.FIRST_ORDER:
         d4 = 0.0  # L_d does not see z_next under the first-order rule
     else:
-        e = SQRT_EPS * max(1.0, abs(z_next))
-        d4 = (ld(q, q_next, z, z_next + e) - ld(q, q_next, z, z_next - e)) / (2 * e)
+        d4 = float(central_difference(lambda x: ld(q, q_next, z, x[0]), [z_next])[0])
     return d1, d2, d3, d4
 
 
@@ -324,22 +322,9 @@ def lagrangian_gradients_or_fd(
     if system.lagrangian_gradients is not None:
         gq, gv, gz = system.lagrangian_gradients(t, q, v, z)
         return np.asarray(gq, dtype=float), np.asarray(gv, dtype=float), float(gz)
-    n = system.dim_q
-    gq = np.empty(n)
-    gv = np.empty(n)
-    for i in range(n):
-        e = SQRT_EPS * max(1.0, abs(q[i]))
-        qp, qm = q.copy(), q.copy()
-        qp[i] += e
-        qm[i] -= e
-        gq[i] = (system.lagrangian(t, qp, v, z) - system.lagrangian(t, qm, v, z)) / (2 * e)
-        e = SQRT_EPS * max(1.0, abs(v[i]))
-        vp, vm = v.copy(), v.copy()
-        vp[i] += e
-        vm[i] -= e
-        gv[i] = (system.lagrangian(t, q, vp, z) - system.lagrangian(t, q, vm, z)) / (2 * e)
-    e = SQRT_EPS * max(1.0, abs(z))
-    gz = (system.lagrangian(t, q, v, z + e) - system.lagrangian(t, q, v, z - e)) / (2 * e)
+    gq = central_difference(lambda x: system.lagrangian(t, x, v, z), q)
+    gv = central_difference(lambda x: system.lagrangian(t, q, x, z), v)
+    gz = float(central_difference(lambda x: system.lagrangian(t, q, v, x[0]), [z])[0])
     return gq, gv, gz
 
 
@@ -378,13 +363,7 @@ def initial_acceleration(
     p_minus = momentum(t0 - e, q0 - e * v0, v0, z0 - e * zdot)
     pdot_explicit = (p_plus - p_minus) / (2 * e)
 
-    mass = np.empty((n, n))
-    for i in range(n):
-        e = probe * max(1.0, abs(v0[i]))
-        vp, vm = v0.copy(), v0.copy()
-        vp[i] += e
-        vm[i] -= e
-        mass[:, i] = (momentum(t0, q0, vp, z0) - momentum(t0, q0, vm, z0)) / (2 * e)
+    mass = central_difference(lambda v: momentum(t0, q0, v, z0), v0, probe)
 
     rhs = gq + gz * gv - pdot_explicit
     if include_external_force:

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import SQRT_EPS, Array
+from .model import Array, EvaluationError, central_difference
 
 
 class NewtonDivergence(RuntimeError):
@@ -77,17 +77,11 @@ def solve_dense(a: Array, rhs: Array, pivot_floor: float = 1e-14) -> Array:
 
 
 def fd_jacobian(residual: Callable[[Array], Array], x: Array, fx: Array) -> Array:
-    """Central finite-difference Jacobian of ``residual`` at ``x``."""
-    k = len(x)
-    jac = np.empty((len(fx), k))
-    for i in range(k):
-        e = SQRT_EPS * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += e
-        xm[i] -= e
-        jac[:, i] = (residual(xp) - residual(xm)) / (2 * e)
-    return jac
+    """Central finite-difference Jacobian of ``residual`` at ``x``.
+
+    ``fx``, the residual at ``x``, is not needed by central differences.
+    """
+    return central_difference(residual, x)
 
 
 def newton_solve(
@@ -97,14 +91,15 @@ def newton_solve(
 ):
     """Solve ``residual(x) = 0`` to inf-norm ``config.tolerance``.
 
-    Returns ``(x, iterations)``.  Raises :class:`NewtonDivergence` after
+    Returns ``(x, iterations)``.  Raises :class:`EvaluationError` when the
+    residual is not finite at ``x0``, :class:`NewtonDivergence` after
     ``max_iterations`` and :class:`SingularJacobian` when the linearized
     system cannot be solved.
     """
     x = np.array(x0, dtype=float)
     fx = np.asarray(residual(x), dtype=float)
     if not np.all(np.isfinite(fx)):
-        raise ValueError("residual is not finite at the initial guess")
+        raise EvaluationError("residual is not finite at the initial guess")
     norm = float(np.max(np.abs(fx))) if len(fx) else 0.0
     if norm <= config.tolerance:
         return x, 0

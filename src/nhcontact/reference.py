@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import SQRT_EPS, Array, ContactSystem
+from .model import SQRT_EPS, Array, ContactSystem, central_difference
 from .newton import NewtonConfig, NewtonDivergence, SingularJacobian, newton_solve
 
 
@@ -258,22 +258,14 @@ def consistent_init(
             g = np.concatenate([g, a0 @ acc + drift])
         return g
 
-    k = n + 1 + m
-    u = np.zeros(k)
+    u = np.zeros(n + 1 + m)
     # Gauss-Newton: the residual is affine in u for mechanical Lagrangians,
     # but finite-difference Jacobian noise makes one correction insufficient
     for _ in range(10):
         g = assemble(u)
         if float(np.max(np.abs(g))) <= 0.1 * tol:
             break
-        jac = np.empty((len(g), k))
-        for i in range(k):
-            e = SQRT_EPS * max(1.0, abs(u[i]))
-            up, um = u.copy(), u.copy()
-            up[i] += e
-            um[i] -= e
-            jac[:, i] = (assemble(up) - assemble(um)) / (2 * e)
-        du, *_ = np.linalg.lstsq(jac, -g, rcond=None)
+        du, *_ = np.linalg.lstsq(central_difference(assemble, u), -g, rcond=None)
         u = u + du
 
     y0 = np.concatenate([q0, v0, [0.0], u[n + 1:]])

@@ -1,7 +1,8 @@
 """The two benchmark systems: a Foucault pendulum with Rayleigh dissipation
-and a falling rolling disk.
+and a falling rolling disk; plus an unconstrained damped oscillator with a
+closed-form solution, for order-of-accuracy studies.
 
-Both are provided as :class:`~nhcontact.model.ContactSystem` instances with
+All are provided as :class:`~nhcontact.model.ContactSystem` instances with
 analytic Lagrangian gradients.  The disk additionally exposes the
 hand-eliminated residual form of its constrained stepping equations, used as
 an independent cross-check of the generic engine.
@@ -25,6 +26,31 @@ GRAVITY = 9.81
 
 def _zeros5(t: float) -> Array:
     return np.zeros(5)
+
+
+# ---------------------------------------------------------------------------
+# Damped harmonic oscillator
+# ---------------------------------------------------------------------------
+
+def damped_oscillator(alpha: float = 0.1, omega: float = 1.0) -> ContactSystem:
+    """``L = v^2/2 - omega^2 q^2/2 - alpha z``: the Herglotz equations give
+    ``qddot + alpha qdot + omega^2 q = 0``."""
+    return ContactSystem(
+        dim_q=1,
+        dim_c=0,
+        lagrangian=lambda t, q, v, z: 0.5 * v[0] ** 2
+        - 0.5 * omega ** 2 * q[0] ** 2 - alpha * z,
+        constraint_matrix=lambda q: np.zeros((0, 1)),
+        lagrangian_gradients=lambda t, q, v, z: (-omega ** 2 * q, v.copy(), -alpha),
+        energy=lambda q, v: 0.5 * v[0] ** 2 + 0.5 * omega ** 2 * q[0] ** 2,
+    )
+
+
+def damped_oscillator_solution(alpha: float, omega: float, t):
+    """Closed-form underdamped solution with ``q(0) = 1``, ``qdot(0) = 0``."""
+    wd = np.sqrt(omega ** 2 - alpha ** 2 / 4.0)
+    return np.exp(-alpha * t / 2.0) * (np.cos(wd * t)
+                                       + (alpha / 2.0) / wd * np.sin(wd * t))
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +110,8 @@ def foucault_system(params: FoucaultParams, formulation: str = "herglotz") -> Co
     def constraint_offset(q):
         return np.array([omega_v * (q[0] ** 2 + q[1] ** 2)])
 
-    if herglotz:
-        external_force = lambda t, q, qdot: np.zeros(2)
-    else:
-        external_force = lambda t, q, qdot: -alpha * m * qdot
+    # "herglotz" keeps the default zero external force
+    force = {} if herglotz else {"external_force": lambda t, q, qdot: -alpha * m * qdot}
 
     def energy(q, qdot):
         return 0.5 * m * (qdot[0] ** 2 + qdot[1] ** 2) \
@@ -99,10 +123,9 @@ def foucault_system(params: FoucaultParams, formulation: str = "herglotz") -> Co
         lagrangian=lagrangian,
         constraint_matrix=constraint_matrix,
         constraint_offset=constraint_offset,
-        external_force=external_force,
         energy=energy,
-        dissipation_alpha=alpha,
         lagrangian_gradients=gradients,
+        **force,
     )
 
 
@@ -237,10 +260,7 @@ def disk_system(params: DiskParams) -> ContactSystem:
         dim_c=2,
         lagrangian=lagrangian,
         constraint_matrix=constraint_matrix,
-        constraint_offset=lambda q: np.zeros(2),
-        external_force=lambda t, q, qdot: np.zeros(5),
         energy=energy,
-        dissipation_alpha=alpha,
         lagrangian_gradients=gradients,
     )
 

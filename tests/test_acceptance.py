@@ -23,7 +23,6 @@ from nhcontact.experiments import (
     run_experiment,
 )
 from nhcontact.model import (
-    ContactSystem,
     DiscretizationRule,
     Integrator,
     PositionRule,
@@ -32,7 +31,12 @@ from nhcontact.model import (
 )
 from nhcontact.newton import NewtonConfig
 from nhcontact.reference import consistent_init, make_continuous_system, rkf45_integrate
-from nhcontact.systems import FoucaultParams, disk_eliminated_step
+from nhcontact.systems import (
+    FoucaultParams,
+    damped_oscillator,
+    damped_oscillator_solution,
+    disk_eliminated_step,
+)
 
 PENDULUM_PERIOD = 2.0 * np.pi * np.sqrt(67.0 / 9.8)  # ~16.4 s swing period
 # two swing periods: averages out the fast oscillation while still
@@ -67,29 +71,9 @@ def test_criterion_01_constraint_satisfaction_and_runtime(catalog_runs):
     assert passed
 
 
-def _oscillator(alpha=0.1, omega=1.0):
-    return ContactSystem(
-        dim_q=1,
-        dim_c=0,
-        lagrangian=lambda t, q, v, z: 0.5 * v[0] ** 2
-        - 0.5 * omega ** 2 * q[0] ** 2 - alpha * z,
-        constraint_matrix=lambda q: np.zeros((0, 1)),
-        lagrangian_gradients=lambda t, q, v, z: (-omega ** 2 * q, v.copy(), -alpha),
-        energy=lambda q, v: 0.5 * v[0] ** 2 + 0.5 * omega ** 2 * q[0] ** 2,
-        dissipation_alpha=alpha,
-    )
-
-
-def _oscillator_solution(alpha, omega, t):
-    wd = np.sqrt(omega ** 2 - alpha ** 2 / 4.0)
-    return np.exp(-alpha * t / 2.0) * (
-        np.cos(wd * t) + (alpha / 2.0) / wd * np.sin(wd * t)
-    )
-
-
 def test_criterion_02_order_of_accuracy():
     alpha, omega, t_final = 0.1, 1.0, 10.0
-    system = _oscillator(alpha, omega)
+    system = damped_oscillator(alpha, omega)
     slopes = {}
     for label, pos, zr, window in [
         ("first-order", PositionRule.LEFT_ENDPOINT, ZRule.FIRST_ORDER, (0.7, 1.3)),
@@ -101,7 +85,7 @@ def test_criterion_02_order_of_accuracy():
             n = int(round(t_final / h))
             traj = run_contact(system, rule, np.array([1.0]), np.array([0.0]), n,
                                solver=NewtonConfig(tolerance=1e-12))
-            exact = _oscillator_solution(alpha, omega, traj.times)
+            exact = damped_oscillator_solution(alpha, omega, traj.times)
             pairs.append((h, float(np.max(np.abs(traj.configurations[:, 0] - exact)))))
         slopes[label] = (convergence_order(pairs), window)
     passed = all(lo <= s <= hi for s, (lo, hi) in slopes.values())

@@ -49,6 +49,17 @@ def test_run_short_disk_writes_artifacts(tmp_path):
     assert int(fields["newton_total_iterations"]) > 0
 
 
+def test_seeding_failure_exits_2_with_initial_row(tmp_path):
+    # at h = 0.8 the seed of the first window already fails to converge
+    out = tmp_path / "coarse"
+    code = run_cli(["run", "disk-4.3", "--h", "0.8", "--t-final", "10",
+                    "--output-dir", str(out)])
+    assert code == EXIT_SOLVER_FAILURE == 2
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 2  # header + the initial state
+    assert (out / "summary.csv").read_text().splitlines()[1].startswith("solver_failure")
+
+
 def test_trajectory_rows_finite_and_monotone(tmp_path):
     out = tmp_path / "rows"
     run_cli(["run", "disk-3.1", "--t-final", "3", "--output-dir", str(out)])

@@ -12,6 +12,7 @@ from nhcontact.contact import (
     run_contact,
     solve_z_update,
 )
+from nhcontact.dalembert import run_la
 from nhcontact.model import (
     ContactSystem,
     DiscretizationRule,
@@ -20,27 +21,14 @@ from nhcontact.model import (
     ZRule,
 )
 from nhcontact.newton import NewtonConfig
-from nhcontact.systems import FoucaultParams, foucault_system
+from nhcontact.systems import (
+    FoucaultParams,
+    damped_oscillator,
+    damped_oscillator_solution,
+    foucault_system,
+)
 
 TRAP_FIRST = DiscretizationRule(PositionRule.TRAPEZOIDAL, ZRule.FIRST_ORDER, 0.05)
-
-
-def damped_oscillator(alpha=0.1, omega=1.0):
-    return ContactSystem(
-        dim_q=1,
-        dim_c=0,
-        lagrangian=lambda t, q, v, z: 0.5 * v @ v - 0.5 * omega ** 2 * q @ q - alpha * z,
-        constraint_matrix=lambda q: np.zeros((0, 1)),
-        lagrangian_gradients=lambda t, q, v, z: (-omega ** 2 * q, v.copy(), -alpha),
-        energy=lambda q, v: 0.5 * v @ v + 0.5 * omega ** 2 * q @ q,
-        dissipation_alpha=alpha,
-    )
-
-
-def damped_oscillator_solution(alpha, omega, t):
-    wd = np.sqrt(omega ** 2 - alpha ** 2 / 4.0)
-    return np.exp(-alpha * t / 2.0) * (np.cos(wd * t)
-                                       + (alpha / 2.0) / wd * np.sin(wd * t))
 
 
 def test_pendulum_residual_matches_hand_coded_stepping_equations():
@@ -191,18 +179,38 @@ def test_denominator_singularity_detected():
                          np.array([0.0, 0.0]))
 
 
-def test_solver_failure_truncates_trajectory():
+DRIVERS = [run_contact, run_la]
+
+
+def cusp_system():
     # Lagrangian with no stationary point of the step map: sqrt blows up FD
-    system = ContactSystem(
+    return ContactSystem(
         dim_q=1, dim_c=0,
         lagrangian=lambda t, q, v, z: 0.5 * v @ v - np.sqrt(np.abs(q[0]) + 1e-12) * 1e6,
         constraint_matrix=lambda q: np.zeros((0, 1)),
     )
+
+
+def log_singular_system():
+    # the log well pulls the swing past q = -1.1, where L is not finite
+    return ContactSystem(
+        dim_q=1, dim_c=0,
+        lagrangian=lambda t, q, v, z: 0.5 * v @ v - 0.5 * q @ q - np.log(q[0] + 1.1),
+        constraint_matrix=lambda q: np.zeros((0, 1)),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("system", [cusp_system(), log_singular_system()],
+                         ids=["cusp", "log-singular"])
+@pytest.mark.parametrize("run", DRIVERS, ids=lambda run: run.__name__)
+def test_solver_failure_truncates_trajectory(run, system):
     rule = DiscretizationRule(PositionRule.LEFT_ENDPOINT, ZRule.FIRST_ORDER, 0.1)
-    traj = run_contact(system, rule, np.array([1.0]), np.array([0.0]), 50,
-                       NewtonConfig(tolerance=1e-14, max_iterations=4))
+    traj = run(system, rule, np.array([1.0]), np.array([0.0]), 50,
+               NewtonConfig(tolerance=1e-14, max_iterations=4))
     assert not traj.termination.completed
     assert traj.termination.status == "solver_failure"
+    assert traj.termination.step == traj.n_steps + 1
     assert len(traj.times) == traj.n_steps + 1
     assert traj.n_steps < 50
 
@@ -218,10 +226,11 @@ def test_step_stats_recorded():
     assert stats.max_iterations <= 5  # smooth problem, extrapolated guesses
 
 
-def test_zero_steps_returns_initial_state():
+@pytest.mark.parametrize("run", DRIVERS, ids=lambda run: run.__name__)
+def test_zero_steps_returns_initial_state(run):
     system = damped_oscillator()
     rule = DiscretizationRule(PositionRule.MIDPOINT, ZRule.SECOND_ORDER, 0.05)
-    traj = run_contact(system, rule, np.array([1.0]), np.array([0.0]), 0)
+    traj = run(system, rule, np.array([1.0]), np.array([0.0]), 0)
     assert traj.n_steps == 0
     assert traj.configurations.shape == (1, 1)
     assert traj.termination.completed

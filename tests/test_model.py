@@ -7,6 +7,7 @@ from nhcontact.model import (
     EvaluationError,
     PositionRule,
     ZRule,
+    central_difference,
     constraint_evaluation_point,
     discrete_constraint,
     evaluate_discrete_lagrangian,
@@ -40,8 +41,23 @@ def oscillator(alpha=0.1, omega=1.0, with_gradients=True):
         lagrangian=lambda t, q, v, z: 0.5 * v @ v - 0.5 * omega ** 2 * q @ q - alpha * z,
         constraint_matrix=lambda q: np.zeros((0, 1)),
         lagrangian_gradients=grads,
-        dissipation_alpha=alpha,
     )
+
+
+def test_central_difference_columns_and_layout():
+    def f(x):
+        return np.array([x[0] ** 3, x[0] * x[1], np.sin(x[1])])
+
+    x = np.array([0.5, -3.0])
+    probe = 1e-4
+    jac = central_difference(f, x, probe)
+    # C order: the dense solver's row dot products then sum in a fixed order
+    assert jac.shape == (3, 2) and jac.flags.c_contiguous
+    for i, e in enumerate(probe * np.maximum(1.0, np.abs(x))):
+        step = np.zeros(2)
+        step[i] = e
+        assert np.array_equal(jac[:, i], (f(x + step) - f(x - step)) / (2 * e))
+    assert central_difference(lambda x: x @ x, x).shape == (2,)
 
 
 def test_free_particle_discrete_lagrangian_any_rule():
