@@ -14,7 +14,6 @@ from .analysis import (
     trajectory_error,
 )
 from .contact import (
-    ContactStepResidualSpec,
     StepStats,
     contact_residual,
     contact_step,
@@ -22,10 +21,11 @@ from .contact import (
     run_contact,
     simulate_contact,
 )
-from .dalembert import ForcedStepResidualSpec, la_residual, la_step, run_la, simulate_la
+from .dalembert import la_residual, la_step, run_la, simulate_la
 from .experiments import (
     CATALOG,
     UnknownExperiment,
+    UnsupportedExperiment,
     build_contact_system,
     build_la_system,
     catalog_ids,
@@ -62,13 +62,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CATALOG",
-    "ContactStepResidualSpec",
     "ContactSystem",
     "DiscretizationRule",
     "DiskParams",
     "ErrorSeries",
     "ExperimentSpec",
-    "ForcedStepResidualSpec",
     "FoucaultParams",
     "Integrator",
     "NewtonConfig",
@@ -79,6 +77,7 @@ __all__ = [
     "Termination",
     "Trajectory",
     "UnknownExperiment",
+    "UnsupportedExperiment",
     "ZRule",
     "build_contact_system",
     "build_la_system",

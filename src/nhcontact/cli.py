@@ -20,6 +20,7 @@ from .contact import StepStats, run_contact
 from .experiments import (
     CATALOG,
     UnknownExperiment,
+    UnsupportedExperiment,
     build_contact_system,
     catalog_ids,
     get_experiment,
@@ -154,6 +155,8 @@ def _resolve_spec(args):
     rule_name = overrides.pop("rule", None) or getattr(args, "rule", None)
     spec = get_experiment(args.experiment, **overrides)
     if rule_name:
+        if rule_name not in RULE_NAMES:
+            raise UnsupportedExperiment(f"unknown rule {rule_name!r}")
         base = RULE_NAMES[rule_name]
         rule = DiscretizationRule(base.position_rule, base.z_rule, spec.h)
         fields = {f: getattr(spec, f) for f in spec.__dataclass_fields__}
@@ -187,17 +190,24 @@ def _unknown(experiment: str) -> int:
     return EXIT_UNKNOWN
 
 
+def _unsupported(exc: UnsupportedExperiment) -> int:
+    print(f"unsupported: {exc}", file=sys.stderr)
+    return EXIT_UNKNOWN
+
+
 def cmd_run(args) -> int:
     try:
         spec = _resolve_spec(args)
+        stats = StepStats()
+        start = time.perf_counter()
+        traj = run_experiment(spec, stats=stats)
+        wall = time.perf_counter() - start
     except UnknownExperiment:
         return _unknown(args.experiment)
-    out = _output_dir(args, args.experiment)
-    stats = StepStats()
-    start = time.perf_counter()
-    traj = run_experiment(spec, stats=stats)
-    wall = time.perf_counter() - start
+    except UnsupportedExperiment as exc:
+        return _unsupported(exc)
 
+    out = _output_dir(args, args.experiment)
     write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj)
     if spec.integrator in (Integrator.CONTACT, Integrator.LAGRANGE_DALEMBERT):
         if spec.integrator is Integrator.CONTACT:
@@ -215,27 +225,29 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        base = _resolve_spec(args)
-    except UnknownExperiment:
-        return _unknown(args.experiment)
-    out = _output_dir(args, f"{args.experiment}-compare")
-
     names = args.integrators
-    fields = {f: getattr(base, f) for f in base.__dataclass_fields__}
     runs = {}
     status = EXIT_OK
-    for name in names:
-        fields["integrator"] = Integrator(name)
-        traj = run_experiment(type(base)(**fields))
-        runs[name] = traj
-        if not traj.termination.completed:
-            status = EXIT_SOLVER_FAILURE
+    try:
+        base = _resolve_spec(args)
+        fields = {f: getattr(base, f) for f in base.__dataclass_fields__}
+        for name in names:
+            fields["integrator"] = Integrator(name)
+            traj = run_experiment(type(base)(**fields))
+            runs[name] = traj
+            if not traj.termination.completed:
+                status = EXIT_SOLVER_FAILURE
 
-    reference_name = "rkf45" if base.system_id == "foucault" else "implicit-dae"
-    if reference_name not in runs:
-        fields["integrator"] = Integrator(reference_name)
-        runs[reference_name] = run_experiment(type(base)(**fields))
+        reference_name = "rkf45" if base.system_id == "foucault" else "implicit-dae"
+        if reference_name not in runs:
+            fields["integrator"] = Integrator(reference_name)
+            runs[reference_name] = run_experiment(type(base)(**fields))
+    except UnknownExperiment:
+        return _unknown(args.experiment)
+    except UnsupportedExperiment as exc:
+        return _unsupported(exc)
+
+    out = _output_dir(args, f"{args.experiment}-compare")
 
     ref = runs[reference_name]
     n_rows = min(len(t.times) for t in runs.values())

@@ -42,16 +42,14 @@ class DenominatorSingular(RuntimeError):
     """The implicit z-coupling factor ``1 - h D4 L_d`` is degenerate."""
 
 
-@dataclass(frozen=True)
-class ContactStepResidualSpec:
-    system: ContactSystem
-    rule: DiscretizationRule
-    window: StepState
-
-
-def contact_residual(spec: ContactStepResidualSpec, unknowns: Array) -> Array:
+def contact_residual(
+    system: ContactSystem,
+    rule: DiscretizationRule,
+    window: StepState,
+    unknowns: Array,
+) -> Array:
     """Stacked residual at a candidate ``(q_{j+1}, z_{j+1}, lambda)``."""
-    system, rule, w = spec.system, spec.rule, spec.window
+    w = window
     n, m, h = system.dim_q, system.dim_c, rule.h
     q_next = unknowns[:n]
     z_next = unknowns[n]
@@ -113,9 +111,11 @@ def solve_z_update(
 
 
 def contact_step(
-    spec: ContactStepResidualSpec,
-    solver: NewtonConfig = NewtonConfig(),
-    lam_prev: Optional[Array] = None,
+    system: ContactSystem,
+    rule: DiscretizationRule,
+    window: StepState,
+    lam_prev: Array,
+    solver: NewtonConfig,
 ):
     """One implicit contact step; returns ``(q_next, z_next, lam, iterations)``.
 
@@ -123,18 +123,15 @@ def contact_step(
     the previous window's discrete Lagrangian and carries the previous
     multipliers forward.
     """
-    system, rule, w = spec.system, spec.rule, spec.window
-    n, m, h = system.dim_q, system.dim_c, rule.h
-
+    w = window
+    n, h = system.dim_q, rule.h
     q_guess = 2.0 * w.q_curr - w.q_prev
-    t_prev = w.t_curr - h
     z_guess = w.z_curr + h * evaluate_discrete_lagrangian(
-        system, rule, t_prev, w.q_prev, w.q_curr, w.z_prev, w.z_curr
+        system, rule, w.t_curr - h, w.q_prev, w.q_curr, w.z_prev, w.z_curr
     )
-    lam_guess = np.zeros(m) if lam_prev is None else np.asarray(lam_prev, dtype=float)
-
-    x0 = np.concatenate([q_guess, [z_guess], lam_guess])
-    x, iterations = newton_solve(lambda u: contact_residual(spec, u), x0, solver)
+    x0 = np.concatenate([q_guess, [z_guess], lam_prev])
+    x, iterations = newton_solve(
+        lambda u: contact_residual(system, rule, window, u), x0, solver)
     return x[:n], float(x[n]), x[n + 1:], iterations
 
 
@@ -222,13 +219,15 @@ def run_steps(
     n_steps: int,
     seed: Callable[..., StepState],
     step: Callable,
+    solver: NewtonConfig,
     t0: float = 0.0,
     stats: Optional[StepStats] = None,
 ) -> Trajectory:
     """Integrate ``n_steps`` two-point steps from ``(q0, v0)``.
 
     ``seed(system, rule, q0, v0, t0=t0)`` builds the first window, which
-    takes step 1; ``step(window, lam)`` takes each later step and returns
+    takes step 1; ``step(system, rule, window, lam, solver)`` takes each
+    later step from the previous multipliers and returns
     ``(q_next, z_next, lam, iterations)``.  A numerical failure in either
     ends the run as a ``solver_failure`` at the last accepted step.
     """
@@ -254,7 +253,7 @@ def run_steps(
             lam = np.zeros(m)
             steps_done = 1
         for j in range(1, n_steps):
-            q_next, z_next, lam, iters = step(window, lam)
+            q_next, z_next, lam, iters = step(system, rule, window, lam, solver)
             if stats is not None:
                 stats.record(iters)
             qs[j + 1] = q_next
@@ -296,12 +295,8 @@ def run_contact(
     stats: Optional[StepStats] = None,
 ) -> Trajectory:
     """Integrate ``n_steps`` contact steps from ``(q0, v0)``."""
-    def step(window, lam):
-        spec = ContactStepResidualSpec(system, rule, window)
-        return contact_step(spec, solver, lam_prev=lam)
-
-    return run_steps(system, rule, q0, v0, n_steps, initialize_window, step,
-                     t0=t0, stats=stats)
+    return run_steps(system, rule, q0, v0, n_steps, initialize_window,
+                     contact_step, solver, t0=t0, stats=stats)
 
 
 def simulate_contact(

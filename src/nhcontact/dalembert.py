@@ -7,9 +7,6 @@ zero, dissipation entering through a discretized external force instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .contact import project_seed_position, project_velocity, run_steps
@@ -28,14 +25,6 @@ from .model import (
 from .newton import NewtonConfig, newton_solve
 
 
-@dataclass(frozen=True)
-class ForcedStepResidualSpec:
-    system: ContactSystem
-    rule: DiscretizationRule
-    window: StepState
-    force_split: str = "all-left"   # "all-left" | "all-right" | "half-half"
-
-
 def _discrete_force(system, rule, t, q, q_next):
     """One-step force quadrature ``h * F^e`` with forward-difference velocity."""
     h = rule.h
@@ -49,9 +38,17 @@ def _discrete_force(system, rule, t, q, q_next):
     return h * system.external_force(t_eval, q_eval, v)
 
 
-def la_residual(spec: ForcedStepResidualSpec, unknowns: Array) -> Array:
-    """Forced discrete Euler-Lagrange residual plus discrete constraints."""
-    system, rule, w = spec.system, spec.rule, spec.window
+def la_residual(
+    system: ContactSystem,
+    rule: DiscretizationRule,
+    window: StepState,
+    unknowns: Array,
+) -> Array:
+    """Forced discrete Euler-Lagrange residual plus discrete constraints.
+
+    The force is sampled on the forward step ``(q_j, q_{j+1})``.
+    """
+    w = window
     n, m, h = system.dim_q, system.dim_c, rule.h
     q_next = unknowns[:n]
     lam = unknowns[n:]
@@ -59,20 +56,8 @@ def la_residual(spec: ForcedStepResidualSpec, unknowns: Array) -> Array:
     t_prev = w.t_curr - h
     d1f, _, _, _ = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next, 0.0, 0.0)
     _, d2b, _, _ = partials_of_Ld(system, rule, t_prev, w.q_prev, w.q_curr, 0.0, 0.0)
-    momentum = h * (d1f + d2b)
-
-    if spec.force_split == "all-left":
-        momentum = momentum + _discrete_force(system, rule, w.t_curr, w.q_curr, q_next)
-    elif spec.force_split == "all-right":
-        momentum = momentum + _discrete_force(system, rule, t_prev, w.q_prev, w.q_curr)
-    elif spec.force_split == "half-half":
-        momentum = momentum + 0.5 * (
-            _discrete_force(system, rule, w.t_curr, w.q_curr, q_next)
-            + _discrete_force(system, rule, t_prev, w.q_prev, w.q_curr)
-        )
-    else:
-        raise ValueError(f"unknown force split {spec.force_split!r}")
-
+    momentum = h * (d1f + d2b) + _discrete_force(
+        system, rule, w.t_curr, w.q_curr, q_next)
     if m:
         momentum = momentum - system.constraint_matrix(w.q_curr).T @ lam
 
@@ -84,18 +69,20 @@ def la_residual(spec: ForcedStepResidualSpec, unknowns: Array) -> Array:
 
 
 def la_step(
-    spec: ForcedStepResidualSpec,
-    solver: NewtonConfig = NewtonConfig(),
-    lam_prev: Optional[Array] = None,
+    system: ContactSystem,
+    rule: DiscretizationRule,
+    window: StepState,
+    lam_prev: Array,
+    solver: NewtonConfig,
 ):
-    """One implicit forced step; returns ``(q_next, lam, iterations)``."""
-    system, w = spec.system, spec.window
-    n, m = system.dim_q, system.dim_c
-    q_guess = 2.0 * w.q_curr - w.q_prev
-    lam_guess = np.zeros(m) if lam_prev is None else np.asarray(lam_prev, dtype=float)
-    x0 = np.concatenate([q_guess, lam_guess])
-    x, iterations = newton_solve(lambda u: la_residual(spec, u), x0, solver)
-    return x[:n], x[n:], iterations
+    """One implicit forced step; returns ``(q_next, 0.0, lam, iterations)``,
+    z frozen at zero."""
+    n = system.dim_q
+    q_guess = 2.0 * window.q_curr - window.q_prev
+    x0 = np.concatenate([q_guess, lam_prev])
+    x, iterations = newton_solve(
+        lambda u: la_residual(system, rule, window, u), x0, solver)
+    return x[:n], 0.0, x[n:], iterations
 
 
 def _seed_window(
@@ -123,17 +110,11 @@ def run_la(
     n_steps: int,
     solver: NewtonConfig = NewtonConfig(),
     t0: float = 0.0,
-    force_split: str = "all-left",
     stats=None,
 ) -> Trajectory:
     """Integrate ``n_steps`` forced variational steps from ``(q0, v0)``."""
-    def step(window, lam):
-        spec = ForcedStepResidualSpec(system, rule, window, force_split)
-        q_next, lam, iterations = la_step(spec, solver, lam_prev=lam)
-        return q_next, 0.0, lam, iterations
-
-    return run_steps(system, rule, q0, v0, n_steps, _seed_window, step,
-                     t0=t0, stats=stats)
+    return run_steps(system, rule, q0, v0, n_steps, _seed_window, la_step,
+                     solver, t0=t0, stats=stats)
 
 
 def simulate_la(

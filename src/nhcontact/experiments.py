@@ -41,6 +41,12 @@ class UnknownExperiment(KeyError):
     pass
 
 
+class UnsupportedExperiment(ValueError):
+    """A system or integrator the package cannot run, an integrator the
+    system has no formulation for, or an override of a field the experiment
+    spec does not have."""
+
+
 def steady_rolling_spin_rate(params: DiskParams, theta0: float, phidot0: float) -> float:
     """Rolling rate giving steady circular motion at tilt ``theta0`` and
     precession rate ``phidot0``."""
@@ -132,6 +138,9 @@ def get_experiment(experiment_id: str, **overrides) -> ExperimentSpec:
         raise UnknownExperiment(experiment_id) from None
     if not overrides:
         return spec
+    unknown = sorted(set(overrides) - set(spec.__dataclass_fields__))
+    if unknown:
+        raise UnsupportedExperiment(f"unknown override {', '.join(unknown)}")
     fields = {f: getattr(spec, f) for f in spec.__dataclass_fields__}
     fields.update(overrides)
     if "h" in overrides and "rule" not in overrides:
@@ -160,7 +169,7 @@ def build_contact_system(spec: ExperimentSpec):
         return foucault_system(_foucault_params(spec), formulation="herglotz")
     if spec.system_id == "falling-disk":
         return disk_system(_disk_params(spec))
-    raise UnknownExperiment(spec.system_id)
+    raise UnsupportedExperiment(f"unknown system {spec.system_id!r}")
 
 
 def build_la_system(spec: ExperimentSpec):
@@ -168,11 +177,11 @@ def build_la_system(spec: ExperimentSpec):
     if spec.system_id == "foucault":
         return foucault_system(_foucault_params(spec), formulation="la")
     if spec.system_id == "falling-disk":
-        raise ValueError(
+        raise UnsupportedExperiment(
             "the disk has no external-force damping formulation; "
             "use the contact integrator"
         )
-    raise UnknownExperiment(spec.system_id)
+    raise UnsupportedExperiment(f"unknown system {spec.system_id!r}")
 
 
 def _grid(spec: ExperimentSpec) -> Array:
@@ -182,7 +191,8 @@ def _grid(spec: ExperimentSpec) -> Array:
 
 def _run_rkf45(spec: ExperimentSpec, rel_tol: float = 1e-8) -> Trajectory:
     if spec.system_id != "foucault":
-        raise ValueError("the adaptive explicit reference covers the pendulum only")
+        raise UnsupportedExperiment(
+            "the adaptive explicit reference covers the pendulum only")
     from .contact import project_velocity
 
     params = _foucault_params(spec)
@@ -258,4 +268,4 @@ def run_experiment(
         return _run_rkf45(spec)
     if spec.integrator is Integrator.IMPLICIT_DAE_REFERENCE:
         return _run_implicit_dae(spec)
-    raise ValueError(f"unknown integrator {spec.integrator!r}")
+    raise UnsupportedExperiment(f"unknown integrator {spec.integrator!r}")

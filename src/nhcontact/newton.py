@@ -1,4 +1,4 @@
-"""Damped multivariate Newton-Raphson with a dense pivoted linear solve.
+"""Dense Newton with a finite-difference Jacobian and LU pivoting diagnostics.
 
 Every implicit step in the package goes through :func:`newton_solve`.
 Problem sizes are small (at most a dozen unknowns), so the linear algebra is
@@ -8,11 +8,14 @@ a plain LU factorization with partial pivoting and row equilibration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .model import Array, EvaluationError, central_difference
+
+#: Smallest equilibrated pivot :func:`solve_dense` accepts.
+PIVOT_FLOOR = 1e-14
 
 
 class NewtonDivergence(RuntimeError):
@@ -35,23 +38,19 @@ class SingularJacobian(RuntimeError):
 class NewtonConfig:
     tolerance: float = 1e-6
     max_iterations: int = 50
-    damping: str = "none"            # "none" | "armijo"
-    jacobian: Optional[Callable[[Array], Array]] = None  # None -> finite differences
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.damping not in ("none", "armijo"):
-            raise ValueError(f"unknown damping mode {self.damping!r}")
 
 
-def solve_dense(a: Array, rhs: Array, pivot_floor: float = 1e-14) -> Array:
+def solve_dense(a: Array, rhs: Array) -> Array:
     """Solve ``a x = rhs`` by LU with partial pivoting after row equilibration.
 
     Raises :class:`SingularJacobian` when the largest available pivot of an
-    equilibrated column falls below ``pivot_floor``.
+    equilibrated column falls below :data:`PIVOT_FLOOR`.
     """
     a = np.array(a, dtype=float)
     b = np.array(rhs, dtype=float)
@@ -62,7 +61,7 @@ def solve_dense(a: Array, rhs: Array, pivot_floor: float = 1e-14) -> Array:
     b /= scale
     for col in range(k):
         p = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[p, col]) < pivot_floor:
+        if abs(a[p, col]) < PIVOT_FLOOR:
             raise SingularJacobian(abs(a[p, col]))
         if p != col:
             a[[col, p]] = a[[p, col]]
@@ -91,42 +90,20 @@ def newton_solve(
 ):
     """Solve ``residual(x) = 0`` to inf-norm ``config.tolerance``.
 
-    Returns ``(x, iterations)``.  Raises :class:`EvaluationError` when the
-    residual is not finite at ``x0``, :class:`NewtonDivergence` after
-    ``max_iterations`` and :class:`SingularJacobian` when the linearized
-    system cannot be solved.
+    Returns ``(x, iterations)``.  Raises :class:`EvaluationError` at the
+    first iterate whose residual is not finite, :class:`NewtonDivergence`
+    after ``max_iterations`` and :class:`SingularJacobian` when the
+    linearized system cannot be solved.
     """
     x = np.array(x0, dtype=float)
-    fx = np.asarray(residual(x), dtype=float)
-    if not np.all(np.isfinite(fx)):
-        raise EvaluationError("residual is not finite at the initial guess")
-    norm = float(np.max(np.abs(fx))) if len(fx) else 0.0
-    if norm <= config.tolerance:
-        return x, 0
-
-    for iteration in range(1, config.max_iterations + 1):
-        if config.jacobian is not None:
-            jac = np.asarray(config.jacobian(x), dtype=float)
-        else:
-            jac = fd_jacobian(residual, x, fx)
-        step = solve_dense(jac, -fx)
-
-        if config.damping == "armijo":
-            scale = 1.0
-            for _ in range(21):
-                x_new = x + scale * step
-                f_new = np.asarray(residual(x_new), dtype=float)
-                new_norm = float(np.max(np.abs(f_new)))
-                if np.isfinite(new_norm) and new_norm < norm:
-                    break
-                scale *= 0.5
-        else:
-            x_new = x + step
-            f_new = np.asarray(residual(x_new), dtype=float)
-            new_norm = float(np.max(np.abs(f_new)))
-
-        x, fx, norm = x_new, f_new, new_norm
-        if np.isfinite(norm) and norm <= config.tolerance:
+    for iteration in range(config.max_iterations + 1):
+        fx = np.asarray(residual(x), dtype=float)
+        if not np.all(np.isfinite(fx)):
+            raise EvaluationError(
+                f"residual is not finite at Newton iteration {iteration}")
+        norm = float(np.max(np.abs(fx))) if len(fx) else 0.0
+        if norm <= config.tolerance:
             return x, iteration
-
+        if iteration < config.max_iterations:
+            x = x + solve_dense(fd_jacobian(residual, x, fx), -fx)
     raise NewtonDivergence(config.max_iterations, norm)

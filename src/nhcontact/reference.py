@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import SQRT_EPS, Array, ContactSystem, central_difference
+from .model import SQRT_EPS, Array, ContactSystem, EvaluationError, central_difference
 from .newton import NewtonConfig, NewtonDivergence, SingularJacobian, newton_solve
 
 
@@ -77,7 +77,6 @@ def rkf45_integrate(
     t_span: tuple,
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-10,
-    h0: Optional[float] = None,
     max_steps: int = 10_000_000,
 ) -> DenseTrajectory:
     """Adaptive embedded 4(5) integration of ``ydot = ode(t, y)``.
@@ -89,7 +88,7 @@ def rkf45_integrate(
     span = tf - t0
     y = np.array(y0, dtype=float)
     h_min = 1e-12 * span
-    h = h0 if h0 is not None else min(1e-2 * span, 1.0) or span
+    h = min(1e-2 * span, 1.0) or span
     d = len(y)
 
     times = [t0]
@@ -321,7 +320,7 @@ def implicit_dae_integrate(
             guess = 2.0 * states[-1] - states[-2]
         try:
             y_next, _ = newton_solve(residual, guess, newton)
-        except (NewtonDivergence, SingularJacobian) as exc:
+        except (NewtonDivergence, SingularJacobian, EvaluationError) as exc:
             t_fail = times[-1] + h
             return DAETrajectory(
                 times=np.array(times), states=np.array(states), completed=False,

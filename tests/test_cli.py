@@ -22,6 +22,22 @@ def test_unknown_experiment(capsys):
     assert "foucault-1" in err  # catalog listed on error
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "disk-2.1", "--integrator", "la"],
+    ["run", "disk-2.1", "--integrator", "rkf45"],
+    ["compare", "disk-2.1", "--integrators", "la"],
+    ["run", "foucault-1", "--override", "foo=1"],
+    ["run", "foucault-1", "--override", "rule=foo"],
+], ids=["run-disk-la", "run-disk-rkf45", "compare-disk-la", "unknown-override",
+        "unknown-rule"])
+def test_unsupported_input_one_error_line(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(args + ["--output-dir", str(out)]) == EXIT_UNKNOWN == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_zero_horizon_single_row(tmp_path):
     out = tmp_path / "out"
     code = run_cli(["run", "foucault-1", "--t-final", "0",

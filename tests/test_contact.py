@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from nhcontact.contact import (
-    ContactStepResidualSpec,
     DenominatorSingular,
     StepStats,
     contact_residual,
-    contact_step,
     initialize_window,
     project_velocity,
     run_contact,
@@ -50,10 +48,8 @@ def test_pendulum_residual_matches_hand_coded_stepping_equations():
         lam = rng.normal(size=1)
         zm, zj, zp = rng.normal(size=3)
         window = StepState(q_prev=qm, q_curr=qj, z_prev=zm, z_curr=zj, t_curr=1.0)
-        res = contact_residual(
-            ContactStepResidualSpec(system, TRAP_FIRST, window),
-            np.concatenate([qp, [zp], lam]),
-        )
+        res = contact_residual(system, TRAP_FIRST, window,
+                               np.concatenate([qp, [zp], lam]))
         hand = m * ((2 * qj - qp - qm) / h ** 2 - (g / l) * qj
                     - alpha * ((qj - qm) / h - (h / 2) * (g / l) * qj))
         hand -= np.array([[-qj[1], qj[0]]]).T @ lam
@@ -67,10 +63,8 @@ def test_pendulum_residual_constraint_row():
     qj = np.array([0.1, 0.6])
     qp = np.array([0.15, 0.58])
     window = StepState(q_prev=qj, q_curr=qj, z_prev=0.0, z_curr=0.0, t_curr=0.0)
-    res = contact_residual(
-        ContactStepResidualSpec(system, TRAP_FIRST, window),
-        np.concatenate([qp, [0.0], [0.0]]),
-    )
+    res = contact_residual(system, TRAP_FIRST, window,
+                           np.concatenate([qp, [0.0], [0.0]]))
     expected = (-qj[1] * (qp[0] - qj[0]) / h + qj[0] * (qp[1] - qj[1]) / h
                 + params.omega_vertical * (qj @ qj))
     assert res[-1] == pytest.approx(expected, rel=1e-12)
@@ -175,8 +169,7 @@ def test_denominator_singularity_detected():
     window = StepState(q_prev=np.zeros(1), q_curr=np.zeros(1),
                        z_prev=0.0, z_curr=0.0, t_curr=h)
     with pytest.raises(DenominatorSingular):
-        contact_residual(ContactStepResidualSpec(system, rule, window),
-                         np.array([0.0, 0.0]))
+        contact_residual(system, rule, window, np.array([0.0, 0.0]))
 
 
 DRIVERS = [run_contact, run_la]

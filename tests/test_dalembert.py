@@ -1,12 +1,9 @@
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhcontact.contact import run_contact
-from nhcontact.dalembert import (
-    ForcedStepResidualSpec,
-    la_residual,
-    run_la,
-)
+from nhcontact.dalembert import la_residual, run_la
 from nhcontact.model import (
     DiscretizationRule,
     PositionRule,
@@ -34,10 +31,7 @@ def test_pendulum_la_residual_matches_hand_coded_block():
         qp = qj + 0.05 * rng.normal(size=2)
         lam = rng.normal(size=1)
         window = StepState(q_prev=qm, q_curr=qj, z_prev=0.0, z_curr=0.0, t_curr=1.0)
-        res = la_residual(
-            ForcedStepResidualSpec(system, TRAP_FIRST, window),
-            np.concatenate([qp, lam]),
-        )
+        res = la_residual(system, TRAP_FIRST, window, np.concatenate([qp, lam]))
         # h * [D1 Ld(fwd) + D2 Ld(bwd)] with trapezoidal quadrature,
         # plus the one-step force quadrature, minus the constraint term
         hand = m * ((2 * qj - qp - qm) / h - h * (g / l) * qj) \
@@ -46,43 +40,25 @@ def test_pendulum_la_residual_matches_hand_coded_block():
         assert np.allclose(res[:2], hand, rtol=1e-12, atol=1e-9)
 
 
-def test_all_force_splits_consistent_to_first_order():
-    params = FoucaultParams(alpha=1e-2)
-    system = foucault_system(params, formulation="la")
-    rng = np.random.default_rng(2)
-    qm = rng.normal(size=2)
-    qj = qm + 0.01 * rng.normal(size=2)
-    qp = qj + 0.01 * rng.normal(size=2)
-    window = StepState(q_prev=qm, q_curr=qj, z_prev=0.0, z_curr=0.0, t_curr=1.0)
-    unknowns = np.concatenate([qp, [0.0]])
-    values = [
-        la_residual(ForcedStepResidualSpec(system, TRAP_FIRST, window, split), unknowns)
-        for split in ("all-left", "all-right", "half-half")
-    ]
-    # splits differ by O(h) in the force term only
-    scale = np.max(np.abs(values[0]))
-    for v in values[1:]:
-        assert np.max(np.abs(v - values[0])) < 1e-3 * scale
+@settings(max_examples=10, deadline=None)
+@given(amplitude=st.floats(1.0 / 200.0, 1.0 / 50.0),
+       direction=st.floats(0.0, np.pi),
+       latitude=st.floats(np.deg2rad(10.0), np.deg2rad(80.0)))
+def test_conservative_la_matches_contact_per_step(amplitude, direction, latitude):
+    """At alpha = 0 the contact and forced schemes solve the same equations.
 
-
-def test_unknown_force_split_rejected():
-    system = foucault_system(FoucaultParams(), formulation="la")
-    window = StepState(q_prev=np.zeros(2), q_curr=np.zeros(2),
-                       z_prev=0.0, z_curr=0.0, t_curr=0.0)
-    with pytest.raises(ValueError):
-        la_residual(ForcedStepResidualSpec(system, TRAP_FIRST, window, "middle"),
-                    np.zeros(3))
-
-
-def test_conservative_la_matches_contact_per_step():
-    params = FoucaultParams(alpha=0.0)
+    The solver tolerance is absolute. At the largest amplitudes the momentum
+    rows are of order 1e4, and 1e-12 sits at their round-off floor, so the
+    runs are solved to 1e-11.
+    """
+    params = FoucaultParams(alpha=0.0, beta=latitude)
     herglotz = foucault_system(params, formulation="herglotz")
     forced = foucault_system(params, formulation="la")
-    q0 = np.array([0.0, params.l / 100.0])
+    q0 = amplitude * params.l * np.array([np.cos(direction), np.sin(direction)])
     v0 = np.zeros(2)
-    solver = NewtonConfig(tolerance=1e-12)
-    tc = run_contact(herglotz, TRAP_FIRST, q0, v0, 500, solver)
-    tl = run_la(forced, TRAP_FIRST, q0, v0, 500, solver)
+    solver = NewtonConfig(tolerance=1e-11)
+    tc = run_contact(herglotz, TRAP_FIRST, q0, v0, 200, solver)
+    tl = run_la(forced, TRAP_FIRST, q0, v0, 200, solver)
     assert tc.termination.completed and tl.termination.completed
     assert np.max(np.abs(tc.configurations - tl.configurations)) < 1e-10
 

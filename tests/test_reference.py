@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nhcontact.model import ContactSystem
 from nhcontact.newton import NewtonConfig
 from nhcontact.reference import (
     ConsistencyFailure,
@@ -103,6 +104,29 @@ def test_dae_failure_recorded_not_raised():
     assert len(traj.times) == len(traj.states)
 
 
+def log_well_oscillator():
+    # L = v^2/2 - q^2/2 - log(q + 1.1) - 0.1 z: the swing reaches q = -1.1,
+    # where the Lagrangian is not finite, near t = 1.85
+    return ContactSystem(
+        dim_q=1, dim_c=0,
+        lagrangian=lambda t, q, v, z: 0.5 * v @ v - 0.5 * q @ q
+        - np.log(q[0] + 1.1) - 0.1 * z,
+        constraint_matrix=lambda q: np.zeros((0, 1)),
+        lagrangian_gradients=lambda t, q, v, z: (-q - 1.0 / (q + 1.1), v.copy(), -0.1),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("h", [0.05, 0.1, 0.2])
+def test_dae_non_finite_residual_recorded_not_raised(h):
+    system = make_continuous_system(log_well_oscillator())
+    y0, ydot0 = consistent_init(system, np.array([1.0]), np.array([0.0]))
+    traj = implicit_dae_integrate(system, y0, ydot0, (0.0, 10.0), h)
+    assert traj.completed is False
+    assert 1.7 < traj.failure_time < 2.0
+    assert "not finite" in traj.failure_message
+
+
 def test_consistent_init_foucault():
     system = make_continuous_system(foucault_system(FoucaultParams(alpha=1e-3)))
     y0, ydot0 = consistent_init(system, np.array([0.0, 0.67]), np.zeros(2))
@@ -133,8 +157,6 @@ def test_consistent_init_projects_infeasible_velocity():
 
 
 def test_make_continuous_system_requires_gradients():
-    from nhcontact.model import ContactSystem
-
     bare = ContactSystem(
         dim_q=1, dim_c=0,
         lagrangian=lambda t, q, v, z: 0.5 * v @ v,
