@@ -17,11 +17,12 @@ from .contact import (
     StepStats,
     contact_residual,
     contact_step,
+    contact_window_terms,
     initialize_window,
     run_contact,
     simulate_contact,
 )
-from .dalembert import la_residual, la_step, run_la, simulate_la
+from .dalembert import la_residual, la_step, la_window_terms, run_la, simulate_la
 from .experiments import (
     CATALOG,
     UnknownExperiment,
@@ -85,6 +86,7 @@ __all__ = [
     "consistent_init",
     "contact_residual",
     "contact_step",
+    "contact_window_terms",
     "convergence_order",
     "disk_system",
     "foucault_reference_ode",
@@ -94,6 +96,7 @@ __all__ = [
     "initialize_window",
     "la_residual",
     "la_step",
+    "la_window_terms",
     "make_continuous_system",
     "newton_solve",
     "oscillation_plane_angle",

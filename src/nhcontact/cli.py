@@ -115,15 +115,22 @@ def write_summary_csv(path: str, traj: Trajectory, wall_time: float,
         f.write(",".join(row) + "\n")
 
 
-def _parse_override_value(raw: str):
+#: Spec fields settable by ``--override`` and ``--config``, with the
+#: conversion of their text values; ``rule`` names an entry of RULE_NAMES.
+OVERRIDE_TYPES = {"alpha": float, "h": float, "t_final": float,
+                  "integrator": Integrator, "rule": str}
+
+
+def _parse_override(pair: str):
+    key, _, raw = pair.partition("=")
+    key, raw = key.strip(), raw.strip()
+    if key not in OVERRIDE_TYPES:
+        raise UnsupportedExperiment(
+            f"unknown override {key}; settable: {', '.join(sorted(OVERRIDE_TYPES))}")
     try:
-        return int(raw)
+        return key, OVERRIDE_TYPES[key](raw)
     except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+        raise UnsupportedExperiment(f"invalid value {raw!r} for {key}") from None
 
 
 def _collect_overrides(args) -> dict:
@@ -134,11 +141,11 @@ def _collect_overrides(args) -> dict:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                key, _, value = line.partition("=")
-                overrides[key.strip()] = _parse_override_value(value.strip())
+                key, value = _parse_override(line)
+                overrides[key] = value
     for pair in getattr(args, "override", None) or []:
-        key, _, value = pair.partition("=")
-        overrides[key.strip()] = _parse_override_value(value.strip())
+        key, value = _parse_override(pair)
+        overrides[key] = value
     if getattr(args, "alpha", None) is not None:
         overrides["alpha"] = args.alpha
     if getattr(args, "h", None) is not None:
@@ -190,7 +197,7 @@ def _unknown(experiment: str) -> int:
     return EXIT_UNKNOWN
 
 
-def _unsupported(exc: UnsupportedExperiment) -> int:
+def _unsupported(exc: ValueError) -> int:
     print(f"unsupported: {exc}", file=sys.stderr)
     return EXIT_UNKNOWN
 
@@ -275,22 +282,31 @@ def cmd_compare(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    try:
+        h_list = [float(v) for v in args.h_list.split(",")]
+        studies = []
+        for rule_name in args.rules.split(","):
+            if rule_name not in RULE_NAMES:
+                raise UnsupportedExperiment(f"unknown rule {rule_name!r}")
+            base = RULE_NAMES[rule_name]
+            studies.append((rule_name, [DiscretizationRule(base.position_rule, base.z_rule, h)
+                                        for h in h_list]))
+    except ValueError as exc:
+        return _unsupported(exc)
+
     out = _output_dir(args, "convergence")
     alpha, omega, t_final = 0.1, 1.0, 10.0
     system = damped_oscillator(alpha, omega)
-    h_list = [float(v) for v in args.h_list.split(",")]
     rows = []
-    for rule_name in args.rules.split(","):
-        base = RULE_NAMES[rule_name]
+    for rule_name, rules in studies:
         pairs = []
-        for h in h_list:
-            rule = DiscretizationRule(base.position_rule, base.z_rule, h)
-            n = int(round(t_final / h))
+        for rule in rules:
+            n = int(round(t_final / rule.h))
             traj = run_contact(system, rule, np.array([1.0]), np.array([0.0]), n,
                                NewtonConfig(tolerance=1e-12))
             err = abs(traj.configurations[-1, 0]
                       - damped_oscillator_solution(alpha, omega, t_final))
-            pairs.append((h, err))
+            pairs.append((rule.h, err))
         order = convergence_order(pairs)
         for h, err in pairs:
             rows.append([rule_name, _fmt(h), _fmt(err), _fmt(order)])

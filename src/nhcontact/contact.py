@@ -42,32 +42,51 @@ class DenominatorSingular(RuntimeError):
     """The implicit z-coupling factor ``1 - h D4 L_d`` is degenerate."""
 
 
-def contact_residual(
+def contact_window_terms(
     system: ContactSystem,
     rule: DiscretizationRule,
     window: StepState,
-    unknowns: Array,
-) -> Array:
-    """Stacked residual at a candidate ``(q_{j+1}, z_{j+1}, lambda)``."""
+):
+    """Residual terms fixed by the window for the whole step:
+    ``(D2 L_d(bwd), 1 - h D4 L_d(bwd), A(q_j)^T)``.
+
+    Raises :class:`DenominatorSingular` when the implicit z-coupling factor
+    vanishes.
+    """
     w = window
-    n, m, h = system.dim_q, system.dim_c, rule.h
-    q_next = unknowns[:n]
-    z_next = unknowns[n]
-    lam = unknowns[n + 1:]
-
-    t_prev = w.t_curr - h
-    d1f, _, d3f, _ = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next, w.z_curr, z_next)
-    _, d2b, _, d4b = partials_of_Ld(system, rule, t_prev, w.q_prev, w.q_curr, w.z_prev, w.z_curr)
-
+    h = rule.h
+    _, d2b, _, d4b = partials_of_Ld(system, rule, w.t_curr - h, w.q_prev, w.q_curr,
+                                    w.z_prev, w.z_curr)
     denom = 1.0 - h * d4b
     if abs(denom) < 1e-12:
         raise DenominatorSingular(
             f"1 - h*D4 = {denom:.3e} at t={w.t_curr}: implicit z-coupling degenerate"
         )
+    return d2b, denom, system.constraint_matrix(w.q_curr).T
 
+
+def contact_residual(
+    system: ContactSystem,
+    rule: DiscretizationRule,
+    window: StepState,
+    terms,
+    unknowns: Array,
+) -> Array:
+    """Stacked residual at a candidate ``(q_{j+1}, z_{j+1}, lambda)``.
+
+    ``terms`` are the window's :func:`contact_window_terms`.
+    """
+    w = window
+    n, m, h = system.dim_q, system.dim_c, rule.h
+    q_next = unknowns[:n]
+    z_next = unknowns[n]
+    lam = unknowns[n + 1:]
+    d2b, denom, a_t = terms
+
+    d1f, _, d3f, _ = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next, w.z_curr, z_next)
     momentum = d1f + d2b * (1.0 + h * d3f) / denom
     if m:
-        momentum = momentum - system.constraint_matrix(w.q_curr).T @ lam
+        momentum = momentum - a_t @ lam
 
     ld_fwd = evaluate_discrete_lagrangian(
         system, rule, w.t_curr, w.q_curr, q_next, w.z_curr, z_next
@@ -121,7 +140,7 @@ def contact_step(
 
     The initial guess extrapolates the configuration linearly, advances z by
     the previous window's discrete Lagrangian and carries the previous
-    multipliers forward.
+    multipliers forward.  The window terms are computed once, before Newton.
     """
     w = window
     n, h = system.dim_q, rule.h
@@ -130,8 +149,9 @@ def contact_step(
         system, rule, w.t_curr - h, w.q_prev, w.q_curr, w.z_prev, w.z_curr
     )
     x0 = np.concatenate([q_guess, [z_guess], lam_prev])
+    terms = contact_window_terms(system, rule, window)
     x, iterations = newton_solve(
-        lambda u: contact_residual(system, rule, window, u), x0, solver)
+        lambda u: contact_residual(system, rule, window, terms, u), x0, solver)
     return x[:n], float(x[n]), x[n + 1:], iterations
 
 

@@ -38,28 +38,42 @@ def _discrete_force(system, rule, t, q, q_next):
     return h * system.external_force(t_eval, q_eval, v)
 
 
+def la_window_terms(
+    system: ContactSystem,
+    rule: DiscretizationRule,
+    window: StepState,
+):
+    """Residual terms fixed by the window for the whole step:
+    ``(D2 L_d(bwd), A(q_j)^T)``."""
+    w = window
+    _, d2b, _, _ = partials_of_Ld(system, rule, w.t_curr - rule.h, w.q_prev, w.q_curr,
+                                  0.0, 0.0)
+    return d2b, system.constraint_matrix(w.q_curr).T
+
+
 def la_residual(
     system: ContactSystem,
     rule: DiscretizationRule,
     window: StepState,
+    terms,
     unknowns: Array,
 ) -> Array:
     """Forced discrete Euler-Lagrange residual plus discrete constraints.
 
-    The force is sampled on the forward step ``(q_j, q_{j+1})``.
+    ``terms`` are the window's :func:`la_window_terms`.  The force is
+    sampled on the forward step ``(q_j, q_{j+1})``.
     """
     w = window
     n, m, h = system.dim_q, system.dim_c, rule.h
     q_next = unknowns[:n]
     lam = unknowns[n:]
+    d2b, a_t = terms
 
-    t_prev = w.t_curr - h
     d1f, _, _, _ = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next, 0.0, 0.0)
-    _, d2b, _, _ = partials_of_Ld(system, rule, t_prev, w.q_prev, w.q_curr, 0.0, 0.0)
     momentum = h * (d1f + d2b) + _discrete_force(
         system, rule, w.t_curr, w.q_curr, q_next)
     if m:
-        momentum = momentum - system.constraint_matrix(w.q_curr).T @ lam
+        momentum = momentum - a_t @ lam
 
     out = np.empty(n + m)
     out[:n] = momentum
@@ -80,8 +94,9 @@ def la_step(
     n = system.dim_q
     q_guess = 2.0 * window.q_curr - window.q_prev
     x0 = np.concatenate([q_guess, lam_prev])
+    terms = la_window_terms(system, rule, window)
     x, iterations = newton_solve(
-        lambda u: la_residual(system, rule, window, u), x0, solver)
+        lambda u: la_residual(system, rule, window, terms, u), x0, solver)
     return x[:n], 0.0, x[n:], iterations
 
 

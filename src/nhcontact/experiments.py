@@ -44,7 +44,7 @@ class UnknownExperiment(KeyError):
 class UnsupportedExperiment(ValueError):
     """A system or integrator the package cannot run, an integrator the
     system has no formulation for, or an override of a field the experiment
-    spec does not have."""
+    spec does not have or with a value the spec rejects."""
 
 
 def steady_rolling_spin_rate(params: DiskParams, theta0: float, phidot0: float) -> float:
@@ -143,11 +143,14 @@ def get_experiment(experiment_id: str, **overrides) -> ExperimentSpec:
         raise UnsupportedExperiment(f"unknown override {', '.join(unknown)}")
     fields = {f: getattr(spec, f) for f in spec.__dataclass_fields__}
     fields.update(overrides)
-    if "h" in overrides and "rule" not in overrides:
-        fields["rule"] = DiscretizationRule(
-            spec.rule.position_rule, spec.rule.z_rule, h=float(overrides["h"])
-        )
-    return ExperimentSpec(**fields)
+    try:
+        if "h" in overrides and "rule" not in overrides:
+            fields["rule"] = DiscretizationRule(
+                spec.rule.position_rule, spec.rule.z_rule, h=float(overrides["h"])
+            )
+        return ExperimentSpec(**fields)
+    except ValueError as exc:
+        raise UnsupportedExperiment(str(exc)) from None
 
 
 def _foucault_params(spec: ExperimentSpec) -> FoucaultParams:

@@ -9,6 +9,7 @@ dynamics intrinsically.  Velocity-level constraints are kept in affine form
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -119,8 +120,8 @@ class DiscretizationRule:
     h: float
 
     def __post_init__(self) -> None:
-        if self.h <= 0.0:
-            raise ValueError(f"step size must be positive, got {self.h}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"step size must be positive and finite, got {self.h}")
 
 
 @dataclass(frozen=True)
@@ -197,10 +198,10 @@ class ExperimentSpec:
     rule: DiscretizationRule
 
     def __post_init__(self) -> None:
-        if self.h <= 0.0:
-            raise ValueError("h must be positive")
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be non-negative")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"h must be positive and finite, got {self.h}")
+        if not 0.0 <= self.t_final < math.inf:
+            raise ValueError(f"t_final must be non-negative and finite, got {self.t_final}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +238,7 @@ def evaluate_discrete_lagrangian(
             + system.lagrangian(t + h, q_next, v, z_d)
         )
     val = float(val)
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise EvaluationError(
             f"non-finite discrete Lagrangian at t={t}, q={q}, q_next={q_next}, "
             f"z={z}, z_next={z_next}"
@@ -299,20 +300,13 @@ def partials_of_Ld(
     with respect to its two configuration and two z arguments.
 
     Uses the system's registered analytic gradients when available, otherwise
-    central finite differences on :func:`evaluate_discrete_lagrangian`.
+    central finite differences on :func:`evaluate_discrete_lagrangian`.  The
+    partials are not checked for finiteness here: Newton checks every
+    residual and Jacobian it is given (:func:`nhcontact.newton.newton_solve`).
     """
     if system.lagrangian_gradients is not None:
-        out = _partials_analytic(system, rule, t, q, q_next, z, z_next)
-    else:
-        out = _partials_fd(system, rule, t, q, q_next, z, z_next)
-    d1, d2, d3, d4 = out
-    if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
-            and np.isfinite(d3) and np.isfinite(d4)):
-        raise EvaluationError(
-            f"non-finite discrete Lagrangian partials at t={t}, q={q}, "
-            f"q_next={q_next}"
-        )
-    return d1, d2, d3, d4
+        return _partials_analytic(system, rule, t, q, q_next, z, z_next)
+    return _partials_fd(system, rule, t, q, q_next, z, z_next)
 
 
 def lagrangian_gradients_or_fd(

@@ -49,29 +49,42 @@ class NewtonConfig:
 def solve_dense(a: Array, rhs: Array) -> Array:
     """Solve ``a x = rhs`` by LU with partial pivoting after row equilibration.
 
-    Raises :class:`SingularJacobian` when the largest available pivot of an
-    equilibrated column falls below :data:`PIVOT_FLOOR`.
+    The pivot is the first entry of largest magnitude in its column.  Raises
+    :class:`SingularJacobian` when that pivot of an equilibrated column falls
+    below :data:`PIVOT_FLOOR`.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(rhs, dtype=float)
-    k = a.shape[0]
-    scale = np.max(np.abs(a), axis=1)
-    scale[scale == 0.0] = 1.0
-    a /= scale[:, None]
-    b /= scale
+    # elimination on Python floats: for a dozen unknowns, numpy's per-call
+    # overhead costs more than the arithmetic; each update rounds its product
+    # and its difference separately, as numpy's outer-product update does
+    rows = np.array(a, dtype=float).tolist()
+    b = np.array(rhs, dtype=float).tolist()
+    k = len(rows)
+    for i, row in enumerate(rows):
+        scale = max(map(abs, row)) or 1.0
+        rows[i] = [v / scale for v in row]
+        b[i] /= scale
     for col in range(k):
-        p = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[p, col]) < PIVOT_FLOOR:
-            raise SingularJacobian(abs(a[p, col]))
-        if p != col:
-            a[[col, p]] = a[[p, col]]
-            b[[col, p]] = b[[p, col]]
-        factors = a[col + 1:, col] / a[col, col]
-        a[col + 1:, col + 1:] -= np.outer(factors, a[col, col + 1:])
-        b[col + 1:] -= factors * b[col]
+        p, pivot = col, abs(rows[col][col])
+        for r in range(col + 1, k):
+            if abs(rows[r][col]) > pivot:
+                p, pivot = r, abs(rows[r][col])
+        if pivot < PIVOT_FLOOR:
+            raise SingularJacobian(pivot)
+        rows[col], rows[p] = rows[p], rows[col]
+        b[col], b[p] = b[p], b[col]
+        top = rows[col]
+        for r in range(col + 1, k):
+            row = rows[r]
+            factor = row[col] / top[col]
+            for c in range(col + 1, k):
+                row[c] -= factor * top[c]
+            b[r] -= factor * b[col]
+    # back-substitution keeps numpy's dot: a Python sum rounds differently
+    # and would move trajectories in their last bits
+    u = np.array(rows)
     x = np.empty(k)
     for row in range(k - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
+        x[row] = (b[row] - u[row, row + 1:] @ x[row + 1:]) / u[row, row]
     return x
 
 
@@ -91,9 +104,9 @@ def newton_solve(
     """Solve ``residual(x) = 0`` to inf-norm ``config.tolerance``.
 
     Returns ``(x, iterations)``.  Raises :class:`EvaluationError` at the
-    first iterate whose residual is not finite, :class:`NewtonDivergence`
-    after ``max_iterations`` and :class:`SingularJacobian` when the
-    linearized system cannot be solved.
+    first iterate whose residual or Jacobian is not finite,
+    :class:`NewtonDivergence` after ``max_iterations`` and
+    :class:`SingularJacobian` when the linearized system cannot be solved.
     """
     x = np.array(x0, dtype=float)
     for iteration in range(config.max_iterations + 1):
@@ -105,5 +118,9 @@ def newton_solve(
         if norm <= config.tolerance:
             return x, iteration
         if iteration < config.max_iterations:
-            x = x + solve_dense(fd_jacobian(residual, x, fx), -fx)
+            jac = fd_jacobian(residual, x, fx)
+            if not np.all(np.isfinite(jac)):
+                raise EvaluationError(
+                    f"Jacobian is not finite at Newton iteration {iteration}")
+            x = x + solve_dense(jac, -fx)
     raise NewtonDivergence(config.max_iterations, norm)

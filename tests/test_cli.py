@@ -28,14 +28,35 @@ def test_unknown_experiment(capsys):
     ["compare", "disk-2.1", "--integrators", "la"],
     ["run", "foucault-1", "--override", "foo=1"],
     ["run", "foucault-1", "--override", "rule=foo"],
+    ["run", "foucault-1", "--h", "0"],
+    ["run", "foucault-1", "--h", "nan"],
+    ["run", "foucault-1", "--t-final", "-1"],
+    ["compare", "foucault-1", "--t-final", "inf"],
+    ["run", "foucault-1", "--override", "h=abc"],
+    ["run", "foucault-1", "--override", "integrator=foo"],
+    ["run", "foucault-1", "--override", "q0=1"],
+    ["convergence", "--h-list", "0.1,abc"],
+    ["convergence", "--h-list", "0.1,0"],
+    ["convergence", "--rules", "left-first,foo"],
 ], ids=["run-disk-la", "run-disk-rkf45", "compare-disk-la", "unknown-override",
-        "unknown-rule"])
+        "unknown-rule", "zero-h", "nan-h", "negative-t-final", "compare-inf-t-final",
+        "text-h", "unknown-integrator-override", "array-override",
+        "convergence-text-h", "convergence-zero-h", "convergence-unknown-rule"])
 def test_unsupported_input_one_error_line(args, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(args + ["--output-dir", str(out)]) == EXIT_UNKNOWN == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def test_integrator_override_is_converted(tmp_path):
+    flag, override = tmp_path / "flag", tmp_path / "override"
+    assert run_cli(["run", "foucault-1", "--t-final", "1", "--integrator", "la",
+                    "--output-dir", str(flag)]) == EXIT_OK
+    assert run_cli(["run", "foucault-1", "--t-final", "1", "--override", "integrator=la",
+                    "--output-dir", str(override)]) == EXIT_OK
+    assert (override / "trajectory.csv").read_bytes() == (flag / "trajectory.csv").read_bytes()
 
 
 def test_run_zero_horizon_single_row(tmp_path):

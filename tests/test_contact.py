@@ -1,22 +1,29 @@
 import numpy as np
 import pytest
 
+import nhcontact.contact
 from nhcontact.contact import (
     DenominatorSingular,
     StepStats,
     contact_residual,
+    contact_step,
+    contact_window_terms,
     initialize_window,
     project_velocity,
     run_contact,
     solve_z_update,
 )
 from nhcontact.dalembert import run_la
+from nhcontact.experiments import DISK_RULE, build_contact_system, get_experiment
 from nhcontact.model import (
     ContactSystem,
     DiscretizationRule,
     PositionRule,
     StepState,
     ZRule,
+    discrete_constraint,
+    evaluate_discrete_lagrangian,
+    partials_of_Ld,
 )
 from nhcontact.newton import NewtonConfig
 from nhcontact.systems import (
@@ -49,6 +56,7 @@ def test_pendulum_residual_matches_hand_coded_stepping_equations():
         zm, zj, zp = rng.normal(size=3)
         window = StepState(q_prev=qm, q_curr=qj, z_prev=zm, z_curr=zj, t_curr=1.0)
         res = contact_residual(system, TRAP_FIRST, window,
+                               contact_window_terms(system, TRAP_FIRST, window),
                                np.concatenate([qp, [zp], lam]))
         hand = m * ((2 * qj - qp - qm) / h ** 2 - (g / l) * qj
                     - alpha * ((qj - qm) / h - (h / 2) * (g / l) * qj))
@@ -64,10 +72,86 @@ def test_pendulum_residual_constraint_row():
     qp = np.array([0.15, 0.58])
     window = StepState(q_prev=qj, q_curr=qj, z_prev=0.0, z_curr=0.0, t_curr=0.0)
     res = contact_residual(system, TRAP_FIRST, window,
+                           contact_window_terms(system, TRAP_FIRST, window),
                            np.concatenate([qp, [0.0], [0.0]]))
     expected = (-qj[1] * (qp[0] - qj[0]) / h + qj[0] * (qp[1] - qj[1]) / h
                 + params.omega_vertical * (qj @ qj))
     assert res[-1] == pytest.approx(expected, rel=1e-12)
+
+
+def unhoisted_contact_residual(system, rule, window, unknowns):
+    """Reference residual that recomputes every window term per call."""
+    w = window
+    n, m, h = system.dim_q, system.dim_c, rule.h
+    q_next, z_next, lam = unknowns[:n], unknowns[n], unknowns[n + 1:]
+    d1f, _, d3f, _ = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next, w.z_curr, z_next)
+    _, d2b, _, d4b = partials_of_Ld(system, rule, w.t_curr - h, w.q_prev, w.q_curr,
+                                    w.z_prev, w.z_curr)
+    momentum = d1f + d2b * (1.0 + h * d3f) / (1.0 - h * d4b)
+    if m:
+        momentum = momentum - system.constraint_matrix(w.q_curr).T @ lam
+    ld_fwd = evaluate_discrete_lagrangian(system, rule, w.t_curr, w.q_curr, q_next,
+                                          w.z_curr, z_next)
+    out = np.empty(n + 1 + m)
+    out[:n] = momentum
+    out[n] = z_next - w.z_curr - h * ld_fwd
+    if m:
+        out[n + 1:] = discrete_constraint(system, rule, w.q_curr, q_next)
+    return out
+
+
+def pendulum_case():
+    return foucault_system(FoucaultParams(alpha=1e-3)), TRAP_FIRST, np.array([0.1, 0.6])
+
+
+def forced_disk_case():
+    # family 3 ramps its forcing with t, so the window's time matters
+    spec = get_experiment("disk-3.2")
+    return build_contact_system(spec), DISK_RULE, spec.q0 + np.array([0.0, 0.0, 0.1, 0.2, 0.3])
+
+
+KERNEL_CASES = [pendulum_case, forced_disk_case]
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=["pendulum-trap-first", "disk-mid-second"])
+def test_hoisted_residual_bit_identical_to_unhoisted(case):
+    system, rule, q = case()
+    n, m = system.dim_q, system.dim_c
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        qm = q + 0.05 * rng.normal(size=n)
+        qj = qm + 0.05 * rng.normal(size=n)
+        zm, zj = rng.normal(size=2)
+        window = StepState(q_prev=qm, q_curr=qj, z_prev=zm, z_curr=zj,
+                           t_curr=rng.uniform(0.1, 10.0))
+        terms = contact_window_terms(system, rule, window)
+        for _ in range(5):
+            unknowns = np.concatenate([qj + 0.05 * rng.normal(size=n),
+                                       rng.normal(size=1 + m)])
+            assert np.array_equal(contact_residual(system, rule, window, terms, unknowns),
+                                  unhoisted_contact_residual(system, rule, window, unknowns))
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=["pendulum-trap-first", "disk-mid-second"])
+def test_contact_step_computes_window_partials_once(case, monkeypatch):
+    system, rule, q = case()
+    calls = {"partials": 0, "residual": 0}
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    window = initialize_window(system, rule, q, np.zeros(system.dim_q))
+    monkeypatch.setattr(nhcontact.contact, "partials_of_Ld",
+                        counting("partials", partials_of_Ld))
+    monkeypatch.setattr(nhcontact.contact, "contact_residual",
+                        counting("residual", contact_residual))
+    _, _, _, iterations = contact_step(system, rule, window, np.zeros(system.dim_c),
+                                       NewtonConfig())
+    assert iterations >= 1
+    assert calls["partials"] == calls["residual"] + 1
 
 
 def test_oscillator_against_analytic_solution():
@@ -169,7 +253,7 @@ def test_denominator_singularity_detected():
     window = StepState(q_prev=np.zeros(1), q_curr=np.zeros(1),
                        z_prev=0.0, z_curr=0.0, t_curr=h)
     with pytest.raises(DenominatorSingular):
-        contact_residual(system, rule, window, np.array([0.0, 0.0]))
+        contact_window_terms(system, rule, window)
 
 
 DRIVERS = [run_contact, run_la]
@@ -206,6 +290,34 @@ def test_solver_failure_truncates_trajectory(run, system):
     assert traj.termination.step == traj.n_steps + 1
     assert len(traj.times) == traj.n_steps + 1
     assert traj.n_steps < 50
+
+
+def nan_gradient_system():
+    # L stays finite everywhere; the gradient of its potential is NaN below -0.5
+    def gradients(t, q, v, z):
+        return -q * np.sqrt(q + 0.5) / np.sqrt(q + 0.5), v.copy(), -0.1
+
+    return ContactSystem(
+        dim_q=1, dim_c=0,
+        lagrangian=lambda t, q, v, z: 0.5 * v @ v - 0.5 * q @ q - 0.1 * z,
+        constraint_matrix=lambda q: np.zeros((0, 1)),
+        lagrangian_gradients=gradients,
+    )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("run, step", [(run_contact, 23), (run_la, 22)],
+                         ids=["run_contact", "run_la"])
+def test_non_finite_gradient_ends_as_solver_failure(run, step):
+    # the swing from q = 1 passes q = -0.5 near t = 2.1; the failure step is
+    # the one at which per-call partials checks used to stop the run
+    rule = DiscretizationRule(PositionRule.MIDPOINT, ZRule.SECOND_ORDER, 0.1)
+    traj = run(nan_gradient_system(), rule, np.array([1.0]), np.array([0.0]), 60,
+               NewtonConfig(tolerance=1e-10))
+    assert traj.termination.status == "solver_failure"
+    assert "not finite" in traj.termination.message
+    assert traj.termination.step == step == traj.n_steps + 1
+    assert np.all(np.isfinite(traj.configurations))
 
 
 def test_step_stats_recorded():

@@ -3,6 +3,7 @@ import pytest
 
 from nhcontact.model import EvaluationError
 from nhcontact.newton import (
+    PIVOT_FLOOR,
     NewtonConfig,
     NewtonDivergence,
     SingularJacobian,
@@ -10,6 +11,69 @@ from nhcontact.newton import (
     newton_solve,
     solve_dense,
 )
+
+
+def reference_solve_dense(a, rhs):
+    """Row-equilibrated LU with partial pivoting on numpy arrays, the oracle
+    for the Python-float elimination of :func:`solve_dense`."""
+    a = np.array(a, dtype=float)
+    b = np.array(rhs, dtype=float)
+    k = a.shape[0]
+    scale = np.max(np.abs(a), axis=1)
+    scale[scale == 0.0] = 1.0
+    a /= scale[:, None]
+    b /= scale
+    for col in range(k):
+        p = col + int(np.argmax(np.abs(a[col:, col])))
+        if abs(a[p, col]) < PIVOT_FLOOR:
+            raise SingularJacobian(abs(a[p, col]))
+        if p != col:
+            a[[col, p]] = a[[p, col]]
+            b[[col, p]] = b[[p, col]]
+        factors = a[col + 1:, col] / a[col, col]
+        a[col + 1:, col + 1:] -= np.outer(factors, a[col, col + 1:])
+        b[col + 1:] -= factors * b[col]
+    x = np.empty(k)
+    for row in range(k - 1, -1, -1):
+        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
+    return x
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_solve_dense_bit_identical_to_numpy_lu(k):
+    rng = np.random.default_rng(k)
+    for trial in range(60):
+        a = rng.normal(size=(k, k))
+        if trial % 3 == 1:
+            # tied pivots: half-integer entries repeat magnitudes, and the
+            # first column is all +-1
+            a = np.sign(a) * np.round(np.abs(a) * 2.0 + 1.0) / 2.0
+            a[:, 0] = rng.choice([-1.0, 1.0], size=k)
+        elif trial % 3 == 2:
+            # rows scaled across 24 orders of magnitude
+            a *= 10.0 ** rng.uniform(-12.0, 12.0, size=(k, 1))
+        b = rng.normal(size=k)
+        try:
+            expected = reference_solve_dense(a, b)
+        except SingularJacobian as exc:
+            with pytest.raises(SingularJacobian) as info:
+                solve_dense(a, b)
+            assert info.value.pivot == exc.pivot
+            continue
+        assert np.array_equal(solve_dense(a, b), expected)
+
+
+@pytest.mark.parametrize("gap, singular", [(1e-15, True), (1e-13, False)])
+def test_solve_dense_pivot_floor(gap, singular):
+    # after elimination the second pivot is about ``gap``
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + gap]])
+    b = np.array([2.0, 2.0 + gap])
+    if singular:
+        with pytest.raises(SingularJacobian) as info:
+            solve_dense(a, b)
+        assert info.value.pivot < PIVOT_FLOOR
+    else:
+        assert np.array_equal(solve_dense(a, b), reference_solve_dense(a, b))
 
 
 def test_solve_dense_matches_numpy():
@@ -79,6 +143,15 @@ def test_newton_stops_at_first_non_finite_residual():
     with pytest.raises(EvaluationError, match="iteration 1"):
         newton_solve(residual, np.array([0.0]), NewtonConfig())
     assert len(calls) == 4
+
+
+def test_newton_stops_at_non_finite_jacobian():
+    # finite at every iterate, NaN only at the backward probe of x = 0
+    def residual(x):
+        return np.array([x[0] - 1.0 if x[0] >= 0.0 else np.nan])
+
+    with pytest.raises(EvaluationError, match="Jacobian is not finite at Newton iteration 0"):
+        newton_solve(residual, np.array([0.0]), NewtonConfig())
 
 
 def test_newton_rejects_bad_config():
