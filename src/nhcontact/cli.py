@@ -136,13 +136,17 @@ def _parse_override(pair: str):
 def _collect_overrides(args) -> dict:
     overrides = {}
     if getattr(args, "config", None):
-        with open(args.config) as f:
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, value = _parse_override(line)
-                overrides[key] = value
+        try:
+            with open(args.config) as f:
+                lines = f.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UnsupportedExperiment(f"cannot read config {args.config}: {exc}") from None
+        for line in lines:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, value = _parse_override(line)
+            overrides[key] = value
     for pair in getattr(args, "override", None) or []:
         key, value = _parse_override(pair)
         overrides[key] = value

@@ -35,7 +35,13 @@ from .model import (
     initial_acceleration,
     partials_of_Ld,
 )
-from .newton import NewtonConfig, NewtonDivergence, SingularJacobian, newton_solve
+from .newton import (
+    LUFactors,
+    NewtonConfig,
+    NewtonDivergence,
+    SingularJacobian,
+    newton_solve,
+)
 
 
 class DenominatorSingular(RuntimeError):
@@ -125,7 +131,7 @@ def solve_z_update(
         )
 
     guess = z + h * evaluate_discrete_lagrangian(system, rule, t, q, q_next, z, z)
-    zn, _ = newton_solve(residual, np.array([guess]), NewtonConfig(tolerance=1e-13))
+    zn, _, _ = newton_solve(residual, np.array([guess]), NewtonConfig(tolerance=1e-13))
     return float(zn[0])
 
 
@@ -134,13 +140,17 @@ def contact_step(
     rule: DiscretizationRule,
     window: StepState,
     lam_prev: Array,
+    jacobian: Optional[LUFactors],
     solver: NewtonConfig,
 ):
-    """One implicit contact step; returns ``(q_next, z_next, lam, iterations)``.
+    """One implicit contact step; returns
+    ``(q_next, z_next, lam, jacobian, iterations)``.
 
     The initial guess extrapolates the configuration linearly, advances z by
     the previous window's discrete Lagrangian and carries the previous
     multipliers forward.  The window terms are computed once, before Newton.
+    ``jacobian`` is the factorization the previous step ended with, or
+    ``None``; the one this step ends with is returned for the next.
     """
     w = window
     n, h = system.dim_q, rule.h
@@ -150,9 +160,9 @@ def contact_step(
     )
     x0 = np.concatenate([q_guess, [z_guess], lam_prev])
     terms = contact_window_terms(system, rule, window)
-    x, iterations = newton_solve(
-        lambda u: contact_residual(system, rule, window, terms, u), x0, solver)
-    return x[:n], float(x[n]), x[n + 1:], iterations
+    x, iterations, jacobian = newton_solve(
+        lambda u: contact_residual(system, rule, window, terms, u), x0, solver, jacobian)
+    return x[:n], float(x[n]), x[n + 1:], jacobian, iterations
 
 
 def project_velocity(system: ContactSystem, q: Array, v: Array) -> Array:
@@ -187,8 +197,8 @@ def project_seed_position(
         a = system.constraint_matrix(q0)
         return discrete_constraint(system, rule, q0, q1 + a.T @ mu)
 
-    mu, _ = newton_solve(residual, np.zeros(system.dim_c),
-                         NewtonConfig(tolerance=1e-12))
+    mu, _, _ = newton_solve(residual, np.zeros(system.dim_c),
+                            NewtonConfig(tolerance=1e-12))
     return q1 + system.constraint_matrix(q0).T @ mu
 
 
@@ -246,10 +256,12 @@ def run_steps(
     """Integrate ``n_steps`` two-point steps from ``(q0, v0)``.
 
     ``seed(system, rule, q0, v0, t0=t0)`` builds the first window, which
-    takes step 1; ``step(system, rule, window, lam, solver)`` takes each
-    later step from the previous multipliers and returns
-    ``(q_next, z_next, lam, iterations)``.  A numerical failure in either
-    ends the run as a ``solver_failure`` at the last accepted step.
+    takes step 1; ``step(system, rule, window, lam, jacobian, solver)`` takes
+    each later step from the previous multipliers and Newton factorization
+    and returns ``(q_next, z_next, lam, jacobian, iterations)``.  Both are
+    carried from step to step of this run only; the first step starts without
+    a Jacobian.  A numerical failure in either ends the run as a
+    ``solver_failure`` at the last accepted step.
     """
     from .analysis import reconstruct_velocities_from_arrays
 
@@ -271,9 +283,11 @@ def run_steps(
             qs[1] = window.q_curr
             zs[1] = window.z_curr
             lam = np.zeros(m)
+            jacobian = None
             steps_done = 1
         for j in range(1, n_steps):
-            q_next, z_next, lam, iters = step(system, rule, window, lam, solver)
+            q_next, z_next, lam, jacobian, iters = step(system, rule, window, lam,
+                                                        jacobian, solver)
             if stats is not None:
                 stats.record(iters)
             qs[j + 1] = q_next

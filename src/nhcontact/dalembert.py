@@ -7,6 +7,8 @@ zero, dissipation entering through a discretized external force instead.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .contact import project_seed_position, project_velocity, run_steps
@@ -22,7 +24,7 @@ from .model import (
     initial_acceleration,
     partials_of_Ld,
 )
-from .newton import NewtonConfig, newton_solve
+from .newton import LUFactors, NewtonConfig, newton_solve
 
 
 def _discrete_force(system, rule, t, q, q_next):
@@ -87,17 +89,19 @@ def la_step(
     rule: DiscretizationRule,
     window: StepState,
     lam_prev: Array,
+    jacobian: Optional[LUFactors],
     solver: NewtonConfig,
 ):
-    """One implicit forced step; returns ``(q_next, 0.0, lam, iterations)``,
-    z frozen at zero."""
+    """One implicit forced step; returns
+    ``(q_next, 0.0, lam, jacobian, iterations)``, z frozen at zero.
+    ``jacobian`` is carried as in :func:`~nhcontact.contact.contact_step`."""
     n = system.dim_q
     q_guess = 2.0 * window.q_curr - window.q_prev
     x0 = np.concatenate([q_guess, lam_prev])
     terms = la_window_terms(system, rule, window)
-    x, iterations = newton_solve(
-        lambda u: la_residual(system, rule, window, terms, u), x0, solver)
-    return x[:n], 0.0, x[n:], iterations
+    x, iterations, jacobian = newton_solve(
+        lambda u: la_residual(system, rule, window, terms, u), x0, solver, jacobian)
+    return x[:n], 0.0, x[n:], jacobian, iterations
 
 
 def _seed_window(

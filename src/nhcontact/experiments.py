@@ -36,6 +36,10 @@ from .systems import (
 FOUCAULT_RULE = DiscretizationRule(PositionRule.TRAPEZOIDAL, ZRule.FIRST_ORDER, h=0.05)
 DISK_RULE = DiscretizationRule(PositionRule.MIDPOINT, ZRule.SECOND_ORDER, h=0.1)
 
+#: Most steps ``t_final / h`` an overridden spec may ask for: the drivers
+#: allocate every row of the trajectory before the first step.
+MAX_STEPS = 4_000_000
+
 
 class UnknownExperiment(KeyError):
     pass
@@ -131,7 +135,11 @@ def catalog_ids() -> list:
 
 
 def get_experiment(experiment_id: str, **overrides) -> ExperimentSpec:
-    """Look up a catalog entry, optionally replacing spec fields."""
+    """Look up a catalog entry, optionally replacing spec fields.
+
+    Raises :class:`UnsupportedExperiment` for an override the spec rejects
+    and for a horizon of more than :data:`MAX_STEPS` steps.
+    """
     try:
         spec = CATALOG[experiment_id]
     except KeyError:
@@ -148,9 +156,13 @@ def get_experiment(experiment_id: str, **overrides) -> ExperimentSpec:
             fields["rule"] = DiscretizationRule(
                 spec.rule.position_rule, spec.rule.z_rule, h=float(overrides["h"])
             )
-        return ExperimentSpec(**fields)
+        spec = ExperimentSpec(**fields)
     except ValueError as exc:
         raise UnsupportedExperiment(str(exc)) from None
+    if spec.t_final / spec.h > MAX_STEPS:
+        raise UnsupportedExperiment(
+            f"t_final / h = {spec.t_final / spec.h:.3g} steps, more than {MAX_STEPS}")
+    return spec
 
 
 def _foucault_params(spec: ExperimentSpec) -> FoucaultParams:

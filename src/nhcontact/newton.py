@@ -2,20 +2,28 @@
 
 Every implicit step in the package goes through :func:`newton_solve`.
 Problem sizes are small (at most a dozen unknowns), so the linear algebra is
-a plain LU factorization with partial pivoting and row equilibration.
+a plain LU factorization with partial pivoting and row equilibration, kept
+apart from its solve (:func:`lu_factor`, :func:`lu_solve`).  A caller that
+solves one system per time step hands each solve the factors the previous one
+ended with: Newton then takes chord iterations with that Jacobian while they
+contract, and builds a fresh one only when they stop (simplified Newton;
+Hairer & Wanner, *Solving ODEs II*, section IV.8).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .model import Array, EvaluationError, central_difference
 
-#: Smallest equilibrated pivot :func:`solve_dense` accepts.
+#: Smallest equilibrated pivot :func:`lu_factor` accepts.
 PIVOT_FLOOR = 1e-14
+#: A chord iteration, one that reuses an earlier Jacobian, is followed by
+#: another only while it cuts the residual inf-norm to at most this fraction.
+CHORD_CONTRACTION = 0.1
 
 
 class NewtonDivergence(RuntimeError):
@@ -46,8 +54,23 @@ class NewtonConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-def solve_dense(a: Array, rhs: Array) -> Array:
-    """Solve ``a x = rhs`` by LU with partial pivoting after row equilibration.
+@dataclass(frozen=True)
+class LUFactors:
+    """Row-equilibrated LU factors of a square matrix (:func:`lu_factor`).
+
+    ``rows`` hold the multipliers below the diagonal and ``U`` on and above
+    it, on Python floats; ``upper`` is the same as a numpy array, for the
+    back-substitution.
+    """
+
+    scales: list
+    pivots: list
+    rows: list
+    upper: Array
+
+
+def lu_factor(a: Array) -> LUFactors:
+    """LU factorization with partial pivoting after row equilibration.
 
     The pivot is the first entry of largest magnitude in its column.  Raises
     :class:`SingularJacobian` when that pivot of an equilibrated column falls
@@ -57,12 +80,10 @@ def solve_dense(a: Array, rhs: Array) -> Array:
     # overhead costs more than the arithmetic; each update rounds its product
     # and its difference separately, as numpy's outer-product update does
     rows = np.array(a, dtype=float).tolist()
-    b = np.array(rhs, dtype=float).tolist()
     k = len(rows)
-    for i, row in enumerate(rows):
-        scale = max(map(abs, row)) or 1.0
-        rows[i] = [v / scale for v in row]
-        b[i] /= scale
+    scales = [max(map(abs, row)) or 1.0 for row in rows]
+    rows = [[v / scale for v in row] for row, scale in zip(rows, scales)]
+    pivots = []
     for col in range(k):
         p, pivot = col, abs(rows[col][col])
         for r in range(col + 1, k):
@@ -70,22 +91,45 @@ def solve_dense(a: Array, rhs: Array) -> Array:
                 p, pivot = r, abs(rows[r][col])
         if pivot < PIVOT_FLOOR:
             raise SingularJacobian(pivot)
+        pivots.append(p)
         rows[col], rows[p] = rows[p], rows[col]
-        b[col], b[p] = b[p], b[col]
         top = rows[col]
         for r in range(col + 1, k):
             row = rows[r]
-            factor = row[col] / top[col]
+            factor = row[col] = row[col] / top[col]
             for c in range(col + 1, k):
                 row[c] -= factor * top[c]
-            b[r] -= factor * b[col]
+    return LUFactors(scales, pivots, rows, np.array(rows))
+
+
+def lu_solve(lu: LUFactors, rhs: Array) -> Array:
+    """Solve ``a x = rhs`` from the factors of ``a``.
+
+    The right-hand side takes the factorization's row scaling, swaps and
+    updates in the order the elimination made them, so the result is bit for
+    bit the one of eliminating ``a`` and ``rhs`` together.
+    """
+    b = [v / scale for v, scale in zip(np.array(rhs, dtype=float).tolist(), lu.scales)]
+    k = len(b)
+    for col, p in enumerate(lu.pivots):
+        b[col], b[p] = b[p], b[col]
+    rows = lu.rows
+    for col in range(k):
+        bc = b[col]
+        for r in range(col + 1, k):
+            b[r] -= rows[r][col] * bc
     # back-substitution keeps numpy's dot: a Python sum rounds differently
     # and would move trajectories in their last bits
-    u = np.array(rows)
+    u = lu.upper
     x = np.empty(k)
     for row in range(k - 1, -1, -1):
         x[row] = (b[row] - u[row, row + 1:] @ x[row + 1:]) / u[row, row]
     return x
+
+
+def solve_dense(a: Array, rhs: Array) -> Array:
+    """Solve ``a x = rhs``: :func:`lu_solve` of :func:`lu_factor` of ``a``."""
+    return lu_solve(lu_factor(a), rhs)
 
 
 def fd_jacobian(residual: Callable[[Array], Array], x: Array, fx: Array) -> Array:
@@ -100,27 +144,51 @@ def newton_solve(
     residual: Callable[[Array], Array],
     x0: Array,
     config: NewtonConfig = NewtonConfig(),
+    jacobian: Optional[LUFactors] = None,
 ):
     """Solve ``residual(x) = 0`` to inf-norm ``config.tolerance``.
 
-    Returns ``(x, iterations)``.  Raises :class:`EvaluationError` at the
-    first iterate whose residual or Jacobian is not finite,
-    :class:`NewtonDivergence` after ``max_iterations`` and
+    Without ``jacobian`` every iteration builds and factors a fresh
+    :func:`fd_jacobian`.  Given the factors of an earlier Jacobian, it first
+    takes chord iterations with them, for as long as each one cuts the
+    residual inf-norm to :data:`CHORD_CONTRACTION` of the one before.  The
+    first chord iterate that neither does so nor meets the tolerance (or
+    whose residual is not finite) is dropped: from the iterate it started
+    at, Newton goes on as without ``jacobian``, with a fresh Jacobian at
+    every iteration.
+
+    Returns ``(x, iterations, jacobian)``, the last being the factors in use
+    at the end (``None`` if none was given or built).  Raises
+    :class:`EvaluationError` at the first iterate whose residual or Jacobian
+    is not finite, :class:`NewtonDivergence` after ``max_iterations`` and
     :class:`SingularJacobian` when the linearized system cannot be solved.
     """
     x = np.array(x0, dtype=float)
+    chord = jacobian is not None
+    start = None  # (x, fx, norm) the last chord step started from
     for iteration in range(config.max_iterations + 1):
         fx = np.asarray(residual(x), dtype=float)
+        # a residual that is not finite has a NaN or infinite norm
+        norm = float(np.max(np.abs(fx))) if len(fx) else 0.0
+        if norm <= config.tolerance:
+            return x, iteration, jacobian
+        if start is not None and not norm <= CHORD_CONTRACTION * start[2]:
+            # a fresh Newton step from a chord step that went astray can
+            # diverge where one from its start converges
+            x, fx, norm = start
+            chord = False
+        start = None
         if not np.all(np.isfinite(fx)):
             raise EvaluationError(
                 f"residual is not finite at Newton iteration {iteration}")
-        norm = float(np.max(np.abs(fx))) if len(fx) else 0.0
-        if norm <= config.tolerance:
-            return x, iteration
         if iteration < config.max_iterations:
-            jac = fd_jacobian(residual, x, fx)
-            if not np.all(np.isfinite(jac)):
-                raise EvaluationError(
-                    f"Jacobian is not finite at Newton iteration {iteration}")
-            x = x + solve_dense(jac, -fx)
+            if chord:
+                start = x, fx, norm
+            else:
+                jac = fd_jacobian(residual, x, fx)
+                if not np.all(np.isfinite(jac)):
+                    raise EvaluationError(
+                        f"Jacobian is not finite at Newton iteration {iteration}")
+                jacobian = lu_factor(jac)
+            x = x + lu_solve(jacobian, -fx)
     raise NewtonDivergence(config.max_iterations, norm)

@@ -296,7 +296,9 @@ def implicit_dae_integrate(
 ) -> DAETrajectory:
     """Fixed-step BDF2 on ``G(t, y, ydot) = 0``, BDF1 for the first step.
 
-    A mid-trajectory Newton failure is recorded (time-stamped) rather than
+    Each step's Newton starts from the Jacobian factors the previous step
+    ended with (see :func:`~nhcontact.newton.newton_solve`).  A
+    mid-trajectory Newton failure is recorded (time-stamped) rather than
     raised; the partial trajectory is returned.
     """
     t0, tf = float(t_span[0]), float(t_span[1])
@@ -311,6 +313,7 @@ def implicit_dae_integrate(
         ydot = (3.0 * u - 4.0 * states[-1] + states[-2]) / (2.0 * h)
         return system.residual(times[-1] + h, u, ydot)
 
+    jacobian = None
     for step in range(n_steps):
         if step == 0:
             residual = bdf1_residual
@@ -319,7 +322,7 @@ def implicit_dae_integrate(
             residual = bdf2_residual
             guess = 2.0 * states[-1] - states[-2]
         try:
-            y_next, _ = newton_solve(residual, guess, newton)
+            y_next, _, jacobian = newton_solve(residual, guess, newton, jacobian)
         except (NewtonDivergence, SingularJacobian, EvaluationError) as exc:
             t_fail = times[-1] + h
             return DAETrajectory(

@@ -391,5 +391,5 @@ def disk_eliminated_step(
         return disk_eliminated_residual(params, h, q_prev, q_curr, q_next, t_curr)
 
     guess = 2.0 * q_curr - q_prev
-    q_next, _ = newton_solve(residual, guess, solver)
+    q_next, _, _ = newton_solve(residual, guess, solver)
     return q_next

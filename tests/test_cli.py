@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from nhcontact.cli import EXIT_OK, EXIT_SOLVER_FAILURE, EXIT_UNKNOWN, main
+from nhcontact.experiments import MAX_STEPS, UnsupportedExperiment, get_experiment
+from nhcontact.model import Integrator
 
 
 def run_cli(args):
@@ -38,16 +40,31 @@ def test_unknown_experiment(capsys):
     ["convergence", "--h-list", "0.1,abc"],
     ["convergence", "--h-list", "0.1,0"],
     ["convergence", "--rules", "left-first,foo"],
+    ["run", "foucault-1", "--config", "nonexistent-dir/overrides.cfg"],
+    ["run", "foucault-1", "--t-final", "1", "--h", "1e-300"],
 ], ids=["run-disk-la", "run-disk-rkf45", "compare-disk-la", "unknown-override",
         "unknown-rule", "zero-h", "nan-h", "negative-t-final", "compare-inf-t-final",
         "text-h", "unknown-integrator-override", "array-override",
-        "convergence-text-h", "convergence-zero-h", "convergence-unknown-rule"])
+        "convergence-text-h", "convergence-zero-h", "convergence-unknown-rule",
+        "missing-config", "step-count-over-bound"])
 def test_unsupported_input_one_error_line(args, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(args + ["--output-dir", str(out)]) == EXIT_UNKNOWN == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def test_step_count_bound():
+    # specs are only built, never run: nothing is allocated
+    h = 0.5
+    assert get_experiment("foucault-1", h=h, t_final=MAX_STEPS * h).t_final == MAX_STEPS * h
+    with pytest.raises(UnsupportedExperiment, match="more than"):
+        get_experiment("foucault-1", h=h, t_final=(MAX_STEPS + 1) * h)
+    with pytest.raises(UnsupportedExperiment, match="more than"):
+        get_experiment("foucault-1", t_final=1.0, h=5e-324)
+    # the refined run of acceptance criterion 6 stays inside the bound
+    get_experiment("foucault-2", h=0.05 / 20.0, integrator=Integrator.LAGRANGE_DALEMBERT)
 
 
 def test_integrator_override_is_converted(tmp_path):

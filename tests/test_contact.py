@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nhcontact.contact
+import nhcontact.newton
 from nhcontact.contact import (
     DenominatorSingular,
     StepStats,
@@ -14,10 +15,16 @@ from nhcontact.contact import (
     solve_z_update,
 )
 from nhcontact.dalembert import run_la
-from nhcontact.experiments import DISK_RULE, build_contact_system, get_experiment
+from nhcontact.experiments import (
+    DISK_RULE,
+    build_contact_system,
+    get_experiment,
+    run_experiment,
+)
 from nhcontact.model import (
     ContactSystem,
     DiscretizationRule,
+    Integrator,
     PositionRule,
     StepState,
     ZRule,
@@ -148,8 +155,8 @@ def test_contact_step_computes_window_partials_once(case, monkeypatch):
                         counting("partials", partials_of_Ld))
     monkeypatch.setattr(nhcontact.contact, "contact_residual",
                         counting("residual", contact_residual))
-    _, _, _, iterations = contact_step(system, rule, window, np.zeros(system.dim_c),
-                                       NewtonConfig())
+    _, _, _, _, iterations = contact_step(system, rule, window, np.zeros(system.dim_c),
+                                          None, NewtonConfig())
     assert iterations >= 1
     assert calls["partials"] == calls["residual"] + 1
 
@@ -339,3 +346,34 @@ def test_zero_steps_returns_initial_state(run):
     assert traj.n_steps == 0
     assert traj.configurations.shape == (1, 1)
     assert traj.termination.completed
+
+
+@pytest.mark.parametrize("integrator", [Integrator.CONTACT, Integrator.LAGRANGE_DALEMBERT],
+                         ids=["contact", "la"])
+def test_newton_reuses_jacobian_across_steps(integrator, monkeypatch):
+    # a Newton that builds a fresh Jacobian at every iteration needs 1.87
+    # (contact) and 1.0 (LA) per Foucault step; chord iterations on the
+    # previous step's factors need far fewer
+    original, calls = nhcontact.newton.fd_jacobian, []
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(nhcontact.newton, "fd_jacobian", counting)
+    traj = run_experiment(get_experiment("foucault-1", t_final=10.0, integrator=integrator))
+    assert traj.n_steps == 200 and traj.termination.completed
+    assert len(calls) <= 0.75 * traj.n_steps
+
+
+def test_reused_jacobian_belongs_to_its_run():
+    # a disk run (8 unknowns) between two runs of one Foucault variant
+    # (4 unknowns) must not change the second
+    spec = get_experiment("foucault-1", t_final=5.0, alpha=0.01)
+    first = run_experiment(spec)
+    assert run_experiment(get_experiment("disk-2.2", t_final=1.0)).termination.completed
+    second = run_experiment(spec)
+    for field in ("times", "configurations", "velocities", "z_values", "multipliers",
+                  "energies"):
+        assert np.array_equal(getattr(first, field), getattr(second, field)), field
+    assert first.termination == second.termination

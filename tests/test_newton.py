@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nhcontact import newton
 from nhcontact.model import EvaluationError
 from nhcontact.newton import (
     PIVOT_FLOOR,
@@ -8,6 +9,8 @@ from nhcontact.newton import (
     NewtonDivergence,
     SingularJacobian,
     fd_jacobian,
+    lu_factor,
+    lu_solve,
     newton_solve,
     solve_dense,
 )
@@ -108,16 +111,16 @@ def test_fd_jacobian_quadratic():
 
 
 def test_newton_scalar_root():
-    x, iters = newton_solve(lambda x: np.array([x[0] ** 2 - 2.0]),
-                            np.array([1.0]),
-                            NewtonConfig(tolerance=1e-12))
+    x, iters, _ = newton_solve(lambda x: np.array([x[0] ** 2 - 2.0]),
+                               np.array([1.0]),
+                               NewtonConfig(tolerance=1e-12))
     assert x[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
     assert 1 <= iters <= 8
 
 
 def test_newton_converged_guess_is_free():
-    x, iters = newton_solve(lambda x: x - 1.0, np.array([1.0]), NewtonConfig())
-    assert iters == 0
+    x, iters, jacobian = newton_solve(lambda x: x - 1.0, np.array([1.0]), NewtonConfig())
+    assert iters == 0 and jacobian is None
     assert x[0] == 1.0
 
 
@@ -154,6 +157,44 @@ def test_newton_stops_at_non_finite_jacobian():
         newton_solve(residual, np.array([0.0]), NewtonConfig())
 
 
+def test_newton_chord_iterations_until_they_stop_contracting(monkeypatch):
+    builds = []
+    monkeypatch.setattr(newton, "fd_jacobian",
+                        lambda *args: builds.append(1) or fd_jacobian(*args))
+
+    def residual(x):
+        return np.array([x[0] - 1.0, x[1] + 2.0 * x[0]])
+
+    exact = lu_factor(np.array([[1.0, 0.0], [2.0, 1.0]]))
+    x, iters, jacobian = newton_solve(residual, np.zeros(2), NewtonConfig(), exact)
+    assert np.allclose(x, [1.0, -2.0]) and iters == 1 and jacobian is exact
+    assert builds == []
+    # factors of twice the Jacobian halve the step: the chord iterate cuts
+    # the residual by 1/2 only, so Newton drops it and builds a fresh
+    # Jacobian at the guess, which it hands back
+    stale = lu_factor(np.array([[2.0, 0.0], [4.0, 2.0]]))
+    x, iters, jacobian = newton_solve(residual, np.zeros(2), NewtonConfig(), stale)
+    assert np.allclose(x, [1.0, -2.0]) and iters == 2 and len(builds) == 1
+    assert np.array_equal(lu_solve(jacobian, [1.0, 0.0]), solve_dense(
+        fd_jacobian(residual, np.zeros(2), None), [1.0, 0.0]))
+    # a chord iterate within the tolerance is kept, however little it cut
+    x, iters, jacobian = newton_solve(residual, np.zeros(2), NewtonConfig(tolerance=0.6),
+                                      stale)
+    assert np.array_equal(x, [0.5, -1.0]) and iters == 1 and jacobian is stale
+    assert len(builds) == 1
+
+
+def test_newton_drops_a_chord_iterate_with_non_finite_residual():
+    # the stale factors overshoot to x = 4, where the residual is NaN; Newton
+    # goes back to the guess and converges from there with a fresh Jacobian
+    def residual(x):
+        return np.array([x[0] - 2.0 if x[0] < 3.0 else np.nan])
+
+    stale = lu_factor(np.array([[0.5]]))
+    x, iters, _ = newton_solve(residual, np.zeros(1), NewtonConfig(), stale)
+    assert x[0] == pytest.approx(2.0) and iters == 2
+
+
 def test_newton_rejects_bad_config():
     with pytest.raises(ValueError):
         NewtonConfig(tolerance=0.0)
@@ -165,6 +206,6 @@ def test_newton_multivariate_system():
     def residual(x):
         return np.array([x[0] ** 2 + x[1] ** 2 - 4.0, x[0] - x[1]])
 
-    x, _ = newton_solve(residual, np.array([1.0, 0.5]),
-                        NewtonConfig(tolerance=1e-13))
+    x, _, _ = newton_solve(residual, np.array([1.0, 0.5]),
+                           NewtonConfig(tolerance=1e-13))
     assert np.allclose(x, np.sqrt(2.0), atol=1e-12)
