@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,9 +20,11 @@ from .analysis import convergence_order, trajectory_error
 from .contact import StepStats, run_contact
 from .experiments import (
     CATALOG,
+    MAX_STEPS,
     UnknownExperiment,
     UnsupportedExperiment,
     build_contact_system,
+    build_la_system,
     catalog_ids,
     get_experiment,
     run_experiment,
@@ -51,15 +54,14 @@ EXIT_UNKNOWN = 1
 EXIT_SOLVER_FAILURE = 2
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: str, header: list, rows) -> None:
+    """Every CSV the CLI writes: text cells as they are, numbers to 17
+    significant digits, so that a float reads back to the same value."""
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(str(c) if isinstance(c, str) else _fmt(c) for c in row))
+            f.write(",".join(c if isinstance(c, str) else format(float(c), ".17g")
+                             for c in row))
             f.write("\n")
 
 
@@ -104,15 +106,10 @@ def _max_constraint_residual(system: ContactSystem, rule: DiscretizationRule,
 
 def write_summary_csv(path: str, traj: Trajectory, wall_time: float,
                       stats: StepStats, max_constraint: float) -> None:
-    header = ["termination", "final_time", "wall_time",
-              "newton_total_iterations", "newton_max_iterations",
-              "max_constraint_residual"]
-    row = [traj.termination.status, _fmt(traj.times[-1]), _fmt(wall_time),
-           str(stats.total_iterations), str(stats.max_iterations),
-           _fmt(max_constraint)]
-    with open(path, "w", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        f.write(",".join(row) + "\n")
+    _write_csv(path, ["termination", "final_time", "wall_time", "newton_total_iterations",
+                      "newton_max_iterations", "max_constraint_residual"],
+               [[traj.termination.status, traj.times[-1], wall_time,
+                 str(stats.total_iterations), str(stats.max_iterations), max_constraint]])
 
 
 #: Spec fields settable by ``--override`` and ``--config``, with the
@@ -169,10 +166,7 @@ def _resolve_spec(args):
         if rule_name not in RULE_NAMES:
             raise UnsupportedExperiment(f"unknown rule {rule_name!r}")
         base = RULE_NAMES[rule_name]
-        rule = DiscretizationRule(base.position_rule, base.z_rule, spec.h)
-        fields = {f: getattr(spec, f) for f in spec.__dataclass_fields__}
-        fields["rule"] = rule
-        spec = type(spec)(**fields)
+        spec = replace(spec, rule=DiscretizationRule(base.position_rule, base.z_rule, spec.h))
     return spec
 
 
@@ -220,13 +214,10 @@ def cmd_run(args) -> int:
 
     out = _output_dir(args, args.experiment)
     write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj)
-    if spec.integrator in (Integrator.CONTACT, Integrator.LAGRANGE_DALEMBERT):
-        if spec.integrator is Integrator.CONTACT:
-            system = build_contact_system(spec)
-        else:
-            from .experiments import build_la_system
-            system = build_la_system(spec)
-        max_c = _max_constraint_residual(system, spec.rule, traj)
+    if spec.integrator is Integrator.CONTACT:
+        max_c = _max_constraint_residual(build_contact_system(spec), spec.rule, traj)
+    elif spec.integrator is Integrator.LAGRANGE_DALEMBERT:
+        max_c = _max_constraint_residual(build_la_system(spec), spec.rule, traj)
     else:
         max_c = 0.0
     write_summary_csv(os.path.join(out, "summary.csv"), traj, wall, stats, max_c)
@@ -241,18 +232,16 @@ def cmd_compare(args) -> int:
     status = EXIT_OK
     try:
         base = _resolve_spec(args)
-        fields = {f: getattr(base, f) for f in base.__dataclass_fields__}
         for name in names:
-            fields["integrator"] = Integrator(name)
-            traj = run_experiment(type(base)(**fields))
+            traj = run_experiment(replace(base, integrator=Integrator(name)))
             runs[name] = traj
             if not traj.termination.completed:
                 status = EXIT_SOLVER_FAILURE
 
         reference_name = "rkf45" if base.system_id == "foucault" else "implicit-dae"
         if reference_name not in runs:
-            fields["integrator"] = Integrator(reference_name)
-            runs[reference_name] = run_experiment(type(base)(**fields))
+            runs[reference_name] = run_experiment(
+                replace(base, integrator=Integrator(reference_name)))
     except UnknownExperiment:
         return _unknown(args.experiment)
     except UnsupportedExperiment as exc:
@@ -275,17 +264,16 @@ def cmd_compare(args) -> int:
         rows.append(row)
     _write_csv(os.path.join(out, "comparison.csv"), header, rows)
 
-    header = ["integrator", "termination", "final_time"]
-    with open(os.path.join(out, "summary.csv"), "w", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for name, traj in runs.items():
-            f.write(f"{name},{traj.termination.status},{_fmt(traj.times[-1])}\n")
+    _write_csv(os.path.join(out, "summary.csv"), ["integrator", "termination", "final_time"],
+               ([name, traj.termination.status, traj.times[-1]]
+                for name, traj in runs.items()))
     print(f"{args.experiment}: compared {', '.join(names)} "
           f"against {reference_name}, wrote {out}")
     return status
 
 
 def cmd_convergence(args) -> int:
+    alpha, omega, t_final = 0.1, 1.0, 10.0
     try:
         h_list = [float(v) for v in args.h_list.split(",")]
         studies = []
@@ -295,11 +283,13 @@ def cmd_convergence(args) -> int:
             base = RULE_NAMES[rule_name]
             studies.append((rule_name, [DiscretizationRule(base.position_rule, base.z_rule, h)
                                         for h in h_list]))
+        # the rules have checked that every h is positive and finite
+        if t_final / min(h_list) > MAX_STEPS:
+            raise UnsupportedExperiment(f"h = {min(h_list):g} takes more than {MAX_STEPS} steps")
     except ValueError as exc:
         return _unsupported(exc)
 
     out = _output_dir(args, "convergence")
-    alpha, omega, t_final = 0.1, 1.0, 10.0
     system = damped_oscillator(alpha, omega)
     rows = []
     for rule_name, rules in studies:
@@ -313,11 +303,9 @@ def cmd_convergence(args) -> int:
             pairs.append((rule.h, err))
         order = convergence_order(pairs)
         for h, err in pairs:
-            rows.append([rule_name, _fmt(h), _fmt(err), _fmt(order)])
+            rows.append([rule_name, h, err, order])
         print(f"{rule_name}: measured order {order:.3f}")
-    _write_csv(os.path.join(out, "orders.csv"),
-               ["rule", "h", "error", "order"],
-               ([str(c) for c in row] for row in rows))
+    _write_csv(os.path.join(out, "orders.csv"), ["rule", "h", "error", "order"], rows)
     return EXIT_OK
 
 

@@ -34,6 +34,7 @@ from .model import (
     evaluate_discrete_lagrangian,
     initial_acceleration,
     partials_of_Ld,
+    project_velocity,
 )
 from .newton import (
     LUFactors,
@@ -165,19 +166,6 @@ def contact_step(
     return x[:n], float(x[n]), x[n + 1:], jacobian, iterations
 
 
-def project_velocity(system: ContactSystem, q: Array, v: Array) -> Array:
-    """Minimal-norm correction of ``v`` onto ``{v : A(q) v + b(q) = 0}``.
-
-    Rank-deficient constraint matrices are handled by least squares.
-    """
-    if system.dim_c == 0:
-        return np.array(v, dtype=float)
-    a = system.constraint_matrix(q)
-    defect = a @ v + system.constraint_offset(q)
-    correction, *_ = np.linalg.lstsq(a, defect, rcond=None)
-    return v - correction
-
-
 def project_seed_position(
     system: ContactSystem,
     rule: DiscretizationRule,
@@ -207,10 +195,8 @@ def initialize_window(
     rule: DiscretizationRule,
     q0: Array,
     v0: Array,
-    t0: float = 0.0,
-    z0: float = 0.0,
 ) -> StepState:
-    """Build the first stepping window from initial position and velocity.
+    """Build the first stepping window from ``(q0, v0)`` at ``t = 0``, ``z = 0``.
 
     ``v0`` is projected onto the constraint set at ``q0``, then
     ``q1 = q0 + h v0 + h^2/2 a0`` with a consistent initial acceleration
@@ -219,12 +205,11 @@ def initialize_window(
     """
     q0 = np.asarray(q0, dtype=float)
     v = project_velocity(system, q0, np.asarray(v0, dtype=float))
-    acc = initial_acceleration(system, q0, v, t0=t0, z0=z0)
+    acc = initial_acceleration(system, q0, v)
     q1 = q0 + rule.h * v + 0.5 * rule.h ** 2 * acc
     q1 = project_seed_position(system, rule, q0, q1)
-    z1 = solve_z_update(system, rule, t0, q0, q1, z0)
-    return StepState(q_prev=q0, q_curr=q1, z_prev=z0, z_curr=z1,
-                     t_curr=t0 + rule.h)
+    z1 = solve_z_update(system, rule, 0.0, q0, q1, 0.0)
+    return StepState(q_prev=q0, q_curr=q1, z_prev=0.0, z_curr=z1, t_curr=rule.h)
 
 
 @dataclass
@@ -250,12 +235,11 @@ def run_steps(
     seed: Callable[..., StepState],
     step: Callable,
     solver: NewtonConfig,
-    t0: float = 0.0,
     stats: Optional[StepStats] = None,
 ) -> Trajectory:
-    """Integrate ``n_steps`` two-point steps from ``(q0, v0)``.
+    """Integrate ``n_steps`` two-point steps from ``(q0, v0)`` at ``t = 0``.
 
-    ``seed(system, rule, q0, v0, t0=t0)`` builds the first window, which
+    ``seed(system, rule, q0, v0)`` builds the first window, which
     takes step 1; ``step(system, rule, window, lam, jacobian, solver)`` takes
     each later step from the previous multipliers and Newton factorization
     and returns ``(q_next, z_next, lam, jacobian, iterations)``.  Both are
@@ -279,7 +263,7 @@ def run_steps(
 
     try:
         if n_steps > 0:
-            window = seed(system, rule, q0, v0, t0=t0)
+            window = seed(system, rule, q0, v0)
             qs[1] = window.q_curr
             zs[1] = window.z_curr
             lam = np.zeros(m)
@@ -306,7 +290,7 @@ def run_steps(
     qs = qs[: steps_done + 1]
     zs = zs[: steps_done + 1]
     lams = lams[:steps_done]
-    times = t0 + h * np.arange(steps_done + 1)
+    times = h * np.arange(steps_done + 1)
     if steps_done == 0:
         vels = np.asarray([project_velocity(system, q0, np.asarray(v0, dtype=float))])
     else:
@@ -325,12 +309,11 @@ def run_contact(
     v0: Array,
     n_steps: int,
     solver: NewtonConfig = NewtonConfig(),
-    t0: float = 0.0,
     stats: Optional[StepStats] = None,
 ) -> Trajectory:
     """Integrate ``n_steps`` contact steps from ``(q0, v0)``."""
     return run_steps(system, rule, q0, v0, n_steps, initialize_window,
-                     contact_step, solver, t0=t0, stats=stats)
+                     contact_step, solver, stats=stats)
 
 
 def simulate_contact(

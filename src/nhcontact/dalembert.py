@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .contact import project_seed_position, project_velocity, run_steps
+from .contact import project_seed_position, run_steps
 from .model import (
     Array,
     ContactSystem,
@@ -23,6 +23,7 @@ from .model import (
     discrete_constraint,
     initial_acceleration,
     partials_of_Ld,
+    project_velocity,
 )
 from .newton import LUFactors, NewtonConfig, newton_solve
 
@@ -109,16 +110,15 @@ def _seed_window(
     rule: DiscretizationRule,
     q0: Array,
     v0: Array,
-    t0: float = 0.0,
 ) -> StepState:
     """First window of the forced scheme: the second-order seed of
     :func:`~nhcontact.contact.initialize_window` with the external force in
     the initial acceleration, and z frozen at zero."""
     h = rule.h
     v = project_velocity(system, q0, np.asarray(v0, dtype=float))
-    acc = initial_acceleration(system, q0, v, t0=t0, include_external_force=True)
+    acc = initial_acceleration(system, q0, v, include_external_force=True)
     q1 = project_seed_position(system, rule, q0, q0 + h * v + 0.5 * h ** 2 * acc)
-    return StepState(q_prev=q0, q_curr=q1, z_prev=0.0, z_curr=0.0, t_curr=t0 + h)
+    return StepState(q_prev=q0, q_curr=q1, z_prev=0.0, z_curr=0.0, t_curr=h)
 
 
 def run_la(
@@ -128,12 +128,11 @@ def run_la(
     v0: Array,
     n_steps: int,
     solver: NewtonConfig = NewtonConfig(),
-    t0: float = 0.0,
     stats=None,
 ) -> Trajectory:
     """Integrate ``n_steps`` forced variational steps from ``(q0, v0)``."""
     return run_steps(system, rule, q0, v0, n_steps, _seed_window, la_step,
-                     solver, t0=t0, stats=stats)
+                     solver, stats=stats)
 
 
 def simulate_la(

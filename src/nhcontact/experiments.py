@@ -3,6 +3,8 @@ experiment with any of the four integrators."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .contact import StepStats, simulate_contact
@@ -16,9 +18,11 @@ from .model import (
     Termination,
     Trajectory,
     ZRule,
+    project_velocity,
 )
 from .newton import NewtonConfig
 from .reference import (
+    ConsistencyFailure,
     consistent_init,
     implicit_dae_integrate,
     make_continuous_system,
@@ -39,6 +43,8 @@ DISK_RULE = DiscretizationRule(PositionRule.MIDPOINT, ZRule.SECOND_ORDER, h=0.1)
 #: Most steps ``t_final / h`` an overridden spec may ask for: the drivers
 #: allocate every row of the trajectory before the first step.
 MAX_STEPS = 4_000_000
+#: The implicit DAE reference steps this many times finer than the grid.
+DAE_REFINEMENT = 10
 
 
 class UnknownExperiment(KeyError):
@@ -149,14 +155,12 @@ def get_experiment(experiment_id: str, **overrides) -> ExperimentSpec:
     unknown = sorted(set(overrides) - set(spec.__dataclass_fields__))
     if unknown:
         raise UnsupportedExperiment(f"unknown override {', '.join(unknown)}")
-    fields = {f: getattr(spec, f) for f in spec.__dataclass_fields__}
-    fields.update(overrides)
     try:
         if "h" in overrides and "rule" not in overrides:
-            fields["rule"] = DiscretizationRule(
+            overrides["rule"] = DiscretizationRule(
                 spec.rule.position_rule, spec.rule.z_rule, h=float(overrides["h"])
             )
-        spec = ExperimentSpec(**fields)
+        spec = replace(spec, **overrides)
     except ValueError as exc:
         raise UnsupportedExperiment(str(exc)) from None
     if spec.t_final / spec.h > MAX_STEPS:
@@ -204,12 +208,10 @@ def _grid(spec: ExperimentSpec) -> Array:
     return spec.h * np.arange(n_steps + 1)
 
 
-def _run_rkf45(spec: ExperimentSpec, rel_tol: float = 1e-8) -> Trajectory:
+def _run_rkf45(spec: ExperimentSpec) -> Trajectory:
     if spec.system_id != "foucault":
         raise UnsupportedExperiment(
             "the adaptive explicit reference covers the pendulum only")
-    from .contact import project_velocity
-
     params = _foucault_params(spec)
     system = foucault_system(params, formulation="herglotz")
     grid = _grid(spec)
@@ -218,8 +220,7 @@ def _run_rkf45(spec: ExperimentSpec, rel_tol: float = 1e-8) -> Trajectory:
     if len(grid) == 1:
         states = y0[None, :]
     else:
-        dense = rkf45_integrate(foucault_reference_ode(params), y0,
-                                (grid[0], grid[-1]), rel_tol=rel_tol)
+        dense = rkf45_integrate(foucault_reference_ode(params), y0, (grid[0], grid[-1]))
         states = dense.sample(grid)
     qs, vels = states[:, :2], states[:, 2:]
     lams = np.array([
@@ -232,27 +233,30 @@ def _run_rkf45(spec: ExperimentSpec, rel_tol: float = 1e-8) -> Trajectory:
                       energies=energies, termination=Termination.done())
 
 
-def _run_implicit_dae(spec: ExperimentSpec, refinement: int = 10) -> Trajectory:
-    """Fixed-step implicit reference at a step ``refinement`` times finer than
-    the experiment grid, downsampled back onto it."""
+def _run_implicit_dae(spec: ExperimentSpec) -> Trajectory:
+    """Fixed-step implicit reference at a step :data:`DAE_REFINEMENT` times
+    finer than the experiment grid, downsampled back onto it."""
     system = build_contact_system(spec)
     continuous = make_continuous_system(system)
-    y0, ydot0 = consistent_init(continuous, spec.q0, spec.v0)
     grid = _grid(spec)
     n, m = system.dim_q, system.dim_c
+    termination = Termination.done()
+    try:
+        y0, ydot0 = consistent_init(continuous, spec.q0, spec.v0)
+    except ConsistencyFailure as exc:
+        # the initial row alone, as from a contact run whose seed fails
+        v0 = project_velocity(system, spec.q0, spec.v0)
+        y0 = np.concatenate([spec.q0, v0, np.zeros(1 + m)])
+        grid, termination = grid[:1], Termination.failure(step=1, message=str(exc))
     if len(grid) == 1:
         result_states = y0[None, :]
-        termination = Termination.done()
     else:
-        h_ref = spec.h / refinement
         dae = implicit_dae_integrate(continuous, y0, ydot0, (grid[0], grid[-1]),
-                                     h_ref, newton=NewtonConfig(tolerance=1e-6))
-        n_full = (len(dae.times) - 1) // refinement
+                                     spec.h / DAE_REFINEMENT)
+        n_full = (len(dae.times) - 1) // DAE_REFINEMENT
         grid = grid[: n_full + 1]
-        result_states = dae.states[:: refinement][: n_full + 1]
-        if dae.completed:
-            termination = Termination.done()
-        else:
+        result_states = dae.states[::DAE_REFINEMENT][: n_full + 1]
+        if not dae.completed:
             termination = Termination.failure(
                 step=n_full + 1,
                 message=f"reference failure at t={dae.failure_time:.6e}: "

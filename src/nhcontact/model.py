@@ -322,21 +322,29 @@ def lagrangian_gradients_or_fd(
     return gq, gv, gz
 
 
+def constraint_drift(system: ContactSystem, q: Array, v: Array, e: float) -> Array:
+    """Drift ``d/dt [A(q) v + b(q)]`` of the constraint along ``qdot = v`` at
+    fixed ``v``, by a central difference of step ``e``."""
+    def constraint(x):
+        return system.constraint_matrix(x) @ v + system.constraint_offset(x)
+
+    return (constraint(q + e * v) - constraint(q - e * v)) / (2 * e)
+
+
 def initial_acceleration(
     system: ContactSystem,
     q0: Array,
     v0: Array,
-    t0: float = 0.0,
-    z0: float = 0.0,
     include_external_force: bool = False,
 ) -> Array:
-    """Consistent acceleration at ``(q0, v0)`` from the continuous equations
-    of motion, used to seed the two-point stepping window at second order.
+    """Consistent acceleration at ``(q0, v0)``, ``t = z = 0``, from the
+    continuous equations of motion; seeds the stepping window at second order.
 
     Solves the saddle system of the momentum balance and the differentiated
     constraints by least squares (robust to redundant constraint rows).
     """
     n, m = system.dim_q, system.dim_c
+    t0 = z0 = 0.0
     q0 = np.asarray(q0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     zdot = float(system.lagrangian(t0, q0, v0, z0))
@@ -369,12 +377,7 @@ def initial_acceleration(
 
     a0 = system.constraint_matrix(q0)
     e = SQRT_EPS / max(1.0, float(np.max(np.abs(v0))))
-    drift = (
-        (system.constraint_matrix(q0 + e * v0) @ v0
-         + system.constraint_offset(q0 + e * v0))
-        - (system.constraint_matrix(q0 - e * v0) @ v0
-           + system.constraint_offset(q0 - e * v0))
-    ) / (2 * e)
+    drift = constraint_drift(system, q0, v0, e)
     kkt = np.zeros((n + m, n + m))
     kkt[:n, :n] = mass
     kkt[:n, n:] = -a0.T
@@ -402,3 +405,16 @@ def discrete_constraint(
     q_d = constraint_evaluation_point(rule, q, q_next)
     v = (q_next - q) / rule.h
     return system.constraint_matrix(q_d) @ v + system.constraint_offset(q_d)
+
+
+def project_velocity(system: ContactSystem, q: Array, v: Array) -> Array:
+    """Minimal-norm correction of ``v`` onto ``{v : A(q) v + b(q) = 0}``.
+
+    Rank-deficient constraint matrices are handled by least squares.
+    """
+    if system.dim_c == 0:
+        return np.array(v, dtype=float)
+    a = system.constraint_matrix(q)
+    defect = a @ v + system.constraint_offset(q)
+    correction, *_ = np.linalg.lstsq(a, defect, rcond=None)
+    return v - correction

@@ -2,12 +2,13 @@
 
 Every implicit step in the package goes through :func:`newton_solve`.
 Problem sizes are small (at most a dozen unknowns), so the linear algebra is
-a plain LU factorization with partial pivoting and row equilibration, kept
-apart from its solve (:func:`lu_factor`, :func:`lu_solve`).  A caller that
-solves one system per time step hands each solve the factors the previous one
-ended with: Newton then takes chord iterations with that Jacobian while they
-contract, and builds a fresh one only when they stop (simplified Newton;
-Hairer & Wanner, *Solving ODEs II*, section IV.8).
+a plain LU factorization with partial pivoting and row equilibration
+(:func:`lu_factor`), kept apart from its solve (:func:`lu_solve`) so that one
+factorization serves many solves.  A caller that solves one system per time
+step hands each solve the factors the previous one ended with: Newton then
+takes chord iterations with that Jacobian while they contract, and builds a
+fresh one only when they stop (simplified Newton; Hairer & Wanner, *Solving
+ODEs II*, section IV.8).
 """
 
 from __future__ import annotations
@@ -127,16 +128,8 @@ def lu_solve(lu: LUFactors, rhs: Array) -> Array:
     return x
 
 
-def solve_dense(a: Array, rhs: Array) -> Array:
-    """Solve ``a x = rhs``: :func:`lu_solve` of :func:`lu_factor` of ``a``."""
-    return lu_solve(lu_factor(a), rhs)
-
-
-def fd_jacobian(residual: Callable[[Array], Array], x: Array, fx: Array) -> Array:
-    """Central finite-difference Jacobian of ``residual`` at ``x``.
-
-    ``fx``, the residual at ``x``, is not needed by central differences.
-    """
+def fd_jacobian(residual: Callable[[Array], Array], x: Array) -> Array:
+    """Central finite-difference Jacobian of ``residual`` at ``x``."""
     return central_difference(residual, x)
 
 
@@ -185,7 +178,7 @@ def newton_solve(
             if chord:
                 start = x, fx, norm
             else:
-                jac = fd_jacobian(residual, x, fx)
+                jac = fd_jacobian(residual, x)
                 if not np.all(np.isfinite(jac)):
                     raise EvaluationError(
                         f"Jacobian is not finite at Newton iteration {iteration}")

@@ -15,7 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import SQRT_EPS, Array, ContactSystem, EvaluationError, central_difference
+from .model import (SQRT_EPS, Array, ContactSystem, EvaluationError, central_difference,
+                    constraint_drift, project_velocity)
 from .newton import NewtonConfig, NewtonDivergence, SingularJacobian, newton_solve
 
 
@@ -77,7 +78,6 @@ def rkf45_integrate(
     t_span: tuple,
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-10,
-    max_steps: int = 10_000_000,
 ) -> DenseTrajectory:
     """Adaptive embedded 4(5) integration of ``ydot = ode(t, y)``.
 
@@ -96,7 +96,7 @@ def rkf45_integrate(
     derivs = [np.asarray(ode(t0, y), dtype=float)]
     t = t0
 
-    for _ in range(max_steps):
+    for _ in range(10_000_000):
         if t >= tf:
             break
         h = min(h, tf - t)
@@ -137,21 +137,13 @@ def rkf45_integrate(
 @dataclass(frozen=True)
 class ContinuousConstrainedSystem:
     """Fully implicit first-order form ``G(t, y, ydot) = 0`` of a constrained
-    contact system, state ``y = (q, qdot, z, lambda)``.
-
-    ``mass_pattern`` flags the residual rows that involve ``ydot``.
-    """
+    contact system, state ``y = (q, qdot, z, lambda)``."""
 
     dim_q: int
     dim_c: int
     residual: Callable[[float, Array, Array], Array]
     constraint_matrix: Callable[[Array], Array]
     constraint_offset: Callable[[Array], Array]
-    mass_pattern: Array
-
-    @property
-    def dim_y(self) -> int:
-        return 2 * self.dim_q + 1 + self.dim_c
 
 
 def make_continuous_system(system: ContactSystem) -> ContinuousConstrainedSystem:
@@ -202,15 +194,12 @@ def make_continuous_system(system: ContactSystem) -> ContinuousConstrainedSystem
             r[2 * n + 1:] = system.constraint_matrix(q) @ v + system.constraint_offset(q)
         return r
 
-    pattern = np.zeros(2 * n + 1 + m, dtype=bool)
-    pattern[: 2 * n + 1] = True
     return ContinuousConstrainedSystem(
         dim_q=n,
         dim_c=m,
         residual=residual,
         constraint_matrix=system.constraint_matrix,
         constraint_offset=system.constraint_offset,
-        mass_pattern=pattern,
     )
 
 
@@ -218,24 +207,22 @@ def consistent_init(
     system: ContinuousConstrainedSystem,
     q0: Array,
     v0_guess: Array,
-    t0: float = 0.0,
-    tol: float = 1e-10,
 ):
-    """Consistent ``(y0, ydot0)`` for the implicit form.
+    """Consistent ``(y0, ydot0)`` for the implicit form at ``t = 0``.
 
     The velocity guess is projected onto the constraint set; multipliers,
     accelerations and the action rate then solve the momentum rows together
-    with the time-differentiated constraints by least squares.
+    with the time-differentiated constraints by Gauss-Newton, which stops at
+    a residual inf-norm of 1e-11.  Raises :class:`ConsistencyFailure` if the
+    residual it ends with is above 1e-8.
     """
     n, m = system.dim_q, system.dim_c
     q0 = np.asarray(q0, dtype=float)
-    v0 = np.asarray(v0_guess, dtype=float)
-
-    a0 = system.constraint_matrix(q0)
+    v0 = project_velocity(system, q0, np.asarray(v0_guess, dtype=float))
     if m:
-        defect = a0 @ v0 + system.constraint_offset(q0)
-        corr, *_ = np.linalg.lstsq(a0, defect, rcond=None)
-        v0 = v0 - corr
+        # d/dt [A(q) v + b(q)] = 0 pins the accelerations along the constraints
+        a0 = system.constraint_matrix(q0)
+        drift = constraint_drift(system, q0, v0, SQRT_EPS)
 
     # unknowns: accelerations (n), zdot (1), multipliers (m)
     def assemble(u):
@@ -244,16 +231,8 @@ def consistent_init(
         lam = u[n + 1:]
         y = np.concatenate([q0, v0, [0.0], lam])
         ydot = np.concatenate([v0, acc, [zdot], np.zeros(m)])
-        g = system.residual(t0, y, ydot)
+        g = system.residual(0.0, y, ydot)
         if m:
-            # d/dt [A(q) v + b(q)] = 0 pins the accelerations along the constraints
-            eps = SQRT_EPS
-            drift = (
-                (system.constraint_matrix(q0 + eps * v0) @ v0
-                 + system.constraint_offset(q0 + eps * v0))
-                - (system.constraint_matrix(q0 - eps * v0) @ v0
-                   + system.constraint_offset(q0 - eps * v0))
-            ) / (2 * eps)
             g = np.concatenate([g, a0 @ acc + drift])
         return g
 
@@ -262,15 +241,15 @@ def consistent_init(
     # but finite-difference Jacobian noise makes one correction insufficient
     for _ in range(10):
         g = assemble(u)
-        if float(np.max(np.abs(g))) <= 0.1 * tol:
+        if float(np.max(np.abs(g))) <= 1e-11:
             break
         du, *_ = np.linalg.lstsq(central_difference(assemble, u), -g, rcond=None)
         u = u + du
 
     y0 = np.concatenate([q0, v0, [0.0], u[n + 1:]])
     ydot0 = np.concatenate([v0, u[:n], [u[n]], np.zeros(m)])
-    g_final = system.residual(t0, y0, ydot0)
-    if float(np.max(np.abs(g_final))) > max(tol, 1e-8):
+    g_final = system.residual(0.0, y0, ydot0)
+    if float(np.max(np.abs(g_final))) > 1e-8:
         raise ConsistencyFailure(
             f"residual {np.max(np.abs(g_final)):.3e} after least-squares correction"
         )

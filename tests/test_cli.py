@@ -42,11 +42,12 @@ def test_unknown_experiment(capsys):
     ["convergence", "--rules", "left-first,foo"],
     ["run", "foucault-1", "--config", "nonexistent-dir/overrides.cfg"],
     ["run", "foucault-1", "--t-final", "1", "--h", "1e-300"],
+    ["convergence", "--h-list", "1e-300"],
 ], ids=["run-disk-la", "run-disk-rkf45", "compare-disk-la", "unknown-override",
         "unknown-rule", "zero-h", "nan-h", "negative-t-final", "compare-inf-t-final",
         "text-h", "unknown-integrator-override", "array-override",
         "convergence-text-h", "convergence-zero-h", "convergence-unknown-rule",
-        "missing-config", "step-count-over-bound"])
+        "missing-config", "step-count-over-bound", "convergence-step-count-over-bound"])
 def test_unsupported_input_one_error_line(args, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(args + ["--output-dir", str(out)]) == EXIT_UNKNOWN == 1
@@ -103,11 +104,15 @@ def test_run_short_disk_writes_artifacts(tmp_path):
     assert int(fields["newton_total_iterations"]) > 0
 
 
-def test_seeding_failure_exits_2_with_initial_row(tmp_path):
+@pytest.mark.parametrize("args", [
     # at h = 0.8 the seed of the first window already fails to converge
+    ["run", "disk-4.3", "--h", "0.8", "--t-final", "10"],
+    # the implicit DAE reference cannot initialize consistently
+    ["run", "disk-2.3", "--integrator", "implicit-dae", "--t-final", "1", "--alpha", "1e10"],
+], ids=["contact-seed", "dae-consistent-init"])
+def test_seeding_failure_exits_2_with_initial_row(args, tmp_path):
     out = tmp_path / "coarse"
-    code = run_cli(["run", "disk-4.3", "--h", "0.8", "--t-final", "10",
-                    "--output-dir", str(out)])
+    code = run_cli(args + ["--output-dir", str(out)])
     assert code == EXIT_SOLVER_FAILURE == 2
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert len(lines) == 2  # header + the initial state

@@ -2,18 +2,21 @@ import numpy as np
 import pytest
 
 from nhcontact.model import (
+    SQRT_EPS,
     ContactSystem,
     DiscretizationRule,
     EvaluationError,
     PositionRule,
     ZRule,
     central_difference,
+    constraint_drift,
     constraint_evaluation_point,
     discrete_constraint,
     evaluate_discrete_lagrangian,
     initial_acceleration,
     partials_of_Ld,
 )
+from nhcontact.systems import FoucaultParams, foucault_system
 
 ALL_RULES = [
     DiscretizationRule(PositionRule.LEFT_ENDPOINT, ZRule.FIRST_ORDER, 0.1),
@@ -169,3 +172,19 @@ def test_initial_acceleration_respects_constraints():
     )
     acc = initial_acceleration(system, np.zeros(2), np.array([1.0, 0.0]))
     assert acc == pytest.approx([0.0, 0.0], abs=1e-9)
+
+
+@pytest.mark.parametrize("q, v", [([0.5, 0.25], [1.0, 0.5]),
+                                  ([-0.375, 0.75], [0.25, -0.5]),
+                                  ([0.0, 0.0625], [0.0, 0.125])])
+def test_constraint_drift_foucault_closed_form(q, v):
+    # d/dt [-y xdot + x ydot + Omega sin(beta) (x^2 + y^2)] at fixed velocity
+    # is 2 Omega sin(beta) (q . v).  The velocity is radial, so -y xdot + x ydot
+    # vanishes at both probes q +- e v, which are exact for these dyadic
+    # values: round-off of that term cannot swamp a drift of order Omega.
+    params = FoucaultParams()
+    q, v = np.array(q), np.array(v)
+    drift = constraint_drift(foucault_system(params), q, v, SQRT_EPS)
+    expected = 2.0 * params.Omega * np.sin(params.beta) * (q @ v)
+    assert drift.shape == (1,)
+    assert drift[0] == pytest.approx(expected, rel=1e-8)

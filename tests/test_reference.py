@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from nhcontact.experiments import build_contact_system, get_experiment
 from nhcontact.model import ContactSystem
 from nhcontact.newton import NewtonConfig
 from nhcontact.reference import (
@@ -59,7 +62,6 @@ LINEAR_DAE = ContinuousConstrainedSystem(
     ),
     constraint_matrix=lambda q: np.zeros((1, 1)),
     constraint_offset=lambda q: np.zeros(1),
-    mass_pattern=np.array([True, True, False]),
 )
 
 
@@ -93,7 +95,6 @@ def test_dae_failure_recorded_not_raised():
         dim_q=1, dim_c=0, residual=residual,
         constraint_matrix=lambda q: np.zeros((0, 1)),
         constraint_offset=lambda q: np.zeros(0),
-        mass_pattern=np.array([False]),
     )
     traj = implicit_dae_integrate(system, np.array([0.0]), np.array([-1.0]),
                                   (0.0, 2.0), 0.05,
@@ -144,6 +145,23 @@ def test_consistent_init_disk():
     a = system.constraint_matrix(q0)
     v = y0[5:10]
     assert np.max(np.abs(a @ v)) < 1e-12
+
+
+def test_consistent_init_constraint_matrix_calls():
+    # the constraint drift does not depend on the unknowns, so it is computed
+    # once and not at every Gauss-Newton probe (143 calls when it was)
+    spec = get_experiment("disk-2.2")
+    base = build_contact_system(spec)
+    calls = []
+
+    def counting(q):
+        calls.append(1)
+        return base.constraint_matrix(q)
+
+    system = make_continuous_system(dataclasses.replace(base, constraint_matrix=counting))
+    y0, ydot0 = consistent_init(system, spec.q0, spec.v0)
+    assert np.max(np.abs(system.residual(0.0, y0, ydot0))) <= 1e-8
+    assert 0 < len(calls) <= 80
 
 
 def test_consistent_init_projects_infeasible_velocity():
