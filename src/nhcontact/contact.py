@@ -9,6 +9,9 @@ accumulated action ``z`` and the constraint multipliers:
 * one action-update component ``z_{j+1} - z_j - h L_d(fwd)``,
 * m discrete-constraint components ``A(q_d) qdot_d + b(q_d)``.
 
+Newton solves it with the exact Jacobian of :func:`contact_jacobian` when
+the system registers Lagrangian gradients, else with finite differences.
+
 The trajectory driver :func:`run_steps` is shared with the
 Lagrange-d'Alembert integrator, which differs only in its seed and step.
 """
@@ -30,6 +33,7 @@ from .model import (
     Termination,
     Trajectory,
     ZRule,
+    complex_step,
     discrete_constraint,
     evaluate_discrete_lagrangian,
     initial_acceleration,
@@ -100,12 +104,58 @@ def contact_residual(
     )
     z_res = z_next - w.z_curr - h * ld_fwd
 
-    out = np.empty(n + 1 + m)
+    out = np.empty(n + 1 + m, dtype=unknowns.dtype)
     out[:n] = momentum
     out[n] = z_res
     if m:
         out[n + 1:] = discrete_constraint(system, rule, w.q_curr, q_next)
     return out
+
+
+def step_jacobian(residual: Callable[[Array], Array], x: Array, probed: int,
+                  a_t: Array) -> Array:
+    """Jacobian at real ``x`` of a step residual whose last ``m`` unknowns
+    are multipliers entering its first ``n`` rows as ``-A(q_j)^T lambda``,
+    ``(n, m)`` the shape of ``a_t = A(q_j)^T``, and nowhere else.
+
+    The first ``probed`` columns are complex steps of ``residual``
+    (:func:`~nhcontact.model.complex_step`); the multiplier columns are
+    ``-a_t`` in those rows and zero below; any other column is left zero.
+    """
+    k = len(x)
+    n, m = a_t.shape
+    jac = np.zeros((k, k))
+    direction = np.zeros(k)
+    for i in range(probed):
+        direction[i] = 1.0
+        jac[:, i] = complex_step(residual, x, direction)
+        direction[i] = 0.0
+    jac[:n, k - m:] = -a_t
+    return jac
+
+
+def contact_jacobian(
+    system: ContactSystem,
+    rule: DiscretizationRule,
+    window: StepState,
+    terms,
+    unknowns: Array,
+) -> Array:
+    """Exact Jacobian of :func:`contact_residual` at real ``unknowns``.
+
+    The residual is linear in the multipliers (:func:`step_jacobian`), and
+    under the first-order z rule only the action row sees ``z_{j+1}``, with
+    coefficient one.  The configuration columns, and the z column under the
+    second-order rule, are complex steps, so the system's callables must be
+    complex-safe (:class:`~nhcontact.model.ContactSystem`).
+    """
+    n = system.dim_q
+    first_order = rule.z_rule is ZRule.FIRST_ORDER
+    jac = step_jacobian(lambda u: contact_residual(system, rule, window, terms, u),
+                        unknowns, n if first_order else n + 1, terms[2])
+    if first_order:
+        jac[n, n] = 1.0
+    return jac
 
 
 def solve_z_update(
@@ -151,7 +201,9 @@ def contact_step(
     the previous window's discrete Lagrangian and carries the previous
     multipliers forward.  The window terms are computed once, before Newton.
     ``jacobian`` is the factorization the previous step ended with, or
-    ``None``; the one this step ends with is returned for the next.
+    ``None``; the one this step ends with is returned for the next.  Fresh
+    Jacobians are :func:`contact_jacobian` when the system registers
+    Lagrangian gradients, finite differences otherwise.
     """
     w = window
     n, h = system.dim_q, rule.h
@@ -161,8 +213,13 @@ def contact_step(
     )
     x0 = np.concatenate([q_guess, [z_guess], lam_prev])
     terms = contact_window_terms(system, rule, window)
+    build = None
+    if system.lagrangian_gradients is not None:
+        def build(u):
+            return contact_jacobian(system, rule, window, terms, u)
     x, iterations, jacobian = newton_solve(
-        lambda u: contact_residual(system, rule, window, terms, u), x0, solver, jacobian)
+        lambda u: contact_residual(system, rule, window, terms, u), x0, solver, jacobian,
+        build)
     return x[:n], float(x[n]), x[n + 1:], jacobian, iterations
 
 

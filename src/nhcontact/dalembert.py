@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .contact import project_seed_position, run_steps
+from .contact import project_seed_position, run_steps, step_jacobian
 from .model import (
     Array,
     ContactSystem,
@@ -78,11 +78,25 @@ def la_residual(
     if m:
         momentum = momentum - a_t @ lam
 
-    out = np.empty(n + m)
+    out = np.empty(n + m, dtype=unknowns.dtype)
     out[:n] = momentum
     if m:
         out[n:] = discrete_constraint(system, rule, w.q_curr, q_next)
     return out
+
+
+def la_jacobian(
+    system: ContactSystem,
+    rule: DiscretizationRule,
+    window: StepState,
+    terms,
+    unknowns: Array,
+) -> Array:
+    """Exact Jacobian of :func:`la_residual` at real ``unknowns``: the
+    multiplier columns in closed form, the configuration columns by complex
+    step (:func:`~nhcontact.contact.step_jacobian`)."""
+    return step_jacobian(lambda u: la_residual(system, rule, window, terms, u),
+                         unknowns, system.dim_q, terms[1])
 
 
 def la_step(
@@ -95,13 +109,19 @@ def la_step(
 ):
     """One implicit forced step; returns
     ``(q_next, 0.0, lam, jacobian, iterations)``, z frozen at zero.
-    ``jacobian`` is carried as in :func:`~nhcontact.contact.contact_step`."""
+    ``jacobian`` is carried, and fresh ones built, as in
+    :func:`~nhcontact.contact.contact_step`, with :func:`la_jacobian`."""
     n = system.dim_q
     q_guess = 2.0 * window.q_curr - window.q_prev
     x0 = np.concatenate([q_guess, lam_prev])
     terms = la_window_terms(system, rule, window)
+    build = None
+    if system.lagrangian_gradients is not None:
+        def build(u):
+            return la_jacobian(system, rule, window, terms, u)
     x, iterations, jacobian = newton_solve(
-        lambda u: la_residual(system, rule, window, terms, u), x0, solver, jacobian)
+        lambda u: la_residual(system, rule, window, terms, u), x0, solver, jacobian,
+        build)
     return x[:n], 0.0, x[n:], jacobian, iterations
 
 

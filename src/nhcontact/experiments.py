@@ -12,6 +12,7 @@ from .dalembert import simulate_la
 from .model import (
     Array,
     DiscretizationRule,
+    EvaluationError,
     ExperimentSpec,
     Integrator,
     PositionRule,
@@ -23,6 +24,7 @@ from .model import (
 from .newton import NewtonConfig
 from .reference import (
     ConsistencyFailure,
+    StepSizeUnderflow,
     consistent_init,
     implicit_dae_integrate,
     make_continuous_system,
@@ -217,11 +219,15 @@ def _run_rkf45(spec: ExperimentSpec) -> Trajectory:
     grid = _grid(spec)
     v0 = project_velocity(system, spec.q0, spec.v0)
     y0 = np.concatenate([spec.q0, v0])
-    if len(grid) == 1:
-        states = y0[None, :]
-    else:
-        dense = rkf45_integrate(foucault_reference_ode(params), y0, (grid[0], grid[-1]))
-        states = dense.sample(grid)
+    termination = Termination.done()
+    states = y0[None, :]
+    if len(grid) > 1:
+        try:
+            dense = rkf45_integrate(foucault_reference_ode(params), y0, (grid[0], grid[-1]))
+            states = dense.sample(grid)
+        except (EvaluationError, StepSizeUnderflow) as exc:
+            # the initial row alone, as from a contact run whose seed fails
+            grid, termination = grid[:1], Termination.failure(step=1, message=str(exc))
     qs, vels = states[:, :2], states[:, 2:]
     lams = np.array([
         [foucault_reference_multiplier(params, states[j + 1])]
@@ -230,7 +236,7 @@ def _run_rkf45(spec: ExperimentSpec) -> Trajectory:
     energies = np.array([system.energy(q, v) for q, v in zip(qs, vels)])
     return Trajectory(times=grid, configurations=qs, velocities=vels,
                       z_values=np.zeros(len(grid)), multipliers=lams,
-                      energies=energies, termination=Termination.done())
+                      energies=energies, termination=termination)
 
 
 def _run_implicit_dae(spec: ExperimentSpec) -> Trajectory:

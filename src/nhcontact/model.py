@@ -43,6 +43,22 @@ def central_difference(f: Callable, x, probe: float = SQRT_EPS) -> Array:
     return np.stack(columns, axis=-1)
 
 
+#: Complex-step probe: far below round-off, so the real part of a probed
+#: evaluation is the unprobed value and the imaginary part carries no
+#: cancellation (Martins, Sturdza & Alonso, ACM TOMS 2003).
+COMPLEX_STEP = 1e-200
+
+
+def complex_step(f: Callable, x, direction) -> Array:
+    """Directional derivative of ``f`` at real ``x`` along ``direction``,
+    ``imag(f(x + i 1e-200 direction)) / 1e-200``, exact to round-off.
+
+    ``f`` must be complex-safe: it must carry the imaginary part of its
+    argument through every operation, never casting it away.
+    """
+    return np.imag(f(x + 1j * COMPLEX_STEP * direction)) / COMPLEX_STEP
+
+
 def _zero_offset(q: Array) -> Array:
     return np.zeros(0)
 
@@ -74,7 +90,12 @@ class ContactSystem:
     lagrangian_gradients:
         Optional ``(t, q, qdot, z) -> (dL/dq, dL/dqdot, dL/dz)``.  When
         provided, discrete-Lagrangian partials use it via the chain rule
-        instead of finite differences.
+        instead of finite differences, and the step Jacobians are taken by
+        complex step (:func:`complex_step`).  Registering it therefore
+        promises that it, ``lagrangian``, ``constraint_matrix``,
+        ``constraint_offset`` and ``external_force`` are complex-safe: a
+        complex ``q``, ``qdot`` or ``z`` gives a complex result whose
+        imaginary part is never dropped.
     """
 
     dim_q: int
@@ -223,7 +244,8 @@ def evaluate_discrete_lagrangian(
     z: float,
     z_next: float,
 ) -> float:
-    """Discrete Lagrangian ``L_d(q, q', z, z')`` over one step starting at ``t``."""
+    """Discrete Lagrangian ``L_d(q, q', z, z')`` over one step starting at
+    ``t``; complex when an argument is (see :func:`complex_step`)."""
     h = rule.h
     v = (q_next - q) / h
     z_d = _z_discrete(rule, z, z_next)
@@ -237,8 +259,7 @@ def evaluate_discrete_lagrangian(
             system.lagrangian(t, q, v, z_d)
             + system.lagrangian(t + h, q_next, v, z_d)
         )
-    val = float(val)
-    if not math.isfinite(val):
+    if not math.isfinite(val.real):
         raise EvaluationError(
             f"non-finite discrete Lagrangian at t={t}, q={q}, q_next={q_next}, "
             f"z={z}, z_next={z_next}"
@@ -267,10 +288,10 @@ def _partials_analytic(system, rule, t, q, q_next, z, z_next):
         d2 = 0.5 * gq1 + gv_mean / h
         gz = 0.5 * (gz0 + gz1)
     if rule.z_rule is ZRule.FIRST_ORDER:
-        d3, d4 = float(gz), 0.0
+        d3, d4 = gz, 0.0
     else:
-        d3 = d4 = 0.5 * float(gz)
-    return np.asarray(d1, dtype=float), np.asarray(d2, dtype=float), d3, d4
+        d3 = d4 = 0.5 * gz
+    return np.asarray(d1), np.asarray(d2), d3, d4
 
 
 def _partials_fd(system, rule, t, q, q_next, z, z_next):

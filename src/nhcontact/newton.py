@@ -1,4 +1,5 @@
-"""Dense Newton with a finite-difference Jacobian and LU pivoting diagnostics.
+"""Dense Newton with an exact or finite-difference Jacobian and LU pivoting
+diagnostics.
 
 Every implicit step in the package goes through :func:`newton_solve`.
 Problem sizes are small (at most a dozen unknowns), so the linear algebra is
@@ -9,6 +10,15 @@ step hands each solve the factors the previous one ended with: Newton then
 takes chord iterations with that Jacobian while they contract, and builds a
 fresh one only when they stop (simplified Newton; Hairer & Wanner, *Solving
 ODEs II*, section IV.8).
+
+A fresh Jacobian comes from the caller's builder when it passes one: the
+contact and Lagrange-d'Alembert steps build theirs exactly, from the
+columns known in closed form and complex steps for the rest.  Otherwise it
+is :func:`fd_jacobian`.  Newton gives up after ten iterations: with an exact
+Jacobian, a step too coarse to resolve can otherwise wander for dozens of
+iterations onto a spurious root, while no step of the catalog needs more
+than seven (Radau5 caps its simplified Newton at seven; Hairer & Wanner,
+section IV.8).
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ class SingularJacobian(RuntimeError):
 @dataclass(frozen=True)
 class NewtonConfig:
     tolerance: float = 1e-6
-    max_iterations: int = 50
+    max_iterations: int = 10
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0.0:
@@ -138,11 +148,13 @@ def newton_solve(
     x0: Array,
     config: NewtonConfig = NewtonConfig(),
     jacobian: Optional[LUFactors] = None,
+    build_jacobian: Optional[Callable[[Array], Array]] = None,
 ):
     """Solve ``residual(x) = 0`` to inf-norm ``config.tolerance``.
 
     Without ``jacobian`` every iteration builds and factors a fresh
-    :func:`fd_jacobian`.  Given the factors of an earlier Jacobian, it first
+    Jacobian: ``build_jacobian(x)``, or :func:`fd_jacobian` of ``residual``
+    when that is not given.  Given the factors of an earlier Jacobian, it first
     takes chord iterations with them, for as long as each one cuts the
     residual inf-norm to :data:`CHORD_CONTRACTION` of the one before.  The
     first chord iterate that neither does so nor meets the tolerance (or
@@ -178,7 +190,8 @@ def newton_solve(
             if chord:
                 start = x, fx, norm
             else:
-                jac = fd_jacobian(residual, x)
+                jac = (fd_jacobian(residual, x) if build_jacobian is None
+                       else build_jacobian(x))
                 if not np.all(np.isfinite(jac)):
                     raise EvaluationError(
                         f"Jacobian is not finite at Newton iteration {iteration}")

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import (SQRT_EPS, Array, ContactSystem, EvaluationError, central_difference,
-                    constraint_drift, project_velocity)
+                    complex_step, constraint_drift, project_velocity)
 from .newton import NewtonConfig, NewtonDivergence, SingularJacobian, newton_solve
 
 
@@ -82,7 +82,10 @@ def rkf45_integrate(
     """Adaptive embedded 4(5) integration of ``ydot = ode(t, y)``.
 
     Step acceptance uses error-per-unit-step control, so the global error
-    scales roughly linearly with the tolerance.
+    scales roughly linearly with the tolerance.  Raises
+    :class:`~nhcontact.model.EvaluationError` when an error estimate is not
+    finite and :class:`StepSizeUnderflow` when the step size falls below
+    ``1e-12`` of the span.
     """
     t0, tf = float(t_span[0]), float(t_span[1])
     span = tf - t0
@@ -112,6 +115,9 @@ def rkf45_integrate(
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y4))
         # error per unit step
         err = float(np.max(np.abs(y4 - y5) / scale)) / h
+        if not np.isfinite(err):
+            # a NaN estimate would be rejected forever with a growing step
+            raise EvaluationError(f"rkf45: error estimate {err} at t={t:.6g}")
         if err <= 1.0:
             t += h
             y = y4
@@ -152,8 +158,8 @@ def make_continuous_system(system: ContactSystem) -> ContinuousConstrainedSystem
     Rows: ``qdot - v``; the momentum balance
     ``d/dt dL/dqdot - dL/dq - dL/dqdot * dL/dz - A(q)^T lambda``;
     the action rate ``zdot - L``; and the velocity constraints.
-    The momentum rate is formed by a directional derivative of the analytic
-    momentum map along ``ydot``.
+    The momentum rate is formed by a complex-step directional derivative of
+    the analytic momentum map along ``ydot``.
     """
     if system.lagrangian_gradients is None:
         raise ValueError("continuous form requires analytic Lagrangian gradients")
@@ -163,17 +169,10 @@ def make_continuous_system(system: ContactSystem) -> ContinuousConstrainedSystem
         return system.lagrangian_gradients(t, q, v, z)[1]
 
     def momentum_rate(t, q, v, z, qd, vd):
-        # directional derivative of the momentum map along (qd, vd);
-        # complex step when the gradients are complex-safe, else central FD
-        try:
-            step = 1e-200
-            p = momentum(t, q + 1j * step * qd, v + 1j * step * vd, z)
-            return np.imag(p) / step
-        except (TypeError, ValueError):
-            eps = SQRT_EPS / max(1.0, float(np.max(np.abs(np.concatenate([qd, vd])))))
-            p_plus = momentum(t, q + eps * qd, v + eps * vd, z)
-            p_minus = momentum(t, q - eps * qd, v - eps * vd, z)
-            return (p_plus - p_minus) / (2 * eps)
+        # directional derivative of the momentum map along (qd, vd); registered
+        # gradients are complex-safe (ContactSystem)
+        return complex_step(lambda y: momentum(t, y[:n], y[n:], z),
+                            np.concatenate([q, v]), np.concatenate([qd, vd]))
 
     def residual(t, y, ydot):
         q, v, z = y[:n], y[n:2 * n], y[2 * n]

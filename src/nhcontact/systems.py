@@ -226,8 +226,8 @@ def disk_system(params: DiskParams) -> ContactSystem:
         s = np.sin(theta)
         c = np.cos(theta)
         spin = dpsi - dphi * s
-        # zeros_like keeps the dtype of q, so complex-step probes pass through
-        gq = np.asarray(forcing(t)) + np.zeros_like(q)
+        # complex when q or qdot is, so complex-step probes pass through
+        gq = np.asarray(forcing(t)) + np.zeros_like(q + qdot)
         gq[2] += (
             m * R ** 2 * s * c * dtheta ** 2
             - I_A * spin * dphi * c

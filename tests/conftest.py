@@ -1,10 +1,15 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from nhcontact import Integrator, StepStats, get_experiment, run_experiment
 from nhcontact.experiments import catalog_ids
+
+# numpy drops the imaginary part of a complex value stored into a real array
+# with only a warning; the complex-step Jacobians rely on that never happening
+warnings.filterwarnings("error", category=getattr(np, "exceptions", np).ComplexWarning)
 
 
 @pytest.fixture(scope="session")

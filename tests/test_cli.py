@@ -109,13 +109,26 @@ def test_run_short_disk_writes_artifacts(tmp_path):
     ["run", "disk-4.3", "--h", "0.8", "--t-final", "10"],
     # the implicit DAE reference cannot initialize consistently
     ["run", "disk-2.3", "--integrator", "implicit-dae", "--t-final", "1", "--alpha", "1e10"],
-], ids=["contact-seed", "dae-consistent-init"])
+    # the adaptive reference's right-hand side overflows to NaN
+    pytest.param(["run", "foucault-1", "--integrator", "rkf45", "--alpha", "1e300",
+                  "--t-final", "10"], marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+], ids=["contact-seed", "dae-consistent-init", "rkf45-non-finite"])
 def test_seeding_failure_exits_2_with_initial_row(args, tmp_path):
     out = tmp_path / "coarse"
     code = run_cli(args + ["--output-dir", str(out)])
     assert code == EXIT_SOLVER_FAILURE == 2
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert len(lines) == 2  # header + the initial state
+    assert (out / "summary.csv").read_text().splitlines()[1].startswith("solver_failure")
+
+
+def test_coarse_step_fails_instead_of_finding_a_spurious_root(tmp_path):
+    # at h = 0.3 an uncapped exact-Jacobian Newton "completes" this run on a
+    # spurious root (tilt -1.8 rad, z ~ 3e5) with up to 17 iterations a step
+    out = tmp_path / "coarse"
+    code = run_cli(["run", "disk-4.3", "--h", "0.3", "--t-final", "10",
+                    "--output-dir", str(out)])
+    assert code == EXIT_SOLVER_FAILURE
     assert (out / "summary.csv").read_text().splitlines()[1].startswith("solver_failure")
 
 

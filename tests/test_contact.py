@@ -6,6 +6,7 @@ import nhcontact.newton
 from nhcontact.contact import (
     DenominatorSingular,
     StepStats,
+    contact_jacobian,
     contact_residual,
     contact_step,
     contact_window_terms,
@@ -14,10 +15,11 @@ from nhcontact.contact import (
     run_contact,
     solve_z_update,
 )
-from nhcontact.dalembert import run_la
+from nhcontact.dalembert import _seed_window, la_jacobian, la_residual, la_window_terms, run_la
 from nhcontact.experiments import (
     DISK_RULE,
     build_contact_system,
+    build_la_system,
     get_experiment,
     run_experiment,
 )
@@ -28,6 +30,7 @@ from nhcontact.model import (
     PositionRule,
     StepState,
     ZRule,
+    central_difference,
     discrete_constraint,
     evaluate_discrete_lagrangian,
     partials_of_Ld,
@@ -353,14 +356,15 @@ def test_zero_steps_returns_initial_state(run):
 def test_newton_reuses_jacobian_across_steps(integrator, monkeypatch):
     # a Newton that builds a fresh Jacobian at every iteration needs 1.87
     # (contact) and 1.0 (LA) per Foucault step; chord iterations on the
-    # previous step's factors need far fewer
-    original, calls = nhcontact.newton.fd_jacobian, []
+    # previous step's factors need far fewer.  Every fresh Jacobian, exact or
+    # finite-difference, is factored once.
+    original, calls = nhcontact.newton.lu_factor, []
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(nhcontact.newton, "fd_jacobian", counting)
+    monkeypatch.setattr(nhcontact.newton, "lu_factor", counting)
     traj = run_experiment(get_experiment("foucault-1", t_final=10.0, integrator=integrator))
     assert traj.n_steps == 200 and traj.termination.completed
     assert len(calls) <= 0.75 * traj.n_steps
@@ -377,3 +381,45 @@ def test_reused_jacobian_belongs_to_its_run():
                   "energies"):
         assert np.array_equal(getattr(first, field), getattr(second, field)), field
     assert first.termination == second.termination
+
+
+def _jacobian_case(case, rule):
+    """(residual, jacobian, system, window, terms, guess) of one step of ``case``."""
+    if case == "oscillator":
+        system, q0, v0 = damped_oscillator(), np.array([1.0]), np.array([0.0])
+    else:
+        spec = get_experiment("foucault-1" if case.startswith("foucault") else "disk-2.3")
+        build = build_la_system if case == "foucault-la" else build_contact_system
+        system, q0, v0 = build(spec), spec.q0, spec.v0
+    if case == "foucault-la":
+        window = _seed_window(system, rule, q0, v0)
+        residual, jacobian, z = la_residual, la_jacobian, []
+        terms = la_window_terms(system, rule, window)
+    else:
+        window = initialize_window(system, rule, q0, v0)
+        residual, jacobian, z = contact_residual, contact_jacobian, [window.z_curr + 0.1]
+        terms = contact_window_terms(system, rule, window)
+    guess = np.concatenate([2.0 * window.q_curr - window.q_prev, z, np.ones(system.dim_c)])
+    return residual, jacobian, system, window, terms, guess
+
+
+@pytest.mark.parametrize("z_rule", list(ZRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("position", list(PositionRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("case", ["oscillator", "foucault", "foucault-la", "disk"])
+def test_step_jacobian_matches_central_difference(case, position, z_rule):
+    # known multiplier and first-order z columns, complex steps for the rest
+    rule = DiscretizationRule(position, z_rule, 0.05 if case.startswith("foucault") else 0.1)
+    residual, jacobian, system, window, terms, guess = _jacobian_case(case, rule)
+    x = guess + 1e-3 * np.random.default_rng(0).standard_normal(len(guess))
+    exact = jacobian(system, rule, window, terms, x)
+    fd = central_difference(lambda u: residual(system, rule, window, terms, u), x)
+    assert exact.dtype == float
+    assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_catalog_newton_iterations_keep_margin_below_cap(catalog_runs):
+    # every resolved catalog step needs at most 7 iterations, 3 below the cap
+    # that makes steps too coarse to resolve fail
+    assert NewtonConfig().max_iterations == 10
+    worst = {eid: run["stats"].max_iterations for eid, run in catalog_runs.items()}
+    assert max(worst.values()) <= 7, worst

@@ -9,6 +9,7 @@ from nhcontact.model import (
     PositionRule,
     ZRule,
     central_difference,
+    complex_step,
     constraint_drift,
     constraint_evaluation_point,
     discrete_constraint,
@@ -61,6 +62,15 @@ def test_central_difference_columns_and_layout():
         step[i] = e
         assert np.array_equal(jac[:, i], (f(x + step) - f(x - step)) / (2 * e))
     assert central_difference(lambda x: x @ x, x).shape == (2,)
+
+
+def test_complex_step_directional_derivative():
+    def f(x):
+        return np.array([x[0] ** 3, x[0] * x[1], np.sin(x[1])])
+
+    x, direction = np.array([0.5, -3.0]), np.array([2.0, -1.0])
+    expected = np.array([3 * 0.25 * 2.0, 2.0 * -3.0 - 0.5, -np.cos(-3.0)])
+    assert np.allclose(complex_step(f, x, direction), expected, rtol=1e-15, atol=0.0)
 
 
 def test_free_particle_discrete_lagrangian_any_rule():

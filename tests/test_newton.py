@@ -113,6 +113,20 @@ def test_fd_jacobian_quadratic():
     assert np.allclose(jac, [[3.0, 1.0], [0.0, -3.0]], atol=1e-6)
 
 
+def test_newton_builds_jacobians_with_given_callable(monkeypatch):
+    monkeypatch.setattr(newton, "fd_jacobian", None)  # never called
+    built = []
+
+    def exact(x):
+        built.append(x.copy())
+        return np.array([[2.0 * x[0]]])
+
+    x, iters, _ = newton_solve(lambda x: np.array([x[0] ** 2 - 2.0]), np.array([1.0]),
+                               NewtonConfig(tolerance=1e-12), build_jacobian=exact)
+    assert x[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert len(built) == iters >= 1
+
+
 def test_newton_scalar_root():
     x, iters, _ = newton_solve(lambda x: np.array([x[0] ** 2 - 2.0]),
                                np.array([1.0]),

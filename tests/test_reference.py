@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nhcontact.experiments import build_contact_system, get_experiment
-from nhcontact.model import ContactSystem
+from nhcontact.model import ContactSystem, EvaluationError
 from nhcontact.newton import NewtonConfig
 from nhcontact.reference import (
     ConsistencyFailure,
@@ -21,6 +21,19 @@ def test_rkf45_exponential_accuracy():
     traj = rkf45_integrate(lambda t, y: -y, np.array([1.0]), (0.0, 5.0),
                            rel_tol=1e-8, abs_tol=1e-8)
     assert abs(traj.states[-1, 0] - np.exp(-5.0)) <= 1e-7
+
+
+def test_rkf45_non_finite_rhs_raises():
+    # a NaN error estimate used to reject the step and grow it, forever
+    calls = []
+
+    def ode(t, y):
+        calls.append(t)
+        assert len(calls) < 10_000, "rkf45 kept stepping on a NaN right-hand side"
+        return np.array([np.nan if t > 0.5 else -y[0]])
+
+    with pytest.raises(EvaluationError, match="error estimate nan"):
+        rkf45_integrate(ode, np.array([1.0]), (0.0, 5.0))
 
 
 def test_rkf45_error_scales_with_tolerance():
