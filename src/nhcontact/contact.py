@@ -29,6 +29,7 @@ from .model import (
     DiscretizationRule,
     EvaluationError,
     ExperimentSpec,
+    PositionRule,
     StepState,
     Termination,
     Trajectory,
@@ -59,7 +60,8 @@ def contact_window_terms(
     window: StepState,
 ):
     """Residual terms fixed by the window for the whole step:
-    ``(D2 L_d(bwd), 1 - h D4 L_d(bwd), A(q_j)^T)``.
+    ``(D2 L_d(bwd), 1 - h D4 L_d(bwd), A(q_j)^T, b)``, ``b`` as in
+    :func:`window_constraint`.
 
     Raises :class:`DenominatorSingular` when the implicit z-coupling factor
     vanishes.
@@ -73,7 +75,21 @@ def contact_window_terms(
         raise DenominatorSingular(
             f"1 - h*D4 = {denom:.3e} at t={w.t_curr}: implicit z-coupling degenerate"
         )
-    return d2b, denom, system.constraint_matrix(w.q_curr).T
+    return (d2b, denom) + window_constraint(system, rule, w.q_curr)
+
+
+def window_constraint(system: ContactSystem, rule: DiscretizationRule, q: Array):
+    """``(A(q_j)^T, b)`` at the window's ``q_j``.
+
+    ``b = b(q_j)`` when the discrete constraint samples ``A`` and ``b`` at
+    ``q_j`` too, so the step residual takes it as ``A(q_j) v + b`` without
+    sampling them again, bit for bit; ``None`` under the midpoint rule,
+    which samples them at ``(q_j + q_{j+1})/2``.
+    """
+    a_t = system.constraint_matrix(q).T
+    if rule.position_rule is PositionRule.MIDPOINT:
+        return a_t, None
+    return a_t, system.constraint_offset(q)
 
 
 def contact_residual(
@@ -92,15 +108,17 @@ def contact_residual(
     q_next = unknowns[:n]
     z_next = unknowns[n]
     lam = unknowns[n + 1:]
-    d2b, denom, a_t = terms
+    d2b, denom, a_t, offset = terms
+    v = (q_next - w.q_curr) / h
 
-    d1f, _, d3f, _ = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next, w.z_curr, z_next)
+    d1f, _, d3f, _ = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next, w.z_curr,
+                                    z_next, v)
     momentum = d1f + d2b * (1.0 + h * d3f) / denom
     if m:
         momentum = momentum - a_t @ lam
 
     ld_fwd = evaluate_discrete_lagrangian(
-        system, rule, w.t_curr, w.q_curr, q_next, w.z_curr, z_next
+        system, rule, w.t_curr, w.q_curr, q_next, w.z_curr, z_next, v
     )
     z_res = z_next - w.z_curr - h * ld_fwd
 
@@ -108,7 +126,8 @@ def contact_residual(
     out[:n] = momentum
     out[n] = z_res
     if m:
-        out[n + 1:] = discrete_constraint(system, rule, w.q_curr, q_next)
+        out[n + 1:] = (discrete_constraint(system, rule, w.q_curr, q_next, v)
+                       if offset is None else a_t.T @ v + offset)
     return out
 
 

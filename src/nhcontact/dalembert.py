@@ -11,7 +11,12 @@ from typing import Optional
 
 import numpy as np
 
-from .contact import project_seed_position, run_steps, step_jacobian
+from .contact import (
+    project_seed_position,
+    run_steps,
+    step_jacobian,
+    window_constraint,
+)
 from .model import (
     Array,
     ContactSystem,
@@ -28,10 +33,12 @@ from .model import (
 from .newton import LUFactors, NewtonConfig, newton_solve
 
 
-def _discrete_force(system, rule, t, q, q_next):
-    """One-step force quadrature ``h * F^e`` with forward-difference velocity."""
+def _discrete_force(system, rule, t, q, q_next, v=None):
+    """One-step force quadrature ``h * F^e`` with forward-difference velocity
+    ``v = (q' - q)/h``, computed when not given."""
     h = rule.h
-    v = (q_next - q) / h
+    if v is None:
+        v = (q_next - q) / h
     if rule.position_rule is PositionRule.MIDPOINT:
         t_eval = t + 0.5 * h
         q_eval = 0.5 * (q + q_next)
@@ -47,11 +54,12 @@ def la_window_terms(
     window: StepState,
 ):
     """Residual terms fixed by the window for the whole step:
-    ``(D2 L_d(bwd), A(q_j)^T)``."""
+    ``(D2 L_d(bwd), A(q_j)^T, b)``, the last two the
+    :func:`~nhcontact.contact.window_constraint`."""
     w = window
     _, d2b, _, _ = partials_of_Ld(system, rule, w.t_curr - rule.h, w.q_prev, w.q_curr,
                                   0.0, 0.0)
-    return d2b, system.constraint_matrix(w.q_curr).T
+    return (d2b,) + window_constraint(system, rule, w.q_curr)
 
 
 def la_residual(
@@ -70,18 +78,20 @@ def la_residual(
     n, m, h = system.dim_q, system.dim_c, rule.h
     q_next = unknowns[:n]
     lam = unknowns[n:]
-    d2b, a_t = terms
+    d2b, a_t, offset = terms
+    v = (q_next - w.q_curr) / h
 
-    d1f, _, _, _ = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next, 0.0, 0.0)
+    d1f, _, _, _ = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next, 0.0, 0.0, v)
     momentum = h * (d1f + d2b) + _discrete_force(
-        system, rule, w.t_curr, w.q_curr, q_next)
+        system, rule, w.t_curr, w.q_curr, q_next, v)
     if m:
         momentum = momentum - a_t @ lam
 
     out = np.empty(n + m, dtype=unknowns.dtype)
     out[:n] = momentum
     if m:
-        out[n:] = discrete_constraint(system, rule, w.q_curr, q_next)
+        out[n:] = (discrete_constraint(system, rule, w.q_curr, q_next, v)
+                   if offset is None else a_t.T @ v + offset)
     return out
 
 

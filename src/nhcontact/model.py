@@ -243,11 +243,14 @@ def evaluate_discrete_lagrangian(
     q_next: Array,
     z: float,
     z_next: float,
+    v: Optional[Array] = None,
 ) -> float:
     """Discrete Lagrangian ``L_d(q, q', z, z')`` over one step starting at
-    ``t``; complex when an argument is (see :func:`complex_step`)."""
+    ``t``; complex when an argument is (see :func:`complex_step`).  ``v`` is
+    the step's difference velocity ``(q' - q)/h`` when the caller has it."""
     h = rule.h
-    v = (q_next - q) / h
+    if v is None:
+        v = (q_next - q) / h
     z_d = _z_discrete(rule, z, z_next)
     pos = rule.position_rule
     if pos is PositionRule.LEFT_ENDPOINT:
@@ -267,9 +270,10 @@ def evaluate_discrete_lagrangian(
     return val
 
 
-def _partials_analytic(system, rule, t, q, q_next, z, z_next):
+def _partials_analytic(system, rule, t, q, q_next, z, z_next, v):
     h = rule.h
-    v = (q_next - q) / h
+    if v is None:
+        v = (q_next - q) / h
     z_d = _z_discrete(rule, z, z_next)
     pos = rule.position_rule
     if pos is PositionRule.LEFT_ENDPOINT:
@@ -316,17 +320,19 @@ def partials_of_Ld(
     q_next: Array,
     z: float,
     z_next: float,
+    v: Optional[Array] = None,
 ):
     """Partial derivatives ``(D1, D2, D3, D4)`` of the discrete Lagrangian
     with respect to its two configuration and two z arguments.
 
     Uses the system's registered analytic gradients when available, otherwise
-    central finite differences on :func:`evaluate_discrete_lagrangian`.  The
+    central finite differences on :func:`evaluate_discrete_lagrangian`.
+    ``v`` is as for :func:`evaluate_discrete_lagrangian`.  The
     partials are not checked for finiteness here: Newton checks every
     residual and Jacobian it is given (:func:`nhcontact.newton.newton_solve`).
     """
     if system.lagrangian_gradients is not None:
-        return _partials_analytic(system, rule, t, q, q_next, z, z_next)
+        return _partials_analytic(system, rule, t, q, q_next, z, z_next, v)
     return _partials_fd(system, rule, t, q, q_next, z, z_next)
 
 
@@ -421,10 +427,13 @@ def discrete_constraint(
     rule: DiscretizationRule,
     q: Array,
     q_next: Array,
+    v: Optional[Array] = None,
 ) -> Array:
-    """Discrete constraint residual ``A(q_d) qdot_d + b(q_d)``."""
+    """Discrete constraint residual ``A(q_d) qdot_d + b(q_d)``; ``v`` is as
+    for :func:`evaluate_discrete_lagrangian`."""
     q_d = constraint_evaluation_point(rule, q, q_next)
-    v = (q_next - q) / rule.h
+    if v is None:
+        v = (q_next - q) / rule.h
     return system.constraint_matrix(q_d) @ v + system.constraint_offset(q_d)
 
 

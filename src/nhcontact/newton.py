@@ -23,6 +23,7 @@ section IV.8).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -138,6 +139,21 @@ def lu_solve(lu: LUFactors, rhs: Array) -> Array:
     return x
 
 
+def inf_norm(values: Array) -> float:
+    """Largest magnitude in ``values``, 0 when empty; NaN if any entry is
+    NaN, else infinite if any is, so it is finite exactly when they all are.
+    """
+    norm = 0.0
+    # one pass on Python floats: cheaper than numpy's reductions at this size
+    for v in values.tolist():
+        v = abs(v)
+        if not v <= norm:  # larger, or NaN
+            norm = v
+            if v != v:
+                break
+    return norm
+
+
 def fd_jacobian(residual: Callable[[Array], Array], x: Array) -> Array:
     """Central finite-difference Jacobian of ``residual`` at ``x``."""
     return central_difference(residual, x)
@@ -173,8 +189,7 @@ def newton_solve(
     start = None  # (x, fx, norm) the last chord step started from
     for iteration in range(config.max_iterations + 1):
         fx = np.asarray(residual(x), dtype=float)
-        # a residual that is not finite has a NaN or infinite norm
-        norm = float(np.max(np.abs(fx))) if len(fx) else 0.0
+        norm = inf_norm(fx)
         if norm <= config.tolerance:
             return x, iteration, jacobian
         if start is not None and not norm <= CHORD_CONTRACTION * start[2]:
@@ -183,7 +198,7 @@ def newton_solve(
             x, fx, norm = start
             chord = False
         start = None
-        if not np.all(np.isfinite(fx)):
+        if not math.isfinite(norm):
             raise EvaluationError(
                 f"residual is not finite at Newton iteration {iteration}")
         if iteration < config.max_iterations:

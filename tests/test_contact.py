@@ -24,6 +24,7 @@ from nhcontact.experiments import (
     run_experiment,
 )
 from nhcontact.model import (
+    COMPLEX_STEP,
     ContactSystem,
     DiscretizationRule,
     Integrator,
@@ -102,7 +103,7 @@ def unhoisted_contact_residual(system, rule, window, unknowns):
         momentum = momentum - system.constraint_matrix(w.q_curr).T @ lam
     ld_fwd = evaluate_discrete_lagrangian(system, rule, w.t_curr, w.q_curr, q_next,
                                           w.z_curr, z_next)
-    out = np.empty(n + 1 + m)
+    out = np.empty(n + 1 + m, dtype=unknowns.dtype)
     out[:n] = momentum
     out[n] = z_next - w.z_curr - h * ld_fwd
     if m:
@@ -120,11 +121,21 @@ def forced_disk_case():
     return build_contact_system(spec), DISK_RULE, spec.q0 + np.array([0.0, 0.0, 0.1, 0.2, 0.3])
 
 
+def forced_disk_left_case():
+    # the left rule samples A and b at q_j, which the window terms hold
+    spec = get_experiment("disk-3.2")
+    rule = DiscretizationRule(PositionRule.LEFT_ENDPOINT, ZRule.FIRST_ORDER, DISK_RULE.h)
+    return build_contact_system(spec), rule, spec.q0 + np.array([0.0, 0.0, 0.1, 0.2, 0.3])
+
+
 KERNEL_CASES = [pendulum_case, forced_disk_case]
 
 
-@pytest.mark.parametrize("case", KERNEL_CASES, ids=["pendulum-trap-first", "disk-mid-second"])
+@pytest.mark.parametrize("case", KERNEL_CASES + [forced_disk_left_case],
+                         ids=["pendulum-trap-first", "disk-mid-second", "disk-left-first"])
 def test_hoisted_residual_bit_identical_to_unhoisted(case):
+    # real unknowns, and the complex-step probes of the exact Jacobian,
+    # imaginary parts included
     system, rule, q = case()
     n, m = system.dim_q, system.dim_c
     rng = np.random.default_rng(3)
@@ -136,10 +147,12 @@ def test_hoisted_residual_bit_identical_to_unhoisted(case):
                            t_curr=rng.uniform(0.1, 10.0))
         terms = contact_window_terms(system, rule, window)
         for _ in range(5):
-            unknowns = np.concatenate([qj + 0.05 * rng.normal(size=n),
-                                       rng.normal(size=1 + m)])
-            assert np.array_equal(contact_residual(system, rule, window, terms, unknowns),
-                                  unhoisted_contact_residual(system, rule, window, unknowns))
+            x = np.concatenate([qj + 0.05 * rng.normal(size=n), rng.normal(size=1 + m)])
+            for unknowns in [x] + [x + 1j * COMPLEX_STEP * e for e in np.eye(len(x))]:
+                hoisted = contact_residual(system, rule, window, terms, unknowns)
+                assert hoisted.dtype == unknowns.dtype
+                assert np.array_equal(
+                    hoisted, unhoisted_contact_residual(system, rule, window, unknowns))
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES, ids=["pendulum-trap-first", "disk-mid-second"])
