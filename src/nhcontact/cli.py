@@ -200,6 +200,15 @@ def _unsupported(exc: ValueError) -> int:
     return EXIT_UNKNOWN
 
 
+def _report_failure(label: str, traj: Trajectory) -> None:
+    """One stderr line saying where and why a run stopped, when it failed;
+    the CSV files hold only the termination status."""
+    term = traj.termination
+    if not term.completed:
+        print(f"{label}: {term.status} at step {term.step}: {term.message}",
+              file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     try:
         spec = _resolve_spec(args)
@@ -223,6 +232,7 @@ def cmd_run(args) -> int:
     write_summary_csv(os.path.join(out, "summary.csv"), traj, wall, stats, max_c)
     print(f"{args.experiment}: {traj.termination.status}, "
           f"{traj.n_steps} steps, wrote {out}")
+    _report_failure(args.experiment, traj)
     return EXIT_OK if traj.termination.completed else EXIT_SOLVER_FAILURE
 
 
@@ -269,6 +279,8 @@ def cmd_compare(args) -> int:
                 for name, traj in runs.items()))
     print(f"{args.experiment}: compared {', '.join(names)} "
           f"against {reference_name}, wrote {out}")
+    for name, traj in runs.items():
+        _report_failure(f"{args.experiment} {name}", traj)
     return status
 
 

@@ -12,6 +12,19 @@ accumulated action ``z`` and the constraint multipliers:
 Newton solves it with the exact Jacobian of :func:`contact_jacobian` when
 the system registers Lagrangian gradients, else with finite differences.
 
+Newton starts from one of two predictions (:func:`solve_step`).  The
+linear start extrapolates q linearly, advances z by the previous window's
+discrete Lagrangian and carries the multipliers forward.  The quadratic
+start extrapolates q and z through the last three points and the
+multipliers through the last two.  After each accepted step the driver
+checks which of the two came closer to the new q, in the inf-norm, and
+starts the next step from that one; it uses the linear start until that
+check has been made once.  Extrapolated starts are standard for implicit steppers
+(Radau5 starts from its collocation polynomial; Hairer & Wanner, *Solving
+ODEs II*, section IV.8).  A quadratic start can put Newton in reach of
+another root, or none, where the linear one resolves the step, so a step
+whose Newton fails from it is solved again from the linear start.
+
 The trajectory driver :func:`run_steps` is shared with the
 Lagrange-d'Alembert integrator, which differs only in its seed and step.
 """
@@ -46,6 +59,7 @@ from .newton import (
     NewtonConfig,
     NewtonDivergence,
     SingularJacobian,
+    inf_norm,
     newton_solve,
 )
 
@@ -205,6 +219,53 @@ def solve_z_update(
     return float(zn[0])
 
 
+def solve_step(
+    residual: Callable[[Array], Array],
+    build: Optional[Callable[[Array], Array]],
+    solver: NewtonConfig,
+    jacobian: Optional[LUFactors],
+    linear_start: Callable[[], Array],
+    window: StepState,
+    lam_prev: Array,
+    prior: Optional[tuple],
+    with_z: bool,
+):
+    """Newton on one step's ``residual`` from a history predictor; returns
+    :func:`~nhcontact.newton.newton_solve`'s ``(x, iterations, jacobian)``.
+
+    Without ``prior`` Newton starts from ``linear_start()``.  Given
+    ``prior = (q_{j-2}, z_{j-2}, lambda_{j-2})``, the point one behind the
+    window, it starts from the quadratic extrapolation
+    ``3 q_j - 3 q_{j-1} + q_{j-2}`` (likewise z, when ``with_z``) and
+    ``2 lambda_{j-1} - lambda_{j-2}``, ``lam_prev`` being ``lambda_{j-1}``.
+    It skips the linear start's discrete-Lagrangian evaluation.  If that
+    Newton fails, the step is solved once more from ``linear_start()``,
+    with the factors ``jacobian`` it began with: exactly the solve without
+    ``prior``.
+    """
+    if prior is not None:
+        q_back, z_back, lam_back = prior
+        w = window
+        z = [3.0 * (w.z_curr - w.z_prev) + z_back] if with_z else []
+        x0 = np.concatenate([3.0 * (w.q_curr - w.q_prev) + q_back, z,
+                             2.0 * lam_prev - lam_back])
+        try:
+            return newton_solve(residual, x0, solver, jacobian, build)
+        except (NewtonDivergence, SingularJacobian, EvaluationError):
+            pass
+    return newton_solve(residual, linear_start(), solver, jacobian, build)
+
+
+def quadratic_predicts_better(window: StepState, q_back: Array, q_next: Array) -> bool:
+    """Whether the quadratic extrapolation of :func:`solve_step`, from
+    ``q_back = q_{j-2}`` and the window, came closer to the accepted
+    ``q_next`` than the linear ``2 q_j - q_{j-1}``, in the inf-norm."""
+    w = window
+    quadratic = 3.0 * (w.q_curr - w.q_prev) + q_back
+    linear = 2.0 * w.q_curr - w.q_prev
+    return inf_norm(quadratic - q_next) < inf_norm(linear - q_next)
+
+
 def contact_step(
     system: ContactSystem,
     rule: DiscretizationRule,
@@ -212,13 +273,16 @@ def contact_step(
     lam_prev: Array,
     jacobian: Optional[LUFactors],
     solver: NewtonConfig,
+    prior: Optional[tuple] = None,
 ):
     """One implicit contact step; returns
     ``(q_next, z_next, lam, jacobian, iterations)``.
 
-    The initial guess extrapolates the configuration linearly, advances z by
-    the previous window's discrete Lagrangian and carries the previous
-    multipliers forward.  The window terms are computed once, before Newton.
+    Newton starts from the quadratic predictor of :func:`solve_step` when
+    ``prior`` is given, and from the linear start otherwise, or when that
+    fails: the configuration extrapolated linearly, z advanced by the
+    previous window's discrete Lagrangian and the previous multipliers
+    carried forward.  The window terms are computed once, before Newton.
     ``jacobian`` is the factorization the previous step ended with, or
     ``None``; the one this step ends with is returned for the next.  Fresh
     Jacobians are :func:`contact_jacobian` when the system registers
@@ -226,19 +290,21 @@ def contact_step(
     """
     w = window
     n, h = system.dim_q, rule.h
-    q_guess = 2.0 * w.q_curr - w.q_prev
-    z_guess = w.z_curr + h * evaluate_discrete_lagrangian(
-        system, rule, w.t_curr - h, w.q_prev, w.q_curr, w.z_prev, w.z_curr
-    )
-    x0 = np.concatenate([q_guess, [z_guess], lam_prev])
     terms = contact_window_terms(system, rule, window)
+
+    def linear_start():
+        z_guess = w.z_curr + h * evaluate_discrete_lagrangian(
+            system, rule, w.t_curr - h, w.q_prev, w.q_curr, w.z_prev, w.z_curr
+        )
+        return np.concatenate([2.0 * w.q_curr - w.q_prev, [z_guess], lam_prev])
+
     build = None
     if system.lagrangian_gradients is not None:
         def build(u):
             return contact_jacobian(system, rule, window, terms, u)
-    x, iterations, jacobian = newton_solve(
-        lambda u: contact_residual(system, rule, window, terms, u), x0, solver, jacobian,
-        build)
+    x, iterations, jacobian = solve_step(
+        lambda u: contact_residual(system, rule, window, terms, u), build, solver,
+        jacobian, linear_start, window, lam_prev, prior, with_z=True)
     return x[:n], float(x[n]), x[n + 1:], jacobian, iterations
 
 
@@ -316,11 +382,15 @@ def run_steps(
     """Integrate ``n_steps`` two-point steps from ``(q0, v0)`` at ``t = 0``.
 
     ``seed(system, rule, q0, v0)`` builds the first window, which
-    takes step 1; ``step(system, rule, window, lam, jacobian, solver)`` takes
-    each later step from the previous multipliers and Newton factorization
-    and returns ``(q_next, z_next, lam, jacobian, iterations)``.  Both are
-    carried from step to step of this run only; the first step starts without
-    a Jacobian.  A numerical failure in either ends the run as a
+    takes step 1; ``step(system, rule, window, lam, jacobian, solver, prior)``
+    takes each later step from the previous multipliers and Newton
+    factorization and returns ``(q_next, z_next, lam, jacobian, iterations)``.
+    ``prior`` is ``(q, z, lam)`` one point behind the window, handed over
+    while the quadratic start of :func:`solve_step` predicted the last step's
+    configuration better than the linear one (so from the third implicit
+    step on at the earliest), and ``None`` otherwise.  All of it is carried
+    from step to step of this run only; the first step starts without a
+    Jacobian.  A numerical failure in either ends the run as a
     ``solver_failure`` at the last accepted step.
     """
     from .analysis import reconstruct_velocities_from_arrays
@@ -344,16 +414,21 @@ def run_steps(
             zs[1] = window.z_curr
             lam = np.zeros(m)
             jacobian = None
+            prior, quadratic = None, False
             steps_done = 1
         for j in range(1, n_steps):
-            q_next, z_next, lam, jacobian, iters = step(system, rule, window, lam,
-                                                        jacobian, solver)
+            q_next, z_next, lam_next, jacobian, iters = step(
+                system, rule, window, lam, jacobian, solver, prior if quadratic else None)
             if stats is not None:
                 stats.record(iters)
             qs[j + 1] = q_next
             zs[j + 1] = z_next
-            lams[j] = lam
+            lams[j] = lam_next
             steps_done = j + 1
+            if prior is not None:
+                quadratic = quadratic_predicts_better(window, prior[0], q_next)
+            prior = (window.q_prev, window.z_prev, lam)
+            lam = lam_next
             window = StepState(
                 q_prev=window.q_curr, q_curr=q_next,
                 z_prev=window.z_curr, z_curr=z_next,

@@ -14,6 +14,7 @@ import numpy as np
 from .contact import (
     project_seed_position,
     run_steps,
+    solve_step,
     step_jacobian,
     window_constraint,
 )
@@ -30,7 +31,7 @@ from .model import (
     partials_of_Ld,
     project_velocity,
 )
-from .newton import LUFactors, NewtonConfig, newton_solve
+from .newton import LUFactors, NewtonConfig
 
 
 def _discrete_force(system, rule, t, q, q_next, v=None):
@@ -116,22 +117,26 @@ def la_step(
     lam_prev: Array,
     jacobian: Optional[LUFactors],
     solver: NewtonConfig,
+    prior: Optional[tuple] = None,
 ):
     """One implicit forced step; returns
     ``(q_next, 0.0, lam, jacobian, iterations)``, z frozen at zero.
-    ``jacobian`` is carried, and fresh ones built, as in
-    :func:`~nhcontact.contact.contact_step`, with :func:`la_jacobian`."""
+    Newton starts, and ``jacobian`` is carried and fresh ones built, as in
+    :func:`~nhcontact.contact.contact_step`, with :func:`la_jacobian` and
+    without a z unknown."""
     n = system.dim_q
-    q_guess = 2.0 * window.q_curr - window.q_prev
-    x0 = np.concatenate([q_guess, lam_prev])
     terms = la_window_terms(system, rule, window)
+
+    def linear_start():
+        return np.concatenate([2.0 * window.q_curr - window.q_prev, lam_prev])
+
     build = None
     if system.lagrangian_gradients is not None:
         def build(u):
             return la_jacobian(system, rule, window, terms, u)
-    x, iterations, jacobian = newton_solve(
-        lambda u: la_residual(system, rule, window, terms, u), x0, solver, jacobian,
-        build)
+    x, iterations, jacobian = solve_step(
+        lambda u: la_residual(system, rule, window, terms, u), build, solver,
+        jacobian, linear_start, window, lam_prev, prior, with_z=False)
     return x[:n], 0.0, x[n:], jacobian, iterations
 
 

@@ -132,6 +132,29 @@ def test_coarse_step_fails_instead_of_finding_a_spurious_root(tmp_path):
     assert (out / "summary.csv").read_text().splitlines()[1].startswith("solver_failure")
 
 
+def test_solver_failure_says_where_and_why_on_stderr(tmp_path, capsys):
+    out = tmp_path / "coarse"
+    code = run_cli(["run", "disk-2.3", "--h", "2.0", "--output-dir", str(out)])
+    assert code == EXIT_SOLVER_FAILURE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("disk-2.3: solver_failure at step 2: Newton did not converge "
+                             "after 10 iterations (residual inf-norm ")
+    # the CSV files keep their columns
+    assert (out / "summary.csv").read_text().splitlines()[1].split(",")[0] == "solver_failure"
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 3
+
+
+def test_long_disk_run_completes(tmp_path, capsys):
+    # one step near t = 58 needs 8 Newton iterations from the linear start;
+    # from the quadratic one Newton hits the 10-iteration cap there, and the
+    # step is solved again from the linear start
+    out = tmp_path / "long"
+    assert run_cli(["run", "disk-2.3", "--t-final", "60", "--output-dir", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert (out / "summary.csv").read_text().splitlines()[1].startswith("completed")
+
+
 def test_trajectory_rows_finite_and_monotone(tmp_path):
     out = tmp_path / "rows"
     run_cli(["run", "disk-3.1", "--t-final", "3", "--output-dir", str(out)])

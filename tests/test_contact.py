@@ -383,6 +383,60 @@ def test_newton_reuses_jacobian_across_steps(integrator, monkeypatch):
     assert len(calls) <= 0.75 * traj.n_steps
 
 
+@pytest.mark.parametrize("eid, t_final, most", [
+    # the linear start alone needs 4.54 per step on this horizon
+    ("foucault-1", 200.0, 3.6 * 3999),
+    # the linear start's counts: the predictor may not raise them
+    ("disk-2.2", None, 1617),
+    ("disk-2.3", None, 2910),
+    ("disk-4.2", None, 4273),
+])
+def test_predictor_cuts_residual_evaluations(eid, t_final, most, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return contact_residual(*args)
+
+    monkeypatch.setattr(nhcontact.contact, "contact_residual", counting)
+    overrides = {} if t_final is None else {"t_final": t_final}
+    stats = StepStats()
+    traj = run_experiment(get_experiment(eid, **overrides), stats=stats)
+    assert traj.termination.completed
+    assert len(calls) <= most, len(calls) / stats.steps
+
+
+@pytest.mark.parametrize("eid, h, failure_step", [
+    ("disk-4.3", 0.3, 4), ("disk-4.3", 0.375, 2), ("disk-4.3", 0.4, 3),
+    ("disk-4.3", 0.45, 11), ("disk-4.3", 0.8, 1), ("disk-2.3", 2.0, 2),
+    ("disk-4.3", 0.725, None),
+])
+def test_coarse_disk_runs_keep_linear_start_termination(eid, h, failure_step):
+    # where the quadratic start fails, the step is solved again from the
+    # linear start, so each run ends where it does from the linear start alone
+    term = run_experiment(get_experiment(eid, h=h)).termination
+    if failure_step is None:
+        assert term.completed, term
+    else:
+        assert (term.status, term.step) == ("solver_failure", failure_step)
+
+
+def test_quadratic_start_falls_back_on_linear_start():
+    # a quadratic start whose Newton fails is solved again from the linear
+    # one with the factors the step began with: the solve without ``prior``
+    system, rule, q = pendulum_case()
+    window = initialize_window(system, rule, q, np.zeros(system.dim_q))
+    lam = np.zeros(system.dim_c)
+    # a NaN start makes Newton raise at its first residual
+    prior = (np.full(system.dim_q, np.nan), window.z_prev, lam)
+    plain = contact_step(system, rule, window, lam, None, NewtonConfig())
+    retried = contact_step(system, rule, window, lam, None, NewtonConfig(), prior)
+    q, z, multipliers, jacobian, iterations = retried
+    assert np.array_equal(q, plain[0]) and z == plain[1]
+    assert np.array_equal(multipliers, plain[2]) and iterations == plain[4] >= 1
+    assert jacobian.rows == plain[3].rows
+
+
 def test_reused_jacobian_belongs_to_its_run():
     # a disk run (8 unknowns) between two runs of one Foucault variant
     # (4 unknowns) must not change the second

@@ -9,6 +9,7 @@ from nhcontact.newton import (
     NewtonDivergence,
     SingularJacobian,
     fd_jacobian,
+    inf_norm,
     lu_factor,
     lu_solve,
     newton_solve,
@@ -102,6 +103,22 @@ def test_solve_dense_singular_raises():
     with pytest.raises(SingularJacobian) as info:
         solve_dense(a, np.ones(2))
     assert info.value.pivot < 1e-14
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 9])
+def test_inf_norm_matches_numpy_reductions(k):
+    # numpy's reductions are the reference: the same maximum, NaN when any
+    # entry is NaN, else infinite when any entry is
+    rng = np.random.default_rng(k)
+    for _ in range(50):
+        x = rng.standard_normal(k) * 10.0 ** rng.integers(-20, 20, size=k)
+        if k:
+            for special in rng.choice([np.nan, np.inf, -np.inf, 0.0], size=2):
+                x[rng.integers(k)] = special
+        expected = float(np.max(np.abs(x))) if k else 0.0
+        got = inf_norm(x)
+        assert got == expected or (np.isnan(got) and np.isnan(expected))
+        assert np.isfinite(got) == bool(np.all(np.isfinite(x)))
 
 
 def test_fd_jacobian_quadratic():
