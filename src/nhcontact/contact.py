@@ -16,12 +16,12 @@ Newton starts from one of two predictions (:func:`solve_step`).  The
 linear start extrapolates q linearly, advances z by the previous window's
 discrete Lagrangian and carries the multipliers forward.  The quadratic
 start extrapolates q and z through the last three points and the
-multipliers through the last two.  After each accepted step the driver
-checks which of the two came closer to the new q, in the inf-norm, and
-starts the next step from that one; it uses the linear start until that
-check has been made once.  Extrapolated starts are standard for implicit steppers
-(Radau5 starts from its collocation polynomial; Hairer & Wanner, *Solving
-ODEs II*, section IV.8).  A quadratic start can put Newton in reach of
+multipliers through the last two.  After each accepted step
+:func:`run_steps` checks which of the two came closer to the new q, in the
+inf-norm, and starts the next step from that one; it uses the linear start
+until that check has been made once.  Extrapolated starts are standard for
+implicit steppers (Radau5 starts from its collocation polynomial; Hairer &
+Wanner, *Solving ODEs II*, section IV.8).  A quadratic start can put Newton in reach of
 another root, or none, where the linear one resolves the step, so a step
 whose Newton fails from it is solved again from the linear start.
 
