@@ -20,9 +20,8 @@ from .contact import (
     contact_window_terms,
     initialize_window,
     run_contact,
-    simulate_contact,
 )
-from .dalembert import la_residual, la_step, la_window_terms, run_la, simulate_la
+from .dalembert import la_residual, la_step, run_la
 from .experiments import (
     CATALOG,
     UnknownExperiment,
@@ -96,7 +95,6 @@ __all__ = [
     "initialize_window",
     "la_residual",
     "la_step",
-    "la_window_terms",
     "make_continuous_system",
     "newton_solve",
     "oscillation_plane_angle",
@@ -105,7 +103,5 @@ __all__ = [
     "run_contact",
     "run_experiment",
     "run_la",
-    "simulate_contact",
-    "simulate_la",
     "trajectory_error",
 ]

@@ -165,8 +165,7 @@ def _resolve_spec(args):
     if rule_name:
         if rule_name not in RULE_NAMES:
             raise UnsupportedExperiment(f"unknown rule {rule_name!r}")
-        base = RULE_NAMES[rule_name]
-        spec = replace(spec, rule=DiscretizationRule(base.position_rule, base.z_rule, spec.h))
+        spec = replace(spec, rule=replace(RULE_NAMES[rule_name], h=spec.h))
     return spec
 
 
@@ -288,12 +287,13 @@ def cmd_convergence(args) -> int:
     alpha, omega, t_final = 0.1, 1.0, 10.0
     try:
         h_list = [float(v) for v in args.h_list.split(",")]
+        if len(set(h_list)) < 2:
+            raise UnsupportedExperiment("--h-list needs at least two distinct step sizes")
         studies = []
         for rule_name in args.rules.split(","):
             if rule_name not in RULE_NAMES:
                 raise UnsupportedExperiment(f"unknown rule {rule_name!r}")
-            base = RULE_NAMES[rule_name]
-            studies.append((rule_name, [DiscretizationRule(base.position_rule, base.z_rule, h)
+            studies.append((rule_name, [replace(RULE_NAMES[rule_name], h=h)
                                         for h in h_list]))
         # the rules have checked that every h is positive and finite
         if t_final / min(h_list) > MAX_STEPS:

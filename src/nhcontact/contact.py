@@ -25,8 +25,10 @@ Wanner, *Solving ODEs II*, section IV.8).  A quadratic start can put Newton in r
 another root, or none, where the linear one resolves the step, so a step
 whose Newton fails from it is solved again from the linear start.
 
-The trajectory driver :func:`run_steps` is shared with the
-Lagrange-d'Alembert integrator, which differs only in its seed and step.
+The Lagrange-d'Alembert integrator (:mod:`nhcontact.dalembert`) differs
+only in its residual and Jacobian.  It shares the seed
+:func:`seed_position`, the window terms :func:`contact_window_terms`, the
+step solve :func:`solve_step` and the trajectory driver :func:`run_steps`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .model import (
     ContactSystem,
     DiscretizationRule,
     EvaluationError,
-    ExperimentSpec,
     PositionRule,
     StepState,
     Termination,
@@ -220,18 +221,27 @@ def solve_z_update(
 
 
 def solve_step(
-    residual: Callable[[Array], Array],
-    build: Optional[Callable[[Array], Array]],
+    system: ContactSystem,
+    rule: DiscretizationRule,
+    window: StepState,
+    residual: Callable,
+    jacobian_of: Callable,
     solver: NewtonConfig,
     jacobian: Optional[LUFactors],
     linear_start: Callable[[], Array],
-    window: StepState,
     lam_prev: Array,
     prior: Optional[tuple],
     with_z: bool,
 ):
-    """Newton on one step's ``residual`` from a history predictor; returns
-    :func:`~nhcontact.newton.newton_solve`'s ``(x, iterations, jacobian)``.
+    """Newton on one step of either integrator from a history predictor;
+    returns :func:`~nhcontact.newton.newton_solve`'s
+    ``(x, iterations, jacobian)``.
+
+    The step solves ``residual(system, rule, window, terms, u) = 0``, the
+    window's :func:`contact_window_terms` computed once, before Newton.
+    ``jacobian`` is the factorization the previous step ended with, or
+    ``None``.  Fresh Jacobians are ``jacobian_of`` (same arguments) when the
+    system registers Lagrangian gradients, finite differences otherwise.
 
     Without ``prior`` Newton starts from ``linear_start()``.  Given
     ``prior = (q_{j-2}, z_{j-2}, lambda_{j-2})``, the point one behind the
@@ -243,6 +253,15 @@ def solve_step(
     with the factors ``jacobian`` it began with: exactly the solve without
     ``prior``.
     """
+    terms = contact_window_terms(system, rule, window)
+
+    def f(u):
+        return residual(system, rule, window, terms, u)
+
+    build = None
+    if system.lagrangian_gradients is not None:
+        def build(u):
+            return jacobian_of(system, rule, window, terms, u)
     if prior is not None:
         q_back, z_back, lam_back = prior
         w = window
@@ -250,10 +269,10 @@ def solve_step(
         x0 = np.concatenate([3.0 * (w.q_curr - w.q_prev) + q_back, z,
                              2.0 * lam_prev - lam_back])
         try:
-            return newton_solve(residual, x0, solver, jacobian, build)
+            return newton_solve(f, x0, solver, jacobian, build)
         except (NewtonDivergence, SingularJacobian, EvaluationError):
             pass
-    return newton_solve(residual, linear_start(), solver, jacobian, build)
+    return newton_solve(f, linear_start(), solver, jacobian, build)
 
 
 def quadratic_predicts_better(window: StepState, q_back: Array, q_next: Array) -> bool:
@@ -278,19 +297,13 @@ def contact_step(
     """One implicit contact step; returns
     ``(q_next, z_next, lam, jacobian, iterations)``.
 
-    Newton starts from the quadratic predictor of :func:`solve_step` when
-    ``prior`` is given, and from the linear start otherwise, or when that
-    fails: the configuration extrapolated linearly, z advanced by the
-    previous window's discrete Lagrangian and the previous multipliers
-    carried forward.  The window terms are computed once, before Newton.
-    ``jacobian`` is the factorization the previous step ended with, or
-    ``None``; the one this step ends with is returned for the next.  Fresh
-    Jacobians are :func:`contact_jacobian` when the system registers
-    Lagrangian gradients, finite differences otherwise.
+    Solved by :func:`solve_step` with :func:`contact_jacobian`.  Its linear
+    start extrapolates the configuration linearly, advances z by the
+    previous window's discrete Lagrangian and carries the previous
+    multipliers forward.
     """
     w = window
     n, h = system.dim_q, rule.h
-    terms = contact_window_terms(system, rule, window)
 
     def linear_start():
         z_guess = w.z_curr + h * evaluate_discrete_lagrangian(
@@ -298,13 +311,9 @@ def contact_step(
         )
         return np.concatenate([2.0 * w.q_curr - w.q_prev, [z_guess], lam_prev])
 
-    build = None
-    if system.lagrangian_gradients is not None:
-        def build(u):
-            return contact_jacobian(system, rule, window, terms, u)
     x, iterations, jacobian = solve_step(
-        lambda u: contact_residual(system, rule, window, terms, u), build, solver,
-        jacobian, linear_start, window, lam_prev, prior, with_z=True)
+        system, rule, window, contact_residual, contact_jacobian, solver, jacobian,
+        linear_start, lam_prev, prior, with_z=True)
     return x[:n], float(x[n]), x[n + 1:], jacobian, iterations
 
 
@@ -332,24 +341,36 @@ def project_seed_position(
     return q1 + system.constraint_matrix(q0).T @ mu
 
 
+def seed_position(
+    system: ContactSystem,
+    rule: DiscretizationRule,
+    q0: Array,
+    v0: Array,
+) -> Array:
+    """Second-order seed ``q1`` of either integrator from ``(q0, v0)``.
+
+    ``v0`` is projected onto the constraint set at ``q0``, then
+    ``q1 = q0 + h v0 + h^2/2 a0`` with the consistent
+    :func:`~nhcontact.model.initial_acceleration` (keeping the scheme's
+    order), corrected by :func:`project_seed_position`.
+    """
+    h = rule.h
+    v = project_velocity(system, q0, np.asarray(v0, dtype=float))
+    acc = initial_acceleration(system, q0, v)
+    return project_seed_position(system, rule, q0, q0 + h * v + 0.5 * h ** 2 * acc)
+
+
 def initialize_window(
     system: ContactSystem,
     rule: DiscretizationRule,
     q0: Array,
     v0: Array,
 ) -> StepState:
-    """Build the first stepping window from ``(q0, v0)`` at ``t = 0``, ``z = 0``.
-
-    ``v0`` is projected onto the constraint set at ``q0``, then
-    ``q1 = q0 + h v0 + h^2/2 a0`` with a consistent initial acceleration
-    (second-order seed, preserving the scheme's order), and ``z1`` solves
-    the discrete action update.
-    """
+    """Build the first stepping window from ``(q0, v0)`` at ``t = 0``, ``z = 0``:
+    ``q1`` from :func:`seed_position`, ``z1`` solving the discrete action
+    update."""
     q0 = np.asarray(q0, dtype=float)
-    v = project_velocity(system, q0, np.asarray(v0, dtype=float))
-    acc = initial_acceleration(system, q0, v)
-    q1 = q0 + rule.h * v + 0.5 * rule.h ** 2 * acc
-    q1 = project_seed_position(system, rule, q0, q1)
+    q1 = seed_position(system, rule, q0, v0)
     z1 = solve_z_update(system, rule, 0.0, q0, q1, 0.0)
     return StepState(q_prev=q0, q_curr=q1, z_prev=0.0, z_curr=z1, t_curr=rule.h)
 
@@ -465,17 +486,3 @@ def run_contact(
     """Integrate ``n_steps`` contact steps from ``(q0, v0)``."""
     return run_steps(system, rule, q0, v0, n_steps, initialize_window,
                      contact_step, solver, stats=stats)
-
-
-def simulate_contact(
-    spec: ExperimentSpec,
-    solver: NewtonConfig = NewtonConfig(),
-    stats: Optional[StepStats] = None,
-) -> Trajectory:
-    """Run a catalog experiment with the contact integrator."""
-    from .experiments import build_contact_system
-
-    system = build_contact_system(spec)
-    n_steps = int(round(spec.t_final / spec.h))
-    return run_contact(system, spec.rule, spec.q0, spec.v0, n_steps,
-                       solver=solver, stats=stats)

@@ -7,8 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .contact import StepStats, simulate_contact
-from .dalembert import simulate_la
+from . import contact, dalembert
 from .model import (
     Array,
     DiscretizationRule,
@@ -78,7 +77,6 @@ def _foucault_entry(alpha: float) -> ExperimentSpec:
         forcing=None,
         q0=np.array([0.0, params.l / 100.0]),
         v0=np.zeros(2),
-        h=FOUCAULT_RULE.h,
         t_final=3600.0,
         integrator=Integrator.CONTACT,
         rule=FOUCAULT_RULE,
@@ -95,7 +93,6 @@ def _disk_entry(alpha, q0, v0, forcing=None, t_final=20.0) -> ExperimentSpec:
         forcing=forcing,
         q0=np.asarray(q0, dtype=float),
         v0=np.asarray(v0, dtype=float),
-        h=DISK_RULE.h,
         t_final=t_final,
         integrator=Integrator.CONTACT,
         rule=DISK_RULE,
@@ -143,7 +140,8 @@ def catalog_ids() -> list:
 
 
 def get_experiment(experiment_id: str, **overrides) -> ExperimentSpec:
-    """Look up a catalog entry, optionally replacing spec fields.
+    """Look up a catalog entry, optionally replacing spec fields; an ``h``
+    override sets the step size of the rule, overridden or not.
 
     Raises :class:`UnsupportedExperiment` for an override the spec rejects
     and for a horizon of more than :data:`MAX_STEPS` steps.
@@ -154,14 +152,13 @@ def get_experiment(experiment_id: str, **overrides) -> ExperimentSpec:
         raise UnknownExperiment(experiment_id) from None
     if not overrides:
         return spec
-    unknown = sorted(set(overrides) - set(spec.__dataclass_fields__))
+    unknown = sorted(set(overrides) - set(spec.__dataclass_fields__) - {"h"})
     if unknown:
         raise UnsupportedExperiment(f"unknown override {', '.join(unknown)}")
     try:
-        if "h" in overrides and "rule" not in overrides:
-            overrides["rule"] = DiscretizationRule(
-                spec.rule.position_rule, spec.rule.z_rule, h=float(overrides["h"])
-            )
+        if "h" in overrides:
+            rule = overrides.get("rule", spec.rule)
+            overrides["rule"] = replace(rule, h=float(overrides.pop("h")))
         spec = replace(spec, **overrides)
     except ValueError as exc:
         raise UnsupportedExperiment(str(exc)) from None
@@ -205,9 +202,12 @@ def build_la_system(spec: ExperimentSpec):
     raise UnsupportedExperiment(f"unknown system {spec.system_id!r}")
 
 
+def _n_steps(spec: ExperimentSpec) -> int:
+    return int(round(spec.t_final / spec.h))
+
+
 def _grid(spec: ExperimentSpec) -> Array:
-    n_steps = int(round(spec.t_final / spec.h))
-    return spec.h * np.arange(n_steps + 1)
+    return spec.h * np.arange(_n_steps(spec) + 1)
 
 
 def _run_rkf45(spec: ExperimentSpec) -> Trajectory:
@@ -281,14 +281,16 @@ def _run_implicit_dae(spec: ExperimentSpec) -> Trajectory:
 def run_experiment(
     spec: ExperimentSpec,
     solver: NewtonConfig = NewtonConfig(),
-    stats: StepStats = None,
+    stats: contact.StepStats = None,
 ) -> Trajectory:
     """Run ``spec`` with its selected integrator, on a uniform grid of
     step ``spec.h``."""
     if spec.integrator is Integrator.CONTACT:
-        return simulate_contact(spec, solver=solver, stats=stats)
+        return contact.run_contact(build_contact_system(spec), spec.rule, spec.q0,
+                                   spec.v0, _n_steps(spec), solver, stats)
     if spec.integrator is Integrator.LAGRANGE_DALEMBERT:
-        return simulate_la(spec, solver=solver, stats=stats)
+        return dalembert.run_la(build_la_system(spec), spec.rule, spec.q0, spec.v0,
+                                _n_steps(spec), solver, stats)
     if spec.integrator is Integrator.RKF45_REFERENCE:
         return _run_rkf45(spec)
     if spec.integrator is Integrator.IMPLICIT_DAE_REFERENCE:

@@ -84,7 +84,9 @@ class ContactSystem:
         ``q -> (dim_c,)`` array, the affine part ``b(q)``.  Defaults to zero.
     external_force:
         ``(t, q, qdot) -> (dim_q,)`` covector used by the forced
-        (Lagrange-d'Alembert) formulation; zero for pure contact systems.
+        (Lagrange-d'Alembert) formulation.  The seed of either integrator
+        adds it to the initial acceleration, so pure contact (Herglotz)
+        systems leave it zero.
     energy:
         ``(q, qdot) -> float`` diagnostic, kinetic plus potential.
     lagrangian_gradients:
@@ -213,14 +215,16 @@ class ExperimentSpec:
     forcing: Optional[Callable[[float], Array]]
     q0: Array
     v0: Array
-    h: float
     t_final: float
     integrator: Integrator
     rule: DiscretizationRule
 
+    @property
+    def h(self) -> float:
+        """The step size, the rule's."""
+        return self.rule.h
+
     def __post_init__(self) -> None:
-        if not 0.0 < self.h < math.inf:
-            raise ValueError(f"h must be positive and finite, got {self.h}")
         if not 0.0 <= self.t_final < math.inf:
             raise ValueError(f"t_final must be non-negative and finite, got {self.t_final}")
 
@@ -362,10 +366,10 @@ def initial_acceleration(
     system: ContactSystem,
     q0: Array,
     v0: Array,
-    include_external_force: bool = False,
 ) -> Array:
     """Consistent acceleration at ``(q0, v0)``, ``t = z = 0``, from the
-    continuous equations of motion; seeds the stepping window at second order.
+    continuous equations of motion, the external force included; seeds the
+    stepping window at second order.
 
     Solves the saddle system of the momentum balance and the differentiated
     constraints by least squares (robust to redundant constraint rows).
@@ -394,9 +398,7 @@ def initial_acceleration(
 
     mass = central_difference(lambda v: momentum(t0, q0, v, z0), v0, probe)
 
-    rhs = gq + gz * gv - pdot_explicit
-    if include_external_force:
-        rhs = rhs + system.external_force(t0, q0, v0)
+    rhs = gq + gz * gv - pdot_explicit + system.external_force(t0, q0, v0)
 
     if m == 0:
         acc, *_ = np.linalg.lstsq(mass, rhs, rcond=None)

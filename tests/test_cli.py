@@ -1,11 +1,12 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nhcontact.cli import EXIT_OK, EXIT_SOLVER_FAILURE, EXIT_UNKNOWN, main
 from nhcontact.experiments import MAX_STEPS, UnsupportedExperiment, get_experiment
-from nhcontact.model import Integrator
+from nhcontact.model import DiscretizationRule, Integrator, PositionRule, ZRule
 
 
 def run_cli(args):
@@ -43,11 +44,14 @@ def test_unknown_experiment(capsys):
     ["run", "foucault-1", "--config", "nonexistent-dir/overrides.cfg"],
     ["run", "foucault-1", "--t-final", "1", "--h", "1e-300"],
     ["convergence", "--h-list", "1e-300"],
+    ["convergence", "--h-list", "0.1"],
+    ["convergence", "--h-list", "0.1,0.1"],
 ], ids=["run-disk-la", "run-disk-rkf45", "compare-disk-la", "unknown-override",
         "unknown-rule", "zero-h", "nan-h", "negative-t-final", "compare-inf-t-final",
         "text-h", "unknown-integrator-override", "array-override",
         "convergence-text-h", "convergence-zero-h", "convergence-unknown-rule",
-        "missing-config", "step-count-over-bound", "convergence-step-count-over-bound"])
+        "missing-config", "step-count-over-bound", "convergence-step-count-over-bound",
+        "convergence-one-h", "convergence-repeated-h"])
 def test_unsupported_input_one_error_line(args, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(args + ["--output-dir", str(out)]) == EXIT_UNKNOWN == 1
@@ -66,6 +70,19 @@ def test_step_count_bound():
         get_experiment("foucault-1", t_final=1.0, h=5e-324)
     # the refined run of acceptance criterion 6 stays inside the bound
     get_experiment("foucault-2", h=0.05 / 20.0, integrator=Integrator.LAGRANGE_DALEMBERT)
+
+
+def test_step_size_lives_in_the_rule():
+    # a spec has one step size, its rule's: an h override moves the rule,
+    # an overridden one too, and the spec itself cannot be given another
+    spec = get_experiment("foucault-1", t_final=2.0)
+    with pytest.raises(TypeError):
+        replace(spec, h=0.1)
+    assert get_experiment("foucault-1", h=0.1).rule.h == 0.1
+    mid = DiscretizationRule(PositionRule.MIDPOINT, ZRule.SECOND_ORDER, 0.05)
+    spec = get_experiment("foucault-1", rule=mid, h=0.1)
+    assert spec.h == spec.rule.h == 0.1
+    assert spec.rule.position_rule is PositionRule.MIDPOINT
 
 
 def test_integrator_override_is_converted(tmp_path):

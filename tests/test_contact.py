@@ -15,7 +15,7 @@ from nhcontact.contact import (
     run_contact,
     solve_z_update,
 )
-from nhcontact.dalembert import _seed_window, la_jacobian, la_residual, la_window_terms, run_la
+from nhcontact.dalembert import _seed_window, la_jacobian, la_residual, run_la
 from nhcontact.experiments import (
     DISK_RULE,
     build_contact_system,
@@ -461,11 +461,10 @@ def _jacobian_case(case, rule):
     if case == "foucault-la":
         window = _seed_window(system, rule, q0, v0)
         residual, jacobian, z = la_residual, la_jacobian, []
-        terms = la_window_terms(system, rule, window)
     else:
         window = initialize_window(system, rule, q0, v0)
         residual, jacobian, z = contact_residual, contact_jacobian, [window.z_curr + 0.1]
-        terms = contact_window_terms(system, rule, window)
+    terms = contact_window_terms(system, rule, window)
     guess = np.concatenate([2.0 * window.q_curr - window.q_prev, z, np.ones(system.dim_c)])
     return residual, jacobian, system, window, terms, guess
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhcontact.contact import run_contact
-from nhcontact.dalembert import _discrete_force, la_residual, la_window_terms, run_la
+from nhcontact.contact import contact_window_terms, run_contact
+from nhcontact.dalembert import _discrete_force, la_residual, run_la
 from nhcontact.experiments import DISK_RULE, build_contact_system, get_experiment
 from nhcontact.model import (
     DiscretizationRule,
@@ -36,7 +36,7 @@ def test_pendulum_la_residual_matches_hand_coded_block():
         lam = rng.normal(size=1)
         window = StepState(q_prev=qm, q_curr=qj, z_prev=0.0, z_curr=0.0, t_curr=1.0)
         res = la_residual(system, TRAP_FIRST, window,
-                          la_window_terms(system, TRAP_FIRST, window),
+                          contact_window_terms(system, TRAP_FIRST, window),
                           np.concatenate([qp, lam]))
         # h * [D1 Ld(fwd) + D2 Ld(bwd)] with trapezoidal quadrature,
         # plus the one-step force quadrature, minus the constraint term
@@ -86,7 +86,7 @@ def test_hoisted_la_residual_bit_identical_to_unhoisted(case):
         qj = qm + 0.05 * rng.normal(size=n)
         window = StepState(q_prev=qm, q_curr=qj, z_prev=0.0, z_curr=0.0,
                            t_curr=rng.uniform(0.1, 10.0))
-        terms = la_window_terms(system, rule, window)
+        terms = contact_window_terms(system, rule, window)
         for _ in range(5):
             unknowns = np.concatenate([qj + 0.05 * rng.normal(size=n), rng.normal(size=m)])
             assert np.array_equal(la_residual(system, rule, window, terms, unknowns),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from nhcontact.model import (
     PositionRule,
     StepState,
     ZRule,
+    initial_acceleration,
     partials_of_Ld,
+    project_velocity,
 )
 from nhcontact.newton import NewtonConfig
 from nhcontact.reference import rkf45_integrate
@@ -51,6 +55,21 @@ def test_foucault_gradients_match_finite_differences():
     ref = partials_of_Ld(bare, rule, 0.0, q, qn, 0.2, 0.3)
     for a, b in zip(got, ref):
         assert np.allclose(a, b, rtol=1e-5, atol=1e-5)
+
+
+def test_herglotz_and_rayleigh_foucault_share_initial_acceleration():
+    # the Lagrangian's -alpha z and the force -alpha m qdot give the same
+    # continuous equations, so the seeds agree only if the external force
+    # enters the initial acceleration
+    params = FoucaultParams(alpha=1e-2)
+    herglotz = foucault_system(params, formulation="herglotz")
+    forced = foucault_system(params, formulation="la")
+    q0 = np.array([0.3, 0.6])
+    v0 = project_velocity(herglotz, q0, np.array([0.5, -0.2]))
+    acc = initial_acceleration(herglotz, q0, v0)
+    np.testing.assert_allclose(initial_acceleration(forced, q0, v0), acc, rtol=0, atol=1e-12)
+    unforced = replace(forced, external_force=lambda t, q, qdot: np.zeros_like(q))
+    assert np.max(np.abs(initial_acceleration(unforced, q0, v0) - acc)) > 1e-4
 
 
 def test_foucault_reference_ode_preserves_constraint():
@@ -166,8 +185,6 @@ def test_steady_rolling_balance():
     psidot0 = (m * g * R * t + (I_A + m * R ** 2 - I_T) * s * phidot0 ** 2) / (
         (I_A + m * R ** 2) * phidot0
     )
-    from nhcontact.model import initial_acceleration
-
     system = disk_system(params)
     q0 = np.array([0.0, 0.0, theta0, 0.0, 0.0])
     # rolling-consistent center velocity at phi = 0
