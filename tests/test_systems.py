@@ -185,6 +185,8 @@ def test_steady_rolling_balance():
     psidot0 = (m * g * R * t + (I_A + m * R ** 2 - I_T) * s * phidot0 ** 2) / (
         (I_A + m * R ** 2) * phidot0
     )
+    from nhcontact.model import initial_acceleration
+
     system = disk_system(params)
     q0 = np.array([0.0, 0.0, theta0, 0.0, 0.0])
     # rolling-consistent center velocity at phi = 0
