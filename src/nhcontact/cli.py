@@ -55,8 +55,9 @@ EXIT_SOLVER_FAILURE = 2
 
 
 def _write_csv(path: str, header: list, rows) -> None:
-    """Every CSV the CLI writes: text cells as they are, numbers to 17
-    significant digits, so that a float reads back to the same value."""
+    """Every CSV the CLI writes but the trajectory: text cells as they are,
+    numbers to 17 significant digits, so that a float reads back to the same
+    value."""
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
@@ -66,6 +67,8 @@ def _write_csv(path: str, header: list, rows) -> None:
 
 
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
+    """``trajectory.csv``: one row per time, its numbers written as
+    :func:`_write_csv` writes them, streamed row by row."""
     n = traj.configurations.shape[1]
     m = traj.multipliers.shape[1]
     header = (
@@ -76,20 +79,16 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
         + [f"lambda_{i + 1}" for i in range(m)]
         + ["E"]
     )
-
-    def rows():
-        for j in range(len(traj.times)):
-            lam = traj.multipliers[j - 1] if j > 0 else np.zeros(m)
-            yield (
-                [traj.times[j]]
-                + list(traj.configurations[j])
-                + list(traj.velocities[j])
-                + [traj.z_values[j]]
-                + list(lam)
-                + [traj.energies[j]]
-            )
-
-    _write_csv(path, header, rows())
+    # the first row carries no multipliers; "%.17g" formats a float exactly
+    # as format(c, ".17g") does, without a call per cell
+    lams = np.vstack([np.zeros((1, m)), traj.multipliers])
+    table = np.column_stack([traj.times, traj.configurations, traj.velocities,
+                             traj.z_values, lams, traj.energies])
+    template = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for row in table.tolist():
+            f.write(template % tuple(row))
 
 
 def _max_constraint_residual(system: ContactSystem, rule: DiscretizationRule,

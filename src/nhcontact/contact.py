@@ -265,9 +265,12 @@ def solve_step(
     if prior is not None:
         q_back, z_back, lam_back = prior
         w = window
-        z = [3.0 * (w.z_curr - w.z_prev) + z_back] if with_z else []
-        x0 = np.concatenate([3.0 * (w.q_curr - w.q_prev) + q_back, z,
-                             2.0 * lam_prev - lam_back])
+        # on Python floats, rounding as numpy's elementwise operations do
+        x0 = [3.0 * (c - p) + b for p, c, b in
+              zip(w.q_prev.tolist(), w.q_curr.tolist(), q_back.tolist())]
+        if with_z:
+            x0.append(3.0 * (w.z_curr - w.z_prev) + z_back)
+        x0 += [2.0 * lam - b for lam, b in zip(lam_prev.tolist(), lam_back.tolist())]
         try:
             return newton_solve(f, x0, solver, jacobian, build)
         except (NewtonDivergence, SingularJacobian, EvaluationError):
@@ -279,10 +282,13 @@ def quadratic_predicts_better(window: StepState, q_back: Array, q_next: Array) -
     """Whether the quadratic extrapolation of :func:`solve_step`, from
     ``q_back = q_{j-2}`` and the window, came closer to the accepted
     ``q_next`` than the linear ``2 q_j - q_{j-1}``, in the inf-norm."""
-    w = window
-    quadratic = 3.0 * (w.q_curr - w.q_prev) + q_back
-    linear = 2.0 * w.q_curr - w.q_prev
-    return inf_norm(quadratic - q_next) < inf_norm(linear - q_next)
+    columns = zip(window.q_prev.tolist(), window.q_curr.tolist(), q_back.tolist(),
+                  q_next.tolist())
+    quadratic, linear = [], []
+    for p, c, b, n in columns:
+        quadratic.append(3.0 * (c - p) + b - n)
+        linear.append(2.0 * c - p - n)
+    return inf_norm(quadratic) < inf_norm(linear)
 
 
 def contact_step(

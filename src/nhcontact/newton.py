@@ -5,11 +5,17 @@ Every implicit step in the package goes through :func:`newton_solve`.
 Problem sizes are small (at most a dozen unknowns), so the linear algebra is
 a plain LU factorization with partial pivoting and row equilibration
 (:func:`lu_factor`), kept apart from its solve (:func:`lu_solve`) so that one
-factorization serves many solves.  A caller that solves one system per time
-step hands each solve the factors the previous one ended with: Newton then
-takes chord iterations with that Jacobian while they contract, and builds a
-fresh one only when they stop (simplified Newton; Hairer & Wanner, *Solving
-ODEs II*, section IV.8).
+factorization serves many solves.  At this size numpy's per-call overhead
+costs more than the arithmetic, so the elimination, the right-hand side and
+each residual are Python floats (one ``tolist()`` per residual); only the
+back-substitution keeps numpy's dot, on each U row's stored tail, because a
+Python sum rounds differently and would move trajectories in their last
+bits.
+
+A caller that solves one system per time step hands each solve the factors
+the previous one ended with: Newton then takes chord iterations with that
+Jacobian while they contract, and builds a fresh one only when they stop
+(simplified Newton; Hairer & Wanner, *Solving ODEs II*, section IV.8).
 
 A fresh Jacobian comes from the caller's builder when it passes one: the
 contact and Lagrange-d'Alembert steps build theirs exactly, from the
@@ -60,10 +66,12 @@ class NewtonConfig:
     max_iterations: int = 10
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        # NaN never converges and infinity returns the start unsolved
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
+        if (isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, int)
+                or self.max_iterations < 1):
+            raise ValueError("max_iterations must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -71,14 +79,14 @@ class LUFactors:
     """Row-equilibrated LU factors of a square matrix (:func:`lu_factor`).
 
     ``rows`` hold the multipliers below the diagonal and ``U`` on and above
-    it, on Python floats; ``upper`` is the same as a numpy array, for the
-    back-substitution.
+    it, on Python floats; ``tails[r]`` is row ``r`` of ``U`` right of the
+    diagonal as a contiguous numpy vector, for the back-substitution's dot.
     """
 
     scales: list
     pivots: list
     rows: list
-    upper: Array
+    tails: list
 
 
 def lu_factor(a: Array) -> LUFactors:
@@ -111,17 +119,19 @@ def lu_factor(a: Array) -> LUFactors:
             factor = row[col] = row[col] / top[col]
             for c in range(col + 1, k):
                 row[c] -= factor * top[c]
-    return LUFactors(scales, pivots, rows, np.array(rows))
+    tails = [np.array(row[r + 1:]) for r, row in enumerate(rows)]
+    return LUFactors(scales, pivots, rows, tails)
 
 
-def lu_solve(lu: LUFactors, rhs: Array) -> Array:
-    """Solve ``a x = rhs`` from the factors of ``a``.
+def lu_solve(lu: LUFactors, rhs: list) -> Array:
+    """Solve ``a x = rhs`` from the factors of ``a``; ``rhs`` is a list of
+    floats.
 
     The right-hand side takes the factorization's row scaling, swaps and
     updates in the order the elimination made them, so the result is bit for
     bit the one of eliminating ``a`` and ``rhs`` together.
     """
-    b = [v / scale for v, scale in zip(np.array(rhs, dtype=float).tolist(), lu.scales)]
+    b = [v / scale for v, scale in zip(rhs, lu.scales)]
     k = len(b)
     for col, p in enumerate(lu.pivots):
         b[col], b[p] = b[p], b[col]
@@ -132,20 +142,21 @@ def lu_solve(lu: LUFactors, rhs: Array) -> Array:
             b[r] -= rows[r][col] * bc
     # back-substitution keeps numpy's dot: a Python sum rounds differently
     # and would move trajectories in their last bits
-    u = lu.upper
+    tails = lu.tails
     x = np.empty(k)
     for row in range(k - 1, -1, -1):
-        x[row] = (b[row] - u[row, row + 1:] @ x[row + 1:]) / u[row, row]
+        x[row] = (b[row] - tails[row] @ x[row + 1:]) / rows[row][row]
     return x
 
 
-def inf_norm(values: Array) -> float:
-    """Largest magnitude in ``values``, 0 when empty; NaN if any entry is
-    NaN, else infinite if any is, so it is finite exactly when they all are.
+def inf_norm(values: list) -> float:
+    """Largest magnitude in the floats ``values``, 0 when empty; NaN if any
+    entry is NaN, else infinite if any is, so it is finite exactly when they
+    all are.
     """
     norm = 0.0
     # one pass on Python floats: cheaper than numpy's reductions at this size
-    for v in values.tolist():
+    for v in values:
         v = abs(v)
         if not v <= norm:  # larger, or NaN
             norm = v
@@ -188,7 +199,7 @@ def newton_solve(
     chord = jacobian is not None
     start = None  # (x, fx, norm) the last chord step started from
     for iteration in range(config.max_iterations + 1):
-        fx = np.asarray(residual(x), dtype=float)
+        fx = np.asarray(residual(x), dtype=float).tolist()
         norm = inf_norm(fx)
         if norm <= config.tolerance:
             return x, iteration, jacobian
@@ -211,5 +222,5 @@ def newton_solve(
                     raise EvaluationError(
                         f"Jacobian is not finite at Newton iteration {iteration}")
                 jacobian = lu_factor(jac)
-            x = x + lu_solve(jacobian, -fx)
+            x = x + lu_solve(jacobian, [-v for v in fx])
     raise NewtonDivergence(config.max_iterations, norm)

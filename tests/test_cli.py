@@ -4,9 +4,30 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nhcontact.cli import EXIT_OK, EXIT_SOLVER_FAILURE, EXIT_UNKNOWN, main
-from nhcontact.experiments import MAX_STEPS, UnsupportedExperiment, get_experiment
-from nhcontact.model import DiscretizationRule, Integrator, PositionRule, ZRule
+from nhcontact.cli import (
+    EXIT_OK,
+    EXIT_SOLVER_FAILURE,
+    EXIT_UNKNOWN,
+    RULE_NAMES,
+    main,
+    write_trajectory_csv,
+)
+from nhcontact.contact import run_contact
+from nhcontact.experiments import (
+    MAX_STEPS,
+    UnsupportedExperiment,
+    get_experiment,
+    run_experiment,
+)
+from nhcontact.model import (
+    DiscretizationRule,
+    Integrator,
+    PositionRule,
+    Termination,
+    Trajectory,
+    ZRule,
+)
+from nhcontact.systems import damped_oscillator
 
 
 def run_cli(args):
@@ -263,3 +284,48 @@ def test_run_uses_17_significant_digits(tmp_path):
     second_row = (out / "trajectory.csv").read_text().splitlines()[2]
     t_field = second_row.split(",")[0]
     assert t_field == "0.10000000000000001"
+
+
+def reference_write_trajectory_csv(path, traj):
+    """Per-cell writer, the oracle for the bytes of
+    :func:`~nhcontact.cli.write_trajectory_csv`."""
+    n = traj.configurations.shape[1]
+    m = traj.multipliers.shape[1]
+    header = (["t"] + [f"q_{i + 1}" for i in range(n)] + [f"qdot_{i + 1}" for i in range(n)]
+              + ["z"] + [f"lambda_{i + 1}" for i in range(m)] + ["E"])
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for j in range(len(traj.times)):
+            lam = traj.multipliers[j - 1] if j > 0 else np.zeros(m)
+            row = ([traj.times[j]] + list(traj.configurations[j])
+                   + list(traj.velocities[j]) + [traj.z_values[j]] + list(lam)
+                   + [traj.energies[j]])
+            f.write(",".join(format(float(c), ".17g") for c in row) + "\n")
+
+
+def edge_value_trajectory():
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1e308,
+                      0.1, -2.5e-17, 123456789.12345678])
+    rows = 12
+    cells = np.resize(edges, rows * 9).reshape(rows, 9)
+    return Trajectory(
+        times=cells[:, 0], configurations=cells[:, 1:3], velocities=cells[:, 3:5],
+        z_values=cells[:, 5], multipliers=cells[1:, 6:8], energies=cells[:, 8],
+        termination=Termination.done())
+
+
+@pytest.mark.parametrize("make", [
+    edge_value_trajectory,
+    # no constraints (m = 0)
+    lambda: run_contact(damped_oscillator(), replace(RULE_NAMES["mid-second"], h=0.1),
+                        np.array([1.0]), np.array([0.0]), 20),
+    # a 0-step trajectory, a single row
+    lambda: run_experiment(get_experiment("foucault-1", t_final=0.0)),
+], ids=["edge-values", "no-constraints", "zero-steps"])
+def test_trajectory_csv_bytes_match_per_cell_writer(make, tmp_path):
+    traj = make()
+    write_trajectory_csv(str(tmp_path / "new.csv"), traj)
+    reference_write_trajectory_csv(str(tmp_path / "reference.csv"), traj)
+    written = (tmp_path / "new.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert written.count(b"\n") == len(traj.times) + 1

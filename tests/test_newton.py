@@ -70,6 +70,111 @@ def test_solve_dense_bit_identical_to_numpy_lu(k):
         assert np.array_equal(solve_dense(a, b), expected)
 
 
+def array_lu_solve(lu, rhs):
+    """:func:`lu_solve` on an array right-hand side, back-substituting on
+    slices of the 2-D ``U``."""
+    b = [v / scale for v, scale in zip(np.array(rhs, dtype=float).tolist(), lu.scales)]
+    k = len(b)
+    for col, p in enumerate(lu.pivots):
+        b[col], b[p] = b[p], b[col]
+    for col in range(k):
+        for r in range(col + 1, k):
+            b[r] -= lu.rows[r][col] * b[col]
+    u = np.array(lu.rows)
+    x = np.empty(k)
+    for row in range(k - 1, -1, -1):
+        x[row] = (b[row] - u[row, row + 1:] @ x[row + 1:]) / u[row, row]
+    return x
+
+
+def array_newton_solve(residual, x0, config, jacobian=None, build_jacobian=None):
+    """:func:`newton_solve` with each residual kept as a numpy array, the
+    oracle for its loop on Python floats."""
+    x = np.array(x0, dtype=float)
+    chord = jacobian is not None
+    start = None
+    for iteration in range(config.max_iterations + 1):
+        fx = np.asarray(residual(x), dtype=float)
+        norm = inf_norm(fx)
+        if norm <= config.tolerance:
+            return x, iteration, jacobian
+        if start is not None and not norm <= newton.CHORD_CONTRACTION * start[2]:
+            x, fx, norm = start
+            chord = False
+        start = None
+        if not np.isfinite(norm):
+            raise EvaluationError(
+                f"residual is not finite at Newton iteration {iteration}")
+        if iteration < config.max_iterations:
+            if chord:
+                start = x, fx, norm
+            else:
+                jac = (fd_jacobian(residual, x) if build_jacobian is None
+                       else build_jacobian(x))
+                if not np.all(np.isfinite(jac)):
+                    raise EvaluationError(
+                        f"Jacobian is not finite at Newton iteration {iteration}")
+                jacobian = lu_factor(jac)
+            x = x + array_lu_solve(jacobian, -fx)
+    raise NewtonDivergence(config.max_iterations, norm)
+
+
+def test_newton_solve_bit_identical_to_array_loop():
+    """Same iterates, result, iteration count and final factors, bit for bit,
+    on seeded systems of 1 to 13 unknowns: fresh and carried factors, chord
+    iterates kept and dropped, non-finite residuals, singular Jacobians."""
+    seen = set()
+    for k in range(1, 14):
+        rng = np.random.default_rng(200 + k)
+        for trial in range(48):
+            kind = trial % 6
+            a = rng.normal(size=(k, k)) + 2.0 * np.eye(k)
+            c = rng.normal(size=k)
+            x0 = rng.normal(size=k)
+            bend = 0.0 if kind == 5 else 0.5
+            if kind == 5:  # singular: a repeated row, or a zero 1x1 matrix
+                a[-1] = a[0] if k > 1 else 0.0
+            bound = np.inf if kind != 4 else 1.5 * (np.max(np.abs(x0)) + 1.0)
+
+            def jac(x):
+                return a + bend * np.diag(np.cos(x))
+
+            carried = None
+            if kind == 2:  # close to the Jacobian: chord iterates are kept
+                carried = lu_factor(jac(x0) * (1.0 + 0.02 * rng.normal(size=(k, k))))
+            elif kind in (3, 4):  # too large or too small: chord iterates dropped
+                carried = lu_factor(jac(x0) * (3.0 if kind == 3 else 0.2))
+            build = jac if kind in (1, 2, 4, 5) else None
+            outcomes = []
+            for solve in (newton_solve, array_newton_solve):
+                points = []
+
+                def residual(x):
+                    points.append(x.tobytes())
+                    if np.max(np.abs(x)) > bound:
+                        return np.full(k, np.nan)
+                    return a @ x + bend * np.sin(x) - c
+
+                try:
+                    x, iters, lu = solve(residual, x0, NewtonConfig(tolerance=1e-10),
+                                         carried, build)
+                    factors = lu and (lu.scales, lu.pivots, np.array(lu.rows).tobytes(),
+                                      [t.tobytes() for t in lu.tails])
+                    outcome = (x.tobytes(), iters, lu is carried, factors)
+                    if carried is not None:
+                        seen.add("chord kept" if lu is carried else "chord dropped")
+                except (NewtonDivergence, SingularJacobian, EvaluationError) as exc:
+                    outcome = (type(exc), str(exc))
+                    seen.add(type(exc).__name__)
+                if bound < np.inf and any(
+                        np.max(np.abs(np.frombuffer(p))) > bound for p in points):
+                    seen.add("non-finite residual")
+                outcomes.append((outcome, points))
+            assert outcomes[0] == outcomes[1], (k, trial)
+    assert seen >= {"chord kept", "chord dropped", "non-finite residual",
+                    "EvaluationError", "SingularJacobian"}, seen
+
+
 @pytest.mark.parametrize("gap, singular", [(1e-15, True), (1e-13, False)])
 def test_solve_dense_pivot_floor(gap, singular):
     # after elimination the second pivot is about ``gap``
@@ -230,10 +335,14 @@ def test_newton_drops_a_chord_iterate_with_non_finite_residual():
 
 
 def test_newton_rejects_bad_config():
-    with pytest.raises(ValueError):
-        NewtonConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        NewtonConfig(max_iterations=0)
+    # NaN never converges, infinity returns the start unsolved; a float
+    # count fails only in range() at solve time, True reads "True iterations"
+    for settings in [{"tolerance": 0.0}, {"tolerance": -1e-6},
+                     {"tolerance": float("nan")}, {"tolerance": float("inf")},
+                     {"max_iterations": 0}, {"max_iterations": 2.5},
+                     {"max_iterations": True}]:
+        with pytest.raises(ValueError):
+            NewtonConfig(**settings)
 
 
 def test_newton_multivariate_system():
