@@ -80,7 +80,10 @@ def oscillation_plane_angle(traj: Trajectory, window_seconds: float):
     Returns ``(window_centers, angles)``.  Each window's angle is the
     principal-axis orientation of its ``(x, y)`` samples; consecutive angles
     are unwrapped assuming the per-window rotation stays below pi/2.
+    Raises :class:`ValueError` on a trajectory shorter than one window.
     """
+    if len(traj.times) < 2:
+        raise ValueError("trajectory shorter than one window")
     h = traj.times[1] - traj.times[0]
     per_window = max(2, int(round(window_seconds / h)))
     n_windows = len(traj.times) // per_window
@@ -115,7 +118,10 @@ def convergence_order(errors_at_steps: Sequence) -> float:
 
 
 def period_averaged(times: Array, values: Array, period: float) -> tuple:
-    """Mean of ``values`` over consecutive windows of one ``period``."""
+    """Mean of ``values`` over consecutive windows of one ``period``;
+    :class:`ValueError` with fewer than two samples."""
+    if len(times) < 2:
+        raise ValueError("need at least two samples")
     h = times[1] - times[0]
     per_window = max(1, int(round(period / h)))
     n_windows = len(times) // per_window

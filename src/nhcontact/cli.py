@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .analysis import convergence_order, trajectory_error
+from .analysis import convergence_order
 from .contact import StepStats, run_contact
 from .experiments import (
     CATALOG,

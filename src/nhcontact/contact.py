@@ -9,7 +9,8 @@ accumulated action ``z`` and the constraint multipliers:
 * one action-update component ``z_{j+1} - z_j - h L_d(fwd)``,
 * m discrete-constraint components ``A(q_d) qdot_d + b(q_d)``.
 
-Newton solves it with the exact Jacobian of :func:`contact_jacobian` when
+Newton solves it with the exact Jacobian of :func:`step_jacobian` (the
+multiplier columns in closed form, every other column a complex step) when
 the system registers Lagrangian gradients, else with finite differences.
 
 Newton starts from one of two predictions (:func:`solve_step`).  The
@@ -26,9 +27,10 @@ another root, or none, where the linear one resolves the step, so a step
 whose Newton fails from it is solved again from the linear start.
 
 The Lagrange-d'Alembert integrator (:mod:`nhcontact.dalembert`) differs
-only in its residual and Jacobian.  It shares the seed
-:func:`seed_position`, the window terms :func:`contact_window_terms`, the
-step solve :func:`solve_step` and the trajectory driver :func:`run_steps`.
+only in its residual.  It shares the seed :func:`seed_position`, the window
+terms :func:`contact_window_terms`, the step solve :func:`solve_step` with
+its Jacobian :func:`step_jacobian`, and the trajectory driver
+:func:`run_steps`.
 """
 
 from __future__ import annotations
@@ -146,49 +148,26 @@ def contact_residual(
     return out
 
 
-def step_jacobian(residual: Callable[[Array], Array], x: Array, probed: int,
-                  a_t: Array) -> Array:
-    """Jacobian at real ``x`` of a step residual whose last ``m`` unknowns
-    are multipliers entering its first ``n`` rows as ``-A(q_j)^T lambda``,
-    ``(n, m)`` the shape of ``a_t = A(q_j)^T``, and nowhere else.
+def step_jacobian(residual: Callable[[Array], Array], x: Array, a_t: Array) -> Array:
+    """Exact Jacobian at real ``x`` of a step residual whose last ``m``
+    unknowns are multipliers entering its first ``n`` rows as
+    ``-A(q_j)^T lambda``, ``(n, m)`` the shape of ``a_t = A(q_j)^T``, and
+    nowhere else.
 
-    The first ``probed`` columns are complex steps of ``residual``
-    (:func:`~nhcontact.model.complex_step`); the multiplier columns are
-    ``-a_t`` in those rows and zero below; any other column is left zero.
+    The multiplier columns are ``-a_t`` in those rows and zero below; every
+    other column is a complex step of ``residual``
+    (:func:`~nhcontact.model.complex_step`), so the system's callables must
+    be complex-safe (:class:`~nhcontact.model.ContactSystem`).
     """
     k = len(x)
     n, m = a_t.shape
     jac = np.zeros((k, k))
     direction = np.zeros(k)
-    for i in range(probed):
+    for i in range(k - m):
         direction[i] = 1.0
         jac[:, i] = complex_step(residual, x, direction)
         direction[i] = 0.0
     jac[:n, k - m:] = -a_t
-    return jac
-
-
-def contact_jacobian(
-    system: ContactSystem,
-    rule: DiscretizationRule,
-    window: StepState,
-    terms,
-    unknowns: Array,
-) -> Array:
-    """Exact Jacobian of :func:`contact_residual` at real ``unknowns``.
-
-    The residual is linear in the multipliers (:func:`step_jacobian`), and
-    under the first-order z rule only the action row sees ``z_{j+1}``, with
-    coefficient one.  The configuration columns, and the z column under the
-    second-order rule, are complex steps, so the system's callables must be
-    complex-safe (:class:`~nhcontact.model.ContactSystem`).
-    """
-    n = system.dim_q
-    first_order = rule.z_rule is ZRule.FIRST_ORDER
-    jac = step_jacobian(lambda u: contact_residual(system, rule, window, terms, u),
-                        unknowns, n if first_order else n + 1, terms[2])
-    if first_order:
-        jac[n, n] = 1.0
     return jac
 
 
@@ -225,7 +204,6 @@ def solve_step(
     rule: DiscretizationRule,
     window: StepState,
     residual: Callable,
-    jacobian_of: Callable,
     solver: NewtonConfig,
     jacobian: Optional[LUFactors],
     linear_start: Callable[[], Array],
@@ -240,8 +218,8 @@ def solve_step(
     The step solves ``residual(system, rule, window, terms, u) = 0``, the
     window's :func:`contact_window_terms` computed once, before Newton.
     ``jacobian`` is the factorization the previous step ended with, or
-    ``None``.  Fresh Jacobians are ``jacobian_of`` (same arguments) when the
-    system registers Lagrangian gradients, finite differences otherwise.
+    ``None``.  Fresh Jacobians are :func:`step_jacobian` when the system
+    registers Lagrangian gradients, finite differences otherwise.
 
     Without ``prior`` Newton starts from ``linear_start()``.  Given
     ``prior = (q_{j-2}, z_{j-2}, lambda_{j-2})``, the point one behind the
@@ -261,7 +239,7 @@ def solve_step(
     build = None
     if system.lagrangian_gradients is not None:
         def build(u):
-            return jacobian_of(system, rule, window, terms, u)
+            return step_jacobian(f, u, terms[2])
     if prior is not None:
         q_back, z_back, lam_back = prior
         w = window
@@ -303,10 +281,9 @@ def contact_step(
     """One implicit contact step; returns
     ``(q_next, z_next, lam, jacobian, iterations)``.
 
-    Solved by :func:`solve_step` with :func:`contact_jacobian`.  Its linear
-    start extrapolates the configuration linearly, advances z by the
-    previous window's discrete Lagrangian and carries the previous
-    multipliers forward.
+    Solved by :func:`solve_step`.  Its linear start extrapolates the
+    configuration linearly, advances z by the previous window's discrete
+    Lagrangian and carries the previous multipliers forward.
     """
     w = window
     n, h = system.dim_q, rule.h
@@ -318,8 +295,8 @@ def contact_step(
         return np.concatenate([2.0 * w.q_curr - w.q_prev, [z_guess], lam_prev])
 
     x, iterations, jacobian = solve_step(
-        system, rule, window, contact_residual, contact_jacobian, solver, jacobian,
-        linear_start, lam_prev, prior, with_z=True)
+        system, rule, window, contact_residual, solver, jacobian, linear_start,
+        lam_prev, prior, with_z=True)
     return x[:n], float(x[n]), x[n + 1:], jacobian, iterations
 
 

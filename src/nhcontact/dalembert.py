@@ -4,9 +4,9 @@ Baseline against which the contact integrator is compared.  The discrete
 Lagrangian is the one-step quadrature ``h * L(Psi(q, q'))`` with z frozen at
 zero, dissipation entering through a discretized external force instead.
 
-Only the discrete equations are this module's own: :func:`la_residual` and
-its Jacobian :func:`la_jacobian`.  The seed, the window terms, the Newton
-solve and the trajectory driver are :mod:`nhcontact.contact`'s.
+Only the discrete equations are this module's own: :func:`la_residual`.
+The seed, the window terms, the Newton solve with its Jacobian and the
+trajectory driver are :mod:`nhcontact.contact`'s.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .contact import run_steps, seed_position, solve_step, step_jacobian
+from .contact import run_steps, seed_position, solve_step
 from .model import (
     Array,
     ContactSystem,
@@ -80,20 +80,6 @@ def la_residual(
     return out
 
 
-def la_jacobian(
-    system: ContactSystem,
-    rule: DiscretizationRule,
-    window: StepState,
-    terms,
-    unknowns: Array,
-) -> Array:
-    """Exact Jacobian of :func:`la_residual` at real ``unknowns``: the
-    multiplier columns in closed form, the configuration columns by complex
-    step (:func:`~nhcontact.contact.step_jacobian`)."""
-    return step_jacobian(lambda u: la_residual(system, rule, window, terms, u),
-                         unknowns, system.dim_q, terms[2])
-
-
 def la_step(
     system: ContactSystem,
     rule: DiscretizationRule,
@@ -112,8 +98,8 @@ def la_step(
 
     n = system.dim_q
     x, iterations, jacobian = solve_step(
-        system, rule, window, la_residual, la_jacobian, solver, jacobian,
-        linear_start, lam_prev, prior, with_z=False)
+        system, rule, window, la_residual, solver, jacobian, linear_start,
+        lam_prev, prior, with_z=False)
     return x[:n], 0.0, x[n:], jacobian, iterations
 
 

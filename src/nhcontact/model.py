@@ -10,7 +10,7 @@ dynamics intrinsically.  Velocity-level constraints are kept in affine form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 

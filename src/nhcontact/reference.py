@@ -212,8 +212,9 @@ def consistent_init(
     The velocity guess is projected onto the constraint set; multipliers,
     accelerations and the action rate then solve the momentum rows together
     with the time-differentiated constraints by Gauss-Newton, which stops at
-    a residual inf-norm of 1e-11.  Raises :class:`ConsistencyFailure` if the
-    residual it ends with is above 1e-8.
+    a residual inf-norm of 1e-11.  Raises :class:`ConsistencyFailure` if a
+    Gauss-Newton residual or Jacobian is not finite, or if the residual it
+    ends with is not within 1e-8.
     """
     n, m = system.dim_q, system.dim_c
     q0 = np.asarray(q0, dtype=float)
@@ -242,13 +243,16 @@ def consistent_init(
         g = assemble(u)
         if float(np.max(np.abs(g))) <= 1e-11:
             break
-        du, *_ = np.linalg.lstsq(central_difference(assemble, u), -g, rcond=None)
+        jac = central_difference(assemble, u)
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(jac))):
+            raise ConsistencyFailure("non-finite residual or Jacobian in Gauss-Newton")
+        du, *_ = np.linalg.lstsq(jac, -g, rcond=None)
         u = u + du
 
     y0 = np.concatenate([q0, v0, [0.0], u[n + 1:]])
     ydot0 = np.concatenate([v0, u[:n], [u[n]], np.zeros(m)])
     g_final = system.residual(0.0, y0, ydot0)
-    if float(np.max(np.abs(g_final))) > 1e-8:
+    if not float(np.max(np.abs(g_final))) <= 1e-8:
         raise ConsistencyFailure(
             f"residual {np.max(np.abs(g_final)):.3e} after least-squares correction"
         )

@@ -8,6 +8,7 @@ PASS/FAIL line through ``conftest.report``, then asserts.
 import numpy as np
 import pytest
 from conftest import report
+from disk_oracle import disk_eliminated_step
 
 from nhcontact.analysis import (
     convergence_order,
@@ -35,7 +36,6 @@ from nhcontact.systems import (
     FoucaultParams,
     damped_oscillator,
     damped_oscillator_solution,
-    disk_eliminated_step,
 )
 
 PENDULUM_PERIOD = 2.0 * np.pi * np.sqrt(67.0 / 9.8)  # ~16.4 s swing period

@@ -6,6 +6,7 @@ from nhcontact.analysis import (
     DegenerateWindow,
     convergence_order,
     oscillation_plane_angle,
+    period_averaged,
     principal_axis_angle,
     reconstruct_velocities_from_arrays,
     trajectory_error,
@@ -108,9 +109,13 @@ def test_plane_angle_tracks_precession():
 
 
 def test_plane_angle_too_short():
-    traj = make_trajectory(np.array([0.0, 0.1]), np.zeros((2, 2)))
+    # one row is what a run with t_final = 0, or one whose seed fails, returns
+    for rows in (2, 1):
+        traj = make_trajectory(0.1 * np.arange(rows), np.zeros((rows, 2)))
+        with pytest.raises(ValueError):
+            oscillation_plane_angle(traj, 10.0)
     with pytest.raises(ValueError):
-        oscillation_plane_angle(traj, 10.0)
+        period_averaged(traj.times, traj.energies, 1.0)
 
 
 def test_convergence_order_exact_power_law():

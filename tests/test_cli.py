@@ -147,10 +147,12 @@ def test_run_short_disk_writes_artifacts(tmp_path):
     ["run", "disk-4.3", "--h", "0.8", "--t-final", "10"],
     # the implicit DAE reference cannot initialize consistently
     ["run", "disk-2.3", "--integrator", "implicit-dae", "--t-final", "1", "--alpha", "1e10"],
+    # a non-finite model: the consistent initialization's residual is NaN
+    ["run", "disk-2.3", "--integrator", "implicit-dae", "--t-final", "1", "--alpha", "nan"],
     # the adaptive reference's right-hand side overflows to NaN
     pytest.param(["run", "foucault-1", "--integrator", "rkf45", "--alpha", "1e300",
                   "--t-final", "10"], marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
-], ids=["contact-seed", "dae-consistent-init", "rkf45-non-finite"])
+], ids=["contact-seed", "dae-consistent-init", "dae-non-finite", "rkf45-non-finite"])
 def test_seeding_failure_exits_2_with_initial_row(args, tmp_path):
     out = tmp_path / "coarse"
     code = run_cli(args + ["--output-dir", str(out)])

@@ -6,7 +6,6 @@ import nhcontact.newton
 from nhcontact.contact import (
     DenominatorSingular,
     StepStats,
-    contact_jacobian,
     contact_residual,
     contact_step,
     contact_window_terms,
@@ -14,8 +13,9 @@ from nhcontact.contact import (
     project_velocity,
     run_contact,
     solve_z_update,
+    step_jacobian,
 )
-from nhcontact.dalembert import _seed_window, la_jacobian, la_residual, run_la
+from nhcontact.dalembert import _seed_window, la_residual, run_la
 from nhcontact.experiments import (
     DISK_RULE,
     build_contact_system,
@@ -451,7 +451,7 @@ def test_reused_jacobian_belongs_to_its_run():
 
 
 def _jacobian_case(case, rule):
-    """(residual, jacobian, system, window, terms, guess) of one step of ``case``."""
+    """(residual, system, window, terms, guess) of one step of ``case``."""
     if case == "oscillator":
         system, q0, v0 = damped_oscillator(), np.array([1.0]), np.array([0.0])
     else:
@@ -460,27 +460,39 @@ def _jacobian_case(case, rule):
         system, q0, v0 = build(spec), spec.q0, spec.v0
     if case == "foucault-la":
         window = _seed_window(system, rule, q0, v0)
-        residual, jacobian, z = la_residual, la_jacobian, []
+        residual, z = la_residual, []
     else:
         window = initialize_window(system, rule, q0, v0)
-        residual, jacobian, z = contact_residual, contact_jacobian, [window.z_curr + 0.1]
+        residual, z = contact_residual, [window.z_curr + 0.1]
     terms = contact_window_terms(system, rule, window)
     guess = np.concatenate([2.0 * window.q_curr - window.q_prev, z, np.ones(system.dim_c)])
-    return residual, jacobian, system, window, terms, guess
+    return residual, system, window, terms, guess
 
 
 @pytest.mark.parametrize("z_rule", list(ZRule), ids=lambda r: r.value)
 @pytest.mark.parametrize("position", list(PositionRule), ids=lambda r: r.value)
 @pytest.mark.parametrize("case", ["oscillator", "foucault", "foucault-la", "disk"])
 def test_step_jacobian_matches_central_difference(case, position, z_rule):
-    # known multiplier and first-order z columns, complex steps for the rest
+    # multiplier columns in closed form, complex steps for the rest
     rule = DiscretizationRule(position, z_rule, 0.05 if case.startswith("foucault") else 0.1)
-    residual, jacobian, system, window, terms, guess = _jacobian_case(case, rule)
+    residual, system, window, terms, guess = _jacobian_case(case, rule)
     x = guess + 1e-3 * np.random.default_rng(0).standard_normal(len(guess))
-    exact = jacobian(system, rule, window, terms, x)
-    fd = central_difference(lambda u: residual(system, rule, window, terms, u), x)
+
+    def f(u):
+        return residual(system, rule, window, terms, u)
+
+    exact = step_jacobian(f, x, terms[2])
+    fd = central_difference(f, x)
     assert exact.dtype == float
     assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
+    n, m = system.dim_q, system.dim_c
+    # the multiplier columns are -A(q_j)^T, exactly
+    a_t = system.constraint_matrix(window.q_curr).T
+    assert np.array_equal(exact[:, len(x) - m:],
+                          np.vstack([-a_t, np.zeros((len(x) - n, m))]))
+    if case != "foucault-la" and z_rule is ZRule.FIRST_ORDER:
+        # only the action row sees z_{j+1}, with coefficient one
+        assert np.array_equal(exact[:, n], np.eye(len(x))[n])
 
 
 def test_catalog_newton_iterations_keep_margin_below_cap(catalog_runs):

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from disk_oracle import disk_eliminated_step
 
 from nhcontact.experiments import steady_rolling_spin_rate
 from nhcontact.model import (
@@ -18,7 +19,6 @@ from nhcontact.reference import rkf45_integrate
 from nhcontact.systems import (
     DiskParams,
     FoucaultParams,
-    disk_eliminated_step,
     disk_kinetic_energy,
     disk_system,
     foucault_reference_multiplier,
