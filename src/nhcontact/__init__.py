@@ -14,6 +14,7 @@ from .analysis import (
     trajectory_error,
 )
 from .contact import (
+    StepCarry,
     StepStats,
     contact_residual,
     contact_step,
@@ -72,6 +73,7 @@ __all__ = [
     "NewtonConfig",
     "NewtonDivergence",
     "PositionRule",
+    "StepCarry",
     "StepState",
     "StepStats",
     "Termination",

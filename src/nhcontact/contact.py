@@ -26,6 +26,17 @@ Wanner, *Solving ODEs II*, section IV.8).  A quadratic start can put Newton in r
 another root, or none, where the linear one resolves the step, so a step
 whose Newton fails from it is solved again from the linear start.
 
+Consecutive steps share a discrete Lagrangian: the backward step
+``(q_{j-1}, q_j)`` of a window is the forward step of the step before,
+whose Newton evaluated its last residual at exactly that point.  Each step
+therefore hands the next one a :class:`StepCarry`: its Newton factors and
+that residual's forward ``D2 L_d``, ``D4 L_d``, ``L_d`` and constraint rows.
+The next window takes its backward partials (and the linear start its
+``L_d``) from the carry instead of computing them again, when the carry's
+``t`` equals the window's ``t_curr - h`` bit for bit, so every trajectory
+is bit for bit the one of computing them.  The constraint rows give
+:class:`StepStats` the run's worst discrete-constraint residual.
+
 The Lagrange-d'Alembert integrator (:mod:`nhcontact.dalembert`) differs
 only in its residual.  It shares the seed :func:`seed_position`, the window
 terms :func:`contact_window_terms`, the step solve :func:`solve_step` with
@@ -36,7 +47,7 @@ its Jacobian :func:`step_jacobian`, and the trajectory driver
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -71,22 +82,50 @@ class DenominatorSingular(RuntimeError):
     """The implicit z-coupling factor ``1 - h D4 L_d`` is degenerate."""
 
 
+class StepCarry(NamedTuple):
+    """What an accepted step hands to the next step of its run.
+
+    ``factors`` are the Newton factors the step ended with.  The rest are
+    by-products of the step's accepted residual, the last one its Newton
+    evaluated, on the forward step from ``(t, q_j, z_j)`` to the accepted
+    ``(q_{j+1}, z_{j+1})``: ``d2`` and ``d4`` are ``D2 L_d`` and
+    ``D4 L_d``, ``ld`` is ``L_d`` (``None`` for the Lagrange-d'Alembert
+    residual, which does not evaluate it) and ``constraint`` the residual's
+    discrete-constraint rows.
+    """
+
+    factors: Optional[LUFactors]
+    t: float
+    d2: Array
+    d4: float
+    ld: Optional[float]
+    constraint: Array
+
+
 def contact_window_terms(
     system: ContactSystem,
     rule: DiscretizationRule,
     window: StepState,
+    backward: Optional[StepCarry] = None,
 ):
     """Residual terms fixed by the window for the whole step:
     ``(D2 L_d(bwd), 1 - h D4 L_d(bwd), A(q_j)^T, b)``, ``b`` as in
     :func:`window_constraint`.
+
+    ``backward`` is the carry of the step that produced the window, when
+    its forward partials serve as the window's backward ones
+    (:func:`solve_step`); they are then taken instead of computed.
 
     Raises :class:`DenominatorSingular` when the implicit z-coupling factor
     vanishes.
     """
     w = window
     h = rule.h
-    _, d2b, _, d4b = partials_of_Ld(system, rule, w.t_curr - h, w.q_prev, w.q_curr,
-                                    w.z_prev, w.z_curr)
+    if backward is None:
+        _, d2b, _, d4b = partials_of_Ld(system, rule, w.t_curr - h, w.q_prev, w.q_curr,
+                                        w.z_prev, w.z_curr)
+    else:
+        d2b, d4b = backward.d2, backward.d4
     denom = 1.0 - h * d4b
     if abs(denom) < 1e-12:
         raise DenominatorSingular(
@@ -115,10 +154,14 @@ def contact_residual(
     window: StepState,
     terms,
     unknowns: Array,
+    keep: Optional[list] = None,
 ) -> Array:
     """Stacked residual at a candidate ``(q_{j+1}, z_{j+1}, lambda)``.
 
-    ``terms`` are the window's :func:`contact_window_terms`.
+    ``terms`` are the window's :func:`contact_window_terms`.  A list
+    ``keep`` is set to the forward by-products ``[D2 L_d, D4 L_d, L_d,
+    constraint rows]`` of this evaluation, the fields of a
+    :class:`StepCarry` after ``t``.
     """
     w = window
     n, m, h = system.dim_q, system.dim_c, rule.h
@@ -128,8 +171,8 @@ def contact_residual(
     d2b, denom, a_t, offset = terms
     v = (q_next - w.q_curr) / h
 
-    d1f, _, d3f, _ = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next, w.z_curr,
-                                    z_next, v)
+    d1f, d2f, d3f, d4f = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next,
+                                        w.z_curr, z_next, v)
     momentum = d1f + d2b * (1.0 + h * d3f) / denom
     if m:
         momentum = momentum - a_t @ lam
@@ -145,6 +188,8 @@ def contact_residual(
     if m:
         out[n + 1:] = (discrete_constraint(system, rule, w.q_curr, q_next, v)
                        if offset is None else a_t.T @ v + offset)
+    if keep is not None:
+        keep[:] = d2f, d4f, ld_fwd, out[n + 1:]
     return out
 
 
@@ -205,36 +250,47 @@ def solve_step(
     window: StepState,
     residual: Callable,
     solver: NewtonConfig,
-    jacobian: Optional[LUFactors],
-    linear_start: Callable[[], Array],
+    carry: Optional[StepCarry],
+    linear_start: Callable[[Optional[StepCarry]], Array],
     lam_prev: Array,
     prior: Optional[tuple],
     with_z: bool,
 ):
     """Newton on one step of either integrator from a history predictor;
-    returns :func:`~nhcontact.newton.newton_solve`'s
-    ``(x, iterations, jacobian)``.
+    returns ``(x, iterations, carry)``, the solution, Newton's iteration
+    count and this step's :class:`StepCarry`.
 
-    The step solves ``residual(system, rule, window, terms, u) = 0``, the
-    window's :func:`contact_window_terms` computed once, before Newton.
-    ``jacobian`` is the factorization the previous step ended with, or
-    ``None``.  Fresh Jacobians are :func:`step_jacobian` when the system
-    registers Lagrangian gradients, finite differences otherwise.
+    The step solves ``residual(system, rule, window, terms, u, keep) = 0``,
+    the window's :func:`contact_window_terms` computed once, before Newton.
+    ``carry`` is the previous step's, or ``None``.  Newton starts from its
+    factors; fresh Jacobians are :func:`step_jacobian` when the system
+    registers Lagrangian gradients, finite differences otherwise.  Its
+    forward by-products serve as the window's backward ones (``backward``)
+    only when its ``t`` equals the window's ``t_curr - h`` bit for bit: the
+    driver builds each window from the step before, so they are then the
+    values the window would compute, and a ``t_curr`` accumulated by
+    ``+ h`` that misses by an ulp makes the window compute its own.
 
-    Without ``prior`` Newton starts from ``linear_start()``.  Given
-    ``prior = (q_{j-2}, z_{j-2}, lambda_{j-2})``, the point one behind the
-    window, it starts from the quadratic extrapolation
+    Without ``prior`` Newton starts from ``linear_start(backward)``.
+    Given ``prior = (q_{j-2}, z_{j-2}, lambda_{j-2})``, the point one
+    behind the window, it starts from the quadratic extrapolation
     ``3 q_j - 3 q_{j-1} + q_{j-2}`` (likewise z, when ``with_z``) and
     ``2 lambda_{j-1} - lambda_{j-2}``, ``lam_prev`` being ``lambda_{j-1}``.
     It skips the linear start's discrete-Lagrangian evaluation.  If that
-    Newton fails, the step is solved once more from ``linear_start()``,
-    with the factors ``jacobian`` it began with: exactly the solve without
-    ``prior``.
+    Newton fails, the step is solved once more from the linear start, with
+    the factors it began with: exactly the solve without ``prior``.
     """
-    terms = contact_window_terms(system, rule, window)
+    backward = None
+    if carry is not None and carry.t == window.t_curr - rule.h:
+        backward = carry
+    terms = contact_window_terms(system, rule, window, backward)
+    jacobian = None if carry is None else carry.factors
+    # newton_solve returns right after evaluating the residual at the
+    # solution, so ``keep`` ends with that real evaluation's by-products
+    keep = []
 
     def f(u):
-        return residual(system, rule, window, terms, u)
+        return residual(system, rule, window, terms, u, keep)
 
     build = None
     if system.lagrangian_gradients is not None:
@@ -250,10 +306,13 @@ def solve_step(
             x0.append(3.0 * (w.z_curr - w.z_prev) + z_back)
         x0 += [2.0 * lam - b for lam, b in zip(lam_prev.tolist(), lam_back.tolist())]
         try:
-            return newton_solve(f, x0, solver, jacobian, build)
+            x, iterations, jacobian = newton_solve(f, x0, solver, jacobian, build)
+            return x, iterations, StepCarry(jacobian, window.t_curr, *keep)
         except (NewtonDivergence, SingularJacobian, EvaluationError):
             pass
-    return newton_solve(f, linear_start(), solver, jacobian, build)
+    x, iterations, jacobian = newton_solve(f, linear_start(backward), solver, jacobian,
+                                           build)
+    return x, iterations, StepCarry(jacobian, window.t_curr, *keep)
 
 
 def quadratic_predicts_better(window: StepState, q_back: Array, q_next: Array) -> bool:
@@ -274,30 +333,33 @@ def contact_step(
     rule: DiscretizationRule,
     window: StepState,
     lam_prev: Array,
-    jacobian: Optional[LUFactors],
+    carry: Optional[StepCarry],
     solver: NewtonConfig,
     prior: Optional[tuple] = None,
 ):
     """One implicit contact step; returns
-    ``(q_next, z_next, lam, jacobian, iterations)``.
+    ``(q_next, z_next, lam, carry, iterations)``.
 
-    Solved by :func:`solve_step`.  Its linear start extrapolates the
-    configuration linearly, advances z by the previous window's discrete
-    Lagrangian and carries the previous multipliers forward.
+    Solved by :func:`solve_step` from the previous step's ``carry``, or
+    none.  Its linear start extrapolates the configuration linearly,
+    advances z by the previous window's discrete Lagrangian (the carried
+    one when it serves) and carries the previous multipliers forward.
     """
     w = window
     n, h = system.dim_q, rule.h
 
-    def linear_start():
-        z_guess = w.z_curr + h * evaluate_discrete_lagrangian(
-            system, rule, w.t_curr - h, w.q_prev, w.q_curr, w.z_prev, w.z_curr
-        )
-        return np.concatenate([2.0 * w.q_curr - w.q_prev, [z_guess], lam_prev])
+    def linear_start(backward):
+        if backward is None:
+            ld = evaluate_discrete_lagrangian(
+                system, rule, w.t_curr - h, w.q_prev, w.q_curr, w.z_prev, w.z_curr)
+        else:
+            ld = backward.ld
+        return np.concatenate([2.0 * w.q_curr - w.q_prev, [w.z_curr + h * ld], lam_prev])
 
-    x, iterations, jacobian = solve_step(
-        system, rule, window, contact_residual, solver, jacobian, linear_start,
+    x, iterations, carry = solve_step(
+        system, rule, window, contact_residual, solver, carry, linear_start,
         lam_prev, prior, with_z=True)
-    return x[:n], float(x[n]), x[n + 1:], jacobian, iterations
+    return x[:n], float(x[n]), x[n + 1:], carry, iterations
 
 
 def project_seed_position(
@@ -360,16 +422,29 @@ def initialize_window(
 
 @dataclass
 class StepStats:
-    """Per-run Newton bookkeeping, reported by the CLI summary."""
+    """Per-run Newton bookkeeping, reported by the CLI summary.
+
+    ``max_constraint`` is the largest inf-norm of the discrete constraint
+    over the run's accepted steps, the seed step included.
+    """
 
     total_iterations: int = 0
     max_iterations: int = 0
     steps: int = 0
+    max_constraint: float = 0.0
 
-    def record(self, iterations: int) -> None:
+    def record(self, iterations: int, constraint: Array) -> None:
+        """Count one implicit step and its accepted residual's constraint
+        rows."""
         self.total_iterations += iterations
         self.max_iterations = max(self.max_iterations, iterations)
         self.steps += 1
+        self.record_constraint(constraint)
+
+    def record_constraint(self, constraint: Array) -> None:
+        """Take one step's discrete-constraint values into
+        ``max_constraint``."""
+        self.max_constraint = max(self.max_constraint, inf_norm(constraint.tolist()))
 
 
 def run_steps(
@@ -386,16 +461,18 @@ def run_steps(
     """Integrate ``n_steps`` two-point steps from ``(q0, v0)`` at ``t = 0``.
 
     ``seed(system, rule, q0, v0)`` builds the first window, which
-    takes step 1; ``step(system, rule, window, lam, jacobian, solver, prior)``
-    takes each later step from the previous multipliers and Newton
-    factorization and returns ``(q_next, z_next, lam, jacobian, iterations)``.
-    ``prior`` is ``(q, z, lam)`` one point behind the window, handed over
-    while the quadratic start of :func:`solve_step` predicted the last step's
+    takes step 1; ``step(system, rule, window, lam, carry, solver, prior)``
+    takes each later step from the previous multipliers and the previous
+    step's :class:`StepCarry` and returns
+    ``(q_next, z_next, lam, carry, iterations)``.  ``prior`` is
+    ``(q, z, lam)`` one point behind the window, handed over while the
+    quadratic start of :func:`solve_step` predicted the last step's
     configuration better than the linear one (so from the third implicit
     step on at the earliest), and ``None`` otherwise.  All of it is carried
     from step to step of this run only; the first step starts without a
-    Jacobian.  A numerical failure in either ends the run as a
-    ``solver_failure`` at the last accepted step.
+    carry.  ``stats`` takes each step's iterations and constraint rows, and
+    the seed step's discrete constraint.  A numerical failure in either
+    ends the run as a ``solver_failure`` at the last accepted step.
     """
     from .analysis import reconstruct_velocities_from_arrays
 
@@ -417,14 +494,16 @@ def run_steps(
             qs[1] = window.q_curr
             zs[1] = window.z_curr
             lam = np.zeros(m)
-            jacobian = None
+            carry = None
             prior, quadratic = None, False
             steps_done = 1
+            if stats is not None and m:
+                stats.record_constraint(discrete_constraint(system, rule, q0, window.q_curr))
         for j in range(1, n_steps):
-            q_next, z_next, lam_next, jacobian, iters = step(
-                system, rule, window, lam, jacobian, solver, prior if quadratic else None)
+            q_next, z_next, lam_next, carry, iters = step(
+                system, rule, window, lam, carry, solver, prior if quadratic else None)
             if stats is not None:
-                stats.record(iters)
+                stats.record(iters, carry.constraint)
             qs[j + 1] = q_next
             zs[j + 1] = z_next
             lams[j] = lam_next

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .contact import run_steps, seed_position, solve_step
+from .contact import StepCarry, run_steps, seed_position, solve_step
 from .model import (
     Array,
     ContactSystem,
@@ -26,7 +26,7 @@ from .model import (
     discrete_constraint,
     partials_of_Ld,
 )
-from .newton import LUFactors, NewtonConfig
+from .newton import NewtonConfig
 
 
 def _discrete_force(system, rule, t, q, q_next, v=None):
@@ -50,6 +50,7 @@ def la_residual(
     window: StepState,
     terms,
     unknowns: Array,
+    keep: Optional[list] = None,
 ) -> Array:
     """Forced discrete Euler-Lagrange residual plus discrete constraints.
 
@@ -57,7 +58,9 @@ def la_residual(
     :func:`~nhcontact.contact.contact_window_terms`; the factor
     ``1 - h D4 L_d`` among them is not used (it is 1 for a z-free
     Lagrangian).  The force is sampled on the forward step
-    ``(q_j, q_{j+1})``.
+    ``(q_j, q_{j+1})``.  ``keep`` is as for
+    :func:`~nhcontact.contact.contact_residual`, with ``None`` for the
+    discrete Lagrangian, which this residual does not evaluate.
     """
     w = window
     n, m, h = system.dim_q, system.dim_c, rule.h
@@ -66,7 +69,8 @@ def la_residual(
     d2b, _, a_t, offset = terms
     v = (q_next - w.q_curr) / h
 
-    d1f, _, _, _ = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next, 0.0, 0.0, v)
+    d1f, d2f, _, d4f = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next, 0.0, 0.0,
+                                      v)
     momentum = h * (d1f + d2b) + _discrete_force(
         system, rule, w.t_curr, w.q_curr, q_next, v)
     if m:
@@ -77,6 +81,8 @@ def la_residual(
     if m:
         out[n:] = (discrete_constraint(system, rule, w.q_curr, q_next, v)
                    if offset is None else a_t.T @ v + offset)
+    if keep is not None:
+        keep[:] = d2f, d4f, None, out[n:]
     return out
 
 
@@ -85,22 +91,22 @@ def la_step(
     rule: DiscretizationRule,
     window: StepState,
     lam_prev: Array,
-    jacobian: Optional[LUFactors],
+    carry: Optional[StepCarry],
     solver: NewtonConfig,
     prior: Optional[tuple] = None,
 ):
     """One implicit forced step; returns
-    ``(q_next, 0.0, lam, jacobian, iterations)``, z frozen at zero.
+    ``(q_next, 0.0, lam, carry, iterations)``, z frozen at zero.
     Solved as :func:`~nhcontact.contact.contact_step` is, without a z
     unknown; the linear start extrapolates q and carries the multipliers."""
-    def linear_start():
+    def linear_start(backward):
         return np.concatenate([2.0 * window.q_curr - window.q_prev, lam_prev])
 
     n = system.dim_q
-    x, iterations, jacobian = solve_step(
-        system, rule, window, la_residual, solver, jacobian, linear_start,
+    x, iterations, carry = solve_step(
+        system, rule, window, la_residual, solver, carry, linear_start,
         lam_prev, prior, with_z=False)
-    return x[:n], 0.0, x[n:], jacobian, iterations
+    return x[:n], 0.0, x[n:], carry, iterations
 
 
 def _seed_window(

@@ -282,18 +282,19 @@ def _partials_analytic(system, rule, t, q, q_next, z, z_next, v):
     pos = rule.position_rule
     if pos is PositionRule.LEFT_ENDPOINT:
         gq, gv, gz = system.lagrangian_gradients(t, q, v, z_d)
-        d1 = gq - gv / h
         d2 = gv / h
+        d1 = gq - d2
     elif pos is PositionRule.MIDPOINT:
         gq, gv, gz = system.lagrangian_gradients(t + 0.5 * h, 0.5 * (q + q_next), v, z_d)
-        d1 = 0.5 * gq - gv / h
-        d2 = 0.5 * gq + gv / h
+        half, gv_h = 0.5 * gq, gv / h
+        d1 = half - gv_h
+        d2 = half + gv_h
     else:  # TRAPEZOIDAL
         gq0, gv0, gz0 = system.lagrangian_gradients(t, q, v, z_d)
         gq1, gv1, gz1 = system.lagrangian_gradients(t + h, q_next, v, z_d)
-        gv_mean = 0.5 * (gv0 + gv1)
-        d1 = 0.5 * gq0 - gv_mean / h
-        d2 = 0.5 * gq1 + gv_mean / h
+        gv_h = 0.5 * (gv0 + gv1) / h
+        d1 = 0.5 * gq0 - gv_h
+        d2 = 0.5 * gq1 + gv_h
         gz = 0.5 * (gz0 + gz1)
     if rule.z_rule is ZRule.FIRST_ORDER:
         d3, d4 = gz, 0.0

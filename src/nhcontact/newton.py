@@ -144,7 +144,8 @@ def lu_solve(lu: LUFactors, rhs: list) -> Array:
     # and would move trajectories in their last bits
     tails = lu.tails
     x = np.empty(k)
-    for row in range(k - 1, -1, -1):
+    x[k - 1] = b[k - 1] / rows[k - 1][k - 1]  # its tail is empty
+    for row in range(k - 2, -1, -1):
         x[row] = (b[row] - tails[row] @ x[row + 1:]) / rows[row][row]
     return x
 

@@ -227,6 +227,17 @@ def test_alpha_and_h_overrides(tmp_path):
     assert rows[1, 0] == pytest.approx(0.05)
 
 
+def test_negative_exponent_option_value(tmp_path):
+    # argparse alone reads "-1e-3" as an option name and exits 2
+    written = []
+    for args in (["--alpha", "-1e-3"], ["--alpha=-1e-3"]):
+        out = tmp_path / str(len(written))
+        assert run_cli(["run", "foucault-1", *args, "--t-final", "1",
+                        "--output-dir", str(out)]) == EXIT_OK
+        written.append((out / "trajectory.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_override_pairs_and_config_file(tmp_path):
     cfg = tmp_path / "overrides.txt"
     cfg.write_text("t_final = 1\nh = 0.1\n")

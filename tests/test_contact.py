@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nhcontact.contact
+import nhcontact.dalembert
 import nhcontact.newton
 from nhcontact.contact import (
     DenominatorSingular,
@@ -175,6 +176,95 @@ def test_contact_step_computes_window_partials_once(case, monkeypatch):
                                           None, NewtonConfig())
     assert iterations >= 1
     assert calls["partials"] == calls["residual"] + 1
+
+
+def _walk(system, rule, step, window, steps, solver=NewtonConfig()):
+    """``steps`` steps from ``window`` as the driver takes them, from no
+    multipliers and no carry: yields each step's window, the carry it was
+    handed and the step's result."""
+    lam, carry = np.zeros(system.dim_c), None
+    for _ in range(steps):
+        result = step(system, rule, window, lam, carry, solver)
+        yield window, carry, result
+        q_next, z_next, lam, carry, _ = result
+        window = StepState(q_prev=window.q_curr, q_curr=q_next, z_prev=window.z_curr,
+                           z_curr=z_next, t_curr=window.t_curr + rule.h)
+
+
+@pytest.mark.parametrize("shift_t, window_calls", [(False, 0), (True, 1)],
+                         ids=["exact-t", "t-one-ulp-off"])
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=["pendulum-trap-first", "disk-mid-second"])
+def test_carry_replaces_window_partials(case, shift_t, window_calls, monkeypatch):
+    # the second step's backward partials are the first step's forward ones,
+    # taken from its carry unless the carry's t misses the window's by an ulp
+    system, rule, q = case()
+    window = initialize_window(system, rule, q, np.zeros(system.dim_q))
+    (_, _, first), (second, _, plain) = _walk(system, rule, contact_step, window, 2)
+    carry = first[3]
+    assert carry.t == second.t_curr - rule.h
+    if shift_t:
+        carry = carry._replace(t=float(np.nextafter(carry.t, np.inf)))
+    calls = {"partials": 0, "residual": 0}
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(nhcontact.contact, "partials_of_Ld",
+                        counting("partials", partials_of_Ld))
+    monkeypatch.setattr(nhcontact.contact, "contact_residual",
+                        counting("residual", contact_residual))
+    result = contact_step(system, rule, second, first[2], carry, NewtonConfig())
+    assert calls["residual"] >= 1
+    assert calls["partials"] == calls["residual"] + window_calls
+    assert np.array_equal(result[0], plain[0]) and result[1] == plain[1]
+    assert np.array_equal(result[2], plain[2]) and result[4] == plain[4]
+
+
+@pytest.mark.parametrize("z_rule", list(ZRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("position", list(PositionRule), ids=lambda r: r.value)
+def test_window_terms_from_carry_equal_recomputed(position, z_rule):
+    # the forced disk's time-dependent forcing makes a wrong t show
+    spec = get_experiment("disk-3.2")
+    system = build_contact_system(spec)
+    rule = DiscretizationRule(position, z_rule, spec.h)
+    window = initialize_window(system, rule, spec.q0, spec.v0)
+    used = 0
+    for window, carry, _ in _walk(system, rule, contact_step, window, 8):
+        if carry is None or carry.t != window.t_curr - rule.h:
+            continue
+        used += 1
+        carried = contact_window_terms(system, rule, window, carry)
+        recomputed = contact_window_terms(system, rule, window)
+        for a, b in zip(carried, recomputed):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert carry.ld == evaluate_discrete_lagrangian(
+            system, rule, window.t_curr - rule.h, window.q_prev, window.q_curr,
+            window.z_prev, window.z_curr)
+    assert used >= 5
+
+
+@pytest.mark.parametrize("integrator, most", [
+    # 4.42 and 3.33 when every window computes its backward partials
+    (Integrator.CONTACT, 3.45),
+    (Integrator.LAGRANGE_DALEMBERT, 2.35),
+], ids=["contact", "la"])
+def test_carry_cuts_partials_per_step(integrator, most, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return partials_of_Ld(*args)
+
+    monkeypatch.setattr(nhcontact.contact, "partials_of_Ld", counting)
+    monkeypatch.setattr(nhcontact.dalembert, "partials_of_Ld", counting)
+    stats = StepStats()
+    traj = run_experiment(get_experiment("foucault-1", t_final=200.0, integrator=integrator),
+                          stats=stats)
+    assert traj.termination.completed and stats.steps == 3999
+    assert len(calls) / stats.steps <= most
 
 
 def test_oscillator_against_analytic_solution():
@@ -431,10 +521,10 @@ def test_quadratic_start_falls_back_on_linear_start():
     prior = (np.full(system.dim_q, np.nan), window.z_prev, lam)
     plain = contact_step(system, rule, window, lam, None, NewtonConfig())
     retried = contact_step(system, rule, window, lam, None, NewtonConfig(), prior)
-    q, z, multipliers, jacobian, iterations = retried
+    q, z, multipliers, carry, iterations = retried
     assert np.array_equal(q, plain[0]) and z == plain[1]
     assert np.array_equal(multipliers, plain[2]) and iterations == plain[4] >= 1
-    assert jacobian.rows == plain[3].rows
+    assert carry.factors.rows == plain[3].factors.rows
 
 
 def test_reused_jacobian_belongs_to_its_run():
@@ -501,3 +591,51 @@ def test_catalog_newton_iterations_keep_margin_below_cap(catalog_runs):
     assert NewtonConfig().max_iterations == 10
     worst = {eid: run["stats"].max_iterations for eid, run in catalog_runs.items()}
     assert max(worst.values()) <= 7, worst
+
+
+@pytest.mark.parametrize("position, z_rule, reversible", [
+    (PositionRule.MIDPOINT, ZRule.SECOND_ORDER, True),
+    # the controls: 18.6 (left-first) and 5.8 (trap-first) from q_0
+    (PositionRule.LEFT_ENDPOINT, ZRule.FIRST_ORDER, False),
+    (PositionRule.TRAPEZOIDAL, ZRule.FIRST_ORDER, False),
+], ids=["mid-second", "left-first", "trap-first"])
+def test_midpoint_rule_is_reversible(position, z_rule, reversible):
+    # disk-2.1 is conservative (alpha = 0, no forcing, so z never feeds back)
+    # and autonomous: stepping back from the reversed window (q_N, q_{N-1})
+    # retraces the midpoint trajectory to q_0, 9.1e-12 away
+    spec = get_experiment("disk-2.1")
+    system = build_contact_system(spec)
+    rule = DiscretizationRule(position, z_rule, spec.h)
+    solver = NewtonConfig(tolerance=1e-10)
+    traj = run_contact(system, rule, spec.q0, spec.v0, 20, solver)
+    assert traj.termination.completed
+    qs, zs = traj.configurations, traj.z_values
+    window = StepState(q_prev=qs[20], q_curr=qs[19], z_prev=zs[20], z_curr=zs[19],
+                       t_curr=traj.times[20])
+    *_, (_, _, (q_back, *_)) = _walk(system, rule, contact_step, window, 19, solver)
+    assert bool(np.max(np.abs(q_back - qs[0])) <= 1e-8) is reversible
+
+
+@pytest.mark.parametrize("position, z_rule, orders", [
+    (PositionRule.MIDPOINT, ZRule.SECOND_ORDER, (1.8, 2.2)),
+    (PositionRule.LEFT_ENDPOINT, ZRule.FIRST_ORDER, (0.7, 1.3)),
+], ids=["mid-second", "left-first"])
+def test_constrained_disk_order(position, z_rule, orders):
+    # self-convergence of the endpoint over T = 2 s against the same rule at
+    # h/8 of the finest step; measured 2.01 (mid-second) and 1.08 (left-first)
+    from nhcontact.analysis import convergence_order
+
+    solver = NewtonConfig(tolerance=1e-9)
+
+    def endpoint(h):
+        spec = get_experiment("disk-3.3", t_final=2.0, h=h,
+                              rule=DiscretizationRule(position, z_rule, h))
+        traj = run_experiment(spec, solver)
+        assert traj.termination.completed and traj.times[-1] == pytest.approx(2.0)
+        return traj.configurations[-1]
+
+    steps = [0.1, 0.05, 0.025, 0.0125]
+    reference = endpoint(steps[-1] / 8)
+    errors = [(h, float(np.max(np.abs(endpoint(h) - reference)))) for h in steps]
+    low, high = orders
+    assert low <= convergence_order(errors) <= high, errors
