@@ -10,8 +10,21 @@ accumulated action ``z`` and the constraint multipliers:
 * m discrete-constraint components ``A(q_d) qdot_d + b(q_d)``.
 
 Newton solves it with the exact Jacobian of :func:`step_jacobian` (the
-multiplier columns in closed form, every other column a complex step) when
-the system registers Lagrangian gradients, else with finite differences.
+multiplier columns, and under the first-order z rule the z column, in
+closed form, every other column a complex step) when the system registers
+Lagrangian gradients, else with finite differences.
+
+The residual runs on Python numbers.  At four to eight unknowns numpy's
+per-call overhead on 2- and 5-vectors and on numpy scalars costs more than
+the arithmetic, so :func:`contact_residual` takes the partials, ``L_d`` and
+constraint rows from :mod:`nhcontact.model` as Python numbers and returns
+a list, which Newton takes as it is.  Each operation rounds as numpy's
+elementwise one on the same values: a list divided by a real number goes
+through :func:`~nhcontact.model.divide`, which copies numpy's division
+(for complex numbers, the product with the reciprocal).  The products with
+the constraint matrix, ``A(q_j)^T lambda`` and ``A(q_d) v``, stay numpy's
+dot, a fused multiply-add chain whose rounding a Python sum does not
+match.  So every trajectory is bit for bit the one of numpy arithmetic.
 
 Newton starts from one of two predictions (:func:`solve_step`).  The
 linear start extrapolates q linearly, advances z by the previous window's
@@ -63,6 +76,7 @@ from .model import (
     ZRule,
     complex_step,
     discrete_constraint,
+    divide,
     evaluate_discrete_lagrangian,
     initial_acceleration,
     partials_of_Ld,
@@ -96,10 +110,10 @@ class StepCarry(NamedTuple):
 
     factors: Optional[LUFactors]
     t: float
-    d2: Array
+    d2: list
     d4: float
     ld: Optional[float]
-    constraint: Array
+    constraint: list
 
 
 def contact_window_terms(
@@ -137,15 +151,15 @@ def contact_window_terms(
 def window_constraint(system: ContactSystem, rule: DiscretizationRule, q: Array):
     """``(A(q_j)^T, b)`` at the window's ``q_j``.
 
-    ``b = b(q_j)`` when the discrete constraint samples ``A`` and ``b`` at
-    ``q_j`` too, so the step residual takes it as ``A(q_j) v + b`` without
-    sampling them again, bit for bit; ``None`` under the midpoint rule,
-    which samples them at ``(q_j + q_{j+1})/2``.
+    ``b = b(q_j)``, a list, when the discrete constraint samples ``A`` and
+    ``b`` at ``q_j`` too, so the step residual takes it as ``A(q_j) v + b``
+    without sampling them again, bit for bit; ``None`` under the midpoint
+    rule, which samples them at ``(q_j + q_{j+1})/2``.
     """
     a_t = system.constraint_matrix(q).T
     if rule.position_rule is PositionRule.MIDPOINT:
         return a_t, None
-    return a_t, system.constraint_offset(q)
+    return a_t, system.constraint_offset(q).tolist()
 
 
 def contact_residual(
@@ -155,51 +169,63 @@ def contact_residual(
     terms,
     unknowns: Array,
     keep: Optional[list] = None,
-) -> Array:
-    """Stacked residual at a candidate ``(q_{j+1}, z_{j+1}, lambda)``.
+) -> list:
+    """Stacked residual at a candidate ``(q_{j+1}, z_{j+1}, lambda)``, a
+    list of Python numbers.
 
     ``terms`` are the window's :func:`contact_window_terms`.  A list
     ``keep`` is set to the forward by-products ``[D2 L_d, D4 L_d, L_d,
     constraint rows]`` of this evaluation, the fields of a
     :class:`StepCarry` after ``t``.
+
+    The rows combine the partials on Python numbers, each operation rounded
+    as numpy's elementwise one on the same arrays (:func:`divide` for the
+    division), so the residual is bit for bit the one of numpy arrays.  The
+    products with the constraint matrix stay numpy's dot, whose rounding a
+    Python sum does not match.
     """
     w = window
     n, m, h = system.dim_q, system.dim_c, rule.h
     q_next = unknowns[:n]
-    z_next = unknowns[n]
-    lam = unknowns[n + 1:]
+    z_next = unknowns.tolist()[n]
     d2b, denom, a_t, offset = terms
     v = (q_next - w.q_curr) / h
 
     d1f, d2f, d3f, d4f = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next,
                                         w.z_curr, z_next, v)
-    momentum = d1f + d2b * (1.0 + h * d3f) / denom
-    if m:
-        momentum = momentum - a_t @ lam
+    factor = 1.0 + h * d3f
+    # without multipliers the rows subtract 0.0, and x - 0.0 is x, zero signs included
+    lam_rows = (a_t @ unknowns[n + 1:]).tolist() if m else [0.0] * n
+    momentum = [a + b - c for a, b, c in
+                zip(d1f, divide([b * factor for b in d2b], denom), lam_rows)]
 
     ld_fwd = evaluate_discrete_lagrangian(
         system, rule, w.t_curr, w.q_curr, q_next, w.z_curr, z_next, v
     )
-    z_res = z_next - w.z_curr - h * ld_fwd
-
-    out = np.empty(n + 1 + m, dtype=unknowns.dtype)
-    out[:n] = momentum
-    out[n] = z_res
+    constraint = []
     if m:
-        out[n + 1:] = (discrete_constraint(system, rule, w.q_curr, q_next, v)
-                       if offset is None else a_t.T @ v + offset)
+        constraint = (discrete_constraint(system, rule, w.q_curr, q_next, v) if offset is None
+                      else [a + b for a, b in zip((a_t.T @ v).tolist(), offset)])
     if keep is not None:
-        keep[:] = d2f, d4f, ld_fwd, out[n + 1:]
-    return out
+        keep[:] = d2f, d4f, ld_fwd, constraint
+    return momentum + [z_next - w.z_curr - h * ld_fwd] + constraint
 
 
-def step_jacobian(residual: Callable[[Array], Array], x: Array, a_t: Array) -> Array:
+def step_jacobian(
+    residual: Callable[[Array], list],
+    x: Array,
+    a_t: Array,
+    rule: DiscretizationRule,
+) -> Array:
     """Exact Jacobian at real ``x`` of a step residual whose last ``m``
     unknowns are multipliers entering its first ``n`` rows as
     ``-A(q_j)^T lambda``, ``(n, m)`` the shape of ``a_t = A(q_j)^T``, and
     nowhere else.
 
-    The multiplier columns are ``-a_t`` in those rows and zero below; every
+    The multiplier columns are ``-a_t`` in those rows and zero below.  A
+    z unknown, the one after the ``n`` configurations when ``x`` has
+    ``n + 1 + m`` entries, enters under the first-order z rule only its own
+    row, as ``z_{j+1}``: its column is then the unit vector ``e_n``.  Every
     other column is a complex step of ``residual``
     (:func:`~nhcontact.model.complex_step`), so the system's callables must
     be complex-safe (:class:`~nhcontact.model.ContactSystem`).
@@ -208,7 +234,11 @@ def step_jacobian(residual: Callable[[Array], Array], x: Array, a_t: Array) -> A
     n, m = a_t.shape
     jac = np.zeros((k, k))
     direction = np.zeros(k)
+    z_unit = k == n + 1 + m and rule.z_rule is ZRule.FIRST_ORDER
     for i in range(k - m):
+        if z_unit and i == n:
+            jac[n, n] = 1.0
+            continue
         direction[i] = 1.0
         jac[:, i] = complex_step(residual, x, direction)
         direction[i] = 0.0
@@ -295,7 +325,7 @@ def solve_step(
     build = None
     if system.lagrangian_gradients is not None:
         def build(u):
-            return step_jacobian(f, u, terms[2])
+            return step_jacobian(f, u, terms[2], rule)
     if prior is not None:
         q_back, z_back, lam_back = prior
         w = window
@@ -433,7 +463,7 @@ class StepStats:
     steps: int = 0
     max_constraint: float = 0.0
 
-    def record(self, iterations: int, constraint: Array) -> None:
+    def record(self, iterations: int, constraint: list) -> None:
         """Count one implicit step and its accepted residual's constraint
         rows."""
         self.total_iterations += iterations
@@ -441,10 +471,10 @@ class StepStats:
         self.steps += 1
         self.record_constraint(constraint)
 
-    def record_constraint(self, constraint: Array) -> None:
-        """Take one step's discrete-constraint values into
+    def record_constraint(self, constraint: list) -> None:
+        """Take one step's discrete-constraint values, Python floats, into
         ``max_constraint``."""
-        self.max_constraint = max(self.max_constraint, inf_norm(constraint.tolist()))
+        self.max_constraint = max(self.max_constraint, inf_norm(constraint))
 
 
 def run_steps(

@@ -29,9 +29,10 @@ from .model import (
 from .newton import NewtonConfig
 
 
-def _discrete_force(system, rule, t, q, q_next, v=None):
-    """One-step force quadrature ``h * F^e`` with forward-difference velocity
-    ``v = (q' - q)/h``, computed when not given."""
+def _discrete_force(system, rule, t, q, q_next, v=None) -> list:
+    """One-step force quadrature ``h * F^e``, a list of Python numbers, with
+    forward-difference velocity ``v = (q' - q)/h``, computed when not
+    given."""
     h = rule.h
     if v is None:
         v = (q_next - q) / h
@@ -41,7 +42,7 @@ def _discrete_force(system, rule, t, q, q_next, v=None):
     else:
         t_eval = t
         q_eval = q
-    return h * system.external_force(t_eval, q_eval, v)
+    return [h * f for f in system.external_force(t_eval, q_eval, v).tolist()]
 
 
 def la_residual(
@@ -51,8 +52,10 @@ def la_residual(
     terms,
     unknowns: Array,
     keep: Optional[list] = None,
-) -> Array:
-    """Forced discrete Euler-Lagrange residual plus discrete constraints.
+) -> list:
+    """Forced discrete Euler-Lagrange residual plus discrete constraints, a
+    list of Python numbers computed as
+    :func:`~nhcontact.contact.contact_residual` is.
 
     ``terms`` are the window's
     :func:`~nhcontact.contact.contact_window_terms`; the factor
@@ -65,25 +68,22 @@ def la_residual(
     w = window
     n, m, h = system.dim_q, system.dim_c, rule.h
     q_next = unknowns[:n]
-    lam = unknowns[n:]
     d2b, _, a_t, offset = terms
     v = (q_next - w.q_curr) / h
 
     d1f, d2f, _, d4f = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next, 0.0, 0.0,
                                       v)
-    momentum = h * (d1f + d2b) + _discrete_force(
-        system, rule, w.t_curr, w.q_curr, q_next, v)
-    if m:
-        momentum = momentum - a_t @ lam
+    force = _discrete_force(system, rule, w.t_curr, w.q_curr, q_next, v)
+    lam_rows = (a_t @ unknowns[n:]).tolist() if m else [0.0] * n
+    momentum = [h * (a + b) + f - c for a, b, f, c in zip(d1f, d2b, force, lam_rows)]
 
-    out = np.empty(n + m, dtype=unknowns.dtype)
-    out[:n] = momentum
+    constraint = []
     if m:
-        out[n:] = (discrete_constraint(system, rule, w.q_curr, q_next, v)
-                   if offset is None else a_t.T @ v + offset)
+        constraint = (discrete_constraint(system, rule, w.q_curr, q_next, v) if offset is None
+                      else [a + b for a, b in zip((a_t.T @ v).tolist(), offset)])
     if keep is not None:
-        keep[:] = d2f, d4f, None, out[n:]
-    return out
+        keep[:] = d2f, d4f, None, constraint
+    return momentum + constraint
 
 
 def la_step(

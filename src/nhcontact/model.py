@@ -98,6 +98,13 @@ class ContactSystem:
         ``constraint_offset`` and ``external_force`` are complex-safe: a
         complex ``q``, ``qdot`` or ``z`` gives a complex result whose
         imaginary part is never dropped.
+
+    The callables receive ``q`` and ``qdot`` as numpy arrays, real or
+    complex, and return arrays where an array is asked for.  numpy
+    arithmetic on them is complex-safe as written.  At a few coordinates it
+    is faster on Python numbers: take ``q.tolist()`` and compute with
+    :mod:`math`, switching to :mod:`cmath` for a complex argument (``math``
+    rejects one), as the built-in systems do (:mod:`nhcontact.systems`).
     """
 
     dim_q: int
@@ -274,41 +281,63 @@ def evaluate_discrete_lagrangian(
     return val
 
 
+def divide(values: list, d: float) -> list:
+    """``values / d`` for numbers ``values`` of one type and a real ``d``,
+    rounded as numpy divides an array of that type by the scalar ``d``.
+
+    A float array takes true division.  A complex one takes Smith's rule,
+    which for a real divisor is ``((re + im r0) r, (im - re r0) r)`` with
+    ``r = 1/d`` and ``r0 = 0/d``: the product with the reciprocal, zero
+    signs and non-finite parts included.  The complex case is written by
+    component, so Python's own complex division, which divides, does not
+    enter, nor its mixed-mode rules, which Python 3.14 changed.
+    """
+    if values and isinstance(values[0], complex):
+        r, r0 = 1.0 / d, 0.0 / d
+        return [complex((v.real + v.imag * r0) * r, (v.imag - v.real * r0) * r)
+                for v in values]
+    return [v / d for v in values]
+
+
 def _partials_analytic(system, rule, t, q, q_next, z, z_next, v):
     h = rule.h
     if v is None:
         v = (q_next - q) / h
     z_d = _z_discrete(rule, z, z_next)
     pos = rule.position_rule
+    gradients = system.lagrangian_gradients
+    # numpy divides the gradient arrays themselves; complex, that is cheaper
+    # than divide's component-wise Python arithmetic
     if pos is PositionRule.LEFT_ENDPOINT:
-        gq, gv, gz = system.lagrangian_gradients(t, q, v, z_d)
-        d2 = gv / h
-        d1 = gq - d2
+        gq, gv, gz = gradients(t, q, v, z_d)
+        d2 = (gv / h).tolist()
+        d1 = [a - b for a, b in zip(gq.tolist(), d2)]
     elif pos is PositionRule.MIDPOINT:
-        gq, gv, gz = system.lagrangian_gradients(t + 0.5 * h, 0.5 * (q + q_next), v, z_d)
-        half, gv_h = 0.5 * gq, gv / h
-        d1 = half - gv_h
-        d2 = half + gv_h
+        gq, gv, gz = gradients(t + 0.5 * h, 0.5 * (q + q_next), v, z_d)
+        gv_h = (gv / h).tolist()
+        half = [0.5 * a for a in gq.tolist()]
+        d1 = [a - b for a, b in zip(half, gv_h)]
+        d2 = [a + b for a, b in zip(half, gv_h)]
     else:  # TRAPEZOIDAL
-        gq0, gv0, gz0 = system.lagrangian_gradients(t, q, v, z_d)
-        gq1, gv1, gz1 = system.lagrangian_gradients(t + h, q_next, v, z_d)
-        gv_h = 0.5 * (gv0 + gv1) / h
-        d1 = 0.5 * gq0 - gv_h
-        d2 = 0.5 * gq1 + gv_h
+        gq0, gv0, gz0 = gradients(t, q, v, z_d)
+        gq1, gv1, gz1 = gradients(t + h, q_next, v, z_d)
+        gv_h = divide([0.5 * (a + b) for a, b in zip(gv0.tolist(), gv1.tolist())], h)
+        d1 = [0.5 * a - b for a, b in zip(gq0.tolist(), gv_h)]
+        d2 = [0.5 * a + b for a, b in zip(gq1.tolist(), gv_h)]
         gz = 0.5 * (gz0 + gz1)
     if rule.z_rule is ZRule.FIRST_ORDER:
         d3, d4 = gz, 0.0
     else:
         d3 = d4 = 0.5 * gz
-    return np.asarray(d1), np.asarray(d2), d3, d4
+    return d1, d2, d3, d4
 
 
 def _partials_fd(system, rule, t, q, q_next, z, z_next):
     def ld(qa, qb, za, zb):
         return evaluate_discrete_lagrangian(system, rule, t, qa, qb, za, zb)
 
-    d1 = central_difference(lambda x: ld(x, q_next, z, z_next), q)
-    d2 = central_difference(lambda x: ld(q, x, z, z_next), q_next)
+    d1 = central_difference(lambda x: ld(x, q_next, z, z_next), q).tolist()
+    d2 = central_difference(lambda x: ld(q, x, z, z_next), q_next).tolist()
     d3 = float(central_difference(lambda x: ld(q, q_next, x[0], z_next), [z])[0])
     if rule.z_rule is ZRule.FIRST_ORDER:
         d4 = 0.0  # L_d does not see z_next under the first-order rule
@@ -328,10 +357,14 @@ def partials_of_Ld(
     v: Optional[Array] = None,
 ):
     """Partial derivatives ``(D1, D2, D3, D4)`` of the discrete Lagrangian
-    with respect to its two configuration and two z arguments.
+    with respect to its two configuration and two z arguments; ``D1`` and
+    ``D2`` are lists of Python numbers.
 
     Uses the system's registered analytic gradients when available, otherwise
-    central finite differences on :func:`evaluate_discrete_lagrangian`.
+    central finite differences on :func:`evaluate_discrete_lagrangian`.  The
+    analytic partials combine the gradients on Python numbers, each
+    operation rounded as numpy's on the same gradient arrays, so they are
+    bit for bit numpy's array arithmetic.
     ``v`` is as for :func:`evaluate_discrete_lagrangian`.  The
     partials are not checked for finiteness here: Newton checks every
     residual and Jacobian it is given (:func:`nhcontact.newton.newton_solve`).
@@ -431,13 +464,15 @@ def discrete_constraint(
     q: Array,
     q_next: Array,
     v: Optional[Array] = None,
-) -> Array:
-    """Discrete constraint residual ``A(q_d) qdot_d + b(q_d)``; ``v`` is as
-    for :func:`evaluate_discrete_lagrangian`."""
+) -> list:
+    """Discrete constraint residual ``A(q_d) qdot_d + b(q_d)``, a list of
+    Python numbers; ``v`` is as for :func:`evaluate_discrete_lagrangian`.
+    The product stays numpy's dot, whose rounding a Python sum does not
+    match."""
     q_d = constraint_evaluation_point(rule, q, q_next)
     if v is None:
         v = (q_next - q) / rule.h
-    return system.constraint_matrix(q_d) @ v + system.constraint_offset(q_d)
+    return (system.constraint_matrix(q_d) @ v + system.constraint_offset(q_d)).tolist()
 
 
 def project_velocity(system: ContactSystem, q: Array, v: Array) -> Array:

@@ -7,10 +7,11 @@ a plain LU factorization with partial pivoting and row equilibration
 (:func:`lu_factor`), kept apart from its solve (:func:`lu_solve`) so that one
 factorization serves many solves.  At this size numpy's per-call overhead
 costs more than the arithmetic, so the elimination, the right-hand side and
-each residual are Python floats (one ``tolist()`` per residual); only the
-back-substitution keeps numpy's dot, on each U row's stored tail, because a
-Python sum rounds differently and would move trajectories in their last
-bits.
+each residual are Python floats.  The step residuals of both integrators
+return lists of Python numbers, which Newton takes as they are; any other
+residual costs one ``tolist()``.  Only the back-substitution keeps numpy's
+dot, on each U row's stored tail, because a Python sum rounds differently
+and would move trajectories in their last bits.
 
 A caller that solves one system per time step hands each solve the factors
 the previous one ended with: Newton then takes chord iterations with that
@@ -180,6 +181,9 @@ def newton_solve(
 ):
     """Solve ``residual(x) = 0`` to inf-norm ``config.tolerance``.
 
+    ``residual`` takes a numpy array and returns a list of Python floats, or
+    anything numpy converts to a float array.
+
     Without ``jacobian`` every iteration builds and factors a fresh
     Jacobian: ``build_jacobian(x)``, or :func:`fd_jacobian` of ``residual``
     when that is not given.  Given the factors of an earlier Jacobian, it first
@@ -200,7 +204,9 @@ def newton_solve(
     chord = jacobian is not None
     start = None  # (x, fx, norm) the last chord step started from
     for iteration in range(config.max_iterations + 1):
-        fx = np.asarray(residual(x), dtype=float).tolist()
+        fx = residual(x)
+        if not isinstance(fx, list):
+            fx = np.asarray(fx, dtype=float).tolist()
         norm = inf_norm(fx)
         if norm <= config.tolerance:
             return x, iteration, jacobian

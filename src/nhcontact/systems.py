@@ -4,10 +4,22 @@ closed-form solution, for order-of-accuracy studies.
 
 All are provided as :class:`~nhcontact.model.ContactSystem` instances with
 analytic Lagrangian gradients.
+
+The Foucault and disk callables compute on Python numbers: one ``tolist()``
+per argument, then ``math``, or ``cmath`` for the complex arguments of a
+complex step (:func:`_sin`, :func:`_cos`, :func:`_square`).  At two to five
+coordinates numpy's per-call overhead on small arrays and numpy scalars
+costs more than the arithmetic.  Each operation rounds as numpy's scalar one
+on the same values, so the callables return bit for bit what numpy
+arithmetic would; the disk's ``F(t) . q`` stays numpy's dot, whose rounding
+a Python sum does not match.  They return numpy arrays, as the
+:class:`~nhcontact.model.ContactSystem` contract asks.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,6 +35,21 @@ GRAVITY = 9.81
 
 def _zeros5(t: float) -> Array:
     return np.zeros(5)
+
+
+def _sin(x):
+    return cmath.sin(x) if isinstance(x, complex) else math.sin(x)
+
+
+def _cos(x):
+    return cmath.cos(x) if isinstance(x, complex) else math.cos(x)
+
+
+def _square(x):
+    """``x ** 2`` rounded as numpy squares a scalar of ``x``'s type: ``pow``
+    for a float, one complex product for a complex.  Python's complex power
+    multiplies by one more, which rounds zero signs otherwise."""
+    return x * x if isinstance(x, complex) else x ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -83,36 +110,46 @@ def foucault_system(params: FoucaultParams, formulation: str = "herglotz") -> Co
     """
     if formulation not in ("herglotz", "la"):
         raise ValueError(f"unknown formulation {formulation!r}")
-    m, l, g, alpha = params.m, params.l, params.g, params.alpha
-    omega_v = params.omega_vertical
+    # Python floats (omega_vertical is a numpy one), so no product below is
+    # numpy's scalar arithmetic
+    m, l, g, alpha = (float(v) for v in (params.m, params.l, params.g, params.alpha))
+    omega_v = float(params.omega_vertical)
     k_spring = m * g / l
     herglotz = formulation == "herglotz"
 
     def lagrangian(t, q, qdot, z):
-        value = 0.5 * m * (qdot[0] ** 2 + qdot[1] ** 2) \
-            - 0.5 * k_spring * (q[0] ** 2 + q[1] ** 2)
+        x, y = q.tolist()
+        vx, vy = qdot.tolist()
+        value = 0.5 * m * (_square(vx) + _square(vy)) \
+            - 0.5 * k_spring * (_square(x) + _square(y))
         if herglotz:
             value -= alpha * z
         return value
 
     def gradients(t, q, qdot, z):
-        gq = -k_spring * q
-        gv = m * qdot
+        x, y = q.tolist()
+        vx, vy = qdot.tolist()
+        gq = np.array([-k_spring * x, -k_spring * y])
+        gv = np.array([m * vx, m * vy])
         gz = -alpha if herglotz else 0.0
         return gq, gv, gz
 
     def constraint_matrix(q):
-        return np.array([[-q[1], q[0]]])
+        x, y = q.tolist()
+        return np.array([[-y, x]])
 
     def constraint_offset(q):
-        return np.array([omega_v * (q[0] ** 2 + q[1] ** 2)])
+        x, y = q.tolist()
+        return np.array([omega_v * (_square(x) + _square(y))])
 
     # "herglotz" keeps the default zero external force
     force = {} if herglotz else {"external_force": lambda t, q, qdot: -alpha * m * qdot}
 
     def energy(q, qdot):
-        return 0.5 * m * (qdot[0] ** 2 + qdot[1] ** 2) \
-            + 0.5 * k_spring * (q[0] ** 2 + q[1] ** 2)
+        x, y = q.tolist()
+        vx, vy = qdot.tolist()
+        return 0.5 * m * (_square(vx) + _square(vy)) \
+            + 0.5 * k_spring * (_square(x) + _square(y))
 
     return ContactSystem(
         dim_q=2,
@@ -186,17 +223,20 @@ class DiskParams:
             object.__setattr__(self, "I_T", 0.25 * self.m * self.R ** 2)
 
 
-def disk_kinetic_energy(params: DiskParams, q: Array, qdot: Array) -> float:
+def _kinetic_energy(params: DiskParams, s, c, qdot: list):
+    """Disk kinetic energy from the sine ``s`` and cosine ``c`` of the tilt
+    and the rates ``qdot``, Python numbers."""
     m, R, I_A, I_T = params.m, params.R, params.I_A, params.I_T
-    theta = q[2]
     dX, dY, dtheta, dphi, dpsi = qdot
-    s = np.sin(theta)
-    c = np.cos(theta)
     spin = dpsi - dphi * s
     return (
-        0.5 * m * (dX ** 2 + dY ** 2 + R ** 2 * s ** 2 * dtheta ** 2)
-        + 0.5 * (I_A * spin ** 2 + I_T * (dtheta ** 2 + dphi ** 2 * c ** 2))
+        0.5 * m * (_square(dX) + _square(dY) + R ** 2 * _square(s) * _square(dtheta))
+        + 0.5 * (I_A * _square(spin) + I_T * (_square(dtheta) + _square(dphi) * _square(c)))
     )
+
+
+def disk_kinetic_energy(params: DiskParams, q: Array, qdot: Array) -> float:
+    return _kinetic_energy(params, _sin(q[2]), _cos(q[2]), list(qdot))
 
 
 def disk_system(params: DiskParams) -> ContactSystem:
@@ -205,52 +245,57 @@ def disk_system(params: DiskParams) -> ContactSystem:
     The two rolling constraints tie the center velocity to the Euler-angle
     rates; the forcing enters the Lagrangian as ``F(t) . q``.
     """
-    m, R, I_A, I_T, g, alpha = params.m, params.R, params.I_A, params.I_T, params.g, params.alpha
+    m, R, I_A, I_T, g, alpha = (float(v) for v in (params.m, params.R, params.I_A,
+                                                   params.I_T, params.g, params.alpha))
     forcing = params.forcing
 
     def lagrangian(t, q, qdot, z):
-        theta = q[2]
+        theta = q[2].item()
+        c = _cos(theta)
         return (
-            disk_kinetic_energy(params, q, qdot)
-            - m * g * R * np.cos(theta)
+            _kinetic_energy(params, _sin(theta), c, qdot.tolist())
+            - m * g * R * c
             - alpha * z
-            + forcing(t) @ q
+            + (forcing(t) @ q).item()
         )
 
     def gradients(t, q, qdot, z):
-        theta = q[2]
-        dX, dY, dtheta, dphi, dpsi = qdot
-        s = np.sin(theta)
-        c = np.cos(theta)
+        theta = q[2].item()
+        dX, dY, dtheta, dphi, dpsi = qdot.tolist()
+        s = _sin(theta)
+        c = _cos(theta)
         spin = dpsi - dphi * s
-        # complex when q or qdot is, so complex-step probes pass through
-        gq = np.asarray(forcing(t)) + np.zeros_like(q + qdot)
+        # F(t) + 0, complex when q or qdot is, as numpy's F + zeros_like(q + qdot)
+        zero = 0j if isinstance(theta, complex) or isinstance(dX, complex) else 0.0
+        gq = [f + zero for f in forcing(t).tolist()]
         gq[2] += (
-            m * R ** 2 * s * c * dtheta ** 2
+            m * R ** 2 * s * c * _square(dtheta)
             - I_A * spin * dphi * c
-            - I_T * dphi ** 2 * c * s
+            - I_T * _square(dphi) * c * s
             + m * g * R * s
         )
-        gv = np.array([
+        gv = [
             m * dX,
             m * dY,
-            (m * R ** 2 * s ** 2 + I_T) * dtheta,
-            -I_A * spin * s + I_T * dphi * c ** 2,
+            (m * R ** 2 * _square(s) + I_T) * dtheta,
+            -I_A * spin * s + I_T * dphi * _square(c),
             I_A * spin,
-        ])
-        return gq, gv, -alpha
+        ]
+        return np.array(gq), np.array(gv), -alpha
 
     def constraint_matrix(q):
-        theta, phi = q[2], q[3]
-        st, ct = np.sin(theta), np.cos(theta)
-        sp, cp = np.sin(phi), np.cos(phi)
+        _, _, theta, phi, _ = q.tolist()
+        st, ct = _sin(theta), _cos(theta)
+        sp, cp = _sin(phi), _cos(phi)
         return np.array([
             [1.0, 0.0, R * ct * sp, R * st * cp, -R * cp],
             [0.0, 1.0, -R * ct * cp, R * st * sp, -R * sp],
         ])
 
     def energy(q, qdot):
-        return disk_kinetic_energy(params, q, qdot) + m * g * R * np.cos(q[2])
+        theta = q[2].item()
+        c = _cos(theta)
+        return _kinetic_energy(params, _sin(theta), c, qdot.tolist()) + m * g * R * c
 
     return ContactSystem(
         dim_q=5,

@@ -1,4 +1,7 @@
+from dataclasses import replace
+
 import numpy as np
+import numpy_oracle
 import pytest
 
 import nhcontact.contact
@@ -19,6 +22,7 @@ from nhcontact.contact import (
 from nhcontact.dalembert import _seed_window, la_residual, run_la
 from nhcontact.experiments import (
     DISK_RULE,
+    _disk_params,
     build_contact_system,
     build_la_system,
     get_experiment,
@@ -33,7 +37,7 @@ from nhcontact.model import (
     StepState,
     ZRule,
     central_difference,
-    discrete_constraint,
+    complex_step,
     evaluate_discrete_lagrangian,
     partials_of_Ld,
 )
@@ -91,27 +95,6 @@ def test_pendulum_residual_constraint_row():
     assert res[-1] == pytest.approx(expected, rel=1e-12)
 
 
-def unhoisted_contact_residual(system, rule, window, unknowns):
-    """Reference residual that recomputes every window term per call."""
-    w = window
-    n, m, h = system.dim_q, system.dim_c, rule.h
-    q_next, z_next, lam = unknowns[:n], unknowns[n], unknowns[n + 1:]
-    d1f, _, d3f, _ = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next, w.z_curr, z_next)
-    _, d2b, _, d4b = partials_of_Ld(system, rule, w.t_curr - h, w.q_prev, w.q_curr,
-                                    w.z_prev, w.z_curr)
-    momentum = d1f + d2b * (1.0 + h * d3f) / (1.0 - h * d4b)
-    if m:
-        momentum = momentum - system.constraint_matrix(w.q_curr).T @ lam
-    ld_fwd = evaluate_discrete_lagrangian(system, rule, w.t_curr, w.q_curr, q_next,
-                                          w.z_curr, z_next)
-    out = np.empty(n + 1 + m, dtype=unknowns.dtype)
-    out[:n] = momentum
-    out[n] = z_next - w.z_curr - h * ld_fwd
-    if m:
-        out[n + 1:] = discrete_constraint(system, rule, w.q_curr, q_next)
-    return out
-
-
 def pendulum_case():
     return foucault_system(FoucaultParams(alpha=1e-3)), TRAP_FIRST, np.array([0.1, 0.6])
 
@@ -122,38 +105,77 @@ def forced_disk_case():
     return build_contact_system(spec), DISK_RULE, spec.q0 + np.array([0.0, 0.0, 0.1, 0.2, 0.3])
 
 
-def forced_disk_left_case():
-    # the left rule samples A and b at q_j, which the window terms hold
-    spec = get_experiment("disk-3.2")
-    rule = DiscretizationRule(PositionRule.LEFT_ENDPOINT, ZRule.FIRST_ORDER, DISK_RULE.h)
-    return build_contact_system(spec), rule, spec.q0 + np.array([0.0, 0.0, 0.1, 0.2, 0.3])
-
-
 KERNEL_CASES = [pendulum_case, forced_disk_case]
 
 
-@pytest.mark.parametrize("case", KERNEL_CASES + [forced_disk_left_case],
-                         ids=["pendulum-trap-first", "disk-mid-second", "disk-left-first"])
-def test_hoisted_residual_bit_identical_to_unhoisted(case):
-    # real unknowns, and the complex-step probes of the exact Jacobian,
-    # imaginary parts included
-    system, rule, q = case()
+def _oracle_case(name):
+    """``(residual, system, oracle residual, oracle system, q, h)``: the
+    built-in systems against their numpy callables, the others against
+    themselves."""
+    if name in ("pendulum", "fd-pendulum", "la-pendulum"):
+        params = FoucaultParams(alpha=1e-3)
+        formulation = "la" if name == "la-pendulum" else "herglotz"
+        system = foucault_system(params, formulation)
+        oracle = numpy_oracle.foucault_system(params, formulation)
+        if name == "fd-pendulum":
+            system = replace(system, lagrangian_gradients=None)
+            oracle = replace(oracle, lagrangian_gradients=None)
+        q, h = np.array([0.1, 0.6]), TRAP_FIRST.h
+    elif name in ("disk", "la-disk"):
+        # the disk has no external-force formulation; its contact Lagrangian
+        # with z frozen at zero still exercises the forced Lagrange-d'Alembert
+        # residual.  Family 3 ramps its forcing with t, so the window's time
+        # matters.
+        spec = get_experiment("disk-3.2")
+        system = build_contact_system(spec)
+        oracle = numpy_oracle.disk_system(_disk_params(spec))
+        q, h = spec.q0 + np.array([0.0, 0.0, 0.1, 0.2, 0.3]), DISK_RULE.h
+    else:
+        system = oracle = damped_oscillator()
+        q, h = np.array([0.7]), 0.1
+    if name.startswith("la-"):
+        return la_residual, system, numpy_oracle.la_residual, oracle, q, h
+    return contact_residual, system, numpy_oracle.contact_residual, oracle, q, h
+
+
+RULE_IDS = {PositionRule.LEFT_ENDPOINT: "left", PositionRule.MIDPOINT: "mid",
+            PositionRule.TRAPEZOIDAL: "trap"}
+ORACLE_CASES = [(name, position, z_rule)
+                for name in ("pendulum", "disk", "oscillator", "fd-pendulum", "la-pendulum",
+                             "la-disk")
+                for position in PositionRule for z_rule in ZRule]
+
+
+@pytest.mark.parametrize(
+    "name, position, z_rule", ORACLE_CASES,
+    ids=[f"{name}-{RULE_IDS[position]}-{z_rule.value}" for name, position, z_rule in ORACLE_CASES])
+def test_hoisted_residual_bit_identical_to_unhoisted(name, position, z_rule):
+    # the Python-number residual and callables against numpy's, recomputing
+    # the window terms per call: on real unknowns and, with analytic
+    # gradients, on every complex-step probe of the exact Jacobian, zero
+    # signs included
+    residual, system, oracle, oracle_system, q, h = _oracle_case(name)
+    rule = DiscretizationRule(position, z_rule, h)
+    with_z = residual is contact_residual
     n, m = system.dim_q, system.dim_c
     rng = np.random.default_rng(3)
-    for _ in range(20):
+    for _ in range(8):
         qm = q + 0.05 * rng.normal(size=n)
         qj = qm + 0.05 * rng.normal(size=n)
-        zm, zj = rng.normal(size=2)
+        zm, zj = rng.normal(size=2) if with_z else (0.0, 0.0)
         window = StepState(q_prev=qm, q_curr=qj, z_prev=zm, z_curr=zj,
                            t_curr=rng.uniform(0.1, 10.0))
         terms = contact_window_terms(system, rule, window)
-        for _ in range(5):
-            x = np.concatenate([qj + 0.05 * rng.normal(size=n), rng.normal(size=1 + m)])
-            for unknowns in [x] + [x + 1j * COMPLEX_STEP * e for e in np.eye(len(x))]:
-                hoisted = contact_residual(system, rule, window, terms, unknowns)
-                assert hoisted.dtype == unknowns.dtype
-                assert np.array_equal(
-                    hoisted, unhoisted_contact_residual(system, rule, window, unknowns))
+        for _ in range(3):
+            x = np.concatenate([qj + 0.05 * rng.normal(size=n),
+                                rng.normal(size=int(with_z) + m)])
+            probes = [] if system.lagrangian_gradients is None else \
+                [x + 1j * COMPLEX_STEP * e for e in np.eye(len(x))]
+            for unknowns in [x] + probes:
+                hoisted = np.asarray(residual(system, rule, window, terms, unknowns))
+                expected = oracle(oracle_system, rule, window, unknowns)
+                assert hoisted.dtype == expected.dtype == unknowns.dtype
+                assert hoisted.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES, ids=["pendulum-trap-first", "disk-mid-second"])
@@ -571,7 +593,7 @@ def test_step_jacobian_matches_central_difference(case, position, z_rule):
     def f(u):
         return residual(system, rule, window, terms, u)
 
-    exact = step_jacobian(f, x, terms[2])
+    exact = step_jacobian(f, x, terms[2], rule)
     fd = central_difference(f, x)
     assert exact.dtype == float
     assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
@@ -581,8 +603,11 @@ def test_step_jacobian_matches_central_difference(case, position, z_rule):
     assert np.array_equal(exact[:, len(x) - m:],
                           np.vstack([-a_t, np.zeros((len(x) - n, m))]))
     if case != "foucault-la" and z_rule is ZRule.FIRST_ORDER:
-        # only the action row sees z_{j+1}, with coefficient one
+        # only the action row sees z_{j+1}, with coefficient one: the closed
+        # form column is the complex step's, zero signs included
+        probed = complex_step(f, x, np.eye(len(x))[n])
         assert np.array_equal(exact[:, n], np.eye(len(x))[n])
+        assert exact[:, n].tobytes() == probed.tobytes()
 
 
 def test_catalog_newton_iterations_keep_margin_below_cap(catalog_runs):
@@ -639,3 +664,62 @@ def test_constrained_disk_order(position, z_rule, orders):
     errors = [(h, float(np.max(np.abs(endpoint(h) - reference)))) for h in steps]
     low, high = orders
     assert low <= convergence_order(errors) <= high, errors
+
+
+def _anharmonic_system(alpha):
+    """``L = |v|^2/2 - V(q) - alpha z``, ``V = |q|^2/2 + 0.3 q_0^2 q_1 +
+    0.1 q_1^4``: unconstrained, nonlinear, with constant ``dL/dz``."""
+    def lagrangian(t, q, v, z):
+        return 0.5 * (v @ v) - (0.5 * (q @ q) + 0.3 * q[0] ** 2 * q[1] + 0.1 * q[1] ** 4) \
+            - alpha * z
+
+    def gradients(t, q, v, z):
+        gq = -np.array([q[0] + 0.6 * q[0] * q[1], q[1] + 0.3 * q[0] ** 2 + 0.4 * q[1] ** 3])
+        return gq, v.copy(), -alpha
+
+    return ContactSystem(dim_q=2, dim_c=0, lagrangian=lagrangian,
+                         constraint_matrix=lambda q: np.zeros((0, 2)),
+                         lagrangian_gradients=gradients)
+
+
+@pytest.mark.parametrize("z_rule", list(ZRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("position", list(PositionRule), ids=lambda r: r.value)
+def test_step_map_is_conformally_symplectic(position, z_rule):
+    # with a constant dL/dz the step map F: (q_{j-1}, q_j) -> (q_j, q_{j+1})
+    # scales the discrete symplectic form by c = (1 + h D3 L_d)/(1 - h D4 L_d):
+    # J^T W(F x) J = c W(x), W built from the mixed Hessian of L_d
+    # (Vermeeren, Bravetti & Seri 2019).  J is exact to round-off: implicit
+    # differentiation of the step residual, by complex steps.  Under the
+    # midpoint rule the mixed Hessian varies, so W(F x) != W(x).
+    system, n, t = _anharmonic_system(alpha=0.5), 2, 1.0
+    rule = DiscretizationRule(position, z_rule, 0.1)
+    z_prev, z_curr = 0.1, 0.2
+    q_prev, q_curr = np.array([0.4, -0.3]), np.array([0.45, -0.25])
+    window = StepState(q_prev=q_prev, q_curr=q_curr, z_prev=z_prev, z_curr=z_curr, t_curr=t)
+    q_next, z_next, *_ = contact_step(system, rule, window, np.zeros(0), None,
+                                      NewtonConfig(tolerance=1e-13))
+
+    def residual(y, unknowns):
+        w = StepState(q_prev=y[:n], q_curr=y[n:], z_prev=z_prev, z_curr=z_curr, t_curr=t)
+        return contact_residual(system, rule, w, contact_window_terms(system, rule, w),
+                                unknowns)
+
+    y, x = np.concatenate([q_prev, q_curr]), np.concatenate([q_next, [z_next]])
+    d_x = step_jacobian(lambda u: residual(y, u), x, np.zeros((n, 0)), rule)
+    d_y = np.stack([complex_step(lambda yy: residual(yy, x), y, e) for e in np.eye(2 * n)],
+                   axis=1)
+    jac = np.block([[np.zeros((n, n)), np.eye(n)], [-np.linalg.solve(d_x, d_y)[:n]]])
+
+    def form(q0, q1):
+        # mixed[i, j] = d(D2 L_d)_i / d(q0)_j
+        mixed = np.stack([complex_step(
+            lambda qa: np.asarray(partials_of_Ld(system, rule, t, qa, q1, z_prev, z_curr)[1]),
+            q0, e) for e in np.eye(n)], axis=1)
+        return np.block([[np.zeros((n, n)), mixed.T], [-mixed, np.zeros((n, n))]])
+
+    _, _, d3, d4 = partials_of_Ld(system, rule, t, q_curr, q_next, z_curr, z_next)
+    c = (1.0 + rule.h * d3) / (1.0 - rule.h * d4)
+    expected = c * form(q_prev, q_curr)
+    assert c != 1.0
+    assert np.max(np.abs(jac.T @ form(q_curr, q_next) @ jac - expected)) \
+        <= 1e-12 * np.max(np.abs(expected))

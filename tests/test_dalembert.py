@@ -4,16 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhcontact.contact import contact_window_terms, run_contact
-from nhcontact.dalembert import _discrete_force, la_residual, run_la
-from nhcontact.experiments import DISK_RULE, build_contact_system, get_experiment
-from nhcontact.model import (
-    DiscretizationRule,
-    PositionRule,
-    StepState,
-    ZRule,
-    discrete_constraint,
-    partials_of_Ld,
-)
+from nhcontact.dalembert import la_residual, run_la
+from nhcontact.model import DiscretizationRule, PositionRule, StepState, ZRule
 from nhcontact.newton import NewtonConfig
 from nhcontact.systems import FoucaultParams, foucault_system
 
@@ -44,53 +36,6 @@ def test_pendulum_la_residual_matches_hand_coded_block():
             - alpha * m * (qp - qj)
         hand -= np.array([[-qj[1], qj[0]]]).T @ lam
         assert np.allclose(res[:2], hand, rtol=1e-12, atol=1e-9)
-
-
-def unhoisted_la_residual(system, rule, window, unknowns):
-    """Reference residual that recomputes every window term per call."""
-    w = window
-    n, m, h = system.dim_q, system.dim_c, rule.h
-    q_next, lam = unknowns[:n], unknowns[n:]
-    d1f, _, _, _ = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next, 0.0, 0.0)
-    _, d2b, _, _ = partials_of_Ld(system, rule, w.t_curr - h, w.q_prev, w.q_curr, 0.0, 0.0)
-    momentum = h * (d1f + d2b) + _discrete_force(system, rule, w.t_curr, w.q_curr, q_next)
-    if m:
-        momentum = momentum - system.constraint_matrix(w.q_curr).T @ lam
-    out = np.empty(n + m)
-    out[:n] = momentum
-    if m:
-        out[n:] = discrete_constraint(system, rule, w.q_curr, q_next)
-    return out
-
-
-def forced_pendulum_case():
-    system = foucault_system(FoucaultParams(alpha=1e-3), formulation="la")
-    return system, TRAP_FIRST, np.array([0.1, 0.6])
-
-
-def forced_disk_case():
-    # the disk has no external-force formulation; its contact Lagrangian with
-    # z frozen at zero still exercises the midpoint rule and the t-ramped force
-    spec = get_experiment("disk-3.2")
-    return build_contact_system(spec), DISK_RULE, spec.q0 + np.array([0.0, 0.0, 0.1, 0.2, 0.3])
-
-
-@pytest.mark.parametrize("case", [forced_pendulum_case, forced_disk_case],
-                         ids=["pendulum-trap-first", "disk-mid-second"])
-def test_hoisted_la_residual_bit_identical_to_unhoisted(case):
-    system, rule, q = case()
-    n, m = system.dim_q, system.dim_c
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        qm = q + 0.05 * rng.normal(size=n)
-        qj = qm + 0.05 * rng.normal(size=n)
-        window = StepState(q_prev=qm, q_curr=qj, z_prev=0.0, z_curr=0.0,
-                           t_curr=rng.uniform(0.1, 10.0))
-        terms = contact_window_terms(system, rule, window)
-        for _ in range(5):
-            unknowns = np.concatenate([qj + 0.05 * rng.normal(size=n), rng.normal(size=m)])
-            assert np.array_equal(la_residual(system, rule, window, terms, unknowns),
-                                  unhoisted_la_residual(system, rule, window, unknowns))
 
 
 @settings(max_examples=10, deadline=None)

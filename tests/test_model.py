@@ -13,6 +13,7 @@ from nhcontact.model import (
     constraint_drift,
     constraint_evaluation_point,
     discrete_constraint,
+    divide,
     evaluate_discrete_lagrangian,
     initial_acceleration,
     partials_of_Ld,
@@ -199,3 +200,30 @@ def test_constraint_drift_foucault_closed_form(q, v):
     expected = 2.0 * params.Omega * np.sin(params.beta) * (q @ v)
     assert drift.shape == (1,)
     assert drift[0] == pytest.approx(expected, rel=1e-8)
+
+
+def test_numpy_division_rounding_is_what_divide_copies():
+    # the step residuals divide on Python numbers with model.divide, which
+    # copies numpy's rounding of an array divided by a real scalar; a numpy
+    # that rounds otherwise would move trajectories without any other test
+    # failing first
+    message = ("numpy no longer rounds an array divided by a real scalar as "
+               "nhcontact.model.divide, the step residuals' division, copies it")
+    rng = np.random.default_rng(12)
+    reals = rng.normal(size=2000) * 10.0 ** rng.uniform(-5.0, 5.0, size=2000)
+    complexes = reals + 1j * rng.normal(size=2000)
+    edges = np.array([complex(a, b) for a in (0.0, -0.0, 1.5, -1.5, np.inf)
+                      for b in (0.0, -0.0, 2.5, -2.5, 1e-200, np.nan)])
+    for d in (0.05, 0.1, 0.3, -0.7, 3.0):
+        r = 1.0 / d
+        with np.errstate(invalid="ignore"):
+            quotients = [values / d for values in (reals, complexes, edges)]
+        # a float array takes true division; a complex one the product of
+        # each component with the reciprocal
+        assert quotients[0].tolist() == [x / d for x in reals.tolist()], message
+        assert np.array_equal(quotients[1].real, complexes.real * r), message
+        assert np.array_equal(quotients[1].imag, complexes.imag * r), message
+        for values, quotient in zip((reals, complexes, edges), quotients):
+            # zero signs and non-finite parts included
+            assert np.asarray(divide(values.tolist(), d)).tobytes() == quotient.tobytes(), \
+                message

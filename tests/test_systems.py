@@ -1,11 +1,13 @@
 from dataclasses import replace
 
 import numpy as np
+import numpy_oracle
 import pytest
 from disk_oracle import disk_eliminated_step
 
-from nhcontact.experiments import steady_rolling_spin_rate
+from nhcontact.experiments import _disk_params, get_experiment, steady_rolling_spin_rate
 from nhcontact.model import (
+    COMPLEX_STEP,
     DiscretizationRule,
     PositionRule,
     StepState,
@@ -130,6 +132,55 @@ def test_disk_gradients_match_finite_differences():
     ref = partials_of_Ld(bare, DISK_RULE, 0.7, q, qn, 0.1, 0.2)
     for a, b in zip(got, ref):
         assert np.allclose(a, b, rtol=1e-4, atol=1e-4)
+
+
+def _system_pair(name):
+    """The package's system ``name`` and its numpy oracle."""
+    if name.startswith("foucault"):
+        params = FoucaultParams(alpha=1e-3, beta=np.deg2rad(30.0))
+        formulation = "la" if name == "foucault-la" else "herglotz"
+        return (foucault_system(params, formulation),
+                numpy_oracle.foucault_system(params, formulation))
+    params = _disk_params(get_experiment(name))
+    return disk_system(params), numpy_oracle.disk_system(params)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# the forced disks: a constant torque (1.1) and a ramp in t (3.2)
+@pytest.mark.parametrize("name", ["foucault", "foucault-la", "disk-1.1", "disk-2.3",
+                                  "disk-3.2"])
+def test_callables_bit_identical_to_numpy_oracle(name):
+    # math/cmath on Python numbers against numpy arrays and scalars, on real
+    # arguments and on complex-step probes of q, qdot and z, zero signs
+    # included
+    system, oracle = _system_pair(name)
+    n = system.dim_q
+    rng = np.random.default_rng(9)
+    # x ** 2 is pow, which rounds otherwise than x * x on about 1 float in
+    # 1000, so the real arguments come in many draws
+    for draw in range(1000):
+        t = rng.uniform(0.0, 20.0)
+        q = rng.normal(size=n) * 10.0 ** rng.uniform(-2.0, 1.0)
+        v = rng.normal(size=n) * 10.0 ** rng.uniform(-2.0, 1.0)
+        z = rng.normal()
+        probes = [(q, v, z)]
+        for e in np.eye(n) if draw % 50 == 0 else ():
+            probes += [(q + 1j * COMPLEX_STEP * e, v, z), (q, v + 1j * COMPLEX_STEP * e, z),
+                       (q + 1j * COMPLEX_STEP * e, v + 1j * COMPLEX_STEP * e, z)]
+        probes.append((q + 0j, v + 0j, z + 1j * COMPLEX_STEP))
+        for qq, vv, zz in probes:
+            got = system.lagrangian_gradients(t, qq, vv, zz)
+            expected = oracle.lagrangian_gradients(t, qq, vv, zz)
+            assert all(_same_bits(a, b) for a, b in zip(got, expected))
+            assert _same_bits(system.lagrangian(t, qq, vv, zz), oracle.lagrangian(t, qq, vv, zz))
+            assert _same_bits(system.constraint_matrix(qq), oracle.constraint_matrix(qq))
+            assert _same_bits(system.constraint_offset(qq), oracle.constraint_offset(qq))
+            assert _same_bits(system.external_force(t, qq, vv), oracle.external_force(t, qq, vv))
+            assert _same_bits(system.energy(qq, vv), oracle.energy(qq, vv))
 
 
 def test_disk_constraints_annihilate_rolling_velocity():
