@@ -17,12 +17,11 @@ from .contact import (
     StepCarry,
     StepStats,
     contact_residual,
-    contact_step,
     contact_window_terms,
     initialize_window,
     run_contact,
 )
-from .dalembert import la_residual, la_step, run_la
+from .dalembert import la_residual, run_la
 from .experiments import (
     CATALOG,
     UnknownExperiment,
@@ -86,7 +85,6 @@ __all__ = [
     "catalog_ids",
     "consistent_init",
     "contact_residual",
-    "contact_step",
     "contact_window_terms",
     "convergence_order",
     "disk_system",
@@ -96,7 +94,6 @@ __all__ = [
     "implicit_dae_integrate",
     "initialize_window",
     "la_residual",
-    "la_step",
     "make_continuous_system",
     "newton_solve",
     "oscillation_plane_angle",

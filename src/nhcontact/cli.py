@@ -133,12 +133,14 @@ def _collect_overrides(args) -> dict:
         overrides["t_final"] = args.t_final
     if getattr(args, "integrator", None) is not None:
         overrides["integrator"] = Integrator(args.integrator)
+    if getattr(args, "rule", None) is not None:
+        overrides["rule"] = args.rule
     return overrides
 
 
 def _resolve_spec(args):
     overrides = _collect_overrides(args)
-    rule_name = overrides.pop("rule", None) or getattr(args, "rule", None)
+    rule_name = overrides.pop("rule", None)
     spec = get_experiment(args.experiment, **overrides)
     if rule_name:
         if rule_name not in RULE_NAMES:

@@ -26,18 +26,19 @@ the constraint matrix, ``A(q_j)^T lambda`` and ``A(q_d) v``, stay numpy's
 dot, a fused multiply-add chain whose rounding a Python sum does not
 match.  So every trajectory is bit for bit the one of numpy arithmetic.
 
-Newton starts from one of two predictions (:func:`solve_step`).  The
-linear start extrapolates q linearly, advances z by the previous window's
-discrete Lagrangian and carries the multipliers forward.  The quadratic
-start extrapolates q and z through the last three points and the
-multipliers through the last two.  After each accepted step
-:func:`run_steps` checks which of the two came closer to the new q, in the
-inf-norm, and starts the next step from that one; it uses the linear start
-until that check has been made once.  Extrapolated starts are standard for
-implicit steppers (Radau5 starts from its collocation polynomial; Hairer &
-Wanner, *Solving ODEs II*, section IV.8).  A quadratic start can put Newton in reach of
-another root, or none, where the linear one resolves the step, so a step
-whose Newton fails from it is solved again from the linear start.
+Newton starts from one of two predictions.  The linear start, which
+:func:`solve_step` builds, extrapolates q linearly, advances z by the
+previous window's discrete Lagrangian and carries the multipliers forward.
+The quadratic start, which :func:`run_steps` builds from the rows of the
+trajectory it fills, extrapolates q and z through the last three points and
+the multipliers through the last two.  After each accepted step the driver
+checks which of the two came closer to the new q, in the inf-norm, and
+starts the next step from that one; it uses the linear start until that
+check has been made once.  Extrapolated starts are standard for implicit
+steppers (Radau5 starts from its collocation polynomial; Hairer & Wanner,
+*Solving ODEs II*, section IV.8).  A quadratic start can put Newton in
+reach of another root, or none, where the linear one resolves the step, so
+a step whose Newton fails from it is solved again from the linear start.
 
 Consecutive steps share a discrete Lagrangian: the backward step
 ``(q_{j-1}, q_j)`` of a window is the forward step of the step before,
@@ -51,10 +52,13 @@ is bit for bit the one of computing them.  The constraint rows give
 :class:`StepStats` the run's worst discrete-constraint residual.
 
 The Lagrange-d'Alembert integrator (:mod:`nhcontact.dalembert`) differs
-only in its residual.  It shares the seed :func:`seed_position`, the window
-terms :func:`contact_window_terms`, the step solve :func:`solve_step` with
-its Jacobian :func:`step_jacobian`, and the trajectory driver
-:func:`run_steps`.
+only in its residual and in having no z unknown.  :func:`run_steps` and
+:func:`solve_step` take both as arguments: the residual, and ``with_z``,
+whether z is an unknown or stays at zero.  Everything else is shared: the
+seed :func:`initialize_window`, the window terms
+:func:`contact_window_terms`, the multiplier and constraint rows
+:func:`constraint_rows`, the step solve with its Jacobian
+:func:`step_jacobian`, and the trajectory driver.
 """
 
 from __future__ import annotations
@@ -123,8 +127,12 @@ def contact_window_terms(
     backward: Optional[StepCarry] = None,
 ):
     """Residual terms fixed by the window for the whole step:
-    ``(D2 L_d(bwd), 1 - h D4 L_d(bwd), A(q_j)^T, b)``, ``b`` as in
-    :func:`window_constraint`.
+    ``(D2 L_d(bwd), 1 - h D4 L_d(bwd), A(q_j)^T, b)``.
+
+    ``b = b(q_j)``, a list, when the discrete constraint samples ``A`` and
+    ``b`` at ``q_j`` too, so the step residual takes it as ``A(q_j) v + b``
+    without sampling them again, bit for bit; ``None`` under the midpoint
+    rule, which samples them at ``(q_j + q_{j+1})/2``.
 
     ``backward`` is the carry of the step that produced the window, when
     its forward partials serve as the window's backward ones
@@ -145,21 +153,38 @@ def contact_window_terms(
         raise DenominatorSingular(
             f"1 - h*D4 = {denom:.3e} at t={w.t_curr}: implicit z-coupling degenerate"
         )
-    return (d2b, denom) + window_constraint(system, rule, w.q_curr)
-
-
-def window_constraint(system: ContactSystem, rule: DiscretizationRule, q: Array):
-    """``(A(q_j)^T, b)`` at the window's ``q_j``.
-
-    ``b = b(q_j)``, a list, when the discrete constraint samples ``A`` and
-    ``b`` at ``q_j`` too, so the step residual takes it as ``A(q_j) v + b``
-    without sampling them again, bit for bit; ``None`` under the midpoint
-    rule, which samples them at ``(q_j + q_{j+1})/2``.
-    """
-    a_t = system.constraint_matrix(q).T
+    a_t = system.constraint_matrix(w.q_curr).T
     if rule.position_rule is PositionRule.MIDPOINT:
-        return a_t, None
-    return a_t, system.constraint_offset(q).tolist()
+        return d2b, denom, a_t, None
+    return d2b, denom, a_t, system.constraint_offset(w.q_curr).tolist()
+
+
+def constraint_rows(
+    system: ContactSystem,
+    rule: DiscretizationRule,
+    window: StepState,
+    terms,
+    unknowns: Array,
+    q_next: Array,
+    v: Array,
+):
+    """The rows either step residual shares at a candidate ``q_{j+1}`` with
+    velocity ``v``: ``(A(q_j)^T lambda, constraint rows)``, lists of Python
+    numbers, ``lambda`` the last ``m`` entries of ``unknowns``.
+
+    ``terms`` are the window's :func:`contact_window_terms`.  The constraint
+    rows are :func:`~nhcontact.model.discrete_constraint` under the midpoint
+    rule, else ``A(q_j) v + b(q_j)`` from the window's ``A(q_j)^T`` and
+    ``b``.  Both products stay numpy's dot.
+    """
+    m = system.dim_c
+    if not m:
+        # the momentum rows then subtract 0.0, and x - 0.0 is x, zero signs included
+        return [0.0] * system.dim_q, []
+    a_t, offset = terms[2], terms[3]
+    constraint = (discrete_constraint(system, rule, window.q_curr, q_next, v) if offset is None
+                  else [a + b for a, b in zip((a_t.T @ v).tolist(), offset)])
+    return (a_t @ unknowns[-m:]).tolist(), constraint
 
 
 def contact_residual(
@@ -185,27 +210,21 @@ def contact_residual(
     Python sum does not match.
     """
     w = window
-    n, m, h = system.dim_q, system.dim_c, rule.h
+    n, h = system.dim_q, rule.h
     q_next = unknowns[:n]
     z_next = unknowns.tolist()[n]
-    d2b, denom, a_t, offset = terms
+    d2b, denom, *_ = terms
     v = (q_next - w.q_curr) / h
 
     d1f, d2f, d3f, d4f = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next,
                                         w.z_curr, z_next, v)
     factor = 1.0 + h * d3f
-    # without multipliers the rows subtract 0.0, and x - 0.0 is x, zero signs included
-    lam_rows = (a_t @ unknowns[n + 1:]).tolist() if m else [0.0] * n
-    momentum = [a + b - c for a, b, c in
-                zip(d1f, divide([b * factor for b in d2b], denom), lam_rows)]
-
     ld_fwd = evaluate_discrete_lagrangian(
         system, rule, w.t_curr, w.q_curr, q_next, w.z_curr, z_next, v
     )
-    constraint = []
-    if m:
-        constraint = (discrete_constraint(system, rule, w.q_curr, q_next, v) if offset is None
-                      else [a + b for a, b in zip((a_t.T @ v).tolist(), offset)])
+    lam_rows, constraint = constraint_rows(system, rule, window, terms, unknowns, q_next, v)
+    momentum = [a + b - c for a, b, c in
+                zip(d1f, divide([b * factor for b in d2b], denom), lam_rows)]
     if keep is not None:
         keep[:] = d2f, d4f, ld_fwd, constraint
     return momentum + [z_next - w.z_curr - h * ld_fwd] + constraint
@@ -279,117 +298,71 @@ def solve_step(
     rule: DiscretizationRule,
     window: StepState,
     residual: Callable,
-    solver: NewtonConfig,
-    carry: Optional[StepCarry],
-    linear_start: Callable[[Optional[StepCarry]], Array],
-    lam_prev: Array,
-    prior: Optional[tuple],
     with_z: bool,
+    lam_prev: Array,
+    carry: Optional[StepCarry],
+    solver: NewtonConfig,
+    start: Optional[list] = None,
 ):
-    """Newton on one step of either integrator from a history predictor;
-    returns ``(x, iterations, carry)``, the solution, Newton's iteration
-    count and this step's :class:`StepCarry`.
+    """One implicit step of either integrator; returns
+    ``(q_next, z_next, lam, carry, iterations)``, ``z_next`` being ``0.0``
+    when z is not an unknown (``with_z`` false).
 
-    The step solves ``residual(system, rule, window, terms, u, keep) = 0``,
-    the window's :func:`contact_window_terms` computed once, before Newton.
-    ``carry`` is the previous step's, or ``None``.  Newton starts from its
-    factors; fresh Jacobians are :func:`step_jacobian` when the system
-    registers Lagrangian gradients, finite differences otherwise.  Its
-    forward by-products serve as the window's backward ones (``backward``)
-    only when its ``t`` equals the window's ``t_curr - h`` bit for bit: the
-    driver builds each window from the step before, so they are then the
-    values the window would compute, and a ``t_curr`` accumulated by
-    ``+ h`` that misses by an ulp makes the window compute its own.
+    The step solves ``residual(system, rule, window, terms, u, keep) = 0``
+    for ``u = (q_{j+1}, z_{j+1}, lambda)``, without ``z_{j+1}`` unless
+    ``with_z``, the window's :func:`contact_window_terms` computed once,
+    before Newton.  ``carry`` is the previous step's, or ``None``.  Newton
+    starts from its factors; fresh Jacobians are :func:`step_jacobian` when
+    the system registers Lagrangian gradients, finite differences otherwise.
+    Its forward by-products serve as the window's backward ones
+    (``backward``) only when its ``t`` equals the window's ``t_curr - h``
+    bit for bit: the driver builds each window from the step before, so
+    they are then the values the window would compute, and a ``t_curr``
+    accumulated by ``+ h`` that misses by an ulp makes the window compute
+    its own.
 
-    Without ``prior`` Newton starts from ``linear_start(backward)``.
-    Given ``prior = (q_{j-2}, z_{j-2}, lambda_{j-2})``, the point one
-    behind the window, it starts from the quadratic extrapolation
-    ``3 q_j - 3 q_{j-1} + q_{j-2}`` (likewise z, when ``with_z``) and
-    ``2 lambda_{j-1} - lambda_{j-2}``, ``lam_prev`` being ``lambda_{j-1}``.
-    It skips the linear start's discrete-Lagrangian evaluation.  If that
-    Newton fails, the step is solved once more from the linear start, with
-    the factors it began with: exactly the solve without ``prior``.
+    Newton starts from ``start``, when given, else from the linear start:
+    ``2 q_j - q_{j-1}``, then ``z_j + h L_d`` of the window's backward step
+    (the carried ``L_d`` when the carry serves), then ``lam_prev``.  If
+    Newton fails from ``start``, the step is solved once more from the
+    linear start, with the factors it began with: exactly the solve without
+    ``start``.
     """
-    backward = None
-    if carry is not None and carry.t == window.t_curr - rule.h:
-        backward = carry
-    terms = contact_window_terms(system, rule, window, backward)
-    jacobian = None if carry is None else carry.factors
+    w = window
+    n, h = system.dim_q, rule.h
+    backward = carry if carry is not None and carry.t == w.t_curr - h else None
+    terms = contact_window_terms(system, rule, w, backward)
+    factors = None if carry is None else carry.factors
     # newton_solve returns right after evaluating the residual at the
     # solution, so ``keep`` ends with that real evaluation's by-products
     keep = []
 
     def f(u):
-        return residual(system, rule, window, terms, u, keep)
+        return residual(system, rule, w, terms, u, keep)
 
     build = None
     if system.lagrangian_gradients is not None:
         def build(u):
             return step_jacobian(f, u, terms[2], rule)
-    if prior is not None:
-        q_back, z_back, lam_back = prior
-        w = window
-        # on Python floats, rounding as numpy's elementwise operations do
-        x0 = [3.0 * (c - p) + b for p, c, b in
-              zip(w.q_prev.tolist(), w.q_curr.tolist(), q_back.tolist())]
-        if with_z:
-            x0.append(3.0 * (w.z_curr - w.z_prev) + z_back)
-        x0 += [2.0 * lam - b for lam, b in zip(lam_prev.tolist(), lam_back.tolist())]
+    solved = None
+    if start is not None:
         try:
-            x, iterations, jacobian = newton_solve(f, x0, solver, jacobian, build)
-            return x, iterations, StepCarry(jacobian, window.t_curr, *keep)
+            solved = newton_solve(f, start, solver, factors, build)
         except (NewtonDivergence, SingularJacobian, EvaluationError):
             pass
-    x, iterations, jacobian = newton_solve(f, linear_start(backward), solver, jacobian,
-                                           build)
-    return x, iterations, StepCarry(jacobian, window.t_curr, *keep)
-
-
-def quadratic_predicts_better(window: StepState, q_back: Array, q_next: Array) -> bool:
-    """Whether the quadratic extrapolation of :func:`solve_step`, from
-    ``q_back = q_{j-2}`` and the window, came closer to the accepted
-    ``q_next`` than the linear ``2 q_j - q_{j-1}``, in the inf-norm."""
-    columns = zip(window.q_prev.tolist(), window.q_curr.tolist(), q_back.tolist(),
-                  q_next.tolist())
-    quadratic, linear = [], []
-    for p, c, b, n in columns:
-        quadratic.append(3.0 * (c - p) + b - n)
-        linear.append(2.0 * c - p - n)
-    return inf_norm(quadratic) < inf_norm(linear)
-
-
-def contact_step(
-    system: ContactSystem,
-    rule: DiscretizationRule,
-    window: StepState,
-    lam_prev: Array,
-    carry: Optional[StepCarry],
-    solver: NewtonConfig,
-    prior: Optional[tuple] = None,
-):
-    """One implicit contact step; returns
-    ``(q_next, z_next, lam, carry, iterations)``.
-
-    Solved by :func:`solve_step` from the previous step's ``carry``, or
-    none.  Its linear start extrapolates the configuration linearly,
-    advances z by the previous window's discrete Lagrangian (the carried
-    one when it serves) and carries the previous multipliers forward.
-    """
-    w = window
-    n, h = system.dim_q, rule.h
-
-    def linear_start(backward):
-        if backward is None:
-            ld = evaluate_discrete_lagrangian(
+    if solved is None:
+        # on Python floats, rounding as numpy's elementwise operations do
+        linear = [2.0 * c - p for p, c in zip(w.q_prev.tolist(), w.q_curr.tolist())]
+        if with_z:
+            ld = backward.ld if backward is not None else evaluate_discrete_lagrangian(
                 system, rule, w.t_curr - h, w.q_prev, w.q_curr, w.z_prev, w.z_curr)
-        else:
-            ld = backward.ld
-        return np.concatenate([2.0 * w.q_curr - w.q_prev, [w.z_curr + h * ld], lam_prev])
-
-    x, iterations, carry = solve_step(
-        system, rule, window, contact_residual, solver, carry, linear_start,
-        lam_prev, prior, with_z=True)
-    return x[:n], float(x[n]), x[n + 1:], carry, iterations
+            linear.append(w.z_curr + h * ld)
+        solved = newton_solve(f, linear + lam_prev.tolist(), solver, factors, build)
+    x, iterations, factors = solved
+    carry = StepCarry(factors, w.t_curr, *keep)
+    if with_z:
+        return x[:n], float(x[n]), x[n + 1:], carry, iterations
+    return x[:n], 0.0, x[n:], carry, iterations
 
 
 def project_seed_position(
@@ -440,13 +413,14 @@ def initialize_window(
     rule: DiscretizationRule,
     q0: Array,
     v0: Array,
+    with_z: bool = True,
 ) -> StepState:
     """Build the first stepping window from ``(q0, v0)`` at ``t = 0``, ``z = 0``:
     ``q1`` from :func:`seed_position`, ``z1`` solving the discrete action
-    update."""
+    update when z is an unknown (``with_z``), else ``0.0``."""
     q0 = np.asarray(q0, dtype=float)
     q1 = seed_position(system, rule, q0, v0)
-    z1 = solve_z_update(system, rule, 0.0, q0, q1, 0.0)
+    z1 = solve_z_update(system, rule, 0.0, q0, q1, 0.0) if with_z else 0.0
     return StepState(q_prev=q0, q_curr=q1, z_prev=0.0, z_curr=z1, t_curr=rule.h)
 
 
@@ -483,26 +457,28 @@ def run_steps(
     q0: Array,
     v0: Array,
     n_steps: int,
-    seed: Callable[..., StepState],
-    step: Callable,
+    residual: Callable,
+    with_z: bool,
     solver: NewtonConfig,
     stats: Optional[StepStats] = None,
 ) -> Trajectory:
-    """Integrate ``n_steps`` two-point steps from ``(q0, v0)`` at ``t = 0``.
+    """Integrate ``n_steps`` two-point steps of ``residual`` from
+    ``(q0, v0)`` at ``t = 0``, z an unknown when ``with_z``.
 
-    ``seed(system, rule, q0, v0)`` builds the first window, which
-    takes step 1; ``step(system, rule, window, lam, carry, solver, prior)``
-    takes each later step from the previous multipliers and the previous
-    step's :class:`StepCarry` and returns
-    ``(q_next, z_next, lam, carry, iterations)``.  ``prior`` is
-    ``(q, z, lam)`` one point behind the window, handed over while the
-    quadratic start of :func:`solve_step` predicted the last step's
-    configuration better than the linear one (so from the third implicit
-    step on at the earliest), and ``None`` otherwise.  All of it is carried
-    from step to step of this run only; the first step starts without a
-    carry.  ``stats`` takes each step's iterations and constraint rows, and
-    the seed step's discrete constraint.  A numerical failure in either
-    ends the run as a ``solver_failure`` at the last accepted step.
+    :func:`initialize_window` takes step 1; :func:`solve_step` takes each
+    later one from the previous multipliers and the previous step's
+    :class:`StepCarry`, carried from step to step of this run only.  Once
+    ``q_{j-2}`` exists, the quadratic extrapolation of q through
+    ``q_{j-2}``, ``q_{j-1}`` and ``q_j`` is built once per step, from the
+    trajectory rows already filled.  While it predicted the last step's
+    configuration better than the linear ``2 q_j - q_{j-1}``, in the
+    inf-norm (so from the third implicit step on at the earliest), Newton
+    starts from it, with ``3 z_j - 3 z_{j-1} + z_{j-2}`` (when ``with_z``)
+    and ``2 lambda_{j-1} - lambda_{j-2}``; after the step, the accepted q
+    settles which start the next one takes.
+    ``stats`` takes each step's iterations and constraint rows, and the
+    seed step's discrete constraint.  A numerical failure in either ends
+    the run as a ``solver_failure`` at the last accepted step.
     """
     from .analysis import reconstruct_velocities_from_arrays
 
@@ -520,33 +496,39 @@ def run_steps(
 
     try:
         if n_steps > 0:
-            window = seed(system, rule, q0, v0)
+            window = initialize_window(system, rule, q0, v0, with_z)
             qs[1] = window.q_curr
             zs[1] = window.z_curr
-            lam = np.zeros(m)
             carry = None
-            prior, quadratic = None, False
+            quadratic = False
             steps_done = 1
             if stats is not None and m:
                 stats.record_constraint(discrete_constraint(system, rule, q0, window.q_curr))
         for j in range(1, n_steps):
-            q_next, z_next, lam_next, carry, iters = step(
-                system, rule, window, lam, carry, solver, prior if quadratic else None)
+            w = window
+            predicted = start = None
+            if j > 1:
+                # on Python floats, rounding as numpy's elementwise operations do
+                q_prev, q_curr = w.q_prev.tolist(), w.q_curr.tolist()
+                predicted = [3.0 * (c - p) + b
+                             for p, c, b in zip(q_prev, q_curr, qs[j - 2].tolist())]
+                if quadratic:
+                    z_start = [3.0 * (w.z_curr - w.z_prev) + float(zs[j - 2])] if with_z else []
+                    start = predicted + z_start + [
+                        2.0 * c - p for p, c in zip(lams[j - 2].tolist(), lams[j - 1].tolist())]
+            q_next, z_next, lams[j], carry, iters = solve_step(
+                system, rule, w, residual, with_z, lams[j - 1], carry, solver, start)
             if stats is not None:
                 stats.record(iters, carry.constraint)
             qs[j + 1] = q_next
             zs[j + 1] = z_next
-            lams[j] = lam_next
             steps_done = j + 1
-            if prior is not None:
-                quadratic = quadratic_predicts_better(window, prior[0], q_next)
-            prior = (window.q_prev, window.z_prev, lam)
-            lam = lam_next
-            window = StepState(
-                q_prev=window.q_curr, q_curr=q_next,
-                z_prev=window.z_curr, z_curr=z_next,
-                t_curr=window.t_curr + h,
-            )
+            if predicted is not None:
+                accepted = q_next.tolist()
+                quadratic = inf_norm([a - b for a, b in zip(predicted, accepted)]) < inf_norm(
+                    [2.0 * c - p - b for p, c, b in zip(q_prev, q_curr, accepted)])
+            window = StepState(q_prev=w.q_curr, q_curr=q_next, z_prev=w.z_curr,
+                               z_curr=z_next, t_curr=w.t_curr + h)
     except (NewtonDivergence, SingularJacobian, DenominatorSingular,
             EvaluationError) as exc:
         termination = Termination.failure(step=steps_done + 1, message=str(exc))
@@ -576,5 +558,4 @@ def run_contact(
     stats: Optional[StepStats] = None,
 ) -> Trajectory:
     """Integrate ``n_steps`` contact steps from ``(q0, v0)``."""
-    return run_steps(system, rule, q0, v0, n_steps, initialize_window,
-                     contact_step, solver, stats=stats)
+    return run_steps(system, rule, q0, v0, n_steps, contact_residual, True, solver, stats)

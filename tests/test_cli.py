@@ -185,6 +185,38 @@ def test_solver_failure_says_where_and_why_on_stderr(tmp_path, capsys):
     assert len((out / "trajectory.csv").read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("integrator, build", [("contact", "build_contact_system"),
+                                               ("la", "build_la_system")])
+def test_injected_failure_exits_2_with_truncated_trajectory(integrator, build, tmp_path,
+                                                            capsys, monkeypatch):
+    # dL/dq turns NaN from t = 0.5 on: Newton fails at step 12 from the
+    # quadratic start and again from the linear retry, and the run ends there
+    import nhcontact.experiments as experiments
+
+    built = getattr(experiments, build)
+
+    def poisoned(spec):
+        system = built(spec)
+        gradients = system.lagrangian_gradients
+
+        def nan_from_half(t, q, v, z):
+            gq, gv, gz = gradients(t, q, v, z)
+            return (gq * np.nan if t >= 0.5 else gq), gv, gz
+
+        return replace(system, lagrangian_gradients=nan_from_half)
+
+    monkeypatch.setattr(experiments, build, poisoned)
+    out = tmp_path / integrator
+    code = run_cli(["run", "foucault-1", "--integrator", integrator, "--t-final", "1",
+                    "--output-dir", str(out)])
+    assert code == EXIT_SOLVER_FAILURE == 2
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 12
+    assert (out / "summary.csv").read_text().splitlines()[1].startswith("solver_failure")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("foucault-1: solver_failure at step 12: residual is not finite ")
+
+
 def test_long_disk_run_completes(tmp_path, capsys):
     # one step near t = 58 needs 8 Newton iterations from the linear start;
     # from the quadratic one Newton hits the 10-iteration cap there, and the
@@ -254,6 +286,19 @@ def test_rule_flag(tmp_path):
     code = run_cli(["run", "disk-2.1", "--t-final", "1", "--rule", "left-first",
                     "--output-dir", str(out)])
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("setting", ["override", "config"])
+def test_rule_flag_wins_over_override_and_config(setting, tmp_path):
+    # a flag wins over --override, which wins over --config, for every key
+    cfg = tmp_path / "rule.cfg"
+    cfg.write_text("rule = mid-second\n")
+    other = {"override": ["--override", "rule=mid-second"], "config": ["--config", str(cfg)]}
+    base = ["run", "disk-2.3", "--t-final", "1", "--rule", "left-first"]
+    flag, both = tmp_path / "flag", tmp_path / "both"
+    assert run_cli(base + ["--output-dir", str(flag)]) == EXIT_OK
+    assert run_cli(base + other[setting] + ["--output-dir", str(both)]) == EXIT_OK
+    assert (both / "trajectory.csv").read_bytes() == (flag / "trajectory.csv").read_bytes()
 
 
 def test_compare_contact_vs_itself_zero_columns(tmp_path):

@@ -11,15 +11,15 @@ from nhcontact.contact import (
     DenominatorSingular,
     StepStats,
     contact_residual,
-    contact_step,
     contact_window_terms,
     initialize_window,
     project_velocity,
     run_contact,
+    solve_step,
     solve_z_update,
     step_jacobian,
 )
-from nhcontact.dalembert import _seed_window, la_residual, run_la
+from nhcontact.dalembert import la_residual, run_la
 from nhcontact.experiments import (
     DISK_RULE,
     _disk_params,
@@ -176,6 +176,13 @@ def test_hoisted_residual_bit_identical_to_unhoisted(name, position, z_rule):
                 expected = oracle(oracle_system, rule, window, unknowns)
                 assert hoisted.dtype == expected.dtype == unknowns.dtype
                 assert hoisted.tobytes() == expected.tobytes()
+
+
+def contact_step(system, rule, window, lam, carry, solver, start=None):
+    """One contact step, the residual looked up when called, so a counting
+    wrapper set on ``nhcontact.contact.contact_residual`` sees it."""
+    return solve_step(system, rule, window, nhcontact.contact.contact_residual, True, lam,
+                      carry, solver, start)
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES, ids=["pendulum-trap-first", "disk-mid-second"])
@@ -535,14 +542,14 @@ def test_coarse_disk_runs_keep_linear_start_termination(eid, h, failure_step):
 
 def test_quadratic_start_falls_back_on_linear_start():
     # a quadratic start whose Newton fails is solved again from the linear
-    # one with the factors the step began with: the solve without ``prior``
+    # one with the factors the step began with: the solve without ``start``
     system, rule, q = pendulum_case()
     window = initialize_window(system, rule, q, np.zeros(system.dim_q))
     lam = np.zeros(system.dim_c)
     # a NaN start makes Newton raise at its first residual
-    prior = (np.full(system.dim_q, np.nan), window.z_prev, lam)
+    start = [np.nan] * (system.dim_q + 1 + system.dim_c)
     plain = contact_step(system, rule, window, lam, None, NewtonConfig())
-    retried = contact_step(system, rule, window, lam, None, NewtonConfig(), prior)
+    retried = contact_step(system, rule, window, lam, None, NewtonConfig(), start)
     q, z, multipliers, carry, iterations = retried
     assert np.array_equal(q, plain[0]) and z == plain[1]
     assert np.array_equal(multipliers, plain[2]) and iterations == plain[4] >= 1
@@ -571,7 +578,7 @@ def _jacobian_case(case, rule):
         build = build_la_system if case == "foucault-la" else build_contact_system
         system, q0, v0 = build(spec), spec.q0, spec.v0
     if case == "foucault-la":
-        window = _seed_window(system, rule, q0, v0)
+        window = initialize_window(system, rule, q0, v0, with_z=False)
         residual, z = la_residual, []
     else:
         window = initialize_window(system, rule, q0, v0)

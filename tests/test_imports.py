@@ -21,3 +21,15 @@ def test_module_reads_every_import(module):
     read = {n.id for n in ast.walk(tree)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert [name for name in bound if name not in read] == []
+
+
+def test_package_all_lists_exactly_the_imported_names():
+    # a stale entry breaks ``from nhcontact import *``; a missing one hides a name
+    import nhcontact
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for a in node.names]
+    assert sorted(nhcontact.__all__) == sorted(imported)
+    assert len(set(nhcontact.__all__)) == len(nhcontact.__all__)
