@@ -14,17 +14,26 @@ multiplier columns, and under the first-order z rule the z column, in
 closed form, every other column a complex step) when the system registers
 Lagrangian gradients, else with finite differences.
 
+Each residual evaluation is one pass.  The window builds, once per step,
+the :func:`~nhcontact.model.step_evaluator` of its forward steps, which
+settles the position rule, z rule and gradient choices; each evaluation
+then takes the partials, ``L_d`` and the constraint rows from one call of
+it, which builds the difference velocity and the evaluation point once and
+calls each system callable once per point it samples.
+
 The residual runs on Python numbers.  At four to eight unknowns numpy's
 per-call overhead on 2- and 5-vectors and on numpy scalars costs more than
-the arithmetic, so :func:`contact_residual` takes the partials, ``L_d`` and
-constraint rows from :mod:`nhcontact.model` as Python numbers and returns
-a list, which Newton takes as it is.  Each operation rounds as numpy's
-elementwise one on the same values: a list divided by a real number goes
-through :func:`~nhcontact.model.divide`, which copies numpy's division
-(for complex numbers, the product with the reciprocal).  The products with
-the constraint matrix, ``A(q_j)^T lambda`` and ``A(q_d) v``, stay numpy's
-dot, a fused multiply-add chain whose rounding a Python sum does not
-match.  So every trajectory is bit for bit the one of numpy arithmetic.
+the arithmetic, so the evaluator returns Python numbers and
+:func:`contact_residual` a list, which Newton takes as it is.  Each
+operation rounds as numpy's elementwise one on the same values: a list
+divided by a real number goes through :func:`~nhcontact.model.divide`,
+which copies numpy's division (for complex numbers, the product with the
+reciprocal).  The products with the constraint matrix, ``A(q_j)^T lambda``
+and ``A(q_d) v``, stay numpy's dot, a fused multiply-add chain whose
+rounding a Python sum does not match.  So every trajectory is bit for bit
+the one of numpy arithmetic.  The complex-step columns of
+:func:`step_jacobian` share one complex vector and read the imaginary parts
+of the returned lists, bit for bit the column-by-column numpy loop.
 
 Newton starts from one of two predictions.  The linear start, which
 :func:`solve_step` builds, extrapolates q linearly, advances z by the
@@ -56,9 +65,8 @@ only in its residual and in having no z unknown.  :func:`run_steps` and
 :func:`solve_step` take both as arguments: the residual, and ``with_z``,
 whether z is an unknown or stays at zero.  Everything else is shared: the
 seed :func:`initialize_window`, the window terms
-:func:`contact_window_terms`, the multiplier and constraint rows
-:func:`constraint_rows`, the step solve with its Jacobian
-:func:`step_jacobian`, and the trajectory driver.
+:func:`contact_window_terms` with their forward evaluator, the step solve
+with its Jacobian :func:`step_jacobian`, and the trajectory driver.
 """
 
 from __future__ import annotations
@@ -69,22 +77,22 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .model import (
+    COMPLEX_STEP,
     Array,
     ContactSystem,
     DiscretizationRule,
     EvaluationError,
-    PositionRule,
     StepState,
     Termination,
     Trajectory,
     ZRule,
-    complex_step,
     discrete_constraint,
     divide,
     evaluate_discrete_lagrangian,
     initial_acceleration,
     partials_of_Ld,
     project_velocity,
+    step_evaluator,
 )
 from .newton import (
     LUFactors,
@@ -125,14 +133,16 @@ def contact_window_terms(
     rule: DiscretizationRule,
     window: StepState,
     backward: Optional[StepCarry] = None,
+    with_z: bool = True,
 ):
     """Residual terms fixed by the window for the whole step:
-    ``(D2 L_d(bwd), 1 - h D4 L_d(bwd), A(q_j)^T, b)``.
+    ``(D2 L_d(bwd), 1 - h D4 L_d(bwd), A(q_j)^T, forward)``.
 
-    ``b = b(q_j)``, a list, when the discrete constraint samples ``A`` and
-    ``b`` at ``q_j`` too, so the step residual takes it as ``A(q_j) v + b``
-    without sampling them again, bit for bit; ``None`` under the midpoint
-    rule, which samples them at ``(q_j + q_{j+1})/2``.
+    ``forward`` is the :func:`~nhcontact.model.step_evaluator` of the
+    window's forward steps, from ``(t_j, q_j, z_j)``, z held at zero unless
+    ``with_z``, which also has it evaluate ``L_d``.  It returns the
+    discrete-constraint rows, taking ``A(q_j)`` from the window where the
+    rule samples the constraint at ``q_j``.
 
     ``backward`` is the carry of the step that produced the window, when
     its forward partials serve as the window's backward ones
@@ -153,38 +163,10 @@ def contact_window_terms(
         raise DenominatorSingular(
             f"1 - h*D4 = {denom:.3e} at t={w.t_curr}: implicit z-coupling degenerate"
         )
-    a_t = system.constraint_matrix(w.q_curr).T
-    if rule.position_rule is PositionRule.MIDPOINT:
-        return d2b, denom, a_t, None
-    return d2b, denom, a_t, system.constraint_offset(w.q_curr).tolist()
-
-
-def constraint_rows(
-    system: ContactSystem,
-    rule: DiscretizationRule,
-    window: StepState,
-    terms,
-    unknowns: Array,
-    q_next: Array,
-    v: Array,
-):
-    """The rows either step residual shares at a candidate ``q_{j+1}`` with
-    velocity ``v``: ``(A(q_j)^T lambda, constraint rows)``, lists of Python
-    numbers, ``lambda`` the last ``m`` entries of ``unknowns``.
-
-    ``terms`` are the window's :func:`contact_window_terms`.  The constraint
-    rows are :func:`~nhcontact.model.discrete_constraint` under the midpoint
-    rule, else ``A(q_j) v + b(q_j)`` from the window's ``A(q_j)^T`` and
-    ``b``.  Both products stay numpy's dot.
-    """
-    m = system.dim_c
-    if not m:
-        # the momentum rows then subtract 0.0, and x - 0.0 is x, zero signs included
-        return [0.0] * system.dim_q, []
-    a_t, offset = terms[2], terms[3]
-    constraint = (discrete_constraint(system, rule, window.q_curr, q_next, v) if offset is None
-                  else [a + b for a, b in zip((a_t.T @ v).tolist(), offset)])
-    return (a_t @ unknowns[-m:]).tolist(), constraint
+    a = system.constraint_matrix(w.q_curr)
+    forward = step_evaluator(system, rule, w.t_curr, w.q_curr, w.z_curr if with_z else 0.0,
+                             with_z, a)
+    return d2b, denom, a.T, forward
 
 
 def contact_residual(
@@ -198,9 +180,10 @@ def contact_residual(
     """Stacked residual at a candidate ``(q_{j+1}, z_{j+1}, lambda)``, a
     list of Python numbers.
 
-    ``terms`` are the window's :func:`contact_window_terms`.  A list
-    ``keep`` is set to the forward by-products ``[D2 L_d, D4 L_d, L_d,
-    constraint rows]`` of this evaluation, the fields of a
+    ``terms`` are the window's :func:`contact_window_terms`, whose forward
+    evaluator gives the partials, ``L_d`` and constraint rows in one pass.
+    A list ``keep`` is set to the forward by-products ``[D2 L_d, D4 L_d,
+    L_d, constraint rows]`` of this evaluation, the fields of a
     :class:`StepCarry` after ``t``.
 
     The rows combine the partials on Python numbers, each operation rounded
@@ -209,25 +192,18 @@ def contact_residual(
     products with the constraint matrix stay numpy's dot, whose rounding a
     Python sum does not match.
     """
-    w = window
     n, h = system.dim_q, rule.h
-    q_next = unknowns[:n]
-    z_next = unknowns.tolist()[n]
-    d2b, denom, *_ = terms
-    v = (q_next - w.q_curr) / h
-
-    d1f, d2f, d3f, d4f = partials_of_Ld(system, rule, w.t_curr, w.q_curr, q_next,
-                                        w.z_curr, z_next, v)
+    z_next = unknowns[n].item()
+    d2b, denom, a_t, forward = terms
+    _, _, d1f, d2f, d3f, d4f, ld_fwd, constraint = forward(unknowns[:n], z_next)
+    # without multipliers the rows subtract 0.0, and x - 0.0 is x, zero signs included
+    lam_rows = (a_t @ unknowns[n + 1:]).tolist() if system.dim_c else [0.0] * n
     factor = 1.0 + h * d3f
-    ld_fwd = evaluate_discrete_lagrangian(
-        system, rule, w.t_curr, w.q_curr, q_next, w.z_curr, z_next, v
-    )
-    lam_rows, constraint = constraint_rows(system, rule, window, terms, unknowns, q_next, v)
     momentum = [a + b - c for a, b, c in
                 zip(d1f, divide([b * factor for b in d2b], denom), lam_rows)]
     if keep is not None:
         keep[:] = d2f, d4f, ld_fwd, constraint
-    return momentum + [z_next - w.z_curr - h * ld_fwd] + constraint
+    return momentum + [z_next - window.z_curr - h * ld_fwd] + constraint
 
 
 def step_jacobian(
@@ -245,22 +221,27 @@ def step_jacobian(
     z unknown, the one after the ``n`` configurations when ``x`` has
     ``n + 1 + m`` entries, enters under the first-order z rule only its own
     row, as ``z_{j+1}``: its column is then the unit vector ``e_n``.  Every
-    other column is a complex step of ``residual``
+    other column ``i`` is a complex step of ``residual``, the imaginary
+    parts of ``residual(x + i 1e-200 e_i)`` over 1e-200
     (:func:`~nhcontact.model.complex_step`), so the system's callables must
-    be complex-safe (:class:`~nhcontact.model.ContactSystem`).
+    be complex-safe (:class:`~nhcontact.model.ContactSystem`).  One complex
+    vector serves every column: ``x + 0j``, whose real parts are ``x + 0.0``
+    as ``x + i 1e-200 e_i`` rounds them, its imaginary part set to 1e-200
+    at ``i`` for column ``i`` only.
     """
     k = len(x)
     n, m = a_t.shape
     jac = np.zeros((k, k))
-    direction = np.zeros(k)
     z_unit = k == n + 1 + m and rule.z_rule is ZRule.FIRST_ORDER
+    probe = x + 0j
+    imag = probe.imag
     for i in range(k - m):
         if z_unit and i == n:
             jac[n, n] = 1.0
             continue
-        direction[i] = 1.0
-        jac[:, i] = complex_step(residual, x, direction)
-        direction[i] = 0.0
+        imag[i] = COMPLEX_STEP
+        jac[:, i] = [r.imag / COMPLEX_STEP for r in residual(probe)]
+        imag[i] = 0.0
     jac[:n, k - m:] = -a_t
     return jac
 
@@ -331,7 +312,7 @@ def solve_step(
     w = window
     n, h = system.dim_q, rule.h
     backward = carry if carry is not None and carry.t == w.t_curr - h else None
-    terms = contact_window_terms(system, rule, w, backward)
+    terms = contact_window_terms(system, rule, w, backward, with_z)
     factors = None if carry is None else carry.factors
     # newton_solve returns right after evaluating the residual at the
     # solution, so ``keep`` ends with that real evaluation's by-products

@@ -5,6 +5,15 @@ A contact-type Lagrangian ``L(t, q, qdot, z)`` depends on the accumulated
 action ``z`` in addition to the usual state, which lets dissipation enter the
 dynamics intrinsically.  Velocity-level constraints are kept in affine form
 ``A(q) qdot + b(q) = 0``; ``b == 0`` recovers the purely linear case.
+
+The discrete Lagrangian of one step is evaluated here.  The step residuals
+call :func:`step_evaluator`: made once per step from the step's start, it
+returns the partials ``D1``-``D4``, ``L_d`` and the discrete-constraint rows
+at a candidate end point in one pass, building the difference velocity and
+the evaluation point once.  :func:`partials_of_Ld` is its partials alone;
+:func:`evaluate_discrete_lagrangian` and :func:`discrete_constraint` are
+the single-value forms that the seed, the finite-difference partials and
+the diagnostics use.
 """
 
 from __future__ import annotations
@@ -254,14 +263,11 @@ def evaluate_discrete_lagrangian(
     q_next: Array,
     z: float,
     z_next: float,
-    v: Optional[Array] = None,
 ) -> float:
     """Discrete Lagrangian ``L_d(q, q', z, z')`` over one step starting at
-    ``t``; complex when an argument is (see :func:`complex_step`).  ``v`` is
-    the step's difference velocity ``(q' - q)/h`` when the caller has it."""
+    ``t``; complex when an argument is (see :func:`complex_step`)."""
     h = rule.h
-    if v is None:
-        v = (q_next - q) / h
+    v = (q_next - q) / h
     z_d = _z_discrete(rule, z, z_next)
     pos = rule.position_rule
     if pos is PositionRule.LEFT_ENDPOINT:
@@ -273,12 +279,16 @@ def evaluate_discrete_lagrangian(
             system.lagrangian(t, q, v, z_d)
             + system.lagrangian(t + h, q_next, v, z_d)
         )
+    _check_finite(val, t, q, q_next, z, z_next)
+    return val
+
+
+def _check_finite(val, t, q, q_next, z, z_next) -> None:
     if not math.isfinite(val.real):
         raise EvaluationError(
             f"non-finite discrete Lagrangian at t={t}, q={q}, q_next={q_next}, "
             f"z={z}, z_next={z_next}"
         )
-    return val
 
 
 def divide(values: list, d: float) -> list:
@@ -299,39 +309,6 @@ def divide(values: list, d: float) -> list:
     return [v / d for v in values]
 
 
-def _partials_analytic(system, rule, t, q, q_next, z, z_next, v):
-    h = rule.h
-    if v is None:
-        v = (q_next - q) / h
-    z_d = _z_discrete(rule, z, z_next)
-    pos = rule.position_rule
-    gradients = system.lagrangian_gradients
-    # numpy divides the gradient arrays themselves; complex, that is cheaper
-    # than divide's component-wise Python arithmetic
-    if pos is PositionRule.LEFT_ENDPOINT:
-        gq, gv, gz = gradients(t, q, v, z_d)
-        d2 = (gv / h).tolist()
-        d1 = [a - b for a, b in zip(gq.tolist(), d2)]
-    elif pos is PositionRule.MIDPOINT:
-        gq, gv, gz = gradients(t + 0.5 * h, 0.5 * (q + q_next), v, z_d)
-        gv_h = (gv / h).tolist()
-        half = [0.5 * a for a in gq.tolist()]
-        d1 = [a - b for a, b in zip(half, gv_h)]
-        d2 = [a + b for a, b in zip(half, gv_h)]
-    else:  # TRAPEZOIDAL
-        gq0, gv0, gz0 = gradients(t, q, v, z_d)
-        gq1, gv1, gz1 = gradients(t + h, q_next, v, z_d)
-        gv_h = divide([0.5 * (a + b) for a, b in zip(gv0.tolist(), gv1.tolist())], h)
-        d1 = [0.5 * a - b for a, b in zip(gq0.tolist(), gv_h)]
-        d2 = [0.5 * a + b for a, b in zip(gq1.tolist(), gv_h)]
-        gz = 0.5 * (gz0 + gz1)
-    if rule.z_rule is ZRule.FIRST_ORDER:
-        d3, d4 = gz, 0.0
-    else:
-        d3 = d4 = 0.5 * gz
-    return d1, d2, d3, d4
-
-
 def _partials_fd(system, rule, t, q, q_next, z, z_next):
     def ld(qa, qb, za, zb):
         return evaluate_discrete_lagrangian(system, rule, t, qa, qb, za, zb)
@@ -346,6 +323,98 @@ def _partials_fd(system, rule, t, q, q_next, z, z_next):
     return d1, d2, d3, d4
 
 
+def step_evaluator(
+    system: ContactSystem,
+    rule: DiscretizationRule,
+    t: float,
+    q: Array,
+    z: float,
+    with_ld: bool = True,
+    a_q: Optional[Array] = None,
+) -> Callable:
+    """The discrete Lagrangian of the steps from ``(t, q, z)``, as a function
+    ``evaluate(q_next, z_next)`` that returns, in one pass,
+    ``(v, q_d, D1, D2, D3, D4, L_d, constraint)``.
+
+    ``v = (q_next - q)/h`` is the difference velocity and ``q_d`` the
+    constraint evaluation point (:func:`constraint_evaluation_point`), each
+    built once per evaluation.  ``D1`` and ``D2`` are lists of Python
+    numbers, from the system's analytic gradients by the chain rule, or
+    central finite differences when it registers none.  ``L_d`` is
+    evaluated only ``with_ld``, else ``None``; a non-finite one raises
+    :class:`EvaluationError`.  ``constraint`` is given ``a_q = A(q)``:
+    the discrete-constraint rows ``A(q_d) v + b(q_d)``, a list (``[]``
+    without constraints), taking ``A`` from ``a_q`` where ``q_d`` is ``q``;
+    else ``None``.  The partials are not checked for finiteness here: Newton
+    checks every residual and Jacobian it is given
+    (:func:`nhcontact.newton.newton_solve`).
+
+    Each system callable is called once per point it is sampled at, the
+    Lagrangian after its gradients.  The rule, the z rule and whether
+    gradients are registered are read here, once for all the evaluations,
+    which only test the resulting flags.  The partials
+    combine the gradients on Python numbers, each operation rounded as
+    numpy's on the same gradient arrays, so they are bit for bit numpy's
+    array arithmetic; ``A v`` stays numpy's dot.
+    """
+    h = rule.h
+    mid = rule.position_rule is PositionRule.MIDPOINT
+    trap = rule.position_rule is PositionRule.TRAPEZOIDAL
+    first = rule.z_rule is ZRule.FIRST_ORDER
+    gradients, lagrangian = system.lagrangian_gradients, system.lagrangian
+    t_d = t + 0.5 * h if mid else t  # where L is sampled, but for the trapezoid's right end
+    t_next = t + h
+    rows = a_q is not None and system.dim_c > 0
+    matrix, offset = system.constraint_matrix, system.constraint_offset
+    offset_q = offset(q).tolist() if rows and not mid else None
+
+    def evaluate(q_next, z_next):
+        v = (q_next - q) / h
+        q_d = 0.5 * (q + q_next) if mid else q
+        z_d = z if first else 0.5 * (z + z_next)
+        if gradients is None:
+            d1, d2, d3, d4 = _partials_fd(system, rule, t, q, q_next, z, z_next)
+        else:
+            if trap:
+                gq0, gv0, gz0 = gradients(t, q, v, z_d)
+                gq1, gv1, gz1 = gradients(t_next, q_next, v, z_d)
+                gv_h = divide([0.5 * (x + y) for x, y in zip(gv0.tolist(), gv1.tolist())], h)
+                d1 = [0.5 * x - y for x, y in zip(gq0.tolist(), gv_h)]
+                d2 = [0.5 * x + y for x, y in zip(gq1.tolist(), gv_h)]
+                gz = 0.5 * (gz0 + gz1)
+            else:
+                gq, gv, gz = gradients(t_d, q_d, v, z_d)
+                # numpy divides the gradient array itself; complex, that is
+                # cheaper than divide's component-wise Python arithmetic
+                gv_h = (gv / h).tolist()
+                if mid:
+                    half = [0.5 * x for x in gq.tolist()]
+                    d1 = [x - y for x, y in zip(half, gv_h)]
+                    d2 = [x + y for x, y in zip(half, gv_h)]
+                else:
+                    d1 = [x - y for x, y in zip(gq.tolist(), gv_h)]
+                    d2 = gv_h
+            if first:
+                d3, d4 = gz, 0.0
+            else:
+                d3 = d4 = 0.5 * gz
+        ld = constraint = None
+        if with_ld:
+            if trap:
+                ld = 0.5 * (lagrangian(t, q, v, z_d) + lagrangian(t_next, q_next, v, z_d))
+            else:
+                ld = lagrangian(t_d, q_d, v, z_d)
+            _check_finite(ld, t, q, q_next, z, z_next)
+        if rows:
+            constraint = ((matrix(q_d) @ v + offset(q_d)).tolist() if mid
+                          else [x + y for x, y in zip((a_q @ v).tolist(), offset_q)])
+        elif a_q is not None:
+            constraint = []
+        return v, q_d, d1, d2, d3, d4, ld, constraint
+
+    return evaluate
+
+
 def partials_of_Ld(
     system: ContactSystem,
     rule: DiscretizationRule,
@@ -354,24 +423,13 @@ def partials_of_Ld(
     q_next: Array,
     z: float,
     z_next: float,
-    v: Optional[Array] = None,
 ):
     """Partial derivatives ``(D1, D2, D3, D4)`` of the discrete Lagrangian
     with respect to its two configuration and two z arguments; ``D1`` and
-    ``D2`` are lists of Python numbers.
-
-    Uses the system's registered analytic gradients when available, otherwise
-    central finite differences on :func:`evaluate_discrete_lagrangian`.  The
-    analytic partials combine the gradients on Python numbers, each
-    operation rounded as numpy's on the same gradient arrays, so they are
-    bit for bit numpy's array arithmetic.
-    ``v`` is as for :func:`evaluate_discrete_lagrangian`.  The
-    partials are not checked for finiteness here: Newton checks every
-    residual and Jacobian it is given (:func:`nhcontact.newton.newton_solve`).
+    ``D2`` are lists of Python numbers.  They are :func:`step_evaluator`'s,
+    analytic when the system registers gradients, else finite differences.
     """
-    if system.lagrangian_gradients is not None:
-        return _partials_analytic(system, rule, t, q, q_next, z, z_next, v)
-    return _partials_fd(system, rule, t, q, q_next, z, z_next)
+    return step_evaluator(system, rule, t, q, z, with_ld=False)(q_next, z_next)[2:6]
 
 
 def lagrangian_gradients_or_fd(
@@ -463,15 +521,12 @@ def discrete_constraint(
     rule: DiscretizationRule,
     q: Array,
     q_next: Array,
-    v: Optional[Array] = None,
 ) -> list:
     """Discrete constraint residual ``A(q_d) qdot_d + b(q_d)``, a list of
-    Python numbers; ``v`` is as for :func:`evaluate_discrete_lagrangian`.
-    The product stays numpy's dot, whose rounding a Python sum does not
-    match."""
+    Python numbers.  The product stays numpy's dot, whose rounding a Python
+    sum does not match."""
     q_d = constraint_evaluation_point(rule, q, q_next)
-    if v is None:
-        v = (q_next - q) / rule.h
+    v = (q_next - q) / rule.h
     return (system.constraint_matrix(q_d) @ v + system.constraint_offset(q_d)).tolist()
 
 

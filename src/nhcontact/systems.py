@@ -7,9 +7,10 @@ analytic Lagrangian gradients.
 
 The Foucault and disk callables compute on Python numbers: one ``tolist()``
 per argument, then ``math``, or ``cmath`` for the complex arguments of a
-complex step (:func:`_sin`, :func:`_cos`, :func:`_square`).  At two to five
-coordinates numpy's per-call overhead on small arrays and numpy scalars
-costs more than the arithmetic.  Each operation rounds as numpy's scalar one
+complex step.  Each call picks its sine, cosine and squaring rule once per
+argument type (:func:`_trig`, :func:`_square_rule`), not once per
+operation.  At two to five coordinates numpy's per-call overhead on small
+arrays and numpy scalars costs more than the arithmetic.  Each operation rounds as numpy's scalar one
 on the same values, so the callables return bit for bit what numpy
 arithmetic would; the disk's ``F(t) . q`` stays numpy's dot, whose rounding
 a Python sum does not match.  They return numpy arrays, as the
@@ -37,19 +38,26 @@ def _zeros5(t: float) -> Array:
     return np.zeros(5)
 
 
-def _sin(x):
-    return cmath.sin(x) if isinstance(x, complex) else math.sin(x)
+def _trig(x):
+    """``(sin, cos)`` for numbers of ``x``'s type: :mod:`cmath`'s for a
+    complex (:mod:`math` rejects one), else :mod:`math`'s."""
+    return (cmath.sin, cmath.cos) if isinstance(x, complex) else (math.sin, math.cos)
 
 
-def _cos(x):
-    return cmath.cos(x) if isinstance(x, complex) else math.cos(x)
+def _pow2(x):
+    return x ** 2
 
 
-def _square(x):
-    """``x ** 2`` rounded as numpy squares a scalar of ``x``'s type: ``pow``
-    for a float, one complex product for a complex.  Python's complex power
-    multiplies by one more, which rounds zero signs otherwise."""
-    return x * x if isinstance(x, complex) else x ** 2
+def _mul2(x):
+    return x * x
+
+
+def _square_rule(x):
+    """The square of numbers of ``x``'s type, rounded as numpy squares a
+    scalar of that type: ``pow`` for a float, one complex product for a
+    complex.  Python's complex power multiplies by one more, which rounds
+    zero signs otherwise."""
+    return _mul2 if isinstance(x, complex) else _pow2
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +128,9 @@ def foucault_system(params: FoucaultParams, formulation: str = "herglotz") -> Co
     def lagrangian(t, q, qdot, z):
         x, y = q.tolist()
         vx, vy = qdot.tolist()
-        value = 0.5 * m * (_square(vx) + _square(vy)) \
-            - 0.5 * k_spring * (_square(x) + _square(y))
+        square_q, square_v = _square_rule(x), _square_rule(vx)
+        value = 0.5 * m * (square_v(vx) + square_v(vy)) \
+            - 0.5 * k_spring * (square_q(x) + square_q(y))
         if herglotz:
             value -= alpha * z
         return value
@@ -140,7 +149,8 @@ def foucault_system(params: FoucaultParams, formulation: str = "herglotz") -> Co
 
     def constraint_offset(q):
         x, y = q.tolist()
-        return np.array([omega_v * (_square(x) + _square(y))])
+        square = _square_rule(x)
+        return np.array([omega_v * (square(x) + square(y))])
 
     # "herglotz" keeps the default zero external force
     force = {} if herglotz else {"external_force": lambda t, q, qdot: -alpha * m * qdot}
@@ -148,8 +158,9 @@ def foucault_system(params: FoucaultParams, formulation: str = "herglotz") -> Co
     def energy(q, qdot):
         x, y = q.tolist()
         vx, vy = qdot.tolist()
-        return 0.5 * m * (_square(vx) + _square(vy)) \
-            + 0.5 * k_spring * (_square(x) + _square(y))
+        square_q, square_v = _square_rule(x), _square_rule(vx)
+        return 0.5 * m * (square_v(vx) + square_v(vy)) \
+            + 0.5 * k_spring * (square_q(x) + square_q(y))
 
     return ContactSystem(
         dim_q=2,
@@ -229,14 +240,17 @@ def _kinetic_energy(params: DiskParams, s, c, qdot: list):
     m, R, I_A, I_T = params.m, params.R, params.I_A, params.I_T
     dX, dY, dtheta, dphi, dpsi = qdot
     spin = dpsi - dphi * s
+    square_q, square_v, square_spin = _square_rule(s), _square_rule(dX), _square_rule(spin)
     return (
-        0.5 * m * (_square(dX) + _square(dY) + R ** 2 * _square(s) * _square(dtheta))
-        + 0.5 * (I_A * _square(spin) + I_T * (_square(dtheta) + _square(dphi) * _square(c)))
+        0.5 * m * (square_v(dX) + square_v(dY) + R ** 2 * square_q(s) * square_v(dtheta))
+        + 0.5 * (I_A * square_spin(spin)
+                 + I_T * (square_v(dtheta) + square_v(dphi) * square_q(c)))
     )
 
 
 def disk_kinetic_energy(params: DiskParams, q: Array, qdot: Array) -> float:
-    return _kinetic_energy(params, _sin(q[2]), _cos(q[2]), list(qdot))
+    sin, cos = _trig(q[2])
+    return _kinetic_energy(params, sin(q[2]), cos(q[2]), list(qdot))
 
 
 def disk_system(params: DiskParams) -> ContactSystem:
@@ -251,9 +265,10 @@ def disk_system(params: DiskParams) -> ContactSystem:
 
     def lagrangian(t, q, qdot, z):
         theta = q[2].item()
-        c = _cos(theta)
+        sin, cos = _trig(theta)
+        c = cos(theta)
         return (
-            _kinetic_energy(params, _sin(theta), c, qdot.tolist())
+            _kinetic_energy(params, sin(theta), c, qdot.tolist())
             - m * g * R * c
             - alpha * z
             + (forcing(t) @ q).item()
@@ -262,31 +277,34 @@ def disk_system(params: DiskParams) -> ContactSystem:
     def gradients(t, q, qdot, z):
         theta = q[2].item()
         dX, dY, dtheta, dphi, dpsi = qdot.tolist()
-        s = _sin(theta)
-        c = _cos(theta)
+        sin, cos = _trig(theta)
+        square_q, square_v = _square_rule(theta), _square_rule(dX)
+        s = sin(theta)
+        c = cos(theta)
         spin = dpsi - dphi * s
         # F(t) + 0, complex when q or qdot is, as numpy's F + zeros_like(q + qdot)
         zero = 0j if isinstance(theta, complex) or isinstance(dX, complex) else 0.0
         gq = [f + zero for f in forcing(t).tolist()]
         gq[2] += (
-            m * R ** 2 * s * c * _square(dtheta)
+            m * R ** 2 * s * c * square_v(dtheta)
             - I_A * spin * dphi * c
-            - I_T * _square(dphi) * c * s
+            - I_T * square_v(dphi) * c * s
             + m * g * R * s
         )
         gv = [
             m * dX,
             m * dY,
-            (m * R ** 2 * _square(s) + I_T) * dtheta,
-            -I_A * spin * s + I_T * dphi * _square(c),
+            (m * R ** 2 * square_q(s) + I_T) * dtheta,
+            -I_A * spin * s + I_T * dphi * square_q(c),
             I_A * spin,
         ]
         return np.array(gq), np.array(gv), -alpha
 
     def constraint_matrix(q):
         _, _, theta, phi, _ = q.tolist()
-        st, ct = _sin(theta), _cos(theta)
-        sp, cp = _sin(phi), _cos(phi)
+        sin, cos = _trig(theta)
+        st, ct = sin(theta), cos(theta)
+        sp, cp = sin(phi), cos(phi)
         return np.array([
             [1.0, 0.0, R * ct * sp, R * st * cp, -R * cp],
             [0.0, 1.0, -R * ct * cp, R * st * sp, -R * sp],
@@ -294,8 +312,9 @@ def disk_system(params: DiskParams) -> ContactSystem:
 
     def energy(q, qdot):
         theta = q[2].item()
-        c = _cos(theta)
-        return _kinetic_energy(params, _sin(theta), c, qdot.tolist()) + m * g * R * c
+        sin, cos = _trig(theta)
+        c = cos(theta)
+        return _kinetic_energy(params, sin(theta), c, qdot.tolist()) + m * g * R * c
 
     return ContactSystem(
         dim_q=5,

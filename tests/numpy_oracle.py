@@ -4,10 +4,12 @@ callables: the tests' oracles for the Python-number kernel.
 ``nhcontact`` computes the step residuals, the analytic discrete-Lagrangian
 partials, the discrete constraint and the Foucault and disk callables on
 Python numbers, rounding each operation as numpy's array and scalar
-arithmetic does.  The functions here do the same work on numpy arrays and
-scalars; the tests require the package's results to equal theirs bit for
-bit, zero signs included, on real arguments and on the complex-step probes
-of the exact step Jacobian.
+arithmetic does, and builds the exact step Jacobian's complex-step columns
+from one complex vector and the imaginary parts of each returned list.  The
+functions here do the same work on numpy arrays and scalars, a fresh probe
+vector per column; the tests require the package's results to equal theirs
+bit for bit, zero signs included, on real arguments and on the
+complex-step probes of the exact step Jacobian.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from nhcontact.model import (
+    COMPLEX_STEP,
     Array,
     ContactSystem,
     DiscretizationRule,
@@ -166,6 +169,27 @@ def la_residual(system, rule, window, unknowns) -> Array:
     if m:
         out[n:] = discrete_constraint(system, rule, w.q_curr, q_next)
     return out
+
+
+def step_jacobian(residual, x, a_t, rule) -> Array:
+    """Exact step Jacobian, column by column with numpy: the multiplier
+    columns ``-a_t``, under the first-order z rule the z column ``e_n``,
+    and every other column ``i`` the complex step
+    ``np.imag(residual(x + 1j * 1e-200 * e_i)) / 1e-200``."""
+    k = len(x)
+    n, m = a_t.shape
+    jac = np.zeros((k, k))
+    direction = np.zeros(k)
+    z_unit = k == n + 1 + m and rule.z_rule is ZRule.FIRST_ORDER
+    for i in range(k - m):
+        if z_unit and i == n:
+            jac[n, n] = 1.0
+            continue
+        direction[i] = 1.0
+        jac[:, i] = np.imag(residual(x + 1j * COMPLEX_STEP * direction)) / COMPLEX_STEP
+        direction[i] = 0.0
+    jac[:n, k - m:] = -a_t
+    return jac
 
 
 # ---------------------------------------------------------------------------

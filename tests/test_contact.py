@@ -40,6 +40,7 @@ from nhcontact.model import (
     complex_step,
     evaluate_discrete_lagrangian,
     partials_of_Ld,
+    step_evaluator,
 )
 from nhcontact.newton import NewtonConfig
 from nhcontact.systems import (
@@ -153,7 +154,8 @@ def test_hoisted_residual_bit_identical_to_unhoisted(name, position, z_rule):
     # the Python-number residual and callables against numpy's, recomputing
     # the window terms per call: on real unknowns and, with analytic
     # gradients, on every complex-step probe of the exact Jacobian, zero
-    # signs included
+    # signs included; and the step Jacobian against numpy's column loop on
+    # the numpy residual
     residual, system, oracle, oracle_system, q, h = _oracle_case(name)
     rule = DiscretizationRule(position, z_rule, h)
     with_z = residual is contact_residual
@@ -176,6 +178,66 @@ def test_hoisted_residual_bit_identical_to_unhoisted(name, position, z_rule):
                 expected = oracle(oracle_system, rule, window, unknowns)
                 assert hoisted.dtype == expected.dtype == unknowns.dtype
                 assert hoisted.tobytes() == expected.tobytes()
+            if probes:
+                jac = step_jacobian(lambda u: residual(system, rule, window, terms, u),
+                                    x, terms[2], rule)
+                expected = numpy_oracle.step_jacobian(
+                    lambda u: oracle(oracle_system, rule, window, u), x, terms[2], rule)
+                assert jac.tobytes() == expected.tobytes()
+
+
+def test_step_jacobian_bit_identical_to_column_loop():
+    # real parts of the probes: -0.0 entries of x enter as +0.0, as in
+    # x + 1j * 1e-200 * e_i, which log's branch cut tells apart (an imaginary
+    # part pi instead of 0); exp overflows and 1/0 make non-finite columns
+    x = np.array([-0.0, 0.5, 0.0, -0.0, 2.0])
+    a_t = np.array([[1.0], [-0.0], [3.0], [0.5]])
+
+    def residual(u):
+        return np.array([np.log(u[0]) + u[1], np.exp(800.0 * u[1]) * u[3],
+                         1.0 / u[2] - u[0] * u[4], u[3] * u[1], -0.0 * u[2]])
+
+    rule = DiscretizationRule(PositionRule.MIDPOINT, ZRule.FIRST_ORDER, 0.1)
+    with np.errstate(all="ignore"):
+        jac = step_jacobian(residual, x, a_t, rule)
+        expected = numpy_oracle.step_jacobian(residual, x, a_t, rule)
+    assert not np.all(np.isfinite(jac))
+    assert jac.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("eid, counts, shared", [
+    # the midpoint point is built once and serves all three callables
+    ("disk-2.3", {"lagrangian_gradients": 1, "lagrangian": 1, "constraint_matrix": 1,
+                  "constraint_offset": 1}, True),
+    # the trapezoid samples L at both ends; the window supplies A(q_j), b(q_j)
+    ("foucault-1", {"lagrangian_gradients": 2, "lagrangian": 2}, False),
+], ids=["disk-2.3", "foucault-1"])
+def test_residual_calls_each_system_callable_once_per_point(eid, counts, shared):
+    spec = get_experiment(eid)
+    system = build_contact_system(spec)
+    calls = {}
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls.setdefault(name, []).append(args)
+            return f(*args)
+        return wrapped
+
+    system = replace(system, **{name: counting(name, getattr(system, name))
+                                for name in ("lagrangian_gradients", "lagrangian",
+                                             "constraint_matrix", "constraint_offset")})
+    window = initialize_window(system, spec.rule, spec.q0, spec.v0)
+    terms = contact_window_terms(system, spec.rule, window)
+    x = np.concatenate([2.0 * window.q_curr - window.q_prev, [window.z_curr],
+                        np.zeros(system.dim_c)])
+    for unknowns in (x, x + 1j * COMPLEX_STEP * np.eye(len(x))[0]):
+        calls.clear()
+        contact_residual(system, spec.rule, window, terms, unknowns)
+        assert {name: len(args) for name, args in calls.items()} == counts
+        if shared:
+            points = [args[1] for args in calls["lagrangian_gradients"] + calls["lagrangian"]]
+            points += [args[0] for args in calls["constraint_matrix"] + calls["constraint_offset"]]
+            assert all(point is points[0] for point in points)
 
 
 def contact_step(system, rule, window, lam, carry, solver, start=None):
@@ -185,22 +247,32 @@ def contact_step(system, rule, window, lam, carry, solver, start=None):
                       carry, solver, start)
 
 
-@pytest.mark.parametrize("case", KERNEL_CASES, ids=["pendulum-trap-first", "disk-mid-second"])
-def test_contact_step_computes_window_partials_once(case, monkeypatch):
-    system, rule, q = case()
-    calls = {"partials": 0, "residual": 0}
-
+def count_calls(monkeypatch, calls):
+    """Count into ``calls`` the step residuals and the partials evaluations
+    of the steps taken: the window's backward ``partials_of_Ld`` and each
+    evaluation of its forward ``step_evaluator``, the residual's."""
     def counting(name, f):
         def wrapped(*args):
             calls[name] += 1
             return f(*args)
         return wrapped
 
-    window = initialize_window(system, rule, q, np.zeros(system.dim_q))
+    def evaluator(*args):
+        return counting("partials", step_evaluator(*args))
+
     monkeypatch.setattr(nhcontact.contact, "partials_of_Ld",
                         counting("partials", partials_of_Ld))
+    monkeypatch.setattr(nhcontact.contact, "step_evaluator", evaluator)
     monkeypatch.setattr(nhcontact.contact, "contact_residual",
                         counting("residual", contact_residual))
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=["pendulum-trap-first", "disk-mid-second"])
+def test_contact_step_computes_window_partials_once(case, monkeypatch):
+    system, rule, q = case()
+    calls = {"partials": 0, "residual": 0}
+    window = initialize_window(system, rule, q, np.zeros(system.dim_q))
+    count_calls(monkeypatch, calls)
     _, _, _, _, iterations = contact_step(system, rule, window, np.zeros(system.dim_c),
                                           None, NewtonConfig())
     assert iterations >= 1
@@ -234,17 +306,7 @@ def test_carry_replaces_window_partials(case, shift_t, window_calls, monkeypatch
     if shift_t:
         carry = carry._replace(t=float(np.nextafter(carry.t, np.inf)))
     calls = {"partials": 0, "residual": 0}
-
-    def counting(name, f):
-        def wrapped(*args):
-            calls[name] += 1
-            return f(*args)
-        return wrapped
-
-    monkeypatch.setattr(nhcontact.contact, "partials_of_Ld",
-                        counting("partials", partials_of_Ld))
-    monkeypatch.setattr(nhcontact.contact, "contact_residual",
-                        counting("residual", contact_residual))
+    count_calls(monkeypatch, calls)
     result = contact_step(system, rule, second, first[2], carry, NewtonConfig())
     assert calls["residual"] >= 1
     assert calls["partials"] == calls["residual"] + window_calls
@@ -267,8 +329,12 @@ def test_window_terms_from_carry_equal_recomputed(position, z_rule):
         used += 1
         carried = contact_window_terms(system, rule, window, carry)
         recomputed = contact_window_terms(system, rule, window)
-        for a, b in zip(carried, recomputed):
-            assert (a is None and b is None) or np.array_equal(a, b)
+        for a, b in zip(carried[:3], recomputed[:3]):
+            assert np.array_equal(a, b)
+        # the forward evaluators are the window's, whatever the carry
+        q_next = 2.0 * window.q_curr - window.q_prev
+        for a, b in zip(carried[3](q_next, window.z_curr), recomputed[3](q_next, window.z_curr)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
         assert carry.ld == evaluate_discrete_lagrangian(
             system, rule, window.t_curr - rule.h, window.q_prev, window.q_curr,
             window.z_prev, window.z_curr)
@@ -281,19 +347,13 @@ def test_window_terms_from_carry_equal_recomputed(position, z_rule):
     (Integrator.LAGRANGE_DALEMBERT, 2.35),
 ], ids=["contact", "la"])
 def test_carry_cuts_partials_per_step(integrator, most, monkeypatch):
-    calls = []
-
-    def counting(*args):
-        calls.append(1)
-        return partials_of_Ld(*args)
-
-    monkeypatch.setattr(nhcontact.contact, "partials_of_Ld", counting)
-    monkeypatch.setattr(nhcontact.dalembert, "partials_of_Ld", counting)
+    calls = {"partials": 0, "residual": 0}
+    count_calls(monkeypatch, calls)
     stats = StepStats()
     traj = run_experiment(get_experiment("foucault-1", t_final=200.0, integrator=integrator),
                           stats=stats)
     assert traj.termination.completed and stats.steps == 3999
-    assert len(calls) / stats.steps <= most
+    assert calls["partials"] / stats.steps <= most
 
 
 def test_oscillator_against_analytic_solution():

@@ -3,8 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nhcontact.experiments import build_contact_system, get_experiment
-from nhcontact.model import ContactSystem, EvaluationError
+from nhcontact.experiments import (
+    _foucault_params,
+    build_contact_system,
+    get_experiment,
+    run_experiment,
+)
+from nhcontact.model import ContactSystem, EvaluationError, Integrator, project_velocity
 from nhcontact.newton import NewtonConfig
 from nhcontact.reference import (
     ConsistencyFailure,
@@ -14,7 +19,13 @@ from nhcontact.reference import (
     make_continuous_system,
     rkf45_integrate,
 )
-from nhcontact.systems import DiskParams, FoucaultParams, disk_system, foucault_system
+from nhcontact.systems import (
+    DiskParams,
+    FoucaultParams,
+    disk_system,
+    foucault_reference_ode,
+    foucault_system,
+)
 
 
 def test_rkf45_exponential_accuracy():
@@ -199,8 +210,6 @@ def test_make_continuous_system_requires_gradients():
 
 def test_dae_matches_rkf45_on_foucault():
     params = FoucaultParams(alpha=1e-3)
-    from nhcontact.systems import foucault_reference_ode
-
     system = make_continuous_system(foucault_system(params))
     q0, v0 = np.array([0.0, 0.67]), np.zeros(2)
     y0, ydot0 = consistent_init(system, q0, v0)
@@ -212,3 +221,24 @@ def test_dae_matches_rkf45_on_foucault():
     q_dae = dae.states[-1, :2]
     q_rk = rk.sample(np.array([5.0]))[0, :2]
     assert np.max(np.abs(q_dae - q_rk)) < 1e-4
+
+
+@pytest.mark.parametrize("integrator, measured", [
+    (Integrator.RKF45_REFERENCE, 4.3e-8),
+    (Integrator.IMPLICIT_DAE_REFERENCE, 5.7e-6),
+], ids=["rkf45", "bdf2"])
+def test_references_match_scipy_dop853(integrator, measured):
+    # an independent check of both reference solvers: scipy's 8th-order
+    # Dormand-Prince at 1e-12 on the eliminated pendulum ODE, 20 s of
+    # foucault-1 (|q| up to 0.67); the bound is twice the error measured
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    spec = get_experiment("foucault-1", t_final=20.0, integrator=integrator)
+    params = _foucault_params(spec)
+    traj = run_experiment(spec)
+    assert traj.termination.completed and len(traj.times) == 401
+    v0 = project_velocity(foucault_system(params), spec.q0, spec.v0)
+    exact = solve_ivp(foucault_reference_ode(params), (0.0, 20.0), np.concatenate([spec.q0, v0]),
+                      method="DOP853", rtol=1e-12, atol=1e-12, t_eval=traj.times)
+    assert exact.success
+    error = np.max(np.abs(traj.configurations - exact.y[:2].T))
+    assert error <= 2.0 * measured
