@@ -352,10 +352,10 @@ def step_evaluator(
     Each system callable is called once per point it is sampled at, the
     Lagrangian after its gradients.  The rule, the z rule and whether
     gradients are registered are read here, once for all the evaluations,
-    which only test the resulting flags.  The partials
-    combine the gradients on Python numbers, each operation rounded as
-    numpy's on the same gradient arrays, so they are bit for bit numpy's
-    array arithmetic; ``A v`` stays numpy's dot.
+    which only test the resulting flags.  The partials combine the
+    gradients on Python numbers, each operation rounded as numpy's on the
+    same gradient arrays, so they are bit for bit numpy's array arithmetic;
+    ``A v`` stays numpy's dot.
     """
     h = rule.h
     mid = rule.position_rule is PositionRule.MIDPOINT

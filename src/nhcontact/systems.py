@@ -10,11 +10,11 @@ per argument, then ``math``, or ``cmath`` for the complex arguments of a
 complex step.  Each call picks its sine, cosine and squaring rule once per
 argument type (:func:`_trig`, :func:`_square_rule`), not once per
 operation.  At two to five coordinates numpy's per-call overhead on small
-arrays and numpy scalars costs more than the arithmetic.  Each operation rounds as numpy's scalar one
-on the same values, so the callables return bit for bit what numpy
-arithmetic would; the disk's ``F(t) . q`` stays numpy's dot, whose rounding
-a Python sum does not match.  They return numpy arrays, as the
-:class:`~nhcontact.model.ContactSystem` contract asks.
+arrays and numpy scalars costs more than the arithmetic.  Each operation
+rounds as numpy's scalar one on the same values, so the callables return
+bit for bit what numpy arithmetic would; the disk's ``F(t) . q`` stays
+numpy's dot, whose rounding a Python sum does not match.  They return numpy
+arrays, as the :class:`~nhcontact.model.ContactSystem` contract asks.
 """
 
 from __future__ import annotations
