@@ -193,7 +193,7 @@ def contact_residual(
     Python sum does not match.
     """
     n, h = system.dim_q, rule.h
-    z_next = unknowns[n].item()
+    z_next = unknowns.item(n)
     d2b, denom, a_t, forward = terms
     _, _, d1f, d2f, d3f, d4f, ld_fwd, constraint = forward(unknowns[:n], z_next)
     # without multipliers the rows subtract 0.0, and x - 0.0 is x, zero signs included

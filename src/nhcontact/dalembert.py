@@ -27,6 +27,7 @@ from .model import (
     PositionRule,
     StepState,
     Trajectory,
+    numbers,
 )
 from .newton import NewtonConfig
 
@@ -34,10 +35,11 @@ from .newton import NewtonConfig
 def _discrete_force(system, rule, t, q_d, v) -> list:
     """One-step force quadrature ``h * F^e``, a list of Python numbers, on
     the step from ``t`` with difference velocity ``v``, sampled at the
-    constraint evaluation point ``q_d``."""
+    constraint evaluation point ``q_d``.  The force is taken as the system
+    returns it, a numpy array costing one ``tolist()``."""
     h = rule.h
     t_eval = t + 0.5 * h if rule.position_rule is PositionRule.MIDPOINT else t
-    return [h * f for f in system.external_force(t_eval, q_d, v).tolist()]
+    return [h * f for f in numbers(system.external_force(t_eval, q_d, v))]
 
 
 def la_residual(

@@ -13,7 +13,9 @@ at a candidate end point in one pass, building the difference velocity and
 the evaluation point once.  :func:`partials_of_Ld` is its partials alone;
 :func:`evaluate_discrete_lagrangian` and :func:`discrete_constraint` are
 the single-value forms that the seed, the finite-difference partials and
-the diagnostics use.
+the diagnostics use.  A system callable may return its numbers as any
+sequence (:class:`ContactSystem`): the kernel takes a list or tuple as it
+is and turns only a numpy array into a list (:func:`numbers`).
 """
 
 from __future__ import annotations
@@ -88,18 +90,20 @@ class ContactSystem:
     lagrangian:
         ``(t, q, qdot, z) -> float``.
     constraint_matrix:
-        ``q -> (dim_c, dim_q)`` array; rows are the constraint covectors.
+        ``q -> (dim_c, dim_q)`` numpy array; rows are the constraint
+        covectors.
     constraint_offset:
-        ``q -> (dim_c,)`` array, the affine part ``b(q)``.  Defaults to zero.
+        ``q -> dim_c`` numbers, the affine part ``b(q)``.  Defaults to zero.
     external_force:
-        ``(t, q, qdot) -> (dim_q,)`` covector used by the forced
+        ``(t, q, qdot) -> dim_q`` numbers, the covector used by the forced
         (Lagrange-d'Alembert) formulation.  The seed of either integrator
         adds it to the initial acceleration, so pure contact (Herglotz)
         systems leave it zero.
     energy:
         ``(q, qdot) -> float`` diagnostic, kinetic plus potential.
     lagrangian_gradients:
-        Optional ``(t, q, qdot, z) -> (dL/dq, dL/dqdot, dL/dz)``.  When
+        Optional ``(t, q, qdot, z) -> (dL/dq, dL/dqdot, dL/dz)``, the first
+        two ``dim_q`` numbers each, the last one number.  When
         provided, discrete-Lagrangian partials use it via the chain rule
         instead of finite differences, and the step Jacobians are taken by
         complex step (:func:`complex_step`).  Registering it therefore
@@ -109,11 +113,16 @@ class ContactSystem:
         imaginary part is never dropped.
 
     The callables receive ``q`` and ``qdot`` as numpy arrays, real or
-    complex, and return arrays where an array is asked for.  numpy
-    arithmetic on them is complex-safe as written.  At a few coordinates it
-    is faster on Python numbers: take ``q.tolist()`` and compute with
-    :mod:`math`, switching to :mod:`cmath` for a complex argument (``math``
-    rejects one), as the built-in systems do (:mod:`nhcontact.systems`).
+    complex.  ``constraint_matrix`` returns a 2-D numpy array, since the
+    products ``A v`` and ``A^T lambda`` stay numpy's dot.  Where numbers
+    are asked for, any sequence of them will do: a list, a tuple or a numpy
+    array.  The step kernel computes on Python numbers, so a list or tuple
+    is taken as it is and only an array costs a ``tolist()``.  numpy
+    arithmetic on the arguments is complex-safe as written.  At a few
+    coordinates it is faster on Python numbers: take ``q.tolist()`` and
+    compute with :mod:`math`, switching to :mod:`cmath` for a complex
+    argument (``math`` rejects one), and return lists, as the built-in
+    systems do (:mod:`nhcontact.systems`).
     """
 
     dim_q: int
@@ -291,6 +300,12 @@ def _check_finite(val, t, q, q_next, z, z_next) -> None:
         )
 
 
+def numbers(values) -> list:
+    """A sequence of numbers that a system callable returned, as Python
+    numbers: a numpy array's ``tolist()``, any other sequence as it is."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
 def divide(values: list, d: float) -> list:
     """``values / d`` for numbers ``values`` of one type and a real ``d``,
     rounded as numpy divides an array of that type by the scalar ``d``.
@@ -355,7 +370,9 @@ def step_evaluator(
     which only test the resulting flags.  The partials combine the
     gradients on Python numbers, each operation rounded as numpy's on the
     same gradient arrays, so they are bit for bit numpy's array arithmetic;
-    ``A v`` stays numpy's dot.
+    ``A v`` stays numpy's dot, and the offset is added to it on Python
+    numbers.  The gradients and the offset are taken as the system returns
+    them, a numpy array costing one ``tolist()`` (:func:`numbers`).
     """
     h = rule.h
     mid = rule.position_rule is PositionRule.MIDPOINT
@@ -366,7 +383,7 @@ def step_evaluator(
     t_next = t + h
     rows = a_q is not None and system.dim_c > 0
     matrix, offset = system.constraint_matrix, system.constraint_offset
-    offset_q = offset(q).tolist() if rows and not mid else None
+    offset_q = numbers(offset(q)) if rows and not mid else None
 
     def evaluate(q_next, z_next):
         v = (q_next - q) / h
@@ -378,21 +395,19 @@ def step_evaluator(
             if trap:
                 gq0, gv0, gz0 = gradients(t, q, v, z_d)
                 gq1, gv1, gz1 = gradients(t_next, q_next, v, z_d)
-                gv_h = divide([0.5 * (x + y) for x, y in zip(gv0.tolist(), gv1.tolist())], h)
-                d1 = [0.5 * x - y for x, y in zip(gq0.tolist(), gv_h)]
-                d2 = [0.5 * x + y for x, y in zip(gq1.tolist(), gv_h)]
+                gv_h = divide([0.5 * (x + y) for x, y in zip(numbers(gv0), numbers(gv1))], h)
+                d1 = [0.5 * x - y for x, y in zip(numbers(gq0), gv_h)]
+                d2 = [0.5 * x + y for x, y in zip(numbers(gq1), gv_h)]
                 gz = 0.5 * (gz0 + gz1)
             else:
                 gq, gv, gz = gradients(t_d, q_d, v, z_d)
-                # numpy divides the gradient array itself; complex, that is
-                # cheaper than divide's component-wise Python arithmetic
-                gv_h = (gv / h).tolist()
+                gv_h = divide(numbers(gv), h)
                 if mid:
-                    half = [0.5 * x for x in gq.tolist()]
+                    half = [0.5 * x for x in numbers(gq)]
                     d1 = [x - y for x, y in zip(half, gv_h)]
                     d2 = [x + y for x, y in zip(half, gv_h)]
                 else:
-                    d1 = [x - y for x, y in zip(gq.tolist(), gv_h)]
+                    d1 = [x - y for x, y in zip(numbers(gq), gv_h)]
                     d2 = gv_h
             if first:
                 d3, d4 = gz, 0.0
@@ -406,8 +421,11 @@ def step_evaluator(
                 ld = lagrangian(t_d, q_d, v, z_d)
             _check_finite(ld, t, q, q_next, z, z_next)
         if rows:
-            constraint = ((matrix(q_d) @ v + offset(q_d)).tolist() if mid
-                          else [x + y for x, y in zip((a_q @ v).tolist(), offset_q)])
+            if mid:
+                a_v, b = (matrix(q_d) @ v).tolist(), numbers(offset(q_d))
+            else:
+                a_v, b = (a_q @ v).tolist(), offset_q
+            constraint = [x + y for x, y in zip(a_v, b)]
         elif a_q is not None:
             constraint = []
         return v, q_d, d1, d2, d3, d4, ld, constraint
@@ -524,10 +542,11 @@ def discrete_constraint(
 ) -> list:
     """Discrete constraint residual ``A(q_d) qdot_d + b(q_d)``, a list of
     Python numbers.  The product stays numpy's dot, whose rounding a Python
-    sum does not match."""
+    sum does not match; the offset is added to it on Python numbers."""
     q_d = constraint_evaluation_point(rule, q, q_next)
     v = (q_next - q) / rule.h
-    return (system.constraint_matrix(q_d) @ v + system.constraint_offset(q_d)).tolist()
+    return [x + y for x, y in zip((system.constraint_matrix(q_d) @ v).tolist(),
+                                  numbers(system.constraint_offset(q_d)))]
 
 
 def project_velocity(system: ContactSystem, q: Array, v: Array) -> Array:

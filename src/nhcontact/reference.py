@@ -159,14 +159,15 @@ def make_continuous_system(system: ContactSystem) -> ContinuousConstrainedSystem
     ``d/dt dL/dqdot - dL/dq - dL/dqdot * dL/dz - A(q)^T lambda``;
     the action rate ``zdot - L``; and the velocity constraints.
     The momentum rate is formed by a complex-step directional derivative of
-    the analytic momentum map along ``ydot``.
+    the analytic momentum map along ``ydot``.  The gradients, which a system
+    may return as any sequence of numbers, are taken as numpy arrays.
     """
     if system.lagrangian_gradients is None:
         raise ValueError("continuous form requires analytic Lagrangian gradients")
     n, m = system.dim_q, system.dim_c
 
     def momentum(t, q, v, z):
-        return system.lagrangian_gradients(t, q, v, z)[1]
+        return np.asarray(system.lagrangian_gradients(t, q, v, z)[1])
 
     def momentum_rate(t, q, v, z, qd, vd):
         # directional derivative of the momentum map along (qd, vd); registered
@@ -181,6 +182,7 @@ def make_continuous_system(system: ContactSystem) -> ContinuousConstrainedSystem
         zd = ydot[2 * n]
 
         gq, gv, gz = system.lagrangian_gradients(t, q, v, z)
+        gq, gv = np.asarray(gq), np.asarray(gv)
         p_rate = momentum_rate(t, q, v, z, qd, vd)
 
         r = np.empty(2 * n + 1 + m)

@@ -13,8 +13,15 @@ operation.  At two to five coordinates numpy's per-call overhead on small
 arrays and numpy scalars costs more than the arithmetic.  Each operation
 rounds as numpy's scalar one on the same values, so the callables return
 bit for bit what numpy arithmetic would; the disk's ``F(t) . q`` stays
-numpy's dot, whose rounding a Python sum does not match.  They return numpy
-arrays, as the :class:`~nhcontact.model.ContactSystem` contract asks.
+numpy's dot, whose rounding a Python sum does not match.
+
+The Foucault gradients, constraint offset and external force and the disk
+gradients return lists of Python numbers, which the step kernel takes as
+they are; the :class:`~nhcontact.model.ContactSystem` contract accepts any
+sequence of numbers there.  The constraint matrices stay numpy arrays, as
+the contract asks, since ``A v`` and ``A^T lambda`` are numpy's dot, and
+every callable still receives numpy arrays.  The damped oscillator stays on
+numpy arrays throughout, the in-package example of array returns.
 """
 
 from __future__ import annotations
@@ -138,10 +145,8 @@ def foucault_system(params: FoucaultParams, formulation: str = "herglotz") -> Co
     def gradients(t, q, qdot, z):
         x, y = q.tolist()
         vx, vy = qdot.tolist()
-        gq = np.array([-k_spring * x, -k_spring * y])
-        gv = np.array([m * vx, m * vy])
         gz = -alpha if herglotz else 0.0
-        return gq, gv, gz
+        return [-k_spring * x, -k_spring * y], [m * vx, m * vy], gz
 
     def constraint_matrix(q):
         x, y = q.tolist()
@@ -150,10 +155,15 @@ def foucault_system(params: FoucaultParams, formulation: str = "herglotz") -> Co
     def constraint_offset(q):
         x, y = q.tolist()
         square = _square_rule(x)
-        return np.array([omega_v * (square(x) + square(y))])
+        return [omega_v * (square(x) + square(y))]
+
+    damping = -alpha * m  # the force -alpha m qdot takes this product first
+
+    def external_force(t, q, qdot):
+        return [damping * v for v in qdot.tolist()]
 
     # "herglotz" keeps the default zero external force
-    force = {} if herglotz else {"external_force": lambda t, q, qdot: -alpha * m * qdot}
+    force = {} if herglotz else {"external_force": external_force}
 
     def energy(q, qdot):
         x, y = q.tolist()
@@ -298,7 +308,7 @@ def disk_system(params: DiskParams) -> ContactSystem:
             -I_A * spin * s + I_T * dphi * square_q(c),
             I_A * spin,
         ]
-        return np.array(gq), np.array(gv), -alpha
+        return gq, gv, -alpha
 
     def constraint_matrix(q):
         _, _, theta, phi, _ = q.tolist()

@@ -201,7 +201,7 @@ def test_injected_failure_exits_2_with_truncated_trajectory(integrator, build, t
 
         def nan_from_half(t, q, v, z):
             gq, gv, gz = gradients(t, q, v, z)
-            return (gq * np.nan if t >= 0.5 else gq), gv, gz
+            return (np.asarray(gq) * np.nan if t >= 0.5 else gq), gv, gz
 
         return replace(system, lagrangian_gradients=nan_from_half)
 

@@ -38,6 +38,7 @@ from nhcontact.model import (
     ZRule,
     central_difference,
     complex_step,
+    discrete_constraint,
     evaluate_discrete_lagrangian,
     partials_of_Ld,
     step_evaluator,
@@ -203,6 +204,83 @@ def test_step_jacobian_bit_identical_to_column_loop():
         expected = numpy_oracle.step_jacobian(residual, x, a_t, rule)
     assert not np.all(np.isfinite(jac))
     assert jac.tobytes() == expected.tobytes()
+
+
+def _array_twin(name):
+    """``(residual, run, system, twin, q0, v0, h)``: a system whose
+    gradients (and constraint offset and force) return lists or tuples, and
+    its twin that returns numpy arrays."""
+    if name in ("pendulum", "la-pendulum"):
+        params = FoucaultParams(alpha=1e-3)
+        formulation = "la" if name == "la-pendulum" else "herglotz"
+        system = foucault_system(params, formulation)
+        twin = numpy_oracle.foucault_system(params, formulation)
+        q0, v0, h = np.array([0.1, 0.6]), np.array([0.2, -0.1]), TRAP_FIRST.h
+    elif name == "forced-disk":
+        spec = get_experiment("disk-3.2")
+        system = build_contact_system(spec)
+        twin = numpy_oracle.disk_system(_disk_params(spec))
+        q0, v0, h = spec.q0, spec.v0, spec.h
+    else:
+        twin = damped_oscillator()
+
+        def tuples(t, q, v, z):
+            gq, gv, gz = twin.lagrangian_gradients(t, q, v, z)
+            return tuple(gq.tolist()), tuple(gv.tolist()), gz
+
+        system = replace(twin, lagrangian_gradients=tuples)
+        q0, v0, h = np.array([1.0]), np.array([0.0]), 0.1
+    if name.startswith("la-"):
+        return la_residual, run_la, system, twin, q0, v0, h
+    return contact_residual, run_contact, system, twin, q0, v0, h
+
+
+TWIN_CASES = [(name, position, z_rule)
+              for name in ("pendulum", "la-pendulum", "forced-disk", "tuple-oscillator")
+              for position in PositionRule for z_rule in ZRule]
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, position, z_rule", TWIN_CASES,
+    ids=[f"{name}-{RULE_IDS[position]}-{z_rule.value}" for name, position, z_rule in TWIN_CASES])
+def test_sequence_returns_bit_identical_to_array_returns(name, position, z_rule):
+    # the kernel takes a returned list or tuple as it is and turns an array
+    # into a list: the built-in systems, whose callables return lists, and
+    # an oscillator whose gradients return tuples, against twins returning
+    # numpy arrays, on real unknowns and every complex-step probe
+    residual, run, system, twin, q0, v0, h = _array_twin(name)
+    rule = DiscretizationRule(position, z_rule, h)
+    with_z = residual is contact_residual
+    n, m = system.dim_q, system.dim_c
+    rng = np.random.default_rng(4)
+    qm = q0 + 0.05 * rng.normal(size=n)
+    qj = qm + 0.05 * rng.normal(size=n)
+    zm, zj = rng.normal(size=2) if with_z else (0.0, 0.0)
+    window = StepState(q_prev=qm, q_curr=qj, z_prev=zm, z_curr=zj, t_curr=1.3)
+    terms = [contact_window_terms(s, rule, window, with_z=with_z) for s in (system, twin)]
+    x = np.concatenate([qj + 0.05 * rng.normal(size=n), rng.normal(size=int(with_z) + m)])
+    for unknowns in [x] + [x + 1j * COMPLEX_STEP * e for e in np.eye(len(x))]:
+        got, expected = (residual(s, rule, window, t, unknowns)
+                         for s, t in zip((system, twin), terms))
+        assert _same_bytes(got, expected)
+        assert _same_bytes(discrete_constraint(system, rule, qj, unknowns[:n]),
+                           discrete_constraint(twin, rule, qj, unknowns[:n]))
+    got, expected = (step_jacobian(lambda u, s=s, t=t: residual(s, rule, window, t, u),
+                                   x, t[2], rule)
+                     for s, t in zip((system, twin), terms))
+    assert _same_bytes(got, expected)
+    stats = [StepStats(), StepStats()]
+    got, expected = (run(s, rule, q0, v0, 50, stats=st) for s, st in zip((system, twin), stats))
+    assert got.termination == expected.termination
+    for field in ("times", "configurations", "velocities", "z_values", "multipliers",
+                  "energies"):
+        assert _same_bytes(getattr(got, field), getattr(expected, field))
+    assert stats[0] == stats[1]
 
 
 @pytest.mark.parametrize("eid, counts, shared", [
