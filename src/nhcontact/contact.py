@@ -9,10 +9,11 @@ accumulated action ``z`` and the constraint multipliers:
 * one action-update component ``z_{j+1} - z_j - h L_d(fwd)``,
 * m discrete-constraint components ``A(q_d) qdot_d + b(q_d)``.
 
-Newton solves it with the exact Jacobian of :func:`step_jacobian` (the
-multiplier columns, and under the first-order z rule the z column, in
-closed form, every other column a complex step) when the system registers
-Lagrangian gradients, else with finite differences.
+Newton solves it with the exact Jacobian of :func:`step_jacobian` when the
+system registers Lagrangian gradients, else with finite differences.  The
+exact Jacobian takes the action row and the multiplier columns in closed
+form, from the real evaluation at its point, and every other column by
+complex step, whose probes then need no ``L_d``.
 
 Each residual evaluation is one pass.  The window builds, once per step,
 the :func:`~nhcontact.model.step_evaluator` of its forward steps, which
@@ -25,15 +26,14 @@ The residual runs on Python numbers.  At four to eight unknowns numpy's
 per-call overhead on 2- and 5-vectors and on numpy scalars costs more than
 the arithmetic, so the evaluator returns Python numbers and
 :func:`contact_residual` a list, which Newton takes as it is.  Each
-operation rounds as numpy's elementwise one on the same values: a list
-divided by a real number goes through :func:`~nhcontact.model.divide`,
-which copies numpy's division (for complex numbers, the product with the
-reciprocal).  The products with the constraint matrix, ``A(q_j)^T lambda``
-and ``A(q_d) v``, stay numpy's dot, a fused multiply-add chain whose
-rounding a Python sum does not match.  So every trajectory is bit for bit
-the one of numpy arithmetic.  The complex-step columns of
-:func:`step_jacobian` share one complex vector and read the imaginary parts
-of the returned lists, bit for bit the column-by-column numpy loop.
+elementwise operation rounds as numpy's on the same values: a list divided
+by a real number goes through :func:`~nhcontact.model.divide`, which copies
+numpy's division (for complex numbers, the product with the reciprocal).
+The products with the constraint matrix, ``A(q_j)^T lambda`` and
+``A(q_d) v``, are the left-to-right sums of :func:`~nhcontact.model.dot`.
+The complex-step columns of :func:`step_jacobian` share one complex vector
+and read the imaginary parts of the returned lists, bit for bit the
+column-by-column numpy loop.
 
 Newton starts from one of two predictions.  The linear start, which
 :func:`solve_step` builds, extrapolates q linearly, advances z by the
@@ -55,9 +55,9 @@ whose Newton evaluated its last residual at exactly that point.  Each step
 therefore hands the next one a :class:`StepCarry`: its Newton factors and
 that residual's forward ``D2 L_d``, ``D4 L_d``, ``L_d`` and constraint rows.
 The next window takes its backward partials (and the linear start its
-``L_d``) from the carry instead of computing them again, when the carry's
-``t`` equals the window's ``t_curr - h`` bit for bit, so every trajectory
-is bit for bit the one of computing them.  The constraint rows give
+``L_d``) from the carry instead of computing them again: its backward step
+is the carried step, which starts at the carry's ``t``.  The driver keeps
+each window's ``t_curr`` on the grid, ``j h``.  The constraint rows give
 :class:`StepStats` the run's worst discrete-constraint residual.
 
 The Lagrange-d'Alembert integrator (:mod:`nhcontact.dalembert`) differs
@@ -71,6 +71,7 @@ with its Jacobian :func:`step_jacobian`, and the trajectory driver.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -88,6 +89,7 @@ from .model import (
     ZRule,
     discrete_constraint,
     divide,
+    dot,
     evaluate_discrete_lagrangian,
     initial_acceleration,
     partials_of_Ld,
@@ -136,17 +138,18 @@ def contact_window_terms(
     with_z: bool = True,
 ):
     """Residual terms fixed by the window for the whole step:
-    ``(D2 L_d(bwd), 1 - h D4 L_d(bwd), A(q_j)^T, forward)``.
+    ``(D2 L_d(bwd), 1 - h D4 L_d(bwd), A(q_j)^T, forward)``, ``A(q_j)^T``
+    as a list of its ``n`` rows of Python numbers.
 
     ``forward`` is the :func:`~nhcontact.model.step_evaluator` of the
     window's forward steps, from ``(t_j, q_j, z_j)``, z held at zero unless
-    ``with_z``, which also has it evaluate ``L_d``.  It returns the
-    discrete-constraint rows, taking ``A(q_j)`` from the window where the
-    rule samples the constraint at ``q_j``.
+    ``with_z``.  It returns the discrete-constraint rows, taking ``A(q_j)``
+    from the window where the rule samples the constraint at ``q_j``.
 
-    ``backward`` is the carry of the step that produced the window, when
-    its forward partials serve as the window's backward ones
-    (:func:`solve_step`); they are then taken instead of computed.
+    ``backward`` is the carry of the step that produced the window, whose
+    forward partials are the window's backward ones (:func:`solve_step`);
+    they are then taken instead of computed.  Without it, the backward step
+    starts at ``t_curr - h``.
 
     Raises :class:`DenominatorSingular` when the implicit z-coupling factor
     vanishes.
@@ -164,9 +167,8 @@ def contact_window_terms(
             f"1 - h*D4 = {denom:.3e} at t={w.t_curr}: implicit z-coupling degenerate"
         )
     a = system.constraint_matrix(w.q_curr)
-    forward = step_evaluator(system, rule, w.t_curr, w.q_curr, w.z_curr if with_z else 0.0,
-                             with_z, a)
-    return d2b, denom, a.T, forward
+    forward = step_evaluator(system, rule, w.t_curr, w.q_curr, w.z_curr if with_z else 0.0, a)
+    return d2b, denom, a.T.tolist(), forward
 
 
 def contact_residual(
@@ -176,6 +178,7 @@ def contact_residual(
     terms,
     unknowns: Array,
     keep: Optional[list] = None,
+    with_ld: bool = True,
 ) -> list:
     """Stacked residual at a candidate ``(q_{j+1}, z_{j+1}, lambda)``, a
     list of Python numbers.
@@ -184,65 +187,82 @@ def contact_residual(
     evaluator gives the partials, ``L_d`` and constraint rows in one pass.
     A list ``keep`` is set to the forward by-products ``[D2 L_d, D4 L_d,
     L_d, constraint rows]`` of this evaluation, the fields of a
-    :class:`StepCarry` after ``t``.
+    :class:`StepCarry` after ``t``.  Without ``with_ld`` the action row
+    leaves out its ``- h L_d`` and ``L_d`` is not evaluated: the step
+    Jacobian's complex probes do not read that row (:func:`step_jacobian`).
 
-    The rows combine the partials on Python numbers, each operation rounded
-    as numpy's elementwise one on the same arrays (:func:`divide` for the
-    division), so the residual is bit for bit the one of numpy arrays.  The
-    products with the constraint matrix stay numpy's dot, whose rounding a
-    Python sum does not match.
+    The rows combine the partials on Python numbers, each elementwise
+    operation rounded as numpy's on the same arrays (:func:`divide` for the
+    division); ``A(q_j)^T lambda`` is a :func:`~nhcontact.model.dot` per row.
     """
     n, h = system.dim_q, rule.h
     z_next = unknowns.item(n)
     d2b, denom, a_t, forward = terms
-    _, _, d1f, d2f, d3f, d4f, ld_fwd, constraint = forward(unknowns[:n], z_next)
+    _, _, d1f, d2f, d3f, d4f, ld_fwd, constraint = forward(unknowns[:n], z_next, with_ld)
     # without multipliers the rows subtract 0.0, and x - 0.0 is x, zero signs included
-    lam_rows = (a_t @ unknowns[n + 1:]).tolist() if system.dim_c else [0.0] * n
+    if system.dim_c:
+        lam = unknowns[n + 1:].tolist()
+        lam_rows = [dot(row, lam) for row in a_t]
+    else:
+        lam_rows = [0.0] * n
     factor = 1.0 + h * d3f
     momentum = [a + b - c for a, b, c in
                 zip(d1f, divide([b * factor for b in d2b], denom), lam_rows)]
     if keep is not None:
         keep[:] = d2f, d4f, ld_fwd, constraint
-    return momentum + [z_next - window.z_curr - h * ld_fwd] + constraint
+    action = z_next - window.z_curr
+    if with_ld:
+        action -= h * ld_fwd
+    return momentum + [action] + constraint
 
 
 def step_jacobian(
     residual: Callable[[Array], list],
     x: Array,
-    a_t: Array,
+    a_t: list,
     rule: DiscretizationRule,
+    action: Optional[tuple] = None,
 ) -> Array:
     """Exact Jacobian at real ``x`` of a step residual whose last ``m``
     unknowns are multipliers entering its first ``n`` rows as
-    ``-A(q_j)^T lambda``, ``(n, m)`` the shape of ``a_t = A(q_j)^T``, and
-    nowhere else.
+    ``-A(q_j)^T lambda``, ``a_t = A(q_j)^T`` given as its ``n`` rows of
+    ``m`` numbers, and nowhere else.
 
     The multiplier columns are ``-a_t`` in those rows and zero below.  A
     z unknown, the one after the ``n`` configurations when ``x`` has
-    ``n + 1 + m`` entries, enters under the first-order z rule only its own
-    row, as ``z_{j+1}``: its column is then the unit vector ``e_n``.  Every
-    other column ``i`` is a complex step of ``residual``, the imaginary
-    parts of ``residual(x + i 1e-200 e_i)`` over 1e-200
-    (:func:`~nhcontact.model.complex_step`), so the system's callables must
-    be complex-safe (:class:`~nhcontact.model.ContactSystem`).  One complex
-    vector serves every column: ``x + 0j``, whose real parts are ``x + 0.0``
-    as ``x + i 1e-200 e_i`` rounds them, its imaginary part set to 1e-200
-    at ``i`` for column ``i`` only.
+    ``n + 1 + m`` entries, comes with the action row
+    ``z_{j+1} - z_j - h L_d`` as row ``n``.  That row is in closed form from
+    ``action = (D2 L_d, D4 L_d)`` of the real evaluation at ``x``:
+    ``-h D2 L_d`` in the q columns, ``1 - h D4 L_d`` in the z column and 0
+    in the multiplier columns; the residual's own row ``n`` is not read.
+    Under the first-order z rule z enters no other row, so its column is
+    not probed.  Every other column ``i`` is a complex step of
+    ``residual``, the imaginary parts of ``residual(x + i 1e-200 e_i)`` over
+    1e-200 (:func:`~nhcontact.model.complex_step`), so the system's
+    callables must be complex-safe (:class:`~nhcontact.model.ContactSystem`).
+    One complex vector serves every column: ``x + 0j``, whose real parts are
+    ``x + 0.0`` as ``x + i 1e-200 e_i`` rounds them, its imaginary part set
+    to 1e-200 at ``i`` for column ``i`` only.
     """
-    k = len(x)
-    n, m = a_t.shape
+    k, n = len(x), len(a_t)
+    m = len(a_t[0])
     jac = np.zeros((k, k))
-    z_unit = k == n + 1 + m and rule.z_rule is ZRule.FIRST_ORDER
+    with_z = k == n + 1 + m
+    z_unit = with_z and rule.z_rule is ZRule.FIRST_ORDER
     probe = x + 0j
     imag = probe.imag
     for i in range(k - m):
         if z_unit and i == n:
-            jac[n, n] = 1.0
             continue
         imag[i] = COMPLEX_STEP
         jac[:, i] = [r.imag / COMPLEX_STEP for r in residual(probe)]
         imag[i] = 0.0
-    jac[:n, k - m:] = -a_t
+    jac[:n, k - m:] = np.negative(a_t)
+    if with_z:
+        h = rule.h
+        d2, d4 = action
+        jac[n, :n] = [-h * d for d in d2]
+        jac[n, n] = 1.0 - h * d4
     return jac
 
 
@@ -294,37 +314,42 @@ def solve_step(
     ``with_z``, the window's :func:`contact_window_terms` computed once,
     before Newton.  ``carry`` is the previous step's, or ``None``.  Newton
     starts from its factors; fresh Jacobians are :func:`step_jacobian` when
-    the system registers Lagrangian gradients, finite differences otherwise.
-    Its forward by-products serve as the window's backward ones
-    (``backward``) only when its ``t`` equals the window's ``t_curr - h``
-    bit for bit: the driver builds each window from the step before, so
-    they are then the values the window would compute, and a ``t_curr``
-    accumulated by ``+ h`` that misses by an ulp makes the window compute
-    its own.
+    the system registers Lagrangian gradients, finite differences otherwise,
+    each taking its action row from the real evaluation at its point.  The
+    carry's forward by-products serve as the window's backward ones: the
+    driver builds each window from the step before, whose forward step is
+    the window's backward one.
 
     Newton starts from ``start``, when given, else from the linear start:
     ``2 q_j - q_{j-1}``, then ``z_j + h L_d`` of the window's backward step
-    (the carried ``L_d`` when the carry serves), then ``lam_prev``.  If
+    (the carried ``L_d`` when there is a carry), then ``lam_prev``.  If
     Newton fails from ``start``, the step is solved once more from the
     linear start, with the factors it began with: exactly the solve without
     ``start``.
     """
     w = window
     n, h = system.dim_q, rule.h
-    backward = carry if carry is not None and carry.t == w.t_curr - h else None
-    terms = contact_window_terms(system, rule, w, backward, with_z)
+    terms = contact_window_terms(system, rule, w, carry, with_z)
     factors = None if carry is None else carry.factors
-    # newton_solve returns right after evaluating the residual at the
-    # solution, so ``keep`` ends with that real evaluation's by-products
-    keep = []
+    # (unknowns, by-products) of the last two real evaluations, newest last.
+    # Newton builds a Jacobian at the iterate it evaluated last, or, after a
+    # dropped chord iterate, at the one before; it returns right after
+    # evaluating the residual at the solution
+    kept = deque(maxlen=2)
 
     def f(u):
+        keep = []
+        kept.append((u, keep))
         return residual(system, rule, w, terms, u, keep)
 
     build = None
     if system.lagrangian_gradients is not None:
+        def probe(u):
+            return residual(system, rule, w, terms, u, None, False)
+
         def build(u):
-            return step_jacobian(f, u, terms[2], rule)
+            d2, d4, _, _ = next(keep for x, keep in kept if x is u)
+            return step_jacobian(probe, u, terms[2], rule, (d2, d4))
     solved = None
     if start is not None:
         try:
@@ -335,12 +360,12 @@ def solve_step(
         # on Python floats, rounding as numpy's elementwise operations do
         linear = [2.0 * c - p for p, c in zip(w.q_prev.tolist(), w.q_curr.tolist())]
         if with_z:
-            ld = backward.ld if backward is not None else evaluate_discrete_lagrangian(
+            ld = carry.ld if carry is not None else evaluate_discrete_lagrangian(
                 system, rule, w.t_curr - h, w.q_prev, w.q_curr, w.z_prev, w.z_curr)
             linear.append(w.z_curr + h * ld)
         solved = newton_solve(f, linear + lam_prev.tolist(), solver, factors, build)
     x, iterations, factors = solved
-    carry = StepCarry(factors, w.t_curr, *keep)
+    carry = StepCarry(factors, w.t_curr, *kept[-1][1])
     if with_z:
         return x[:n], float(x[n]), x[n + 1:], carry, iterations
     return x[:n], 0.0, x[n:], carry, iterations
@@ -509,7 +534,7 @@ def run_steps(
                 quadratic = inf_norm([a - b for a, b in zip(predicted, accepted)]) < inf_norm(
                     [2.0 * c - p - b for p, c, b in zip(q_prev, q_curr, accepted)])
             window = StepState(q_prev=w.q_curr, q_curr=q_next, z_prev=w.z_curr,
-                               z_curr=z_next, t_curr=w.t_curr + h)
+                               z_curr=z_next, t_curr=(j + 1) * h)
     except (NewtonDivergence, SingularJacobian, DenominatorSingular,
             EvaluationError) as exc:
         termination = Termination.failure(step=steps_done + 1, message=str(exc))

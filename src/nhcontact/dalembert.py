@@ -27,6 +27,7 @@ from .model import (
     PositionRule,
     StepState,
     Trajectory,
+    dot,
     numbers,
 )
 from .newton import NewtonConfig
@@ -49,6 +50,7 @@ def la_residual(
     terms,
     unknowns: Array,
     keep: Optional[list] = None,
+    with_ld: bool = True,
 ) -> list:
     """Forced discrete Euler-Lagrange residual plus discrete constraints, a
     list of Python numbers computed as
@@ -61,13 +63,19 @@ def la_residual(
     gives the partials, the difference velocity, the evaluation point of the
     force and the constraint rows in one pass; z is held at zero.  ``keep``
     is as for :func:`~nhcontact.contact.contact_residual`, with ``None`` for
-    the discrete Lagrangian, which this residual does not use.
+    the discrete Lagrangian, which this residual does not use; so it never
+    evaluates ``L_d``, and ``with_ld`` is there only for the common
+    signature.
     """
     n, h = system.dim_q, rule.h
     d2b, _, a_t, forward = terms
     v, q_d, d1f, d2f, _, d4f, _, constraint = forward(unknowns[:n], 0.0)
     force = _discrete_force(system, rule, window.t_curr, q_d, v)
-    lam_rows = (a_t @ unknowns[n:]).tolist() if system.dim_c else [0.0] * n
+    if system.dim_c:
+        lam = unknowns[n:].tolist()
+        lam_rows = [dot(row, lam) for row in a_t]
+    else:
+        lam_rows = [0.0] * n
     momentum = [h * (a + b) + f - c for a, b, f, c in zip(d1f, d2b, force, lam_rows)]
     if keep is not None:
         keep[:] = d2f, d4f, None, constraint

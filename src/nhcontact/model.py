@@ -113,11 +113,11 @@ class ContactSystem:
         imaginary part is never dropped.
 
     The callables receive ``q`` and ``qdot`` as numpy arrays, real or
-    complex.  ``constraint_matrix`` returns a 2-D numpy array, since the
-    products ``A v`` and ``A^T lambda`` stay numpy's dot.  Where numbers
-    are asked for, any sequence of them will do: a list, a tuple or a numpy
-    array.  The step kernel computes on Python numbers, so a list or tuple
-    is taken as it is and only an array costs a ``tolist()``.  numpy
+    complex.  ``constraint_matrix`` returns a 2-D numpy array, whose rows
+    the kernel takes with one ``tolist()``.  Where numbers are asked for,
+    any sequence of them will do: a list, a tuple or a numpy array.  The
+    step kernel computes on Python numbers, so a list or tuple is taken as
+    it is and only an array costs a ``tolist()``.  numpy
     arithmetic on the arguments is complex-safe as written.  At a few
     coordinates it is faster on Python numbers: take ``q.tolist()`` and
     compute with :mod:`math`, switching to :mod:`cmath` for a complex
@@ -306,6 +306,28 @@ def numbers(values) -> list:
     return values.tolist() if isinstance(values, np.ndarray) else values
 
 
+def dot(a, b):
+    """``a . b`` for sequences of Python numbers of one length, at least 1:
+    the products added left to right, starting from the first one, so that
+    products that are all ``-0.0`` sum to ``-0.0``.
+
+    Every product with a constraint matrix, ``A v`` and ``A^T lambda``, is
+    this sum (:func:`constraint_rows`), so a constraint row carried from one
+    step and the same row computed again agree bit for bit.
+    """
+    total = a[0] * b[0]
+    for i in range(1, len(a)):
+        total += a[i] * b[i]
+    return total
+
+
+def constraint_rows(a: list, v: list, b: list) -> list:
+    """``A v + b`` from the rows ``a`` of ``A``, the velocity ``v`` and the
+    offset ``b``, lists of Python numbers: each row's :func:`dot`, then its
+    offset added."""
+    return [dot(row, v) + y for row, y in zip(a, b)]
+
+
 def divide(values: list, d: float) -> list:
     """``values / d`` for numbers ``values`` of one type and a real ``d``,
     rounded as numpy divides an array of that type by the scalar ``d``.
@@ -344,11 +366,10 @@ def step_evaluator(
     t: float,
     q: Array,
     z: float,
-    with_ld: bool = True,
     a_q: Optional[Array] = None,
 ) -> Callable:
     """The discrete Lagrangian of the steps from ``(t, q, z)``, as a function
-    ``evaluate(q_next, z_next)`` that returns, in one pass,
+    ``evaluate(q_next, z_next, with_ld=False)`` that returns, in one pass,
     ``(v, q_d, D1, D2, D3, D4, L_d, constraint)``.
 
     ``v = (q_next - q)/h`` is the difference velocity and ``q_d`` the
@@ -356,23 +377,22 @@ def step_evaluator(
     built once per evaluation.  ``D1`` and ``D2`` are lists of Python
     numbers, from the system's analytic gradients by the chain rule, or
     central finite differences when it registers none.  ``L_d`` is
-    evaluated only ``with_ld``, else ``None``; a non-finite one raises
-    :class:`EvaluationError`.  ``constraint`` is given ``a_q = A(q)``:
-    the discrete-constraint rows ``A(q_d) v + b(q_d)``, a list (``[]``
-    without constraints), taking ``A`` from ``a_q`` where ``q_d`` is ``q``;
-    else ``None``.  The partials are not checked for finiteness here: Newton
-    checks every residual and Jacobian it is given
-    (:func:`nhcontact.newton.newton_solve`).
+    evaluated only when that call asks for it (``with_ld``), else ``None``;
+    a non-finite one raises :class:`EvaluationError`.  ``constraint`` is
+    given ``a_q = A(q)``: the discrete-constraint rows ``A(q_d) v + b(q_d)``
+    (:func:`constraint_rows`), a list (``[]`` without constraints), taking
+    ``A`` from ``a_q`` where ``q_d`` is ``q``; else ``None``.  The partials
+    are not checked for finiteness here: Newton checks every residual and
+    Jacobian it is given (:func:`nhcontact.newton.newton_solve`).
 
     Each system callable is called once per point it is sampled at, the
     Lagrangian after its gradients.  The rule, the z rule and whether
     gradients are registered are read here, once for all the evaluations,
     which only test the resulting flags.  The partials combine the
     gradients on Python numbers, each operation rounded as numpy's on the
-    same gradient arrays, so they are bit for bit numpy's array arithmetic;
-    ``A v`` stays numpy's dot, and the offset is added to it on Python
-    numbers.  The gradients and the offset are taken as the system returns
-    them, a numpy array costing one ``tolist()`` (:func:`numbers`).
+    same gradient arrays.  The gradients and the offset are taken as the
+    system returns them, a numpy array costing one ``tolist()``
+    (:func:`numbers`).
     """
     h = rule.h
     mid = rule.position_rule is PositionRule.MIDPOINT
@@ -383,9 +403,10 @@ def step_evaluator(
     t_next = t + h
     rows = a_q is not None and system.dim_c > 0
     matrix, offset = system.constraint_matrix, system.constraint_offset
-    offset_q = numbers(offset(q)) if rows and not mid else None
+    if rows and not mid:
+        a_rows, offset_q = a_q.tolist(), numbers(offset(q))
 
-    def evaluate(q_next, z_next):
+    def evaluate(q_next, z_next, with_ld=False):
         v = (q_next - q) / h
         q_d = 0.5 * (q + q_next) if mid else q
         z_d = z if first else 0.5 * (z + z_next)
@@ -422,10 +443,10 @@ def step_evaluator(
             _check_finite(ld, t, q, q_next, z, z_next)
         if rows:
             if mid:
-                a_v, b = (matrix(q_d) @ v).tolist(), numbers(offset(q_d))
+                constraint = constraint_rows(matrix(q_d).tolist(), v.tolist(),
+                                             numbers(offset(q_d)))
             else:
-                a_v, b = (a_q @ v).tolist(), offset_q
-            constraint = [x + y for x, y in zip(a_v, b)]
+                constraint = constraint_rows(a_rows, v.tolist(), offset_q)
         elif a_q is not None:
             constraint = []
         return v, q_d, d1, d2, d3, d4, ld, constraint
@@ -447,7 +468,7 @@ def partials_of_Ld(
     ``D2`` are lists of Python numbers.  They are :func:`step_evaluator`'s,
     analytic when the system registers gradients, else finite differences.
     """
-    return step_evaluator(system, rule, t, q, z, with_ld=False)(q_next, z_next)[2:6]
+    return step_evaluator(system, rule, t, q, z)(q_next, z_next)[2:6]
 
 
 def lagrangian_gradients_or_fd(
@@ -470,6 +491,16 @@ def constraint_drift(system: ContactSystem, q: Array, v: Array, e: float) -> Arr
         return system.constraint_matrix(x) @ v + system.constraint_offset(x)
 
     return (constraint(q + e * v) - constraint(q - e * v)) / (2 * e)
+
+
+def least_squares(a: Array, b: Array) -> Array:
+    """Minimal-norm least-squares solution of ``a x = b``; all NaN when
+    ``a`` or ``b`` is not finite, where LAPACK's SVD does not converge and
+    numpy raises, so that a non-finite state flows on as NaN, as it does
+    through numpy's arithmetic, to the finiteness checks of the solvers."""
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        return np.full(a.shape[1:] + b.shape[1:], np.nan)
+    return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
 def initial_acceleration(
@@ -511,8 +542,7 @@ def initial_acceleration(
     rhs = gq + gz * gv - pdot_explicit + system.external_force(t0, q0, v0)
 
     if m == 0:
-        acc, *_ = np.linalg.lstsq(mass, rhs, rcond=None)
-        return acc
+        return least_squares(mass, rhs)
 
     a0 = system.constraint_matrix(q0)
     e = SQRT_EPS / max(1.0, float(np.max(np.abs(v0))))
@@ -521,8 +551,7 @@ def initial_acceleration(
     kkt[:n, :n] = mass
     kkt[:n, n:] = -a0.T
     kkt[n:, :n] = a0
-    sol, *_ = np.linalg.lstsq(kkt, np.concatenate([rhs, -drift]), rcond=None)
-    return sol[:n]
+    return least_squares(kkt, np.concatenate([rhs, -drift]))[:n]
 
 
 def constraint_evaluation_point(rule: DiscretizationRule, q: Array, q_next: Array) -> Array:
@@ -541,12 +570,11 @@ def discrete_constraint(
     q_next: Array,
 ) -> list:
     """Discrete constraint residual ``A(q_d) qdot_d + b(q_d)``, a list of
-    Python numbers.  The product stays numpy's dot, whose rounding a Python
-    sum does not match; the offset is added to it on Python numbers."""
+    Python numbers (:func:`constraint_rows`)."""
     q_d = constraint_evaluation_point(rule, q, q_next)
     v = (q_next - q) / rule.h
-    return [x + y for x, y in zip((system.constraint_matrix(q_d) @ v).tolist(),
-                                  numbers(system.constraint_offset(q_d)))]
+    return constraint_rows(system.constraint_matrix(q_d).tolist(), v.tolist(),
+                           numbers(system.constraint_offset(q_d)))
 
 
 def project_velocity(system: ContactSystem, q: Array, v: Array) -> Array:
@@ -558,5 +586,4 @@ def project_velocity(system: ContactSystem, q: Array, v: Array) -> Array:
         return np.array(v, dtype=float)
     a = system.constraint_matrix(q)
     defect = a @ v + system.constraint_offset(q)
-    correction, *_ = np.linalg.lstsq(a, defect, rcond=None)
-    return v - correction
+    return v - least_squares(a, defect)

@@ -6,12 +6,10 @@ Problem sizes are small (at most a dozen unknowns), so the linear algebra is
 a plain LU factorization with partial pivoting and row equilibration
 (:func:`lu_factor`), kept apart from its solve (:func:`lu_solve`) so that one
 factorization serves many solves.  At this size numpy's per-call overhead
-costs more than the arithmetic, so the elimination, the right-hand side and
-each residual are Python floats.  The step residuals of both integrators
-return lists of Python numbers, which Newton takes as they are; any other
-residual costs one ``tolist()``.  Only the back-substitution keeps numpy's
-dot, on each U row's stored tail, because a Python sum rounds differently
-and would move trajectories in their last bits.
+costs more than the arithmetic, so the elimination, the solve and each
+residual are Python floats.  The step residuals of both integrators return
+lists of Python numbers, which Newton takes as they are; any other residual
+costs one ``tolist()``.
 
 A caller that solves one system per time step hands each solve the factors
 the previous one ended with: Newton then takes chord iterations with that
@@ -80,14 +78,12 @@ class LUFactors:
     """Row-equilibrated LU factors of a square matrix (:func:`lu_factor`).
 
     ``rows`` hold the multipliers below the diagonal and ``U`` on and above
-    it, on Python floats; ``tails[r]`` is row ``r`` of ``U`` right of the
-    diagonal as a contiguous numpy vector, for the back-substitution's dot.
+    it, on Python floats.
     """
 
     scales: list
     pivots: list
     rows: list
-    tails: list
 
 
 def lu_factor(a: Array) -> LUFactors:
@@ -120,8 +116,7 @@ def lu_factor(a: Array) -> LUFactors:
             factor = row[col] = row[col] / top[col]
             for c in range(col + 1, k):
                 row[c] -= factor * top[c]
-    tails = [np.array(row[r + 1:]) for r, row in enumerate(rows)]
-    return LUFactors(scales, pivots, rows, tails)
+    return LUFactors(scales, pivots, rows)
 
 
 def lu_solve(lu: LUFactors, rhs: list) -> Array:
@@ -129,8 +124,11 @@ def lu_solve(lu: LUFactors, rhs: list) -> Array:
     floats.
 
     The right-hand side takes the factorization's row scaling, swaps and
-    updates in the order the elimination made them, so the result is bit for
-    bit the one of eliminating ``a`` and ``rhs`` together.
+    updates in the order the elimination made them, so the forward pass is
+    bit for bit the one of eliminating ``a`` and ``rhs`` together.  The
+    back-substitution subtracts from each row's right-hand side the products
+    of its ``U`` entries and the unknowns already found, left to right, then
+    divides by the pivot.
     """
     b = [v / scale for v, scale in zip(rhs, lu.scales)]
     k = len(b)
@@ -141,14 +139,13 @@ def lu_solve(lu: LUFactors, rhs: list) -> Array:
         bc = b[col]
         for r in range(col + 1, k):
             b[r] -= rows[r][col] * bc
-    # back-substitution keeps numpy's dot: a Python sum rounds differently
-    # and would move trajectories in their last bits
-    tails = lu.tails
-    x = np.empty(k)
-    x[k - 1] = b[k - 1] / rows[k - 1][k - 1]  # its tail is empty
-    for row in range(k - 2, -1, -1):
-        x[row] = (b[row] - tails[row] @ x[row + 1:]) / rows[row][row]
-    return x
+    # back-substitution in place: b[c] holds unknown c once row c is done
+    for row in range(k - 1, -1, -1):
+        u, total = rows[row], b[row]
+        for c in range(row + 1, k):
+            total -= u[c] * b[c]
+        b[row] = total / u[row]
+    return np.array(b)
 
 
 def inf_norm(values: list) -> float:
@@ -186,7 +183,9 @@ def newton_solve(
 
     Without ``jacobian`` every iteration builds and factors a fresh
     Jacobian: ``build_jacobian(x)``, or :func:`fd_jacobian` of ``residual``
-    when that is not given.  Given the factors of an earlier Jacobian, it first
+    when that is not given.  ``x`` is then the very array whose residual
+    Newton evaluated last, or, after a dropped chord iterate, the one
+    evaluated before it, so a builder may reuse what that evaluation left.  Given the factors of an earlier Jacobian, it first
     takes chord iterations with them, for as long as each one cuts the
     residual inf-norm to :data:`CHORD_CONTRACTION` of the one before.  The
     first chord iterate that neither does so nor meets the tolerance (or

@@ -11,17 +11,18 @@ complex step.  Each call picks its sine, cosine and squaring rule once per
 argument type (:func:`_trig`, :func:`_square_rule`), not once per
 operation.  At two to five coordinates numpy's per-call overhead on small
 arrays and numpy scalars costs more than the arithmetic.  Each operation
-rounds as numpy's scalar one on the same values, so the callables return
-bit for bit what numpy arithmetic would; the disk's ``F(t) . q`` stays
-numpy's dot, whose rounding a Python sum does not match.
+rounds as numpy's scalar one on the same values, infinities and NaN
+included, so the callables return bit for bit what numpy arithmetic would;
+the disk's ``F(t) . q`` is the kernel's left-to-right sum
+(:func:`~nhcontact.model.dot`).
 
 The Foucault gradients, constraint offset and external force and the disk
 gradients return lists of Python numbers, which the step kernel takes as
 they are; the :class:`~nhcontact.model.ContactSystem` contract accepts any
 sequence of numbers there.  The constraint matrices stay numpy arrays, as
-the contract asks, since ``A v`` and ``A^T lambda`` are numpy's dot, and
-every callable still receives numpy arrays.  The damped oscillator stays on
-numpy arrays throughout, the in-package example of array returns.
+the contract asks, and every callable still receives numpy arrays.  The
+damped oscillator stays on numpy arrays throughout, the in-package example
+of array returns.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import Array, ContactSystem
+from .model import Array, ContactSystem, dot
 
 #: Sidereal rotation rate of the Earth (rad/s).
 EARTH_ROTATION_RATE = 7.2921159e-5
@@ -45,14 +46,26 @@ def _zeros5(t: float) -> Array:
     return np.zeros(5)
 
 
+def _nan(x):
+    """NaN of ``x``'s type, numpy's sine and cosine of an infinity."""
+    return x * math.nan
+
+
 def _trig(x):
-    """``(sin, cos)`` for numbers of ``x``'s type: :mod:`cmath`'s for a
-    complex (:mod:`math` rejects one), else :mod:`math`'s."""
+    """``(sin, cos)`` to apply to ``x``: :mod:`cmath`'s for a complex
+    (:mod:`math` rejects one), else :mod:`math`'s.  Both raise on an
+    infinity, where numpy returns NaN, so a non-finite ``x`` gets
+    :func:`_nan` instead."""
+    if x - x != 0.0:  # inf - inf and NaN are NaN
+        return _nan, _nan
     return (cmath.sin, cmath.cos) if isinstance(x, complex) else (math.sin, math.cos)
 
 
 def _pow2(x):
-    return x ** 2
+    try:
+        return x ** 2
+    except OverflowError:  # numpy's square overflows to inf
+        return math.inf
 
 
 def _mul2(x):
@@ -274,14 +287,15 @@ def disk_system(params: DiskParams) -> ContactSystem:
     forcing = params.forcing
 
     def lagrangian(t, q, qdot, z):
-        theta = q[2].item()
+        q = q.tolist()
+        theta = q[2]
         sin, cos = _trig(theta)
         c = cos(theta)
         return (
             _kinetic_energy(params, sin(theta), c, qdot.tolist())
             - m * g * R * c
             - alpha * z
-            + (forcing(t) @ q).item()
+            + dot(forcing(t).tolist(), q)
         )
 
     def gradients(t, q, qdot, z):
@@ -314,6 +328,7 @@ def disk_system(params: DiskParams) -> ContactSystem:
         _, _, theta, phi, _ = q.tolist()
         sin, cos = _trig(theta)
         st, ct = sin(theta), cos(theta)
+        sin, cos = _trig(phi)
         sp, cp = sin(phi), cos(phi)
         return np.array([
             [1.0, 0.0, R * ct * sp, R * st * cp, -R * cp],

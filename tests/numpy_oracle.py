@@ -3,13 +3,16 @@ callables: the tests' oracles for the Python-number kernel.
 
 ``nhcontact`` computes the step residuals, the analytic discrete-Lagrangian
 partials, the discrete constraint and the Foucault and disk callables on
-Python numbers, rounding each operation as numpy's array and scalar
-arithmetic does, and builds the exact step Jacobian's complex-step columns
-from one complex vector and the imaginary parts of each returned list.  The
-functions here do the same work on numpy arrays and scalars, a fresh probe
-vector per column; the tests require the package's results to equal theirs
-bit for bit, zero signs included, on real arguments and on the
-complex-step probes of the exact step Jacobian.
+Python numbers, rounding each elementwise operation as numpy's array and
+scalar arithmetic does, and builds the exact step Jacobian's complex-step
+columns from one complex vector and the imaginary parts of each returned
+list, its action row in closed form.  The functions here do the same work
+on numpy arrays and scalars, a fresh probe vector per column; the tests
+require the package's results to equal theirs bit for bit, zero signs
+included, on real arguments and on the complex-step probes of the exact
+step Jacobian.  The products with a constraint matrix and the disk's
+``F(t) . q`` are :func:`dot`, the package's left-to-right sum written on
+numpy scalars: numpy's own dot rounds otherwise.
 """
 
 from __future__ import annotations
@@ -35,6 +38,20 @@ from nhcontact.systems import DiskParams, FoucaultParams
 # ---------------------------------------------------------------------------
 # Step kernel
 # ---------------------------------------------------------------------------
+
+def dot(a, b):
+    """``a . b`` on numpy scalars: the products added left to right,
+    starting from the first one."""
+    total = a[0] * b[0]
+    for i in range(1, len(a)):
+        total = total + a[i] * b[i]
+    return total
+
+
+def matvec(a, v) -> Array:
+    """``a @ v`` as a :func:`dot` per row of the 2-D ``a``."""
+    return np.array([dot(row, v) for row in a])
+
 
 def _z_discrete(rule: DiscretizationRule, z, z_next):
     if rule.z_rule is ZRule.FIRST_ORDER:
@@ -121,7 +138,7 @@ def discrete_constraint(
     q_d = constraint_evaluation_point(rule, q, q_next)
     if v is None:
         v = (q_next - q) / rule.h
-    return system.constraint_matrix(q_d) @ v + system.constraint_offset(q_d)
+    return matvec(system.constraint_matrix(q_d), v) + system.constraint_offset(q_d)
 
 
 def _discrete_force(system, rule, t, q, q_next):
@@ -142,7 +159,7 @@ def contact_residual(system, rule, window, unknowns) -> Array:
                                     w.z_prev, w.z_curr)
     momentum = d1f + d2b * (1.0 + h * d3f) / (1.0 - h * d4b)
     if m:
-        momentum = momentum - system.constraint_matrix(w.q_curr).T @ lam
+        momentum = momentum - matvec(system.constraint_matrix(w.q_curr).T, lam)
     ld_fwd = evaluate_discrete_lagrangian(system, rule, w.t_curr, w.q_curr, q_next,
                                           w.z_curr, z_next)
     out = np.empty(n + 1 + m, dtype=unknowns.dtype)
@@ -163,7 +180,7 @@ def la_residual(system, rule, window, unknowns) -> Array:
     _, d2b, _, _ = partials_of_Ld(system, rule, w.t_curr - h, w.q_prev, w.q_curr, 0.0, 0.0)
     momentum = h * (d1f + d2b) + _discrete_force(system, rule, w.t_curr, w.q_curr, q_next)
     if m:
-        momentum = momentum - system.constraint_matrix(w.q_curr).T @ lam
+        momentum = momentum - matvec(system.constraint_matrix(w.q_curr).T, lam)
     out = np.empty(n + m, dtype=unknowns.dtype)
     out[:n] = momentum
     if m:
@@ -171,24 +188,41 @@ def la_residual(system, rule, window, unknowns) -> Array:
     return out
 
 
-def step_jacobian(residual, x, a_t, rule) -> Array:
+def action_partials(system, rule, window, unknowns):
+    """``(D2 L_d, D4 L_d)`` of the contact residual's forward step at the
+    real ``unknowns``, the ingredients of its action row's derivatives."""
+    w, n = window, system.dim_q
+    _, d2f, _, d4f = partials_of_Ld(system, rule, w.t_curr, w.q_curr, unknowns[:n], w.z_curr,
+                                    unknowns[n])
+    return d2f, d4f
+
+
+def step_jacobian(residual, x, a_t, rule, action=None) -> Array:
     """Exact step Jacobian, column by column with numpy: the multiplier
-    columns ``-a_t``, under the first-order z rule the z column ``e_n``,
+    columns ``-a_t``, under the first-order z rule no probe of the z column,
     and every other column ``i`` the complex step
-    ``np.imag(residual(x + 1j * 1e-200 * e_i)) / 1e-200``."""
+    ``np.imag(residual(x + 1j * 1e-200 * e_i)) / 1e-200``.  With a z
+    unknown, the action row ``n`` is then set from ``action = (D2, D4)``:
+    ``-h D2`` in the q columns, ``1 - h D4`` in the z column, 0 in the
+    multiplier columns."""
+    a_t = np.array(a_t, dtype=float)
     k = len(x)
     n, m = a_t.shape
     jac = np.zeros((k, k))
     direction = np.zeros(k)
-    z_unit = k == n + 1 + m and rule.z_rule is ZRule.FIRST_ORDER
+    with_z = k == n + 1 + m
+    z_unit = with_z and rule.z_rule is ZRule.FIRST_ORDER
     for i in range(k - m):
         if z_unit and i == n:
-            jac[n, n] = 1.0
             continue
         direction[i] = 1.0
         jac[:, i] = np.imag(residual(x + 1j * COMPLEX_STEP * direction)) / COMPLEX_STEP
         direction[i] = 0.0
     jac[:n, k - m:] = -a_t
+    if with_z:
+        d2, d4 = action
+        jac[n, :n] = -rule.h * np.asarray(d2)
+        jac[n, n] = 1.0 - rule.h * d4
     return jac
 
 
@@ -278,7 +312,7 @@ def disk_system(params: DiskParams) -> ContactSystem:
             disk_kinetic_energy(params, q, qdot)
             - m * g * R * np.cos(theta)
             - alpha * z
-            + forcing(t) @ q
+            + dot(forcing(t), q)
         )
 
     def gradients(t, q, qdot, z):

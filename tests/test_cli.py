@@ -189,8 +189,9 @@ def test_solver_failure_says_where_and_why_on_stderr(tmp_path, capsys):
                                                ("la", "build_la_system")])
 def test_injected_failure_exits_2_with_truncated_trajectory(integrator, build, tmp_path,
                                                             capsys, monkeypatch):
-    # dL/dq turns NaN from t = 0.5 on: Newton fails at step 12 from the
-    # quadratic start and again from the linear retry, and the run ends there
+    # dL/dq turns NaN from t = 0.5 = 10 h on: the step from there, step 11,
+    # fails in Newton from the quadratic start and again from the linear
+    # retry, and the run ends there
     import nhcontact.experiments as experiments
 
     built = getattr(experiments, build)
@@ -210,11 +211,11 @@ def test_injected_failure_exits_2_with_truncated_trajectory(integrator, build, t
     code = run_cli(["run", "foucault-1", "--integrator", integrator, "--t-final", "1",
                     "--output-dir", str(out)])
     assert code == EXIT_SOLVER_FAILURE == 2
-    assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 12
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 11
     assert (out / "summary.csv").read_text().splitlines()[1].startswith("solver_failure")
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("foucault-1: solver_failure at step 12: residual is not finite ")
+    assert err[0].startswith("foucault-1: solver_failure at step 11: residual is not finite ")
 
 
 def test_long_disk_run_completes(tmp_path, capsys):

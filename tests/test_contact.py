@@ -25,6 +25,7 @@ from nhcontact.experiments import (
     _disk_params,
     build_contact_system,
     build_la_system,
+    catalog_ids,
     get_experiment,
     run_experiment,
 )
@@ -142,6 +143,15 @@ def _oracle_case(name):
 
 RULE_IDS = {PositionRule.LEFT_ENDPOINT: "left", PositionRule.MIDPOINT: "mid",
             PositionRule.TRAPEZOIDAL: "trap"}
+
+
+def exact_jacobian(residual, system, rule, window, terms, x):
+    """The step Jacobian at ``x`` as :func:`solve_step` builds it: the action
+    row from the real evaluation at ``x``, complex probes without ``L_d``."""
+    keep = []
+    residual(system, rule, window, terms, x, keep)
+    return step_jacobian(lambda u: residual(system, rule, window, terms, u, None, False),
+                         x, terms[2], rule, keep[:2])
 ORACLE_CASES = [(name, position, z_rule)
                 for name in ("pendulum", "disk", "oscillator", "fd-pendulum", "la-pendulum",
                              "la-disk")
@@ -180,10 +190,11 @@ def test_hoisted_residual_bit_identical_to_unhoisted(name, position, z_rule):
                 assert hoisted.dtype == expected.dtype == unknowns.dtype
                 assert hoisted.tobytes() == expected.tobytes()
             if probes:
-                jac = step_jacobian(lambda u: residual(system, rule, window, terms, u),
-                                    x, terms[2], rule)
+                jac = exact_jacobian(residual, system, rule, window, terms, x)
+                action = numpy_oracle.action_partials(oracle_system, rule, window, x) \
+                    if with_z else None
                 expected = numpy_oracle.step_jacobian(
-                    lambda u: oracle(oracle_system, rule, window, u), x, terms[2], rule)
+                    lambda u: oracle(oracle_system, rule, window, u), x, terms[2], rule, action)
                 assert jac.tobytes() == expected.tobytes()
 
 
@@ -192,7 +203,7 @@ def test_step_jacobian_bit_identical_to_column_loop():
     # x + 1j * 1e-200 * e_i, which log's branch cut tells apart (an imaginary
     # part pi instead of 0); exp overflows and 1/0 make non-finite columns
     x = np.array([-0.0, 0.5, 0.0, -0.0, 2.0])
-    a_t = np.array([[1.0], [-0.0], [3.0], [0.5]])
+    a_t = [[1.0], [-0.0], [3.0], [0.5]]
 
     def residual(u):
         return np.array([np.log(u[0]) + u[1], np.exp(800.0 * u[1]) * u[3],
@@ -270,8 +281,7 @@ def test_sequence_returns_bit_identical_to_array_returns(name, position, z_rule)
         assert _same_bytes(got, expected)
         assert _same_bytes(discrete_constraint(system, rule, qj, unknowns[:n]),
                            discrete_constraint(twin, rule, qj, unknowns[:n]))
-    got, expected = (step_jacobian(lambda u, s=s, t=t: residual(s, rule, window, t, u),
-                                   x, t[2], rule)
+    got, expected = (exact_jacobian(residual, s, rule, window, t, x)
                      for s, t in zip((system, twin), terms))
     assert _same_bytes(got, expected)
     stats = [StepStats(), StepStats()]
@@ -291,6 +301,9 @@ def test_sequence_returns_bit_identical_to_array_returns(name, position, z_rule)
     ("foucault-1", {"lagrangian_gradients": 2, "lagrangian": 2}, False),
 ], ids=["disk-2.3", "foucault-1"])
 def test_residual_calls_each_system_callable_once_per_point(eid, counts, shared):
+    # a real evaluation calls each callable once per point; a complex probe
+    # of the step Jacobian, which takes its action row in closed form, makes
+    # no lagrangian call
     spec = get_experiment(eid)
     system = build_contact_system(spec)
     calls = {}
@@ -308,12 +321,16 @@ def test_residual_calls_each_system_callable_once_per_point(eid, counts, shared)
     terms = contact_window_terms(system, spec.rule, window)
     x = np.concatenate([2.0 * window.q_curr - window.q_prev, [window.z_curr],
                         np.zeros(system.dim_c)])
-    for unknowns in (x, x + 1j * COMPLEX_STEP * np.eye(len(x))[0]):
+    probe_counts = {name: k for name, k in counts.items() if name != "lagrangian"}
+    for unknowns, with_ld, expected in ((x, True, counts),
+                                        (x + 1j * COMPLEX_STEP * np.eye(len(x))[0], False,
+                                         probe_counts)):
         calls.clear()
-        contact_residual(system, spec.rule, window, terms, unknowns)
-        assert {name: len(args) for name, args in calls.items()} == counts
+        contact_residual(system, spec.rule, window, terms, unknowns, None, with_ld)
+        assert {name: len(args) for name, args in calls.items()} == expected
         if shared:
-            points = [args[1] for args in calls["lagrangian_gradients"] + calls["lagrangian"]]
+            points = [args[1] for args in calls["lagrangian_gradients"]
+                      + calls.get("lagrangian", [])]
             points += [args[0] for args in calls["constraint_matrix"] + calls["constraint_offset"]]
             assert all(point is points[0] for point in points)
 
@@ -358,24 +375,25 @@ def test_contact_step_computes_window_partials_once(case, monkeypatch):
 
 
 def _walk(system, rule, step, window, steps, solver=NewtonConfig()):
-    """``steps`` steps from ``window`` as the driver takes them, from no
-    multipliers and no carry: yields each step's window, the carry it was
-    handed and the step's result."""
+    """``steps`` steps from the first ``window`` as the driver takes them, from
+    no multipliers and no carry, each window's ``t_curr`` on the grid:
+    yields each step's window, the carry it was handed and the step's
+    result."""
     lam, carry = np.zeros(system.dim_c), None
-    for _ in range(steps):
+    for j in range(1, steps + 1):
         result = step(system, rule, window, lam, carry, solver)
         yield window, carry, result
         q_next, z_next, lam, carry, _ = result
         window = StepState(q_prev=window.q_curr, q_curr=q_next, z_prev=window.z_curr,
-                           z_curr=z_next, t_curr=window.t_curr + rule.h)
+                           z_curr=z_next, t_curr=(j + 1) * rule.h)
 
 
-@pytest.mark.parametrize("shift_t, window_calls", [(False, 0), (True, 1)],
-                         ids=["exact-t", "t-one-ulp-off"])
+@pytest.mark.parametrize("shift_t", [False, True], ids=["exact-t", "t-one-ulp-off"])
 @pytest.mark.parametrize("case", KERNEL_CASES, ids=["pendulum-trap-first", "disk-mid-second"])
-def test_carry_replaces_window_partials(case, shift_t, window_calls, monkeypatch):
+def test_carry_replaces_window_partials(case, shift_t, monkeypatch):
     # the second step's backward partials are the first step's forward ones,
-    # taken from its carry unless the carry's t misses the window's by an ulp
+    # taken from its carry whatever its t: a carry's t one ulp off the
+    # window's t_curr - h, as a t_curr kept on the grid can leave it, serves
     system, rule, q = case()
     window = initialize_window(system, rule, q, np.zeros(system.dim_q))
     (_, _, first), (second, _, plain) = _walk(system, rule, contact_step, window, 2)
@@ -387,7 +405,7 @@ def test_carry_replaces_window_partials(case, shift_t, window_calls, monkeypatch
     count_calls(monkeypatch, calls)
     result = contact_step(system, rule, second, first[2], carry, NewtonConfig())
     assert calls["residual"] >= 1
-    assert calls["partials"] == calls["residual"] + window_calls
+    assert calls["partials"] == calls["residual"]
     assert np.array_equal(result[0], plain[0]) and result[1] == plain[1]
     assert np.array_equal(result[2], plain[2]) and result[4] == plain[4]
 
@@ -402,21 +420,44 @@ def test_window_terms_from_carry_equal_recomputed(position, z_rule):
     window = initialize_window(system, rule, spec.q0, spec.v0)
     used = 0
     for window, carry, _ in _walk(system, rule, contact_step, window, 8):
-        if carry is None or carry.t != window.t_curr - rule.h:
+        if carry is None:
             continue
         used += 1
         carried = contact_window_terms(system, rule, window, carry)
         recomputed = contact_window_terms(system, rule, window)
-        for a, b in zip(carried[:3], recomputed[:3]):
-            assert np.array_equal(a, b)
+        # the window's backward step starts at the carry's t
+        backward = (carry.t, window.q_prev, window.q_curr, window.z_prev, window.z_curr)
+        _, d2b, _, d4b = partials_of_Ld(system, rule, *backward)
+        assert carried[0] == d2b and carried[1] == 1.0 - rule.h * d4b
+        assert carried[2] == recomputed[2]
         # the forward evaluators are the window's, whatever the carry
         q_next = 2.0 * window.q_curr - window.q_prev
-        for a, b in zip(carried[3](q_next, window.z_curr), recomputed[3](q_next, window.z_curr)):
+        for a, b in zip(carried[3](q_next, window.z_curr, True),
+                        recomputed[3](q_next, window.z_curr, True)):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-        assert carry.ld == evaluate_discrete_lagrangian(
-            system, rule, window.t_curr - rule.h, window.q_prev, window.q_curr,
-            window.z_prev, window.z_curr)
-    assert used >= 5
+        assert carry.ld == evaluate_discrete_lagrangian(system, rule, *backward)
+    assert used == 7
+
+
+@pytest.mark.parametrize("eid, h", [(eid, None) for eid in catalog_ids()
+                                    if eid.startswith("disk")] + [("disk-3.2", 0.0725)])
+def test_carry_serves_every_window_after_the_first(eid, h, monkeypatch):
+    # with t_curr on the grid and no t test, only the first implicit step's
+    # window, which has no carry, computes its backward partials.  A t_curr
+    # accumulated by + h missed the carry's t on 3 of the 199 windows of a
+    # catalog disk run, and on 5 of 68 at h = 0.0725, a disk-sweep-style step
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return partials_of_Ld(*args)
+
+    monkeypatch.setattr(nhcontact.contact, "partials_of_Ld", counting)
+    stats = StepStats()
+    overrides = {} if h is None else {"h": h, "t_final": 5.0}
+    traj = run_experiment(get_experiment(eid, **overrides), stats=stats)
+    assert traj.termination.completed and stats.steps == traj.n_steps - 1
+    assert calls == [0.0]
 
 
 @pytest.mark.parametrize("integrator, most", [
@@ -600,6 +641,29 @@ def test_non_finite_gradient_ends_as_solver_failure(run, step):
     assert np.all(np.isfinite(traj.configurations))
 
 
+def _with_tilt(eid, theta):
+    q0 = get_experiment(eid).q0.copy()
+    q0[2] = theta
+    return q0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("eid, q0, integrator", [
+    ("foucault-1", np.array([1e160, 0.0]), Integrator.CONTACT),
+    ("foucault-1", np.array([1e160, 0.0]), Integrator.LAGRANGE_DALEMBERT),
+    ("disk-2.3", _with_tilt("disk-2.3", 1e308), Integrator.CONTACT),
+    ("foucault-1", np.array([np.nan, 0.0]), Integrator.CONTACT),
+], ids=["foucault-1e160", "foucault-la-1e160", "disk-tilt-1e308", "foucault-nan"])
+def test_huge_or_non_finite_initial_state_ends_as_solver_failure(eid, q0, integrator):
+    # where numpy gives inf or NaN, Python's float power raises
+    # OverflowError, math's sine of an infinity ValueError and LAPACK's least
+    # squares on NaN LinAlgError; the seed must carry the inf or NaN on to
+    # Newton's finiteness checks instead
+    traj = run_experiment(get_experiment(eid, q0=q0, t_final=1.0, integrator=integrator))
+    assert (traj.termination.status, traj.termination.step) == ("solver_failure", 1)
+    assert traj.n_steps == 0
+
+
 def test_step_stats_recorded():
     system = damped_oscillator()
     rule = DiscretizationRule(PositionRule.MIDPOINT, ZRule.SECOND_ORDER, 0.05)
@@ -712,7 +776,8 @@ def _jacobian_case(case, rule):
     if case == "oscillator":
         system, q0, v0 = damped_oscillator(), np.array([1.0]), np.array([0.0])
     else:
-        spec = get_experiment("foucault-1" if case.startswith("foucault") else "disk-2.3")
+        eid = {"disk": "disk-2.3", "forced-disk": "disk-3.2"}.get(case, "foucault-1")
+        spec = get_experiment(eid)
         build = build_la_system if case == "foucault-la" else build_contact_system
         system, q0, v0 = build(spec), spec.q0, spec.v0
     if case == "foucault-la":
@@ -738,7 +803,7 @@ def test_step_jacobian_matches_central_difference(case, position, z_rule):
     def f(u):
         return residual(system, rule, window, terms, u)
 
-    exact = step_jacobian(f, x, terms[2], rule)
+    exact = exact_jacobian(residual, system, rule, window, terms, x)
     fd = central_difference(f, x)
     assert exact.dtype == float
     assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
@@ -753,6 +818,49 @@ def test_step_jacobian_matches_central_difference(case, position, z_rule):
         probed = complex_step(f, x, np.eye(len(x))[n])
         assert np.array_equal(exact[:, n], np.eye(len(x))[n])
         assert exact[:, n].tobytes() == probed.tobytes()
+
+
+@pytest.mark.parametrize("z_rule", list(ZRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("position", list(PositionRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("case", ["oscillator", "foucault", "disk", "forced-disk"])
+def test_action_row_matches_complex_step(case, position, z_rule):
+    # the closed-form action row -h D2 L_d, 1 - h D4 L_d, 0 against the
+    # complex steps of the full residual, L_d included
+    rule = DiscretizationRule(position, z_rule, 0.05 if case == "foucault" else 0.1)
+    residual, system, window, terms, guess = _jacobian_case(case, rule)
+    x = guess + 1e-3 * np.random.default_rng(1).standard_normal(len(guess))
+    n = system.dim_q
+    exact = exact_jacobian(residual, system, rule, window, terms, x)
+    probed = np.array([complex_step(lambda u: residual(system, rule, window, terms, u), x, e)[n]
+                       for e in np.eye(len(x))])
+    assert np.max(np.abs(exact[n] - probed)) <= 1e-13 * np.max(np.abs(probed))
+    assert np.all(exact[n, n + 1:] == 0.0)
+
+
+def test_jacobian_action_row_comes_from_its_own_point(monkeypatch):
+    # Newton builds each Jacobian at an iterate it evaluated, after a
+    # dropped chord iterate at the chord's start: the action row must come
+    # from that point's own real evaluation, not from the last one
+    evaluated, last = {}, []
+
+    def recording(system, rule, window, terms, unknowns, keep=None, with_ld=True):
+        values = contact_residual(system, rule, window, terms, unknowns, keep, with_ld)
+        if keep is not None:
+            evaluated[unknowns.tobytes()] = tuple(keep[:2])
+            last[:] = [unknowns.tobytes()]
+        return values
+
+    builds = []
+
+    def checking(residual, x, a_t, rule, action=None):
+        builds.append(x.tobytes() != last[0])
+        assert action == evaluated[x.tobytes()]
+        return step_jacobian(residual, x, a_t, rule, action)
+
+    monkeypatch.setattr(nhcontact.contact, "contact_residual", recording)
+    monkeypatch.setattr(nhcontact.contact, "step_jacobian", checking)
+    assert run_experiment(get_experiment("disk-2.3", t_final=5.0)).termination.completed
+    assert sum(builds) >= 1 and len(builds) > sum(builds)
 
 
 def test_catalog_newton_iterations_keep_margin_below_cap(catalog_runs):
@@ -850,7 +958,8 @@ def test_step_map_is_conformally_symplectic(position, z_rule):
                                 unknowns)
 
     y, x = np.concatenate([q_prev, q_curr]), np.concatenate([q_next, [z_next]])
-    d_x = step_jacobian(lambda u: residual(y, u), x, np.zeros((n, 0)), rule)
+    d_x = exact_jacobian(contact_residual, system, rule, window,
+                         contact_window_terms(system, rule, window), x)
     d_y = np.stack([complex_step(lambda yy: residual(yy, x), y, e) for e in np.eye(2 * n)],
                    axis=1)
     jac = np.block([[np.zeros((n, n)), np.eye(n)], [-np.linalg.solve(d_x, d_y)[:n]]])

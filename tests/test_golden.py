@@ -9,11 +9,15 @@ that moves trajectory bits regenerates the table with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and states its largest catalog |dq|.
+and states its largest catalog |dq| against the old tree's Newton error,
+which ``python tests/catalog_dq.py OLD_SRC NEW_SRC`` prints.
 
-The digests hold for the numpy build they were recorded with.  Another numpy
-version, or one whose small dot or complex-by-real division rounds otherwise
-(the probe below), skips the test with the reason.
+The step kernel, the LU solve and the built-in systems compute on Python
+floats, but the seed's least squares and small dots and the complex
+difference velocities of the Jacobian's probes are numpy's, so the digests
+hold for the numpy build they were recorded with.  Another numpy version, or
+one whose small dot or complex-by-real division rounds otherwise (the probe
+below), skips the test with the reason.
 """
 
 import hashlib
