@@ -198,7 +198,7 @@ def contact_residual(
     n, h = system.dim_q, rule.h
     z_next = unknowns.item(n)
     d2b, denom, a_t, forward = terms
-    _, _, d1f, d2f, d3f, d4f, ld_fwd, constraint = forward(unknowns[:n], z_next, with_ld)
+    _, _, _, d1f, d2f, d3f, d4f, ld_fwd, constraint = forward(unknowns[:n], z_next, with_ld)
     # without multipliers the rows subtract 0.0, and x - 0.0 is x, zero signs included
     if system.dim_c:
         lam = unknowns[n + 1:].tolist()
@@ -277,19 +277,23 @@ def solve_z_update(
     """Solve ``z' = z + h L_d(q, q', z, z')`` for ``z'``.
 
     Explicit under the first-order z rule; a scalar Newton solve otherwise
-    (one iteration when the Lagrangian is linear in z).
+    (one iteration when the Lagrangian is linear in z).  Each ``L_d`` is one
+    call of the step's :func:`~nhcontact.model.step_evaluator`.
     """
     h = rule.h
+    evaluate = step_evaluator(system, rule, t, q, z)
+
+    def ld(z_next):
+        return evaluate(q_next, z_next, with_ld=True, partials=False, rows=False)[7]
+
+    guess = z + h * ld(z)
     if rule.z_rule is ZRule.FIRST_ORDER:
-        return z + h * evaluate_discrete_lagrangian(system, rule, t, q, q_next, z, z)
+        return guess
 
     def residual(u):
         zn = float(u[0])
-        return np.array(
-            [zn - z - h * evaluate_discrete_lagrangian(system, rule, t, q, q_next, z, zn)]
-        )
+        return np.array([zn - z - h * ld(zn)])
 
-    guess = z + h * evaluate_discrete_lagrangian(system, rule, t, q, q_next, z, z)
     zn, _, _ = newton_solve(residual, np.array([guess]), NewtonConfig(tolerance=1e-13))
     return float(zn[0])
 
@@ -381,18 +385,20 @@ def project_seed_position(
     constraint holds over the seed step.
 
     The correction is O(h) times the discrete-constraint defect, so a
-    second-order-accurate seed stays second order.
+    second-order-accurate seed stays second order.  The defect is one
+    :func:`~nhcontact.model.step_evaluator`'s, built once with ``A(q0)``.
     """
     if system.dim_c == 0:
         return q1
+    a = system.constraint_matrix(q0)
+    evaluate = step_evaluator(system, rule, 0.0, q0, 0.0, a)
 
-    def residual(mu: Array) -> Array:
-        a = system.constraint_matrix(q0)
-        return discrete_constraint(system, rule, q0, q1 + a.T @ mu)
+    def residual(mu: Array) -> list:
+        return evaluate(q1 + a.T @ mu, 0.0, partials=False)[8]
 
     mu, _, _ = newton_solve(residual, np.zeros(system.dim_c),
                             NewtonConfig(tolerance=1e-12))
-    return q1 + system.constraint_matrix(q0).T @ mu
+    return q1 + a.T @ mu
 
 
 def seed_position(
@@ -484,7 +490,9 @@ def run_steps(
     settles which start the next one takes.
     ``stats`` takes each step's iterations and constraint rows, and the
     seed step's discrete constraint.  A numerical failure in either ends
-    the run as a ``solver_failure`` at the last accepted step.
+    the run as a ``solver_failure`` at the last accepted step; a failure of
+    the seed step, before the first implicit one, says so by the prefix
+    ``seed step: `` of its message.
     """
     from .analysis import reconstruct_velocities_from_arrays
 
@@ -537,7 +545,8 @@ def run_steps(
                                z_curr=z_next, t_curr=(j + 1) * h)
     except (NewtonDivergence, SingularJacobian, DenominatorSingular,
             EvaluationError) as exc:
-        termination = Termination.failure(step=steps_done + 1, message=str(exc))
+        message = str(exc) if steps_done else f"seed step: {exc}"
+        termination = Termination.failure(step=steps_done + 1, message=message)
 
     qs = qs[: steps_done + 1]
     zs = zs[: steps_done + 1]

@@ -4,15 +4,15 @@ Baseline against which the contact integrator is compared.  The discrete
 Lagrangian is the one-step quadrature ``h * L(Psi(q, q'))`` with z frozen at
 zero, dissipation entering through a discretized external force instead.
 
-Only the discrete equations are this module's own: the force quadrature
-:func:`_discrete_force`, the residual :func:`la_residual`, and
+Only the discrete equations are this module's own: the residual
+:func:`la_residual`, with its one-step force quadrature ``h * F^e``, and
 :func:`run_la`, which hands that residual, without a z unknown, to
 :func:`nhcontact.contact.run_steps`.  The seed, the window terms, the
 Newton solve with its Jacobian and the trajectory driver are
 :mod:`nhcontact.contact`'s.  Each residual evaluation is one call of the
 window's :func:`~nhcontact.model.step_evaluator`, z held at zero and
 ``L_d`` not evaluated: it gives the partials, the constraint rows and the
-difference velocity and evaluation point at which the force is sampled.
+time, point and difference velocity at which the rule samples the force.
 """
 
 from __future__ import annotations
@@ -24,23 +24,12 @@ from .model import (
     Array,
     ContactSystem,
     DiscretizationRule,
-    PositionRule,
     StepState,
     Trajectory,
     dot,
     numbers,
 )
 from .newton import NewtonConfig
-
-
-def _discrete_force(system, rule, t, q_d, v) -> list:
-    """One-step force quadrature ``h * F^e``, a list of Python numbers, on
-    the step from ``t`` with difference velocity ``v``, sampled at the
-    constraint evaluation point ``q_d``.  The force is taken as the system
-    returns it, a numpy array costing one ``tolist()``."""
-    h = rule.h
-    t_eval = t + 0.5 * h if rule.position_rule is PositionRule.MIDPOINT else t
-    return [h * f for f in numbers(system.external_force(t_eval, q_d, v))]
 
 
 def la_residual(
@@ -60,23 +49,25 @@ def la_residual(
     :func:`~nhcontact.contact.contact_window_terms`, built without z
     (``with_z`` false) for a run; the factor ``1 - h D4 L_d`` among them is
     not used (it is 1 for a z-free Lagrangian).  Their forward evaluator
-    gives the partials, the difference velocity, the evaluation point of the
-    force and the constraint rows in one pass; z is held at zero.  ``keep``
-    is as for :func:`~nhcontact.contact.contact_residual`, with ``None`` for
-    the discrete Lagrangian, which this residual does not use; so it never
-    evaluates ``L_d``, and ``with_ld`` is there only for the common
-    signature.
+    gives the partials, the constraint rows and the sample point
+    ``(t_d, q_d, v)`` of the force ``F^e``, whose quadrature is
+    ``h * F^e(t_d, q_d, v)``, in one pass; z is held at zero.  The force is
+    taken as the system returns it, a numpy array costing one ``tolist()``.
+    ``keep`` is as for :func:`~nhcontact.contact.contact_residual`, with
+    ``None`` for the discrete Lagrangian, which this residual does not use;
+    so it never evaluates ``L_d``, and ``with_ld`` is there only for the
+    common signature.
     """
     n, h = system.dim_q, rule.h
     d2b, _, a_t, forward = terms
-    v, q_d, d1f, d2f, _, d4f, _, constraint = forward(unknowns[:n], 0.0)
-    force = _discrete_force(system, rule, window.t_curr, q_d, v)
+    t_d, q_d, v, d1f, d2f, _, d4f, _, constraint = forward(unknowns[:n], 0.0)
+    force = numbers(system.external_force(t_d, q_d, v))
     if system.dim_c:
         lam = unknowns[n:].tolist()
         lam_rows = [dot(row, lam) for row in a_t]
     else:
         lam_rows = [0.0] * n
-    momentum = [h * (a + b) + f - c for a, b, f, c in zip(d1f, d2b, force, lam_rows)]
+    momentum = [h * (a + b) + h * f - c for a, b, f, c in zip(d1f, d2b, force, lam_rows)]
     if keep is not None:
         keep[:] = d2f, d4f, None, constraint
     return momentum + constraint

@@ -6,16 +6,19 @@ action ``z`` in addition to the usual state, which lets dissipation enter the
 dynamics intrinsically.  Velocity-level constraints are kept in affine form
 ``A(q) qdot + b(q) = 0``; ``b == 0`` recovers the purely linear case.
 
-The discrete Lagrangian of one step is evaluated here.  The step residuals
-call :func:`step_evaluator`: made once per step from the step's start, it
-returns the partials ``D1``-``D4``, ``L_d`` and the discrete-constraint rows
-at a candidate end point in one pass, building the difference velocity and
-the evaluation point once.  :func:`partials_of_Ld` is its partials alone;
-:func:`evaluate_discrete_lagrangian` and :func:`discrete_constraint` are
-the single-value forms that the seed, the finite-difference partials and
-the diagnostics use.  A system callable may return its numbers as any
-sequence (:class:`ContactSystem`): the kernel takes a list or tuple as it
-is and turns only a numpy array into a list (:func:`numbers`).
+The discrete Lagrangian of one step is evaluated here, by
+:func:`step_evaluator` alone: it is the only code that turns a
+:class:`DiscretizationRule` into sample points, where ``L``, ``A(q)``,
+``b(q)`` and the external force are sampled and which ``z`` the Lagrangian
+sees.  Made once per step from the step's start, it returns at a candidate
+end point, in one pass, that point, the partials ``D1``-``D4``, ``L_d`` and
+the discrete-constraint rows, each part when asked for.
+:func:`partials_of_Ld`, :func:`evaluate_discrete_lagrangian` and
+:func:`discrete_constraint` are one-line forms over it, for the seed, the
+finite-difference partials and the diagnostics.  A system callable may
+return its numbers as any sequence (:class:`ContactSystem`): the kernel
+takes a list or tuple as it is and turns only a numpy array into a list
+(:func:`numbers`).
 """
 
 from __future__ import annotations
@@ -161,6 +164,12 @@ class ZRule(Enum):
     SECOND_ORDER = "second"
 
 
+# the members, for step_evaluator: on Python 3.11 an Enum class attribute
+# costs a call of the metaclass's __getattr__ hook
+_MIDPOINT, _TRAPEZOIDAL = PositionRule.MIDPOINT, PositionRule.TRAPEZOIDAL
+_FIRST_ORDER = ZRule.FIRST_ORDER
+
+
 @dataclass(frozen=True)
 class DiscretizationRule:
     position_rule: PositionRule
@@ -258,48 +267,6 @@ class ExperimentSpec:
 # Discrete Lagrangian evaluation
 # ---------------------------------------------------------------------------
 
-def _z_discrete(rule: DiscretizationRule, z: float, z_next: float) -> float:
-    if rule.z_rule is ZRule.FIRST_ORDER:
-        return z
-    return 0.5 * (z + z_next)
-
-
-def evaluate_discrete_lagrangian(
-    system: ContactSystem,
-    rule: DiscretizationRule,
-    t: float,
-    q: Array,
-    q_next: Array,
-    z: float,
-    z_next: float,
-) -> float:
-    """Discrete Lagrangian ``L_d(q, q', z, z')`` over one step starting at
-    ``t``; complex when an argument is (see :func:`complex_step`)."""
-    h = rule.h
-    v = (q_next - q) / h
-    z_d = _z_discrete(rule, z, z_next)
-    pos = rule.position_rule
-    if pos is PositionRule.LEFT_ENDPOINT:
-        val = system.lagrangian(t, q, v, z_d)
-    elif pos is PositionRule.MIDPOINT:
-        val = system.lagrangian(t + 0.5 * h, 0.5 * (q + q_next), v, z_d)
-    else:  # TRAPEZOIDAL
-        val = 0.5 * (
-            system.lagrangian(t, q, v, z_d)
-            + system.lagrangian(t + h, q_next, v, z_d)
-        )
-    _check_finite(val, t, q, q_next, z, z_next)
-    return val
-
-
-def _check_finite(val, t, q, q_next, z, z_next) -> None:
-    if not math.isfinite(val.real):
-        raise EvaluationError(
-            f"non-finite discrete Lagrangian at t={t}, q={q}, q_next={q_next}, "
-            f"z={z}, z_next={z_next}"
-        )
-
-
 def numbers(values) -> list:
     """A sequence of numbers that a system callable returned, as Python
     numbers: a numpy array's ``tolist()``, any other sequence as it is."""
@@ -346,17 +313,18 @@ def divide(values: list, d: float) -> list:
     return [v / d for v in values]
 
 
-def _partials_fd(system, rule, t, q, q_next, z, z_next):
+def _partials_fd(system, rule, t, q, q_next, z, z_next, first):
+    """Central differences of :func:`evaluate_discrete_lagrangian`; ``D4``
+    is 0.0 under the first-order z rule (``first``), where ``L_d`` does not
+    see ``z_next``."""
     def ld(qa, qb, za, zb):
         return evaluate_discrete_lagrangian(system, rule, t, qa, qb, za, zb)
 
     d1 = central_difference(lambda x: ld(x, q_next, z, z_next), q).tolist()
     d2 = central_difference(lambda x: ld(q, x, z, z_next), q_next).tolist()
     d3 = float(central_difference(lambda x: ld(q, q_next, x[0], z_next), [z])[0])
-    if rule.z_rule is ZRule.FIRST_ORDER:
-        d4 = 0.0  # L_d does not see z_next under the first-order rule
-    else:
-        d4 = float(central_difference(lambda x: ld(q, q_next, z, x[0]), [z_next])[0])
+    d4 = 0.0 if first else float(central_difference(lambda x: ld(q, q_next, z, x[0]),
+                                                    [z_next])[0])
     return d1, d2, d3, d4
 
 
@@ -369,21 +337,31 @@ def step_evaluator(
     a_q: Optional[Array] = None,
 ) -> Callable:
     """The discrete Lagrangian of the steps from ``(t, q, z)``, as a function
-    ``evaluate(q_next, z_next, with_ld=False)`` that returns, in one pass,
-    ``(v, q_d, D1, D2, D3, D4, L_d, constraint)``.
+    ``evaluate(q_next, z_next, with_ld=False, partials=True, rows=True)``
+    that returns, in one pass, ``(t_d, q_d, v, D1, D2, D3, D4, L_d,
+    constraint)``.
 
-    ``v = (q_next - q)/h`` is the difference velocity and ``q_d`` the
-    constraint evaluation point (:func:`constraint_evaluation_point`), each
-    built once per evaluation.  ``D1`` and ``D2`` are lists of Python
-    numbers, from the system's analytic gradients by the chain rule, or
-    central finite differences when it registers none.  ``L_d`` is
-    evaluated only when that call asks for it (``with_ld``), else ``None``;
-    a non-finite one raises :class:`EvaluationError`.  ``constraint`` is
-    given ``a_q = A(q)``: the discrete-constraint rows ``A(q_d) v + b(q_d)``
-    (:func:`constraint_rows`), a list (``[]`` without constraints), taking
-    ``A`` from ``a_q`` where ``q_d`` is ``q``; else ``None``.  The partials
-    are not checked for finiteness here: Newton checks every residual and
-    Jacobian it is given (:func:`nhcontact.newton.newton_solve`).
+    This is the one place that turns the rule into sample points.
+    ``(t_d, q_d, v)`` is where the rule samples the Lagrangian, the
+    constraint and the external force: the left end ``(t, q)`` for the
+    left-endpoint and trapezoidal rules (the trapezoid samples ``L``, but
+    not the constraint, at its right end ``(t + h, q_next)`` too, as the
+    printed benchmark equations do), the midpoint ``(t + h/2,
+    (q + q_next)/2)`` for the midpoint rule, each with the difference
+    velocity ``v = (q_next - q)/h``, built once per evaluation.  ``L`` sees
+    ``z`` under the first-order z rule and ``(z + z_next)/2`` under the
+    second-order one.
+
+    Each part is computed only when that call asks for it, else ``None``.
+    ``D1`` and ``D2`` (``partials``) are lists of Python numbers, from the
+    system's analytic gradients by the chain rule, or central finite
+    differences when it registers none.  ``L_d`` (``with_ld``) is checked:
+    a non-finite one raises :class:`EvaluationError`.  ``constraint``
+    (``rows``) is the discrete-constraint rows ``A(q_d) v + b(q_d)``
+    (:func:`constraint_rows`), a list, ``[]`` without constraints; ``A`` is
+    taken from ``a_q``, when given as ``A(q)``, where ``q_d`` is ``q``.  The
+    partials are not checked for finiteness here: Newton checks every
+    residual and Jacobian it is given (:func:`nhcontact.newton.newton_solve`).
 
     Each system callable is called once per point it is sampled at, the
     Lagrangian after its gradients.  The rule, the z rule and whether
@@ -395,24 +373,26 @@ def step_evaluator(
     (:func:`numbers`).
     """
     h = rule.h
-    mid = rule.position_rule is PositionRule.MIDPOINT
-    trap = rule.position_rule is PositionRule.TRAPEZOIDAL
-    first = rule.z_rule is ZRule.FIRST_ORDER
+    mid = rule.position_rule is _MIDPOINT
+    trap = rule.position_rule is _TRAPEZOIDAL
+    first = rule.z_rule is _FIRST_ORDER
     gradients, lagrangian = system.lagrangian_gradients, system.lagrangian
-    t_d = t + 0.5 * h if mid else t  # where L is sampled, but for the trapezoid's right end
+    t_d = t + 0.5 * h if mid else t
     t_next = t + h
-    rows = a_q is not None and system.dim_c > 0
+    m = system.dim_c
     matrix, offset = system.constraint_matrix, system.constraint_offset
-    if rows and not mid:
+    a_rows = None
+    if a_q is not None and m and not mid:
         a_rows, offset_q = a_q.tolist(), numbers(offset(q))
 
-    def evaluate(q_next, z_next, with_ld=False):
+    def evaluate(q_next, z_next, with_ld=False, partials=True, rows=True):
         v = (q_next - q) / h
         q_d = 0.5 * (q + q_next) if mid else q
         z_d = z if first else 0.5 * (z + z_next)
-        if gradients is None:
-            d1, d2, d3, d4 = _partials_fd(system, rule, t, q, q_next, z, z_next)
-        else:
+        d1 = d2 = d3 = d4 = ld = constraint = None
+        if partials and gradients is None:
+            d1, d2, d3, d4 = _partials_fd(system, rule, t, q, q_next, z, z_next, first)
+        elif partials:
             if trap:
                 gq0, gv0, gz0 = gradients(t, q, v, z_d)
                 gq1, gv1, gz1 = gradients(t_next, q_next, v, z_d)
@@ -434,24 +414,41 @@ def step_evaluator(
                 d3, d4 = gz, 0.0
             else:
                 d3 = d4 = 0.5 * gz
-        ld = constraint = None
         if with_ld:
             if trap:
                 ld = 0.5 * (lagrangian(t, q, v, z_d) + lagrangian(t_next, q_next, v, z_d))
             else:
                 ld = lagrangian(t_d, q_d, v, z_d)
-            _check_finite(ld, t, q, q_next, z, z_next)
-        if rows:
-            if mid:
-                constraint = constraint_rows(matrix(q_d).tolist(), v.tolist(),
-                                             numbers(offset(q_d)))
-            else:
-                constraint = constraint_rows(a_rows, v.tolist(), offset_q)
-        elif a_q is not None:
+            if not math.isfinite(ld.real):
+                raise EvaluationError(
+                    f"non-finite discrete Lagrangian at t={t}, q={q}, q_next={q_next}, "
+                    f"z={z}, z_next={z_next}")
+        if rows and a_rows is not None:
+            constraint = constraint_rows(a_rows, v.tolist(), offset_q)
+        elif rows and m:
+            constraint = constraint_rows(matrix(q_d).tolist(), v.tolist(),
+                                         numbers(offset(q_d)))
+        elif rows:
             constraint = []
-        return v, q_d, d1, d2, d3, d4, ld, constraint
+        return t_d, q_d, v, d1, d2, d3, d4, ld, constraint
 
     return evaluate
+
+
+def evaluate_discrete_lagrangian(
+    system: ContactSystem,
+    rule: DiscretizationRule,
+    t: float,
+    q: Array,
+    q_next: Array,
+    z: float,
+    z_next: float,
+) -> float:
+    """Discrete Lagrangian ``L_d(q, q', z, z')`` over one step starting at
+    ``t``; complex when an argument is (see :func:`complex_step`).  It is
+    :func:`step_evaluator`'s."""
+    evaluate = step_evaluator(system, rule, t, q, z)
+    return evaluate(q_next, z_next, with_ld=True, partials=False, rows=False)[7]
 
 
 def partials_of_Ld(
@@ -468,7 +465,18 @@ def partials_of_Ld(
     ``D2`` are lists of Python numbers.  They are :func:`step_evaluator`'s,
     analytic when the system registers gradients, else finite differences.
     """
-    return step_evaluator(system, rule, t, q, z)(q_next, z_next)[2:6]
+    return step_evaluator(system, rule, t, q, z)(q_next, z_next, rows=False)[3:7]
+
+
+def discrete_constraint(
+    system: ContactSystem,
+    rule: DiscretizationRule,
+    q: Array,
+    q_next: Array,
+) -> list:
+    """Discrete constraint residual ``A(q_d) qdot_d + b(q_d)``, a list of
+    Python numbers; it is :func:`step_evaluator`'s."""
+    return step_evaluator(system, rule, 0.0, q, 0.0)(q_next, 0.0, partials=False)[8]
 
 
 def lagrangian_gradients_or_fd(
@@ -552,29 +560,6 @@ def initial_acceleration(
     kkt[:n, n:] = -a0.T
     kkt[n:, :n] = a0
     return least_squares(kkt, np.concatenate([rhs, -drift]))[:n]
-
-
-def constraint_evaluation_point(rule: DiscretizationRule, q: Array, q_next: Array) -> Array:
-    """Configuration at which the constraint matrix is sampled for the
-    discrete constraint.  Follows the position rule; the trapezoidal rule
-    samples at the left endpoint, matching the printed benchmark equations."""
-    if rule.position_rule is PositionRule.MIDPOINT:
-        return 0.5 * (q + q_next)
-    return q
-
-
-def discrete_constraint(
-    system: ContactSystem,
-    rule: DiscretizationRule,
-    q: Array,
-    q_next: Array,
-) -> list:
-    """Discrete constraint residual ``A(q_d) qdot_d + b(q_d)``, a list of
-    Python numbers (:func:`constraint_rows`)."""
-    q_d = constraint_evaluation_point(rule, q, q_next)
-    v = (q_next - q) / rule.h
-    return constraint_rows(system.constraint_matrix(q_d).tolist(), v.tolist(),
-                           numbers(system.constraint_offset(q_d)))
 
 
 def project_velocity(system: ContactSystem, q: Array, v: Array) -> Array:

@@ -26,11 +26,10 @@ from nhcontact.model import (
     Array,
     ContactSystem,
     DiscretizationRule,
+    EvaluationError,
     PositionRule,
     ZRule,
     central_difference,
-    constraint_evaluation_point,
-    evaluate_discrete_lagrangian,
 )
 from nhcontact.systems import DiskParams, FoucaultParams
 
@@ -57,6 +56,36 @@ def _z_discrete(rule: DiscretizationRule, z, z_next):
     if rule.z_rule is ZRule.FIRST_ORDER:
         return z
     return 0.5 * (z + z_next)
+
+
+def evaluate_discrete_lagrangian(system, rule, t, q, q_next, z, z_next):
+    """Discrete Lagrangian ``L_d(q, q', z, z')`` over one step starting at
+    ``t``, each position rule written out."""
+    h = rule.h
+    v = (q_next - q) / h
+    z_d = _z_discrete(rule, z, z_next)
+    pos = rule.position_rule
+    if pos is PositionRule.LEFT_ENDPOINT:
+        val = system.lagrangian(t, q, v, z_d)
+    elif pos is PositionRule.MIDPOINT:
+        val = system.lagrangian(t + 0.5 * h, 0.5 * (q + q_next), v, z_d)
+    else:  # TRAPEZOIDAL
+        val = 0.5 * (
+            system.lagrangian(t, q, v, z_d)
+            + system.lagrangian(t + h, q_next, v, z_d)
+        )
+    if not np.isfinite(val.real):
+        raise EvaluationError(f"non-finite discrete Lagrangian {val}")
+    return val
+
+
+def constraint_evaluation_point(rule: DiscretizationRule, q, q_next):
+    """Configuration at which the discrete constraint samples ``A`` and
+    ``b``: the midpoint under the midpoint rule, else the left endpoint (the
+    trapezoidal rule included, matching the printed benchmark equations)."""
+    if rule.position_rule is PositionRule.MIDPOINT:
+        return 0.5 * (q + q_next)
+    return q
 
 
 def _partials_analytic(system, rule, t, q, q_next, z, z_next, v):

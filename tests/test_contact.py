@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import numpy_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nhcontact.contact
 import nhcontact.dalembert
@@ -345,11 +347,12 @@ def contact_step(system, rule, window, lam, carry, solver, start=None):
 def count_calls(monkeypatch, calls):
     """Count into ``calls`` the step residuals and the partials evaluations
     of the steps taken: the window's backward ``partials_of_Ld`` and each
-    evaluation of its forward ``step_evaluator``, the residual's."""
+    evaluation of its forward ``step_evaluator``, the residual's.  The
+    seed's evaluations, which ask for no partials, are not counted."""
     def counting(name, f):
-        def wrapped(*args):
-            calls[name] += 1
-            return f(*args)
+        def wrapped(*args, **kwargs):
+            calls[name] += kwargs.get("partials", True)
+            return f(*args, **kwargs)
         return wrapped
 
     def evaluator(*args):
@@ -483,6 +486,38 @@ def test_oscillator_against_analytic_solution():
                        NewtonConfig(tolerance=1e-12))
     exact = damped_oscillator_solution(alpha, omega, traj.times)
     assert np.max(np.abs(traj.configurations[:, 0] - exact)) < 5e-5
+
+
+@settings(max_examples=36, derandomize=True, deadline=None, database=None)
+@given(alpha=st.floats(0.05, 0.2), omega=st.floats(0.5, 2.0), h_omega=st.floats(0.05, 0.2),
+       position=st.sampled_from(PositionRule), z_rule=st.sampled_from(ZRule))
+def test_dissipation_law(alpha, omega, h_omega, position, z_rule):
+    # q'' + alpha q' + omega^2 q = 0 conserves
+    # Q = e^{alpha t} (q'^2/2 + omega^2 q^2/2 + alpha q q'/2).  A contact step
+    # contracts the symplectic form by c = (1 + h D3)/(1 - h D4), 1 - h alpha
+    # under the first-order z rule, against the exact e^{-alpha h}, so log Q
+    # drifts by log(c e^{alpha h}), about -(alpha h)^2/2, per step: alpha^2 h T/2
+    # over T.  Its fitted slope is within 2.7% of that over 240 draws of these
+    # ranges; the bound is 10%.  Second-order z rules drift by O(h^2): the
+    # largest max|Q_j/Q_0 - 1| over 100 draws was 0.51 (h omega)^2 (midpoint)
+    # and 0.76 (h omega)^2 (trapezoidal), bounded here by 1.5 (h omega)^2, and
+    # 0.039 for the left endpoint, first order in q, bounded by 0.06.  The
+    # first-order z rules reach 15 (h omega)^2, so neither bound passes them
+    h = h_omega / omega
+    rule = DiscretizationRule(position, z_rule, h)
+    n = int(round(60.0 / h))
+    traj = run_contact(damped_oscillator(alpha, omega), rule, np.array([1.0]), np.array([0.0]),
+                       n, NewtonConfig(tolerance=1e-12))
+    assert traj.termination.completed
+    q, v = traj.configurations[:, 0], traj.velocities[:, 0]
+    conserved = np.exp(alpha * traj.times) * (0.5 * v * v + 0.5 * omega ** 2 * q * q
+                                              + 0.5 * alpha * q * v)
+    if z_rule is ZRule.FIRST_ORDER:
+        slope = np.polyfit(np.arange(n + 1), np.log(conserved), 1)[0]
+        assert abs(slope / (np.log(1.0 - h * alpha) + h * alpha) - 1.0) <= 0.1
+    else:
+        bound = 0.06 if position is PositionRule.LEFT_ENDPOINT else 1.5 * h_omega ** 2
+        assert np.max(np.abs(conserved / conserved[0] - 1.0)) <= bound
 
 
 @pytest.mark.parametrize(
@@ -658,9 +693,10 @@ def test_huge_or_non_finite_initial_state_ends_as_solver_failure(eid, q0, integr
     # where numpy gives inf or NaN, Python's float power raises
     # OverflowError, math's sine of an infinity ValueError and LAPACK's least
     # squares on NaN LinAlgError; the seed must carry the inf or NaN on to
-    # Newton's finiteness checks instead
+    # Newton's finiteness checks instead, and the message names the seed
     traj = run_experiment(get_experiment(eid, q0=q0, t_final=1.0, integrator=integrator))
     assert (traj.termination.status, traj.termination.step) == ("solver_failure", 1)
+    assert traj.termination.message.startswith("seed step: ")
     assert traj.n_steps == 0
 
 

@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
+import numpy_oracle
 import pytest
 
+from nhcontact.experiments import _disk_params, build_contact_system, get_experiment
 from nhcontact.model import (
+    COMPLEX_STEP,
     SQRT_EPS,
     ContactSystem,
     DiscretizationRule,
@@ -11,14 +16,13 @@ from nhcontact.model import (
     central_difference,
     complex_step,
     constraint_drift,
-    constraint_evaluation_point,
     discrete_constraint,
     divide,
     evaluate_discrete_lagrangian,
     initial_acceleration,
     partials_of_Ld,
 )
-from nhcontact.systems import FoucaultParams, foucault_system
+from nhcontact.systems import FoucaultParams, damped_oscillator, foucault_system
 
 ALL_RULES = [
     DiscretizationRule(PositionRule.LEFT_ENDPOINT, ZRule.FIRST_ORDER, 0.1),
@@ -127,14 +131,93 @@ def test_first_order_rule_has_zero_d4():
     assert d3 == pytest.approx(-0.1)
 
 
-def test_constraint_evaluation_point():
+RULES = [(position, z_rule) for position in PositionRule for z_rule in ZRule]
+
+
+def _kernel_case(name):
+    """``(system, oracle system, q, h)``: the built-in systems against their
+    numpy callables, the oscillators against themselves."""
+    if name.startswith("foucault"):
+        params = FoucaultParams(alpha=1e-3)
+        formulation = "la" if name == "foucault-la" else "herglotz"
+        return (foucault_system(params, formulation),
+                numpy_oracle.foucault_system(params, formulation), np.array([0.1, 0.6]), 0.05)
+    if name.endswith("disk"):
+        # family 3 ramps its forcing with t, so a wrong sample time shows
+        spec = get_experiment("disk-3.2" if name == "forced-disk" else "disk-2.3")
+        return (build_contact_system(spec), numpy_oracle.disk_system(_disk_params(spec)),
+                spec.q0 + np.array([0.0, 0.0, 0.1, 0.2, 0.3]), spec.h)
+    system = damped_oscillator()
+    if name == "fd-oscillator":
+        system = replace(system, lagrangian_gradients=None)
+    return system, system, np.array([0.7]), 0.1
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+FORM_CASES = [(name, position, z_rule)
+              for name in ("foucault", "foucault-la", "disk", "forced-disk", "oscillator",
+                           "fd-oscillator")
+              for position, z_rule in RULES]
+
+
+@pytest.mark.parametrize(
+    "name, position, z_rule", FORM_CASES,
+    ids=[f"{name}-{position.value}-{z_rule.value}" for name, position, z_rule in FORM_CASES])
+def test_discrete_lagrangian_forms_bit_identical_to_oracle(name, position, z_rule):
+    # evaluate_discrete_lagrangian, partials_of_Ld and discrete_constraint,
+    # each a form of the one step evaluator, against the oracle's numpy
+    # copies, which write out each rule: on real points and, with analytic
+    # gradients, on the complex-step probe of each of q, q', z and z'
+    system, oracle, q, h = _kernel_case(name)
+    rule = DiscretizationRule(position, z_rule, h)
+    n = system.dim_q
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        t = rng.uniform(0.1, 10.0)
+        x = np.concatenate([q + 0.05 * rng.normal(size=n), q + 0.05 * rng.normal(size=n),
+                            rng.normal(size=2)])
+        probes = [] if system.lagrangian_gradients is None else \
+            [x + 1j * COMPLEX_STEP * e for e in np.eye(len(x))]
+        for point in [x] + probes:
+            args = (t, point[:n], point[n:2 * n], point[2 * n].item(), point[2 * n + 1].item())
+            assert _same_bytes(evaluate_discrete_lagrangian(system, rule, *args),
+                               numpy_oracle.evaluate_discrete_lagrangian(oracle, rule, *args))
+            for got, expected in zip(partials_of_Ld(system, rule, *args),
+                                     numpy_oracle.partials_of_Ld(oracle, rule, *args)):
+                assert _same_bytes(got, expected)
+            assert _same_bytes(discrete_constraint(system, rule, *args[1:3]),
+                               numpy_oracle.discrete_constraint(oracle, rule, *args[1:3]))
+
+
+@pytest.mark.parametrize("position, z_rule", RULES,
+                         ids=[f"{p.value}-{z.value}" for p, z in RULES])
+def test_discrete_constraint_sample_point(position, z_rule):
+    # A and b at the midpoint under the midpoint rule, else at the left
+    # endpoint: the trapezoidal rule too, as the printed benchmark equations
+    points = []
+
+    def recording(value):
+        def f(q):
+            points.append(q.tolist())
+            return value
+        return f
+
+    system = ContactSystem(
+        dim_q=2, dim_c=1,
+        lagrangian=lambda t, q, v, z: 0.5 * v @ v,
+        constraint_matrix=recording(np.array([[1.0, 0.0]])),
+        constraint_offset=recording([0.0]),
+    )
+    rule = DiscretizationRule(position, z_rule, 0.1)
     q, qn = np.array([0.0, 0.0]), np.array([1.0, 2.0])
-    mid = DiscretizationRule(PositionRule.MIDPOINT, ZRule.SECOND_ORDER, 0.1)
-    left = DiscretizationRule(PositionRule.LEFT_ENDPOINT, ZRule.FIRST_ORDER, 0.1)
-    trap = DiscretizationRule(PositionRule.TRAPEZOIDAL, ZRule.FIRST_ORDER, 0.1)
-    assert np.allclose(constraint_evaluation_point(mid, q, qn), [0.5, 1.0])
-    assert np.allclose(constraint_evaluation_point(left, q, qn), q)
-    assert np.allclose(constraint_evaluation_point(trap, q, qn), q)
+    discrete_constraint(system, rule, q, qn)
+    expected = [0.5, 1.0] if position is PositionRule.MIDPOINT else [0.0, 0.0]
+    assert points == [expected, expected]
+    assert numpy_oracle.constraint_evaluation_point(rule, q, qn).tolist() == expected
 
 
 def test_discrete_constraint_affine_part():
