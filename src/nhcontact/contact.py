@@ -51,14 +51,15 @@ a step whose Newton fails from it is solved again from the linear start.
 
 Consecutive steps share a discrete Lagrangian: the backward step
 ``(q_{j-1}, q_j)`` of a window is the forward step of the step before,
-whose Newton evaluated its last residual at exactly that point.  Each step
-therefore hands the next one a :class:`StepCarry`: its Newton factors and
-that residual's forward ``D2 L_d``, ``D4 L_d``, ``L_d`` and constraint rows.
-The next window takes its backward partials (and the linear start its
-``L_d``) from the carry instead of computing them again: its backward step
-is the carried step, which starts at the carry's ``t``.  The driver keeps
-each window's ``t_curr`` on the grid, ``j h``.  The constraint rows give
-:class:`StepStats` the run's worst discrete-constraint residual.
+which evaluated it last at exactly that point.  Each step therefore hands
+the next one a :class:`StepCarry`: its Newton factors and that evaluation's
+forward ``D2 L_d``, ``D4 L_d``, ``L_d`` and constraint rows.  The seed step
+makes the first one (:func:`initialize_window`), from the evaluator it
+solves ``q_1`` and ``z_1`` with, so every window is built alike: it takes
+its backward partials (and the linear start its ``L_d``) from the carry and
+computes none of them again.  The driver keeps each window's ``t_curr`` on
+the grid, ``j h``.  The constraint rows give :class:`StepStats` the run's
+worst discrete-constraint residual.
 
 The Lagrange-d'Alembert integrator (:mod:`nhcontact.dalembert`) differs
 only in its residual and in having no z unknown.  :func:`run_steps` and
@@ -87,12 +88,9 @@ from .model import (
     Termination,
     Trajectory,
     ZRule,
-    discrete_constraint,
     divide,
     dot,
-    evaluate_discrete_lagrangian,
     initial_acceleration,
-    partials_of_Ld,
     project_velocity,
     step_evaluator,
 )
@@ -111,19 +109,20 @@ class DenominatorSingular(RuntimeError):
 
 
 class StepCarry(NamedTuple):
-    """What an accepted step hands to the next step of its run.
+    """What a step hands to the next step of its run.
 
-    ``factors`` are the Newton factors the step ended with.  The rest are
-    by-products of the step's accepted residual, the last one its Newton
-    evaluated, on the forward step from ``(t, q_j, z_j)`` to the accepted
-    ``(q_{j+1}, z_{j+1})``: ``d2`` and ``d4`` are ``D2 L_d`` and
-    ``D4 L_d``, ``ld`` is ``L_d`` (``None`` for the Lagrange-d'Alembert
-    residual, which does not evaluate it) and ``constraint`` the residual's
-    discrete-constraint rows.
+    ``factors`` are the Newton factors the step ended with, ``None`` for
+    the seed step, which runs no Newton on the step.  The rest are
+    by-products of the step's last evaluation on its forward step, from
+    ``(q_j, z_j)`` to the accepted ``(q_{j+1}, z_{j+1})``: for an implicit
+    step its accepted residual, the last one its Newton evaluated, and for
+    the seed step the seed's evaluator at ``(q_1, z_1)``.  ``d2`` and
+    ``d4`` are ``D2 L_d`` and ``D4 L_d``, ``ld`` is ``L_d`` (``None``
+    without z, for the Lagrange-d'Alembert integrator, which does not
+    evaluate it) and ``constraint`` the discrete-constraint rows.
     """
 
     factors: Optional[LUFactors]
-    t: float
     d2: list
     d4: float
     ld: Optional[float]
@@ -134,7 +133,7 @@ def contact_window_terms(
     system: ContactSystem,
     rule: DiscretizationRule,
     window: StepState,
-    backward: Optional[StepCarry] = None,
+    backward: StepCarry,
     with_z: bool = True,
 ):
     """Residual terms fixed by the window for the whole step:
@@ -146,21 +145,16 @@ def contact_window_terms(
     ``with_z``.  It returns the discrete-constraint rows, taking ``A(q_j)``
     from the window where the rule samples the constraint at ``q_j``.
 
-    ``backward`` is the carry of the step that produced the window, whose
-    forward partials are the window's backward ones (:func:`solve_step`);
-    they are then taken instead of computed.  Without it, the backward step
-    starts at ``t_curr - h``.
+    ``backward`` is the carry of the step that produced the window, the
+    seed step's for the first window (:func:`initialize_window`): its
+    forward partials are the window's backward ones.
 
     Raises :class:`DenominatorSingular` when the implicit z-coupling factor
     vanishes.
     """
     w = window
     h = rule.h
-    if backward is None:
-        _, d2b, _, d4b = partials_of_Ld(system, rule, w.t_curr - h, w.q_prev, w.q_curr,
-                                        w.z_prev, w.z_curr)
-    else:
-        d2b, d4b = backward.d2, backward.d4
+    d2b, d4b = backward.d2, backward.d4
     denom = 1.0 - h * d4b
     if abs(denom) < 1e-12:
         raise DenominatorSingular(
@@ -187,7 +181,7 @@ def contact_residual(
     evaluator gives the partials, ``L_d`` and constraint rows in one pass.
     A list ``keep`` is set to the forward by-products ``[D2 L_d, D4 L_d,
     L_d, constraint rows]`` of this evaluation, the fields of a
-    :class:`StepCarry` after ``t``.  Without ``with_ld`` the action row
+    :class:`StepCarry` after ``factors``.  Without ``with_ld`` the action row
     leaves out its ``- h L_d`` and ``L_d`` is not evaluated: the step
     Jacobian's complex probes do not read that row (:func:`step_jacobian`).
 
@@ -266,22 +260,17 @@ def step_jacobian(
     return jac
 
 
-def solve_z_update(
-    system: ContactSystem,
-    rule: DiscretizationRule,
-    t: float,
-    q: Array,
-    q_next: Array,
-    z: float,
-) -> float:
-    """Solve ``z' = z + h L_d(q, q', z, z')`` for ``z'``.
+def solve_z_update(evaluate: Callable, rule: DiscretizationRule, q_next: Array,
+                   z: float) -> float:
+    """Solve ``z' = z + h L_d(q, q', z, z')`` for ``z'``, ``L_d`` that of the
+    :func:`~nhcontact.model.step_evaluator` ``evaluate`` of the steps from
+    ``(t, q, z)``.
 
     Explicit under the first-order z rule; a scalar Newton solve otherwise
     (one iteration when the Lagrangian is linear in z).  Each ``L_d`` is one
-    call of the step's :func:`~nhcontact.model.step_evaluator`.
+    call of ``evaluate``.
     """
     h = rule.h
-    evaluate = step_evaluator(system, rule, t, q, z)
 
     def ld(z_next):
         return evaluate(q_next, z_next, with_ld=True, partials=False, rows=False)[7]
@@ -305,7 +294,7 @@ def solve_step(
     residual: Callable,
     with_z: bool,
     lam_prev: Array,
-    carry: Optional[StepCarry],
+    carry: StepCarry,
     solver: NewtonConfig,
     start: Optional[list] = None,
 ):
@@ -316,17 +305,17 @@ def solve_step(
     The step solves ``residual(system, rule, window, terms, u, keep) = 0``
     for ``u = (q_{j+1}, z_{j+1}, lambda)``, without ``z_{j+1}`` unless
     ``with_z``, the window's :func:`contact_window_terms` computed once,
-    before Newton.  ``carry`` is the previous step's, or ``None``.  Newton
-    starts from its factors; fresh Jacobians are :func:`step_jacobian` when
-    the system registers Lagrangian gradients, finite differences otherwise,
-    each taking its action row from the real evaluation at its point.  The
-    carry's forward by-products serve as the window's backward ones: the
-    driver builds each window from the step before, whose forward step is
-    the window's backward one.
+    before Newton.  ``carry`` is the previous step's, the seed step's for
+    the first window.  Newton starts from its factors, if any; fresh
+    Jacobians are :func:`step_jacobian` when the system registers Lagrangian
+    gradients, finite differences otherwise, each taking its action row from
+    the real evaluation at its point.  The carry's forward by-products serve
+    as the window's backward ones: the driver builds each window from the
+    step before, whose forward step is the window's backward one.
 
     Newton starts from ``start``, when given, else from the linear start:
     ``2 q_j - q_{j-1}``, then ``z_j + h L_d`` of the window's backward step
-    (the carried ``L_d`` when there is a carry), then ``lam_prev``.  If
+    (the carried ``L_d``), then ``lam_prev``.  If
     Newton fails from ``start``, the step is solved once more from the
     linear start, with the factors it began with: exactly the solve without
     ``start``.
@@ -334,7 +323,7 @@ def solve_step(
     w = window
     n, h = system.dim_q, rule.h
     terms = contact_window_terms(system, rule, w, carry, with_z)
-    factors = None if carry is None else carry.factors
+    factors = carry.factors
     # (unknowns, by-products) of the last two real evaluations, newest last.
     # Newton builds a Jacobian at the iterate it evaluated last, or, after a
     # dropped chord iterate, at the one before; it returns right after
@@ -364,60 +353,31 @@ def solve_step(
         # on Python floats, rounding as numpy's elementwise operations do
         linear = [2.0 * c - p for p, c in zip(w.q_prev.tolist(), w.q_curr.tolist())]
         if with_z:
-            ld = carry.ld if carry is not None else evaluate_discrete_lagrangian(
-                system, rule, w.t_curr - h, w.q_prev, w.q_curr, w.z_prev, w.z_curr)
-            linear.append(w.z_curr + h * ld)
+            linear.append(w.z_curr + h * carry.ld)
         solved = newton_solve(f, linear + lam_prev.tolist(), solver, factors, build)
     x, iterations, factors = solved
-    carry = StepCarry(factors, w.t_curr, *kept[-1][1])
+    carry = StepCarry(factors, *kept[-1][1])
     if with_z:
         return x[:n], float(x[n]), x[n + 1:], carry, iterations
     return x[:n], 0.0, x[n:], carry, iterations
 
 
-def project_seed_position(
-    system: ContactSystem,
-    rule: DiscretizationRule,
-    q0: Array,
-    q1: Array,
-) -> Array:
-    """Correct ``q1`` along the constraint-force directions so the discrete
-    constraint holds over the seed step.
+def project_seed_position(evaluate: Callable, a: Array, q1: Array) -> Array:
+    """Correct ``q1`` along the constraint-force directions, the rows of
+    ``a = A(q0)``, so the discrete constraint of the seed step's
+    :func:`~nhcontact.model.step_evaluator` ``evaluate`` holds.
 
     The correction is O(h) times the discrete-constraint defect, so a
-    second-order-accurate seed stays second order.  The defect is one
-    :func:`~nhcontact.model.step_evaluator`'s, built once with ``A(q0)``.
+    second-order-accurate seed stays second order.
     """
-    if system.dim_c == 0:
+    if len(a) == 0:
         return q1
-    a = system.constraint_matrix(q0)
-    evaluate = step_evaluator(system, rule, 0.0, q0, 0.0, a)
 
     def residual(mu: Array) -> list:
         return evaluate(q1 + a.T @ mu, 0.0, partials=False)[8]
 
-    mu, _, _ = newton_solve(residual, np.zeros(system.dim_c),
-                            NewtonConfig(tolerance=1e-12))
+    mu, _, _ = newton_solve(residual, np.zeros(len(a)), NewtonConfig(tolerance=1e-12))
     return q1 + a.T @ mu
-
-
-def seed_position(
-    system: ContactSystem,
-    rule: DiscretizationRule,
-    q0: Array,
-    v0: Array,
-) -> Array:
-    """Second-order seed ``q1`` of either integrator from ``(q0, v0)``.
-
-    ``v0`` is projected onto the constraint set at ``q0``, then
-    ``q1 = q0 + h v0 + h^2/2 a0`` with the consistent
-    :func:`~nhcontact.model.initial_acceleration` (keeping the scheme's
-    order), corrected by :func:`project_seed_position`.
-    """
-    h = rule.h
-    v = project_velocity(system, q0, np.asarray(v0, dtype=float))
-    acc = initial_acceleration(system, q0, v)
-    return project_seed_position(system, rule, q0, q0 + h * v + 0.5 * h ** 2 * acc)
 
 
 def initialize_window(
@@ -426,14 +386,32 @@ def initialize_window(
     q0: Array,
     v0: Array,
     with_z: bool = True,
-) -> StepState:
-    """Build the first stepping window from ``(q0, v0)`` at ``t = 0``, ``z = 0``:
-    ``q1`` from :func:`seed_position`, ``z1`` solving the discrete action
-    update when z is an unknown (``with_z``), else ``0.0``."""
+) -> tuple:
+    """The first stepping window from ``(q0, v0)`` at ``t = 0``, ``z = 0``,
+    and the seed step's :class:`StepCarry`, as ``(window, carry)``.
+
+    ``v0`` is projected onto the constraint set at ``q0``, then
+    ``q1 = q0 + h v0 + h^2/2 a0`` with the consistent
+    :func:`~nhcontact.model.initial_acceleration` (keeping the scheme's
+    order), corrected by :func:`project_seed_position`.  ``z1`` solves the
+    discrete action update (:func:`solve_z_update`) when z is an unknown
+    (``with_z``), else it is ``0.0``.  One
+    :func:`~nhcontact.model.step_evaluator` of the seed step, from
+    ``(0, q0, 0)`` with ``A(q0)``, serves both, and its evaluation at
+    ``(q1, z1)`` is the carry: the seed step is the first window's backward
+    step, as each implicit step is the next window's.
+    """
+    h = rule.h
     q0 = np.asarray(q0, dtype=float)
-    q1 = seed_position(system, rule, q0, v0)
-    z1 = solve_z_update(system, rule, 0.0, q0, q1, 0.0) if with_z else 0.0
-    return StepState(q_prev=q0, q_curr=q1, z_prev=0.0, z_curr=z1, t_curr=rule.h)
+    v = project_velocity(system, q0, np.asarray(v0, dtype=float))
+    acc = initial_acceleration(system, q0, v)
+    a = system.constraint_matrix(q0)
+    evaluate = step_evaluator(system, rule, 0.0, q0, 0.0, a)
+    q1 = project_seed_position(evaluate, a, q0 + h * v + 0.5 * h ** 2 * acc)
+    z1 = solve_z_update(evaluate, rule, q1, 0.0) if with_z else 0.0
+    *_, d2, _, d4, ld, constraint = evaluate(q1, z1, with_ld=with_z)
+    window = StepState(q_prev=q0, q_curr=q1, z_prev=0.0, z_curr=z1, t_curr=h)
+    return window, StepCarry(None, d2, d4, ld, constraint)
 
 
 @dataclass
@@ -479,7 +457,8 @@ def run_steps(
 
     :func:`initialize_window` takes step 1; :func:`solve_step` takes each
     later one from the previous multipliers and the previous step's
-    :class:`StepCarry`, carried from step to step of this run only.  Once
+    :class:`StepCarry`, the seed step's for the first, carried from step to
+    step of this run only.  Once
     ``q_{j-2}`` exists, the quadratic extrapolation of q through
     ``q_{j-2}``, ``q_{j-1}`` and ``q_j`` is built once per step, from the
     trajectory rows already filled.  While it predicted the last step's
@@ -489,7 +468,7 @@ def run_steps(
     and ``2 lambda_{j-1} - lambda_{j-2}``; after the step, the accepted q
     settles which start the next one takes.
     ``stats`` takes each step's iterations and constraint rows, and the
-    seed step's discrete constraint.  A numerical failure in either ends
+    seed step's constraint rows from its carry.  A numerical failure in either ends
     the run as a ``solver_failure`` at the last accepted step; a failure of
     the seed step, before the first implicit one, says so by the prefix
     ``seed step: `` of its message.
@@ -510,14 +489,13 @@ def run_steps(
 
     try:
         if n_steps > 0:
-            window = initialize_window(system, rule, q0, v0, with_z)
+            window, carry = initialize_window(system, rule, q0, v0, with_z)
             qs[1] = window.q_curr
             zs[1] = window.z_curr
-            carry = None
             quadratic = False
             steps_done = 1
-            if stats is not None and m:
-                stats.record_constraint(discrete_constraint(system, rule, q0, window.q_curr))
+            if stats is not None:
+                stats.record_constraint(carry.constraint)
         for j in range(1, n_steps):
             w = window
             predicted = start = None

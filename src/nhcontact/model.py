@@ -14,8 +14,9 @@ sees.  Made once per step from the step's start, it returns at a candidate
 end point, in one pass, that point, the partials ``D1``-``D4``, ``L_d`` and
 the discrete-constraint rows, each part when asked for.
 :func:`partials_of_Ld`, :func:`evaluate_discrete_lagrangian` and
-:func:`discrete_constraint` are one-line forms over it, for the seed, the
-finite-difference partials and the diagnostics.  A system callable may
+:func:`discrete_constraint` are one-line forms over it, for the
+finite-difference partials, the diagnostics and the tests; the integrators
+call the evaluator itself.  A system callable may
 return its numbers as any sequence (:class:`ContactSystem`): the kernel
 takes a list or tuple as it is and turns only a numpy array into a list
 (:func:`numbers`).

@@ -4,11 +4,13 @@ own Newton error.
     python tests/catalog_dq.py OLD_SRC NEW_SRC [--ids ID ...] [--t-final T] [--jobs N]
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories that hold the ``nhcontact``
-package, such as the ``src`` of two checkouts.  For each catalog experiment
-(all of them unless ``--ids`` names some), at its full horizon unless
-``--t-final`` shortens it, the script runs OLD at Newton tolerance 1e-6 and
-1e-8 and NEW at 1e-6, each run in its own process with that tree on
-``PYTHONPATH``, and prints one line:
+package, such as the ``src`` of two checkouts.  The rows are the catalog
+experiments under the contact integrator and the Lagrange-d'Alembert runs of
+the two Foucault ones, ``foucault-1/la`` and ``foucault-2/la`` (all of them
+unless ``--ids`` names some, in the same form).  For each row, at its full
+horizon unless ``--t-final`` shortens it, the script runs OLD at Newton
+tolerance 1e-6 and 1e-8 and NEW at 1e-6, each run in its own process with
+that tree on ``PYTHONPATH``, and prints one line:
 
 - ``dq``: max |q_NEW - q_OLD| over all steps and coordinates, both at 1e-6;
 - ``newton``: OLD's Newton-error proxy, max |q_OLD(1e-6) - q_OLD(1e-8)|;
@@ -43,15 +45,21 @@ TIGHT_TOLERANCE = 1e-8
 
 #: The trajectory arrays that the byte comparison covers, with the termination.
 FIELDS = ("times", "configurations", "velocities", "z_values", "multipliers", "energies")
+#: Suffix of a row run by the Lagrange-d'Alembert integrator, and its rows.
+LA = "/la"
+LA_ROWS = ("foucault-1" + LA, "foucault-2" + LA)
 
 
 def _worker(eid: str, tolerance: float, t_final: str, out: str) -> None:
-    """Run one experiment with the ``nhcontact`` on ``PYTHONPATH``, save its
+    """Run one row with the ``nhcontact`` on ``PYTHONPATH``, save its
     trajectory arrays and termination to ``out`` and print its status."""
-    from nhcontact import get_experiment, run_experiment
+    from nhcontact import Integrator, get_experiment, run_experiment
     from nhcontact.newton import NewtonConfig
 
     overrides = {} if t_final == "full" else {"t_final": float(t_final)}
+    if eid.endswith(LA):
+        eid = eid[:-len(LA)]
+        overrides["integrator"] = Integrator.LAGRANGE_DALEMBERT
     traj = run_experiment(get_experiment(eid, **overrides), NewtonConfig(tolerance=tolerance))
     np.savez(out, termination=repr(traj.termination),
              **{field: getattr(traj, field) for field in FIELDS})
@@ -89,14 +97,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src")
-    parser.add_argument("--ids", nargs="+", help="catalog ids (default: all)")
+    parser.add_argument("--ids", nargs="+",
+                        help="catalog ids, with /la for a Lagrange-d'Alembert run "
+                             "(default: all, and foucault-1/la and foucault-2/la)")
     parser.add_argument("--t-final", type=float, help="horizon (default: each one's own)")
     parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args(argv)
     if args.ids is None:
         sys.path.insert(0, os.path.abspath(args.old_src))
         from nhcontact.experiments import catalog_ids
-        args.ids = list(catalog_ids())
+        args.ids = list(catalog_ids()) + list(LA_ROWS)
     t_final = "full" if args.t_final is None else repr(args.t_final)
     runs = [(src, eid, tolerance) for eid in args.ids
             for src, tolerance in ((args.old_src, TOLERANCE), (args.old_src, TIGHT_TOLERANCE),
@@ -106,7 +116,7 @@ def main(argv=None) -> int:
                                os.path.join(tmp, f"{i}.npz"))
                    for i, (src, eid, tolerance) in enumerate(runs)]
         results = [f.result() for f in futures]
-    print(f"{'experiment':<12} {'steps':>6} {'dq':>10} {'newton':>10} {'ulp':>10}  "
+    print(f"{'experiment':<13} {'steps':>6} {'dq':>10} {'newton':>10} {'ulp':>10}  "
           f"{'verdict':<8}  {'bytes':<6}  status old/tight/new")
     all_below = True
     for i, eid in enumerate(args.ids):
@@ -118,7 +128,7 @@ def main(argv=None) -> int:
         verdict = "ok" if dq < newton else "rounding" if dq < ulp else "ABOVE"
         all_below &= verdict != "ABOVE"
         same = "equal" if _same_bytes(new, old) else "differ"
-        print(f"{eid:<12} {len(q_old) - 1:>6} {dq:>10.3e} {newton:>10.3e} {ulp:>10.3e}  "
+        print(f"{eid:<13} {len(q_old) - 1:>6} {dq:>10.3e} {newton:>10.3e} {ulp:>10.3e}  "
               f"{verdict:<8}  {same:<6}  {s_old}/{s_tight}/{s_new}")
     return 0 if all_below else 1
 

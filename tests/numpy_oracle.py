@@ -12,7 +12,8 @@ require the package's results to equal theirs bit for bit, zero signs
 included, on real arguments and on the complex-step probes of the exact
 step Jacobian.  The products with a constraint matrix and the disk's
 ``F(t) . q`` are :func:`dot`, the package's left-to-right sum written on
-numpy scalars: numpy's own dot rounds otherwise.
+numpy scalars: numpy's own dot rounds otherwise.  :func:`window_carry` gives
+a hand-built window the carry that the driver's windows are handed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from typing import Optional
 
 import numpy as np
 
+from nhcontact import model as package
+from nhcontact.contact import StepCarry
 from nhcontact.model import (
     COMPLEX_STEP,
     Array,
@@ -253,6 +256,20 @@ def step_jacobian(residual, x, a_t, rule, action=None) -> Array:
         jac[n, :n] = -rule.h * np.asarray(d2)
         jac[n, n] = 1.0 - rule.h * d4
     return jac
+
+
+def window_carry(system, rule, window, with_z: bool = True) -> StepCarry:
+    """The :class:`~nhcontact.contact.StepCarry` of a hand-built ``window``:
+    its backward step from ``t_curr - h`` evaluated by the package's
+    one-line forms, as the window terms computed it before the seed step
+    handed the first window its carry.  Without z (``with_z`` false) its
+    ``ld`` is ``None``, as the Lagrange-d'Alembert residual leaves it."""
+    w = window
+    backward = (system, rule, w.t_curr - rule.h, w.q_prev, w.q_curr, w.z_prev, w.z_curr)
+    _, d2, _, d4 = package.partials_of_Ld(*backward)
+    ld = package.evaluate_discrete_lagrangian(*backward) if with_z else None
+    return StepCarry(None, d2, d4, ld,
+                     package.discrete_constraint(system, rule, w.q_prev, w.q_curr))
 
 
 # ---------------------------------------------------------------------------

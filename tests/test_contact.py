@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import numpy_oracle
 import pytest
+from numpy_oracle import window_carry
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ import nhcontact.dalembert
 import nhcontact.newton
 from nhcontact.contact import (
     DenominatorSingular,
+    StepCarry,
     StepStats,
     contact_residual,
     contact_window_terms,
@@ -76,8 +78,9 @@ def test_pendulum_residual_matches_hand_coded_stepping_equations():
         lam = rng.normal(size=1)
         zm, zj, zp = rng.normal(size=3)
         window = StepState(q_prev=qm, q_curr=qj, z_prev=zm, z_curr=zj, t_curr=1.0)
-        res = contact_residual(system, TRAP_FIRST, window,
-                               contact_window_terms(system, TRAP_FIRST, window),
+        terms = contact_window_terms(system, TRAP_FIRST, window,
+                                     window_carry(system, TRAP_FIRST, window))
+        res = contact_residual(system, TRAP_FIRST, window, terms,
                                np.concatenate([qp, [zp], lam]))
         hand = m * ((2 * qj - qp - qm) / h ** 2 - (g / l) * qj
                     - alpha * ((qj - qm) / h - (h / 2) * (g / l) * qj))
@@ -92,9 +95,9 @@ def test_pendulum_residual_constraint_row():
     qj = np.array([0.1, 0.6])
     qp = np.array([0.15, 0.58])
     window = StepState(q_prev=qj, q_curr=qj, z_prev=0.0, z_curr=0.0, t_curr=0.0)
-    res = contact_residual(system, TRAP_FIRST, window,
-                           contact_window_terms(system, TRAP_FIRST, window),
-                           np.concatenate([qp, [0.0], [0.0]]))
+    terms = contact_window_terms(system, TRAP_FIRST, window,
+                                 window_carry(system, TRAP_FIRST, window))
+    res = contact_residual(system, TRAP_FIRST, window, terms, np.concatenate([qp, [0.0], [0.0]]))
     expected = (-qj[1] * (qp[0] - qj[0]) / h + qj[0] * (qp[1] - qj[1]) / h
                 + params.omega_vertical * (qj @ qj))
     assert res[-1] == pytest.approx(expected, rel=1e-12)
@@ -180,7 +183,8 @@ def test_hoisted_residual_bit_identical_to_unhoisted(name, position, z_rule):
         zm, zj = rng.normal(size=2) if with_z else (0.0, 0.0)
         window = StepState(q_prev=qm, q_curr=qj, z_prev=zm, z_curr=zj,
                            t_curr=rng.uniform(0.1, 10.0))
-        terms = contact_window_terms(system, rule, window)
+        terms = contact_window_terms(system, rule, window,
+                                     window_carry(system, rule, window, with_z))
         for _ in range(3):
             x = np.concatenate([qj + 0.05 * rng.normal(size=n),
                                 rng.normal(size=int(with_z) + m)])
@@ -275,7 +279,8 @@ def test_sequence_returns_bit_identical_to_array_returns(name, position, z_rule)
     qj = qm + 0.05 * rng.normal(size=n)
     zm, zj = rng.normal(size=2) if with_z else (0.0, 0.0)
     window = StepState(q_prev=qm, q_curr=qj, z_prev=zm, z_curr=zj, t_curr=1.3)
-    terms = [contact_window_terms(s, rule, window, with_z=with_z) for s in (system, twin)]
+    terms = [contact_window_terms(s, rule, window, window_carry(s, rule, window, with_z), with_z)
+             for s in (system, twin)]
     x = np.concatenate([qj + 0.05 * rng.normal(size=n), rng.normal(size=int(with_z) + m)])
     for unknowns in [x] + [x + 1j * COMPLEX_STEP * e for e in np.eye(len(x))]:
         got, expected = (residual(s, rule, window, t, unknowns)
@@ -319,8 +324,8 @@ def test_residual_calls_each_system_callable_once_per_point(eid, counts, shared)
     system = replace(system, **{name: counting(name, getattr(system, name))
                                 for name in ("lagrangian_gradients", "lagrangian",
                                              "constraint_matrix", "constraint_offset")})
-    window = initialize_window(system, spec.rule, spec.q0, spec.v0)
-    terms = contact_window_terms(system, spec.rule, window)
+    window, carry = initialize_window(system, spec.rule, spec.q0, spec.v0)
+    terms = contact_window_terms(system, spec.rule, window, carry)
     x = np.concatenate([2.0 * window.q_curr - window.q_prev, [window.z_curr],
                         np.zeros(system.dim_c)])
     probe_counts = {name: k for name, k in counts.items() if name != "lagrangian"}
@@ -345,10 +350,10 @@ def contact_step(system, rule, window, lam, carry, solver, start=None):
 
 
 def count_calls(monkeypatch, calls):
-    """Count into ``calls`` the step residuals and the partials evaluations
-    of the steps taken: the window's backward ``partials_of_Ld`` and each
-    evaluation of its forward ``step_evaluator``, the residual's.  The
-    seed's evaluations, which ask for no partials, are not counted."""
+    """Count into ``calls`` the step residuals and the partials evaluations:
+    each evaluation of a ``step_evaluator`` that asks for partials, the
+    residual's and the seed step's last one, whose partials its carry hands
+    the first window.  The seed's other evaluations ask for none."""
     def counting(name, f):
         def wrapped(*args, **kwargs):
             calls[name] += kwargs.get("partials", True)
@@ -358,8 +363,6 @@ def count_calls(monkeypatch, calls):
     def evaluator(*args):
         return counting("partials", step_evaluator(*args))
 
-    monkeypatch.setattr(nhcontact.contact, "partials_of_Ld",
-                        counting("partials", partials_of_Ld))
     monkeypatch.setattr(nhcontact.contact, "step_evaluator", evaluator)
     monkeypatch.setattr(nhcontact.contact, "contact_residual",
                         counting("residual", contact_residual))
@@ -367,22 +370,24 @@ def count_calls(monkeypatch, calls):
 
 @pytest.mark.parametrize("case", KERNEL_CASES, ids=["pendulum-trap-first", "disk-mid-second"])
 def test_contact_step_computes_window_partials_once(case, monkeypatch):
+    # the first window's backward partials come from the seed step's carry,
+    # so the step evaluates partials once per residual and no more
     system, rule, q = case()
     calls = {"partials": 0, "residual": 0}
-    window = initialize_window(system, rule, q, np.zeros(system.dim_q))
+    window, carry = initialize_window(system, rule, q, np.zeros(system.dim_q))
     count_calls(monkeypatch, calls)
     _, _, _, _, iterations = contact_step(system, rule, window, np.zeros(system.dim_c),
-                                          None, NewtonConfig())
+                                          carry, NewtonConfig())
     assert iterations >= 1
-    assert calls["partials"] == calls["residual"] + 1
+    assert calls["partials"] == calls["residual"]
 
 
-def _walk(system, rule, step, window, steps, solver=NewtonConfig()):
-    """``steps`` steps from the first ``window`` as the driver takes them, from
-    no multipliers and no carry, each window's ``t_curr`` on the grid:
-    yields each step's window, the carry it was handed and the step's
+def _walk(system, rule, step, window, carry, steps, solver=NewtonConfig()):
+    """``steps`` steps from the first ``window`` and its ``carry`` as the
+    driver takes them, from no multipliers, each window's ``t_curr`` on the
+    grid: yields each step's window, the carry it was handed and the step's
     result."""
-    lam, carry = np.zeros(system.dim_c), None
+    lam = np.zeros(system.dim_c)
     for j in range(1, steps + 1):
         result = step(system, rule, window, lam, carry, solver)
         yield window, carry, result
@@ -391,22 +396,18 @@ def _walk(system, rule, step, window, steps, solver=NewtonConfig()):
                            z_curr=z_next, t_curr=(j + 1) * rule.h)
 
 
-@pytest.mark.parametrize("shift_t", [False, True], ids=["exact-t", "t-one-ulp-off"])
+# one case, whose id the earlier off-grid cases of this test set apart
+@pytest.mark.parametrize("t_curr", ["exact-t"])
 @pytest.mark.parametrize("case", KERNEL_CASES, ids=["pendulum-trap-first", "disk-mid-second"])
-def test_carry_replaces_window_partials(case, shift_t, monkeypatch):
+def test_carry_replaces_window_partials(case, t_curr, monkeypatch):
     # the second step's backward partials are the first step's forward ones,
-    # taken from its carry whatever its t: a carry's t one ulp off the
-    # window's t_curr - h, as a t_curr kept on the grid can leave it, serves
+    # taken from its carry
     system, rule, q = case()
-    window = initialize_window(system, rule, q, np.zeros(system.dim_q))
-    (_, _, first), (second, _, plain) = _walk(system, rule, contact_step, window, 2)
-    carry = first[3]
-    assert carry.t == second.t_curr - rule.h
-    if shift_t:
-        carry = carry._replace(t=float(np.nextafter(carry.t, np.inf)))
+    window, carry = initialize_window(system, rule, q, np.zeros(system.dim_q))
+    (_, _, first), (second, _, plain) = _walk(system, rule, contact_step, window, carry, 2)
     calls = {"partials": 0, "residual": 0}
     count_calls(monkeypatch, calls)
-    result = contact_step(system, rule, second, first[2], carry, NewtonConfig())
+    result = contact_step(system, rule, second, first[2], first[3], NewtonConfig())
     assert calls["residual"] >= 1
     assert calls["partials"] == calls["residual"]
     assert np.array_equal(result[0], plain[0]) and result[1] == plain[1]
@@ -416,51 +417,62 @@ def test_carry_replaces_window_partials(case, shift_t, monkeypatch):
 @pytest.mark.parametrize("z_rule", list(ZRule), ids=lambda r: r.value)
 @pytest.mark.parametrize("position", list(PositionRule), ids=lambda r: r.value)
 def test_window_terms_from_carry_equal_recomputed(position, z_rule):
-    # the forced disk's time-dependent forcing makes a wrong t show
+    # every window, the first one included, against its backward step
+    # recomputed from the previous window's t_curr (the seed step's t = 0 for
+    # the first); the forced disk's time-dependent forcing makes a wrong t show
     spec = get_experiment("disk-3.2")
     system = build_contact_system(spec)
     rule = DiscretizationRule(position, z_rule, spec.h)
-    window = initialize_window(system, rule, spec.q0, spec.v0)
-    used = 0
-    for window, carry, _ in _walk(system, rule, contact_step, window, 8):
-        if carry is None:
-            continue
+    window, carry = initialize_window(system, rule, spec.q0, spec.v0)
+    t_prev, used = 0.0, 0
+    for window, carry, _ in _walk(system, rule, contact_step, window, carry, 8):
         used += 1
-        carried = contact_window_terms(system, rule, window, carry)
-        recomputed = contact_window_terms(system, rule, window)
-        # the window's backward step starts at the carry's t
-        backward = (carry.t, window.q_prev, window.q_curr, window.z_prev, window.z_curr)
-        _, d2b, _, d4b = partials_of_Ld(system, rule, *backward)
-        assert carried[0] == d2b and carried[1] == 1.0 - rule.h * d4b
-        assert carried[2] == recomputed[2]
+        backward = (system, rule, t_prev, window.q_prev, window.q_curr, window.z_prev,
+                    window.z_curr)
+        _, d2b, _, d4b = partials_of_Ld(*backward)
+        recomputed = StepCarry(None, d2b, d4b, evaluate_discrete_lagrangian(*backward),
+                               discrete_constraint(system, rule, window.q_prev, window.q_curr))
+        for field in ("d2", "d4", "ld", "constraint"):
+            assert _same_bytes(getattr(carry, field), getattr(recomputed, field)), field
+        carried, expected = (contact_window_terms(system, rule, window, c)
+                             for c in (carry, recomputed))
+        assert all(_same_bytes(a, b) for a, b in zip(carried[:3], expected[:3]))
         # the forward evaluators are the window's, whatever the carry
         q_next = 2.0 * window.q_curr - window.q_prev
         for a, b in zip(carried[3](q_next, window.z_curr, True),
-                        recomputed[3](q_next, window.z_curr, True)):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-        assert carry.ld == evaluate_discrete_lagrangian(system, rule, *backward)
-    assert used == 7
+                        expected[3](q_next, window.z_curr, True)):
+            assert _same_bytes(a, b)
+        t_prev = window.t_curr
+    assert used == 8
 
 
-@pytest.mark.parametrize("eid, h", [(eid, None) for eid in catalog_ids()
-                                    if eid.startswith("disk")] + [("disk-3.2", 0.0725)])
-def test_carry_serves_every_window_after_the_first(eid, h, monkeypatch):
-    # with t_curr on the grid and no t test, only the first implicit step's
-    # window, which has no carry, computes its backward partials.  A t_curr
-    # accumulated by + h missed the carry's t on 3 of the 199 windows of a
-    # catalog disk run, and on 5 of 68 at h = 0.0725, a disk-sweep-style step
-    calls = []
-
-    def counting(*args):
-        calls.append(args[2])
-        return partials_of_Ld(*args)
-
-    monkeypatch.setattr(nhcontact.contact, "partials_of_Ld", counting)
-    stats = StepStats()
-    overrides = {} if h is None else {"h": h, "t_final": 5.0}
-    traj = run_experiment(get_experiment(eid, **overrides), stats=stats)
-    assert traj.termination.completed and stats.steps == traj.n_steps - 1
-    assert calls == [0.0]
+@pytest.mark.parametrize("z_rule", list(ZRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("position", list(PositionRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("case", ["foucault", "disk-3.2", "oscillator", "foucault-la"])
+def test_seed_carry_equals_backward_step_of_first_window(case, position, z_rule):
+    # the seed step's evaluator starts where the first window's backward step
+    # does, at t_curr - h = 0 from (q0, z = 0), and ends at (q1, z1): its
+    # carry is that step's partials, L_d and constraint rows, bit for bit
+    if case == "oscillator":
+        system, q0, v0, h = damped_oscillator(), np.array([1.0]), np.array([0.0]), 0.1
+    else:
+        spec = get_experiment("disk-3.2" if case == "disk-3.2" else "foucault-1")
+        build = build_la_system if case == "foucault-la" else build_contact_system
+        system, q0, v0, h = build(spec), spec.q0, spec.v0, spec.h
+    with_z = case != "foucault-la"
+    rule = DiscretizationRule(position, z_rule, h)
+    window, carry = initialize_window(system, rule, q0, v0, with_z)
+    assert window.t_curr - rule.h == 0.0 and window.z_prev == 0.0
+    backward = (system, rule, 0.0, window.q_prev, window.q_curr, 0.0, window.z_curr)
+    _, d2, _, d4 = partials_of_Ld(*backward)
+    assert carry.factors is None
+    assert _same_bytes(carry.d2, d2) and _same_bytes(carry.d4, d4)
+    if with_z:
+        assert _same_bytes(carry.ld, evaluate_discrete_lagrangian(*backward))
+    else:
+        assert carry.ld is None and window.z_curr == 0.0
+    assert _same_bytes(carry.constraint,
+                       discrete_constraint(system, rule, window.q_prev, window.q_curr))
 
 
 @pytest.mark.parametrize("integrator, most", [
@@ -564,7 +576,8 @@ def test_solve_z_update_first_order_is_explicit():
     q, qn = np.array([1.0]), np.array([1.05])
     z = 0.3
     ld = system.lagrangian(0.0, q, (qn - q) / 0.1, z)
-    assert solve_z_update(system, rule, 0.0, q, qn, z) == pytest.approx(z + 0.1 * ld)
+    evaluate = step_evaluator(system, rule, 0.0, q, z)
+    assert solve_z_update(evaluate, rule, qn, z) == pytest.approx(z + 0.1 * ld)
 
 
 def test_solve_z_update_second_order_fixed_point():
@@ -572,7 +585,7 @@ def test_solve_z_update_second_order_fixed_point():
     rule = DiscretizationRule(PositionRule.MIDPOINT, ZRule.SECOND_ORDER, 0.1)
     q, qn = np.array([1.0]), np.array([1.05])
     z = 0.3
-    zn = solve_z_update(system, rule, 0.0, q, qn, z)
+    zn = solve_z_update(step_evaluator(system, rule, 0.0, q, z), rule, qn, z)
     ld = system.lagrangian(0.05, 0.5 * (q + qn), (qn - q) / 0.1, 0.5 * (z + zn))
     assert zn == pytest.approx(z + 0.1 * ld, abs=1e-12)
 
@@ -589,9 +602,9 @@ def test_project_velocity_affine():
 def test_initialize_window_satisfies_z_update():
     system = damped_oscillator()
     rule = DiscretizationRule(PositionRule.MIDPOINT, ZRule.SECOND_ORDER, 0.1)
-    w = initialize_window(system, rule, np.array([1.0]), np.array([0.0]))
+    w, _ = initialize_window(system, rule, np.array([1.0]), np.array([0.0]))
     assert w.z_curr == pytest.approx(
-        solve_z_update(system, rule, 0.0, w.q_prev, w.q_curr, 0.0)
+        solve_z_update(step_evaluator(system, rule, 0.0, w.q_prev, 0.0), rule, w.q_curr, 0.0)
     )
     assert w.t_curr == pytest.approx(0.1)
 
@@ -609,7 +622,7 @@ def test_denominator_singularity_detected():
     window = StepState(q_prev=np.zeros(1), q_curr=np.zeros(1),
                        z_prev=0.0, z_curr=0.0, t_curr=h)
     with pytest.raises(DenominatorSingular):
-        contact_window_terms(system, rule, window)
+        contact_window_terms(system, rule, window, window_carry(system, rule, window))
 
 
 DRIVERS = [run_contact, run_la]
@@ -782,12 +795,12 @@ def test_quadratic_start_falls_back_on_linear_start():
     # a quadratic start whose Newton fails is solved again from the linear
     # one with the factors the step began with: the solve without ``start``
     system, rule, q = pendulum_case()
-    window = initialize_window(system, rule, q, np.zeros(system.dim_q))
+    window, carry = initialize_window(system, rule, q, np.zeros(system.dim_q))
     lam = np.zeros(system.dim_c)
     # a NaN start makes Newton raise at its first residual
     start = [np.nan] * (system.dim_q + 1 + system.dim_c)
-    plain = contact_step(system, rule, window, lam, None, NewtonConfig())
-    retried = contact_step(system, rule, window, lam, None, NewtonConfig(), start)
+    plain = contact_step(system, rule, window, lam, carry, NewtonConfig())
+    retried = contact_step(system, rule, window, lam, carry, NewtonConfig(), start)
     q, z, multipliers, carry, iterations = retried
     assert np.array_equal(q, plain[0]) and z == plain[1]
     assert np.array_equal(multipliers, plain[2]) and iterations == plain[4] >= 1
@@ -817,12 +830,12 @@ def _jacobian_case(case, rule):
         build = build_la_system if case == "foucault-la" else build_contact_system
         system, q0, v0 = build(spec), spec.q0, spec.v0
     if case == "foucault-la":
-        window = initialize_window(system, rule, q0, v0, with_z=False)
+        window, carry = initialize_window(system, rule, q0, v0, with_z=False)
         residual, z = la_residual, []
     else:
-        window = initialize_window(system, rule, q0, v0)
+        window, carry = initialize_window(system, rule, q0, v0)
         residual, z = contact_residual, [window.z_curr + 0.1]
-    terms = contact_window_terms(system, rule, window)
+    terms = contact_window_terms(system, rule, window, carry)
     guess = np.concatenate([2.0 * window.q_curr - window.q_prev, z, np.ones(system.dim_c)])
     return residual, system, window, terms, guess
 
@@ -926,7 +939,8 @@ def test_midpoint_rule_is_reversible(position, z_rule, reversible):
     qs, zs = traj.configurations, traj.z_values
     window = StepState(q_prev=qs[20], q_curr=qs[19], z_prev=zs[20], z_curr=zs[19],
                        t_curr=traj.times[20])
-    *_, (_, _, (q_back, *_)) = _walk(system, rule, contact_step, window, 19, solver)
+    *_, (_, _, (q_back, *_)) = _walk(system, rule, contact_step, window,
+                                     window_carry(system, rule, window), 19, solver)
     assert bool(np.max(np.abs(q_back - qs[0])) <= 1e-8) is reversible
 
 
@@ -985,17 +999,19 @@ def test_step_map_is_conformally_symplectic(position, z_rule):
     z_prev, z_curr = 0.1, 0.2
     q_prev, q_curr = np.array([0.4, -0.3]), np.array([0.45, -0.25])
     window = StepState(q_prev=q_prev, q_curr=q_curr, z_prev=z_prev, z_curr=z_curr, t_curr=t)
-    q_next, z_next, *_ = contact_step(system, rule, window, np.zeros(0), None,
+    q_next, z_next, *_ = contact_step(system, rule, window, np.zeros(0),
+                                      window_carry(system, rule, window),
                                       NewtonConfig(tolerance=1e-13))
 
     def residual(y, unknowns):
         w = StepState(q_prev=y[:n], q_curr=y[n:], z_prev=z_prev, z_curr=z_curr, t_curr=t)
-        return contact_residual(system, rule, w, contact_window_terms(system, rule, w),
-                                unknowns)
+        terms = contact_window_terms(system, rule, w, window_carry(system, rule, w))
+        return contact_residual(system, rule, w, terms, unknowns)
 
     y, x = np.concatenate([q_prev, q_curr]), np.concatenate([q_next, [z_next]])
     d_x = exact_jacobian(contact_residual, system, rule, window,
-                         contact_window_terms(system, rule, window), x)
+                         contact_window_terms(system, rule, window,
+                                              window_carry(system, rule, window)), x)
     d_y = np.stack([complex_step(lambda yy: residual(yy, x), y, e) for e in np.eye(2 * n)],
                    axis=1)
     jac = np.block([[np.zeros((n, n)), np.eye(n)], [-np.linalg.solve(d_x, d_y)[:n]]])
