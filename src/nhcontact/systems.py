@@ -7,14 +7,16 @@ analytic Lagrangian gradients.
 
 The Foucault and disk callables compute on Python numbers: one ``tolist()``
 per argument, then ``math``, or ``cmath`` for the complex arguments of a
-complex step.  Each call picks its sine, cosine and squaring rule once per
-argument type (:func:`_trig`, :func:`_square_rule`), not once per
-operation.  At two to five coordinates numpy's per-call overhead on small
-arrays and numpy scalars costs more than the arithmetic.  Each operation
-rounds as numpy's scalar one on the same values, infinities and NaN
-included, so the callables return bit for bit what numpy arithmetic would;
-the disk's ``F(t) . q`` is the kernel's left-to-right sum
-(:func:`~nhcontact.model.dot`).
+complex step.  Each call picks its sine and cosine once per argument type
+(:func:`_trig`), not once per operation.  At two to five coordinates
+numpy's per-call overhead on small arrays and numpy scalars costs more than
+the arithmetic.  Each operation rounds as numpy's scalar one on the same
+values, infinities and NaN included, so the callables return bit for bit
+what numpy arithmetic would; the disk's ``F(t) . q`` is the kernel's
+left-to-right sum (:func:`~nhcontact.model.dot`).  A square of a variable is
+the product ``(x * x)``, correctly rounded, and for a complex number the
+product numpy's complex square takes; ``x ** 2`` on a float calls libm's
+``pow``, which can round otherwise.
 
 The Foucault gradients, constraint offset and external force and the disk
 gradients return lists of Python numbers, which the step kernel takes as
@@ -61,25 +63,6 @@ def _trig(x):
     return (cmath.sin, cmath.cos) if isinstance(x, complex) else (math.sin, math.cos)
 
 
-def _pow2(x):
-    try:
-        return x ** 2
-    except OverflowError:  # numpy's square overflows to inf
-        return math.inf
-
-
-def _mul2(x):
-    return x * x
-
-
-def _square_rule(x):
-    """The square of numbers of ``x``'s type, rounded as numpy squares a
-    scalar of that type: ``pow`` for a float, one complex product for a
-    complex.  Python's complex power multiplies by one more, which rounds
-    zero signs otherwise."""
-    return _mul2 if isinstance(x, complex) else _pow2
-
-
 # ---------------------------------------------------------------------------
 # Damped harmonic oscillator
 # ---------------------------------------------------------------------------
@@ -90,11 +73,11 @@ def damped_oscillator(alpha: float = 0.1, omega: float = 1.0) -> ContactSystem:
     return ContactSystem(
         dim_q=1,
         dim_c=0,
-        lagrangian=lambda t, q, v, z: 0.5 * v[0] ** 2
-        - 0.5 * omega ** 2 * q[0] ** 2 - alpha * z,
+        lagrangian=lambda t, q, v, z: 0.5 * (v[0] * v[0])
+        - 0.5 * omega ** 2 * (q[0] * q[0]) - alpha * z,
         constraint_matrix=lambda q: np.zeros((0, 1)),
         lagrangian_gradients=lambda t, q, v, z: (-omega ** 2 * q, v.copy(), -alpha),
-        energy=lambda q, v: 0.5 * v[0] ** 2 + 0.5 * omega ** 2 * q[0] ** 2,
+        energy=lambda q, v: 0.5 * (v[0] * v[0]) + 0.5 * omega ** 2 * (q[0] * q[0]),
     )
 
 
@@ -148,9 +131,7 @@ def foucault_system(params: FoucaultParams, formulation: str = "herglotz") -> Co
     def lagrangian(t, q, qdot, z):
         x, y = q.tolist()
         vx, vy = qdot.tolist()
-        square_q, square_v = _square_rule(x), _square_rule(vx)
-        value = 0.5 * m * (square_v(vx) + square_v(vy)) \
-            - 0.5 * k_spring * (square_q(x) + square_q(y))
+        value = 0.5 * m * ((vx * vx) + (vy * vy)) - 0.5 * k_spring * ((x * x) + (y * y))
         if herglotz:
             value -= alpha * z
         return value
@@ -167,8 +148,7 @@ def foucault_system(params: FoucaultParams, formulation: str = "herglotz") -> Co
 
     def constraint_offset(q):
         x, y = q.tolist()
-        square = _square_rule(x)
-        return [omega_v * (square(x) + square(y))]
+        return [omega_v * ((x * x) + (y * y))]
 
     damping = -alpha * m  # the force -alpha m qdot takes this product first
 
@@ -181,9 +161,7 @@ def foucault_system(params: FoucaultParams, formulation: str = "herglotz") -> Co
     def energy(q, qdot):
         x, y = q.tolist()
         vx, vy = qdot.tolist()
-        square_q, square_v = _square_rule(x), _square_rule(vx)
-        return 0.5 * m * (square_v(vx) + square_v(vy)) \
-            + 0.5 * k_spring * (square_q(x) + square_q(y))
+        return 0.5 * m * ((vx * vx) + (vy * vy)) + 0.5 * k_spring * ((x * x) + (y * y))
 
     return ContactSystem(
         dim_q=2,
@@ -263,11 +241,9 @@ def _kinetic_energy(params: DiskParams, s, c, qdot: list):
     m, R, I_A, I_T = params.m, params.R, params.I_A, params.I_T
     dX, dY, dtheta, dphi, dpsi = qdot
     spin = dpsi - dphi * s
-    square_q, square_v, square_spin = _square_rule(s), _square_rule(dX), _square_rule(spin)
     return (
-        0.5 * m * (square_v(dX) + square_v(dY) + R ** 2 * square_q(s) * square_v(dtheta))
-        + 0.5 * (I_A * square_spin(spin)
-                 + I_T * (square_v(dtheta) + square_v(dphi) * square_q(c)))
+        0.5 * m * ((dX * dX) + (dY * dY) + R ** 2 * (s * s) * (dtheta * dtheta))
+        + 0.5 * (I_A * (spin * spin) + I_T * ((dtheta * dtheta) + (dphi * dphi) * (c * c)))
     )
 
 
@@ -302,7 +278,6 @@ def disk_system(params: DiskParams) -> ContactSystem:
         theta = q[2].item()
         dX, dY, dtheta, dphi, dpsi = qdot.tolist()
         sin, cos = _trig(theta)
-        square_q, square_v = _square_rule(theta), _square_rule(dX)
         s = sin(theta)
         c = cos(theta)
         spin = dpsi - dphi * s
@@ -310,16 +285,16 @@ def disk_system(params: DiskParams) -> ContactSystem:
         zero = 0j if isinstance(theta, complex) or isinstance(dX, complex) else 0.0
         gq = [f + zero for f in forcing(t).tolist()]
         gq[2] += (
-            m * R ** 2 * s * c * square_v(dtheta)
+            m * R ** 2 * s * c * (dtheta * dtheta)
             - I_A * spin * dphi * c
-            - I_T * square_v(dphi) * c * s
+            - I_T * (dphi * dphi) * c * s
             + m * g * R * s
         )
         gv = [
             m * dX,
             m * dY,
-            (m * R ** 2 * square_q(s) + I_T) * dtheta,
-            -I_A * spin * s + I_T * dphi * square_q(c),
+            (m * R ** 2 * (s * s) + I_T) * dtheta,
+            -I_A * spin * s + I_T * dphi * (c * c),
             I_A * spin,
         ]
         return gq, gv, -alpha

@@ -292,8 +292,8 @@ def foucault_system(params: FoucaultParams, formulation: str = "herglotz") -> Co
     herglotz = formulation == "herglotz"
 
     def lagrangian(t, q, qdot, z):
-        value = 0.5 * m * (qdot[0] ** 2 + qdot[1] ** 2) \
-            - 0.5 * k_spring * (q[0] ** 2 + q[1] ** 2)
+        value = 0.5 * m * ((qdot[0] * qdot[0]) + (qdot[1] * qdot[1])) \
+            - 0.5 * k_spring * ((q[0] * q[0]) + (q[1] * q[1]))
         if herglotz:
             value -= alpha * z
         return value
@@ -308,14 +308,14 @@ def foucault_system(params: FoucaultParams, formulation: str = "herglotz") -> Co
         return np.array([[-q[1], q[0]]])
 
     def constraint_offset(q):
-        return np.array([omega_v * (q[0] ** 2 + q[1] ** 2)])
+        return np.array([omega_v * ((q[0] * q[0]) + (q[1] * q[1]))])
 
     # "herglotz" keeps the default zero external force
     force = {} if herglotz else {"external_force": lambda t, q, qdot: -alpha * m * qdot}
 
     def energy(q, qdot):
-        return 0.5 * m * (qdot[0] ** 2 + qdot[1] ** 2) \
-            + 0.5 * k_spring * (q[0] ** 2 + q[1] ** 2)
+        return 0.5 * m * ((qdot[0] * qdot[0]) + (qdot[1] * qdot[1])) \
+            + 0.5 * k_spring * ((q[0] * q[0]) + (q[1] * q[1]))
 
     return ContactSystem(
         dim_q=2,
@@ -338,8 +338,8 @@ def disk_kinetic_energy(params: DiskParams, q: Array, qdot: Array) -> float:
     c = np.cos(theta)
     spin = dpsi - dphi * s
     return (
-        0.5 * m * (dX ** 2 + dY ** 2 + R ** 2 * s ** 2 * dtheta ** 2)
-        + 0.5 * (I_A * spin ** 2 + I_T * (dtheta ** 2 + dphi ** 2 * c ** 2))
+        0.5 * m * ((dX * dX) + (dY * dY) + R ** 2 * (s * s) * (dtheta * dtheta))
+        + 0.5 * (I_A * (spin * spin) + I_T * ((dtheta * dtheta) + (dphi * dphi) * (c * c)))
     )
 
 
@@ -370,16 +370,16 @@ def disk_system(params: DiskParams) -> ContactSystem:
         # complex when q or qdot is, so complex-step probes pass through
         gq = np.asarray(forcing(t)) + np.zeros_like(q + qdot)
         gq[2] += (
-            m * R ** 2 * s * c * dtheta ** 2
+            m * R ** 2 * s * c * (dtheta * dtheta)
             - I_A * spin * dphi * c
-            - I_T * dphi ** 2 * c * s
+            - I_T * (dphi * dphi) * c * s
             + m * g * R * s
         )
         gv = np.array([
             m * dX,
             m * dY,
-            (m * R ** 2 * s ** 2 + I_T) * dtheta,
-            -I_A * spin * s + I_T * dphi * c ** 2,
+            (m * R ** 2 * (s * s) + I_T) * dtheta,
+            -I_A * spin * s + I_T * dphi * (c * c),
             I_A * spin,
         ])
         return gq, gv, -alpha

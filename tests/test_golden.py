@@ -17,7 +17,9 @@ floats, but the seed's least squares and small dots and the complex
 difference velocities of the Jacobian's probes are numpy's, so the digests
 hold for the numpy build they were recorded with.  Another numpy version, or
 one whose small dot or complex-by-real division rounds otherwise (the probe
-below), skips the test with the reason.
+below), skips the test with the reason.  The built-in systems square a
+variable as a product, correctly rounded, so the digests do not depend on
+how libm's ``pow`` rounds ``x ** 2``.
 """
 
 import hashlib

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import numpy_oracle
@@ -160,8 +161,9 @@ def test_callables_bit_identical_to_numpy_oracle(name):
     system, oracle = _system_pair(name)
     n = system.dim_q
     rng = np.random.default_rng(9)
-    # x ** 2 is pow, which rounds otherwise than x * x on about 1 float in
-    # 1000, so the real arguments come in many draws
+    # many real draws: a square written as x ** 2 on one side only (pow,
+    # which can round otherwise than x * x, on about 1 float in 1,100 on
+    # some platforms) shows on a few of them
     for draw in range(1000):
         t = rng.uniform(0.0, 20.0)
         q = rng.normal(size=n) * 10.0 ** rng.uniform(-2.0, 1.0)
@@ -181,6 +183,28 @@ def test_callables_bit_identical_to_numpy_oracle(name):
             assert _same_bits(system.constraint_offset(qq), oracle.constraint_offset(qq))
             assert _same_bits(system.external_force(t, qq, vv), oracle.external_force(t, qq, vv))
             assert _same_bits(system.energy(qq, vv), oracle.energy(qq, vv))
+
+
+def test_squares_are_correctly_rounded():
+    # the Foucault offset and energy and the disk's kinetic energy square by
+    # products: on draws where x ** 2 (libm's pow) misrounds, none where pow
+    # is correctly rounded, and on a few ordinary ones, each equals its value
+    # from the exact square rounded once
+    rng = np.random.default_rng(12)
+    draws = (rng.normal(size=200_000) * 10.0 ** rng.uniform(-2.0, 1.0, size=200_000)).tolist()
+    misrounded = [x for x in draws if x ** 2 != x * x]
+    foucault_params, disk_params = FoucaultParams(), DiskParams()
+    foucault = foucault_system(foucault_params)
+    m, k_spring = foucault_params.m, foucault_params.m * foucault_params.g / foucault_params.l
+    omega_v = float(foucault_params.omega_vertical)
+    zero = np.zeros(2)
+    for x in misrounded + draws[:20]:
+        square = float(Fraction(x) ** 2)
+        assert foucault.constraint_offset(np.array([x, 0.0])) == [omega_v * square]
+        assert foucault.energy(zero, np.array([x, 0.0])) == 0.5 * m * square
+        assert foucault.energy(np.array([0.0, x]), zero) == 0.5 * k_spring * square
+        qdot = np.array([x, 0.0, 0.0, 0.0, 0.0])
+        assert disk_kinetic_energy(disk_params, np.zeros(5), qdot) == 0.5 * disk_params.m * square
 
 
 def test_disk_constraints_annihilate_rolling_velocity():
