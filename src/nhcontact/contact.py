@@ -315,10 +315,9 @@ def solve_step(
 
     Newton starts from ``start``, when given, else from the linear start:
     ``2 q_j - q_{j-1}``, then ``z_j + h L_d`` of the window's backward step
-    (the carried ``L_d``), then ``lam_prev``.  If
-    Newton fails from ``start``, the step is solved once more from the
-    linear start, with the factors it began with: exactly the solve without
-    ``start``.
+    (the carried ``L_d``), then ``lam_prev``.  If Newton fails from
+    ``start``, the step is solved once more from the linear start, with the
+    factors it began with: exactly the solve without ``start``.
     """
     w = window
     n, h = system.dim_q, rule.h
@@ -386,7 +385,7 @@ def initialize_window(
     q0: Array,
     v0: Array,
     with_z: bool = True,
-) -> tuple:
+) -> tuple[StepState, StepCarry]:
     """The first stepping window from ``(q0, v0)`` at ``t = 0``, ``z = 0``,
     and the seed step's :class:`StepCarry`, as ``(window, carry)``.
 
@@ -458,19 +457,19 @@ def run_steps(
     :func:`initialize_window` takes step 1; :func:`solve_step` takes each
     later one from the previous multipliers and the previous step's
     :class:`StepCarry`, the seed step's for the first, carried from step to
-    step of this run only.  Once
-    ``q_{j-2}`` exists, the quadratic extrapolation of q through
-    ``q_{j-2}``, ``q_{j-1}`` and ``q_j`` is built once per step, from the
-    trajectory rows already filled.  While it predicted the last step's
-    configuration better than the linear ``2 q_j - q_{j-1}``, in the
-    inf-norm (so from the third implicit step on at the earliest), Newton
-    starts from it, with ``3 z_j - 3 z_{j-1} + z_{j-2}`` (when ``with_z``)
-    and ``2 lambda_{j-1} - lambda_{j-2}``; after the step, the accepted q
+    step of this run only.  Once ``q_{j-2}`` exists, the quadratic
+    extrapolation of q through ``q_{j-2}``, ``q_{j-1}`` and ``q_j`` is built
+    once per step, from the trajectory rows already filled.  While it
+    predicted the last step's configuration better than the linear
+    ``2 q_j - q_{j-1}``, in the inf-norm (so from the third implicit step on
+    at the earliest), Newton starts from it, with
+    ``3 z_j - 3 z_{j-1} + z_{j-2}`` (when ``with_z``) and
+    ``2 lambda_{j-1} - lambda_{j-2}``; after the step, the accepted q
     settles which start the next one takes.
-    ``stats`` takes each step's iterations and constraint rows, and the
-    seed step's constraint rows from its carry.  A numerical failure in either ends
-    the run as a ``solver_failure`` at the last accepted step; a failure of
-    the seed step, before the first implicit one, says so by the prefix
+    ``stats`` takes each step's iterations and constraint rows, the seed
+    step's from its carry.  A numerical failure in either ends the run as a
+    ``solver_failure`` at the last accepted step; a failure of the seed
+    step, before the first implicit one, says so by the prefix
     ``seed step: `` of its message.
     """
     from .analysis import reconstruct_velocities_from_arrays

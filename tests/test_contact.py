@@ -396,18 +396,18 @@ def _walk(system, rule, step, window, carry, steps, solver=NewtonConfig()):
                            z_curr=z_next, t_curr=(j + 1) * rule.h)
 
 
-# one case, whose id the earlier off-grid cases of this test set apart
-@pytest.mark.parametrize("t_curr", ["exact-t"])
+@pytest.mark.parametrize("j", [2], ids=["exact-t"])
 @pytest.mark.parametrize("case", KERNEL_CASES, ids=["pendulum-trap-first", "disk-mid-second"])
-def test_carry_replaces_window_partials(case, t_curr, monkeypatch):
-    # the second step's backward partials are the first step's forward ones,
-    # taken from its carry
+def test_carry_replaces_window_partials(case, j, monkeypatch):
+    # step j's backward partials are step j - 1's forward ones, taken from
+    # its carry; the driver keeps the window's t_curr at exactly j h
     system, rule, q = case()
     window, carry = initialize_window(system, rule, q, np.zeros(system.dim_q))
-    (_, _, first), (second, _, plain) = _walk(system, rule, contact_step, window, carry, 2)
+    *_, (_, _, before), (window, _, plain) = _walk(system, rule, contact_step, window, carry, j)
+    assert window.t_curr == j * rule.h
     calls = {"partials": 0, "residual": 0}
     count_calls(monkeypatch, calls)
-    result = contact_step(system, rule, second, first[2], first[3], NewtonConfig())
+    result = contact_step(system, rule, window, before[2], before[3], NewtonConfig())
     assert calls["residual"] >= 1
     assert calls["partials"] == calls["residual"]
     assert np.array_equal(result[0], plain[0]) and result[1] == plain[1]
