@@ -57,9 +57,14 @@ def _write_csv(path: str, header: list, rows) -> None:
             f.write("\n")
 
 
+#: Rows that :func:`write_trajectory_csv` formats with one ``%`` and writes
+#: with one ``write``; chunks keep a 4,000,000-step run's text bounded.
+CSV_CHUNK_ROWS = 4096
+
+
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     """``trajectory.csv``: one row per time, its numbers written as
-    :func:`_write_csv` writes them, streamed row by row."""
+    :func:`_write_csv` writes them, :data:`CSV_CHUNK_ROWS` rows at a time."""
     n = traj.configurations.shape[1]
     m = traj.multipliers.shape[1]
     header = (
@@ -78,8 +83,9 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     template = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        for row in table.tolist():
-            f.write(template % tuple(row))
+        for start in range(0, len(table), CSV_CHUNK_ROWS):
+            chunk = table[start:start + CSV_CHUNK_ROWS]
+            f.write((template * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def write_summary_csv(path: str, traj: Trajectory, wall_time: float,

@@ -230,8 +230,7 @@ def _run_rkf45(spec: ExperimentSpec) -> Trajectory:
             grid, termination = grid[:1], Termination.failure(step=1, message=str(exc))
     qs, vels = states[:, :2], states[:, 2:]
     lams = np.array([
-        [foucault_reference_multiplier(params, states[j + 1])]
-        for j in range(len(grid) - 1)
+        [foucault_reference_multiplier(params, row)] for row in states[1:].tolist()
     ]).reshape(len(grid) - 1, 1)
     energies = np.array([system.energy(q, v) for q, v in zip(qs, vels)])
     return Trajectory(times=grid, configurations=qs, velocities=vels,

@@ -23,8 +23,10 @@ gradients return lists of Python numbers, which the step kernel takes as
 they are; the :class:`~nhcontact.model.ContactSystem` contract accepts any
 sequence of numbers there.  The constraint matrices stay numpy arrays, as
 the contract asks, and every callable still receives numpy arrays.  The
-damped oscillator stays on numpy arrays throughout, the in-package example
-of array returns.
+pendulum's reference right-hand side and multiplier compute on Python
+floats too; the right-hand side returns a numpy array, as RKF45 and
+scipy's solvers take it.  The damped oscillator stays on numpy arrays
+throughout, the in-package example of array returns.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import Array, ContactSystem, dot
+from .model import Array, ContactSystem, dot, numbers
 
 #: Sidereal rotation rate of the Earth (rad/s).
 EARTH_ROTATION_RATE = 7.2921159e-5
@@ -51,6 +53,13 @@ def _zeros5(t: float) -> Array:
 def _nan(x):
     """NaN of ``x``'s type, numpy's sine and cosine of an infinity."""
     return x * math.nan
+
+
+def _quotient(a: float, b: float) -> float:
+    """``a / b`` on floats as numpy divides: a zero ``b`` gives an infinity
+    of the quotient's sign, or NaN for a zero or NaN ``a``, where Python
+    raises."""
+    return a / b if b else a * math.copysign(math.inf, b)
 
 
 def _trig(x):
@@ -180,16 +189,18 @@ def foucault_reference_ode(params: FoucaultParams) -> Callable[[float, Array], A
     frame, state ``y = (x, y, xdot, ydot)``.
 
     The multiplier is eliminated by differentiating the affine constraint
-    once and solving the resulting scalar equation.
+    once and solving the resulting scalar equation.  The right-hand side
+    computes on Python floats, each operation rounded as numpy's scalar one.
     """
     g_over_l = params.g / params.l
-    alpha = params.alpha
-    omega_v = params.omega_vertical
+    alpha = float(params.alpha)
+    omega_v = float(params.omega_vertical)
 
     def rhs(t, y):
-        x, yy, vx, vy = y
+        x, yy, vx, vy = numbers(y)
         r2 = x * x + yy * yy
-        lam_over_m = -(2.0 * omega_v * (x * vx + yy * vy) + alpha * omega_v * r2) / r2
+        lam_over_m = _quotient(
+            -(2.0 * omega_v * (x * vx + yy * vy) + alpha * omega_v * r2), r2)
         ax = -g_over_l * x - alpha * vx - lam_over_m * yy
         ay = -g_over_l * yy - alpha * vy + lam_over_m * x
         return np.array([vx, vy, ax, ay])
@@ -197,13 +208,14 @@ def foucault_reference_ode(params: FoucaultParams) -> Callable[[float, Array], A
     return rhs
 
 
-def foucault_reference_multiplier(params: FoucaultParams, y: Array) -> float:
-    """Constraint multiplier along a reference state ``(x, y, xdot, ydot)``."""
-    x, yy, vx, vy = y
+def foucault_reference_multiplier(params: FoucaultParams, y) -> float:
+    """Constraint multiplier along a reference state ``(x, y, xdot, ydot)``,
+    a numpy array or a sequence of floats."""
+    x, yy, vx, vy = numbers(y)
     r2 = x * x + yy * yy
-    omega_v = params.omega_vertical
-    return -params.m * (2.0 * omega_v * (x * vx + yy * vy)
-                        + params.alpha * omega_v * r2) / r2
+    omega_v = float(params.omega_vertical)
+    return _quotient(-params.m * (2.0 * omega_v * (x * vx + yy * vy)
+                                  + params.alpha * omega_v * r2), r2)
 
 
 # ---------------------------------------------------------------------------

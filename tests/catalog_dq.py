@@ -1,23 +1,30 @@
 """Largest catalog |dq| between two source trees, against the first tree's
-own Newton error.
+own solver error.
 
     python tests/catalog_dq.py OLD_SRC NEW_SRC [--ids ID ...] [--t-final T] [--jobs N]
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories that hold the ``nhcontact``
 package, such as the ``src`` of two checkouts.  The rows are the catalog
-experiments under the contact integrator and the Lagrange-d'Alembert runs of
-the two Foucault ones, ``foucault-1/la`` and ``foucault-2/la`` (all of them
-unless ``--ids`` names some, in the same form).  For each row, at its full
-horizon unless ``--t-final`` shortens it, the script runs OLD at Newton
-tolerance 1e-6 and 1e-8 and NEW at 1e-6, each run in its own process with
-that tree on ``PYTHONPATH``, and prints one line:
+experiments under the contact integrator; the Lagrange-d'Alembert runs of
+the two Foucault ones, ``foucault-1/la`` and ``foucault-2/la``; their RKF45
+references, ``foucault-1/rkf45`` and ``foucault-2/rkf45``; and the BDF2
+reference of every catalog experiment, ``<id>/implicit-dae`` (all of them
+unless ``--ids`` names some, in the same form).  Each row runs at its full
+horizon, except that ``--t-final`` sets every row's and that a Foucault BDF2
+row runs :data:`DAE_FOUCAULT_T_FINAL` seconds unless ``--t-final`` is given.
+The script runs OLD at Newton tolerance 1e-6 and 1e-8 and NEW at 1e-6, each
+run in its own process with that tree on ``PYTHONPATH``.  A BDF2 row hands
+that tolerance to BDF2's Newton; an RKF45 row, which has no Newton, runs its
+tight run at a relative tolerance 100 times tighter, 1e-10.  Each row
+prints one line:
 
+- ``horizon``: the row's ``t_final``;
 - ``dq``: max |q_NEW - q_OLD| over all steps and coordinates, both at 1e-6;
-- ``newton``: OLD's Newton-error proxy, max |q_OLD(1e-6) - q_OLD(1e-8)|;
+- ``tight``: OLD's solver-error proxy, max |q_OLD - q_OLD(tight run)|;
 - ``ulp``: the spacing of floats at OLD's largest |q|, the rounding floor;
 - ``ok`` when ``dq`` is below the proxy, so the change moves the trajectory
-  by less than Newton's own error; ``rounding`` when it is not but is below
-  ``ulp`` (a proxy of 0 says only that both tolerances took the same
+  by less than the solver's own error; ``rounding`` when it is not but is
+  below ``ulp`` (a proxy of 0 says only that both tolerances took the same
   iterates); else ``ABOVE``;
 - ``bytes``: ``equal`` when NEW's whole trajectory at 1e-6 is byte-equal to
   OLD's (times, configurations, velocities, z values, multipliers, energies
@@ -31,6 +38,7 @@ the steps both runs have.  Runs go ``--jobs`` (default 2) at a time.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import subprocess
 import sys
@@ -45,22 +53,46 @@ TIGHT_TOLERANCE = 1e-8
 
 #: The trajectory arrays that the byte comparison covers, with the termination.
 FIELDS = ("times", "configurations", "velocities", "z_values", "multipliers", "energies")
-#: Suffix of a row run by the Lagrange-d'Alembert integrator, and its rows.
-LA = "/la"
-LA_ROWS = ("foucault-1" + LA, "foucault-2" + LA)
+#: Suffixes of the rows that the contact integrator does not run: the value
+#: of the integrator that runs them.
+LA, RKF45, DAE = "la", "rkf45", "implicit-dae"
+#: The rows besides the contact and BDF2 ones that run by default.
+FOUCAULT_ROWS = tuple(f"foucault-{i}/{suffix}" for suffix in (LA, RKF45) for i in (1, 2))
+#: Default horizon of a Foucault BDF2 row: the full 3,600 s is 720,000 BDF2
+#: steps, about 40 s a run.
+DAE_FOUCAULT_T_FINAL = 200.0
+#: The relative tolerance of an RKF45 row's tight run, 100 times the default.
+TIGHT_RKF45_REL_TOL = 1e-10
+
+
+def _horizon(eid: str, t_final) -> str:
+    """The ``t_final`` that row ``eid`` runs, as the worker takes it."""
+    if t_final is not None:
+        return repr(t_final)
+    if eid.startswith("foucault") and eid.endswith("/" + DAE):
+        return repr(DAE_FOUCAULT_T_FINAL)
+    return "full"
 
 
 def _worker(eid: str, tolerance: float, t_final: str, out: str) -> None:
     """Run one row with the ``nhcontact`` on ``PYTHONPATH``, save its
     trajectory arrays and termination to ``out`` and print its status."""
-    from nhcontact import Integrator, get_experiment, run_experiment
+    from nhcontact import Integrator, experiments, get_experiment, run_experiment
     from nhcontact.newton import NewtonConfig
 
     overrides = {} if t_final == "full" else {"t_final": float(t_final)}
-    if eid.endswith(LA):
-        eid = eid[:-len(LA)]
-        overrides["integrator"] = Integrator.LAGRANGE_DALEMBERT
-    traj = run_experiment(get_experiment(eid, **overrides), NewtonConfig(tolerance=tolerance))
+    eid, _, suffix = eid.partition("/")
+    if suffix:
+        overrides["integrator"] = Integrator(suffix)
+    solver = NewtonConfig(tolerance=tolerance)
+    # run_experiment hands the references no Newton settings: set their own
+    if suffix == DAE:
+        experiments.implicit_dae_integrate = functools.partial(
+            experiments.implicit_dae_integrate, newton=solver)
+    elif suffix == RKF45 and tolerance == TIGHT_TOLERANCE:
+        experiments.rkf45_integrate = functools.partial(
+            experiments.rkf45_integrate, rel_tol=TIGHT_RKF45_REL_TOL)
+    traj = run_experiment(get_experiment(eid, **overrides), solver)
     np.savez(out, termination=repr(traj.termination),
              **{field: getattr(traj, field) for field in FIELDS})
     print(traj.termination.status)
@@ -98,38 +130,41 @@ def main(argv=None) -> int:
     parser.add_argument("old_src")
     parser.add_argument("new_src")
     parser.add_argument("--ids", nargs="+",
-                        help="catalog ids, with /la for a Lagrange-d'Alembert run "
-                             "(default: all, and foucault-1/la and foucault-2/la)")
-    parser.add_argument("--t-final", type=float, help="horizon (default: each one's own)")
+                        help="catalog ids, with /la, /rkf45 or /implicit-dae for a row the "
+                             "contact integrator does not run (default: all, the two "
+                             "Foucault ones with /la and /rkf45, and every id with "
+                             "/implicit-dae)")
+    parser.add_argument("--t-final", type=float, help="horizon (default: each row's own)")
     parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args(argv)
     if args.ids is None:
         sys.path.insert(0, os.path.abspath(args.old_src))
         from nhcontact.experiments import catalog_ids
-        args.ids = list(catalog_ids()) + list(LA_ROWS)
-    t_final = "full" if args.t_final is None else repr(args.t_final)
+        ids = list(catalog_ids())
+        args.ids = ids + list(FOUCAULT_ROWS) + [f"{eid}/{DAE}" for eid in ids]
     runs = [(src, eid, tolerance) for eid in args.ids
             for src, tolerance in ((args.old_src, TOLERANCE), (args.old_src, TIGHT_TOLERANCE),
                                    (args.new_src, TOLERANCE))]
     with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(args.jobs) as pool:
-        futures = [pool.submit(_run, src, eid, tolerance, t_final,
+        futures = [pool.submit(_run, src, eid, tolerance, _horizon(eid, args.t_final),
                                os.path.join(tmp, f"{i}.npz"))
                    for i, (src, eid, tolerance) in enumerate(runs)]
         results = [f.result() for f in futures]
-    print(f"{'experiment':<13} {'steps':>6} {'dq':>10} {'newton':>10} {'ulp':>10}  "
-          f"{'verdict':<8}  {'bytes':<6}  status old/tight/new")
+    print(f"{'experiment':<24} {'horizon':>7} {'steps':>6} {'dq':>10} {'tight':>10} "
+          f"{'ulp':>10}  {'verdict':<8}  {'bytes':<6}  status old/tight/new")
     all_below = True
     for i, eid in enumerate(args.ids):
         (old, s_old), (tight, s_tight), (new, s_new) = results[3 * i: 3 * i + 3]
         q_old = old["configurations"]
         dq = _max_dq(new["configurations"], q_old)
-        newton = _max_dq(q_old, tight["configurations"])
+        proxy = _max_dq(q_old, tight["configurations"])
         ulp = float(np.spacing(np.max(np.abs(q_old))))
-        verdict = "ok" if dq < newton else "rounding" if dq < ulp else "ABOVE"
+        verdict = "ok" if dq < proxy else "rounding" if dq < ulp else "ABOVE"
         all_below &= verdict != "ABOVE"
         same = "equal" if _same_bytes(new, old) else "differ"
-        print(f"{eid:<13} {len(q_old) - 1:>6} {dq:>10.3e} {newton:>10.3e} {ulp:>10.3e}  "
-              f"{verdict:<8}  {same:<6}  {s_old}/{s_tight}/{s_new}")
+        print(f"{eid:<24} {_horizon(eid, args.t_final):>7} {len(q_old) - 1:>6} {dq:>10.3e} "
+              f"{proxy:>10.3e} {ulp:>10.3e}  {verdict:<8}  {same:<6}  "
+              f"{s_old}/{s_tight}/{s_new}")
     return 0 if all_below else 1
 
 

@@ -14,6 +14,12 @@ step Jacobian.  The products with a constraint matrix and the disk's
 ``F(t) . q`` are :func:`dot`, the package's left-to-right sum written on
 numpy scalars: numpy's own dot rounds otherwise.  :func:`window_carry` gives
 a hand-built window the carry that the driver's windows are handed.
+
+The reference solvers' oracles are their numpy versions: the pendulum's
+reference ODE and multiplier on numpy scalars, which the package's Python
+floats match bit for bit, and the RKF45 loop and the implicit DAE residual
+with numpy's matrix products, which the package's left-to-right sums match
+to round-off.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from nhcontact.model import (
     ZRule,
     central_difference,
 )
+from nhcontact.reference import DenseTrajectory
 from nhcontact.systems import DiskParams, FoucaultParams
 
 
@@ -404,3 +411,108 @@ def disk_system(params: DiskParams) -> ContactSystem:
         energy=energy,
         lagrangian_gradients=gradients,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference solvers
+# ---------------------------------------------------------------------------
+
+def foucault_reference_ode(params: FoucaultParams):
+    """The pendulum's reference right-hand side on numpy scalars."""
+    g_over_l = params.g / params.l
+    alpha = params.alpha
+    omega_v = params.omega_vertical
+
+    def rhs(t, y):
+        x, yy, vx, vy = y
+        r2 = x * x + yy * yy
+        lam_over_m = -(2.0 * omega_v * (x * vx + yy * vy) + alpha * omega_v * r2) / r2
+        ax = -g_over_l * x - alpha * vx - lam_over_m * yy
+        ay = -g_over_l * yy - alpha * vy + lam_over_m * x
+        return np.array([vx, vy, ax, ay])
+
+    return rhs
+
+
+def foucault_reference_multiplier(params: FoucaultParams, y: Array) -> float:
+    """The pendulum's reference multiplier on numpy scalars."""
+    x, yy, vx, vy = y
+    r2 = x * x + yy * yy
+    omega_v = params.omega_vertical
+    return -params.m * (2.0 * omega_v * (x * vx + yy * vy)
+                        + params.alpha * omega_v * r2) / r2
+
+
+_RKF_C = np.array([0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2])
+_RKF_A = [
+    np.array([]),
+    np.array([1 / 4]),
+    np.array([3 / 32, 9 / 32]),
+    np.array([1932 / 2197, -7200 / 2197, 7296 / 2197]),
+    np.array([439 / 216, -8.0, 3680 / 513, -845 / 4104]),
+    np.array([-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40]),
+]
+_RKF_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
+_RKF_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
+
+
+def rkf45_integrate(ode, y0, t_span, rel_tol=1e-8, abs_tol=1e-10):
+    """The Runge-Kutta-Fehlberg 4(5) loop on numpy arrays, its tableau sums
+    numpy's matrix products."""
+    t0, tf = float(t_span[0]), float(t_span[1])
+    span = tf - t0
+    y = np.array(y0, dtype=float)
+    h = min(1e-2 * span, 1.0) or span
+    times, states, derivs = [t0], [y.copy()], [np.asarray(ode(t0, y), dtype=float)]
+    t = t0
+    while t < tf:
+        h = min(h, tf - t)
+        k = np.empty((6, len(y)))
+        k[0] = derivs[-1]
+        for i in range(1, 6):
+            k[i] = ode(t + _RKF_C[i] * h, y + h * (_RKF_A[i] @ k[:i]))
+        y4 = y + h * (_RKF_B4 @ k)
+        y5 = y + h * (_RKF_B5 @ k)
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y4))
+        err = float(np.max(np.abs(y4 - y5) / scale)) / h
+        if not np.isfinite(err):
+            raise EvaluationError(f"rkf45: error estimate {err} at t={t:.6g}")
+        if err <= 1.0:
+            t += h
+            y = y4
+            times.append(t)
+            states.append(y.copy())
+            derivs.append(np.asarray(ode(t, y), dtype=float))
+        factor = 0.9 * (1.0 / err) ** 0.25 if err > 0 else 5.0
+        h *= min(5.0, max(0.2, factor))
+    return DenseTrajectory(np.array(times), np.array(states), np.array(derivs))
+
+
+def continuous_residual(system: ContactSystem):
+    """The implicit DAE residual ``G(t, y, ydot)`` of ``system`` on numpy
+    arrays: the momentum rate by :func:`~nhcontact.model.complex_step`, and
+    numpy's products with ``A(q)``, evaluated twice."""
+    n, m = system.dim_q, system.dim_c
+
+    def momentum(t, q, v, z):
+        return np.asarray(system.lagrangian_gradients(t, q, v, z)[1])
+
+    def residual(t, y, ydot):
+        q, v, z = y[:n], y[n:2 * n], y[2 * n]
+        lam = y[2 * n + 1:]
+        qd, vd = ydot[:n], ydot[n:2 * n]
+        gq, gv, gz = system.lagrangian_gradients(t, q, v, z)
+        gq, gv = np.asarray(gq), np.asarray(gv)
+        p_rate = package.complex_step(lambda u: momentum(t, u[:n], u[n:], z),
+                                      np.concatenate([q, v]), np.concatenate([qd, vd]))
+        r = np.empty(2 * n + 1 + m)
+        r[:n] = qd - v
+        r[n:2 * n] = p_rate - gq - gv * gz
+        if m:
+            r[n:2 * n] -= system.constraint_matrix(q).T @ lam
+        r[2 * n] = ydot[2 * n] - system.lagrangian(t, q, v, z)
+        if m:
+            r[2 * n + 1:] = system.constraint_matrix(q) @ v + system.constraint_offset(q)
+        return r
+
+    return residual

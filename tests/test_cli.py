@@ -1,10 +1,12 @@
 import os
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from nhcontact.cli import (
+    CSV_CHUNK_ROWS,
     EXIT_OK,
     EXIT_SOLVER_FAILURE,
     EXIT_UNKNOWN,
@@ -373,6 +375,21 @@ def edge_value_trajectory():
         termination=Termination.done())
 
 
+def random_trajectory(rows: int, m: int) -> Trajectory:
+    """``rows`` rows of random numbers across 17 decades, with ``m``
+    multipliers."""
+    cells = np.random.default_rng(rows).normal(size=(rows, 7 + m)) * 10.0 ** np.arange(7 + m)
+    return Trajectory(
+        times=cells[:, 0], configurations=cells[:, 1:3], velocities=cells[:, 3:5],
+        z_values=cells[:, 5], multipliers=cells[1:, 6:6 + m], energies=cells[:, -1],
+        termination=Termination.done())
+
+
+#: Row counts at the writer's chunk edges, where one "%" per chunk could
+#: drop or repeat a row; a trajectory has at least its initial row.
+CHUNK_EDGES = [1, 2, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1]
+
+
 @pytest.mark.parametrize("make", [
     edge_value_trajectory,
     # no constraints (m = 0)
@@ -380,7 +397,9 @@ def edge_value_trajectory():
                         np.array([1.0]), np.array([0.0]), 20),
     # a 0-step trajectory, a single row
     lambda: run_experiment(get_experiment("foucault-1", t_final=0.0)),
-], ids=["edge-values", "no-constraints", "zero-steps"])
+    *[partial(random_trajectory, rows, m) for m in (0, 2) for rows in CHUNK_EDGES],
+], ids=["edge-values", "no-constraints", "zero-steps",
+        *[f"{rows}-rows-m{m}" for m in (0, 2) for rows in CHUNK_EDGES]])
 def test_trajectory_csv_bytes_match_per_cell_writer(make, tmp_path):
     traj = make()
     write_trajectory_csv(str(tmp_path / "new.csv"), traj)
@@ -388,3 +407,4 @@ def test_trajectory_csv_bytes_match_per_cell_writer(make, tmp_path):
     written = (tmp_path / "new.csv").read_bytes()
     assert written == (tmp_path / "reference.csv").read_bytes()
     assert written.count(b"\n") == len(traj.times) + 1
+

@@ -1,9 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
+import numpy_oracle
 import pytest
 
 from nhcontact.experiments import (
+    DAE_REFINEMENT,
     _foucault_params,
     build_contact_system,
     get_experiment,
@@ -45,6 +48,53 @@ def test_rkf45_non_finite_rhs_raises():
 
     with pytest.raises(EvaluationError, match="error estimate nan"):
         rkf45_integrate(ode, np.array([1.0]), (0.0, 5.0))
+
+
+def test_rkf45_infinite_rhs_raises_without_a_warning():
+    # the float kernel adds no numpy operation on the stages, so no
+    # RuntimeWarning from an inf stage reaches the caller before the error
+    def ode(t, y):
+        return np.array([np.inf if t > 0.5 else -y[0]])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="error estimate nan"):
+            rkf45_integrate(ode, np.array([1.0]), (0.0, 5.0))
+
+
+def test_rkf45_pendulum_at_the_origin_ends_as_failure():
+    # the eliminated multiplier divides by |q|^2: at the origin it is NaN as
+    # with numpy, not a ZeroDivisionError, so the run ends as a Termination
+    spec = get_experiment("foucault-1", q0=np.zeros(2), t_final=1.0,
+                          integrator=Integrator.RKF45_REFERENCE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run_experiment(spec)
+    assert traj.termination.status == "solver_failure"
+    assert "error estimate nan" in traj.termination.message and len(traj.times) == 1
+
+
+@pytest.mark.parametrize("case", ["foucault-1", "decay"])
+def test_rkf45_matches_numpy_oracle(case):
+    # the same algorithm with other tableau sums: the step-size controller
+    # divides by a difference of two stage sums, so accepted times move (by
+    # 3e-7 on foucault-1), but as many steps are accepted and the dense
+    # output on the grid agrees to about 1e-13
+    if case == "decay":
+        ode = oracle_ode = lambda t, y: -y
+        y0, grid = [1.0], np.linspace(0.0, 5.0, 101)
+    else:
+        spec = get_experiment(case, t_final=200.0)
+        params = _foucault_params(spec)
+        v0 = project_velocity(foucault_system(params), spec.q0, spec.v0)
+        ode = foucault_reference_ode(params)
+        oracle_ode = numpy_oracle.foucault_reference_ode(params)
+        y0, grid = np.concatenate([spec.q0, v0]), spec.h * np.arange(4001)
+    span = (grid[0], grid[-1])
+    traj = rkf45_integrate(ode, np.array(y0), span)
+    oracle = numpy_oracle.rkf45_integrate(oracle_ode, np.array(y0), span)
+    assert traj.states.shape == oracle.states.shape
+    assert np.max(np.abs(traj.sample(grid) - oracle.sample(grid))) <= 1e-11
 
 
 def test_rkf45_error_scales_with_tolerance():
@@ -150,6 +200,41 @@ def test_dae_non_finite_residual_recorded_not_raised(h):
     assert traj.completed is False
     assert 1.7 < traj.failure_time < 2.0
     assert "not finite" in traj.failure_message
+
+
+def continuous_pair(eid: str):
+    """The package's continuous form of ``eid``'s contact system and the
+    same form with the numpy oracle's residual."""
+    system = build_contact_system(get_experiment(eid))
+    package = make_continuous_system(system)
+    return package, dataclasses.replace(
+        package, residual=numpy_oracle.continuous_residual(system))
+
+
+@pytest.mark.parametrize("eid", ["foucault-1", "disk-2.3", "disk-3.1"])
+def test_continuous_residual_matches_numpy_oracle(eid):
+    package, oracle = continuous_pair(eid)
+    n, m = package.dim_q, package.dim_c
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        y = rng.normal(size=2 * n + 1 + m)
+        ydot = rng.normal(size=2 * n + 1 + m)
+        t = float(rng.uniform(0.0, 20.0))
+        r = package.residual(t, y, ydot)
+        assert isinstance(r, list)
+        expected = oracle.residual(t, y, ydot)
+        assert np.max(np.abs(np.array(r) - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_bdf2_matches_numpy_oracle_on_disk():
+    spec = get_experiment("disk-2.3")
+    runs = []
+    for continuous in continuous_pair("disk-2.3"):
+        y0, ydot0 = consistent_init(continuous, spec.q0, spec.v0)
+        runs.append(implicit_dae_integrate(continuous, y0, ydot0, (0.0, 0.5),
+                                           spec.h / DAE_REFINEMENT))
+    assert all(run.completed for run in runs) and len(runs[0].states) == 51
+    assert np.max(np.abs(runs[0].states - runs[1].states)) <= 1e-9
 
 
 def test_consistent_init_foucault():

@@ -104,6 +104,33 @@ def test_foucault_reference_multiplier_consistent_with_ode():
     assert rhs[2] == pytest.approx(ax_free - lam / params.m * yy)
 
 
+def float_bits(values) -> bytes:
+    """The bytes of ``values`` as float64, every NaN made numpy's ``nan``:
+    which operand's sign a product of two NaNs keeps differs between
+    Python's own float paths, so only NaN-ness is compared."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+def test_foucault_reference_ode_and_multiplier_match_numpy_oracle():
+    # Python floats against numpy scalars: the same IEEE operations, so the
+    # same bits, zero signs and the non-finite values of the origin included
+    rng = np.random.default_rng(20)
+    for params in (FoucaultParams(alpha=1e-3), FoucaultParams(alpha=-2.5, beta=0.3)):
+        rhs, oracle = foucault_reference_ode(params), numpy_oracle.foucault_reference_ode(params)
+        states = [*rng.normal(scale=[0.7, 0.7, 0.1, 0.1], size=(2000, 4)),
+                  np.array([0.0, 0.0, 0.1, -0.2]), np.zeros(4), np.array([-0.0, 0.0, 0.0, 0.0]),
+                  np.array([1e-170, 0.0, 1.0, 0.0]), np.array([np.inf, 0.5, 0.0, 0.0]),
+                  np.array([np.nan, 0.5, 0.0, 0.0])]
+        with np.errstate(all="ignore"):
+            for y in states:
+                assert float_bits(rhs(0.0, y)) == float_bits(oracle(0.0, y))
+                expected = float_bits(numpy_oracle.foucault_reference_multiplier(params, y))
+                for state in (y, y.tolist()):
+                    lam = foucault_reference_multiplier(params, state)
+                    assert type(lam) is float and float_bits(lam) == expected
+
+
 def test_disk_default_moments_of_inertia():
     p = DiskParams()
     assert p.I_A == pytest.approx(0.5 * 5.0 * 0.25)
