@@ -35,19 +35,36 @@ The complex-step columns of :func:`step_jacobian` share one complex vector
 and read the imaginary parts of the returned lists, bit for bit the
 column-by-column numpy loop.
 
-Newton starts from one of two predictions.  The linear start, which
+Newton starts from one of three predictions.  The linear start, which
 :func:`solve_step` builds, extrapolates q linearly, advances z by the
 previous window's discrete Lagrangian and carries the multipliers forward.
-The quadratic start, which :func:`run_steps` builds from the rows of the
-trajectory it fills, extrapolates q and z through the last three points and
-the multipliers through the last two.  After each accepted step the driver
-checks which of the two came closer to the new q, in the inf-norm, and
-starts the next step from that one; it uses the linear start until that
-check has been made once.  Extrapolated starts are standard for implicit
-steppers (Radau5 starts from its collocation polynomial; Hairer & Wanner,
-*Solving ODEs II*, section IV.8).  A quadratic start can put Newton in
-reach of another root, or none, where the linear one resolves the step, so
-a step whose Newton fails from it is solved again from the linear start.
+The quadratic and cubic starts, which :func:`run_steps` builds from the rows
+of the trajectory it fills, extrapolate q and z through the last three and
+four points and the multipliers through the last two and three.  After each
+accepted step the driver checks which start came closest to the new q, in
+the inf-norm, and starts the next step from that one; it uses the linear
+start until that check has been made once.  The cubic enters the check only
+after a step that Newton resolved within two corrections.  Where the steps
+are resolved it predicts best and saves corrections (``foucault-1``: 1.99
+Newton iterations per step from the quadratic start, 1.33 with the cubic);
+where they are not, as on ``disk-2.3`` near t = 58 s, whose heading turns by
+5 rad a step, a cubic start that predicted the last step best can still
+lead Newton to its iteration cap.  Extrapolated starts are
+standard for implicit steppers (Radau5 starts from its collocation
+polynomial; Hairer & Wanner, *Solving ODEs II*, section IV.8).  An
+extrapolated start can put Newton in reach of another root, or none, where
+the linear one resolves the step, so a step whose Newton fails from it is
+solved again from the linear start.
+
+Every step after the first hands Newton the previous step's factors, so
+Newton applies at least one correction before it accepts, even to a start
+that already meets its absolute tolerance
+(:func:`~nhcontact.newton.newton_solve`).  An error ``dq`` in q shows in the
+momentum rows as about ``m/h^2 dq``, but an error in z or in the multipliers
+only as itself, so a start that meets the tolerance can still be off in z
+and the multipliers by as much as the tolerance.  Accepted unrefined, such
+starts let round-off grow: the upright rolling ``disk-1.1`` then tilts by
+about 1e-9 instead of staying below 1e-20.
 
 Consecutive steps share a discrete Lagrangian: the backward step
 ``(q_{j-1}, q_j)`` of a window is the forward step of the step before,
@@ -457,15 +474,18 @@ def run_steps(
     :func:`initialize_window` takes step 1; :func:`solve_step` takes each
     later one from the previous multipliers and the previous step's
     :class:`StepCarry`, the seed step's for the first, carried from step to
-    step of this run only.  Once ``q_{j-2}`` exists, the quadratic
-    extrapolation of q through ``q_{j-2}``, ``q_{j-1}`` and ``q_j`` is built
-    once per step, from the trajectory rows already filled.  While it
-    predicted the last step's configuration better than the linear
-    ``2 q_j - q_{j-1}``, in the inf-norm (so from the third implicit step on
-    at the earliest), Newton starts from it, with
-    ``3 z_j - 3 z_{j-1} + z_{j-2}`` (when ``with_z``) and
-    ``2 lambda_{j-1} - lambda_{j-2}``; after the step, the accepted q
-    settles which start the next one takes.
+    step of this run only.  Newton starts each step from the extrapolation
+    that predicted the last step's accepted q best, in the inf-norm, among
+    the linear ``2 q_j - q_{j-1}``, the quadratic
+    ``3 q_j - 3 q_{j-1} + q_{j-2}`` and, only when the last step took at
+    most two Newton iterations, the cubic
+    ``4 q_j - 6 q_{j-1} + 4 q_{j-2} - q_{j-3}``; a tie goes to the lower
+    order, and the first two implicit steps take the linear start.  The
+    quadratic start extrapolates z likewise (when ``with_z``) and the
+    multipliers linearly, ``2 lambda_{j-1} - lambda_{j-2}``; the cubic one z
+    cubically and the multipliers quadratically.  The predictions are built
+    from the last four accepted q, kept as Python floats, and the cubic
+    only when it is the start or enters the check.
     ``stats`` takes each step's iterations and constraint rows, the seed
     step's from its carry.  A numerical failure in either ends the run as a
     ``solver_failure`` at the last accepted step; a failure of the seed
@@ -491,22 +511,33 @@ def run_steps(
             window, carry = initialize_window(system, rule, q0, v0, with_z)
             qs[1] = window.q_curr
             zs[1] = window.z_curr
-            quadratic = False
+            # qm3, qm2, qm1, qj are q_{j-3}, ..., q_j and lm3, lm2, lm1 are
+            # lambda_{j-3}, ..., lambda_{j-1}, as Python floats; order is that
+            # of the extrapolation the next step starts from
+            qm3 = qm2 = lm3 = lm2 = None
+            qm1, qj = q0.tolist(), window.q_curr.tolist()
+            lm1 = lams[0].tolist()
+            order = 1
             steps_done = 1
             if stats is not None:
                 stats.record_constraint(carry.constraint)
         for j in range(1, n_steps):
             w = window
-            predicted = start = None
-            if j > 1:
-                # on Python floats, rounding as numpy's elementwise operations do
-                q_prev, q_curr = w.q_prev.tolist(), w.q_curr.tolist()
-                predicted = [3.0 * (c - p) + b
-                             for p, c, b in zip(q_prev, q_curr, qs[j - 2].tolist())]
-                if quadratic:
-                    z_start = [3.0 * (w.z_curr - w.z_prev) + float(zs[j - 2])] if with_z else []
-                    start = predicted + z_start + [
-                        2.0 * c - p for p, c in zip(lams[j - 2].tolist(), lams[j - 1].tolist())]
+            start = None
+            # on Python floats, rounding as numpy's elementwise operations do
+            if order == 2:
+                z_start = [3.0 * (w.z_curr - w.z_prev) + float(zs[j - 2])] if with_z else []
+                start = [3.0 * (c - p) + b for b, p, c in zip(qm2, qm1, qj)] + z_start + [
+                    2.0 * c - p for p, c in zip(lm2, lm1)]
+            elif order == 3:
+                # 4 c - 6 p + 4 b - a, as c plus its first three backward differences
+                z_start = []
+                if with_z:
+                    zm3, zm2, zm1, zj = float(zs[j - 3]), float(zs[j - 2]), w.z_prev, w.z_curr
+                    z_start = [zj + 3.0 * (zj - 2.0 * zm1 + zm2) + (zm2 - zm3)]
+                start = [c + 3.0 * (c - 2.0 * p + b) + (b - a)
+                         for a, b, p, c in zip(qm3, qm2, qm1, qj)] + z_start + [
+                    3.0 * (c - p) + b for b, p, c in zip(lm3, lm2, lm1)]
             q_next, z_next, lams[j], carry, iters = solve_step(
                 system, rule, w, residual, with_z, lams[j - 1], carry, solver, start)
             if stats is not None:
@@ -514,10 +545,23 @@ def run_steps(
             qs[j + 1] = q_next
             zs[j + 1] = z_next
             steps_done = j + 1
-            if predicted is not None:
-                accepted = q_next.tolist()
-                quadratic = inf_norm([a - b for a, b in zip(predicted, accepted)]) < inf_norm(
-                    [2.0 * c - p - b for p, c, b in zip(q_prev, q_curr, accepted)])
+            accepted = q_next.tolist()
+            if j > 1:
+                # the next start: the extrapolation that came closest to the
+                # accepted q, the cubic only after a step resolved within two
+                # corrections
+                best = inf_norm([2.0 * c - p - x for p, c, x in zip(qm1, qj, accepted)])
+                error = inf_norm([3.0 * (c - p) + b - x
+                                  for b, p, c, x in zip(qm2, qm1, qj, accepted)])
+                order = 1
+                if error < best:
+                    order, best = 2, error
+                if iters <= 2 and j > 2 and inf_norm(
+                        [c + 3.0 * (c - 2.0 * p + b) + (b - a) - x
+                         for a, b, p, c, x in zip(qm3, qm2, qm1, qj, accepted)]) < best:
+                    order = 3
+            qm3, qm2, qm1, qj = qm2, qm1, qj, accepted
+            lm3, lm2, lm1 = lm2, lm1, lams[j].tolist()
             window = StepState(q_prev=w.q_curr, q_curr=q_next, z_prev=w.z_curr,
                                z_curr=z_next, t_curr=(j + 1) * h)
     except (NewtonDivergence, SingularJacobian, DenominatorSingular,

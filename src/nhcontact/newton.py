@@ -14,7 +14,9 @@ costs one ``tolist()``.
 A caller that solves one system per time step hands each solve the factors
 the previous one ended with: Newton then takes chord iterations with that
 Jacobian while they contract, and builds a fresh one only when they stop
-(simplified Newton; Hairer & Wanner, *Solving ODEs II*, section IV.8).
+(simplified Newton; Hairer & Wanner, *Solving ODEs II*, section IV.8).  Such
+a solve applies at least one correction before it accepts, even to a start
+that already meets the tolerance.
 
 A fresh Jacobian comes from the caller's builder when it passes one: the
 contact and Lagrange-d'Alembert steps build theirs exactly, from the
@@ -185,13 +187,21 @@ def newton_solve(
     Jacobian: ``build_jacobian(x)``, or :func:`fd_jacobian` of ``residual``
     when that is not given.  ``x`` is then the very array whose residual
     Newton evaluated last, or, after a dropped chord iterate, the one
-    evaluated before it, so a builder may reuse what that evaluation left.  Given the factors of an earlier Jacobian, it first
-    takes chord iterations with them, for as long as each one cuts the
-    residual inf-norm to :data:`CHORD_CONTRACTION` of the one before.  The
-    first chord iterate that neither does so nor meets the tolerance (or
-    whose residual is not finite) is dropped: from the iterate it started
-    at, Newton goes on as without ``jacobian``, with a fresh Jacobian at
-    every iteration.
+    evaluated before it, so a builder may reuse what that evaluation left.
+    Given the factors of an earlier Jacobian, it first takes chord
+    iterations with them, for as long as each one cuts the residual
+    inf-norm to :data:`CHORD_CONTRACTION` of the one before.  The first
+    chord iterate that neither does so nor meets the tolerance (or whose
+    residual is not finite) is dropped: from the iterate it started at,
+    Newton goes on as without ``jacobian``, with a fresh Jacobian at every
+    iteration.
+
+    A solve handed factors applies at least one correction before it
+    accepts, as Radau5 does, even when ``x0`` already meets the tolerance:
+    a caller that hands factors steps in time and starts from an
+    extrapolation, which can meet the absolute test while the unknowns
+    the residual weighs lightly are still off.  Without factors a start
+    that meets the tolerance is returned at iteration 0.
 
     Returns ``(x, iterations, jacobian)``, the last being the factors in use
     at the end (``None`` if none was given or built).  Raises
@@ -207,7 +217,9 @@ def newton_solve(
         if not isinstance(fx, list):
             fx = np.asarray(fx, dtype=float).tolist()
         norm = inf_norm(fx)
-        if norm <= config.tolerance:
+        # a start is accepted unrefined only by a solve that was handed no
+        # factors: one handed them applies at least one correction
+        if norm <= config.tolerance and (iteration or not chord):
             return x, iteration, jacobian
         if start is not None and not norm <= CHORD_CONTRACTION * start[2]:
             # a fresh Newton step from a chord step that went astray can

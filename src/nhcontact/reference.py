@@ -10,12 +10,13 @@
 Like the step kernel, both solvers compute on Python floats where numpy's
 per-call overhead on vectors of 4 to 13 entries would cost more than the
 arithmetic.  RKF45 keeps its state, stages, embedded pair and error estimate
-as lists, each tableau sum added left to right (:func:`~nhcontact.model.dot`),
-and hands the right-hand side a numpy array per stage.  The residual of
-:func:`make_continuous_system` returns a list, its products with ``A(q)``
-left-to-right sums too.  The algorithms, their step control and their checks
-are those of the numpy versions, but numpy's matrix products round otherwise,
-so both references moved at round-off.  Over the catalog, RKF45 moved by at
+as lists, each tableau sum written out and added left to right, as
+:func:`~nhcontact.model.dot` adds it, and hands the right-hand side a numpy
+array per stage.  The residual of :func:`make_continuous_system` returns a
+list, its products with ``A(q)`` left-to-right sums too.  The algorithms,
+their step control and their checks are those of the numpy versions, but
+numpy's matrix products round otherwise, so both references moved at
+round-off.  Over the catalog, RKF45 moved by at
 most 4.7e-12 in q.  BDF2 moved by up to 6e-8 (``disk-3.1``): Newton's
 absolute test at 1e-6 stops a perturbed iteration at another last iterate.
 Each move is below the old trajectory's own Newton-error proxy, and at
@@ -25,6 +26,7 @@ Newton tolerance 1e-10 the largest falls to 8e-12.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -64,9 +66,33 @@ _RKF_B5 = [16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55]
 
 
 def _stage_point(y: list, h: float, weights: list, k: list) -> list:
-    """``y + h sum_j weights[j] k[j]`` on lists of floats, each component's
-    sum taken left to right (:func:`~nhcontact.model.dot`)."""
-    return [yc + h * dot(weights, kc) for yc, kc in zip(y, zip(*k))]
+    """``y + h sum_j weights[j] k[j]`` on lists of floats.
+
+    Each of the tableau's six sum lengths is written out, its products added
+    left to right from the first, bit for bit :func:`~nhcontact.model.dot`
+    without its per-component loop and call.
+    """
+    s = len(k)
+    if s == 1:
+        (w0,), (k0,) = weights, k
+        return [yc + h * (w0 * a) for yc, a in zip(y, k0)]
+    if s == 2:
+        w0, w1 = weights
+        return [yc + h * (w0 * a + w1 * b) for yc, a, b in zip(y, *k)]
+    if s == 3:
+        w0, w1, w2 = weights
+        return [yc + h * (w0 * a + w1 * b + w2 * c) for yc, a, b, c in zip(y, *k)]
+    if s == 4:
+        w0, w1, w2, w3 = weights
+        return [yc + h * (w0 * a + w1 * b + w2 * c + w3 * d)
+                for yc, a, b, c, d in zip(y, *k)]
+    if s == 5:
+        w0, w1, w2, w3, w4 = weights
+        return [yc + h * (w0 * a + w1 * b + w2 * c + w3 * d + w4 * e)
+                for yc, a, b, c, d, e in zip(y, *k)]
+    w0, w1, w2, w3, w4, w5 = weights
+    return [yc + h * (w0 * a + w1 * b + w2 * c + w3 * d + w4 * e + w5 * f)
+            for yc, a, b, c, d, e, f in zip(y, *k)]
 
 
 @dataclass
@@ -171,7 +197,10 @@ def rkf45_integrate(
 class ContinuousConstrainedSystem:
     """Fully implicit first-order form ``G(t, y, ydot) = 0`` of a constrained
     contact system, state ``y = (q, qdot, z, lambda)``.  ``residual`` takes
-    numpy arrays and returns its rows as a list of floats or an array."""
+    numpy arrays and returns its rows as a list of floats or an array.  When
+    ``y`` has ``2 dim_q + 1 + dim_c`` entries, :func:`implicit_dae_integrate`
+    takes the multipliers to enter only rows ``dim_q`` to ``2 dim_q - 1``, as
+    ``-A(q)^T lambda``, as in :func:`make_continuous_system`."""
 
     dim_q: int
     dim_c: int
@@ -307,32 +336,59 @@ def implicit_dae_integrate(
     """Fixed-step BDF2 on ``G(t, y, ydot) = 0``, BDF1 for the first step.
 
     Each step's Newton starts from the Jacobian factors the previous step
-    ended with (see :func:`~nhcontact.newton.newton_solve`).  A
-    mid-trajectory Newton failure is recorded (time-stamped) rather than
-    raised; the partial trajectory is returned.
+    ended with (see :func:`~nhcontact.newton.newton_solve`).  A fresh
+    Jacobian takes forward differences from the residual Newton holds at its
+    point, each probe shifting ``y_i`` by ``SQRT_EPS max(1, |y_i|)``.  When
+    ``y`` has the layout ``(q, qdot, z, lambda)`` of
+    :func:`make_continuous_system`, ``2 n + 1 + m`` entries, only the q,
+    qdot and z columns are probed: the multipliers enter the momentum rows
+    alone, as ``-A(q)^T lambda``, so their columns are ``-A(q)^T`` there and
+    0 elsewhere.  A mid-trajectory Newton failure is recorded (time-stamped)
+    rather than raised; the partial trajectory is returned.
     """
     t0, tf = float(t_span[0]), float(t_span[1])
     n_steps = int(round((tf - t0) / h))
     times = [t0]
     states = [np.array(y0, dtype=float)]
+    n, m = system.dim_q, system.dim_c
+    size = len(states[0])
+    probed = 2 * n + 1 if size == 2 * n + 1 + m else size
 
-    def bdf1_residual(u):
-        return system.residual(times[-1] + h, u, (u - states[-1]) / h)
-
-    def bdf2_residual(u):
-        ydot = (3.0 * u - 4.0 * states[-1] + states[-2]) / (2.0 * h)
+    def evaluate(u):
+        if len(states) == 1:
+            ydot = (u - states[-1]) / h
+        else:
+            ydot = (3.0 * u - 4.0 * states[-1] + states[-2]) / (2.0 * h)
         return system.residual(times[-1] + h, u, ydot)
+
+    # (iterate, residual) of Newton's last two evaluations, newest last: it
+    # builds a Jacobian at the iterate it evaluated last, or, after a dropped
+    # chord iterate, at the one before
+    evaluated = deque(maxlen=2)
+
+    def residual(u):
+        fx = evaluate(u)
+        evaluated.append((u, fx))
+        return fx
+
+    def build_jacobian(u):
+        fx = np.asarray(next(f for x, f in evaluated if x is u), dtype=float)
+        jac = np.zeros((size, size))
+        for i in range(probed):
+            e = SQRT_EPS * max(1.0, abs(u[i]))
+            shifted = u.copy()
+            shifted[i] += e
+            jac[:, i] = (np.asarray(evaluate(shifted), dtype=float) - fx) / e
+        if probed < size:
+            jac[n:2 * n, probed:] = -system.constraint_matrix(u[:n]).T
+        return jac
 
     jacobian = None
     for step in range(n_steps):
-        if step == 0:
-            residual = bdf1_residual
-            guess = states[-1] + h * ydot0
-        else:
-            residual = bdf2_residual
-            guess = 2.0 * states[-1] - states[-2]
+        guess = states[-1] + h * ydot0 if step == 0 else 2.0 * states[-1] - states[-2]
         try:
-            y_next, _, jacobian = newton_solve(residual, guess, newton, jacobian)
+            y_next, _, jacobian = newton_solve(residual, guess, newton, jacobian,
+                                               build_jacobian)
         except (NewtonDivergence, SingularJacobian, EvaluationError) as exc:
             t_fail = times[-1] + h
             return DAETrajectory(

@@ -26,13 +26,20 @@ prints one line:
   by less than the solver's own error; ``rounding`` when it is not but is
   below ``ulp`` (a proxy of 0 says only that both tolerances took the same
   iterates); else ``ABOVE``;
+- ``new-tight``: max |q_NEW - q_OLD(tight run)|, NEW's distance from the
+  same tight run;
+- ``vs tight``: ``nearer``, ``same`` or ``farther``, as ``new-tight`` is
+  below, equal to or above ``tight``.  A change that makes the solver more
+  accurate moves the trajectory by about the old error, so its ``dq`` reads
+  ``ABOVE`` while NEW is ``nearer`` the tight run than OLD is;
 - ``bytes``: ``equal`` when NEW's whole trajectory at 1e-6 is byte-equal to
   OLD's (times, configurations, velocities, z values, multipliers, energies
   and termination), else ``differ``.  A change that should not move any bit
   wants ``equal`` on every line.
 
 A run that does not complete is reported with its status and compared over
-the steps both runs have.  Runs go ``--jobs`` (default 2) at a time.
+the steps both runs have.  Runs go ``--jobs`` (default 2) at a time.  The
+exit status is 1 when some row reads both ``ABOVE`` and ``farther``, else 0.
 """
 
 from __future__ import annotations
@@ -151,21 +158,25 @@ def main(argv=None) -> int:
                    for i, (src, eid, tolerance) in enumerate(runs)]
         results = [f.result() for f in futures]
     print(f"{'experiment':<24} {'horizon':>7} {'steps':>6} {'dq':>10} {'tight':>10} "
-          f"{'ulp':>10}  {'verdict':<8}  {'bytes':<6}  status old/tight/new")
-    all_below = True
+          f"{'ulp':>10}  {'verdict':<8}  {'new-tight':>10}  {'vs tight':<8}  {'bytes':<6}  "
+          f"status old/tight/new")
+    failed = False
     for i, eid in enumerate(args.ids):
         (old, s_old), (tight, s_tight), (new, s_new) = results[3 * i: 3 * i + 3]
-        q_old = old["configurations"]
+        q_old, q_tight = old["configurations"], tight["configurations"]
         dq = _max_dq(new["configurations"], q_old)
-        proxy = _max_dq(q_old, tight["configurations"])
+        proxy = _max_dq(q_old, q_tight)
+        new_tight = _max_dq(new["configurations"], q_tight)
         ulp = float(np.spacing(np.max(np.abs(q_old))))
         verdict = "ok" if dq < proxy else "rounding" if dq < ulp else "ABOVE"
-        all_below &= verdict != "ABOVE"
+        nearer = ("nearer" if new_tight < proxy else "same" if new_tight == proxy
+                  else "farther")
+        failed |= verdict == "ABOVE" and nearer == "farther"
         same = "equal" if _same_bytes(new, old) else "differ"
         print(f"{eid:<24} {_horizon(eid, args.t_final):>7} {len(q_old) - 1:>6} {dq:>10.3e} "
-              f"{proxy:>10.3e} {ulp:>10.3e}  {verdict:<8}  {same:<6}  "
-              f"{s_old}/{s_tight}/{s_new}")
-    return 0 if all_below else 1
+              f"{proxy:>10.3e} {ulp:>10.3e}  {verdict:<8}  {new_tight:>10.3e}  {nearer:<8}  "
+              f"{same:<6}  {s_old}/{s_tight}/{s_new}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

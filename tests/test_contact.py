@@ -791,6 +791,26 @@ def test_coarse_disk_runs_keep_linear_start_termination(eid, h, failure_step):
         assert (term.status, term.step) == ("solver_failure", failure_step)
 
 
+def test_upright_rolling_disk_stays_upright():
+    # disk-1.1 rolls upright and straight: its exact solution keeps Y, theta
+    # and phi at 0, so only round-off feeds the upright disk's unstable mode.
+    # A start accepted without a correction lets them grow to about 1e-9
+    q = run_experiment(get_experiment("disk-1.1")).configurations
+    assert np.max(np.abs(q[:, 1:4])) <= 1e-20
+
+
+@pytest.mark.parametrize("shift", [1e-12, -1e-12, 1e-10, -1e-10, 1e-9, -1e-9])
+def test_long_disk_run_completes_from_shifted_tilts(shift):
+    # disk-2.3 is unresolved near t = 58 s (tilt 1.538 rad, heading rate
+    # about 50 rad/s, 5 rad per step); the extrapolated starts must leave the
+    # run completing from nearby initial tilts too, not only from its own
+    spec = get_experiment("disk-2.3", t_final=60.0)
+    q0 = spec.q0.copy()
+    q0[2] += shift
+    term = run_experiment(get_experiment("disk-2.3", t_final=60.0, q0=q0)).termination
+    assert term.completed, term
+
+
 def test_quadratic_start_falls_back_on_linear_start():
     # a quadratic start whose Newton fails is solved again from the linear
     # one with the factors the step began with: the solve without ``start``

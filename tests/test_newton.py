@@ -270,6 +270,18 @@ def test_newton_converged_guess_is_free():
     assert x[0] == 1.0
 
 
+def test_newton_handed_factors_corrects_a_converged_guess():
+    # a start within the tolerance is accepted for free only without factors:
+    # a solve handed them applies at least one correction first
+    factors = lu_factor(np.array([[1.0]]))
+    guess = np.array([1.0 + 1e-7])
+    x, iters, jacobian = newton_solve(lambda x: x - 1.0, guess, NewtonConfig(), factors)
+    assert iters >= 1 and jacobian is factors
+    assert x[0] == 1.0
+    x, iters, _ = newton_solve(lambda x: x - 1.0, guess, NewtonConfig())
+    assert iters == 0 and x[0] == guess[0]
+
+
 def test_newton_divergence_carries_diagnostics():
     # root-free residual
     with pytest.raises(NewtonDivergence) as info:

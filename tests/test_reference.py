@@ -12,8 +12,9 @@ from nhcontact.experiments import (
     get_experiment,
     run_experiment,
 )
-from nhcontact.model import ContactSystem, EvaluationError, Integrator, project_velocity
-from nhcontact.newton import NewtonConfig
+from nhcontact.model import (ContactSystem, EvaluationError, Integrator, central_difference,
+                             project_velocity)
+from nhcontact.newton import NewtonConfig, newton_solve
 from nhcontact.reference import (
     ConsistencyFailure,
     ContinuousConstrainedSystem,
@@ -235,6 +236,36 @@ def test_bdf2_matches_numpy_oracle_on_disk():
                                            spec.h / DAE_REFINEMENT))
     assert all(run.completed for run in runs) and len(runs[0].states) == 51
     assert np.max(np.abs(runs[0].states - runs[1].states)) <= 1e-9
+
+
+@pytest.mark.parametrize("eid", ["foucault-1", "disk-2.3"])
+def test_bdf2_jacobian_matches_central_difference(eid, monkeypatch):
+    # forward differences for the q, qdot and z columns, from the residual
+    # Newton holds; the multiplier columns -A(q)^T in the momentum rows, exactly
+    import nhcontact.reference
+
+    builders = []
+
+    def capturing(residual, x0, config, jacobian=None, build_jacobian=None):
+        builders.append((residual, build_jacobian))
+        return newton_solve(residual, x0, config, jacobian, build_jacobian)
+
+    monkeypatch.setattr(nhcontact.reference, "newton_solve", capturing)
+    spec = get_experiment(eid)
+    continuous = make_continuous_system(build_contact_system(spec))
+    y0, ydot0 = consistent_init(continuous, spec.q0, spec.v0)
+    traj = implicit_dae_integrate(continuous, y0, ydot0, (0.0, 3 * spec.h), spec.h)
+    assert traj.completed
+    residual, build = builders[-1]
+    n, m = continuous.dim_q, continuous.dim_c
+    u = traj.states[-1] + 1e-3 * np.random.default_rng(3).standard_normal(len(y0))
+    residual(u)
+    jac = build(u)
+    fd = central_difference(lambda v: np.asarray(residual(v), dtype=float), u)
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
+    closed = np.zeros((len(u), m))
+    closed[n:2 * n] = -continuous.constraint_matrix(u[:n]).T
+    assert np.array_equal(jac[:, 2 * n + 1:], closed)
 
 
 def test_consistent_init_foucault():
