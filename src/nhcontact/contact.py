@@ -407,9 +407,10 @@ def initialize_window(
     and the seed step's :class:`StepCarry`, as ``(window, carry)``.
 
     ``v0`` is projected onto the constraint set at ``q0``, then
-    ``q1 = q0 + h v0 + h^2/2 a0`` with the consistent
-    :func:`~nhcontact.model.initial_acceleration` (keeping the scheme's
-    order), corrected by :func:`project_seed_position`.  ``z1`` solves the
+    ``q1 = q0 + h v0 + h^2/2 a0`` with the acceleration ``a0`` of the
+    consistent rates :func:`~nhcontact.model.initial_acceleration` (keeping
+    the scheme's order; the BDF2 reference starts from the same rates),
+    corrected by :func:`project_seed_position`.  ``z1`` solves the
     discrete action update (:func:`solve_z_update`) when z is an unknown
     (``with_z``), else it is ``0.0``.  One
     :func:`~nhcontact.model.step_evaluator` of the seed step, from
@@ -420,7 +421,7 @@ def initialize_window(
     h = rule.h
     q0 = np.asarray(q0, dtype=float)
     v = project_velocity(system, q0, np.asarray(v0, dtype=float))
-    acc = initial_acceleration(system, q0, v)
+    acc = initial_acceleration(system, q0, v)[0]
     a = system.constraint_matrix(q0)
     evaluate = step_evaluator(system, rule, 0.0, q0, 0.0, a)
     q1 = project_seed_position(evaluate, a, q0 + h * v + 0.5 * h ** 2 * acc)

@@ -247,7 +247,7 @@ def _run_implicit_dae(spec: ExperimentSpec) -> Trajectory:
     n, m = system.dim_q, system.dim_c
     termination = Termination.done()
     try:
-        y0, ydot0 = consistent_init(continuous, spec.q0, spec.v0)
+        y0, ydot0 = consistent_init(system, spec.q0, spec.v0)
     except ConsistencyFailure as exc:
         # the initial row alone, as from a contact run whose seed fails
         v0 = project_velocity(system, spec.q0, spec.v0)

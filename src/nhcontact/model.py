@@ -109,7 +109,8 @@ class ContactSystem:
         Optional ``(t, q, qdot, z) -> (dL/dq, dL/dqdot, dL/dz)``, the first
         two ``dim_q`` numbers each, the last one number.  When
         provided, discrete-Lagrangian partials use it via the chain rule
-        instead of finite differences, and the step Jacobians are taken by
+        instead of finite differences, and the step Jacobians and the
+        consistent initial rates (:func:`initial_acceleration`) are taken by
         complex step (:func:`complex_step`).  Registering it therefore
         promises that it, ``lagrangian``, ``constraint_matrix``,
         ``constraint_offset`` and ``external_force`` are complex-safe: a
@@ -480,28 +481,6 @@ def discrete_constraint(
     return step_evaluator(system, rule, 0.0, q, 0.0)(q_next, 0.0, partials=False)[8]
 
 
-def lagrangian_gradients_or_fd(
-    system: ContactSystem, t: float, q: Array, v: Array, z: float
-):
-    """Gradients ``(dL/dq, dL/dqdot, dL/dz)``, analytic when registered."""
-    if system.lagrangian_gradients is not None:
-        gq, gv, gz = system.lagrangian_gradients(t, q, v, z)
-        return np.asarray(gq, dtype=float), np.asarray(gv, dtype=float), float(gz)
-    gq = central_difference(lambda x: system.lagrangian(t, x, v, z), q)
-    gv = central_difference(lambda x: system.lagrangian(t, q, x, z), v)
-    gz = float(central_difference(lambda x: system.lagrangian(t, q, v, x[0]), [z])[0])
-    return gq, gv, gz
-
-
-def constraint_drift(system: ContactSystem, q: Array, v: Array, e: float) -> Array:
-    """Drift ``d/dt [A(q) v + b(q)]`` of the constraint along ``qdot = v`` at
-    fixed ``v``, by a central difference of step ``e``."""
-    def constraint(x):
-        return system.constraint_matrix(x) @ v + system.constraint_offset(x)
-
-    return (constraint(q + e * v) - constraint(q - e * v)) / (2 * e)
-
-
 def least_squares(a: Array, b: Array) -> Array:
     """Minimal-norm least-squares solution of ``a x = b``; all NaN when
     ``a`` or ``b`` is not finite, where LAPACK's SVD does not converge and
@@ -516,51 +495,75 @@ def initial_acceleration(
     system: ContactSystem,
     q0: Array,
     v0: Array,
-) -> Array:
-    """Consistent acceleration at ``(q0, v0)``, ``t = z = 0``, from the
-    continuous equations of motion, the external force included; seeds the
-    stepping window at second order.
+) -> tuple[Array, float, Array]:
+    """Consistent rates ``(acceleration, zdot, lam)`` at ``(q0, v0)``,
+    ``t = z = 0``, from the continuous equations of motion, the external
+    force included: they seed the stepping window at second order and the
+    implicit reference's state (:func:`~nhcontact.reference.consistent_init`).
 
-    Solves the saddle system of the momentum balance and the differentiated
-    constraints by least squares (robust to redundant constraint rows).
+    ``zdot`` is ``L``.  The acceleration ``a`` and the multipliers ``lam``
+    solve the saddle system ``M a - A^T lam = dL/dq + dL/dz dL/dqdot - pdot
+    + F``, ``A a = -drift``, with the mass matrix ``M`` (``dL/dqdot``
+    along each unit velocity), the explicit momentum rate ``pdot`` (along
+    ``(q, z) -> (v0, zdot)``) and the drift ``d/dt [A(q) v0 + b(q)]`` (along
+    ``v0``).  With registered gradients these derivatives are complex steps
+    (:func:`complex_step`), exact to round-off; without, central differences
+    of the central-difference momentum at the coarser probe ``eps^(1/4)``.
+    A ``t`` dependence of the momentum is a real central difference either
+    way, the contract not making ``t`` complex-safe; it is 0 where nothing
+    depends on ``t``.  The system is affine in ``(a, lam)``, so one LU solve
+    is exact; redundant constraint rows, which make it singular, are solved
+    by least squares.
     """
+    from .newton import SingularJacobian, lu_factor, lu_solve  # newton imports model
+
     n, m = system.dim_q, system.dim_c
-    t0 = z0 = 0.0
     q0 = np.asarray(q0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    zdot = float(system.lagrangian(t0, q0, v0, z0))
-    gq, gv, gz = lagrangian_gradients_or_fd(system, t0, q0, v0, z0)
+    lagrangian, gradients = system.lagrangian, system.lagrangian_gradients
+    zdot = float(lagrangian(0.0, q0, v0, 0.0))
+    if gradients is not None:
+        def momentum(t, q, v, z):
+            return gradients(t, q, v, z)[1]
 
-    def momentum(t, q, v, z):
-        return lagrangian_gradients_or_fd(system, t, q, v, z)[1]
+        gq, gv, gz = gradients(0.0, q0, v0, 0.0)
+        derivative, probe = complex_step, SQRT_EPS
+    else:
+        def momentum(t, q, v, z):
+            return central_difference(lambda x: lagrangian(t, q, x, z), v)
 
-    # probing an FD-based momentum needs a coarser step, or the inner
-    # differencing noise dominates the outer quotient
-    probe = SQRT_EPS if system.lagrangian_gradients is not None \
-        else float(np.finfo(float).eps ** 0.25)
+        gq = central_difference(lambda x: lagrangian(0.0, x, v0, 0.0), q0)
+        gv = momentum(0.0, q0, v0, 0.0)
+        gz = float(central_difference(lambda x: lagrangian(0.0, q0, v0, x[0]), [0.0])[0])
+        # differencing a finite-difference momentum needs a coarser probe,
+        # or the inner differencing noise dominates the outer quotient
+        probe = float(np.finfo(float).eps ** 0.25)
 
-    # explicit part of dp/dt: derivative along (t, q, z) -> (1, v0, zdot)
-    scale = max(1.0, float(np.max(np.abs(v0))) if n else 1.0, abs(zdot))
-    e = probe / scale
-    p_plus = momentum(t0 + e, q0 + e * v0, v0, z0 + e * zdot)
-    p_minus = momentum(t0 - e, q0 - e * v0, v0, z0 - e * zdot)
-    pdot_explicit = (p_plus - p_minus) / (2 * e)
+        def derivative(f, x, direction):
+            e = probe / max(1.0, float(np.max(np.abs(direction))))
+            return (np.asarray(f(x + e * direction)) - np.asarray(f(x - e * direction))) / (2 * e)
 
-    mass = central_difference(lambda v: momentum(t0, q0, v, z0), v0, probe)
-
-    rhs = gq + gz * gv - pdot_explicit + system.external_force(t0, q0, v0)
-
-    if m == 0:
-        return least_squares(mass, rhs)
+    mass = np.stack([derivative(lambda v: momentum(0.0, q0, v, 0.0), v0, unit)
+                     for unit in np.eye(n)], axis=-1)
+    pdot = derivative(lambda x: momentum(0.0, x[:n], v0, x[n]),
+                      np.append(q0, 0.0), np.append(v0, zdot))
+    pdot = pdot + central_difference(lambda t: momentum(t[0], q0, v0, 0.0), [0.0], probe)[:, 0]
+    rhs = (np.asarray(gq, dtype=float) + gz * np.asarray(gv, dtype=float) - pdot
+           + np.asarray(system.external_force(0.0, q0, v0), dtype=float))
 
     a0 = system.constraint_matrix(q0)
-    e = SQRT_EPS / max(1.0, float(np.max(np.abs(v0))))
-    drift = constraint_drift(system, q0, v0, e)
+    drift = derivative(lambda x: system.constraint_matrix(x) @ v0
+                       + np.asarray(system.constraint_offset(x)), q0, v0)
     kkt = np.zeros((n + m, n + m))
     kkt[:n, :n] = mass
     kkt[:n, n:] = -a0.T
     kkt[n:, :n] = a0
-    return least_squares(kkt, np.concatenate([rhs, -drift]))[:n]
+    rhs = np.concatenate([rhs, -drift])
+    try:
+        u = lu_solve(lu_factor(kkt), rhs.tolist())
+    except SingularJacobian:
+        u = least_squares(kkt, rhs)
+    return u[:n], zdot, u[n:]
 
 
 def project_velocity(system: ContactSystem, q: Array, v: Array) -> Array:

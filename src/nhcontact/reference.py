@@ -5,7 +5,9 @@
 * :func:`implicit_dae_integrate` — fixed-step BDF2 (BDF1 bootstrap) on a
   fully implicit residual ``G(t, y, ydot) = 0``, standing in for a
   variable-order production DAE solver.
-* :func:`consistent_init` — consistent initialization of the implicit form.
+* :func:`consistent_init` — consistent initialization of the implicit form,
+  from the rates that seed the variational integrators
+  (:func:`~nhcontact.model.initial_acceleration`).
 
 Like the step kernel, both solvers compute on Python floats where numpy's
 per-call overhead on vectors of 4 to 13 entries would cost more than the
@@ -33,8 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import (COMPLEX_STEP, SQRT_EPS, Array, ContactSystem, EvaluationError,
-                    central_difference, constraint_drift, constraint_rows, dot, numbers,
-                    project_velocity)
+                    constraint_rows, dot, initial_acceleration, numbers, project_velocity)
 from .newton import NewtonConfig, NewtonDivergence, SingularJacobian, inf_norm, newton_solve
 
 
@@ -260,59 +261,28 @@ def make_continuous_system(system: ContactSystem) -> ContinuousConstrainedSystem
 
 
 def consistent_init(
-    system: ContinuousConstrainedSystem,
+    system: ContactSystem,
     q0: Array,
     v0_guess: Array,
 ):
-    """Consistent ``(y0, ydot0)`` for the implicit form at ``t = 0``.
+    """Consistent ``(y0, ydot0)`` at ``t = 0`` for the implicit form of
+    ``system`` (:func:`make_continuous_system`).
 
-    The velocity guess is projected onto the constraint set; multipliers,
-    accelerations and the action rate then solve the momentum rows together
-    with the time-differentiated constraints by Gauss-Newton, which stops at
-    a residual inf-norm of 1e-11.  Raises :class:`ConsistencyFailure` if a
-    Gauss-Newton residual or Jacobian is not finite, or if the residual it
-    ends with is not within 1e-8.
+    The velocity guess is projected onto the constraint set; the
+    accelerations, the action rate and the multipliers are then
+    :func:`~nhcontact.model.initial_acceleration`'s, the rates that seed the
+    variational integrators too.  Raises :class:`ConsistencyFailure` if the
+    implicit residual at ``(y0, ydot0)`` is not within 1e-8 (the implicit
+    form has no external force, so a forced system fails it).
     """
-    n, m = system.dim_q, system.dim_c
     q0 = np.asarray(q0, dtype=float)
     v0 = project_velocity(system, q0, np.asarray(v0_guess, dtype=float))
-    if m:
-        # d/dt [A(q) v + b(q)] = 0 pins the accelerations along the constraints
-        a0 = system.constraint_matrix(q0)
-        drift = constraint_drift(system, q0, v0, SQRT_EPS)
-
-    # unknowns: accelerations (n), zdot (1), multipliers (m)
-    def assemble(u):
-        acc = u[:n]
-        zdot = u[n]
-        lam = u[n + 1:]
-        y = np.concatenate([q0, v0, [0.0], lam])
-        ydot = np.concatenate([v0, acc, [zdot], np.zeros(m)])
-        g = np.asarray(system.residual(0.0, y, ydot), dtype=float)
-        if m:
-            g = np.concatenate([g, a0 @ acc + drift])
-        return g
-
-    u = np.zeros(n + 1 + m)
-    # Gauss-Newton: the residual is affine in u for mechanical Lagrangians,
-    # but finite-difference Jacobian noise makes one correction insufficient
-    for _ in range(10):
-        g = assemble(u)
-        if float(np.max(np.abs(g))) <= 1e-11:
-            break
-        jac = central_difference(assemble, u)
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(jac))):
-            raise ConsistencyFailure("non-finite residual or Jacobian in Gauss-Newton")
-        du, *_ = np.linalg.lstsq(jac, -g, rcond=None)
-        u = u + du
-
-    y0 = np.concatenate([q0, v0, [0.0], u[n + 1:]])
-    ydot0 = np.concatenate([v0, u[:n], [u[n]], np.zeros(m)])
-    g_final = system.residual(0.0, y0, ydot0)
-    if not float(np.max(np.abs(g_final))) <= 1e-8:
-        raise ConsistencyFailure(
-            f"residual {np.max(np.abs(g_final)):.3e} after least-squares correction"
-        )
+    acc, zdot, lam = initial_acceleration(system, q0, v0)
+    y0 = np.concatenate([q0, v0, [0.0], lam])
+    ydot0 = np.concatenate([v0, acc, [zdot], np.zeros(system.dim_c)])
+    residual = inf_norm(make_continuous_system(system).residual(0.0, y0, ydot0))
+    if not residual <= 1e-8:
+        raise ConsistencyFailure(f"residual {residual:.3e} at the consistent initial rates")
     return y0, ydot0
 
 

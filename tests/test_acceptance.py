@@ -250,8 +250,9 @@ def test_criterion_10_reference_solvers():
     worst_init = 0.0
     for eid in catalog_ids():
         spec = get_experiment(eid)
-        continuous = make_continuous_system(build_contact_system(spec))
-        y0, ydot0 = consistent_init(continuous, spec.q0, spec.v0)
+        system = build_contact_system(spec)
+        continuous = make_continuous_system(system)
+        y0, ydot0 = consistent_init(system, spec.q0, spec.v0)
         worst_init = max(worst_init,
                          float(np.max(np.abs(continuous.residual(0.0, y0, ydot0)))))
 

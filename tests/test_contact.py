@@ -792,11 +792,15 @@ def test_coarse_disk_runs_keep_linear_start_termination(eid, h, failure_step):
 
 
 def test_upright_rolling_disk_stays_upright():
-    # disk-1.1 rolls upright and straight: its exact solution keeps Y, theta
+    # family 1 rolls upright and straight: its exact solution keeps Y, theta
     # and phi at 0, so only round-off feeds the upright disk's unstable mode.
-    # A start accepted without a correction lets them grow to about 1e-9
-    q = run_experiment(get_experiment("disk-1.1")).configurations
-    assert np.max(np.abs(q[:, 1:4])) <= 1e-20
+    # A contact start accepted without a correction lets them grow to about
+    # 1e-9; finite-difference noise in the consistent initial rates, to 0.3
+    # (BDF2 on disk-1.2)
+    for eid in ("disk-1.1", "disk-1.2"):
+        for integrator in (Integrator.CONTACT, Integrator.IMPLICIT_DAE_REFERENCE):
+            q = run_experiment(get_experiment(eid, integrator=integrator)).configurations
+            assert np.max(np.abs(q[:, 1:4])) <= 1e-20, (eid, integrator)
 
 
 @pytest.mark.parametrize("shift", [1e-12, -1e-12, 1e-10, -1e-10, 1e-9, -1e-9])

@@ -7,7 +7,6 @@ import pytest
 from nhcontact.experiments import _disk_params, build_contact_system, get_experiment
 from nhcontact.model import (
     COMPLEX_STEP,
-    SQRT_EPS,
     ContactSystem,
     DiscretizationRule,
     EvaluationError,
@@ -15,14 +14,20 @@ from nhcontact.model import (
     ZRule,
     central_difference,
     complex_step,
-    constraint_drift,
     discrete_constraint,
     divide,
     evaluate_discrete_lagrangian,
     initial_acceleration,
     partials_of_Ld,
+    project_velocity,
 )
-from nhcontact.systems import FoucaultParams, damped_oscillator, foucault_system
+from nhcontact.systems import (
+    FoucaultParams,
+    damped_oscillator,
+    foucault_reference_multiplier,
+    foucault_reference_ode,
+    foucault_system,
+)
 
 ALL_RULES = [
     DiscretizationRule(PositionRule.LEFT_ENDPOINT, ZRule.FIRST_ORDER, 0.1),
@@ -251,7 +256,7 @@ def test_initial_acceleration_damped_oscillator(with_gradients):
     alpha, omega = 0.1, 1.3
     system = oscillator(alpha, omega, with_gradients)
     q0, v0 = np.array([0.7]), np.array([-0.2])
-    acc = initial_acceleration(system, q0, v0)
+    acc = initial_acceleration(system, q0, v0)[0]
     # xdd = -omega^2 x - alpha xd (z(0) = 0, zdot = L)
     tol = 1e-8 if with_gradients else 1e-4
     assert acc[0] == pytest.approx(-omega ** 2 * 0.7 - alpha * (-0.2), rel=tol)
@@ -265,24 +270,47 @@ def test_initial_acceleration_respects_constraints():
         constraint_matrix=lambda q: np.array([[0.0, 1.0]]),
         lagrangian_gradients=lambda t, q, v, z: (np.array([0.0, -9.81]), v.copy(), 0.0),
     )
-    acc = initial_acceleration(system, np.zeros(2), np.array([1.0, 0.0]))
+    acc = initial_acceleration(system, np.zeros(2), np.array([1.0, 0.0]))[0]
     assert acc == pytest.approx([0.0, 0.0], abs=1e-9)
 
 
-@pytest.mark.parametrize("q, v", [([0.5, 0.25], [1.0, 0.5]),
-                                  ([-0.375, 0.75], [0.25, -0.5]),
-                                  ([0.0, 0.0625], [0.0, 0.125])])
-def test_constraint_drift_foucault_closed_form(q, v):
-    # d/dt [-y xdot + x ydot + Omega sin(beta) (x^2 + y^2)] at fixed velocity
-    # is 2 Omega sin(beta) (q . v).  The velocity is radial, so -y xdot + x ydot
-    # vanishes at both probes q +- e v, which are exact for these dyadic
-    # values: round-off of that term cannot swamp a drift of order Omega.
-    params = FoucaultParams()
-    q, v = np.array(q), np.array(v)
-    drift = constraint_drift(foucault_system(params), q, v, SQRT_EPS)
-    expected = 2.0 * params.Omega * np.sin(params.beta) * (q @ v)
-    assert drift.shape == (1,)
-    assert drift[0] == pytest.approx(expected, rel=1e-8)
+def test_initial_acceleration_redundant_rows():
+    # vy = 0 given twice, as the rows [0, 1] and [0, 2]: the saddle system is
+    # singular, and its least-squares solution has the rates of the row
+    # given once
+    def particle(rows):
+        return ContactSystem(
+            dim_q=2, dim_c=len(rows),
+            lagrangian=lambda t, q, v, z: 0.5 * v @ v - 9.81 * q[1] - 0.3 * z,
+            constraint_matrix=lambda q: np.array(rows),
+            lagrangian_gradients=lambda t, q, v, z: (np.array([0.0, -9.81]), v.copy(), -0.3),
+        )
+
+    q0, v0 = np.zeros(2), np.array([1.5, 0.0])
+    acc, zdot, lam = initial_acceleration(particle([[0.0, 1.0]]), q0, v0)
+    acc2, zdot2, lam2 = initial_acceleration(particle([[0.0, 1.0], [0.0, 2.0]]), q0, v0)
+    assert acc == pytest.approx([-0.45, 0.0], abs=1e-14)
+    assert np.max(np.abs(acc2 - acc)) <= 1e-14 and zdot2 == zdot
+    # the constraint force is shared between the two rows
+    assert lam2[0] + 2.0 * lam2[1] == pytest.approx(lam[0], rel=1e-14)
+
+
+def test_initial_acceleration_foucault_closed_form():
+    # the acceleration and the multiplier of the pendulum's closed-form
+    # right-hand side, on random constraint-consistent states; the drift
+    # d/dt [A(q) v + b(q)] enters both
+    params = FoucaultParams(alpha=1e-3)
+    system = foucault_system(params)
+    rhs = foucault_reference_ode(params)
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        q = rng.normal(size=2)
+        v = project_velocity(system, q, rng.normal(size=2))
+        acc, _, lam = initial_acceleration(system, q, v)
+        expected = rhs(0.0, np.concatenate([q, v]))[2:]
+        assert np.max(np.abs(acc - expected)) <= 1e-12 * np.max(np.abs(expected))
+        multiplier = foucault_reference_multiplier(params, np.concatenate([q, v]))
+        assert abs(lam[0] - multiplier) <= 1e-10 * abs(multiplier)
 
 
 def test_numpy_division_rounding_is_what_divide_copies():

@@ -69,10 +69,10 @@ def test_herglotz_and_rayleigh_foucault_share_initial_acceleration():
     forced = foucault_system(params, formulation="la")
     q0 = np.array([0.3, 0.6])
     v0 = project_velocity(herglotz, q0, np.array([0.5, -0.2]))
-    acc = initial_acceleration(herglotz, q0, v0)
-    np.testing.assert_allclose(initial_acceleration(forced, q0, v0), acc, rtol=0, atol=1e-12)
+    acc = initial_acceleration(herglotz, q0, v0)[0]
+    np.testing.assert_allclose(initial_acceleration(forced, q0, v0)[0], acc, rtol=0, atol=1e-12)
     unforced = replace(forced, external_force=lambda t, q, qdot: np.zeros_like(q))
-    assert np.max(np.abs(initial_acceleration(unforced, q0, v0) - acc)) > 1e-4
+    assert np.max(np.abs(initial_acceleration(unforced, q0, v0)[0] - acc)) > 1e-4
 
 
 def test_foucault_reference_ode_preserves_constraint():
@@ -293,5 +293,5 @@ def test_steady_rolling_balance():
     q0 = np.array([0.0, 0.0, theta0, 0.0, 0.0])
     # rolling-consistent center velocity at phi = 0
     v0 = np.array([params.R * (psidot0 - s * phidot0), 0.0, 0.0, phidot0, psidot0])
-    acc = initial_acceleration(system, q0, v0)
+    acc = initial_acceleration(system, q0, v0)[0]
     assert abs(acc[2]) < 1e-8  # no tilt acceleration
