@@ -295,6 +295,25 @@ def test_initial_acceleration_redundant_rows():
     assert lam2[0] + 2.0 * lam2[1] == pytest.approx(lam[0], rel=1e-14)
 
 
+@pytest.mark.parametrize("q, v", [([0.5, 0.25], [1.0, 0.5]),
+                                  ([-0.375, 0.75], [0.25, -0.5]),
+                                  ([0.0, 0.0625], [0.0, 0.125])])
+def test_constraint_drift_foucault_closed_form(q, v):
+    # d/dt [-y xdot + x ydot + Omega sin(beta) (x^2 + y^2)] at fixed velocity
+    # is 2 Omega sin(beta) (q . v); initial_acceleration solves A(q) a =
+    # -drift, so the acceleration's constraint row reads the drift back.  The
+    # velocity is radial, so -y xdot + x ydot vanishes along it and the drift
+    # is all of the Earth's-rate term, which round-off cannot swamp.
+    params = FoucaultParams()
+    system = foucault_system(params)
+    q, v = np.array(q), np.array(v)
+    acc = initial_acceleration(system, q, v)[0]
+    drift = -(system.constraint_matrix(q) @ acc)
+    expected = 2.0 * params.Omega * np.sin(params.beta) * (q @ v)
+    assert drift.shape == (1,)
+    assert drift[0] == pytest.approx(expected, rel=1e-8)
+
+
 def test_initial_acceleration_foucault_closed_form():
     # the acceleration and the multiplier of the pendulum's closed-form
     # right-hand side, on random constraint-consistent states; the drift
