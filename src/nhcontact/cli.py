@@ -131,16 +131,10 @@ def _collect_overrides(args) -> dict:
     for pair in getattr(args, "override", None) or []:
         key, value = _parse_override(pair)
         overrides[key] = value
-    if getattr(args, "alpha", None) is not None:
-        overrides["alpha"] = args.alpha
-    if getattr(args, "h", None) is not None:
-        overrides["h"] = args.h
-    if getattr(args, "t_final", None) is not None:
-        overrides["t_final"] = args.t_final
-    if getattr(args, "integrator", None) is not None:
-        overrides["integrator"] = Integrator(args.integrator)
-    if getattr(args, "rule", None) is not None:
-        overrides["rule"] = args.rule
+    for key, convert in OVERRIDE_TYPES.items():
+        value = getattr(args, key, None)
+        if value is not None:
+            overrides[key] = convert(value)
     return overrides
 
 

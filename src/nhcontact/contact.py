@@ -71,11 +71,13 @@ Consecutive steps share a discrete Lagrangian: the backward step
 which evaluated it last at exactly that point.  Each step therefore hands
 the next one a :class:`StepCarry`: its Newton factors and that evaluation's
 forward ``D2 L_d``, ``D4 L_d``, ``L_d`` and constraint rows.  The seed step
-makes the first one (:func:`initialize_window`), from the evaluator it
-solves ``q_1`` and ``z_1`` with, so every window is built alike: it takes
-its backward partials (and the linear start its ``L_d``) from the carry and
-computes none of them again.  The driver keeps each window's ``t_curr`` on
-the grid, ``j h``.  The constraint rows give :class:`StepStats` the run's
+makes the first one (:func:`initialize_window`).  It is one more implicit
+step, solved by :func:`solve_step` on the exact Jacobian: its rows project
+the Taylor point ``q_1`` onto the discrete constraint and solve the action
+update for ``z_1``.  So every window is built alike: it takes its backward
+partials (and the linear start its ``L_d``) from the carry and computes
+none of them again.  The driver keeps each window's ``t_curr`` on the grid,
+``j h``.  The constraint rows give :class:`StepStats` the run's
 worst discrete-constraint residual.
 
 The Lagrange-d'Alembert integrator (:mod:`nhcontact.dalembert`) differs
@@ -129,14 +131,14 @@ class StepCarry(NamedTuple):
     """What a step hands to the next step of its run.
 
     ``factors`` are the Newton factors the step ended with, ``None`` for
-    the seed step, which runs no Newton on the step.  The rest are
-    by-products of the step's last evaluation on its forward step, from
-    ``(q_j, z_j)`` to the accepted ``(q_{j+1}, z_{j+1})``: for an implicit
-    step its accepted residual, the last one its Newton evaluated, and for
-    the seed step the seed's evaluator at ``(q_1, z_1)``.  ``d2`` and
-    ``d4`` are ``D2 L_d`` and ``D4 L_d``, ``ld`` is ``L_d`` (``None``
-    without z, for the Lagrange-d'Alembert integrator, which does not
-    evaluate it) and ``constraint`` the discrete-constraint rows.
+    the seed step, whose Jacobian belongs to its own rows, not to the
+    implicit steps'.  The rest are by-products of the step's last evaluation
+    on its forward step, from ``(q_j, z_j)`` to the accepted
+    ``(q_{j+1}, z_{j+1})``: its accepted residual, the last one its Newton
+    evaluated, the seed step's included.  ``d2`` and ``d4`` are ``D2 L_d``
+    and ``D4 L_d``, ``ld`` is ``L_d`` (``None`` without z, for the
+    Lagrange-d'Alembert integrator, which does not evaluate it) and
+    ``constraint`` the discrete-constraint rows.
     """
 
     factors: Optional[LUFactors]
@@ -277,33 +279,6 @@ def step_jacobian(
     return jac
 
 
-def solve_z_update(evaluate: Callable, rule: DiscretizationRule, q_next: Array,
-                   z: float) -> float:
-    """Solve ``z' = z + h L_d(q, q', z, z')`` for ``z'``, ``L_d`` that of the
-    :func:`~nhcontact.model.step_evaluator` ``evaluate`` of the steps from
-    ``(t, q, z)``.
-
-    Explicit under the first-order z rule; a scalar Newton solve otherwise
-    (one iteration when the Lagrangian is linear in z).  Each ``L_d`` is one
-    call of ``evaluate``.
-    """
-    h = rule.h
-
-    def ld(z_next):
-        return evaluate(q_next, z_next, with_ld=True, partials=False, rows=False)[7]
-
-    guess = z + h * ld(z)
-    if rule.z_rule is ZRule.FIRST_ORDER:
-        return guess
-
-    def residual(u):
-        zn = float(u[0])
-        return np.array([zn - z - h * ld(zn)])
-
-    zn, _, _ = newton_solve(residual, np.array([guess]), NewtonConfig(tolerance=1e-13))
-    return float(zn[0])
-
-
 def solve_step(
     system: ContactSystem,
     rule: DiscretizationRule,
@@ -378,24 +353,6 @@ def solve_step(
     return x[:n], 0.0, x[n:], carry, iterations
 
 
-def project_seed_position(evaluate: Callable, a: Array, q1: Array) -> Array:
-    """Correct ``q1`` along the constraint-force directions, the rows of
-    ``a = A(q0)``, so the discrete constraint of the seed step's
-    :func:`~nhcontact.model.step_evaluator` ``evaluate`` holds.
-
-    The correction is O(h) times the discrete-constraint defect, so a
-    second-order-accurate seed stays second order.
-    """
-    if len(a) == 0:
-        return q1
-
-    def residual(mu: Array) -> list:
-        return evaluate(q1 + a.T @ mu, 0.0, partials=False)[8]
-
-    mu, _, _ = newton_solve(residual, np.zeros(len(a)), NewtonConfig(tolerance=1e-12))
-    return q1 + a.T @ mu
-
-
 def initialize_window(
     system: ContactSystem,
     rule: DiscretizationRule,
@@ -406,29 +363,57 @@ def initialize_window(
     """The first stepping window from ``(q0, v0)`` at ``t = 0``, ``z = 0``,
     and the seed step's :class:`StepCarry`, as ``(window, carry)``.
 
-    ``v0`` is projected onto the constraint set at ``q0``, then
-    ``q1 = q0 + h v0 + h^2/2 a0`` with the acceleration ``a0`` of the
-    consistent rates :func:`~nhcontact.model.initial_acceleration` (keeping
-    the scheme's order; the BDF2 reference starts from the same rates),
-    corrected by :func:`project_seed_position`.  ``z1`` solves the
-    discrete action update (:func:`solve_z_update`) when z is an unknown
-    (``with_z``), else it is ``0.0``.  One
-    :func:`~nhcontact.model.step_evaluator` of the seed step, from
-    ``(0, q0, 0)`` with ``A(q0)``, serves both, and its evaluation at
-    ``(q1, z1)`` is the carry: the seed step is the first window's backward
+    ``v0`` is projected onto the constraint set at ``q0``.  The seed step is
+    then one more implicit step, solved by :func:`solve_step`, for
+    ``(q1, z1, mu)`` (no ``z1`` unless ``with_z``, when it stays ``0.0``):
+
+    * ``q1 - q0 - h v0 - h^2/2 a0 - A(q0)^T mu``, with the acceleration
+      ``a0`` of the consistent rates
+      :func:`~nhcontact.model.initial_acceleration` (the BDF2 reference
+      starts from the same rates), so ``q1`` is the second-order Taylor
+      point corrected along the constraint-force directions, by O(h) times
+      its discrete-constraint defect, and the scheme keeps its order;
+    * the discrete action update ``z1 - h L_d``, when ``with_z``;
+    * the discrete constraint of the step from ``q0`` to ``q1``.
+
+    The window terms of the seed window ``(q0, q0)`` at ``t = 0`` hold
+    ``A(q0)^T`` and the step's evaluator from ``(0, q0, 0)``, and the
+    unchanged :func:`step_jacobian` is exact for these rows: the multiplier
+    columns are ``-A(q0)^T`` and the action row is in closed form.  Newton
+    starts from the Taylor point, z and ``mu`` zero, and, should it fail,
+    from the linear start ``q0``.  The step's last evaluation, at
+    ``(q1, z1)``, is the carry, without factors, so the first implicit step
+    builds a fresh Jacobian: the seed step is the first window's backward
     step, as each implicit step is the next window's.
     """
-    h = rule.h
+    h, n, m = rule.h, system.dim_q, system.dim_c
     q0 = np.asarray(q0, dtype=float)
     v = project_velocity(system, q0, np.asarray(v0, dtype=float))
     acc = initial_acceleration(system, q0, v)[0]
-    a = system.constraint_matrix(q0)
-    evaluate = step_evaluator(system, rule, 0.0, q0, 0.0, a)
-    q1 = project_seed_position(evaluate, a, q0 + h * v + 0.5 * h ** 2 * acc)
-    z1 = solve_z_update(evaluate, rule, q1, 0.0) if with_z else 0.0
-    *_, d2, _, d4, ld, constraint = evaluate(q1, z1, with_ld=with_z)
+    target = (q0 + h * v + 0.5 * h ** 2 * acc).tolist()
+
+    def seed_residual(system, rule, window, terms, unknowns, keep=None, with_ld=True):
+        _, _, a_t, forward = terms
+        q1, z1 = unknowns[:n], unknowns.item(n) if with_z else 0.0
+        # the complex probes of the Jacobian read the rows alone
+        *_, d2, _, d4, ld, constraint = forward(q1, z1, with_z and with_ld, keep is not None)
+        rows = [x - t for x, t in zip(q1.tolist(), target)]
+        if m:
+            mu = unknowns[n + with_z:].tolist()
+            rows = [r - dot(row, mu) for r, row in zip(rows, a_t)]
+        if keep is not None:
+            keep[:] = d2, d4, ld, constraint
+        if with_z:
+            rows.append(z1 - h * ld if with_ld else z1)
+        return rows + constraint
+
+    seed = StepState(q_prev=q0, q_curr=q0, z_prev=0.0, z_curr=0.0, t_curr=0.0)
+    q1, z1, _, carry, _ = solve_step(
+        system, rule, seed, seed_residual, with_z, np.zeros(m),
+        StepCarry(None, [0.0] * n, 0.0, 0.0, []), NewtonConfig(tolerance=1e-12),
+        target + [0.0] * (with_z + m))
     window = StepState(q_prev=q0, q_curr=q1, z_prev=0.0, z_curr=z1, t_curr=h)
-    return window, StepCarry(None, d2, d4, ld, constraint)
+    return window, carry._replace(factors=None)
 
 
 @dataclass
@@ -500,7 +485,7 @@ def run_steps(
 
     qs = np.empty((n_steps + 1, n))
     zs = np.empty(n_steps + 1)
-    # the seeding step q1 = q0 + h v0 + ... carries no multiplier of its own
+    # the seed step's multipliers only project q1 and are not recorded
     lams = np.zeros((n_steps, m))
     qs[0] = q0
     zs[0] = 0.0

@@ -21,11 +21,11 @@ that already meets the tolerance.
 A fresh Jacobian comes from the caller's builder when it passes one: the
 contact and Lagrange-d'Alembert steps build theirs exactly, from the
 columns known in closed form and complex steps for the rest.  Otherwise it
-is :func:`fd_jacobian`.  Newton gives up after ten iterations: with an exact
-Jacobian, a step too coarse to resolve can otherwise wander for dozens of
-iterations onto a spurious root, while no step of the catalog needs more
-than seven (Radau5 caps its simplified Newton at seven; Hairer & Wanner,
-section IV.8).
+is :func:`fd_jacobian`.  Newton gives up after :data:`MAX_ITERATIONS`, ten
+iterations: with an exact Jacobian, a step too coarse to resolve can
+otherwise wander for dozens of iterations onto a spurious root, while no
+step of the catalog needs more than seven (Radau5 caps its simplified
+Newton at seven; Hairer & Wanner, section IV.8).
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ import numpy as np
 
 from .model import Array, EvaluationError, central_difference
 
+#: Newton iterations after which :func:`newton_solve` gives up.
+MAX_ITERATIONS = 10
 #: Smallest equilibrated pivot :func:`lu_factor` accepts.
 PIVOT_FLOOR = 1e-14
 #: A chord iteration, one that reuses an earlier Jacobian, is followed by
@@ -64,15 +66,11 @@ class SingularJacobian(RuntimeError):
 @dataclass(frozen=True)
 class NewtonConfig:
     tolerance: float = 1e-6
-    max_iterations: int = 10
 
     def __post_init__(self) -> None:
         # NaN never converges and infinity returns the start unsolved
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if (isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, int)
-                or self.max_iterations < 1):
-            raise ValueError("max_iterations must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -206,13 +204,13 @@ def newton_solve(
     Returns ``(x, iterations, jacobian)``, the last being the factors in use
     at the end (``None`` if none was given or built).  Raises
     :class:`EvaluationError` at the first iterate whose residual or Jacobian
-    is not finite, :class:`NewtonDivergence` after ``max_iterations`` and
+    is not finite, :class:`NewtonDivergence` after :data:`MAX_ITERATIONS` and
     :class:`SingularJacobian` when the linearized system cannot be solved.
     """
     x = np.array(x0, dtype=float)
     chord = jacobian is not None
     start = None  # (x, fx, norm) the last chord step started from
-    for iteration in range(config.max_iterations + 1):
+    for iteration in range(MAX_ITERATIONS + 1):
         fx = residual(x)
         if not isinstance(fx, list):
             fx = np.asarray(fx, dtype=float).tolist()
@@ -230,7 +228,7 @@ def newton_solve(
         if not math.isfinite(norm):
             raise EvaluationError(
                 f"residual is not finite at Newton iteration {iteration}")
-        if iteration < config.max_iterations:
+        if iteration < MAX_ITERATIONS:
             if chord:
                 start = x, fx, norm
             else:
@@ -241,4 +239,4 @@ def newton_solve(
                         f"Jacobian is not finite at Newton iteration {iteration}")
                 jacobian = lu_factor(jac)
             x = x + lu_solve(jacobian, [-v for v in fx])
-    raise NewtonDivergence(config.max_iterations, norm)
+    raise NewtonDivergence(MAX_ITERATIONS, norm)

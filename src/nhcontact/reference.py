@@ -207,7 +207,6 @@ class ContinuousConstrainedSystem:
     dim_c: int
     residual: Callable[[float, Array, Array], Array]
     constraint_matrix: Callable[[Array], Array]
-    constraint_offset: Callable[[Array], Array]
 
 
 def make_continuous_system(system: ContactSystem) -> ContinuousConstrainedSystem:
@@ -256,7 +255,6 @@ def make_continuous_system(system: ContactSystem) -> ContinuousConstrainedSystem
         dim_c=m,
         residual=residual,
         constraint_matrix=system.constraint_matrix,
-        constraint_offset=system.constraint_offset,
     )
 
 

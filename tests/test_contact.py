@@ -20,7 +20,6 @@ from nhcontact.contact import (
     project_velocity,
     run_contact,
     solve_step,
-    solve_z_update,
     step_jacobian,
 )
 from nhcontact.dalembert import la_residual, run_la
@@ -45,6 +44,7 @@ from nhcontact.model import (
     complex_step,
     discrete_constraint,
     evaluate_discrete_lagrangian,
+    initial_acceleration,
     partials_of_Ld,
     step_evaluator,
 )
@@ -352,8 +352,8 @@ def contact_step(system, rule, window, lam, carry, solver, start=None):
 def count_calls(monkeypatch, calls):
     """Count into ``calls`` the step residuals and the partials evaluations:
     each evaluation of a ``step_evaluator`` that asks for partials, the
-    residual's and the seed step's last one, whose partials its carry hands
-    the first window.  The seed's other evaluations ask for none."""
+    residual's and the seed step's real ones; complex Jacobian probes of the
+    seed step ask for none."""
     def counting(name, f):
         def wrapped(*args, **kwargs):
             calls[name] += kwargs.get("partials", True)
@@ -570,24 +570,38 @@ def test_z_tracks_accumulated_action():
     assert traj.z_values[-1] == pytest.approx(exact, abs=1e-5)
 
 
-def test_solve_z_update_first_order_is_explicit():
-    system = damped_oscillator(alpha=0.2)
-    rule = DiscretizationRule(PositionRule.LEFT_ENDPOINT, ZRule.FIRST_ORDER, 0.1)
-    q, qn = np.array([1.0]), np.array([1.05])
-    z = 0.3
-    ld = system.lagrangian(0.0, q, (qn - q) / 0.1, z)
-    evaluate = step_evaluator(system, rule, 0.0, q, z)
-    assert solve_z_update(evaluate, rule, qn, z) == pytest.approx(z + 0.1 * ld)
-
-
-def test_solve_z_update_second_order_fixed_point():
-    system = damped_oscillator(alpha=0.2)
-    rule = DiscretizationRule(PositionRule.MIDPOINT, ZRule.SECOND_ORDER, 0.1)
-    q, qn = np.array([1.0]), np.array([1.05])
-    z = 0.3
-    zn = solve_z_update(step_evaluator(system, rule, 0.0, q, z), rule, qn, z)
-    ld = system.lagrangian(0.05, 0.5 * (q + qn), (qn - q) / 0.1, 0.5 * (z + zn))
-    assert zn == pytest.approx(z + 0.1 * ld, abs=1e-12)
+@pytest.mark.parametrize("z_rule", list(ZRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("position", list(PositionRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("case", ["foucault", "disk-3.2", "disk-2.3", "oscillator",
+                                  "foucault-la"])
+def test_seed_step_solves_projection_and_z_update(case, position, z_rule):
+    # the seed step's one Newton solve meets the discrete constraint and the
+    # action update's fixed point, and moves q1 off the Taylor point only
+    # along the constraint-force directions, the rows of A(q0)
+    if case == "oscillator":
+        system, q0, v0, h = damped_oscillator(), np.array([1.0]), np.array([0.0]), 0.1
+    else:
+        spec = get_experiment("foucault-1" if case.startswith("foucault") else case)
+        build = build_la_system if case == "foucault-la" else build_contact_system
+        system, q0, v0, h = build(spec), spec.q0, spec.v0, spec.h
+    with_z = case != "foucault-la"
+    rule = DiscretizationRule(position, z_rule, h)
+    window, _ = initialize_window(system, rule, q0, v0, with_z)
+    q1, z1 = window.q_curr, window.z_curr
+    assert window.t_curr == h
+    assert np.max(np.abs(discrete_constraint(system, rule, q0, q1)), initial=0.0) <= 1e-12
+    if with_z:
+        ld = evaluate_discrete_lagrangian(system, rule, 0.0, q0, q1, 0.0, z1)
+        assert abs(z1 - h * ld) <= 1e-12
+    else:
+        assert z1 == 0.0
+    v = project_velocity(system, q0, v0)
+    target = q0 + h * v + 0.5 * h ** 2 * initial_acceleration(system, q0, v)[0]
+    a_t = system.constraint_matrix(q0).T
+    shift = q1 - target
+    if system.dim_c:
+        shift = shift - a_t @ np.linalg.lstsq(a_t, shift, rcond=None)[0]
+    assert np.max(np.abs(shift)) <= 1e-12
 
 
 def test_project_velocity_affine():
@@ -597,16 +611,6 @@ def test_project_velocity_affine():
     a = system.constraint_matrix(q)
     b = system.constraint_offset(q)
     assert np.max(np.abs(a @ v + b)) < 1e-15
-
-
-def test_initialize_window_satisfies_z_update():
-    system = damped_oscillator()
-    rule = DiscretizationRule(PositionRule.MIDPOINT, ZRule.SECOND_ORDER, 0.1)
-    w, _ = initialize_window(system, rule, np.array([1.0]), np.array([0.0]))
-    assert w.z_curr == pytest.approx(
-        solve_z_update(step_evaluator(system, rule, 0.0, w.q_prev, 0.0), rule, w.q_curr, 0.0)
-    )
-    assert w.t_curr == pytest.approx(0.1)
 
 
 def test_denominator_singularity_detected():
@@ -653,7 +657,7 @@ def log_singular_system():
 def test_solver_failure_truncates_trajectory(run, system):
     rule = DiscretizationRule(PositionRule.LEFT_ENDPOINT, ZRule.FIRST_ORDER, 0.1)
     traj = run(system, rule, np.array([1.0]), np.array([0.0]), 50,
-               NewtonConfig(tolerance=1e-14, max_iterations=4))
+               NewtonConfig(tolerance=1e-14))
     assert not traj.termination.completed
     assert traj.termination.status == "solver_failure"
     assert traj.termination.step == traj.n_steps + 1
@@ -926,8 +930,11 @@ def test_jacobian_action_row_comes_from_its_own_point(monkeypatch):
     builds = []
 
     def checking(residual, x, a_t, rule, action=None):
-        builds.append(x.tobytes() != last[0])
-        assert action == evaluated[x.tobytes()]
+        # the builds before the first contact_residual evaluation are the
+        # seed step's, whose residual is its own
+        if last:
+            builds.append(x.tobytes() != last[0])
+            assert action == evaluated[x.tobytes()]
         return step_jacobian(residual, x, a_t, rule, action)
 
     monkeypatch.setattr(nhcontact.contact, "contact_residual", recording)
@@ -939,7 +946,7 @@ def test_jacobian_action_row_comes_from_its_own_point(monkeypatch):
 def test_catalog_newton_iterations_keep_margin_below_cap(catalog_runs):
     # every resolved catalog step needs at most 7 iterations, 3 below the cap
     # that makes steps too coarse to resolve fail
-    assert NewtonConfig().max_iterations == 10
+    assert nhcontact.newton.MAX_ITERATIONS == 10
     worst = {eid: run["stats"].max_iterations for eid, run in catalog_runs.items()}
     assert max(worst.values()) <= 7, worst
 

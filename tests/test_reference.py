@@ -136,7 +136,6 @@ LINEAR_DAE = ContinuousConstrainedSystem(
         [ydot[0] - y[1], ydot[1] + y[0], y[2] - y[0]]
     ),
     constraint_matrix=lambda q: np.zeros((1, 1)),
-    constraint_offset=lambda q: np.zeros(1),
 )
 
 
@@ -169,11 +168,10 @@ def test_dae_failure_recorded_not_raised():
     system = ContinuousConstrainedSystem(
         dim_q=1, dim_c=0, residual=residual,
         constraint_matrix=lambda q: np.zeros((0, 1)),
-        constraint_offset=lambda q: np.zeros(0),
     )
     traj = implicit_dae_integrate(system, np.array([0.0]), np.array([-1.0]),
                                   (0.0, 2.0), 0.05,
-                                  NewtonConfig(tolerance=1e-10, max_iterations=10))
+                                  NewtonConfig(tolerance=1e-10))
     assert not traj.completed
     assert traj.failure_time is not None
     assert traj.failure_time <= 2.0
@@ -309,10 +307,10 @@ def test_consistent_init_constraint_matrix_calls():
 
 
 def test_consistent_init_projects_infeasible_velocity():
-    system = make_continuous_system(foucault_system(FoucaultParams()))
+    system = foucault_system(FoucaultParams())
     q0 = np.array([0.1, 0.5])
     v0 = np.array([1.0, 1.0])  # violates the rotating-frame constraint
-    y0, _ = consistent_init(foucault_system(FoucaultParams()), q0, v0)
+    y0, _ = consistent_init(system, q0, v0)
     a = system.constraint_matrix(q0)
     b = system.constraint_offset(q0)
     assert np.max(np.abs(a @ y0[2:4] + b)) < 1e-12
