@@ -99,10 +99,11 @@ import numpy as np
 
 from .model import (
     COMPLEX_STEP,
+    NUMERICAL_FAILURES,
     Array,
     ContactSystem,
     DiscretizationRule,
-    EvaluationError,
+    SolverFailure,
     StepState,
     Termination,
     Trajectory,
@@ -116,15 +117,9 @@ from .model import (
 from .newton import (
     LUFactors,
     NewtonConfig,
-    NewtonDivergence,
-    SingularJacobian,
     inf_norm,
     newton_solve,
 )
-
-
-class DenominatorSingular(RuntimeError):
-    """The implicit z-coupling factor ``1 - h D4 L_d`` is degenerate."""
 
 
 class StepCarry(NamedTuple):
@@ -168,15 +163,15 @@ def contact_window_terms(
     seed step's for the first window (:func:`initialize_window`): its
     forward partials are the window's backward ones.
 
-    Raises :class:`DenominatorSingular` when the implicit z-coupling factor
-    vanishes.
+    Raises :class:`~nhcontact.model.SolverFailure` when the implicit
+    z-coupling factor ``1 - h D4 L_d`` vanishes.
     """
     w = window
     h = rule.h
     d2b, d4b = backward.d2, backward.d4
     denom = 1.0 - h * d4b
     if abs(denom) < 1e-12:
-        raise DenominatorSingular(
+        raise SolverFailure(
             f"1 - h*D4 = {denom:.3e} at t={w.t_curr}: implicit z-coupling degenerate"
         )
     a = system.constraint_matrix(w.q_curr)
@@ -338,7 +333,7 @@ def solve_step(
     if start is not None:
         try:
             solved = newton_solve(f, start, solver, factors, build)
-        except (NewtonDivergence, SingularJacobian, EvaluationError):
+        except NUMERICAL_FAILURES:
             pass
     if solved is None:
         # on Python floats, rounding as numpy's elementwise operations do
@@ -390,7 +385,9 @@ def initialize_window(
     q0 = np.asarray(q0, dtype=float)
     v = project_velocity(system, q0, np.asarray(v0, dtype=float))
     acc = initial_acceleration(system, q0, v)[0]
-    target = (q0 + h * v + 0.5 * h ** 2 * acc).tolist()
+    # h * h, not h ** 2, which raises OverflowError where numpy gives inf
+    target = [x + h * u + 0.5 * (h * h) * a
+              for x, u, a in zip(q0.tolist(), v.tolist(), acc.tolist())]
 
     def seed_residual(system, rule, window, terms, unknowns, keep=None, with_ld=True):
         _, _, a_t, forward = terms
@@ -550,8 +547,7 @@ def run_steps(
             lm3, lm2, lm1 = lm2, lm1, lams[j].tolist()
             window = StepState(q_prev=w.q_curr, q_curr=q_next, z_prev=w.z_curr,
                                z_curr=z_next, t_curr=(j + 1) * h)
-    except (NewtonDivergence, SingularJacobian, DenominatorSingular,
-            EvaluationError) as exc:
+    except NUMERICAL_FAILURES as exc:
         message = str(exc) if steps_done else f"seed step: {exc}"
         termination = Termination.failure(step=steps_done + 1, message=message)
 

@@ -9,9 +9,9 @@ import numpy as np
 
 from . import contact, dalembert
 from .model import (
+    NUMERICAL_FAILURES,
     Array,
     DiscretizationRule,
-    EvaluationError,
     ExperimentSpec,
     Integrator,
     PositionRule,
@@ -22,8 +22,6 @@ from .model import (
 )
 from .newton import NewtonConfig
 from .reference import (
-    ConsistencyFailure,
-    StepSizeUnderflow,
     consistent_init,
     implicit_dae_integrate,
     make_continuous_system,
@@ -225,7 +223,7 @@ def _run_rkf45(spec: ExperimentSpec) -> Trajectory:
         try:
             dense = rkf45_integrate(foucault_reference_ode(params), y0, (grid[0], grid[-1]))
             states = dense.sample(grid)
-        except (EvaluationError, StepSizeUnderflow) as exc:
+        except NUMERICAL_FAILURES as exc:
             # the initial row alone, as from a contact run whose seed fails
             grid, termination = grid[:1], Termination.failure(step=1, message=str(exc))
     qs, vels = states[:, :2], states[:, 2:]
@@ -248,7 +246,7 @@ def _run_implicit_dae(spec: ExperimentSpec) -> Trajectory:
     termination = Termination.done()
     try:
         y0, ydot0 = consistent_init(system, spec.q0, spec.v0)
-    except ConsistencyFailure as exc:
+    except NUMERICAL_FAILURES as exc:
         # the initial row alone, as from a contact run whose seed fails
         v0 = project_velocity(system, spec.q0, spec.v0)
         y0 = np.concatenate([spec.q0, v0, np.zeros(1 + m)])

@@ -37,7 +37,16 @@ Array = np.ndarray
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
-class EvaluationError(RuntimeError):
+class SolverFailure(RuntimeError):
+    """A numerical failure, which ends a run as a ``solver_failure``."""
+
+
+#: What every runner catches: also the ``OverflowError`` that float ``**``,
+#: :mod:`math` and :mod:`cmath` raise where numpy returns inf.
+NUMERICAL_FAILURES = (SolverFailure, ArithmeticError)
+
+
+class EvaluationError(SolverFailure):
     """A Lagrangian or derivative evaluation produced a non-finite value."""
 
 

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import Array, EvaluationError, central_difference
+from .model import Array, EvaluationError, SolverFailure, central_difference
 
 #: Newton iterations after which :func:`newton_solve` gives up.
 MAX_ITERATIONS = 10
@@ -47,7 +47,7 @@ PIVOT_FLOOR = 1e-14
 CHORD_CONTRACTION = 0.1
 
 
-class NewtonDivergence(RuntimeError):
+class NewtonDivergence(SolverFailure):
     def __init__(self, iterations: int, residual_norm: float):
         self.iterations = iterations
         self.residual_norm = residual_norm
@@ -57,7 +57,7 @@ class NewtonDivergence(RuntimeError):
         )
 
 
-class SingularJacobian(RuntimeError):
+class SingularJacobian(SolverFailure):
     def __init__(self, pivot: float):
         self.pivot = pivot
         super().__init__(f"singular Jacobian (pivot {pivot:.3e} after equilibration)")

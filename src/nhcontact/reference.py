@@ -34,17 +34,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import (COMPLEX_STEP, SQRT_EPS, Array, ContactSystem, EvaluationError,
-                    constraint_rows, dot, initial_acceleration, numbers, project_velocity)
-from .newton import NewtonConfig, NewtonDivergence, SingularJacobian, inf_norm, newton_solve
-
-
-class StepSizeUnderflow(RuntimeError):
-    """The adaptive controller pushed the step size below its floor."""
-
-
-class ConsistencyFailure(RuntimeError):
-    """Consistent initialization could not reduce the residual far enough."""
+from .model import (COMPLEX_STEP, NUMERICAL_FAILURES, SQRT_EPS, Array, ContactSystem,
+                    EvaluationError, SolverFailure, constraint_rows, dot, initial_acceleration,
+                    numbers, project_velocity)
+from .newton import NewtonConfig, inf_norm, newton_solve
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +128,8 @@ def rkf45_integrate(
     Step acceptance uses error-per-unit-step control, so the global error
     scales roughly linearly with the tolerance.  Raises
     :class:`~nhcontact.model.EvaluationError` when an error estimate is not
-    finite and :class:`StepSizeUnderflow` when the step size falls below
-    ``1e-12`` of the span.
+    finite and :class:`~nhcontact.model.SolverFailure` when the step size
+    falls below ``1e-12`` of the span or the steps exceed ten million.
     """
     t0, tf = float(t_span[0]), float(t_span[1])
     span = tf - t0
@@ -154,7 +147,7 @@ def rkf45_integrate(
             break
         h = min(h, tf - t)
         if h < h_min:
-            raise StepSizeUnderflow(f"step size {h:.3e} below floor at t={t:.6g}")
+            raise SolverFailure(f"step size {h:.3e} below floor at t={t:.6g}")
         k = [derivs[-1]]
         for i in range(1, 6):
             yi = _stage_point(y, h, _RKF_A[i], k)
@@ -181,7 +174,7 @@ def rkf45_integrate(
         factor = 0.9 * (1.0 / err) ** 0.25 if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
     else:
-        raise RuntimeError("rkf45: max step count exceeded")
+        raise SolverFailure("rkf45: max step count exceeded")
 
     return DenseTrajectory(
         times=np.array(times),
@@ -232,11 +225,11 @@ def make_continuous_system(system: ContactSystem) -> ContinuousConstrainedSystem
         velocity, z = values[n:2 * n], values[2 * n]
         gq, gv, gz = gradients(t, q, v, z)
         # the momentum rate: the directional derivative of the momentum map
-        # along (qdot, vdot); registered gradients are complex-safe
+        # along (qdot, vdot, zdot); registered gradients are complex-safe
         probe = np.array([complex(a, COMPLEX_STEP * d)
-                          for a, d in zip(values[:2 * n], rates[:2 * n])])
-        p_rate = [p.imag / COMPLEX_STEP
-                  for p in numbers(gradients(t, probe[:n], probe[n:], z)[1])]
+                          for a, d in zip(values[:2 * n + 1], rates[:2 * n + 1])])
+        p_rate = [p.imag / COMPLEX_STEP for p in numbers(
+            gradients(t, probe[:n], probe[n:2 * n], probe[2 * n])[1])]
 
         momentum = [rate - dq - dv * gz
                     for rate, dq, dv in zip(p_rate, numbers(gq), numbers(gv))]
@@ -269,9 +262,9 @@ def consistent_init(
     The velocity guess is projected onto the constraint set; the
     accelerations, the action rate and the multipliers are then
     :func:`~nhcontact.model.initial_acceleration`'s, the rates that seed the
-    variational integrators too.  Raises :class:`ConsistencyFailure` if the
-    implicit residual at ``(y0, ydot0)`` is not within 1e-8 (the implicit
-    form has no external force, so a forced system fails it).
+    variational integrators too.  Raises ``SolverFailure`` if the implicit
+    residual at ``(y0, ydot0)`` is not within 1e-8 (the implicit form has no
+    external force, so a forced system fails it).
     """
     q0 = np.asarray(q0, dtype=float)
     v0 = project_velocity(system, q0, np.asarray(v0_guess, dtype=float))
@@ -280,7 +273,7 @@ def consistent_init(
     ydot0 = np.concatenate([v0, acc, [zdot], np.zeros(system.dim_c)])
     residual = inf_norm(make_continuous_system(system).residual(0.0, y0, ydot0))
     if not residual <= 1e-8:
-        raise ConsistencyFailure(f"residual {residual:.3e} at the consistent initial rates")
+        raise SolverFailure(f"residual {residual:.3e} at the consistent initial rates")
     return y0, ydot0
 
 
@@ -357,7 +350,7 @@ def implicit_dae_integrate(
         try:
             y_next, _, jacobian = newton_solve(residual, guess, newton, jacobian,
                                                build_jacobian)
-        except (NewtonDivergence, SingularJacobian, EvaluationError) as exc:
+        except NUMERICAL_FAILURES as exc:
             t_fail = times[-1] + h
             return DAETrajectory(
                 times=np.array(times), states=np.array(states), completed=False,

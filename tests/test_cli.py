@@ -154,7 +154,10 @@ def test_run_short_disk_writes_artifacts(tmp_path):
     # the adaptive reference's right-hand side overflows to NaN
     pytest.param(["run", "foucault-1", "--integrator", "rkf45", "--alpha", "1e300",
                   "--t-final", "10"], marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
-], ids=["contact-seed", "dae-consistent-init", "dae-non-finite", "rkf45-non-finite"])
+    # a step so large that the seed's Taylor point overflows
+    ["run", "foucault-1", "--h", "1e200", "--t-final", "1e200"],
+], ids=["contact-seed", "dae-consistent-init", "dae-non-finite", "rkf45-non-finite",
+        "contact-huge-step"])
 def test_seeding_failure_exits_2_with_initial_row(args, tmp_path):
     out = tmp_path / "coarse"
     code = run_cli(args + ["--output-dir", str(out)])

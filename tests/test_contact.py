@@ -11,7 +11,6 @@ import nhcontact.contact
 import nhcontact.dalembert
 import nhcontact.newton
 from nhcontact.contact import (
-    DenominatorSingular,
     StepCarry,
     StepStats,
     contact_residual,
@@ -38,6 +37,7 @@ from nhcontact.model import (
     DiscretizationRule,
     Integrator,
     PositionRule,
+    SolverFailure,
     StepState,
     ZRule,
     central_difference,
@@ -625,7 +625,7 @@ def test_denominator_singularity_detected():
     rule = DiscretizationRule(PositionRule.LEFT_ENDPOINT, ZRule.SECOND_ORDER, h)
     window = StepState(q_prev=np.zeros(1), q_curr=np.zeros(1),
                        z_prev=0.0, z_curr=0.0, t_curr=h)
-    with pytest.raises(DenominatorSingular):
+    with pytest.raises(SolverFailure, match="z-coupling"):
         contact_window_terms(system, rule, window, window_carry(system, rule, window))
 
 
@@ -699,19 +699,31 @@ def _with_tilt(eid, theta):
     return q0
 
 
+def _with_speed(eid, speed):
+    v0 = get_experiment(eid).v0.copy()
+    v0[0] = speed
+    return v0
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("eid, q0, integrator", [
-    ("foucault-1", np.array([1e160, 0.0]), Integrator.CONTACT),
-    ("foucault-1", np.array([1e160, 0.0]), Integrator.LAGRANGE_DALEMBERT),
-    ("disk-2.3", _with_tilt("disk-2.3", 1e308), Integrator.CONTACT),
-    ("foucault-1", np.array([np.nan, 0.0]), Integrator.CONTACT),
-], ids=["foucault-1e160", "foucault-la-1e160", "disk-tilt-1e308", "foucault-nan"])
-def test_huge_or_non_finite_initial_state_ends_as_solver_failure(eid, q0, integrator):
-    # where numpy gives inf or NaN, Python's float power raises
-    # OverflowError, math's sine of an infinity ValueError and LAPACK's least
-    # squares on NaN LinAlgError; the seed must carry the inf or NaN on to
-    # Newton's finiteness checks instead, and the message names the seed
-    traj = run_experiment(get_experiment(eid, q0=q0, t_final=1.0, integrator=integrator))
+@pytest.mark.parametrize("eid, overrides, integrator", [
+    ("foucault-1", {"q0": np.array([1e160, 0.0])}, Integrator.CONTACT),
+    ("foucault-1", {"q0": np.array([1e160, 0.0])}, Integrator.LAGRANGE_DALEMBERT),
+    ("disk-2.3", {"q0": _with_tilt("disk-2.3", 1e308)}, Integrator.CONTACT),
+    ("foucault-1", {"q0": np.array([np.nan, 0.0])}, Integrator.CONTACT),
+    ("foucault-1", {"h": 1e200, "t_final": 1e200}, Integrator.CONTACT),
+    ("foucault-1", {"h": 1e200, "t_final": 1e200}, Integrator.LAGRANGE_DALEMBERT),
+    ("disk-2.3", {"v0": _with_speed("disk-2.3", 1e300)}, Integrator.CONTACT),
+], ids=["foucault-1e160", "foucault-la-1e160", "disk-tilt-1e308", "foucault-nan",
+        "foucault-h-1e200", "foucault-la-h-1e200", "disk-speed-1e300"])
+def test_huge_or_non_finite_initial_state_ends_as_solver_failure(eid, overrides, integrator):
+    # where numpy gives inf or NaN, Python's float power and math and cmath
+    # raise OverflowError, math's sine of an infinity ValueError and LAPACK's
+    # least squares on NaN LinAlgError; the seed must carry the inf or NaN on
+    # to Newton's finiteness checks, or fail on the overflow, and the message
+    # names the seed
+    traj = run_experiment(get_experiment(eid, **{"t_final": 1.0, **overrides},
+                                         integrator=integrator))
     assert (traj.termination.status, traj.termination.step) == ("solver_failure", 1)
     assert traj.termination.message.startswith("seed step: ")
     assert traj.n_steps == 0

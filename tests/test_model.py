@@ -1,3 +1,5 @@
+import importlib
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ from nhcontact.model import (
     DiscretizationRule,
     EvaluationError,
     PositionRule,
+    SolverFailure,
     ZRule,
     central_difference,
     complex_step,
@@ -357,3 +360,13 @@ def test_numpy_division_rounding_is_what_divide_copies():
             # zero signs and non-finite parts included
             assert np.asarray(divide(values.tolist(), d)).tobytes() == quotient.tobytes(), \
                 message
+
+
+@pytest.mark.parametrize("module", ["model", "newton", "contact", "dalembert", "reference"])
+def test_every_failure_class_of_the_integrators_is_a_solver_failure(module):
+    # the runners catch SolverFailure, not a list of classes: a failure class
+    # outside it would escape them
+    classes = [cls for _, cls in inspect.getmembers(importlib.import_module(f"nhcontact.{module}"),
+                                                    inspect.isclass)
+               if cls.__module__ == f"nhcontact.{module}" and issubclass(cls, BaseException)]
+    assert [cls for cls in classes if not issubclass(cls, SolverFailure)] == []
