@@ -520,9 +520,11 @@ def initial_acceleration(
     of the central-difference momentum at the coarser probe ``eps^(1/4)``.
     A ``t`` dependence of the momentum is a real central difference either
     way, the contract not making ``t`` complex-safe; it is 0 where nothing
-    depends on ``t``.  The system is affine in ``(a, lam)``, so one LU solve
-    is exact; redundant constraint rows, which make it singular, are solved
-    by least squares.
+    depends on ``t``.  The system is affine in ``(a, lam)``, so one solve is
+    exact: the product of :func:`~nhcontact.newton.lu_factor`'s inverse and
+    the right-hand side.  Redundant constraint rows, which make the system
+    singular, are solved by least squares, and a saddle system that is not
+    finite gives NaN rates (:func:`least_squares`).
     """
     from .newton import SingularJacobian, lu_factor, lu_solve  # newton imports model
 
@@ -569,7 +571,7 @@ def initial_acceleration(
     kkt[n:, :n] = a0
     rhs = np.concatenate([rhs, -drift])
     try:
-        u = lu_solve(lu_factor(kkt), rhs.tolist())
+        u = lu_solve(lu_factor(kkt), rhs)
     except SingularJacobian:
         u = least_squares(kkt, rhs)
     return u[:n], zdot, u[n:]

@@ -1,15 +1,15 @@
-"""Dense Newton with an exact or finite-difference Jacobian and LU pivoting
-diagnostics.
+"""Dense Newton with an exact or finite-difference Jacobian and a
+singularity test on its inverse.
 
 Every implicit step in the package goes through :func:`newton_solve`.
-Problem sizes are small (at most a dozen unknowns), so the linear algebra is
-a plain LU factorization with partial pivoting and row equilibration
-(:func:`lu_factor`), kept apart from its solve (:func:`lu_solve`) so that one
-factorization serves many solves.  At this size numpy's per-call overhead
-costs more than the arithmetic, so the elimination, the solve and each
-residual are Python floats.  The step residuals of both integrators return
-lists of Python numbers, which Newton takes as they are; any other residual
-costs one ``tolist()``.
+Problem sizes are small (at most 13 unknowns).  :func:`lu_factor` inverts
+the row-equilibrated matrix once, by LAPACK through numpy, and keeps the
+inverse, so that each solve (:func:`lu_solve`) is one matrix-vector product
+and one factorization serves many solves.  At this size numpy's per-call
+overhead costs more than the arithmetic of a residual, so each residual is
+Python floats: the step residuals of both integrators return lists of
+Python numbers, which Newton takes as they are; any other residual costs one
+``tolist()``.
 
 A caller that solves one system per time step hands each solve the factors
 the previous one ended with: Newton then takes chord iterations with that
@@ -40,7 +40,8 @@ from .model import Array, EvaluationError, SolverFailure, central_difference
 
 #: Newton iterations after which :func:`newton_solve` gives up.
 MAX_ITERATIONS = 10
-#: Smallest equilibrated pivot :func:`lu_factor` accepts.
+#: :func:`lu_factor` accepts an equilibrated inverse whose entries are at most
+#: ``1/PIVOT_FLOOR``.
 PIVOT_FLOOR = 1e-14
 #: A chord iteration, one that reuses an earlier Jacobian, is followed by
 #: another only while it cuts the residual inf-norm to at most this fraction.
@@ -75,77 +76,44 @@ class NewtonConfig:
 
 @dataclass(frozen=True)
 class LUFactors:
-    """Row-equilibrated LU factors of a square matrix (:func:`lu_factor`).
+    """A factored square matrix (:func:`lu_factor`), kept as its inverse:
+    each solve is then one matrix-vector product."""
 
-    ``rows`` hold the multipliers below the diagonal and ``U`` on and above
-    it, on Python floats.
-    """
-
-    scales: list
-    pivots: list
-    rows: list
+    inverse: np.ndarray
 
 
 def lu_factor(a: Array) -> LUFactors:
-    """LU factorization with partial pivoting after row equilibration.
+    """Factor ``a`` for :func:`lu_solve`: one LAPACK inverse of ``a`` with
+    its rows scaled to unit inf-norm, the row scales folded back in.
 
-    The pivot is the first entry of largest magnitude in its column.  Raises
-    :class:`SingularJacobian` when that pivot of an equilibrated column falls
-    below :data:`PIVOT_FLOOR`.
+    Raises :class:`SingularJacobian`, with ``pivot`` the reciprocal of the
+    equilibrated inverse's largest entry, when that exceeds ``1/PIVOT_FLOOR``;
+    with ``pivot`` 0 on an exactly zero pivot, a zero row or an entry that is
+    not finite, which LAPACK may invert into finite and wrong numbers.
     """
-    # elimination on Python floats: for a dozen unknowns, numpy's per-call
-    # overhead costs more than the arithmetic; each update rounds its product
-    # and its difference separately, as numpy's outer-product update does
-    rows = np.array(a, dtype=float).tolist()
-    k = len(rows)
-    scales = [max(map(abs, row)) or 1.0 for row in rows]
-    rows = [[v / scale for v in row] for row, scale in zip(rows, scales)]
-    pivots = []
-    for col in range(k):
-        p, pivot = col, abs(rows[col][col])
-        for r in range(col + 1, k):
-            if abs(rows[r][col]) > pivot:
-                p, pivot = r, abs(rows[r][col])
-        if pivot < PIVOT_FLOOR:
-            raise SingularJacobian(pivot)
-        pivots.append(p)
-        rows[col], rows[p] = rows[p], rows[col]
-        top = rows[col]
-        for r in range(col + 1, k):
-            row = rows[r]
-            factor = row[col] = row[col] / top[col]
-            for c in range(col + 1, k):
-                row[c] -= factor * top[c]
-    return LUFactors(scales, pivots, rows)
+    a = np.asarray(a, dtype=float)
+    scales = abs(a).max(axis=1, initial=0.0)
+    # one pass on Python floats; a NaN fails the comparison too
+    if not all(0.0 < v < math.inf for v in scales.tolist()):
+        raise SingularJacobian(0.0)
+    try:
+        inverse = np.linalg.inv(a / scales[:, None])
+    except np.linalg.LinAlgError:
+        raise SingularJacobian(0.0) from None
+    growth = abs(inverse).max(initial=0.0)
+    if not growth <= 1.0 / PIVOT_FLOOR:
+        raise SingularJacobian(1.0 / growth)
+    # a row scale below about 1e-294 can take an entry past the largest
+    # float, to inf: the solve is then not finite, which the callers catch
+    with np.errstate(over="ignore"):
+        inverse /= scales
+    return LUFactors(inverse)
 
 
-def lu_solve(lu: LUFactors, rhs: list) -> Array:
+def lu_solve(lu: LUFactors, rhs) -> Array:
     """Solve ``a x = rhs`` from the factors of ``a``; ``rhs`` is a list of
-    floats.
-
-    The right-hand side takes the factorization's row scaling, swaps and
-    updates in the order the elimination made them, so the forward pass is
-    bit for bit the one of eliminating ``a`` and ``rhs`` together.  The
-    back-substitution subtracts from each row's right-hand side the products
-    of its ``U`` entries and the unknowns already found, left to right, then
-    divides by the pivot.
-    """
-    b = [v / scale for v, scale in zip(rhs, lu.scales)]
-    k = len(b)
-    for col, p in enumerate(lu.pivots):
-        b[col], b[p] = b[p], b[col]
-    rows = lu.rows
-    for col in range(k):
-        bc = b[col]
-        for r in range(col + 1, k):
-            b[r] -= rows[r][col] * bc
-    # back-substitution in place: b[c] holds unknown c once row c is done
-    for row in range(k - 1, -1, -1):
-        u, total = rows[row], b[row]
-        for c in range(row + 1, k):
-            total -= u[c] * b[c]
-        b[row] = total / u[row]
-    return np.array(b)
+    floats or a vector."""
+    return np.dot(lu.inverse, rhs)
 
 
 def inf_norm(values: list) -> float:
@@ -238,5 +206,5 @@ def newton_solve(
                     raise EvaluationError(
                         f"Jacobian is not finite at Newton iteration {iteration}")
                 jacobian = lu_factor(jac)
-            x = x + lu_solve(jacobian, [-v for v in fx])
+            x = x - lu_solve(jacobian, fx)
     raise NewtonDivergence(MAX_ITERATIONS, norm)

@@ -15,14 +15,9 @@ arithmetic.  RKF45 keeps its state, stages, embedded pair and error estimate
 as lists, each tableau sum written out and added left to right, as
 :func:`~nhcontact.model.dot` adds it, and hands the right-hand side a numpy
 array per stage.  The residual of :func:`make_continuous_system` returns a
-list, its products with ``A(q)`` left-to-right sums too.  The algorithms,
-their step control and their checks are those of the numpy versions, but
-numpy's matrix products round otherwise, so both references moved at
-round-off.  Over the catalog, RKF45 moved by at
-most 4.7e-12 in q.  BDF2 moved by up to 6e-8 (``disk-3.1``): Newton's
-absolute test at 1e-6 stops a perturbed iteration at another last iterate.
-Each move is below the old trajectory's own Newton-error proxy, and at
-Newton tolerance 1e-10 the largest falls to 8e-12.
+list, its products with ``A(q)`` left-to-right sums too.  BDF2's Newton
+solves its linear systems, as every Newton does, with LAPACK's inverse
+(:func:`~nhcontact.newton.lu_factor`).
 """
 
 from __future__ import annotations
@@ -57,6 +52,10 @@ _RKF_A = [
 ]
 _RKF_B4 = [25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0]
 _RKF_B5 = [16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55]
+
+
+#: Step attempts after which :func:`rkf45_integrate` gives up.
+_RKF_MAX_STEPS = 10_000_000
 
 
 def _stage_point(y: list, h: float, weights: list, k: list) -> list:
@@ -129,7 +128,17 @@ def rkf45_integrate(
     scales roughly linearly with the tolerance.  Raises
     :class:`~nhcontact.model.EvaluationError` when an error estimate is not
     finite and :class:`~nhcontact.model.SolverFailure` when the step size
-    falls below ``1e-12`` of the span or the steps exceed ten million.
+    falls below ``1e-12`` of the span, when the step attempts exceed ten
+    million, or as soon as a stiff problem's step is too small to reach the
+    end within them.
+
+    The stiffness test is DOPRI5's (Hairer & Wanner, *Solving ODEs II*,
+    IV.2): the solution and the fifth stage point both sit at the step's
+    end, so their derivatives' distance over their own estimates the
+    dominant ``|lambda|``.  It runs every 1000th accepted step, and every
+    step from one past ``|h lambda| = 3`` (the propagated solution's real
+    stability boundary is 3.02) until 6 in a row are within it.  After 15
+    steps past it the step is held by stability and will not grow.
     """
     t0, tf = float(t_span[0]), float(t_span[1])
     span = tf - t0
@@ -141,8 +150,9 @@ def rkf45_integrate(
     states = [y]
     derivs = [numbers(ode(t0, np.array(y)))]
     t = t0
+    stiff = calm = 0
 
-    for _ in range(10_000_000):
+    for attempt in range(_RKF_MAX_STEPS):
         if t >= tf:
             break
         h = min(h, tf - t)
@@ -152,6 +162,8 @@ def rkf45_integrate(
         for i in range(1, 6):
             yi = _stage_point(y, h, _RKF_A[i], k)
             k.append(numbers(ode(t + _RKF_C[i] * h, np.array(yi))))
+            if i == 4:
+                end_stage = yi
         y4 = _stage_point(y, h, _RKF_B4, k)
         y5 = _stage_point(y, h, _RKF_B5, k)
         # error per unit step; inf_norm keeps a NaN ratio, and a zero scale
@@ -171,6 +183,20 @@ def rkf45_integrate(
             times.append(t)
             states.append(y)
             derivs.append(numbers(ode(t, np.array(y))))
+            if stiff or (len(times) - 1) % 1000 == 0:
+                num = sum((a - b) * (a - b) for a, b in zip(derivs[-1], k[4]))
+                den = sum((a - b) * (a - b) for a, b in zip(y, end_stage))
+                if den > 0.0 and h * h * num > 9.0 * den:
+                    stiff, calm = stiff + 1, 0
+                    if stiff >= 15 and tf - t > h * (_RKF_MAX_STEPS - attempt):
+                        raise SolverFailure(
+                            f"rkf45: stiff at t={t:.6g} (|h lambda| "
+                            f"{h * math.sqrt(num / den):.3g}): steps of {h:.3e} cannot "
+                            f"reach t={tf:.6g} within {_RKF_MAX_STEPS} steps")
+                else:
+                    calm += 1
+                    if calm == 6:
+                        stiff = 0
         factor = 0.9 * (1.0 / err) ** 0.25 if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
     else:

@@ -156,8 +156,10 @@ def test_run_short_disk_writes_artifacts(tmp_path):
                   "--t-final", "10"], marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     # a step so large that the seed's Taylor point overflows
     ["run", "foucault-1", "--h", "1e200", "--t-final", "1e200"],
+    # a stiff pendulum: the adaptive reference stops on its stiffness test
+    ["run", "foucault-1", "--integrator", "rkf45", "--alpha", "1e8", "--t-final", "1.5"],
 ], ids=["contact-seed", "dae-consistent-init", "dae-non-finite", "rkf45-non-finite",
-        "contact-huge-step"])
+        "contact-huge-step", "rkf45-stiff"])
 def test_seeding_failure_exits_2_with_initial_row(args, tmp_path):
     out = tmp_path / "coarse"
     code = run_cli(args + ["--output-dir", str(out)])

@@ -12,12 +12,15 @@ that moves trajectory bits regenerates the table with
 and states its largest catalog |dq| against the old tree's Newton error,
 which ``python tests/catalog_dq.py OLD_SRC NEW_SRC`` prints.
 
-The step kernel, the LU solve and the built-in systems compute on Python
-floats, but the seed's small dots (the drift's ``A(q) v``) and the complex
-difference velocities of the Jacobian's probes are numpy's, so the digests
-hold for the numpy build they were recorded with.  Another numpy version, or
-one whose small dot or complex-by-real division rounds otherwise (the probe
-below), skips the test with the reason.  The built-in systems square a
+The step kernel and the built-in systems compute on Python floats, but the
+seed's small dots (the drift's ``A(q) v``), the complex difference
+velocities of the Jacobian's probes and Newton's linear algebra are numpy's:
+each Jacobian is inverted by the LAPACK that numpy loads, and each Newton
+correction is a product with that inverse.  So the digests hold for the
+numpy build and the LAPACK kernel they were recorded with.  Another numpy
+version, or one whose small dot, complex-by-real division or 8-by-8 inverse
+rounds otherwise (the probe below; OpenBLAS picks its kernel for the CPU it
+runs on), skips the test with the reason.  The built-in systems square a
 variable as a product, correctly rounded, so the digests do not depend on
 how libm's ``pow`` rounds ``x ** 2``.
 """
@@ -40,14 +43,18 @@ RULES = [(position, z_rule) for position in PositionRule for z_rule in ZRule]
 
 
 def rounding_probe() -> dict:
-    """One length-5 dot and one complex array divided by a real scalar, as
-    hex floats; a plain sum of products and a true division would both
-    round these otherwise."""
+    """One length-5 dot, one complex array divided by a real scalar and the
+    inverse of one 8-by-8 matrix, as hex floats; a plain sum of products, a
+    true division and another LAPACK kernel would round these otherwise."""
     a = np.array([0.01, -0.28, 1.29, 1.01, -2.71])
     b = np.array([-1.89, -0.17, -0.42, 0.21, 0.22])
     quotient = np.array([2.12 - 1.11j]) / 0.8
+    # exact entries, so that only the inverse's own rounding shows
+    k = np.arange(64.0)
+    matrix = ((k * k + 3.0 * k) % 17.0).reshape(8, 8) / 4.0 - 2.0
     return {"dot": float(a @ b).hex(),
-            "complex_div": [quotient[0].real.hex(), quotient[0].imag.hex()]}
+            "complex_div": [quotient[0].real.hex(), quotient[0].imag.hex()],
+            "inverse_8x8": [v.hex() for v in np.linalg.inv(matrix).ravel().tolist()]}
 
 
 def run_digest(eid: str, integrator: Integrator, position: PositionRule,
@@ -88,8 +95,8 @@ def test_catalog_runs_match_golden_digests():
     if np.__version__ != table["numpy"]:
         pytest.skip(f"digests recorded with numpy {table['numpy']}, running {np.__version__}")
     if rounding_probe() != table["probe"]:
-        pytest.skip("this numpy's small dot or complex division rounds otherwise than "
-                    "the recording's")
+        pytest.skip("this numpy's small dot, complex division or LAPACK inverse rounds "
+                    "otherwise than the recording's")
     moved = [key(*case) for case in cases() if run_digest(*case) != table["digests"][key(*case)]]
     assert not moved, f"{len(moved)} runs moved bits: {moved}"
 

@@ -6,6 +6,7 @@ import numpy as np
 import numpy_oracle
 import pytest
 
+from nhcontact.contact import run_contact
 from nhcontact.experiments import _disk_params, build_contact_system, get_experiment
 from nhcontact.model import (
     COMPLEX_STEP,
@@ -296,6 +297,30 @@ def test_initial_acceleration_redundant_rows():
     assert np.max(np.abs(acc2 - acc)) <= 1e-14 and zdot2 == zdot
     # the constraint force is shared between the two rows
     assert lam2[0] + 2.0 * lam2[1] == pytest.approx(lam[0], rel=1e-14)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_saddle_matrix_gives_nan_rates(bad):
+    # a mass matrix or constraint row holding inf or NaN yields NaN rates,
+    # never finite ones, and a run that starts from them ends as a failure
+    # of its seed step
+    def particle(mass, row):
+        return ContactSystem(
+            dim_q=2, dim_c=1,
+            lagrangian=lambda t, q, v, z: 0.5 * mass * (v @ v) - 9.81 * q[1],
+            constraint_matrix=lambda q: np.array([row]),
+            lagrangian_gradients=lambda t, q, v, z: (np.array([0.0, -9.81]), mass * v, 0.0),
+        )
+
+    q0, v0 = np.zeros(2), np.array([1.0, 0.0])
+    rule = DiscretizationRule(PositionRule.MIDPOINT, ZRule.SECOND_ORDER, 0.1)
+    for system in (particle(bad, [0.0, 1.0]), particle(1.0, [bad, 1.0])):
+        acc, _, lam = initial_acceleration(system, q0, v0)
+        assert np.isnan(acc).all() and np.isnan(lam).all()
+        term = run_contact(system, rule, q0, v0, 5).termination
+        assert (term.status, term.step) == ("solver_failure", 1)
+        assert term.message.startswith("seed step: ")
 
 
 @pytest.mark.parametrize("q, v", [([0.5, 0.25], [1.0, 0.5]),

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -14,7 +15,8 @@ from nhcontact.experiments import (
 )
 from nhcontact.contact import run_contact
 from nhcontact.model import (ContactSystem, DiscretizationRule, EvaluationError, Integrator,
-                             PositionRule, ZRule, central_difference, project_velocity)
+                             PositionRule, SolverFailure, ZRule, central_difference,
+                             project_velocity)
 from nhcontact.newton import NewtonConfig, newton_solve
 from nhcontact.reference import (
     ContinuousConstrainedSystem,
@@ -61,6 +63,28 @@ def test_rkf45_infinite_rhs_raises_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match="error estimate nan"):
             rkf45_integrate(ode, np.array([1.0]), (0.0, 5.0))
+
+
+def test_rkf45_stops_at_once_on_a_stiff_problem():
+    # y' = -rate (y - cos t) - sin t from y = 1 follows y = cos t, but
+    # stability holds RKF45's step near 3/rate: at rate 1e8 the span 1.5
+    # needs about 5e7 steps, past the cap, which it used to reach after
+    # minutes.  At rate 1e4 they fit within the cap, and the run completes
+    # as without the stiffness test
+    calls = []
+
+    def ode(rate):
+        def f(t, y):
+            calls.append(t)
+            return [-rate * (y[0] - math.cos(t)) - math.sin(t)]
+        return f
+
+    with pytest.raises(SolverFailure, match=r"rkf45: stiff at t=.* \(\|h lambda\| 3"):
+        rkf45_integrate(ode(1e8), np.array([1.0]), (0.0, 1.5))
+    assert len(calls) < 50_000
+    traj = rkf45_integrate(ode(1e4), np.array([1.0]), (0.0, 1.5))
+    assert traj.times[-1] == 1.5 and len(traj.times) > 1.5 * 1e4 / 3.1
+    assert abs(traj.states[-1, 0] - math.cos(1.5)) <= 1e-8
 
 
 def test_rkf45_pendulum_at_the_origin_ends_as_failure():
