@@ -13,7 +13,14 @@ Newton solves it with the exact Jacobian of :func:`step_jacobian` when the
 system registers Lagrangian gradients, else with finite differences.  The
 exact Jacobian takes the action row and the multiplier columns in closed
 form, from the real evaluation at its point, and every other column by
-complex step, whose probes then need no ``L_d``.
+complex step.  One builder serves the contact, Lagrange-d'Alembert and seed
+residuals: it builds all the probe vectors of a Jacobian as one complex
+matrix, their difference velocities and sample points with one numpy
+operation each (:func:`~nhcontact.model.probe_points`), and
+``A(q_j)^T lambda`` once, and each probe then asks the evaluator only for
+what the columns read: ``D1``, ``D3`` and the constraint rows (the
+Lagrange-d'Alembert residual adds the force at the probe's sample point),
+never ``D2`` or ``L_d``.
 
 Each residual evaluation is one pass.  The window builds, once per step,
 the :func:`~nhcontact.model.step_evaluator` of its forward steps, which
@@ -29,11 +36,12 @@ the arithmetic, so the evaluator returns Python numbers and
 elementwise operation rounds as numpy's on the same values: a list divided
 by a real number goes through :func:`~nhcontact.model.divide`, which copies
 numpy's division (for complex numbers, the product with the reciprocal).
-The products with the constraint matrix, ``A(q_j)^T lambda`` and
-``A(q_d) v``, are the left-to-right sums of :func:`~nhcontact.model.dot`.
-The complex-step columns of :func:`step_jacobian` share one complex vector
-and read the imaginary parts of the returned lists, bit for bit the
-column-by-column numpy loop.
+The products with the constraint matrix, ``A(q_j)^T lambda``
+(:func:`multiplier_rows`) and ``A(q_d) v``, are the left-to-right sums of
+:func:`~nhcontact.model.dot`.  The complex-step columns of
+:func:`step_jacobian` read the imaginary parts of the returned lists, bit
+for bit the column-by-column numpy loop: each probe row of the batched
+numpy arithmetic rounds as that loop's single vector does.
 
 Newton starts from one of three predictions.  The linear start, which
 :func:`solve_step` builds, extrapolates q linearly, advances z by the
@@ -72,13 +80,13 @@ which evaluated it last at exactly that point.  Each step therefore hands
 the next one a :class:`StepCarry`: its Newton factors and that evaluation's
 forward ``D2 L_d``, ``D4 L_d``, ``L_d`` and constraint rows.  The seed step
 makes the first one (:func:`initialize_window`).  It is one more implicit
-step, solved by :func:`solve_step` on the exact Jacobian: its rows project
-the Taylor point ``q_1`` onto the discrete constraint and solve the action
-update for ``z_1``.  So every window is built alike: it takes its backward
-partials (and the linear start its ``L_d``) from the carry and computes
-none of them again.  The driver keeps each window's ``t_curr`` on the grid,
-``j h``.  The constraint rows give :class:`StepStats` the run's
-worst discrete-constraint residual.
+step, solved by :func:`solve_step` on the exact Jacobian: its rows
+(:func:`seed_residual`) project the Taylor point ``q_1`` onto the discrete
+constraint and solve the action update for ``z_1``.  So every window is
+built alike: it takes its backward partials (and the linear start its
+``L_d``) from the carry and computes none of them again.  The driver keeps
+each window's ``t_curr`` on the grid, ``j h``.  The constraint rows give
+:class:`StepStats` the run's worst discrete-constraint residual.
 
 The Lagrange-d'Alembert integrator (:mod:`nhcontact.dalembert`) differs
 only in its residual and in having no z unknown.  :func:`run_steps` and
@@ -93,6 +101,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -111,6 +120,7 @@ from .model import (
     divide,
     dot,
     initial_acceleration,
+    probe_points,
     project_velocity,
     step_evaluator,
 )
@@ -179,6 +189,16 @@ def contact_window_terms(
     return d2b, denom, a.T.tolist(), forward
 
 
+def multiplier_rows(a_t: list, lam: list) -> list:
+    """``A(q_j)^T lambda`` from the rows ``a_t`` of ``A(q_j)^T`` and the
+    multipliers ``lam``, lists of Python numbers: a :func:`dot` per row.
+    Without multipliers each row is ``0.0``, which the residual rows then
+    subtract: ``x - 0.0`` is ``x``, zero signs included."""
+    if not lam:
+        return [0.0] * len(a_t)
+    return [dot(row, lam) for row in a_t]
+
+
 def contact_residual(
     system: ContactSystem,
     rule: DiscretizationRule,
@@ -186,7 +206,7 @@ def contact_residual(
     terms,
     unknowns: Array,
     keep: Optional[list] = None,
-    with_ld: bool = True,
+    probe: Optional[tuple] = None,
 ) -> list:
     """Stacked residual at a candidate ``(q_{j+1}, z_{j+1}, lambda)``, a
     list of Python numbers.
@@ -195,39 +215,45 @@ def contact_residual(
     evaluator gives the partials, ``L_d`` and constraint rows in one pass.
     A list ``keep`` is set to the forward by-products ``[D2 L_d, D4 L_d,
     L_d, constraint rows]`` of this evaluation, the fields of a
-    :class:`StepCarry` after ``factors``.  Without ``with_ld`` the action row
-    leaves out its ``- h L_d`` and ``L_d`` is not evaluated: the step
-    Jacobian's complex probes do not read that row (:func:`step_jacobian`).
+    :class:`StepCarry` after ``factors``.
+
+    ``probe`` is given for a complex probe of the step Jacobian
+    (:func:`step_jacobian`) as ``(point, lam_rows)``: the probe point, which
+    the evaluator takes in place of ``q_{j+1}``, and ``A(q_j)^T lambda``,
+    which is the same for every probe.  The evaluator then gives ``D1``,
+    ``D3`` and the constraint rows alone, and the action row, which no probe
+    reads, leaves out its ``- h L_d``.
 
     The rows combine the partials on Python numbers, each elementwise
     operation rounded as numpy's on the same arrays (:func:`divide` for the
-    division); ``A(q_j)^T lambda`` is a :func:`~nhcontact.model.dot` per row.
+    division); ``A(q_j)^T lambda`` is :func:`multiplier_rows`.
     """
     n, h = system.dim_q, rule.h
-    z_next = unknowns.item(n)
     d2b, denom, a_t, forward = terms
-    _, _, _, d1f, d2f, d3f, d4f, ld_fwd, constraint = forward(unknowns[:n], z_next, with_ld)
-    # without multipliers the rows subtract 0.0, and x - 0.0 is x, zero signs included
-    if system.dim_c:
-        lam = unknowns[n + 1:].tolist()
-        lam_rows = [dot(row, lam) for row in a_t]
+    real = probe is None
+    if real:
+        values = unknowns.tolist()
+        z_next, point = values[n], unknowns[:n]
+        lam_rows = multiplier_rows(a_t, values[n + 1:])
     else:
-        lam_rows = [0.0] * n
+        z_next, (point, lam_rows) = unknowns.item(n), probe
+    _, _, _, d1f, d2f, d3f, d4f, ld_fwd, constraint = forward(point, z_next, real)
     factor = 1.0 + h * d3f
     momentum = [a + b - c for a, b, c in
                 zip(d1f, divide([b * factor for b in d2b], denom), lam_rows)]
     if keep is not None:
         keep[:] = d2f, d4f, ld_fwd, constraint
     action = z_next - window.z_curr
-    if with_ld:
+    if real:
         action -= h * ld_fwd
-    return momentum + [action] + constraint
+    return [*momentum, action, *constraint]
 
 
 def step_jacobian(
-    residual: Callable[[Array], list],
+    residual: Callable[[Array, tuple], list],
     x: Array,
     a_t: list,
+    q: Array,
     rule: DiscretizationRule,
     action: Optional[tuple] = None,
 ) -> Array:
@@ -244,27 +270,35 @@ def step_jacobian(
     ``-h D2 L_d`` in the q columns, ``1 - h D4 L_d`` in the z column and 0
     in the multiplier columns; the residual's own row ``n`` is not read.
     Under the first-order z rule z enters no other row, so its column is
-    not probed.  Every other column ``i`` is a complex step of
-    ``residual``, the imaginary parts of ``residual(x + i 1e-200 e_i)`` over
-    1e-200 (:func:`~nhcontact.model.complex_step`), so the system's
-    callables must be complex-safe (:class:`~nhcontact.model.ContactSystem`).
-    One complex vector serves every column: ``x + 0j``, whose real parts are
-    ``x + 0.0`` as ``x + i 1e-200 e_i`` rounds them, its imaginary part set
-    to 1e-200 at ``i`` for column ``i`` only.
+    not probed.
+
+    Every other column ``i`` is a complex step, the imaginary parts of the
+    residual at ``x + i 1e-200 e_i`` over 1e-200
+    (:func:`~nhcontact.model.complex_step`), so the system's callables must
+    be complex-safe (:class:`~nhcontact.model.ContactSystem`).  The probes
+    are built at once, one row each of one complex matrix: ``x + 0j``, whose
+    real parts are ``x + 0.0`` as ``x + i 1e-200 e_i`` rounds them, its
+    imaginary part 1e-200 at the probed column.
+    :func:`~nhcontact.model.probe_points` turns their first ``n`` entries
+    into probe points of the steps from ``q = q_j`` in one batch, and
+    ``A(q_j)^T lambda`` (:func:`multiplier_rows`), the same for every probe,
+    is computed once.  Probe ``u`` is then ``residual(u, (point,
+    lam_rows))``, and the matrix is filled once from the returned lists.
     """
     k, n = len(x), len(a_t)
     m = len(a_t[0])
-    jac = np.zeros((k, k))
     with_z = k == n + 1 + m
-    z_unit = with_z and rule.z_rule is ZRule.FIRST_ORDER
-    probe = x + 0j
-    imag = probe.imag
-    for i in range(k - m):
-        if z_unit and i == n:
-            continue
-        imag[i] = COMPLEX_STEP
-        jac[:, i] = [r.imag / COMPLEX_STEP for r in residual(probe)]
-        imag[i] = 0.0
+    # the probed columns are the first c: the z column, when not probed, is
+    # the last before the multipliers
+    c = k - m - (with_z and rule.z_rule is ZRule.FIRST_ORDER)
+    probes = np.zeros((c, k), complex)
+    probes += x  # each row x + 0j
+    probes.imag.flat[::k + 1] = COMPLEX_STEP  # row i's entry i
+    lam_rows = multiplier_rows(a_t, probes[0, k - m:].tolist())
+    values = [residual(u, (point, lam_rows))
+              for u, point in zip(probes, probe_points(rule, q, probes[:, :n]))]
+    jac = np.zeros((k, k))
+    jac[:, :c] = np.array(values, complex).imag.T / COMPLEX_STEP
     jac[:n, k - m:] = np.negative(a_t)
     if with_z:
         h = rule.h
@@ -323,12 +357,12 @@ def solve_step(
 
     build = None
     if system.lagrangian_gradients is not None:
-        def probe(u):
-            return residual(system, rule, w, terms, u, None, False)
+        def probe(u, point):
+            return residual(system, rule, w, terms, u, None, point)
 
         def build(u):
             d2, d4, _, _ = next(keep for x, keep in kept if x is u)
-            return step_jacobian(probe, u, terms[2], rule, (d2, d4))
+            return step_jacobian(probe, u, terms[2], w.q_curr, rule, (d2, d4))
     solved = None
     if start is not None:
         try:
@@ -346,6 +380,47 @@ def solve_step(
     if with_z:
         return x[:n], float(x[n]), x[n + 1:], carry, iterations
     return x[:n], 0.0, x[n:], carry, iterations
+
+
+def seed_residual(
+    target: list,
+    with_z: bool,
+    system: ContactSystem,
+    rule: DiscretizationRule,
+    window: StepState,
+    terms,
+    unknowns: Array,
+    keep: Optional[list] = None,
+    probe: Optional[tuple] = None,
+) -> list:
+    """The seed step's residual at a candidate ``(q1, z1, mu)``, without
+    ``z1`` unless ``with_z``, a list of Python numbers:
+    ``q1 - target - A(q0)^T mu``, then ``z1 - h L_d`` when ``with_z``, then
+    the discrete-constraint rows of the step from ``q0`` to ``q1``.
+
+    ``target`` is the Taylor point as a list of floats, and ``terms`` are
+    the :func:`contact_window_terms` of the seed window ``(q0, q0)`` at
+    ``t = 0``.  ``keep`` and ``probe`` are as for
+    :func:`contact_residual`: a complex probe of the step Jacobian reads the
+    rows alone, so its evaluation asks for no partials and no ``L_d``.
+    :func:`initialize_window` solves it with ``target`` and ``with_z``
+    bound.
+    """
+    n, h = system.dim_q, rule.h
+    _, _, a_t, forward = terms
+    q1, z1 = unknowns[:n], unknowns.item(n) if with_z else 0.0
+    real = probe is None
+    if real:
+        point, mu_rows = q1, multiplier_rows(a_t, unknowns[n + with_z:].tolist())
+    else:
+        point, mu_rows = probe
+    *_, d2, _, d4, ld, constraint = forward(point, z1, with_z and real, keep is not None)
+    rows = [x - t - c for x, t, c in zip(q1.tolist(), target, mu_rows)]
+    if keep is not None:
+        keep[:] = d2, d4, ld, constraint
+    if with_z:
+        rows.append(z1 - h * ld if real else z1)
+    return rows + constraint
 
 
 def initialize_window(
@@ -371,15 +446,16 @@ def initialize_window(
     * the discrete action update ``z1 - h L_d``, when ``with_z``;
     * the discrete constraint of the step from ``q0`` to ``q1``.
 
-    The window terms of the seed window ``(q0, q0)`` at ``t = 0`` hold
-    ``A(q0)^T`` and the step's evaluator from ``(0, q0, 0)``, and the
-    unchanged :func:`step_jacobian` is exact for these rows: the multiplier
-    columns are ``-A(q0)^T`` and the action row is in closed form.  Newton
-    starts from the Taylor point, z and ``mu`` zero, and, should it fail,
-    from the linear start ``q0``.  The step's last evaluation, at
-    ``(q1, z1)``, is the carry, without factors, so the first implicit step
-    builds a fresh Jacobian: the seed step is the first window's backward
-    step, as each implicit step is the next window's.
+    These are the rows of :func:`seed_residual`.  The window terms of the
+    seed window ``(q0, q0)`` at ``t = 0`` hold ``A(q0)^T`` and the step's
+    evaluator from ``(0, q0, 0)``, and the unchanged :func:`step_jacobian`
+    is exact for these rows: the multiplier columns are ``-A(q0)^T`` and the
+    action row is in closed form.  Newton starts from the Taylor point, z
+    and ``mu`` zero, and, should it fail, from the linear start ``q0``.  The
+    step's last evaluation, at ``(q1, z1)``, is the carry, without factors,
+    so the first implicit step builds a fresh Jacobian: the seed step is the
+    first window's backward step, as each implicit step is the next
+    window's.
     """
     h, n, m = rule.h, system.dim_q, system.dim_c
     q0 = np.asarray(q0, dtype=float)
@@ -389,24 +465,9 @@ def initialize_window(
     target = [x + h * u + 0.5 * (h * h) * a
               for x, u, a in zip(q0.tolist(), v.tolist(), acc.tolist())]
 
-    def seed_residual(system, rule, window, terms, unknowns, keep=None, with_ld=True):
-        _, _, a_t, forward = terms
-        q1, z1 = unknowns[:n], unknowns.item(n) if with_z else 0.0
-        # the complex probes of the Jacobian read the rows alone
-        *_, d2, _, d4, ld, constraint = forward(q1, z1, with_z and with_ld, keep is not None)
-        rows = [x - t for x, t in zip(q1.tolist(), target)]
-        if m:
-            mu = unknowns[n + with_z:].tolist()
-            rows = [r - dot(row, mu) for r, row in zip(rows, a_t)]
-        if keep is not None:
-            keep[:] = d2, d4, ld, constraint
-        if with_z:
-            rows.append(z1 - h * ld if with_ld else z1)
-        return rows + constraint
-
     seed = StepState(q_prev=q0, q_curr=q0, z_prev=0.0, z_curr=0.0, t_curr=0.0)
     q1, z1, _, carry, _ = solve_step(
-        system, rule, seed, seed_residual, with_z, np.zeros(m),
+        system, rule, seed, partial(seed_residual, target, with_z), with_z, np.zeros(m),
         StepCarry(None, [0.0] * n, 0.0, 0.0, []), NewtonConfig(tolerance=1e-12),
         target + [0.0] * (with_z + m))
     window = StepState(q_prev=q0, q_curr=q1, z_prev=0.0, z_curr=z1, t_curr=h)

@@ -13,20 +13,21 @@ Newton solve with its Jacobian and the trajectory driver are
 window's :func:`~nhcontact.model.step_evaluator`, z held at zero and
 ``L_d`` not evaluated: it gives the partials, the constraint rows and the
 time, point and difference velocity at which the rule samples the force.
+The complex probes of the step Jacobian ask it for ``D1`` and the
+constraint rows alone, and sample the force at their own points.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .contact import run_steps
+from .contact import multiplier_rows, run_steps
 from .model import (
     Array,
     ContactSystem,
     DiscretizationRule,
     StepState,
     Trajectory,
-    dot,
     numbers,
 )
 from .newton import NewtonConfig
@@ -39,7 +40,7 @@ def la_residual(
     terms,
     unknowns: Array,
     keep: Optional[list] = None,
-    with_ld: bool = True,
+    probe: Optional[tuple] = None,
 ) -> list:
     """Forced discrete Euler-Lagrange residual plus discrete constraints, a
     list of Python numbers computed as
@@ -53,20 +54,18 @@ def la_residual(
     ``(t_d, q_d, v)`` of the force ``F^e``, whose quadrature is
     ``h * F^e(t_d, q_d, v)``, in one pass; z is held at zero.  The force is
     taken as the system returns it, a numpy array costing one ``tolist()``.
-    ``keep`` is as for :func:`~nhcontact.contact.contact_residual`, with
-    ``None`` for the discrete Lagrangian, which this residual does not use;
-    so it never evaluates ``L_d``, and ``with_ld`` is there only for the
-    common signature.
+    ``keep`` and ``probe`` are as for
+    :func:`~nhcontact.contact.contact_residual`, with ``None`` for the
+    discrete Lagrangian, which this residual never evaluates.
     """
     n, h = system.dim_q, rule.h
     d2b, _, a_t, forward = terms
-    t_d, q_d, v, d1f, d2f, _, d4f, _, constraint = forward(unknowns[:n], 0.0)
-    force = numbers(system.external_force(t_d, q_d, v))
-    if system.dim_c:
-        lam = unknowns[n:].tolist()
-        lam_rows = [dot(row, lam) for row in a_t]
+    if probe is None:
+        point, lam_rows = unknowns[:n], multiplier_rows(a_t, unknowns[n:].tolist())
     else:
-        lam_rows = [0.0] * n
+        point, lam_rows = probe
+    t_d, q_d, v, d1f, d2f, _, d4f, _, constraint = forward(point, 0.0)
+    force = numbers(system.external_force(t_d, q_d, v))
     momentum = [h * (a + b) + h * f - c for a, b, f, c in zip(d1f, d2b, force, lam_rows)]
     if keep is not None:
         keep[:] = d2f, d4f, None, constraint

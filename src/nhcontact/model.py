@@ -7,12 +7,13 @@ dynamics intrinsically.  Velocity-level constraints are kept in affine form
 ``A(q) qdot + b(q) = 0``; ``b == 0`` recovers the purely linear case.
 
 The discrete Lagrangian of one step is evaluated here, by
-:func:`step_evaluator` alone: it is the only code that turns a
+:func:`step_evaluator`: it is the only code that turns a
 :class:`DiscretizationRule` into sample points, where ``L``, ``A(q)``,
 ``b(q)`` and the external force are sampled and which ``z`` the Lagrangian
-sees.  Made once per step from the step's start, it returns at a candidate
-end point, in one pass, that point, the partials ``D1``-``D4``, ``L_d`` and
-the discrete-constraint rows, each part when asked for.
+sees, with :func:`probe_points`, its batch form for the complex probes of a
+step Jacobian.  Made once per step from the step's start, it returns at a
+candidate end point, in one pass, that point, the partials ``D1``-``D4``,
+``L_d`` and the discrete-constraint rows, each part when asked for.
 :func:`partials_of_Ld`, :func:`evaluate_discrete_lagrangian` and
 :func:`discrete_constraint` are one-line forms over it, for the
 finite-difference partials, the diagnostics and the tests; the integrators
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -278,10 +280,12 @@ class ExperimentSpec:
 # Discrete Lagrangian evaluation
 # ---------------------------------------------------------------------------
 
-def numbers(values) -> list:
+def numbers(values, ndarray=np.ndarray) -> list:
     """A sequence of numbers that a system callable returned, as Python
-    numbers: a numpy array's ``tolist()``, any other sequence as it is."""
-    return values.tolist() if isinstance(values, np.ndarray) else values
+    numbers: a numpy array's ``tolist()``, any other sequence as it is.
+    (``ndarray`` is bound once: the kernel calls this up to five times per
+    evaluation.)"""
+    return values.tolist() if isinstance(values, ndarray) else values
 
 
 def dot(a, b):
@@ -352,7 +356,8 @@ def step_evaluator(
     that returns, in one pass, ``(t_d, q_d, v, D1, D2, D3, D4, L_d,
     constraint)``.
 
-    This is the one place that turns the rule into sample points.
+    This is the one place that turns the rule into sample points, with
+    :func:`probe_points`, its batch form for a step Jacobian's probes.
     ``(t_d, q_d, v)`` is where the rule samples the Lagrangian, the
     constraint and the external force: the left end ``(t, q)`` for the
     left-endpoint and trapezoidal rules (the trapezoid samples ``L``, but
@@ -373,6 +378,12 @@ def step_evaluator(
     taken from ``a_q``, when given as ``A(q)``, where ``q_d`` is ``q``.  The
     partials are not checked for finiteness here: Newton checks every
     residual and Jacobian it is given (:func:`nhcontact.newton.newton_solve`).
+
+    A probe point of :func:`probe_points`, from the same ``q``, may stand
+    in for ``q_next``: the evaluation then takes its end point, difference
+    velocity and sample point as built, and its partials are ``D1`` and
+    ``D3`` alone, ``D2`` being ``None``, as no column of the step Jacobian
+    reads ``D2`` or ``L_d``.
 
     Each system callable is called once per point it is sampled at, the
     Lagrangian after its gradients.  The rule, the z rule and whether
@@ -397,8 +408,12 @@ def step_evaluator(
         a_rows, offset_q = a_q.tolist(), numbers(offset(q))
 
     def evaluate(q_next, z_next, with_ld=False, partials=True, rows=True):
-        v = (q_next - q) / h
-        q_d = 0.5 * (q + q_next) if mid else q
+        probe = q_next.__class__ is tuple
+        if probe:
+            q_next, v, q_d, v_list = q_next
+        else:
+            v = (q_next - q) / h
+            q_d = 0.5 * (q + q_next) if mid else q
         z_d = z if first else 0.5 * (z + z_next)
         d1 = d2 = d3 = d4 = ld = constraint = None
         if partials and gradients is None:
@@ -409,7 +424,8 @@ def step_evaluator(
                 gq1, gv1, gz1 = gradients(t_next, q_next, v, z_d)
                 gv_h = divide([0.5 * (x + y) for x, y in zip(numbers(gv0), numbers(gv1))], h)
                 d1 = [0.5 * x - y for x, y in zip(numbers(gq0), gv_h)]
-                d2 = [0.5 * x + y for x, y in zip(numbers(gq1), gv_h)]
+                if not probe:
+                    d2 = [0.5 * x + y for x, y in zip(numbers(gq1), gv_h)]
                 gz = 0.5 * (gz0 + gz1)
             else:
                 gq, gv, gz = gradients(t_d, q_d, v, z_d)
@@ -417,10 +433,12 @@ def step_evaluator(
                 if mid:
                     half = [0.5 * x for x in numbers(gq)]
                     d1 = [x - y for x, y in zip(half, gv_h)]
-                    d2 = [x + y for x, y in zip(half, gv_h)]
+                    if not probe:
+                        d2 = [x + y for x, y in zip(half, gv_h)]
                 else:
                     d1 = [x - y for x, y in zip(numbers(gq), gv_h)]
-                    d2 = gv_h
+                    if not probe:
+                        d2 = gv_h
             if first:
                 d3, d4 = gz, 0.0
             else:
@@ -434,16 +452,32 @@ def step_evaluator(
                 raise EvaluationError(
                     f"non-finite discrete Lagrangian at t={t}, q={q}, q_next={q_next}, "
                     f"z={z}, z_next={z_next}")
-        if rows and a_rows is not None:
-            constraint = constraint_rows(a_rows, v.tolist(), offset_q)
-        elif rows and m:
-            constraint = constraint_rows(matrix(q_d).tolist(), v.tolist(),
-                                         numbers(offset(q_d)))
-        elif rows:
-            constraint = []
+        if rows:
+            if not probe:
+                v_list = v.tolist()
+            if a_rows is not None:
+                constraint = constraint_rows(a_rows, v_list, offset_q)
+            elif m:
+                constraint = constraint_rows(matrix(q_d).tolist(), v_list, numbers(offset(q_d)))
+            else:
+                constraint = []
         return t_d, q_d, v, d1, d2, d3, d4, ld, constraint
 
     return evaluate
+
+
+def probe_points(rule: DiscretizationRule, q: Array, q_nexts: Array):
+    """The probe points of a step Jacobian's complex probes of the steps
+    from ``q``, one per row of the 2-D complex ``q_nexts``, each ``(q_next,
+    v, q_d, v as a list)``, for :func:`step_evaluator`'s ``evaluate``.
+
+    The difference velocities and sample points of all the probes are built
+    with one numpy operation each, every row bit for bit ``evaluate``'s
+    arithmetic on that row alone.
+    """
+    vs = (q_nexts - q) / rule.h
+    q_ds = 0.5 * (q + q_nexts) if rule.position_rule is _MIDPOINT else repeat(q)
+    return zip(q_nexts, vs, q_ds, vs.tolist())
 
 
 def evaluate_discrete_lagrangian(

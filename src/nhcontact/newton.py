@@ -31,6 +31,7 @@ Newton at seven; Hairer & Wanner, section IV.8).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -93,8 +94,9 @@ def lu_factor(a: Array) -> LUFactors:
     """
     a = np.asarray(a, dtype=float)
     scales = abs(a).max(axis=1, initial=0.0)
+    scale_list = scales.tolist()
     # one pass on Python floats; a NaN fails the comparison too
-    if not all(0.0 < v < math.inf for v in scales.tolist()):
+    if not all(0.0 < v < math.inf for v in scale_list):
         raise SingularJacobian(0.0)
     try:
         inverse = np.linalg.inv(a / scales[:, None])
@@ -103,10 +105,15 @@ def lu_factor(a: Array) -> LUFactors:
     growth = abs(inverse).max(initial=0.0)
     if not growth <= 1.0 / PIVOT_FLOOR:
         raise SingularJacobian(1.0 / growth)
-    # a row scale below about 1e-294 can take an entry past the largest
-    # float, to inf: the solve is then not finite, which the callers catch
-    with np.errstate(over="ignore"):
+    # an entry divided by a row scale below growth / (largest float) can
+    # pass the largest float, to inf: the solve is then not finite, which
+    # the callers catch.  Only then is numpy's overflow warning silenced;
+    # the factor 2 covers the rounding of the bound
+    if growth < 0.5 * min(scale_list, default=math.inf) * sys.float_info.max:
         inverse /= scales
+    else:
+        with np.errstate(over="ignore"):
+            inverse /= scales
     return LUFactors(inverse)
 
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import numpy_oracle
@@ -18,6 +19,7 @@ from nhcontact.contact import (
     initialize_window,
     project_velocity,
     run_contact,
+    seed_residual,
     solve_step,
     step_jacobian,
 )
@@ -155,8 +157,8 @@ def exact_jacobian(residual, system, rule, window, terms, x):
     row from the real evaluation at ``x``, complex probes without ``L_d``."""
     keep = []
     residual(system, rule, window, terms, x, keep)
-    return step_jacobian(lambda u: residual(system, rule, window, terms, u, None, False),
-                         x, terms[2], rule, keep[:2])
+    return step_jacobian(lambda u, probe: residual(system, rule, window, terms, u, None, probe),
+                         x, terms[2], window.q_curr, rule, keep[:2])
 ORACLE_CASES = [(name, position, z_rule)
                 for name in ("pendulum", "disk", "oscillator", "fd-pendulum", "la-pendulum",
                              "la-disk")
@@ -217,10 +219,72 @@ def test_step_jacobian_bit_identical_to_column_loop():
 
     rule = DiscretizationRule(PositionRule.MIDPOINT, ZRule.FIRST_ORDER, 0.1)
     with np.errstate(all="ignore"):
-        jac = step_jacobian(residual, x, a_t, rule)
+        # the residual reads its unknowns alone, not the probe points
+        jac = step_jacobian(lambda u, probe: residual(u), x, a_t, np.zeros(4), rule)
         expected = numpy_oracle.step_jacobian(residual, x, a_t, rule)
     assert not np.all(np.isfinite(jac))
     assert jac.tobytes() == expected.tobytes()
+
+
+def numpy_seed_residual(system, rule, q0, target, with_z, unknowns):
+    """The seed step's residual on numpy arrays, with the oracle's kernel:
+    ``q1 - target - A(q0)^T mu``, ``z1 - h L_d`` when ``with_z``, then the
+    discrete constraint of the step from ``(0, q0, 0)``."""
+    n, m = system.dim_q, system.dim_c
+    q1, mu = unknowns[:n], unknowns[n + with_z:]
+    rows = [q1 - np.array(target)]
+    if m:
+        rows[0] = rows[0] - numpy_oracle.matvec(system.constraint_matrix(q0).T, mu)
+    if with_z:
+        z1 = unknowns[n]
+        ld = numpy_oracle.evaluate_discrete_lagrangian(system, rule, 0.0, q0, q1, 0.0, z1)
+        rows.append([z1 - rule.h * ld])
+    if m:
+        rows.append(numpy_oracle.discrete_constraint(system, rule, q0, q1))
+    return np.concatenate(rows)
+
+
+SEED_CASES = [(name, position, z_rule, with_z)
+              for name in ("pendulum", "disk", "oscillator")
+              for position in PositionRule for z_rule in ZRule for with_z in (True, False)]
+
+
+@pytest.mark.parametrize(
+    "name, position, z_rule, with_z", SEED_CASES,
+    ids=[f"{name}-{RULE_IDS[position]}-{z_rule.value}-{'z' if with_z else 'la'}"
+         for name, position, z_rule, with_z in SEED_CASES])
+def test_seed_jacobian_bit_identical_to_column_loop(name, position, z_rule, with_z):
+    # the seed step's rows go through the same probe path as the implicit
+    # steps': its residual and exact Jacobian against the numpy seed
+    # residual and numpy's column loop, with and without z (the
+    # Lagrange-d'Alembert seed), zero signs included
+    _, system, _, oracle_system, q, h = _oracle_case(name)
+    rule = DiscretizationRule(position, z_rule, h)
+    n, m = system.dim_q, system.dim_c
+    rng = np.random.default_rng(7)
+    q0 = q + 0.05 * rng.normal(size=n)
+    seed = StepState(q_prev=q0, q_curr=q0, z_prev=0.0, z_curr=0.0, t_curr=0.0)
+    terms = contact_window_terms(system, rule, seed, StepCarry(None, [0.0] * n, 0.0, 0.0, []),
+                                 with_z)
+    for _ in range(3):
+        target = (q0 + 0.05 * rng.normal(size=n)).tolist()
+        residual = partial(seed_residual, target, with_z)
+        x = np.concatenate([np.array(target) + 0.01 * rng.normal(size=n),
+                            rng.normal(size=int(with_z) + m)])
+
+        def oracle(u):
+            return numpy_seed_residual(oracle_system, rule, q0, target, with_z, u)
+
+        for unknowns in [x] + [x + 1j * COMPLEX_STEP * e for e in np.eye(len(x))]:
+            assert _same_bytes(residual(system, rule, seed, terms, unknowns), oracle(unknowns))
+        action = None
+        if with_z:
+            _, d2, _, d4 = numpy_oracle.partials_of_Ld(oracle_system, rule, 0.0, q0, x[:n], 0.0,
+                                                       x[n])
+            action = d2, d4
+        expected = numpy_oracle.step_jacobian(oracle, x, terms[2], rule, action)
+        assert exact_jacobian(residual, system, rule, seed, terms, x).tobytes() \
+            == expected.tobytes()
 
 
 def _array_twin(name):
@@ -308,9 +372,10 @@ def test_sequence_returns_bit_identical_to_array_returns(name, position, z_rule)
     ("foucault-1", {"lagrangian_gradients": 2, "lagrangian": 2}, False),
 ], ids=["disk-2.3", "foucault-1"])
 def test_residual_calls_each_system_callable_once_per_point(eid, counts, shared):
-    # a real evaluation calls each callable once per point; a complex probe
-    # of the step Jacobian, which takes its action row in closed form, makes
-    # no lagrangian call
+    # a real evaluation calls each callable once per point; so does each
+    # complex probe of a whole step Jacobian, which takes its action row in
+    # closed form: it makes no lagrangian call and asks the evaluator for
+    # neither D2 nor L_d
     spec = get_experiment(eid)
     system = build_contact_system(spec)
     calls = {}
@@ -321,6 +386,13 @@ def test_residual_calls_each_system_callable_once_per_point(eid, counts, shared)
             return f(*args)
         return wrapped
 
+    def check_points():
+        if shared:
+            points = [args[1] for args in calls["lagrangian_gradients"]
+                      + calls.get("lagrangian", [])]
+            points += [args[0] for args in calls["constraint_matrix"] + calls["constraint_offset"]]
+            assert all(point is points[0] for point in points)
+
     system = replace(system, **{name: counting(name, getattr(system, name))
                                 for name in ("lagrangian_gradients", "lagrangian",
                                              "constraint_matrix", "constraint_offset")})
@@ -328,18 +400,29 @@ def test_residual_calls_each_system_callable_once_per_point(eid, counts, shared)
     terms = contact_window_terms(system, spec.rule, window, carry)
     x = np.concatenate([2.0 * window.q_curr - window.q_prev, [window.z_curr],
                         np.zeros(system.dim_c)])
-    probe_counts = {name: k for name, k in counts.items() if name != "lagrangian"}
-    for unknowns, with_ld, expected in ((x, True, counts),
-                                        (x + 1j * COMPLEX_STEP * np.eye(len(x))[0], False,
-                                         probe_counts)):
+    calls.clear()
+    keep = []
+    contact_residual(system, spec.rule, window, terms, x, keep)
+    assert {name: len(args) for name, args in calls.items()} == counts
+    check_points()
+
+    forward, probes = terms[3], []
+
+    def evaluate(*args, **kwargs):
         calls.clear()
-        contact_residual(system, spec.rule, window, terms, unknowns, None, with_ld)
-        assert {name: len(args) for name, args in calls.items()} == expected
-        if shared:
-            points = [args[1] for args in calls["lagrangian_gradients"]
-                      + calls.get("lagrangian", [])]
-            points += [args[0] for args in calls["constraint_matrix"] + calls["constraint_offset"]]
-            assert all(point is points[0] for point in points)
+        parts = forward(*args, **kwargs)
+        assert parts[4] is None and parts[7] is None  # neither D2 nor L_d
+        probes.append({name: len(args) for name, args in calls.items()})
+        check_points()
+        return parts
+
+    terms = terms[:3] + (evaluate,)
+    step_jacobian(lambda u, probe: contact_residual(system, spec.rule, window, terms, u, None,
+                                                    probe),
+                  x, terms[2], window.q_curr, spec.rule, keep[:2])
+    probe_counts = {name: k for name, k in counts.items() if name != "lagrangian"}
+    columns = system.dim_q + (spec.rule.z_rule is ZRule.SECOND_ORDER)
+    assert probes == [probe_counts] * columns
 
 
 def contact_step(system, rule, window, lam, carry, solver, start=None):
@@ -351,17 +434,24 @@ def contact_step(system, rule, window, lam, carry, solver, start=None):
 
 def count_calls(monkeypatch, calls):
     """Count into ``calls`` the step residuals and the partials evaluations:
-    each evaluation of a ``step_evaluator`` that asks for partials, the
-    residual's and the seed step's real ones; complex Jacobian probes of the
-    seed step ask for none."""
+    each evaluation of a ``step_evaluator`` that returns partials, the
+    residual's and the seed step's real ones and the probes of the implicit
+    steps' Jacobians; complex Jacobian probes of the seed step ask for none."""
     def counting(name, f):
         def wrapped(*args, **kwargs):
-            calls[name] += kwargs.get("partials", True)
+            calls[name] += 1
             return f(*args, **kwargs)
         return wrapped
 
     def evaluator(*args):
-        return counting("partials", step_evaluator(*args))
+        forward = step_evaluator(*args)
+
+        def evaluate(*args, **kwargs):
+            parts = forward(*args, **kwargs)
+            calls["partials"] += parts[5] is not None
+            return parts
+
+        return evaluate
 
     monkeypatch.setattr(nhcontact.contact, "step_evaluator", evaluator)
     monkeypatch.setattr(nhcontact.contact, "contact_residual",
@@ -932,8 +1022,8 @@ def test_jacobian_action_row_comes_from_its_own_point(monkeypatch):
     # from that point's own real evaluation, not from the last one
     evaluated, last = {}, []
 
-    def recording(system, rule, window, terms, unknowns, keep=None, with_ld=True):
-        values = contact_residual(system, rule, window, terms, unknowns, keep, with_ld)
+    def recording(system, rule, window, terms, unknowns, keep=None, probe=None):
+        values = contact_residual(system, rule, window, terms, unknowns, keep, probe)
         if keep is not None:
             evaluated[unknowns.tobytes()] = tuple(keep[:2])
             last[:] = [unknowns.tobytes()]
@@ -941,13 +1031,13 @@ def test_jacobian_action_row_comes_from_its_own_point(monkeypatch):
 
     builds = []
 
-    def checking(residual, x, a_t, rule, action=None):
+    def checking(residual, x, a_t, q, rule, action=None):
         # the builds before the first contact_residual evaluation are the
         # seed step's, whose residual is its own
         if last:
             builds.append(x.tobytes() != last[0])
             assert action == evaluated[x.tobytes()]
-        return step_jacobian(residual, x, a_t, rule, action)
+        return step_jacobian(residual, x, a_t, q, rule, action)
 
     monkeypatch.setattr(nhcontact.contact, "contact_residual", recording)
     monkeypatch.setattr(nhcontact.contact, "step_jacobian", checking)
