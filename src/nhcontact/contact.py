@@ -120,6 +120,7 @@ from .model import (
     divide,
     dot,
     initial_acceleration,
+    numbers,
     probe_points,
     project_velocity,
     step_evaluator,
@@ -162,7 +163,9 @@ def contact_window_terms(
 ):
     """Residual terms fixed by the window for the whole step:
     ``(D2 L_d(bwd), 1 - h D4 L_d(bwd), A(q_j)^T, forward)``, ``A(q_j)^T``
-    as a list of its ``n`` rows of Python numbers.
+    as a list of its ``n`` rows of Python numbers, tuples built from the
+    rows of ``A(q_j)`` as the system returns them
+    (:func:`~nhcontact.model.numbers`), empty at ``m = 0``.
 
     ``forward`` is the :func:`~nhcontact.model.step_evaluator` of the
     window's forward steps, from ``(t_j, q_j, z_j)``, z held at zero unless
@@ -184,9 +187,11 @@ def contact_window_terms(
         raise SolverFailure(
             f"1 - h*D4 = {denom:.3e} at t={w.t_curr}: implicit z-coupling degenerate"
         )
-    a = system.constraint_matrix(w.q_curr)
+    a = numbers(system.constraint_matrix(w.q_curr))
     forward = step_evaluator(system, rule, w.t_curr, w.q_curr, w.z_curr if with_z else 0.0, a)
-    return d2b, denom, a.T.tolist(), forward
+    # the columns of the rows a; zip(*a) would lose all n of them at m = 0
+    a_t = list(zip(*a)) if system.dim_c else [()] * system.dim_q
+    return d2b, denom, a_t, forward
 
 
 def multiplier_rows(a_t: list, lam: list) -> list:

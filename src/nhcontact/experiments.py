@@ -97,12 +97,12 @@ def _disk_entry(alpha, q0, v0, forcing=None, t_final=20.0) -> ExperimentSpec:
     )
 
 
-def _rolling_force(t: float) -> Array:
-    return np.array([0.0, 0.0, 0.0, 0.0, 0.5])
+def _rolling_force(t: float) -> tuple:
+    return 0.0, 0.0, 0.0, 0.0, 0.5  # a constant: the same tuple every call
 
 
-def _ramp_force(t: float) -> Array:
-    return np.array([0.0, 0.0, 0.0, t / 16.0, t / 16.0])
+def _ramp_force(t: float) -> tuple:
+    return 0.0, 0.0, 0.0, t / 16.0, t / 16.0
 
 
 def _build_catalog() -> dict:
@@ -174,9 +174,9 @@ def _foucault_params(spec: ExperimentSpec) -> FoucaultParams:
 
 def _disk_params(spec: ExperimentSpec) -> DiskParams:
     p = spec.parameters
-    forcing = spec.forcing if spec.forcing is not None else (lambda t: np.zeros(5))
+    forcing = {} if spec.forcing is None else {"forcing": spec.forcing}
     return DiskParams(m=p["m"], R=p["R"], I_A=p["I_A"], I_T=p["I_T"],
-                      g=p["g"], alpha=spec.alpha, forcing=forcing)
+                      g=p["g"], alpha=spec.alpha, **forcing)
 
 
 def build_contact_system(spec: ExperimentSpec):

@@ -18,9 +18,9 @@ candidate end point, in one pass, that point, the partials ``D1``-``D4``,
 :func:`discrete_constraint` are one-line forms over it, for the
 finite-difference partials, the diagnostics and the tests; the integrators
 call the evaluator itself.  A system callable may
-return its numbers as any sequence (:class:`ContactSystem`): the kernel
-takes a list or tuple as it is and turns only a numpy array into a list
-(:func:`numbers`).
+return its numbers, and ``A(q)`` its rows of numbers, as any sequence
+(:class:`ContactSystem`): the kernel takes a list or tuple as it is and
+turns only a numpy array into a list (:func:`numbers`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -85,8 +85,8 @@ def complex_step(f: Callable, x, direction) -> Array:
     return np.imag(f(x + 1j * COMPLEX_STEP * direction)) / COMPLEX_STEP
 
 
-def _zero_offset(q: Array) -> Array:
-    return np.zeros(0)
+def _zero_offset(q: Array) -> tuple:
+    return ()
 
 
 def _zero_force(t: float, q: Array, qdot: Array) -> Array:
@@ -105,10 +105,11 @@ class ContactSystem:
     lagrangian:
         ``(t, q, qdot, z) -> float``.
     constraint_matrix:
-        ``q -> (dim_c, dim_q)`` numpy array; rows are the constraint
-        covectors.
+        ``q -> A(q)``, its ``dim_c`` rows of ``dim_q`` numbers each, the
+        constraint covectors: a 2-D numpy array or any sequence of rows.
     constraint_offset:
-        ``q -> dim_c`` numbers, the affine part ``b(q)``.  Defaults to zero.
+        ``q -> dim_c`` numbers, the affine part ``b(q)``.  Defaults to zero,
+        one constant tuple per system.
     external_force:
         ``(t, q, qdot) -> dim_q`` numbers, the covector used by the forced
         (Lagrange-d'Alembert) formulation.  The seed of either integrator
@@ -129,22 +130,24 @@ class ContactSystem:
         imaginary part is never dropped.
 
     The callables receive ``q`` and ``qdot`` as numpy arrays, real or
-    complex.  ``constraint_matrix`` returns a 2-D numpy array, whose rows
-    the kernel takes with one ``tolist()``.  Where numbers are asked for,
-    any sequence of them will do: a list, a tuple or a numpy array.  The
-    step kernel computes on Python numbers, so a list or tuple is taken as
-    it is and only an array costs a ``tolist()``.  numpy
-    arithmetic on the arguments is complex-safe as written.  At a few
-    coordinates it is faster on Python numbers: take ``q.tolist()`` and
-    compute with :mod:`math`, switching to :mod:`cmath` for a complex
-    argument (``math`` rejects one), and return lists, as the built-in
-    systems do (:mod:`nhcontact.systems`).
+    complex.  Where numbers, or rows of numbers, are asked for, any
+    sequence of them will do: a list, a tuple or a numpy array.  The step
+    kernel computes on Python numbers, so a list or tuple is taken as it is
+    and only an array costs a ``tolist()`` (:func:`numbers`).  Rows of
+    Python numbers should hold one number type each call, as a numpy array
+    would: all complex for a complex argument, so that no product in the
+    kernel multiplies a float by a complex, whose rounding Python 3.14
+    changed.  numpy arithmetic on the arguments is complex-safe as written.
+    At a few coordinates it is faster on Python numbers: take
+    ``q.tolist()`` and compute with :mod:`math`, switching to :mod:`cmath`
+    for a complex argument (``math`` rejects one), and return lists, as the
+    built-in systems do (:mod:`nhcontact.systems`).
     """
 
     dim_q: int
     dim_c: int
     lagrangian: Callable[[float, Array, Array, float], float]
-    constraint_matrix: Callable[[Array], Array]
+    constraint_matrix: Callable[[Array], Sequence]
     constraint_offset: Callable[[Array], Array] = _zero_offset
     external_force: Callable[[float, Array, Array], Array] = _zero_force
     energy: Callable[[Array, Array], float] = lambda q, qdot: 0.0
@@ -152,8 +155,8 @@ class ContactSystem:
 
     def __post_init__(self) -> None:
         if self.constraint_offset is _zero_offset and self.dim_c:
-            m = self.dim_c
-            object.__setattr__(self, "constraint_offset", lambda q: np.zeros(m))
+            zeros = (0.0,) * self.dim_c
+            object.__setattr__(self, "constraint_offset", lambda q: zeros)
 
 
 class PositionRule(Enum):
@@ -259,7 +262,7 @@ class ExperimentSpec:
     system_id: str                # "foucault" or "falling-disk"
     parameters: dict
     alpha: float
-    forcing: Optional[Callable[[float], Array]]
+    forcing: Optional[Callable[[float], Sequence]]  # t -> 5 numbers, the disk's F(t)
     q0: Array
     v0: Array
     t_final: float
@@ -281,8 +284,9 @@ class ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 def numbers(values, ndarray=np.ndarray) -> list:
-    """A sequence of numbers that a system callable returned, as Python
-    numbers: a numpy array's ``tolist()``, any other sequence as it is.
+    """A sequence of numbers, or of rows of numbers, that a system callable
+    returned, as Python numbers: a numpy array's ``tolist()``, any other
+    sequence as it is.
     (``ndarray`` is bound once: the kernel calls this up to five times per
     evaluation.)"""
     return values.tolist() if isinstance(values, ndarray) else values
@@ -349,7 +353,7 @@ def step_evaluator(
     t: float,
     q: Array,
     z: float,
-    a_q: Optional[Array] = None,
+    a_q: Optional[list] = None,
 ) -> Callable:
     """The discrete Lagrangian of the steps from ``(t, q, z)``, as a function
     ``evaluate(q_next, z_next, with_ld=False, partials=True, rows=True)``
@@ -375,7 +379,8 @@ def step_evaluator(
     a non-finite one raises :class:`EvaluationError`.  ``constraint``
     (``rows``) is the discrete-constraint rows ``A(q_d) v + b(q_d)``
     (:func:`constraint_rows`), a list, ``[]`` without constraints; ``A`` is
-    taken from ``a_q``, when given as ``A(q)``, where ``q_d`` is ``q``.  The
+    taken from ``a_q``, when given as the rows of ``A(q)`` as Python
+    numbers, where ``q_d`` is ``q``.  The
     partials are not checked for finiteness here: Newton checks every
     residual and Jacobian it is given (:func:`nhcontact.newton.newton_solve`).
 
@@ -390,9 +395,9 @@ def step_evaluator(
     gradients are registered are read here, once for all the evaluations,
     which only test the resulting flags.  The partials combine the
     gradients on Python numbers, each operation rounded as numpy's on the
-    same gradient arrays.  The gradients and the offset are taken as the
-    system returns them, a numpy array costing one ``tolist()``
-    (:func:`numbers`).
+    same gradient arrays.  The gradients, ``A(q_d)`` and the offset are
+    taken as the system returns them, a numpy array costing one
+    ``tolist()`` (:func:`numbers`).
     """
     h = rule.h
     mid = rule.position_rule is _MIDPOINT
@@ -405,7 +410,7 @@ def step_evaluator(
     matrix, offset = system.constraint_matrix, system.constraint_offset
     a_rows = None
     if a_q is not None and m and not mid:
-        a_rows, offset_q = a_q.tolist(), numbers(offset(q))
+        a_rows, offset_q = a_q, numbers(offset(q))
 
     def evaluate(q_next, z_next, with_ld=False, partials=True, rows=True):
         probe = q_next.__class__ is tuple
@@ -458,7 +463,7 @@ def step_evaluator(
             if a_rows is not None:
                 constraint = constraint_rows(a_rows, v_list, offset_q)
             elif m:
-                constraint = constraint_rows(matrix(q_d).tolist(), v_list, numbers(offset(q_d)))
+                constraint = constraint_rows(numbers(matrix(q_d)), v_list, numbers(offset(q_d)))
             else:
                 constraint = []
         return t_d, q_d, v, d1, d2, d3, d4, ld, constraint
@@ -596,9 +601,13 @@ def initial_acceleration(
     rhs = (np.asarray(gq, dtype=float) + gz * np.asarray(gv, dtype=float) - pdot
            + np.asarray(system.external_force(0.0, q0, v0), dtype=float))
 
-    a0 = system.constraint_matrix(q0)
-    drift = derivative(lambda x: system.constraint_matrix(x) @ v0
-                       + np.asarray(system.constraint_offset(x)), q0, v0)
+    def matrix(q):
+        # (m, n) also for m = 0, whose rows may be []
+        return np.asarray(system.constraint_matrix(q)).reshape(m, n)
+
+    a0 = matrix(q0)
+    drift = derivative(lambda x: matrix(x) @ v0 + np.asarray(system.constraint_offset(x)),
+                       q0, v0)
     kkt = np.zeros((n + m, n + m))
     kkt[:n, :n] = mass
     kkt[:n, n:] = -a0.T
@@ -618,6 +627,6 @@ def project_velocity(system: ContactSystem, q: Array, v: Array) -> Array:
     """
     if system.dim_c == 0:
         return np.array(v, dtype=float)
-    a = system.constraint_matrix(q)
+    a = np.asarray(system.constraint_matrix(q))
     defect = a @ v + system.constraint_offset(q)
     return v - least_squares(a, defect)

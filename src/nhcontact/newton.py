@@ -209,7 +209,7 @@ def newton_solve(
             else:
                 jac = (fd_jacobian(residual, x) if build_jacobian is None
                        else build_jacobian(x))
-                if not np.all(np.isfinite(jac)):
+                if not np.isfinite(jac).all():
                     raise EvaluationError(
                         f"Jacobian is not finite at Newton iteration {iteration}")
                 jacobian = lu_factor(jac)

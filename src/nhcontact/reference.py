@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -225,7 +225,7 @@ class ContinuousConstrainedSystem:
     dim_q: int
     dim_c: int
     residual: Callable[[float, Array, Array], Array]
-    constraint_matrix: Callable[[Array], Array]
+    constraint_matrix: Callable[[Array], Sequence]
 
 
 def make_continuous_system(system: ContactSystem) -> ContinuousConstrainedSystem:
@@ -260,7 +260,7 @@ def make_continuous_system(system: ContactSystem) -> ContinuousConstrainedSystem
         momentum = [rate - dq - dv * gz
                     for rate, dq, dv in zip(p_rate, numbers(gq), numbers(gv))]
         if m:
-            a_q = system.constraint_matrix(q).tolist()
+            a_q = numbers(system.constraint_matrix(q))
             lam = values[2 * n + 1:]
             momentum = [p - dot(column, lam) for p, column in zip(momentum, zip(*a_q))]
         r = [qd - vi for qd, vi in zip(rates[:n], velocity)] + momentum
@@ -367,7 +367,7 @@ def implicit_dae_integrate(
             shifted[i] += e
             jac[:, i] = (np.asarray(evaluate(shifted), dtype=float) - fx) / e
         if probed < size:
-            jac[n:2 * n, probed:] = -system.constraint_matrix(u[:n]).T
+            jac[n:2 * n, probed:] = -np.asarray(system.constraint_matrix(u[:n])).T
         return jac
 
     jacobian = None

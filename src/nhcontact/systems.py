@@ -18,13 +18,18 @@ the product ``(x * x)``, correctly rounded, and for a complex number the
 product numpy's complex square takes; ``x ** 2`` on a float calls libm's
 ``pow``, which can round otherwise.
 
-The Foucault gradients, constraint offset and external force and the disk
-gradients return lists of Python numbers, which the step kernel takes as
-they are; the :class:`~nhcontact.model.ContactSystem` contract accepts any
-sequence of numbers there.  The constraint matrices stay numpy arrays, as
-the contract asks, and every callable still receives numpy arrays.  The
-pendulum's reference right-hand side and multiplier compute on Python
-floats too; the right-hand side returns a numpy array, as RKF45 and
+The Foucault and disk gradients and constraint matrices, and the
+Foucault constraint offset and external force, return lists of Python
+numbers, which the step kernel takes as they are; the
+:class:`~nhcontact.model.ContactSystem` contract accepts any sequence of
+numbers, or of rows of numbers, there.  Each disk row holds one number type
+per call, as numpy's upcast gave: for a complex argument its constant
+entries are ``1+0j`` and ``0j``.  The disk's zero offset is the contract's
+constant default and its zero forcing a constant tuple; the disk callables
+take ``F(t)`` as any sequence of 5 numbers and compute the parameter
+products they need once per system.  Every callable still receives numpy
+arrays.  The pendulum's reference right-hand side and multiplier compute on
+Python floats too; the right-hand side returns a numpy array, as RKF45 and
 scipy's solvers take it.  The damped oscillator stays on numpy arrays
 throughout, the in-package example of array returns.
 """
@@ -34,7 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,8 +51,8 @@ EARTH_ROTATION_RATE = 7.2921159e-5
 GRAVITY = 9.81
 
 
-def _zeros5(t: float) -> Array:
-    return np.zeros(5)
+def _zeros5(t: float) -> tuple:
+    return 0.0, 0.0, 0.0, 0.0, 0.0  # a constant: the same tuple every call
 
 
 def _nan(x):
@@ -153,7 +158,7 @@ def foucault_system(params: FoucaultParams, formulation: str = "herglotz") -> Co
 
     def constraint_matrix(q):
         x, y = q.tolist()
-        return np.array([[-y, x]])
+        return [[-y, x]]
 
     def constraint_offset(q):
         x, y = q.tolist()
@@ -236,7 +241,8 @@ class DiskParams:
     I_T: Optional[float] = None   # transverse moment; default m R^2 / 4
     g: float = GRAVITY
     alpha: float = 0.0
-    forcing: Callable[[float], Array] = _zeros5
+    #: ``t -> F(t)``, the generalized force, any sequence of 5 numbers
+    forcing: Callable[[float], Sequence] = _zeros5
 
     def __post_init__(self) -> None:
         if self.m <= 0 or self.R <= 0:
@@ -247,21 +253,28 @@ class DiskParams:
             object.__setattr__(self, "I_T", 0.25 * self.m * self.R ** 2)
 
 
-def _kinetic_energy(params: DiskParams, s, c, qdot: list):
-    """Disk kinetic energy from the sine ``s`` and cosine ``c`` of the tilt
-    and the rates ``qdot``, Python numbers."""
-    m, R, I_A, I_T = params.m, params.R, params.I_A, params.I_T
+def _kinetic_constants(params: DiskParams) -> tuple:
+    """``(0.5 m, R^2, I_A, I_T)`` for :func:`_kinetic_energy`, each product
+    the first operation of the expression it stands in."""
+    return 0.5 * params.m, params.R ** 2, params.I_A, params.I_T
+
+
+def _kinetic_energy(constants: tuple, s, c, qdot: list):
+    """Disk kinetic energy from its :func:`_kinetic_constants`, the sine
+    ``s`` and cosine ``c`` of the tilt and the rates ``qdot``, Python
+    numbers."""
+    half_m, R2, I_A, I_T = constants
     dX, dY, dtheta, dphi, dpsi = qdot
     spin = dpsi - dphi * s
     return (
-        0.5 * m * ((dX * dX) + (dY * dY) + R ** 2 * (s * s) * (dtheta * dtheta))
+        half_m * ((dX * dX) + (dY * dY) + R2 * (s * s) * (dtheta * dtheta))
         + 0.5 * (I_A * (spin * spin) + I_T * ((dtheta * dtheta) + (dphi * dphi) * (c * c)))
     )
 
 
 def disk_kinetic_energy(params: DiskParams, q: Array, qdot: Array) -> float:
     sin, cos = _trig(q[2])
-    return _kinetic_energy(params, sin(q[2]), cos(q[2]), list(qdot))
+    return _kinetic_energy(_kinetic_constants(params), sin(q[2]), cos(q[2]), list(qdot))
 
 
 def disk_system(params: DiskParams) -> ContactSystem:
@@ -273,6 +286,10 @@ def disk_system(params: DiskParams) -> ContactSystem:
     m, R, I_A, I_T, g, alpha = (float(v) for v in (params.m, params.R, params.I_A,
                                                    params.I_T, params.g, params.alpha))
     forcing = params.forcing
+    kinetic = _kinetic_constants(params)
+    # products that come first in the expressions below, so hoisting them
+    # changes no rounding
+    mR2, mgR = m * R ** 2, m * g * R
 
     def lagrangian(t, q, qdot, z):
         q = q.tolist()
@@ -280,10 +297,10 @@ def disk_system(params: DiskParams) -> ContactSystem:
         sin, cos = _trig(theta)
         c = cos(theta)
         return (
-            _kinetic_energy(params, sin(theta), c, qdot.tolist())
-            - m * g * R * c
+            _kinetic_energy(kinetic, sin(theta), c, qdot.tolist())
+            - mgR * c
             - alpha * z
-            + dot(forcing(t).tolist(), q)
+            + dot(numbers(forcing(t)), q)
         )
 
     def gradients(t, q, qdot, z):
@@ -295,17 +312,17 @@ def disk_system(params: DiskParams) -> ContactSystem:
         spin = dpsi - dphi * s
         # F(t) + 0, complex when q or qdot is, as numpy's F + zeros_like(q + qdot)
         zero = 0j if isinstance(theta, complex) or isinstance(dX, complex) else 0.0
-        gq = [f + zero for f in forcing(t).tolist()]
+        gq = [f + zero for f in numbers(forcing(t))]
         gq[2] += (
-            m * R ** 2 * s * c * (dtheta * dtheta)
+            mR2 * s * c * (dtheta * dtheta)
             - I_A * spin * dphi * c
             - I_T * (dphi * dphi) * c * s
-            + m * g * R * s
+            + mgR * s
         )
         gv = [
             m * dX,
             m * dY,
-            (m * R ** 2 * (s * s) + I_T) * dtheta,
+            (mR2 * (s * s) + I_T) * dtheta,
             -I_A * spin * s + I_T * dphi * (c * c),
             I_A * spin,
         ]
@@ -317,16 +334,18 @@ def disk_system(params: DiskParams) -> ContactSystem:
         st, ct = sin(theta), cos(theta)
         sin, cos = _trig(phi)
         sp, cp = sin(phi), cos(phi)
-        return np.array([
-            [1.0, 0.0, R * ct * sp, R * st * cp, -R * cp],
-            [0.0, 1.0, -R * ct * cp, R * st * sp, -R * sp],
-        ])
+        # one number type per call, as numpy's upcast of the rows gave
+        one, zero = (1 + 0j, 0j) if isinstance(theta, complex) else (1.0, 0.0)
+        return [
+            [one, zero, R * ct * sp, R * st * cp, -R * cp],
+            [zero, one, -R * ct * cp, R * st * sp, -R * sp],
+        ]
 
     def energy(q, qdot):
         theta = q[2].item()
         sin, cos = _trig(theta)
         c = cos(theta)
-        return _kinetic_energy(params, sin(theta), c, qdot.tolist()) + m * g * R * c
+        return _kinetic_energy(kinetic, sin(theta), c, qdot.tolist()) + mgR * c
 
     return ContactSystem(
         dim_q=5,

@@ -509,10 +509,10 @@ def continuous_residual(system: ContactSystem):
         r[:n] = qd - v
         r[n:2 * n] = p_rate - gq - gv * gz
         if m:
-            r[n:2 * n] -= system.constraint_matrix(q).T @ lam
+            r[n:2 * n] -= np.asarray(system.constraint_matrix(q)).T @ lam
         r[2 * n] = ydot[2 * n] - system.lagrangian(t, q, v, z)
         if m:
-            r[2 * n + 1:] = system.constraint_matrix(q) @ v + system.constraint_offset(q)
+            r[2 * n + 1:] = np.asarray(system.constraint_matrix(q)) @ v + system.constraint_offset(q)
         return r
 
     return residual

@@ -234,7 +234,7 @@ def numpy_seed_residual(system, rule, q0, target, with_z, unknowns):
     q1, mu = unknowns[:n], unknowns[n + with_z:]
     rows = [q1 - np.array(target)]
     if m:
-        rows[0] = rows[0] - numpy_oracle.matvec(system.constraint_matrix(q0).T, mu)
+        rows[0] = rows[0] - numpy_oracle.matvec(np.asarray(system.constraint_matrix(q0)).T, mu)
     if with_z:
         z1 = unknowns[n]
         ld = numpy_oracle.evaluate_discrete_lagrangian(system, rule, 0.0, q0, q1, 0.0, z1)
@@ -687,7 +687,7 @@ def test_seed_step_solves_projection_and_z_update(case, position, z_rule):
         assert z1 == 0.0
     v = project_velocity(system, q0, v0)
     target = q0 + h * v + 0.5 * h ** 2 * initial_acceleration(system, q0, v)[0]
-    a_t = system.constraint_matrix(q0).T
+    a_t = np.asarray(system.constraint_matrix(q0)).T
     shift = q1 - target
     if system.dim_c:
         shift = shift - a_t @ np.linalg.lstsq(a_t, shift, rcond=None)[0]
@@ -988,7 +988,7 @@ def test_step_jacobian_matches_central_difference(case, position, z_rule):
     assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
     n, m = system.dim_q, system.dim_c
     # the multiplier columns are -A(q_j)^T, exactly
-    a_t = system.constraint_matrix(window.q_curr).T
+    a_t = np.asarray(system.constraint_matrix(window.q_curr)).T
     assert np.array_equal(exact[:, len(x) - m:],
                           np.vstack([-a_t, np.zeros((len(x) - n, m))]))
     if case != "foucault-la" and z_rule is ZRule.FIRST_ORDER:

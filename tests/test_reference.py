@@ -328,7 +328,7 @@ def test_bdf2_jacobian_matches_central_difference(eid, monkeypatch):
     fd = central_difference(lambda v: np.asarray(residual(v), dtype=float), u)
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
     closed = np.zeros((len(u), m))
-    closed[n:2 * n] = -continuous.constraint_matrix(u[:n]).T
+    closed[n:2 * n] = -np.asarray(continuous.constraint_matrix(u[:n])).T
     assert np.array_equal(jac[:, 2 * n + 1:], closed)
 
 

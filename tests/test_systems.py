@@ -178,6 +178,14 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _python_numbers(value) -> bool:
+    """Whether ``value`` is a Python number or a sequence of them, nested
+    to any depth, with no numpy array or numpy scalar anywhere."""
+    if isinstance(value, (list, tuple)):
+        return all(_python_numbers(v) for v in value)
+    return isinstance(value, (float, complex, int))
+
+
 # the forced disks: a constant torque (1.1) and a ramp in t (3.2)
 @pytest.mark.parametrize("name", ["foucault", "foucault-la", "disk-1.1", "disk-2.3",
                                   "disk-3.2"])
@@ -187,6 +195,9 @@ def test_callables_bit_identical_to_numpy_oracle(name):
     # included
     system, oracle = _system_pair(name)
     n = system.dim_q
+    disk = name.startswith("disk")
+    # _zeros5 (disk-2.3), the constant torque and the ramp
+    forcing = _disk_params(get_experiment(name)).forcing if disk else None
     rng = np.random.default_rng(9)
     # many real draws: a square written as x ** 2 on one side only (pow,
     # which can round otherwise than x * x, on about 1 float in 1,100 on
@@ -210,6 +221,19 @@ def test_callables_bit_identical_to_numpy_oracle(name):
             assert _same_bits(system.constraint_offset(qq), oracle.constraint_offset(qq))
             assert _same_bits(system.external_force(t, qq, vv), oracle.external_force(t, qq, vv))
             assert _same_bits(system.energy(qq, vv), oracle.energy(qq, vv))
+            # Python numbers throughout, which the kernel takes as they are:
+            # no numpy array is built per call
+            matrix = system.constraint_matrix(qq)
+            assert _python_numbers(got) and _python_numbers(matrix)
+            assert _python_numbers(system.constraint_offset(qq))
+            if disk:
+                assert _python_numbers(forcing(t))
+                # each row of one number type, as numpy's upcast gave: so the
+                # kernel never multiplies a float by a complex
+                kind = complex if qq.dtype == complex else float
+                assert all(type(x) is kind for row in matrix for x in row)
+            elif name == "foucault-la":
+                assert _python_numbers(system.external_force(t, qq, vv))
 
 
 def test_squares_are_correctly_rounded():
