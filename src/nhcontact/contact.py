@@ -43,26 +43,26 @@ The products with the constraint matrix, ``A(q_j)^T lambda``
 for bit the column-by-column numpy loop: each probe row of the batched
 numpy arithmetic rounds as that loop's single vector does.
 
-Newton starts from one of three predictions.  The linear start, which
-:func:`solve_step` builds, extrapolates q linearly, advances z by the
-previous window's discrete Lagrangian and carries the multipliers forward.
-The quadratic and cubic starts, which :func:`run_steps` builds from the rows
-of the trajectory it fills, extrapolate q and z through the last three and
-four points and the multipliers through the last two and three.  After each
-accepted step the driver checks which start came closest to the new q, in
-the inf-norm, and starts the next step from that one; it uses the linear
-start until that check has been made once.  The cubic enters the check only
-after a step that Newton resolved within two corrections.  Where the steps
-are resolved it predicts best and saves corrections (``foucault-1``: 1.99
-Newton iterations per step from the quadratic start, 1.33 with the cubic);
-where they are not, as on ``disk-2.3`` near t = 58 s, whose heading turns by
-5 rad a step, a cubic start that predicted the last step best can still
-lead Newton to its iteration cap.  Extrapolated starts are
-standard for implicit steppers (Radau5 starts from its collocation
-polynomial; Hairer & Wanner, *Solving ODEs II*, section IV.8).  An
-extrapolated start can put Newton in reach of another root, or none, where
-the linear one resolves the step, so a step whose Newton fails from it is
-solved again from the linear start.
+Newton starts from one of three predictions, which :func:`run_steps` builds
+from the q, z and multiplier histories it keeps.  The linear start
+extrapolates q linearly, advances z by the previous window's discrete
+Lagrangian and carries the multipliers forward.  The quadratic and cubic
+starts extrapolate q and z through the last three and four points and the
+multipliers through the last two and three.  After each accepted step the
+driver checks which start came closest to the new q, in the inf-norm, and
+starts the next step from that one; it uses the linear start until that
+check has been made once.  The cubic enters the check only after a step that
+Newton resolved within two corrections.  Where the steps are resolved it
+predicts best and saves corrections (``foucault-1``: 1.99 Newton iterations
+per step from the quadratic start, 1.33 with the cubic); where they are not,
+as on ``disk-2.3`` near t = 58 s, whose heading turns by 5 rad a step, a
+cubic start that predicted the last step best can still lead Newton to its
+iteration cap.  Extrapolated starts are standard for implicit steppers
+(Radau5 starts from its collocation polynomial; Hairer & Wanner, *Solving
+ODEs II*, section IV.8).  An extrapolated start can put Newton in reach of
+another root, or none, where the linear one resolves the step, so the driver
+hands :func:`solve_step` the linear start after it, which Newton tries if it
+fails from the first.
 
 Every step after the first hands Newton the previous step's factors, so
 Newton applies at least one correction before it accepts, even to a start
@@ -75,18 +75,19 @@ starts let round-off grow: the upright rolling ``disk-1.1`` then tilts by
 about 1e-9 instead of staying below 1e-20.
 
 Consecutive steps share a discrete Lagrangian: the backward step
-``(q_{j-1}, q_j)`` of a window is the forward step of the step before,
-which evaluated it last at exactly that point.  Each step therefore hands
+``(q_{j-1}, q_j)`` of a step is the forward step of the step before, which
+evaluated it last at exactly that point.  Each step therefore hands
 the next one a :class:`StepCarry`: its Newton factors and that evaluation's
 forward ``D2 L_d``, ``D4 L_d``, ``L_d`` and constraint rows.  The seed step
 makes the first one (:func:`initialize_window`).  It is one more implicit
 step, solved by :func:`solve_step` on the exact Jacobian: its rows
 (:func:`seed_residual`) project the Taylor point ``q_1`` onto the discrete
-constraint and solve the action update for ``z_1``.  So every window is
-built alike: it takes its backward partials (and the linear start its
-``L_d``) from the carry and computes none of them again.  The driver keeps
-each window's ``t_curr`` on the grid, ``j h``.  The constraint rows give
-:class:`StepStats` the run's worst discrete-constraint residual.
+constraint and solve the action update for ``z_1``.  So every window, the
+one point ``(q_j, z_j, t_j)`` a step starts from, is built alike: it takes
+its backward partials (and the linear start its ``L_d``) from the carry and
+computes none of them again.  The driver keeps each window's ``t_curr`` on
+the grid, ``j h``.  The constraint rows give :class:`StepStats` the run's
+worst discrete-constraint residual.
 
 The Lagrange-d'Alembert integrator (:mod:`nhcontact.dalembert`) differs
 only in its residual and in having no z unknown.  :func:`run_steps` and
@@ -319,10 +320,9 @@ def solve_step(
     window: StepState,
     residual: Callable,
     with_z: bool,
-    lam_prev: Array,
     carry: StepCarry,
     solver: NewtonConfig,
-    start: Optional[list] = None,
+    starts: tuple,
 ):
     """One implicit step of either integrator; returns
     ``(q_next, z_next, lam, carry, iterations)``, ``z_next`` being ``0.0``
@@ -339,16 +339,15 @@ def solve_step(
     as the window's backward ones: the driver builds each window from the
     step before, whose forward step is the window's backward one.
 
-    Newton starts from ``start``, when given, else from the linear start:
-    ``2 q_j - q_{j-1}``, then ``z_j + h L_d`` of the window's backward step
-    (the carried ``L_d``), then ``lam_prev``.  If Newton fails from
-    ``start``, the step is solved once more from the linear start, with the
-    factors it began with: exactly the solve without ``start``.
+    ``starts`` are the start vectors of ``u``, tried in order, each with
+    the factors the step began with, until Newton converges from one; if it
+    fails from every start, the last failure is raised.  The callers, which
+    keep the trajectory's histories, build them (:func:`run_steps`,
+    :func:`initialize_window`).
     """
     w = window
-    n, h = system.dim_q, rule.h
+    n = system.dim_q
     terms = contact_window_terms(system, rule, w, carry, with_z)
-    factors = carry.factors
     # (unknowns, by-products) of the last two real evaluations, newest last.
     # Newton builds a Jacobian at the iterate it evaluated last, or, after a
     # dropped chord iterate, at the one before; it returns right after
@@ -368,19 +367,14 @@ def solve_step(
         def build(u):
             d2, d4, _, _ = next(keep for x, keep in kept if x is u)
             return step_jacobian(probe, u, terms[2], w.q_curr, rule, (d2, d4))
-    solved = None
-    if start is not None:
+    last = len(starts) - 1
+    for i, start in enumerate(starts):
         try:
-            solved = newton_solve(f, start, solver, factors, build)
+            x, iterations, factors = newton_solve(f, start, solver, carry.factors, build)
+            break
         except NUMERICAL_FAILURES:
-            pass
-    if solved is None:
-        # on Python floats, rounding as numpy's elementwise operations do
-        linear = [2.0 * c - p for p, c in zip(w.q_prev.tolist(), w.q_curr.tolist())]
-        if with_z:
-            linear.append(w.z_curr + h * carry.ld)
-        solved = newton_solve(f, linear + lam_prev.tolist(), solver, factors, build)
-    x, iterations, factors = solved
+            if i == last:
+                raise
     carry = StepCarry(factors, *kept[-1][1])
     if with_z:
         return x[:n], float(x[n]), x[n + 1:], carry, iterations
@@ -404,8 +398,8 @@ def seed_residual(
     the discrete-constraint rows of the step from ``q0`` to ``q1``.
 
     ``target`` is the Taylor point as a list of floats, and ``terms`` are
-    the :func:`contact_window_terms` of the seed window ``(q0, q0)`` at
-    ``t = 0``.  ``keep`` and ``probe`` are as for
+    the :func:`contact_window_terms` of the seed window, ``q0`` and
+    ``z = 0`` at ``t = 0``.  ``keep`` and ``probe`` are as for
     :func:`contact_residual`: a complex probe of the step Jacobian reads the
     rows alone, so its evaluation asks for no partials and no ``L_d``.
     :func:`initialize_window` solves it with ``target`` and ``with_z``
@@ -435,8 +429,8 @@ def initialize_window(
     v0: Array,
     with_z: bool = True,
 ) -> tuple[StepState, StepCarry]:
-    """The first stepping window from ``(q0, v0)`` at ``t = 0``, ``z = 0``,
-    and the seed step's :class:`StepCarry`, as ``(window, carry)``.
+    """The first window ``(q1, z1, h)`` from ``(q0, v0)`` at ``t = 0``,
+    ``z = 0``, and the seed step's :class:`StepCarry`, as ``(window, carry)``.
 
     ``v0`` is projected onto the constraint set at ``q0``.  The seed step is
     then one more implicit step, solved by :func:`solve_step`, for
@@ -452,11 +446,12 @@ def initialize_window(
     * the discrete constraint of the step from ``q0`` to ``q1``.
 
     These are the rows of :func:`seed_residual`.  The window terms of the
-    seed window ``(q0, q0)`` at ``t = 0`` hold ``A(q0)^T`` and the step's
-    evaluator from ``(0, q0, 0)``, and the unchanged :func:`step_jacobian`
-    is exact for these rows: the multiplier columns are ``-A(q0)^T`` and the
-    action row is in closed form.  Newton starts from the Taylor point, z
-    and ``mu`` zero, and, should it fail, from the linear start ``q0``.  The
+    seed window, ``q0`` and ``z = 0`` at ``t = 0``, hold ``A(q0)^T`` and the
+    step's evaluator from ``(0, q0, 0)``, and the unchanged
+    :func:`step_jacobian` is exact for these rows: the multiplier columns
+    are ``-A(q0)^T`` and the action row is in closed form.  Newton starts
+    from the Taylor point, then, should it fail, from ``2 q0 - q0`` (which
+    turns ``-0.0`` into ``0.0``), each followed by zero z and ``mu``.  The
     step's last evaluation, at ``(q1, z1)``, is the carry, without factors,
     so the first implicit step builds a fresh Jacobian: the seed step is the
     first window's backward step, as each implicit step is the next
@@ -470,13 +465,12 @@ def initialize_window(
     target = [x + h * u + 0.5 * (h * h) * a
               for x, u, a in zip(q0.tolist(), v.tolist(), acc.tolist())]
 
-    seed = StepState(q_prev=q0, q_curr=q0, z_prev=0.0, z_curr=0.0, t_curr=0.0)
+    zeros = [0.0] * (with_z + m)
+    starts = target + zeros, [2.0 * c - c for c in q0.tolist()] + zeros
     q1, z1, _, carry, _ = solve_step(
-        system, rule, seed, partial(seed_residual, target, with_z), with_z, np.zeros(m),
-        StepCarry(None, [0.0] * n, 0.0, 0.0, []), NewtonConfig(tolerance=1e-12),
-        target + [0.0] * (with_z + m))
-    window = StepState(q_prev=q0, q_curr=q1, z_prev=0.0, z_curr=z1, t_curr=h)
-    return window, carry._replace(factors=None)
+        system, rule, StepState(q0, 0.0, 0.0), partial(seed_residual, target, with_z), with_z,
+        StepCarry(None, [0.0] * n, 0.0, 0.0, []), NewtonConfig(tolerance=1e-12), starts)
+    return StepState(q1, z1, h), carry._replace(factors=None)
 
 
 @dataclass
@@ -521,20 +515,22 @@ def run_steps(
     ``(q0, v0)`` at ``t = 0``, z an unknown when ``with_z``.
 
     :func:`initialize_window` takes step 1; :func:`solve_step` takes each
-    later one from the previous multipliers and the previous step's
+    later one from the window ``(q_j, z_j, j h)`` and the previous step's
     :class:`StepCarry`, the seed step's for the first, carried from step to
-    step of this run only.  Newton starts each step from the extrapolation
+    step of this run only.  The driver builds the Newton starts from the last
+    four accepted q and z and three multipliers, kept as Python floats: the
+    linear one is ``2 q_j - q_{j-1}``, ``z_j + h L_d`` of the carry, then
+    ``lambda_{j-1}``.  Newton starts each step from the extrapolation
     that predicted the last step's accepted q best, in the inf-norm, among
-    the linear ``2 q_j - q_{j-1}``, the quadratic
-    ``3 q_j - 3 q_{j-1} + q_{j-2}`` and, only when the last step took at
-    most two Newton iterations, the cubic
+    the linear one, the quadratic ``3 q_j - 3 q_{j-1} + q_{j-2}`` and, only
+    when the last step took at most two Newton iterations, the cubic
     ``4 q_j - 6 q_{j-1} + 4 q_{j-2} - q_{j-3}``; a tie goes to the lower
     order, and the first two implicit steps take the linear start.  The
     quadratic start extrapolates z likewise (when ``with_z``) and the
     multipliers linearly, ``2 lambda_{j-1} - lambda_{j-2}``; the cubic one z
-    cubically and the multipliers quadratically.  The predictions are built
-    from the last four accepted q, kept as Python floats, and the cubic
-    only when it is the start or enters the check.
+    cubically and the multipliers quadratically, each handed on with the
+    linear start after it, and the cubic is built only when it is the start
+    or enters the check.
     ``stats`` takes each step's iterations and constraint rows, the seed
     step's from its carry.  A numerical failure in either ends the run as a
     ``solver_failure`` at the last accepted step; a failure of the seed
@@ -560,35 +556,33 @@ def run_steps(
             window, carry = initialize_window(system, rule, q0, v0, with_z)
             qs[1] = window.q_curr
             zs[1] = window.z_curr
-            # qm3, qm2, qm1, qj are q_{j-3}, ..., q_j and lm3, lm2, lm1 are
-            # lambda_{j-3}, ..., lambda_{j-1}, as Python floats; order is that
-            # of the extrapolation the next step starts from
-            qm3 = qm2 = lm3 = lm2 = None
+            # q_{j-3}, ..., q_j, z_{j-3}, ..., z_j and lambda_{j-3}, ...,
+            # lambda_{j-1} as Python floats; order is that of the
+            # extrapolation the next step starts from
+            qm3 = qm2 = zm3 = zm2 = lm3 = lm2 = None
             qm1, qj = q0.tolist(), window.q_curr.tolist()
-            lm1 = lams[0].tolist()
+            zm1, zj = 0.0, window.z_curr
+            lm1 = [0.0] * m
             order = 1
             steps_done = 1
             if stats is not None:
                 stats.record_constraint(carry.constraint)
         for j in range(1, n_steps):
-            w = window
-            start = None
             # on Python floats, rounding as numpy's elementwise operations do
+            linear = [2.0 * c - p for p, c in zip(qm1, qj)]
+            starts = (linear + ([zj + h * carry.ld] if with_z else []) + lm1,)
             if order == 2:
-                z_start = [3.0 * (w.z_curr - w.z_prev) + float(zs[j - 2])] if with_z else []
-                start = [3.0 * (c - p) + b for b, p, c in zip(qm2, qm1, qj)] + z_start + [
-                    2.0 * c - p for p, c in zip(lm2, lm1)]
+                z_start = [3.0 * (zj - zm1) + zm2] if with_z else []
+                starts = ([3.0 * (c - p) + b for b, p, c in zip(qm2, qm1, qj)] + z_start
+                          + [2.0 * c - p for p, c in zip(lm2, lm1)], *starts)
             elif order == 3:
                 # 4 c - 6 p + 4 b - a, as c plus its first three backward differences
-                z_start = []
-                if with_z:
-                    zm3, zm2, zm1, zj = float(zs[j - 3]), float(zs[j - 2]), w.z_prev, w.z_curr
-                    z_start = [zj + 3.0 * (zj - 2.0 * zm1 + zm2) + (zm2 - zm3)]
-                start = [c + 3.0 * (c - 2.0 * p + b) + (b - a)
-                         for a, b, p, c in zip(qm3, qm2, qm1, qj)] + z_start + [
-                    3.0 * (c - p) + b for b, p, c in zip(lm3, lm2, lm1)]
+                z_start = [zj + 3.0 * (zj - 2.0 * zm1 + zm2) + (zm2 - zm3)] if with_z else []
+                starts = ([c + 3.0 * (c - 2.0 * p + b) + (b - a)
+                           for a, b, p, c in zip(qm3, qm2, qm1, qj)] + z_start
+                          + [3.0 * (c - p) + b for b, p, c in zip(lm3, lm2, lm1)], *starts)
             q_next, z_next, lams[j], carry, iters = solve_step(
-                system, rule, w, residual, with_z, lams[j - 1], carry, solver, start)
+                system, rule, window, residual, with_z, carry, solver, starts)
             if stats is not None:
                 stats.record(iters, carry.constraint)
             qs[j + 1] = q_next
@@ -599,7 +593,7 @@ def run_steps(
                 # the next start: the extrapolation that came closest to the
                 # accepted q, the cubic only after a step resolved within two
                 # corrections
-                best = inf_norm([2.0 * c - p - x for p, c, x in zip(qm1, qj, accepted)])
+                best = inf_norm([c - x for c, x in zip(linear, accepted)])
                 error = inf_norm([3.0 * (c - p) + b - x
                                   for b, p, c, x in zip(qm2, qm1, qj, accepted)])
                 order = 1
@@ -610,9 +604,9 @@ def run_steps(
                          for a, b, p, c, x in zip(qm3, qm2, qm1, qj, accepted)]) < best:
                     order = 3
             qm3, qm2, qm1, qj = qm2, qm1, qj, accepted
+            zm3, zm2, zm1, zj = zm2, zm1, zj, z_next
             lm3, lm2, lm1 = lm2, lm1, lams[j].tolist()
-            window = StepState(q_prev=w.q_curr, q_curr=q_next, z_prev=w.z_curr,
-                               z_curr=z_next, t_curr=(j + 1) * h)
+            window = StepState(q_next, z_next, (j + 1) * h)
     except NUMERICAL_FAILURES as exc:
         message = str(exc) if steps_done else f"seed step: {exc}"
         termination = Termination.failure(step=steps_done + 1, message=message)

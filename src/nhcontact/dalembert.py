@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .contact import multiplier_rows, run_steps
+from .contact import StepStats, multiplier_rows, run_steps
 from .model import (
     Array,
     ContactSystem,
@@ -79,7 +79,7 @@ def run_la(
     v0: Array,
     n_steps: int,
     solver: NewtonConfig = NewtonConfig(),
-    stats=None,
+    stats: Optional[StepStats] = None,
 ) -> Trajectory:
     """Integrate ``n_steps`` forced variational steps from ``(q0, v0)``."""
     return run_steps(system, rule, q0, v0, n_steps, la_residual, False, solver, stats)

@@ -4,6 +4,7 @@ experiment with any of the four integrators."""
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 
@@ -278,7 +279,7 @@ def _run_implicit_dae(spec: ExperimentSpec) -> Trajectory:
 def run_experiment(
     spec: ExperimentSpec,
     solver: NewtonConfig = NewtonConfig(),
-    stats: contact.StepStats = None,
+    stats: Optional[contact.StepStats] = None,
 ) -> Trajectory:
     """Run ``spec`` with its selected integrator, on a uniform grid of
     step ``spec.h``."""

@@ -1,5 +1,5 @@
 """Core domain types: contact-type Lagrangian systems, discretization rules,
-stepping windows and trajectories.
+the point each step starts from, and trajectories.
 
 A contact-type Lagrangian ``L(t, q, qdot, z)`` depends on the accumulated
 action ``z`` in addition to the usual state, which lets dissipation enter the
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -197,13 +197,11 @@ class DiscretizationRule:
             raise ValueError(f"step size must be positive and finite, got {self.h}")
 
 
-@dataclass(frozen=True)
-class StepState:
-    """The two-point window from which one implicit step is solved."""
+class StepState(NamedTuple):
+    """The point ``(q_j, z_j, t_j)`` from which one implicit step is solved;
+    its backward step reaches it through :class:`~nhcontact.contact.StepCarry`."""
 
-    q_prev: Array
     q_curr: Array
-    z_prev: float
     z_curr: float
     t_curr: float
 

@@ -12,8 +12,11 @@ require the package's results to equal theirs bit for bit, zero signs
 included, on real arguments and on the complex-step probes of the exact
 step Jacobian.  The products with a constraint matrix and the disk's
 ``F(t) . q`` are :func:`dot`, the package's left-to-right sum written on
-numpy scalars: numpy's own dot rounds otherwise.  :func:`window_carry` gives
-a hand-built window the carry that the driver's windows are handed.
+numpy scalars: numpy's own dot rounds otherwise.  A :class:`Window` is the
+two-point window ``(q_{j-1}, q_j)`` the oracles recompute the backward step
+from; :func:`state` maps it to the package's one-point
+:class:`~nhcontact.model.StepState`, and :func:`window_carry` gives it the
+carry that the driver's windows are handed.
 
 The reference solvers' oracles are their numpy versions: the pendulum's
 reference ODE and multiplier on numpy scalars, which the package's Python
@@ -24,7 +27,7 @@ to round-off.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from nhcontact.model import (
     DiscretizationRule,
     EvaluationError,
     PositionRule,
+    StepState,
     ZRule,
     central_difference,
 )
@@ -47,6 +51,23 @@ from nhcontact.systems import DiskParams, FoucaultParams
 # ---------------------------------------------------------------------------
 # Step kernel
 # ---------------------------------------------------------------------------
+
+class Window(NamedTuple):
+    """The two-point window ``(q_{j-1}, q_j)``, with ``z_{j-1}``, ``z_j``
+    and ``t_j``, from which the oracles recompute a step's backward step."""
+
+    q_prev: Array
+    q_curr: Array
+    z_prev: float
+    z_curr: float
+    t_curr: float
+
+
+def state(window: Window) -> StepState:
+    """The package's :class:`~nhcontact.model.StepState` of ``window``: the
+    point ``(q_j, z_j, t_j)`` its step starts from."""
+    return StepState(window.q_curr, window.z_curr, window.t_curr)
+
 
 def dot(a, b):
     """``a . b`` on numpy scalars: the products added left to right,
@@ -189,7 +210,8 @@ def _discrete_force(system, rule, t, q, q_next):
 
 
 def contact_residual(system, rule, window, unknowns) -> Array:
-    """Contact step residual, recomputing every window term per call."""
+    """Contact step residual from the two-point :class:`Window` ``window``,
+    recomputing every window term per call."""
     w = window
     n, m, h = system.dim_q, system.dim_c, rule.h
     q_next, z_next, lam = unknowns[:n], unknowns[n], unknowns[n + 1:]
@@ -210,8 +232,8 @@ def contact_residual(system, rule, window, unknowns) -> Array:
 
 
 def la_residual(system, rule, window, unknowns) -> Array:
-    """Lagrange-d'Alembert step residual, recomputing every window term per
-    call."""
+    """Lagrange-d'Alembert step residual from the two-point :class:`Window`
+    ``window``, recomputing every window term per call."""
     w = window
     n, m, h = system.dim_q, system.dim_c, rule.h
     q_next, lam = unknowns[:n], unknowns[n:]
@@ -265,7 +287,7 @@ def step_jacobian(residual, x, a_t, rule, action=None) -> Array:
     return jac
 
 
-def window_carry(system, rule, window, with_z: bool = True) -> StepCarry:
+def window_carry(system, rule, window: Window, with_z: bool = True) -> StepCarry:
     """The :class:`~nhcontact.contact.StepCarry` of a hand-built ``window``:
     its backward step from ``t_curr - h`` evaluated by the package's
     one-line forms, as the window terms computed it before the seed step

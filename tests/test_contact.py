@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import numpy_oracle
 import pytest
-from numpy_oracle import window_carry
+from numpy_oracle import Window, state, window_carry
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,10 +79,10 @@ def test_pendulum_residual_matches_hand_coded_stepping_equations():
         qp = qj + 0.05 * rng.normal(size=2)
         lam = rng.normal(size=1)
         zm, zj, zp = rng.normal(size=3)
-        window = StepState(q_prev=qm, q_curr=qj, z_prev=zm, z_curr=zj, t_curr=1.0)
-        terms = contact_window_terms(system, TRAP_FIRST, window,
+        window = Window(qm, qj, zm, zj, 1.0)
+        terms = contact_window_terms(system, TRAP_FIRST, state(window),
                                      window_carry(system, TRAP_FIRST, window))
-        res = contact_residual(system, TRAP_FIRST, window, terms,
+        res = contact_residual(system, TRAP_FIRST, state(window), terms,
                                np.concatenate([qp, [zp], lam]))
         hand = m * ((2 * qj - qp - qm) / h ** 2 - (g / l) * qj
                     - alpha * ((qj - qm) / h - (h / 2) * (g / l) * qj))
@@ -96,10 +96,11 @@ def test_pendulum_residual_constraint_row():
     h = TRAP_FIRST.h
     qj = np.array([0.1, 0.6])
     qp = np.array([0.15, 0.58])
-    window = StepState(q_prev=qj, q_curr=qj, z_prev=0.0, z_curr=0.0, t_curr=0.0)
-    terms = contact_window_terms(system, TRAP_FIRST, window,
+    window = Window(qj, qj, 0.0, 0.0, 0.0)
+    terms = contact_window_terms(system, TRAP_FIRST, state(window),
                                  window_carry(system, TRAP_FIRST, window))
-    res = contact_residual(system, TRAP_FIRST, window, terms, np.concatenate([qp, [0.0], [0.0]]))
+    res = contact_residual(system, TRAP_FIRST, state(window), terms,
+                           np.concatenate([qp, [0.0], [0.0]]))
     expected = (-qj[1] * (qp[0] - qj[0]) / h + qj[0] * (qp[1] - qj[1]) / h
                 + params.omega_vertical * (qj @ qj))
     assert res[-1] == pytest.approx(expected, rel=1e-12)
@@ -183,9 +184,9 @@ def test_hoisted_residual_bit_identical_to_unhoisted(name, position, z_rule):
         qm = q + 0.05 * rng.normal(size=n)
         qj = qm + 0.05 * rng.normal(size=n)
         zm, zj = rng.normal(size=2) if with_z else (0.0, 0.0)
-        window = StepState(q_prev=qm, q_curr=qj, z_prev=zm, z_curr=zj,
-                           t_curr=rng.uniform(0.1, 10.0))
-        terms = contact_window_terms(system, rule, window,
+        window = Window(qm, qj, zm, zj, rng.uniform(0.1, 10.0))
+        point = state(window)
+        terms = contact_window_terms(system, rule, point,
                                      window_carry(system, rule, window, with_z))
         for _ in range(3):
             x = np.concatenate([qj + 0.05 * rng.normal(size=n),
@@ -193,12 +194,12 @@ def test_hoisted_residual_bit_identical_to_unhoisted(name, position, z_rule):
             probes = [] if system.lagrangian_gradients is None else \
                 [x + 1j * COMPLEX_STEP * e for e in np.eye(len(x))]
             for unknowns in [x] + probes:
-                hoisted = np.asarray(residual(system, rule, window, terms, unknowns))
+                hoisted = np.asarray(residual(system, rule, point, terms, unknowns))
                 expected = oracle(oracle_system, rule, window, unknowns)
                 assert hoisted.dtype == expected.dtype == unknowns.dtype
                 assert hoisted.tobytes() == expected.tobytes()
             if probes:
-                jac = exact_jacobian(residual, system, rule, window, terms, x)
+                jac = exact_jacobian(residual, system, rule, point, terms, x)
                 action = numpy_oracle.action_partials(oracle_system, rule, window, x) \
                     if with_z else None
                 expected = numpy_oracle.step_jacobian(
@@ -263,7 +264,7 @@ def test_seed_jacobian_bit_identical_to_column_loop(name, position, z_rule, with
     n, m = system.dim_q, system.dim_c
     rng = np.random.default_rng(7)
     q0 = q + 0.05 * rng.normal(size=n)
-    seed = StepState(q_prev=q0, q_curr=q0, z_prev=0.0, z_curr=0.0, t_curr=0.0)
+    seed = StepState(q0, 0.0, 0.0)
     terms = contact_window_terms(system, rule, seed, StepCarry(None, [0.0] * n, 0.0, 0.0, []),
                                  with_z)
     for _ in range(3):
@@ -342,17 +343,18 @@ def test_sequence_returns_bit_identical_to_array_returns(name, position, z_rule)
     qm = q0 + 0.05 * rng.normal(size=n)
     qj = qm + 0.05 * rng.normal(size=n)
     zm, zj = rng.normal(size=2) if with_z else (0.0, 0.0)
-    window = StepState(q_prev=qm, q_curr=qj, z_prev=zm, z_curr=zj, t_curr=1.3)
-    terms = [contact_window_terms(s, rule, window, window_carry(s, rule, window, with_z), with_z)
+    window = Window(qm, qj, zm, zj, 1.3)
+    terms = [contact_window_terms(s, rule, state(window), window_carry(s, rule, window, with_z),
+                                  with_z)
              for s in (system, twin)]
     x = np.concatenate([qj + 0.05 * rng.normal(size=n), rng.normal(size=int(with_z) + m)])
     for unknowns in [x] + [x + 1j * COMPLEX_STEP * e for e in np.eye(len(x))]:
-        got, expected = (residual(s, rule, window, t, unknowns)
+        got, expected = (residual(s, rule, state(window), t, unknowns)
                          for s, t in zip((system, twin), terms))
         assert _same_bytes(got, expected)
         assert _same_bytes(discrete_constraint(system, rule, qj, unknowns[:n]),
                            discrete_constraint(twin, rule, qj, unknowns[:n]))
-    got, expected = (exact_jacobian(residual, s, rule, window, t, x)
+    got, expected = (exact_jacobian(residual, s, rule, state(window), t, x)
                      for s, t in zip((system, twin), terms))
     assert _same_bytes(got, expected)
     stats = [StepStats(), StepStats()]
@@ -398,7 +400,7 @@ def test_residual_calls_each_system_callable_once_per_point(eid, counts, shared)
                                              "constraint_matrix", "constraint_offset")})
     window, carry = initialize_window(system, spec.rule, spec.q0, spec.v0)
     terms = contact_window_terms(system, spec.rule, window, carry)
-    x = np.concatenate([2.0 * window.q_curr - window.q_prev, [window.z_curr],
+    x = np.concatenate([2.0 * window.q_curr - spec.q0, [window.z_curr],
                         np.zeros(system.dim_c)])
     calls.clear()
     keep = []
@@ -425,11 +427,31 @@ def test_residual_calls_each_system_callable_once_per_point(eid, counts, shared)
     assert probes == [probe_counts] * columns
 
 
-def contact_step(system, rule, window, lam, carry, solver, start=None):
-    """One contact step, the residual looked up when called, so a counting
-    wrapper set on ``nhcontact.contact.contact_residual`` sees it."""
-    return solve_step(system, rule, window, nhcontact.contact.contact_residual, True, lam,
-                      carry, solver, start)
+def linear_start(window, lam, carry, h):
+    """The driver's linear start of a step from the two-point ``window``, on
+    Python floats: ``2 q_j - q_{j-1}``, then ``z_j + h L_d`` of the carried
+    backward step, then the multipliers ``lam``."""
+    q = [2.0 * c - p for p, c in zip(window.q_prev.tolist(), window.q_curr.tolist())]
+    return q + [window.z_curr + h * carry.ld] + lam.tolist()
+
+
+def contact_step(system, rule, window, lam, carry, solver, starts=None):
+    """One contact step from the two-point ``window``, Newton starting from
+    ``starts``, by default the linear start alone, the residual looked up
+    when called, so a counting wrapper set on
+    ``nhcontact.contact.contact_residual`` sees it."""
+    if starts is None:
+        starts = (linear_start(window, lam, carry, rule.h),)
+    return solve_step(system, rule, state(window), nhcontact.contact.contact_residual, True,
+                      carry, solver, starts)
+
+
+def first_window(system, rule, q0, v0):
+    """:func:`initialize_window`'s window, as the two-point :class:`Window`
+    from ``q0``, and its carry."""
+    window, carry = initialize_window(system, rule, q0, v0)
+    q0 = np.asarray(q0, dtype=float)
+    return Window(q0, window.q_curr, 0.0, window.z_curr, window.t_curr), carry
 
 
 def count_calls(monkeypatch, calls):
@@ -464,7 +486,7 @@ def test_contact_step_computes_window_partials_once(case, monkeypatch):
     # so the step evaluates partials once per residual and no more
     system, rule, q = case()
     calls = {"partials": 0, "residual": 0}
-    window, carry = initialize_window(system, rule, q, np.zeros(system.dim_q))
+    window, carry = first_window(system, rule, q, np.zeros(system.dim_q))
     count_calls(monkeypatch, calls)
     _, _, _, _, iterations = contact_step(system, rule, window, np.zeros(system.dim_c),
                                           carry, NewtonConfig())
@@ -482,8 +504,7 @@ def _walk(system, rule, step, window, carry, steps, solver=NewtonConfig()):
         result = step(system, rule, window, lam, carry, solver)
         yield window, carry, result
         q_next, z_next, lam, carry, _ = result
-        window = StepState(q_prev=window.q_curr, q_curr=q_next, z_prev=window.z_curr,
-                           z_curr=z_next, t_curr=(j + 1) * rule.h)
+        window = Window(window.q_curr, q_next, window.z_curr, z_next, (j + 1) * rule.h)
 
 
 @pytest.mark.parametrize("j", [2], ids=["exact-t"])
@@ -492,7 +513,7 @@ def test_carry_replaces_window_partials(case, j, monkeypatch):
     # step j's backward partials are step j - 1's forward ones, taken from
     # its carry; the driver keeps the window's t_curr at exactly j h
     system, rule, q = case()
-    window, carry = initialize_window(system, rule, q, np.zeros(system.dim_q))
+    window, carry = first_window(system, rule, q, np.zeros(system.dim_q))
     *_, (_, _, before), (window, _, plain) = _walk(system, rule, contact_step, window, carry, j)
     assert window.t_curr == j * rule.h
     calls = {"partials": 0, "residual": 0}
@@ -513,7 +534,7 @@ def test_window_terms_from_carry_equal_recomputed(position, z_rule):
     spec = get_experiment("disk-3.2")
     system = build_contact_system(spec)
     rule = DiscretizationRule(position, z_rule, spec.h)
-    window, carry = initialize_window(system, rule, spec.q0, spec.v0)
+    window, carry = first_window(system, rule, spec.q0, spec.v0)
     t_prev, used = 0.0, 0
     for window, carry, _ in _walk(system, rule, contact_step, window, carry, 8):
         used += 1
@@ -524,7 +545,7 @@ def test_window_terms_from_carry_equal_recomputed(position, z_rule):
                                discrete_constraint(system, rule, window.q_prev, window.q_curr))
         for field in ("d2", "d4", "ld", "constraint"):
             assert _same_bytes(getattr(carry, field), getattr(recomputed, field)), field
-        carried, expected = (contact_window_terms(system, rule, window, c)
+        carried, expected = (contact_window_terms(system, rule, state(window), c)
                              for c in (carry, recomputed))
         assert all(_same_bytes(a, b) for a, b in zip(carried[:3], expected[:3]))
         # the forward evaluators are the window's, whatever the carry
@@ -552,8 +573,9 @@ def test_seed_carry_equals_backward_step_of_first_window(case, position, z_rule)
     with_z = case != "foucault-la"
     rule = DiscretizationRule(position, z_rule, h)
     window, carry = initialize_window(system, rule, q0, v0, with_z)
-    assert window.t_curr - rule.h == 0.0 and window.z_prev == 0.0
-    backward = (system, rule, 0.0, window.q_prev, window.q_curr, 0.0, window.z_curr)
+    assert window.t_curr - rule.h == 0.0
+    q0 = np.asarray(q0, dtype=float)
+    backward = (system, rule, 0.0, q0, window.q_curr, 0.0, window.z_curr)
     _, d2, _, d4 = partials_of_Ld(*backward)
     assert carry.factors is None
     assert _same_bytes(carry.d2, d2) and _same_bytes(carry.d4, d4)
@@ -561,8 +583,52 @@ def test_seed_carry_equals_backward_step_of_first_window(case, position, z_rule)
         assert _same_bytes(carry.ld, evaluate_discrete_lagrangian(*backward))
     else:
         assert carry.ld is None and window.z_curr == 0.0
-    assert _same_bytes(carry.constraint,
-                       discrete_constraint(system, rule, window.q_prev, window.q_curr))
+    assert _same_bytes(carry.constraint, discrete_constraint(system, rule, q0, window.q_curr))
+
+
+@pytest.mark.parametrize("case", ["foucault", "disk-3.2", "foucault-la"])
+def test_seed_falls_back_on_linear_start(case, monkeypatch):
+    # when Newton fails from the Taylor point, the seed step is solved again
+    # from 2 q0 - q0, then zero z and mu, without factors both times: exactly
+    # the seed step solved from that start alone.  A -0.0 entry of q0 shows
+    # 2 q0 - q0 apart from q0: it starts from +0.0
+    spec = get_experiment("disk-3.2" if case == "disk-3.2" else "foucault-1")
+    build = build_la_system if case == "foucault-la" else build_contact_system
+    system, rule, with_z = build(spec), spec.rule, case != "foucault-la"
+    q0 = spec.q0.copy()
+    q0[0] = -0.0
+    newton_calls, step_calls = [], []
+
+    def failing_once(residual, x0, config, jacobian=None, build_jacobian=None):
+        newton_calls.append((np.array(x0, dtype=float), jacobian))
+        if len(newton_calls) == 1:
+            raise SolverFailure("no convergence from the Taylor point")
+        return nhcontact.newton.newton_solve(residual, x0, config, jacobian, build_jacobian)
+
+    def recording(*args):
+        step_calls.append(args)
+        return solve_step(*args)
+
+    monkeypatch.setattr(nhcontact.contact, "newton_solve", failing_once)
+    monkeypatch.setattr(nhcontact.contact, "solve_step", recording)
+    window, carry = initialize_window(system, rule, q0, spec.v0, with_z)
+    monkeypatch.undo()
+    assert len(newton_calls) == 2 and len(step_calls) == 1
+    assert all(jacobian is None for _, jacobian in newton_calls)
+    linear = np.concatenate([2.0 * q0 - q0, np.zeros(int(with_z) + system.dim_c)])
+    assert _same_bytes(newton_calls[1][0], linear)
+    assert np.signbit(q0[0]) and not np.signbit(newton_calls[1][0][0])
+    *args, starts = step_calls[0]
+    assert _same_bytes(starts[-1], linear.tolist())
+    q1, z1, _, alone, _ = solve_step(*args, (starts[-1],))
+    assert _same_bytes(window.q_curr, q1) and _same_bytes(window.z_curr, z1)
+    assert window.t_curr == rule.h and carry.factors is None
+    assert _same_bytes(carry.d2, alone.d2) and _same_bytes(carry.d4, alone.d4)
+    assert _same_bytes(carry.constraint, alone.constraint)
+    if with_z:
+        assert _same_bytes(carry.ld, alone.ld)
+    else:
+        assert carry.ld is alone.ld is None
 
 
 @pytest.mark.parametrize("integrator, most", [
@@ -713,10 +779,9 @@ def test_denominator_singularity_detected():
         constraint_matrix=lambda q: np.zeros((0, 1)),
     )
     rule = DiscretizationRule(PositionRule.LEFT_ENDPOINT, ZRule.SECOND_ORDER, h)
-    window = StepState(q_prev=np.zeros(1), q_curr=np.zeros(1),
-                       z_prev=0.0, z_curr=0.0, t_curr=h)
+    window = Window(np.zeros(1), np.zeros(1), 0.0, 0.0, h)
     with pytest.raises(SolverFailure, match="z-coupling"):
-        contact_window_terms(system, rule, window, window_carry(system, rule, window))
+        contact_window_terms(system, rule, state(window), window_carry(system, rule, window))
 
 
 DRIVERS = [run_contact, run_la]
@@ -925,12 +990,13 @@ def test_quadratic_start_falls_back_on_linear_start():
     # a quadratic start whose Newton fails is solved again from the linear
     # one with the factors the step began with: the solve without ``start``
     system, rule, q = pendulum_case()
-    window, carry = initialize_window(system, rule, q, np.zeros(system.dim_q))
+    window, carry = first_window(system, rule, q, np.zeros(system.dim_q))
     lam = np.zeros(system.dim_c)
     # a NaN start makes Newton raise at its first residual
     start = [np.nan] * (system.dim_q + 1 + system.dim_c)
     plain = contact_step(system, rule, window, lam, carry, NewtonConfig())
-    retried = contact_step(system, rule, window, lam, carry, NewtonConfig(), start)
+    retried = contact_step(system, rule, window, lam, carry, NewtonConfig(),
+                           (start, linear_start(window, lam, carry, rule.h)))
     q, z, multipliers, carry, iterations = retried
     assert np.array_equal(q, plain[0]) and z == plain[1]
     assert np.array_equal(multipliers, plain[2]) and iterations == plain[4] >= 1
@@ -966,7 +1032,7 @@ def _jacobian_case(case, rule):
         window, carry = initialize_window(system, rule, q0, v0)
         residual, z = contact_residual, [window.z_curr + 0.1]
     terms = contact_window_terms(system, rule, window, carry)
-    guess = np.concatenate([2.0 * window.q_curr - window.q_prev, z, np.ones(system.dim_c)])
+    guess = np.concatenate([2.0 * window.q_curr - q0, z, np.ones(system.dim_c)])
     return residual, system, window, terms, guess
 
 
@@ -1070,8 +1136,7 @@ def test_midpoint_rule_is_reversible(position, z_rule, reversible):
     traj = run_contact(system, rule, spec.q0, spec.v0, 20, solver)
     assert traj.termination.completed
     qs, zs = traj.configurations, traj.z_values
-    window = StepState(q_prev=qs[20], q_curr=qs[19], z_prev=zs[20], z_curr=zs[19],
-                       t_curr=traj.times[20])
+    window = Window(qs[20], qs[19], zs[20], zs[19], traj.times[20])
     *_, (_, _, (q_back, *_)) = _walk(system, rule, contact_step, window,
                                      window_carry(system, rule, window), 19, solver)
     assert bool(np.max(np.abs(q_back - qs[0])) <= 1e-8) is reversible
@@ -1131,19 +1196,19 @@ def test_step_map_is_conformally_symplectic(position, z_rule):
     rule = DiscretizationRule(position, z_rule, 0.1)
     z_prev, z_curr = 0.1, 0.2
     q_prev, q_curr = np.array([0.4, -0.3]), np.array([0.45, -0.25])
-    window = StepState(q_prev=q_prev, q_curr=q_curr, z_prev=z_prev, z_curr=z_curr, t_curr=t)
+    window = Window(q_prev, q_curr, z_prev, z_curr, t)
     q_next, z_next, *_ = contact_step(system, rule, window, np.zeros(0),
                                       window_carry(system, rule, window),
                                       NewtonConfig(tolerance=1e-13))
 
     def residual(y, unknowns):
-        w = StepState(q_prev=y[:n], q_curr=y[n:], z_prev=z_prev, z_curr=z_curr, t_curr=t)
-        terms = contact_window_terms(system, rule, w, window_carry(system, rule, w))
-        return contact_residual(system, rule, w, terms, unknowns)
+        w = Window(y[:n], y[n:], z_prev, z_curr, t)
+        terms = contact_window_terms(system, rule, state(w), window_carry(system, rule, w))
+        return contact_residual(system, rule, state(w), terms, unknowns)
 
     y, x = np.concatenate([q_prev, q_curr]), np.concatenate([q_next, [z_next]])
-    d_x = exact_jacobian(contact_residual, system, rule, window,
-                         contact_window_terms(system, rule, window,
+    d_x = exact_jacobian(contact_residual, system, rule, state(window),
+                         contact_window_terms(system, rule, state(window),
                                               window_carry(system, rule, window)), x)
     d_y = np.stack([complex_step(lambda yy: residual(yy, x), y, e) for e in np.eye(2 * n)],
                    axis=1)

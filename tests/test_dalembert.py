@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy_oracle import window_carry
+from numpy_oracle import Window, state, window_carry
 
 from nhcontact.contact import contact_window_terms, run_contact
 from nhcontact.dalembert import la_residual, run_la
-from nhcontact.model import DiscretizationRule, PositionRule, StepState, ZRule
+from nhcontact.model import DiscretizationRule, PositionRule, ZRule
 from nhcontact.newton import NewtonConfig
 from nhcontact.systems import FoucaultParams, foucault_system
 
@@ -27,10 +27,10 @@ def test_pendulum_la_residual_matches_hand_coded_block():
         qj = qm + 0.05 * rng.normal(size=2)
         qp = qj + 0.05 * rng.normal(size=2)
         lam = rng.normal(size=1)
-        window = StepState(q_prev=qm, q_curr=qj, z_prev=0.0, z_curr=0.0, t_curr=1.0)
-        terms = contact_window_terms(system, TRAP_FIRST, window,
+        window = Window(qm, qj, 0.0, 0.0, 1.0)
+        terms = contact_window_terms(system, TRAP_FIRST, state(window),
                                      window_carry(system, TRAP_FIRST, window, with_z=False))
-        res = la_residual(system, TRAP_FIRST, window, terms, np.concatenate([qp, lam]))
+        res = la_residual(system, TRAP_FIRST, state(window), terms, np.concatenate([qp, lam]))
         # h * [D1 Ld(fwd) + D2 Ld(bwd)] with trapezoidal quadrature,
         # plus the one-step force quadrature, minus the constraint term
         hand = m * ((2 * qj - qp - qm) / h - h * (g / l) * qj) \

@@ -109,7 +109,7 @@ def _results(m, redundant, form, rule, monkeypatch):
            "projected": project_velocity(system, Q0, V0)}
     # a window and a backward carry of made-up numbers, as a redundant row
     # leaves the seed step without a solution
-    window = StepState(q_prev=Q0, q_curr=Q0 + h * V0, z_prev=0.0, z_curr=0.01, t_curr=h)
+    window = StepState(Q0 + h * V0, 0.01, h)
     carry = StepCarry(None, [0.1, -0.2, 0.3], 0.02, 0.5, [])
     x = np.concatenate([Q0 + 2.0 * h * V0, [0.03], np.full(m, 0.2)])
     for name, residual, with_z in (("contact", contact_residual, True),

@@ -11,7 +11,6 @@ from nhcontact.model import (
     COMPLEX_STEP,
     DiscretizationRule,
     PositionRule,
-    StepState,
     ZRule,
     initial_acceleration,
     partials_of_Ld,
