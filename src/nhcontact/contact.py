@@ -17,17 +17,24 @@ complex step.  One builder serves the contact, Lagrange-d'Alembert and seed
 residuals: it builds all the probe vectors of a Jacobian as one complex
 matrix, their difference velocities and sample points with one numpy
 operation each (:func:`~nhcontact.model.probe_points`), and
-``A(q_j)^T lambda`` once, and each probe then asks the evaluator only for
-what the columns read: ``D1``, ``D3`` and the constraint rows (the
+``A(q_j)^T lambda`` once, and hands all the probes to the residual in one
+call.  The residual's probe branch runs one loop over the probe points
+with the evaluator's probe form, which gives at each point only what the
+columns read: ``D1``, ``D3`` and the constraint rows (the
 Lagrange-d'Alembert residual adds the force at the probe's sample point),
-never ``D2`` or ``L_d``.
+never ``D2`` or ``L_d``.  Each probe's row is built inside that loop, and
+the matrix is filled once.  At 6 probes a call chain per probe (residual,
+evaluator, division, sums) cost about as much as the system callables;
+numpy arithmetic on the stacked probes would be slower at 2 probes, the
+Foucault pendulum's, so the loop keeps to Python numbers.
 
 Each residual evaluation is one pass.  The window builds, once per step,
 the :func:`~nhcontact.model.step_evaluator` of its forward steps, which
 settles the position rule, z rule and gradient choices; each evaluation
 then takes the partials, ``L_d`` and the constraint rows from one call of
 it, which builds the difference velocity and the evaluation point once and
-calls each system callable once per point it samples.
+calls each system callable once per point it samples.  Its probe form does
+the same for each probe point of a Jacobian, in one loop.
 
 The residual runs on Python numbers.  At four to eight unknowns numpy's
 per-call overhead on 2- and 5-vectors and on numpy scalars costs more than
@@ -38,10 +45,11 @@ by a real number goes through :func:`~nhcontact.model.divide`, which copies
 numpy's division (for complex numbers, the product with the reciprocal).
 The products with the constraint matrix, ``A(q_j)^T lambda``
 (:func:`multiplier_rows`) and ``A(q_d) v``, are the left-to-right sums of
-:func:`~nhcontact.model.dot`.  The complex-step columns of
-:func:`step_jacobian` read the imaginary parts of the returned lists, bit
-for bit the column-by-column numpy loop: each probe row of the batched
-numpy arithmetic rounds as that loop's single vector does.
+:func:`~nhcontact.model.dot`; the probe loops write the same division and
+sums out in place.  The complex-step columns of :func:`step_jacobian` read
+the imaginary parts of the returned lists, bit for bit the column-by-column
+numpy loop: each probe row of the batched numpy arithmetic rounds as that
+loop's single vector does.
 
 Newton starts from one of three predictions, which :func:`run_steps` builds
 from the q, z and multiplier histories it keeps.  The linear start
@@ -103,6 +111,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -163,15 +172,17 @@ def contact_window_terms(
     with_z: bool = True,
 ):
     """Residual terms fixed by the window for the whole step:
-    ``(D2 L_d(bwd), 1 - h D4 L_d(bwd), A(q_j)^T, forward)``, ``A(q_j)^T``
-    as a list of its ``n`` rows of Python numbers, tuples built from the
-    rows of ``A(q_j)`` as the system returns them
+    ``(D2 L_d(bwd), 1 - h D4 L_d(bwd), A(q_j)^T, forward, probes)``,
+    ``A(q_j)^T`` as a list of its ``n`` rows of Python numbers, tuples built
+    from the rows of ``A(q_j)`` as the system returns them
     (:func:`~nhcontact.model.numbers`), empty at ``m = 0``.
 
-    ``forward`` is the :func:`~nhcontact.model.step_evaluator` of the
-    window's forward steps, from ``(t_j, q_j, z_j)``, z held at zero unless
-    ``with_z``.  It returns the discrete-constraint rows, taking ``A(q_j)``
-    from the window where the rule samples the constraint at ``q_j``.
+    ``forward`` and ``probes`` are the two forms of the
+    :func:`~nhcontact.model.step_evaluator` of the window's forward steps,
+    from ``(t_j, q_j, z_j)``, z held at zero unless ``with_z``: the real
+    evaluation and the probe form for a step Jacobian's complex probes.  They
+    return the discrete-constraint rows, taking ``A(q_j)`` from the window
+    where the rule samples the constraint at ``q_j``.
 
     ``backward`` is the carry of the step that produced the window, the
     seed step's for the first window (:func:`initialize_window`): its
@@ -189,10 +200,11 @@ def contact_window_terms(
             f"1 - h*D4 = {denom:.3e} at t={w.t_curr}: implicit z-coupling degenerate"
         )
     a = numbers(system.constraint_matrix(w.q_curr))
-    forward = step_evaluator(system, rule, w.t_curr, w.q_curr, w.z_curr if with_z else 0.0, a)
+    forward, probes = step_evaluator(system, rule, w.t_curr, w.q_curr,
+                                     w.z_curr if with_z else 0.0, a)
     # the columns of the rows a; zip(*a) would lose all n of them at m = 0
     a_t = list(zip(*a)) if system.dim_c else [()] * system.dim_q
-    return d2b, denom, a_t, forward
+    return d2b, denom, a_t, forward, probes
 
 
 def multiplier_rows(a_t: list, lam: list) -> list:
@@ -223,36 +235,54 @@ def contact_residual(
     L_d, constraint rows]`` of this evaluation, the fields of a
     :class:`StepCarry` after ``factors``.
 
-    ``probe`` is given for a complex probe of the step Jacobian
-    (:func:`step_jacobian`) as ``(point, lam_rows)``: the probe point, which
-    the evaluator takes in place of ``q_{j+1}``, and ``A(q_j)^T lambda``,
-    which is the same for every probe.  The evaluator then gives ``D1``,
-    ``D3`` and the constraint rows alone, and the action row, which no probe
-    reads, leaves out its ``- h L_d``.
+    ``probe`` is given for all the complex probes of a step Jacobian at
+    once (:func:`step_jacobian`): ``unknowns`` is then their 2-D complex
+    matrix, one probe per row, ``probe`` is ``(points, lam_rows)``, the
+    probe points of :func:`~nhcontact.model.probe_points` and ``A(q_j)^T
+    lambda``, which is the same for every probe, and the residual is one
+    list per probe.  One loop over the evaluator's probe form builds them:
+    it gives ``D1``, ``D3`` and the constraint rows alone at each point, and
+    each probe's momentum rows are built right there, the division by
+    ``1 - h D4 L_d`` written out as :func:`divide` computes it.  The action
+    row, which no probe reads, leaves out its ``- h L_d``.
 
     The rows combine the partials on Python numbers, each elementwise
     operation rounded as numpy's on the same arrays (:func:`divide` for the
     division); ``A(q_j)^T lambda`` is :func:`multiplier_rows`.
     """
     n, h = system.dim_q, rule.h
-    d2b, denom, a_t, forward = terms
-    real = probe is None
-    if real:
-        values = unknowns.tolist()
-        z_next, point = values[n], unknowns[:n]
-        lam_rows = multiplier_rows(a_t, values[n + 1:])
-    else:
-        z_next, (point, lam_rows) = unknowns.item(n), probe
-    _, _, _, d1f, d2f, d3f, d4f, ld_fwd, constraint = forward(point, z_next, real)
+    d2b, denom, a_t, forward, probes = terms
+    if probe is not None:
+        points, lam_rows = probe
+        z_nexts = unknowns[:, n].tolist()
+        z, r, r0 = window.z_curr, 1.0 / denom, 0.0 / denom  # divide's, for denom
+        rows = []
+        for parts, z_next in zip(probes(points, z_nexts), z_nexts):
+            factor = 1.0 + h * parts[5]
+            # D1 + divide(D2 L_d(bwd) * factor, denom) - A^T lambda, entry by entry
+            row = []
+            if isinstance(d2b[0] * factor, complex):
+                for a, b, c in zip(parts[3], d2b, lam_rows):
+                    b *= factor
+                    re, im = b.real, b.imag
+                    row.append(a + complex((re + im * r0) * r, (im - re * r0) * r) - c)
+            else:
+                for a, b, c in zip(parts[3], d2b, lam_rows):
+                    row.append(a + b * factor / denom - c)
+            row.append(z_next - z)
+            row += parts[8]
+            rows.append(row)
+        return rows
+    values = unknowns.tolist()
+    z_next = values[n]
+    lam_rows = multiplier_rows(a_t, values[n + 1:])
+    _, _, _, d1f, d2f, d3f, d4f, ld_fwd, constraint = forward(unknowns[:n], z_next, True)
     factor = 1.0 + h * d3f
     momentum = [a + b - c for a, b, c in
                 zip(d1f, divide([b * factor for b in d2b], denom), lam_rows)]
     if keep is not None:
         keep[:] = d2f, d4f, ld_fwd, constraint
-    action = z_next - window.z_curr
-    if real:
-        action -= h * ld_fwd
-    return [*momentum, action, *constraint]
+    return [*momentum, z_next - window.z_curr - h * ld_fwd, *constraint]
 
 
 def step_jacobian(
@@ -288,8 +318,9 @@ def step_jacobian(
     :func:`~nhcontact.model.probe_points` turns their first ``n`` entries
     into probe points of the steps from ``q = q_j`` in one batch, and
     ``A(q_j)^T lambda`` (:func:`multiplier_rows`), the same for every probe,
-    is computed once.  Probe ``u`` is then ``residual(u, (point,
-    lam_rows))``, and the matrix is filled once from the returned lists.
+    is computed once.  The residual then takes all the probes in one call,
+    ``residual(probes, (points, lam_rows))``, and returns one list per
+    probe, from which the matrix is filled once.
     """
     k, n = len(x), len(a_t)
     m = len(a_t[0])
@@ -301,8 +332,7 @@ def step_jacobian(
     probes += x  # each row x + 0j
     probes.imag.flat[::k + 1] = COMPLEX_STEP  # row i's entry i
     lam_rows = multiplier_rows(a_t, probes[0, k - m:].tolist())
-    values = [residual(u, (point, lam_rows))
-              for u, point in zip(probes, probe_points(rule, q, probes[:, :n]))]
+    values = residual(probes, (probe_points(rule, q, probes[:, :n]), lam_rows))
     jac = np.zeros((k, k))
     jac[:, :c] = np.array(values, complex).imag.T / COMPLEX_STEP
     jac[:n, k - m:] = np.negative(a_t)
@@ -400,25 +430,33 @@ def seed_residual(
     ``target`` is the Taylor point as a list of floats, and ``terms`` are
     the :func:`contact_window_terms` of the seed window, ``q0`` and
     ``z = 0`` at ``t = 0``.  ``keep`` and ``probe`` are as for
-    :func:`contact_residual`: a complex probe of the step Jacobian reads the
-    rows alone, so its evaluation asks for no partials and no ``L_d``.
+    :func:`contact_residual`: the complex probes of the step Jacobian read
+    the rows alone, so the evaluator's probe form gives them the constraint
+    rows and no partials.
     :func:`initialize_window` solves it with ``target`` and ``with_z``
     bound.
     """
     n, h = system.dim_q, rule.h
-    _, _, a_t, forward = terms
+    _, _, a_t, forward, probes = terms
+    if probe is not None:
+        points, mu_rows = probe
+        z1s = unknowns[:, n].tolist() if with_z else repeat(0.0)
+        rows = []
+        for (*_, constraint), q1, z1 in zip(probes(points, z1s, False),
+                                            unknowns[:, :n].tolist(), z1s):
+            row = [x - t - c for x, t, c in zip(q1, target, mu_rows)]
+            if with_z:
+                row.append(z1)
+            rows.append(row + constraint)
+        return rows
     q1, z1 = unknowns[:n], unknowns.item(n) if with_z else 0.0
-    real = probe is None
-    if real:
-        point, mu_rows = q1, multiplier_rows(a_t, unknowns[n + with_z:].tolist())
-    else:
-        point, mu_rows = probe
-    *_, d2, _, d4, ld, constraint = forward(point, z1, with_z and real, keep is not None)
+    mu_rows = multiplier_rows(a_t, unknowns[n + with_z:].tolist())
+    *_, d2, _, d4, ld, constraint = forward(q1, z1, with_z, keep is not None)
     rows = [x - t - c for x, t, c in zip(q1.tolist(), target, mu_rows)]
     if keep is not None:
         keep[:] = d2, d4, ld, constraint
     if with_z:
-        rows.append(z1 - h * ld if real else z1)
+        rows.append(z1 - h * ld)
     return rows + constraint
 
 

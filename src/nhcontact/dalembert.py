@@ -13,12 +13,14 @@ Newton solve with its Jacobian and the trajectory driver are
 window's :func:`~nhcontact.model.step_evaluator`, z held at zero and
 ``L_d`` not evaluated: it gives the partials, the constraint rows and the
 time, point and difference velocity at which the rule samples the force.
-The complex probes of the step Jacobian ask it for ``D1`` and the
-constraint rows alone, and sample the force at their own points.
+The complex probes of the step Jacobian come in one call, and one loop over
+the evaluator's probe form gives each probe ``D1`` and the constraint rows
+alone and samples the force at its own point.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional
 
 from .contact import StepStats, multiplier_rows, run_steps
@@ -56,17 +58,22 @@ def la_residual(
     taken as the system returns it, a numpy array costing one ``tolist()``.
     ``keep`` and ``probe`` are as for
     :func:`~nhcontact.contact.contact_residual`, with ``None`` for the
-    discrete Lagrangian, which this residual never evaluates.
+    discrete Lagrangian, which this residual never evaluates; with
+    ``probe``, all the probes of a step Jacobian are one call, one list
+    each.
     """
     n, h = system.dim_q, rule.h
-    d2b, _, a_t, forward = terms
-    if probe is None:
-        point, lam_rows = unknowns[:n], multiplier_rows(a_t, unknowns[n:].tolist())
-    else:
-        point, lam_rows = probe
-    t_d, q_d, v, d1f, d2f, _, d4f, _, constraint = forward(point, 0.0)
-    force = numbers(system.external_force(t_d, q_d, v))
-    momentum = [h * (a + b) + h * f - c for a, b, f, c in zip(d1f, d2b, force, lam_rows)]
+    d2b, _, a_t, forward, probes = terms
+    force = system.external_force
+    if probe is not None:
+        points, lam_rows = probe
+        return [[h * (a + b) + h * f - c for a, b, f, c in
+                 zip(d1f, d2b, numbers(force(t_d, q_d, v)), lam_rows)] + constraint
+                for t_d, q_d, v, d1f, _, _, _, _, constraint in probes(points, repeat(0.0))]
+    lam_rows = multiplier_rows(a_t, unknowns[n:].tolist())
+    t_d, q_d, v, d1f, d2f, _, d4f, _, constraint = forward(unknowns[:n], 0.0)
+    momentum = [h * (a + b) + h * f - c for a, b, f, c in
+                zip(d1f, d2b, numbers(force(t_d, q_d, v)), lam_rows)]
     if keep is not None:
         keep[:] = d2f, d4f, None, constraint
     return momentum + constraint

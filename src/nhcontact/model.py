@@ -11,9 +11,11 @@ The discrete Lagrangian of one step is evaluated here, by
 :class:`DiscretizationRule` into sample points, where ``L``, ``A(q)``,
 ``b(q)`` and the external force are sampled and which ``z`` the Lagrangian
 sees, with :func:`probe_points`, its batch form for the complex probes of a
-step Jacobian.  Made once per step from the step's start, it returns at a
-candidate end point, in one pass, that point, the partials ``D1``-``D4``,
-``L_d`` and the discrete-constraint rows, each part when asked for.
+step Jacobian.  Made once per step from the step's start, it returns two
+forms.  One gives at a candidate end point, in one pass, that point, the
+partials ``D1``-``D4``, ``L_d`` and the discrete-constraint rows, each part
+when asked for.  The probe form runs one loop over all the probe points of
+a step Jacobian and gives at each only what the Jacobian's columns read.
 :func:`partials_of_Ld`, :func:`evaluate_discrete_lagrangian` and
 :func:`discrete_constraint` are one-line forms over it, for the
 finite-difference partials, the diagnostics and the tests; the integrators
@@ -353,10 +355,10 @@ def step_evaluator(
     z: float,
     a_q: Optional[list] = None,
 ) -> Callable:
-    """The discrete Lagrangian of the steps from ``(t, q, z)``, as a function
-    ``evaluate(q_next, z_next, with_ld=False, partials=True, rows=True)``
-    that returns, in one pass, ``(t_d, q_d, v, D1, D2, D3, D4, L_d,
-    constraint)``.
+    """The discrete Lagrangian of the steps from ``(t, q, z)``, as the pair
+    ``(evaluate, probes)`` of its two forms.  ``evaluate(q_next, z_next,
+    with_ld=False, partials=True, rows=True)`` returns, in one pass,
+    ``(t_d, q_d, v, D1, D2, D3, D4, L_d, constraint)``.
 
     This is the one place that turns the rule into sample points, with
     :func:`probe_points`, its batch form for a step Jacobian's probes.
@@ -382,11 +384,17 @@ def step_evaluator(
     partials are not checked for finiteness here: Newton checks every
     residual and Jacobian it is given (:func:`nhcontact.newton.newton_solve`).
 
-    A probe point of :func:`probe_points`, from the same ``q``, may stand
-    in for ``q_next``: the evaluation then takes its end point, difference
-    velocity and sample point as built, and its partials are ``D1`` and
-    ``D3`` alone, ``D2`` being ``None``, as no column of the step Jacobian
-    reads ``D2`` or ``L_d``.
+    ``probes(points, z_nexts, partials=True)`` is the probe form, for the
+    complex probes of a step Jacobian, which needs registered gradients.
+    ``points`` are :func:`probe_points` from the same ``q``, whose end
+    points, difference velocities and sample points it takes as built, and
+    ``z_nexts`` the probes' ``z_next``.  It is one loop over the points that
+    yields, point by point, the same tuple with ``D2``, ``D4`` and ``L_d``
+    ``None``, as no column of the step Jacobian reads them: ``D1`` and
+    ``D3`` (``None`` unless ``partials``) and the constraint rows.  At each
+    point it calls each system callable once, and computes ``D1`` and the
+    rows there with :func:`divide`'s division and :func:`dot`'s sums
+    written out, so each part is bit for bit ``evaluate``'s at that point.
 
     Each system callable is called once per point it is sampled at, the
     Lagrangian after its gradients.  The rule, the z rule and whether
@@ -411,12 +419,8 @@ def step_evaluator(
         a_rows, offset_q = a_q, numbers(offset(q))
 
     def evaluate(q_next, z_next, with_ld=False, partials=True, rows=True):
-        probe = q_next.__class__ is tuple
-        if probe:
-            q_next, v, q_d, v_list = q_next
-        else:
-            v = (q_next - q) / h
-            q_d = 0.5 * (q + q_next) if mid else q
+        v = (q_next - q) / h
+        q_d = 0.5 * (q + q_next) if mid else q
         z_d = z if first else 0.5 * (z + z_next)
         d1 = d2 = d3 = d4 = ld = constraint = None
         if partials and gradients is None:
@@ -427,8 +431,7 @@ def step_evaluator(
                 gq1, gv1, gz1 = gradients(t_next, q_next, v, z_d)
                 gv_h = divide([0.5 * (x + y) for x, y in zip(numbers(gv0), numbers(gv1))], h)
                 d1 = [0.5 * x - y for x, y in zip(numbers(gq0), gv_h)]
-                if not probe:
-                    d2 = [0.5 * x + y for x, y in zip(numbers(gq1), gv_h)]
+                d2 = [0.5 * x + y for x, y in zip(numbers(gq1), gv_h)]
                 gz = 0.5 * (gz0 + gz1)
             else:
                 gq, gv, gz = gradients(t_d, q_d, v, z_d)
@@ -436,12 +439,10 @@ def step_evaluator(
                 if mid:
                     half = [0.5 * x for x in numbers(gq)]
                     d1 = [x - y for x, y in zip(half, gv_h)]
-                    if not probe:
-                        d2 = [x + y for x, y in zip(half, gv_h)]
+                    d2 = [x + y for x, y in zip(half, gv_h)]
                 else:
                     d1 = [x - y for x, y in zip(numbers(gq), gv_h)]
-                    if not probe:
-                        d2 = gv_h
+                    d2 = gv_h
             if first:
                 d3, d4 = gz, 0.0
             else:
@@ -456,23 +457,67 @@ def step_evaluator(
                     f"non-finite discrete Lagrangian at t={t}, q={q}, q_next={q_next}, "
                     f"z={z}, z_next={z_next}")
         if rows:
-            if not probe:
-                v_list = v.tolist()
             if a_rows is not None:
-                constraint = constraint_rows(a_rows, v_list, offset_q)
+                constraint = constraint_rows(a_rows, v.tolist(), offset_q)
             elif m:
-                constraint = constraint_rows(numbers(matrix(q_d)), v_list, numbers(offset(q_d)))
+                constraint = constraint_rows(numbers(matrix(q_d)), v.tolist(),
+                                             numbers(offset(q_d)))
             else:
                 constraint = []
         return t_d, q_d, v, d1, d2, d3, d4, ld, constraint
 
-    return evaluate
+    def probes(points, z_nexts, partials=True):
+        # divide's reciprocals of h, and whether D1 halves dL/dq
+        n, r, r0, half = system.dim_q, 1.0 / h, 0.0 / h, mid or trap
+        d1 = d3 = None
+        for (q_next, v, q_d, v_list), z_next in zip(points, z_nexts):
+            if partials:
+                z_d = z if first else 0.5 * (z + z_next)
+                if trap:
+                    gq, gv0, gz0 = gradients(t, q, v, z_d)
+                    _, gv1, gz1 = gradients(t_next, q_next, v, z_d)
+                    gv = [0.5 * (x + y) for x, y in zip(numbers(gv0), numbers(gv1))]
+                    gz = 0.5 * (gz0 + gz1)
+                else:
+                    gq, gv, gz = gradients(t_d, q_d, v, z_d)
+                    gv = numbers(gv)
+                # D1: numbers(gq), halved but at the left end, minus divide(gv, h)
+                d1 = []
+                if isinstance(gv[0], complex):
+                    for x, y in zip(numbers(gq), gv):
+                        if half:
+                            x = 0.5 * x
+                        re, im = y.real, y.imag
+                        d1.append(x - complex((re + im * r0) * r, (im - re * r0) * r))
+                else:
+                    for x, y in zip(numbers(gq), gv):
+                        if half:
+                            x = 0.5 * x
+                        d1.append(x - y / h)
+                d3 = gz if first else 0.5 * gz
+            if a_rows is not None:
+                a, b = a_rows, offset_q
+            elif m:
+                a, b = numbers(matrix(q_d)), numbers(offset(q_d))
+            else:
+                a = b = ()
+            # constraint_rows(a, v_list, b)
+            constraint = []
+            for row, y in zip(a, b):
+                total = row[0] * v_list[0]
+                for i in range(1, n):
+                    total += row[i] * v_list[i]
+                constraint.append(total + y)
+            yield t_d, q_d, v, d1, None, d3, None, None, constraint
+
+    return evaluate, probes
 
 
 def probe_points(rule: DiscretizationRule, q: Array, q_nexts: Array):
     """The probe points of a step Jacobian's complex probes of the steps
     from ``q``, one per row of the 2-D complex ``q_nexts``, each ``(q_next,
-    v, q_d, v as a list)``, for :func:`step_evaluator`'s ``evaluate``.
+    v, q_d, v as a list)``, an iterator for one pass of
+    :func:`step_evaluator`'s probe form.
 
     The difference velocities and sample points of all the probes are built
     with one numpy operation each, every row bit for bit ``evaluate``'s
@@ -495,7 +540,7 @@ def evaluate_discrete_lagrangian(
     """Discrete Lagrangian ``L_d(q, q', z, z')`` over one step starting at
     ``t``; complex when an argument is (see :func:`complex_step`).  It is
     :func:`step_evaluator`'s."""
-    evaluate = step_evaluator(system, rule, t, q, z)
+    evaluate = step_evaluator(system, rule, t, q, z)[0]
     return evaluate(q_next, z_next, with_ld=True, partials=False, rows=False)[7]
 
 
@@ -513,7 +558,7 @@ def partials_of_Ld(
     ``D2`` are lists of Python numbers.  They are :func:`step_evaluator`'s,
     analytic when the system registers gradients, else finite differences.
     """
-    return step_evaluator(system, rule, t, q, z)(q_next, z_next, rows=False)[3:7]
+    return step_evaluator(system, rule, t, q, z)[0](q_next, z_next, rows=False)[3:7]
 
 
 def discrete_constraint(
@@ -524,7 +569,7 @@ def discrete_constraint(
 ) -> list:
     """Discrete constraint residual ``A(q_d) qdot_d + b(q_d)``, a list of
     Python numbers; it is :func:`step_evaluator`'s."""
-    return step_evaluator(system, rule, 0.0, q, 0.0)(q_next, 0.0, partials=False)[8]
+    return step_evaluator(system, rule, 0.0, q, 0.0)[0](q_next, 0.0, partials=False)[8]
 
 
 def least_squares(a: Array, b: Array) -> Array:

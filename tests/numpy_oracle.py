@@ -5,8 +5,9 @@ callables: the tests' oracles for the Python-number kernel.
 partials, the discrete constraint and the Foucault and disk callables on
 Python numbers, rounding each elementwise operation as numpy's array and
 scalar arithmetic does, and builds the exact step Jacobian's complex-step
-columns from one complex vector and the imaginary parts of each returned
-list, its action row in closed form.  The functions here do the same work
+columns from one complex matrix of all its probes, which the residual takes
+in one call, and the imaginary parts of the list it returns for each probe,
+its action row in closed form.  The functions here do the same work
 on numpy arrays and scalars, a fresh probe vector per column; the tests
 require the package's results to equal theirs bit for bit, zero signs
 included, on real arguments and on the complex-step probes of the exact

@@ -119,6 +119,31 @@ def forced_disk_case():
 KERNEL_CASES = [pendulum_case, forced_disk_case]
 
 
+def z_coupled_system() -> ContactSystem:
+    """``L = (1 + 0.2 z)|v|^2/2 - |q|^2/2 - 0.1 z`` on ``q = (x, y, w)``, with
+    the constraint row ``A(q) = (cos w, sin w, 0)`` and offset ``0.1 x``, its
+    callables on numpy arrays.  ``dL/dz = 0.1 |v|^2 - 0.1`` depends on the
+    velocity, so at a complex-step probe the factor ``1 + h D3 L_d`` of the
+    contact momentum rows is complex, as it is for no built-in system.  It
+    is returned as a Python number, so that the factor's products and
+    division are the kernel's own arithmetic, not a numpy scalar's."""
+    def lagrangian(t, q, v, z):
+        return 0.5 * (1.0 + 0.2 * z) * (v @ v) - 0.5 * (q @ q) - 0.1 * z
+
+    def gradients(t, q, v, z):
+        return -q, (1.0 + 0.2 * z) * v, (0.1 * (v @ v) - 0.1).item()
+
+    return ContactSystem(
+        dim_q=3,
+        dim_c=1,
+        lagrangian=lagrangian,
+        constraint_matrix=lambda q: np.array([[np.cos(q[2]), np.sin(q[2]), 0.0 * q[2]]]),
+        constraint_offset=lambda q: np.array([0.1 * q[0]]),
+        energy=lambda q, v: 0.5 * (v @ v) + 0.5 * (q @ q),
+        lagrangian_gradients=gradients,
+    )
+
+
 def _oracle_case(name):
     """``(residual, system, oracle residual, oracle system, q, h)``: the
     built-in systems against their numpy callables, the others against
@@ -141,6 +166,9 @@ def _oracle_case(name):
         system = build_contact_system(spec)
         oracle = numpy_oracle.disk_system(_disk_params(spec))
         q, h = spec.q0 + np.array([0.0, 0.0, 0.1, 0.2, 0.3]), DISK_RULE.h
+    elif name == "z-coupled":
+        system = oracle = z_coupled_system()
+        q, h = np.array([0.3, -0.2, 0.5]), 0.1
     else:
         system = oracle = damped_oscillator()
         q, h = np.array([0.7]), 0.1
@@ -155,14 +183,18 @@ RULE_IDS = {PositionRule.LEFT_ENDPOINT: "left", PositionRule.MIDPOINT: "mid",
 
 def exact_jacobian(residual, system, rule, window, terms, x):
     """The step Jacobian at ``x`` as :func:`solve_step` builds it: the action
-    row from the real evaluation at ``x``, complex probes without ``L_d``."""
+    row from the real evaluation at ``x``, all the complex probes in one
+    residual call, without ``L_d``."""
     keep = []
     residual(system, rule, window, terms, x, keep)
-    return step_jacobian(lambda u, probe: residual(system, rule, window, terms, u, None, probe),
-                         x, terms[2], window.q_curr, rule, keep[:2])
+    return step_jacobian(
+        lambda probes, probe: residual(system, rule, window, terms, probes, None, probe),
+        x, terms[2], window.q_curr, rule, keep[:2])
+
+
 ORACLE_CASES = [(name, position, z_rule)
                 for name in ("pendulum", "disk", "oscillator", "fd-pendulum", "la-pendulum",
-                             "la-disk")
+                             "la-disk", "z-coupled")
                 for position in PositionRule for z_rule in ZRule]
 
 
@@ -221,7 +253,8 @@ def test_step_jacobian_bit_identical_to_column_loop():
     rule = DiscretizationRule(PositionRule.MIDPOINT, ZRule.FIRST_ORDER, 0.1)
     with np.errstate(all="ignore"):
         # the residual reads its unknowns alone, not the probe points
-        jac = step_jacobian(lambda u, probe: residual(u), x, a_t, np.zeros(4), rule)
+        jac = step_jacobian(lambda probes, probe: [residual(u) for u in probes], x, a_t,
+                            np.zeros(4), rule)
         expected = numpy_oracle.step_jacobian(residual, x, a_t, rule)
     assert not np.all(np.isfinite(jac))
     assert jac.tobytes() == expected.tobytes()
@@ -246,7 +279,7 @@ def numpy_seed_residual(system, rule, q0, target, with_z, unknowns):
 
 
 SEED_CASES = [(name, position, z_rule, with_z)
-              for name in ("pendulum", "disk", "oscillator")
+              for name in ("pendulum", "disk", "oscillator", "z-coupled")
               for position in PositionRule for z_rule in ZRule for with_z in (True, False)]
 
 
@@ -377,7 +410,8 @@ def test_residual_calls_each_system_callable_once_per_point(eid, counts, shared)
     # a real evaluation calls each callable once per point; so does each
     # complex probe of a whole step Jacobian, which takes its action row in
     # closed form: it makes no lagrangian call and asks the evaluator for
-    # neither D2 nor L_d
+    # neither D2 nor L_d.  The probes go through the evaluator's probe form
+    # in one call, which yields each probe's parts after sampling its point
     spec = get_experiment(eid)
     system = build_contact_system(spec)
     calls = {}
@@ -408,19 +442,26 @@ def test_residual_calls_each_system_callable_once_per_point(eid, counts, shared)
     assert {name: len(args) for name, args in calls.items()} == counts
     check_points()
 
-    forward, probes = terms[3], []
+    probe_form, probes = terms[4], []
 
-    def evaluate(*args, **kwargs):
-        calls.clear()
-        parts = forward(*args, **kwargs)
-        assert parts[4] is None and parts[7] is None  # neither D2 nor L_d
-        probes.append({name: len(args) for name, args in calls.items()})
-        check_points()
-        return parts
+    def real(*args, **kwargs):
+        raise AssertionError("a probe asked for a real evaluation")
 
-    terms = terms[:3] + (evaluate,)
-    step_jacobian(lambda u, probe: contact_residual(system, spec.rule, window, terms, u, None,
-                                                    probe),
+    def evaluate_probes(*args):
+        parts_of_points = probe_form(*args)
+        while True:
+            calls.clear()
+            parts = next(parts_of_points, None)
+            if parts is None:
+                return
+            assert parts[4] is None and parts[7] is None  # neither D2 nor L_d
+            probes.append({name: len(args) for name, args in calls.items()})
+            check_points()
+            yield parts
+
+    terms = terms[:3] + (real, evaluate_probes)
+    step_jacobian(lambda us, probe: contact_residual(system, spec.rule, window, terms, us, None,
+                                                     probe),
                   x, terms[2], window.q_curr, spec.rule, keep[:2])
     probe_counts = {name: k for name, k in counts.items() if name != "lagrangian"}
     columns = system.dim_q + (spec.rule.z_rule is ZRule.SECOND_ORDER)
@@ -457,8 +498,10 @@ def first_window(system, rule, q0, v0):
 def count_calls(monkeypatch, calls):
     """Count into ``calls`` the step residuals and the partials evaluations:
     each evaluation of a ``step_evaluator`` that returns partials, the
-    residual's and the seed step's real ones and the probes of the implicit
-    steps' Jacobians; complex Jacobian probes of the seed step ask for none."""
+    residual's and the seed step's real ones, and each call of its probe
+    form that asks for partials, one per implicit step's Jacobian, whose
+    probes the residual takes in one call; the complex Jacobian probes of
+    the seed step ask for none."""
     def counting(name, f):
         def wrapped(*args, **kwargs):
             calls[name] += 1
@@ -466,14 +509,18 @@ def count_calls(monkeypatch, calls):
         return wrapped
 
     def evaluator(*args):
-        forward = step_evaluator(*args)
+        forward, probes = step_evaluator(*args)
 
         def evaluate(*args, **kwargs):
             parts = forward(*args, **kwargs)
             calls["partials"] += parts[5] is not None
             return parts
 
-        return evaluate
+        def evaluate_probes(points, z_nexts, partials=True):
+            calls["partials"] += partials
+            return probes(points, z_nexts, partials)
+
+        return evaluate, evaluate_probes
 
     monkeypatch.setattr(nhcontact.contact, "step_evaluator", evaluator)
     monkeypatch.setattr(nhcontact.contact, "contact_residual",
@@ -1020,6 +1067,8 @@ def _jacobian_case(case, rule):
     """(residual, system, window, terms, guess) of one step of ``case``."""
     if case == "oscillator":
         system, q0, v0 = damped_oscillator(), np.array([1.0]), np.array([0.0])
+    elif case == "z-coupled":
+        system, q0, v0 = z_coupled_system(), np.array([0.3, -0.2, 0.5]), np.array([0.4, 0.1, 0.3])
     else:
         eid = {"disk": "disk-2.3", "forced-disk": "disk-3.2"}.get(case, "foucault-1")
         spec = get_experiment(eid)
@@ -1038,7 +1087,7 @@ def _jacobian_case(case, rule):
 
 @pytest.mark.parametrize("z_rule", list(ZRule), ids=lambda r: r.value)
 @pytest.mark.parametrize("position", list(PositionRule), ids=lambda r: r.value)
-@pytest.mark.parametrize("case", ["oscillator", "foucault", "foucault-la", "disk"])
+@pytest.mark.parametrize("case", ["oscillator", "foucault", "foucault-la", "disk", "z-coupled"])
 def test_step_jacobian_matches_central_difference(case, position, z_rule):
     # multiplier columns in closed form, complex steps for the rest
     rule = DiscretizationRule(position, z_rule, 0.05 if case.startswith("foucault") else 0.1)
