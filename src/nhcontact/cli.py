@@ -9,6 +9,7 @@ configuration produce byte-identical trajectory CSV.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -274,27 +275,41 @@ def cmd_convergence(args) -> int:
         # the rules have checked that every h is positive and finite
         if t_final / min(h_list) > MAX_STEPS:
             raise UnsupportedExperiment(f"h = {min(h_list):g} takes more than {MAX_STEPS} steps")
+        # each error is taken at t_final, so each h must divide it, up to round-off
+        for h in h_list:
+            if not math.isclose(round(t_final / h) * h, t_final, rel_tol=1e-9):
+                raise UnsupportedExperiment(f"h = {h:g} does not divide t_final = {t_final:g}")
     except ValueError as exc:
         return _unsupported(exc)
 
     out = _output_dir(args, "convergence")
     system = damped_oscillator(alpha, omega)
     rows = []
+    status = EXIT_OK
     for rule_name, rules in studies:
         pairs = []
         for rule in rules:
             n = int(round(t_final / rule.h))
             traj = run_contact(system, rule, np.array([1.0]), np.array([0.0]), n,
                                NewtonConfig(tolerance=1e-12))
+            if not traj.termination.completed:
+                # a truncated run has no error at t_final: the rule measures no order
+                _report_failure(f"{rule_name} h={rule.h:g}", traj)
+                status = EXIT_SOLVER_FAILURE
+                pairs = None
+                break
             err = abs(traj.configurations[-1, 0]
                       - damped_oscillator_solution(alpha, omega, t_final))
             pairs.append((rule.h, err))
+        if pairs is None:
+            print(f"{rule_name}: no order measured")
+            continue
         order = convergence_order(pairs)
         for h, err in pairs:
             rows.append([rule_name, h, err, order])
         print(f"{rule_name}: measured order {order:.3f}")
     _write_csv(os.path.join(out, "orders.csv"), ["rule", "h", "error", "order"], rows)
-    return EXIT_OK
+    return status
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -15,12 +15,13 @@ exact Jacobian takes the action row and the multiplier columns in closed
 form, from the real evaluation at its point, and every other column by
 complex step.  One builder serves the contact, Lagrange-d'Alembert and seed
 residuals: it builds all the probe vectors of a Jacobian as one complex
-matrix, their difference velocities and sample points with one numpy
-operation each (:func:`~nhcontact.model.probe_points`), and
-``A(q_j)^T lambda`` once, and hands all the probes to the residual in one
-call.  The residual's probe branch runs one loop over the probe points
-with the evaluator's probe form, which gives at each point only what the
-columns read: ``D1``, ``D3`` and the constraint rows (the
+matrix and hands it to the residual in one call.  Throughout the step
+kernel a 1-D vector of unknowns is one real candidate and a 2-D matrix a
+step Jacobian's probes, one per row, so no argument says which.  The
+residual computes ``A(q_j)^T lambda`` once, from row 0, and the evaluator
+builds the probes' difference velocities and sample points with one numpy
+operation each, then runs one loop over the rows that gives at each only
+what the columns read: ``D1``, ``D3`` and the constraint rows (the
 Lagrange-d'Alembert residual adds the force at the probe's sample point),
 never ``D2`` or ``L_d``.  Each probe's row is built inside that loop, and
 the matrix is filled once.  At 6 probes a call chain per probe (residual,
@@ -33,8 +34,8 @@ the :func:`~nhcontact.model.step_evaluator` of its forward steps, which
 settles the position rule, z rule and gradient choices; each evaluation
 then takes the partials, ``L_d`` and the constraint rows from one call of
 it, which builds the difference velocity and the evaluation point once and
-calls each system callable once per point it samples.  Its probe form does
-the same for each probe point of a Jacobian, in one loop.
+calls each system callable once per point it samples.  A Jacobian's probes
+are one call too, with one loop over the probe points.
 
 The residual runs on Python numbers.  At four to eight unknowns numpy's
 per-call overhead on 2- and 5-vectors and on numpy scalars costs more than
@@ -131,7 +132,6 @@ from .model import (
     dot,
     initial_acceleration,
     numbers,
-    probe_points,
     project_velocity,
     step_evaluator,
 )
@@ -172,17 +172,17 @@ def contact_window_terms(
     with_z: bool = True,
 ):
     """Residual terms fixed by the window for the whole step:
-    ``(D2 L_d(bwd), 1 - h D4 L_d(bwd), A(q_j)^T, forward, probes)``,
-    ``A(q_j)^T`` as a list of its ``n`` rows of Python numbers, tuples built
-    from the rows of ``A(q_j)`` as the system returns them
+    ``(D2 L_d(bwd), 1 - h D4 L_d(bwd), A(q_j)^T, forward)``, ``A(q_j)^T``
+    as a list of its ``n`` rows of Python numbers, tuples built from the
+    rows of ``A(q_j)`` as the system returns them
     (:func:`~nhcontact.model.numbers`), empty at ``m = 0``.
 
-    ``forward`` and ``probes`` are the two forms of the
-    :func:`~nhcontact.model.step_evaluator` of the window's forward steps,
-    from ``(t_j, q_j, z_j)``, z held at zero unless ``with_z``: the real
-    evaluation and the probe form for a step Jacobian's complex probes.  They
-    return the discrete-constraint rows, taking ``A(q_j)`` from the window
-    where the rule samples the constraint at ``q_j``.
+    ``forward`` is the :func:`~nhcontact.model.step_evaluator` of the
+    window's forward steps, from ``(t_j, q_j, z_j)``, z held at zero unless
+    ``with_z``: it evaluates a real candidate, a 1-D ``q_next``, and a step
+    Jacobian's complex probes, a 2-D one.  It returns the
+    discrete-constraint rows, taking ``A(q_j)`` from the window where the
+    rule samples the constraint at ``q_j``.
 
     ``backward`` is the carry of the step that produced the window, the
     seed step's for the first window (:func:`initialize_window`): its
@@ -200,11 +200,10 @@ def contact_window_terms(
             f"1 - h*D4 = {denom:.3e} at t={w.t_curr}: implicit z-coupling degenerate"
         )
     a = numbers(system.constraint_matrix(w.q_curr))
-    forward, probes = step_evaluator(system, rule, w.t_curr, w.q_curr,
-                                     w.z_curr if with_z else 0.0, a)
+    forward = step_evaluator(system, rule, w.t_curr, w.q_curr, w.z_curr if with_z else 0.0, a)
     # the columns of the rows a; zip(*a) would lose all n of them at m = 0
     a_t = list(zip(*a)) if system.dim_c else [()] * system.dim_q
-    return d2b, denom, a_t, forward, probes
+    return d2b, denom, a_t, forward
 
 
 def multiplier_rows(a_t: list, lam: list) -> list:
@@ -224,7 +223,6 @@ def contact_residual(
     terms,
     unknowns: Array,
     keep: Optional[list] = None,
-    probe: Optional[tuple] = None,
 ) -> list:
     """Stacked residual at a candidate ``(q_{j+1}, z_{j+1}, lambda)``, a
     list of Python numbers.
@@ -235,14 +233,12 @@ def contact_residual(
     L_d, constraint rows]`` of this evaluation, the fields of a
     :class:`StepCarry` after ``factors``.
 
-    ``probe`` is given for all the complex probes of a step Jacobian at
-    once (:func:`step_jacobian`): ``unknowns`` is then their 2-D complex
-    matrix, one probe per row, ``probe`` is ``(points, lam_rows)``, the
-    probe points of :func:`~nhcontact.model.probe_points` and ``A(q_j)^T
-    lambda``, which is the same for every probe, and the residual is one
-    list per probe.  One loop over the evaluator's probe form builds them:
-    it gives ``D1``, ``D3`` and the constraint rows alone at each point, and
-    each probe's momentum rows are built right there, the division by
+    A 2-D ``unknowns`` is all the complex probes of a step Jacobian, one
+    per row (:func:`step_jacobian`), and the residual is one list per probe.
+    No probe perturbs the multipliers, so ``A(q_j)^T lambda`` is computed
+    once, from row 0.  One pass of the forward evaluator over the rows
+    gives ``D1``, ``D3`` and the constraint rows alone at each, and each
+    probe's momentum rows are built from them, the division by
     ``1 - h D4 L_d`` written out as :func:`divide` computes it.  The action
     row, which no probe reads, leaves out its ``- h L_d``.
 
@@ -251,13 +247,13 @@ def contact_residual(
     division); ``A(q_j)^T lambda`` is :func:`multiplier_rows`.
     """
     n, h = system.dim_q, rule.h
-    d2b, denom, a_t, forward, probes = terms
-    if probe is not None:
-        points, lam_rows = probe
+    d2b, denom, a_t, forward = terms
+    if unknowns.ndim == 2:
         z_nexts = unknowns[:, n].tolist()
+        lam_rows = multiplier_rows(a_t, unknowns[0, n + 1:].tolist())
         z, r, r0 = window.z_curr, 1.0 / denom, 0.0 / denom  # divide's, for denom
         rows = []
-        for parts, z_next in zip(probes(points, z_nexts), z_nexts):
+        for parts, z_next in zip(forward(unknowns[:, :n], z_nexts), z_nexts):
             factor = 1.0 + h * parts[5]
             # D1 + divide(D2 L_d(bwd) * factor, denom) - A^T lambda, entry by entry
             row = []
@@ -286,10 +282,9 @@ def contact_residual(
 
 
 def step_jacobian(
-    residual: Callable[[Array, tuple], list],
+    residual: Callable[[Array], list],
     x: Array,
     a_t: list,
-    q: Array,
     rule: DiscretizationRule,
     action: Optional[tuple] = None,
 ) -> Array:
@@ -314,12 +309,8 @@ def step_jacobian(
     be complex-safe (:class:`~nhcontact.model.ContactSystem`).  The probes
     are built at once, one row each of one complex matrix: ``x + 0j``, whose
     real parts are ``x + 0.0`` as ``x + i 1e-200 e_i`` rounds them, its
-    imaginary part 1e-200 at the probed column.
-    :func:`~nhcontact.model.probe_points` turns their first ``n`` entries
-    into probe points of the steps from ``q = q_j`` in one batch, and
-    ``A(q_j)^T lambda`` (:func:`multiplier_rows`), the same for every probe,
-    is computed once.  The residual then takes all the probes in one call,
-    ``residual(probes, (points, lam_rows))``, and returns one list per
+    imaginary part 1e-200 at the probed column.  The residual takes all the
+    probes in one call, ``residual(probes)``, and returns one list per
     probe, from which the matrix is filled once.
     """
     k, n = len(x), len(a_t)
@@ -331,10 +322,8 @@ def step_jacobian(
     probes = np.zeros((c, k), complex)
     probes += x  # each row x + 0j
     probes.imag.flat[::k + 1] = COMPLEX_STEP  # row i's entry i
-    lam_rows = multiplier_rows(a_t, probes[0, k - m:].tolist())
-    values = residual(probes, (probe_points(rule, q, probes[:, :n]), lam_rows))
     jac = np.zeros((k, k))
-    jac[:, :c] = np.array(values, complex).imag.T / COMPLEX_STEP
+    jac[:, :c] = np.array(residual(probes), complex).imag.T / COMPLEX_STEP
     jac[:n, k - m:] = np.negative(a_t)
     if with_z:
         h = rule.h
@@ -391,12 +380,10 @@ def solve_step(
 
     build = None
     if system.lagrangian_gradients is not None:
-        def probe(u, point):
-            return residual(system, rule, w, terms, u, None, point)
-
         def build(u):
             d2, d4, _, _ = next(keep for x, keep in kept if x is u)
-            return step_jacobian(probe, u, terms[2], w.q_curr, rule, (d2, d4))
+            return step_jacobian(lambda probes: residual(system, rule, w, terms, probes),
+                                 u, terms[2], rule, (d2, d4))
     last = len(starts) - 1
     for i, start in enumerate(starts):
         try:
@@ -420,7 +407,6 @@ def seed_residual(
     terms,
     unknowns: Array,
     keep: Optional[list] = None,
-    probe: Optional[tuple] = None,
 ) -> list:
     """The seed step's residual at a candidate ``(q1, z1, mu)``, without
     ``z1`` unless ``with_z``, a list of Python numbers:
@@ -429,21 +415,21 @@ def seed_residual(
 
     ``target`` is the Taylor point as a list of floats, and ``terms`` are
     the :func:`contact_window_terms` of the seed window, ``q0`` and
-    ``z = 0`` at ``t = 0``.  ``keep`` and ``probe`` are as for
-    :func:`contact_residual`: the complex probes of the step Jacobian read
-    the rows alone, so the evaluator's probe form gives them the constraint
-    rows and no partials.
+    ``z = 0`` at ``t = 0``.  ``keep`` and a 2-D ``unknowns`` are as for
+    :func:`contact_residual`, ``A(q0)^T mu`` from row 0: the complex probes
+    of the step Jacobian read the rows alone, so the evaluator gives them
+    the constraint rows and no partials.
     :func:`initialize_window` solves it with ``target`` and ``with_z``
     bound.
     """
     n, h = system.dim_q, rule.h
-    _, _, a_t, forward, probes = terms
-    if probe is not None:
-        points, mu_rows = probe
+    _, _, a_t, forward = terms
+    if unknowns.ndim == 2:
+        q1s = unknowns[:, :n]
         z1s = unknowns[:, n].tolist() if with_z else repeat(0.0)
+        mu_rows = multiplier_rows(a_t, unknowns[0, n + with_z:].tolist())
         rows = []
-        for (*_, constraint), q1, z1 in zip(probes(points, z1s, False),
-                                            unknowns[:, :n].tolist(), z1s):
+        for (*_, constraint), q1, z1 in zip(forward(q1s, z1s, False, False), q1s.tolist(), z1s):
             row = [x - t - c for x, t, c in zip(q1, target, mu_rows)]
             if with_z:
                 row.append(z1)

@@ -13,9 +13,10 @@ Newton solve with its Jacobian and the trajectory driver are
 window's :func:`~nhcontact.model.step_evaluator`, z held at zero and
 ``L_d`` not evaluated: it gives the partials, the constraint rows and the
 time, point and difference velocity at which the rule samples the force.
-The complex probes of the step Jacobian come in one call, and one loop over
-the evaluator's probe form gives each probe ``D1`` and the constraint rows
-alone and samples the force at its own point.
+The complex probes of the step Jacobian come in one call, as the rows of a
+2-D matrix of unknowns, and one call of the evaluator on them gives each
+probe ``D1`` and the constraint rows alone and samples the force at its own
+point.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ def la_residual(
     terms,
     unknowns: Array,
     keep: Optional[list] = None,
-    probe: Optional[tuple] = None,
 ) -> list:
     """Forced discrete Euler-Lagrange residual plus discrete constraints, a
     list of Python numbers computed as
@@ -56,20 +56,21 @@ def la_residual(
     ``(t_d, q_d, v)`` of the force ``F^e``, whose quadrature is
     ``h * F^e(t_d, q_d, v)``, in one pass; z is held at zero.  The force is
     taken as the system returns it, a numpy array costing one ``tolist()``.
-    ``keep`` and ``probe`` are as for
+    ``keep`` and a 2-D ``unknowns``, all the probes of a step Jacobian in
+    one call, one list each, are as for
     :func:`~nhcontact.contact.contact_residual`, with ``None`` for the
-    discrete Lagrangian, which this residual never evaluates; with
-    ``probe``, all the probes of a step Jacobian are one call, one list
-    each.
+    discrete Lagrangian, which this residual never evaluates, and
+    ``A(q_j)^T lambda`` from row 0.
     """
     n, h = system.dim_q, rule.h
-    d2b, _, a_t, forward, probes = terms
+    d2b, _, a_t, forward = terms
     force = system.external_force
-    if probe is not None:
-        points, lam_rows = probe
+    if unknowns.ndim == 2:
+        lam_rows = multiplier_rows(a_t, unknowns[0, n:].tolist())
+        probes = forward(unknowns[:, :n], repeat(0.0))
         return [[h * (a + b) + h * f - c for a, b, f, c in
                  zip(d1f, d2b, numbers(force(t_d, q_d, v)), lam_rows)] + constraint
-                for t_d, q_d, v, d1f, _, _, _, _, constraint in probes(points, repeat(0.0))]
+                for t_d, q_d, v, d1f, _, _, _, _, constraint in probes]
     lam_rows = multiplier_rows(a_t, unknowns[n:].tolist())
     t_d, q_d, v, d1f, d2f, _, d4f, _, constraint = forward(unknowns[:n], 0.0)
     momentum = [h * (a + b) + h * f - c for a, b, f, c in

@@ -10,12 +10,12 @@ The discrete Lagrangian of one step is evaluated here, by
 :func:`step_evaluator`: it is the only code that turns a
 :class:`DiscretizationRule` into sample points, where ``L``, ``A(q)``,
 ``b(q)`` and the external force are sampled and which ``z`` the Lagrangian
-sees, with :func:`probe_points`, its batch form for the complex probes of a
-step Jacobian.  Made once per step from the step's start, it returns two
-forms.  One gives at a candidate end point, in one pass, that point, the
-partials ``D1``-``D4``, ``L_d`` and the discrete-constraint rows, each part
-when asked for.  The probe form runs one loop over all the probe points of
-a step Jacobian and gives at each only what the Jacobian's columns read.
+sees.  Made once per step from the step's start, it returns one function,
+whose input says what it computes.  At a candidate end point, a 1-D
+vector, it gives in one pass that point, the partials ``D1``-``D4``,
+``L_d`` and the discrete-constraint rows, each part when asked for.  A 2-D
+matrix is the complex probes of a step Jacobian, one per row: one loop over
+the rows gives at each only what the Jacobian's columns read.
 :func:`partials_of_Ld`, :func:`evaluate_discrete_lagrangian` and
 :func:`discrete_constraint` are one-line forms over it, for the
 finite-difference partials, the diagnostics and the tests; the integrators
@@ -355,46 +355,47 @@ def step_evaluator(
     z: float,
     a_q: Optional[list] = None,
 ) -> Callable:
-    """The discrete Lagrangian of the steps from ``(t, q, z)``, as the pair
-    ``(evaluate, probes)`` of its two forms.  ``evaluate(q_next, z_next,
-    with_ld=False, partials=True, rows=True)`` returns, in one pass,
-    ``(t_d, q_d, v, D1, D2, D3, D4, L_d, constraint)``.
+    """The discrete Lagrangian of the steps from ``(t, q, z)``, as the one
+    function ``evaluate(q_next, z_next, with_ld=False, partials=True,
+    rows=True)``.  At a real candidate, a 1-D ``q_next``, it returns, in one
+    pass, ``(t_d, q_d, v, D1, D2, D3, D4, L_d, constraint)``.  A 2-D
+    ``q_next`` is the complex probes of a step Jacobian, one per row, and
+    ``z_next`` their ``z_next`` values: it returns one such tuple per row.
 
-    This is the one place that turns the rule into sample points, with
-    :func:`probe_points`, its batch form for a step Jacobian's probes.
+    This is the one place that turns the rule into sample points.
     ``(t_d, q_d, v)`` is where the rule samples the Lagrangian, the
     constraint and the external force: the left end ``(t, q)`` for the
     left-endpoint and trapezoidal rules (the trapezoid samples ``L``, but
     not the constraint, at its right end ``(t + h, q_next)`` too, as the
     printed benchmark equations do), the midpoint ``(t + h/2,
     (q + q_next)/2)`` for the midpoint rule, each with the difference
-    velocity ``v = (q_next - q)/h``, built once per evaluation.  ``L`` sees
-    ``z`` under the first-order z rule and ``(z + z_next)/2`` under the
-    second-order one.
+    velocity ``v = (q_next - q)/h``, built once per evaluation, and for all
+    the rows of a 2-D ``q_next`` with one numpy operation each, every row
+    bit for bit the arithmetic on that row alone.  ``L`` sees ``z`` under
+    the first-order z rule and ``(z + z_next)/2`` under the second-order
+    one.
 
-    Each part is computed only when that call asks for it, else ``None``.
-    ``D1`` and ``D2`` (``partials``) are lists of Python numbers, from the
-    system's analytic gradients by the chain rule, or central finite
-    differences when it registers none.  ``L_d`` (``with_ld``) is checked:
-    a non-finite one raises :class:`EvaluationError`.  ``constraint``
-    (``rows``) is the discrete-constraint rows ``A(q_d) v + b(q_d)``
-    (:func:`constraint_rows`), a list, ``[]`` without constraints; ``A`` is
-    taken from ``a_q``, when given as the rows of ``A(q)`` as Python
-    numbers, where ``q_d`` is ``q``.  The
-    partials are not checked for finiteness here: Newton checks every
-    residual and Jacobian it is given (:func:`nhcontact.newton.newton_solve`).
+    At a real candidate each part is computed only when that call asks for
+    it, else ``None``.  ``D1`` and ``D2`` (``partials``) are lists of Python
+    numbers, from the system's analytic gradients by the chain rule, or
+    central finite differences when it registers none.  ``L_d``
+    (``with_ld``) is checked: a non-finite one raises
+    :class:`EvaluationError`.  ``constraint`` (``rows``) is the
+    discrete-constraint rows ``A(q_d) v + b(q_d)`` (:func:`constraint_rows`),
+    a list, ``[]`` without constraints; ``A`` is taken from ``a_q``, when
+    given as the rows of ``A(q)`` as Python numbers, where ``q_d`` is
+    ``q``.  The partials are not checked for finiteness here: Newton checks
+    every residual and Jacobian it is given
+    (:func:`nhcontact.newton.newton_solve`).
 
-    ``probes(points, z_nexts, partials=True)`` is the probe form, for the
-    complex probes of a step Jacobian, which needs registered gradients.
-    ``points`` are :func:`probe_points` from the same ``q``, whose end
-    points, difference velocities and sample points it takes as built, and
-    ``z_nexts`` the probes' ``z_next``.  It is one loop over the points that
-    yields, point by point, the same tuple with ``D2``, ``D4`` and ``L_d``
-    ``None``, as no column of the step Jacobian reads them: ``D1`` and
-    ``D3`` (``None`` unless ``partials``) and the constraint rows.  At each
-    point it calls each system callable once, and computes ``D1`` and the
-    rows there with :func:`divide`'s division and :func:`dot`'s sums
-    written out, so each part is bit for bit ``evaluate``'s at that point.
+    The probes of a step Jacobian need registered gradients.  They are one
+    loop over the rows that gives at each only what the Jacobian's columns
+    read, ``D2``, ``D4`` and ``L_d`` being ``None``: ``D1`` and ``D3``
+    (``None`` unless ``partials``) and the constraint rows; ``with_ld`` and
+    ``rows`` are not read.  At each row it calls each system callable once,
+    and computes ``D1`` and the rows there with :func:`divide`'s division
+    and :func:`dot`'s sums written out, so each part is bit for bit that of
+    the row's own evaluation.
 
     Each system callable is called once per point it is sampled at, the
     Lagrangian after its gradients.  The rule, the z rule and whether
@@ -421,6 +422,52 @@ def step_evaluator(
     def evaluate(q_next, z_next, with_ld=False, partials=True, rows=True):
         v = (q_next - q) / h
         q_d = 0.5 * (q + q_next) if mid else q
+        if q_next.ndim == 2:
+            # a step Jacobian's probes: each row rebinds q_next, v, q_d and
+            # z_next; divide's reciprocals of h, and whether D1 halves dL/dq
+            n, r, r0, half = system.dim_q, 1.0 / h, 0.0 / h, mid or trap
+            batch, d1, d3 = [], None, None
+            for q_next, v, q_d, v_list, z_next in zip(q_next, v, q_d if mid else repeat(q),
+                                                      v.tolist(), z_next):
+                if partials:
+                    z_d = z if first else 0.5 * (z + z_next)
+                    if trap:
+                        gq, gv0, gz0 = gradients(t, q, v, z_d)
+                        _, gv1, gz1 = gradients(t_next, q_next, v, z_d)
+                        gv = [0.5 * (x + y) for x, y in zip(numbers(gv0), numbers(gv1))]
+                        gz = 0.5 * (gz0 + gz1)
+                    else:
+                        gq, gv, gz = gradients(t_d, q_d, v, z_d)
+                        gv = numbers(gv)
+                    # D1: numbers(gq), halved but at the left end, minus divide(gv, h)
+                    d1 = []
+                    if isinstance(gv[0], complex):
+                        for x, y in zip(numbers(gq), gv):
+                            if half:
+                                x = 0.5 * x
+                            re, im = y.real, y.imag
+                            d1.append(x - complex((re + im * r0) * r, (im - re * r0) * r))
+                    else:
+                        for x, y in zip(numbers(gq), gv):
+                            if half:
+                                x = 0.5 * x
+                            d1.append(x - y / h)
+                    d3 = gz if first else 0.5 * gz
+                if a_rows is not None:
+                    a, b = a_rows, offset_q
+                elif m:
+                    a, b = numbers(matrix(q_d)), numbers(offset(q_d))
+                else:
+                    a = b = ()
+                # constraint_rows(a, v_list, b)
+                constraint = []
+                for row, y in zip(a, b):
+                    total = row[0] * v_list[0]
+                    for i in range(1, n):
+                        total += row[i] * v_list[i]
+                    constraint.append(total + y)
+                batch.append((t_d, q_d, v, d1, None, d3, None, None, constraint))
+            return batch
         z_d = z if first else 0.5 * (z + z_next)
         d1 = d2 = d3 = d4 = ld = constraint = None
         if partials and gradients is None:
@@ -466,66 +513,7 @@ def step_evaluator(
                 constraint = []
         return t_d, q_d, v, d1, d2, d3, d4, ld, constraint
 
-    def probes(points, z_nexts, partials=True):
-        # divide's reciprocals of h, and whether D1 halves dL/dq
-        n, r, r0, half = system.dim_q, 1.0 / h, 0.0 / h, mid or trap
-        d1 = d3 = None
-        for (q_next, v, q_d, v_list), z_next in zip(points, z_nexts):
-            if partials:
-                z_d = z if first else 0.5 * (z + z_next)
-                if trap:
-                    gq, gv0, gz0 = gradients(t, q, v, z_d)
-                    _, gv1, gz1 = gradients(t_next, q_next, v, z_d)
-                    gv = [0.5 * (x + y) for x, y in zip(numbers(gv0), numbers(gv1))]
-                    gz = 0.5 * (gz0 + gz1)
-                else:
-                    gq, gv, gz = gradients(t_d, q_d, v, z_d)
-                    gv = numbers(gv)
-                # D1: numbers(gq), halved but at the left end, minus divide(gv, h)
-                d1 = []
-                if isinstance(gv[0], complex):
-                    for x, y in zip(numbers(gq), gv):
-                        if half:
-                            x = 0.5 * x
-                        re, im = y.real, y.imag
-                        d1.append(x - complex((re + im * r0) * r, (im - re * r0) * r))
-                else:
-                    for x, y in zip(numbers(gq), gv):
-                        if half:
-                            x = 0.5 * x
-                        d1.append(x - y / h)
-                d3 = gz if first else 0.5 * gz
-            if a_rows is not None:
-                a, b = a_rows, offset_q
-            elif m:
-                a, b = numbers(matrix(q_d)), numbers(offset(q_d))
-            else:
-                a = b = ()
-            # constraint_rows(a, v_list, b)
-            constraint = []
-            for row, y in zip(a, b):
-                total = row[0] * v_list[0]
-                for i in range(1, n):
-                    total += row[i] * v_list[i]
-                constraint.append(total + y)
-            yield t_d, q_d, v, d1, None, d3, None, None, constraint
-
-    return evaluate, probes
-
-
-def probe_points(rule: DiscretizationRule, q: Array, q_nexts: Array):
-    """The probe points of a step Jacobian's complex probes of the steps
-    from ``q``, one per row of the 2-D complex ``q_nexts``, each ``(q_next,
-    v, q_d, v as a list)``, an iterator for one pass of
-    :func:`step_evaluator`'s probe form.
-
-    The difference velocities and sample points of all the probes are built
-    with one numpy operation each, every row bit for bit ``evaluate``'s
-    arithmetic on that row alone.
-    """
-    vs = (q_nexts - q) / rule.h
-    q_ds = 0.5 * (q + q_nexts) if rule.position_rule is _MIDPOINT else repeat(q)
-    return zip(q_nexts, vs, q_ds, vs.tolist())
+    return evaluate
 
 
 def evaluate_discrete_lagrangian(
@@ -540,7 +528,7 @@ def evaluate_discrete_lagrangian(
     """Discrete Lagrangian ``L_d(q, q', z, z')`` over one step starting at
     ``t``; complex when an argument is (see :func:`complex_step`).  It is
     :func:`step_evaluator`'s."""
-    evaluate = step_evaluator(system, rule, t, q, z)[0]
+    evaluate = step_evaluator(system, rule, t, q, z)
     return evaluate(q_next, z_next, with_ld=True, partials=False, rows=False)[7]
 
 
@@ -558,7 +546,7 @@ def partials_of_Ld(
     ``D2`` are lists of Python numbers.  They are :func:`step_evaluator`'s,
     analytic when the system registers gradients, else finite differences.
     """
-    return step_evaluator(system, rule, t, q, z)[0](q_next, z_next, rows=False)[3:7]
+    return step_evaluator(system, rule, t, q, z)(q_next, z_next, rows=False)[3:7]
 
 
 def discrete_constraint(
@@ -569,7 +557,7 @@ def discrete_constraint(
 ) -> list:
     """Discrete constraint residual ``A(q_d) qdot_d + b(q_d)``, a list of
     Python numbers; it is :func:`step_evaluator`'s."""
-    return step_evaluator(system, rule, 0.0, q, 0.0)[0](q_next, 0.0, partials=False)[8]
+    return step_evaluator(system, rule, 0.0, q, 0.0)(q_next, 0.0, partials=False)[8]
 
 
 def least_squares(a: Array, b: Array) -> Array:

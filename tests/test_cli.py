@@ -69,12 +69,13 @@ def test_unknown_experiment(capsys):
     ["convergence", "--h-list", "1e-300"],
     ["convergence", "--h-list", "0.1"],
     ["convergence", "--h-list", "0.1,0.1"],
+    ["convergence", "--h-list", "4,2"],
 ], ids=["run-disk-la", "run-disk-rkf45", "compare-disk-la", "unknown-override",
         "unknown-rule", "zero-h", "nan-h", "negative-t-final", "compare-inf-t-final",
         "text-h", "unknown-integrator-override", "array-override",
         "convergence-text-h", "convergence-zero-h", "convergence-unknown-rule",
         "missing-config", "step-count-over-bound", "convergence-step-count-over-bound",
-        "convergence-one-h", "convergence-repeated-h"])
+        "convergence-one-h", "convergence-repeated-h", "convergence-h-not-dividing-t-final"])
 def test_unsupported_input_one_error_line(args, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(args + ["--output-dir", str(out)]) == EXIT_UNKNOWN == 1
@@ -342,6 +343,22 @@ def test_convergence_subcommand(tmp_path, capsys):
     assert text.startswith("rule,h,error,order")
     printed = capsys.readouterr().out
     assert "left-first" in printed and "mid-second" in printed
+
+
+def test_convergence_failed_run_measures_no_order(tmp_path, capsys):
+    # the left-first run at h = 5 fails at step 2: that rule gets one stderr
+    # line and no rows, the midpoint rule still measures its order
+    out = tmp_path / "conv"
+    code = run_cli(["convergence", "--h-list", "10,5", "--output-dir", str(out)])
+    assert code == EXIT_SOLVER_FAILURE == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("left-first h=5: solver_failure at step 2: ")
+    assert "left-first: measured order" not in captured.out
+    assert "mid-second: measured order" in captured.out
+    rows = (out / "orders.csv").read_text().splitlines()
+    assert rows[0] == "rule,h,error,order"
+    assert [row.split(",")[0] for row in rows[1:]] == ["mid-second", "mid-second"]
 
 
 def test_run_uses_17_significant_digits(tmp_path):

@@ -187,9 +187,8 @@ def exact_jacobian(residual, system, rule, window, terms, x):
     residual call, without ``L_d``."""
     keep = []
     residual(system, rule, window, terms, x, keep)
-    return step_jacobian(
-        lambda probes, probe: residual(system, rule, window, terms, probes, None, probe),
-        x, terms[2], window.q_curr, rule, keep[:2])
+    return step_jacobian(lambda probes: residual(system, rule, window, terms, probes),
+                         x, terms[2], rule, keep[:2])
 
 
 ORACLE_CASES = [(name, position, z_rule)
@@ -252,9 +251,7 @@ def test_step_jacobian_bit_identical_to_column_loop():
 
     rule = DiscretizationRule(PositionRule.MIDPOINT, ZRule.FIRST_ORDER, 0.1)
     with np.errstate(all="ignore"):
-        # the residual reads its unknowns alone, not the probe points
-        jac = step_jacobian(lambda probes, probe: [residual(u) for u in probes], x, a_t,
-                            np.zeros(4), rule)
+        jac = step_jacobian(lambda probes: [residual(u) for u in probes], x, a_t, rule)
         expected = numpy_oracle.step_jacobian(residual, x, a_t, rule)
     assert not np.all(np.isfinite(jac))
     assert jac.tobytes() == expected.tobytes()
@@ -410,8 +407,9 @@ def test_residual_calls_each_system_callable_once_per_point(eid, counts, shared)
     # a real evaluation calls each callable once per point; so does each
     # complex probe of a whole step Jacobian, which takes its action row in
     # closed form: it makes no lagrangian call and asks the evaluator for
-    # neither D2 nor L_d.  The probes go through the evaluator's probe form
-    # in one call, which yields each probe's parts after sampling its point
+    # neither D2 nor L_d.  The residual hands the evaluator all the probes
+    # as one matrix, which is split here into one-row matrices, so that each
+    # probe's calls are counted after sampling its point
     spec = get_experiment(eid)
     system = build_contact_system(spec)
     calls = {}
@@ -442,27 +440,24 @@ def test_residual_calls_each_system_callable_once_per_point(eid, counts, shared)
     assert {name: len(args) for name, args in calls.items()} == counts
     check_points()
 
-    probe_form, probes = terms[4], []
+    forward, probes = terms[3], []
 
-    def real(*args, **kwargs):
-        raise AssertionError("a probe asked for a real evaluation")
-
-    def evaluate_probes(*args):
-        parts_of_points = probe_form(*args)
-        while True:
+    def evaluate_probes(q_nexts, z_nexts, *args):
+        if q_nexts.ndim != 2:
+            raise AssertionError("a probe asked for a real evaluation")
+        batch = []
+        for q_next, z_next in zip(q_nexts, z_nexts):
             calls.clear()
-            parts = next(parts_of_points, None)
-            if parts is None:
-                return
+            (parts,) = forward(q_next[None], [z_next], *args)
             assert parts[4] is None and parts[7] is None  # neither D2 nor L_d
             probes.append({name: len(args) for name, args in calls.items()})
             check_points()
-            yield parts
+            batch.append(parts)
+        return batch
 
-    terms = terms[:3] + (real, evaluate_probes)
-    step_jacobian(lambda us, probe: contact_residual(system, spec.rule, window, terms, us, None,
-                                                     probe),
-                  x, terms[2], window.q_curr, spec.rule, keep[:2])
+    terms = terms[:3] + (evaluate_probes,)
+    step_jacobian(lambda us: contact_residual(system, spec.rule, window, terms, us),
+                  x, terms[2], spec.rule, keep[:2])
     probe_counts = {name: k for name, k in counts.items() if name != "lagrangian"}
     columns = system.dim_q + (spec.rule.z_rule is ZRule.SECOND_ORDER)
     assert probes == [probe_counts] * columns
@@ -498,10 +493,10 @@ def first_window(system, rule, q0, v0):
 def count_calls(monkeypatch, calls):
     """Count into ``calls`` the step residuals and the partials evaluations:
     each evaluation of a ``step_evaluator`` that returns partials, the
-    residual's and the seed step's real ones, and each call of its probe
-    form that asks for partials, one per implicit step's Jacobian, whose
-    probes the residual takes in one call; the complex Jacobian probes of
-    the seed step ask for none."""
+    residual's and the seed step's real ones, and each call on a 2-D matrix
+    of probes that asks for partials, one per implicit step's Jacobian,
+    whose probes the residual takes in one call; the complex Jacobian
+    probes of the seed step ask for none."""
     def counting(name, f):
         def wrapped(*args, **kwargs):
             calls[name] += 1
@@ -509,18 +504,15 @@ def count_calls(monkeypatch, calls):
         return wrapped
 
     def evaluator(*args):
-        forward, probes = step_evaluator(*args)
+        forward = step_evaluator(*args)
 
-        def evaluate(*args, **kwargs):
-            parts = forward(*args, **kwargs)
-            calls["partials"] += parts[5] is not None
+        def evaluate(q_next, *args, **kwargs):
+            parts = forward(q_next, *args, **kwargs)
+            # one parts tuple per row of a 2-D q_next, the probes of a Jacobian
+            calls["partials"] += (parts[0] if q_next.ndim == 2 else parts)[5] is not None
             return parts
 
-        def evaluate_probes(points, z_nexts, partials=True):
-            calls["partials"] += partials
-            return probes(points, z_nexts, partials)
-
-        return evaluate, evaluate_probes
+        return evaluate
 
     monkeypatch.setattr(nhcontact.contact, "step_evaluator", evaluator)
     monkeypatch.setattr(nhcontact.contact, "contact_residual",
@@ -1137,8 +1129,8 @@ def test_jacobian_action_row_comes_from_its_own_point(monkeypatch):
     # from that point's own real evaluation, not from the last one
     evaluated, last = {}, []
 
-    def recording(system, rule, window, terms, unknowns, keep=None, probe=None):
-        values = contact_residual(system, rule, window, terms, unknowns, keep, probe)
+    def recording(system, rule, window, terms, unknowns, keep=None):
+        values = contact_residual(system, rule, window, terms, unknowns, keep)
         if keep is not None:
             evaluated[unknowns.tobytes()] = tuple(keep[:2])
             last[:] = [unknowns.tobytes()]
@@ -1146,13 +1138,13 @@ def test_jacobian_action_row_comes_from_its_own_point(monkeypatch):
 
     builds = []
 
-    def checking(residual, x, a_t, q, rule, action=None):
+    def checking(residual, x, a_t, rule, action=None):
         # the builds before the first contact_residual evaluation are the
         # seed step's, whose residual is its own
         if last:
             builds.append(x.tobytes() != last[0])
             assert action == evaluated[x.tobytes()]
-        return step_jacobian(residual, x, a_t, q, rule, action)
+        return step_jacobian(residual, x, a_t, rule, action)
 
     monkeypatch.setattr(nhcontact.contact, "contact_residual", recording)
     monkeypatch.setattr(nhcontact.contact, "step_jacobian", checking)

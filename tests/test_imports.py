@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -33,3 +34,21 @@ def test_package_all_lists_exactly_the_imported_names():
                 for a in node.names]
     assert sorted(nhcontact.__all__) == sorted(imported)
     assert len(set(nhcontact.__all__)) == len(nhcontact.__all__)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # every import of the package, at module level or inside a function, is
+    # relative, numpy or the standard library's
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    outside = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert outside == []

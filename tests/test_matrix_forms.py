@@ -120,8 +120,8 @@ def _results(m, redundant, form, rule, monkeypatch):
         keep = []
         out[f"{name} residual"] = residual(system, rule, window, terms, u, keep)
         out[f"{name} jacobian"] = step_jacobian(
-            lambda probes, probe: residual(system, rule, window, terms, probes, None, probe),
-            u, terms[2], window.q_curr, rule, keep[:2])
+            lambda probes: residual(system, rule, window, terms, probes),
+            u, terms[2], rule, keep[:2])
     out["contact run"] = run_contact(system, rule, Q0, V0, 20)
     out["la run"] = run_la(system, rule, Q0, V0, 20)
 
