@@ -12,14 +12,15 @@ The discrete Lagrangian of one step is evaluated here, by
 ``b(q)`` and the external force are sampled and which ``z`` the Lagrangian
 sees.  Made once per step from the step's start, it returns one function,
 whose input says what it computes.  At a candidate end point, a 1-D
-vector, it gives in one pass that point, the partials ``D1``-``D4``,
-``L_d`` and the discrete-constraint rows, each part when asked for.  A 2-D
+vector, it gives in one pass that point, the partials ``D1``-``D4`` and
+``L_d``, each when asked for, and the discrete-constraint rows.  A 2-D
 matrix is the complex probes of a step Jacobian, one per row: one loop over
 the rows gives at each only what the Jacobian's columns read.
 :func:`partials_of_Ld`, :func:`evaluate_discrete_lagrangian` and
-:func:`discrete_constraint` are one-line forms over it, for the
-finite-difference partials, the diagnostics and the tests; the integrators
-call the evaluator itself.  A system callable may
+:func:`discrete_constraint` are one-line forms over it, for the diagnostics
+and the tests; the integrators call the evaluator itself.  The partials are
+the chain rule on the gradients of ``L``: the system's, or, when it
+registers none, :func:`difference_gradients`.  A system callable may
 return its numbers, and ``A(q)`` its rows of numbers, as any sequence
 (:class:`ContactSystem`): the kernel takes a list or tuple as it is and
 turns only a numpy array into a list (:func:`numbers`).
@@ -37,8 +38,12 @@ import numpy as np
 
 Array = np.ndarray
 
-#: Central finite-difference probe scale (balances truncation and roundoff).
+# Difference steps, where truncation balances round-off: a forward difference
+# (BDF2's Jacobian) at eps^(1/2), a central one at eps^(1/3), and a central
+# difference of a central-difference quotient, noisy at O(eps^(2/3)), at eps^(2/9)
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+CENTRAL_STEP = float(np.finfo(float).eps ** (1 / 3))
+NESTED_STEP = float(np.finfo(float).eps ** (2 / 9))
 
 
 class SolverFailure(RuntimeError):
@@ -54,11 +59,12 @@ class EvaluationError(SolverFailure):
     """A Lagrangian or derivative evaluation produced a non-finite value."""
 
 
-def central_difference(f: Callable, x, probe: float = SQRT_EPS) -> Array:
+def central_difference(f: Callable, x, probe: float = CENTRAL_STEP) -> Array:
     """Central-difference Jacobian of ``f`` at ``x``, in C order.
 
     Column ``i`` is ``(f(x + e_i) - f(x - e_i)) / (2 e_i)`` with
     ``e_i = probe * max(1, |x_i|)``; a scalar-valued ``f`` gives the gradient.
+    An ``f`` that is itself a difference quotient takes :data:`NESTED_STEP`.
     """
     x = np.asarray(x, dtype=float)
     columns = []
@@ -69,6 +75,19 @@ def central_difference(f: Callable, x, probe: float = SQRT_EPS) -> Array:
         xm[i] -= e
         columns.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2 * e))
     return np.stack(columns, axis=-1)
+
+
+def difference_gradients(lagrangian: Callable) -> Callable:
+    """The gradients of a system that registers none: ``(t, q, qdot, z) ->
+    (dL/dq, dL/dqdot, dL/dz)``, :func:`central_difference` of ``lagrangian``
+    at that point, as two lists of floats and a float."""
+    def gradients(t, q, v, z):
+        gq = central_difference(lambda x: lagrangian(t, x, v, z), q)
+        gv = central_difference(lambda x: lagrangian(t, q, x, z), v)
+        gz = central_difference(lambda x: lagrangian(t, q, v, x[0]), [z])
+        return gq.tolist(), gv.tolist(), gz.item()
+
+    return gradients
 
 
 #: Complex-step probe: far below round-off, so the real part of a probed
@@ -121,11 +140,11 @@ class ContactSystem:
         ``(q, qdot) -> float`` diagnostic, kinetic plus potential.
     lagrangian_gradients:
         Optional ``(t, q, qdot, z) -> (dL/dq, dL/dqdot, dL/dz)``, the first
-        two ``dim_q`` numbers each, the last one number.  When
-        provided, discrete-Lagrangian partials use it via the chain rule
-        instead of finite differences, and the step Jacobians and the
-        consistent initial rates (:func:`initial_acceleration`) are taken by
-        complex step (:func:`complex_step`).  Registering it therefore
+        two ``dim_q`` numbers each, the last one number, else
+        :func:`difference_gradients`.  When provided, the step Jacobians and
+        the consistent initial rates (:func:`initial_acceleration`) are
+        taken by complex step (:func:`complex_step`), not by central
+        differences at :data:`NESTED_STEP`.  Registering it therefore
         promises that it, ``lagrangian``, ``constraint_matrix``,
         ``constraint_offset`` and ``external_force`` are complex-safe: a
         complex ``q``, ``qdot`` or ``z`` gives a complex result whose
@@ -332,21 +351,6 @@ def divide(values: list, d: float) -> list:
     return [v / d for v in values]
 
 
-def _partials_fd(system, rule, t, q, q_next, z, z_next, first):
-    """Central differences of :func:`evaluate_discrete_lagrangian`; ``D4``
-    is 0.0 under the first-order z rule (``first``), where ``L_d`` does not
-    see ``z_next``."""
-    def ld(qa, qb, za, zb):
-        return evaluate_discrete_lagrangian(system, rule, t, qa, qb, za, zb)
-
-    d1 = central_difference(lambda x: ld(x, q_next, z, z_next), q).tolist()
-    d2 = central_difference(lambda x: ld(q, x, z, z_next), q_next).tolist()
-    d3 = float(central_difference(lambda x: ld(q, q_next, x[0], z_next), [z])[0])
-    d4 = 0.0 if first else float(central_difference(lambda x: ld(q, q_next, z, x[0]),
-                                                    [z_next])[0])
-    return d1, d2, d3, d4
-
-
 def step_evaluator(
     system: ContactSystem,
     rule: DiscretizationRule,
@@ -356,9 +360,9 @@ def step_evaluator(
     a_q: Optional[list] = None,
 ) -> Callable:
     """The discrete Lagrangian of the steps from ``(t, q, z)``, as the one
-    function ``evaluate(q_next, z_next, with_ld=False, partials=True,
-    rows=True)``.  At a real candidate, a 1-D ``q_next``, it returns, in one
-    pass, ``(t_d, q_d, v, D1, D2, D3, D4, L_d, constraint)``.  A 2-D
+    function ``evaluate(q_next, z_next, with_ld=False, partials=True)``.  At
+    a real candidate, a 1-D ``q_next``, it returns, in one pass, ``(t_d,
+    q_d, v, D1, D2, D3, D4, L_d, constraint)``.  A 2-D
     ``q_next`` is the complex probes of a step Jacobian, one per row, and
     ``z_next`` their ``z_next`` values: it returns one such tuple per row.
 
@@ -375,14 +379,14 @@ def step_evaluator(
     the first-order z rule and ``(z + z_next)/2`` under the second-order
     one.
 
-    At a real candidate each part is computed only when that call asks for
-    it, else ``None``.  ``D1`` and ``D2`` (``partials``) are lists of Python
-    numbers, from the system's analytic gradients by the chain rule, or
-    central finite differences when it registers none.  ``L_d``
+    At a real candidate the partials and ``L_d`` are computed only when that
+    call asks for them, else ``None``.  ``D1`` and ``D2`` (``partials``) are
+    lists of Python numbers, the chain rule on the system's gradients, or
+    on :func:`difference_gradients` when it registers none.  ``L_d``
     (``with_ld``) is checked: a non-finite one raises
-    :class:`EvaluationError`.  ``constraint`` (``rows``) is the
-    discrete-constraint rows ``A(q_d) v + b(q_d)`` (:func:`constraint_rows`),
-    a list, ``[]`` without constraints; ``A`` is taken from ``a_q``, when
+    :class:`EvaluationError`.  ``constraint`` is the discrete-constraint
+    rows ``A(q_d) v + b(q_d)`` (:func:`constraint_rows`), a list, ``[]``
+    without constraints; ``A`` is taken from ``a_q``, when
     given as the rows of ``A(q)`` as Python numbers, where ``q_d`` is
     ``q``.  The partials are not checked for finiteness here: Newton checks
     every residual and Jacobian it is given
@@ -391,16 +395,16 @@ def step_evaluator(
     The probes of a step Jacobian need registered gradients.  They are one
     loop over the rows that gives at each only what the Jacobian's columns
     read, ``D2``, ``D4`` and ``L_d`` being ``None``: ``D1`` and ``D3``
-    (``None`` unless ``partials``) and the constraint rows; ``with_ld`` and
-    ``rows`` are not read.  At each row it calls each system callable once,
-    and computes ``D1`` and the rows there with :func:`divide`'s division
-    and :func:`dot`'s sums written out, so each part is bit for bit that of
-    the row's own evaluation.
+    (``None`` unless ``partials``) and the constraint rows; ``with_ld`` is
+    not read.  At each row it calls each system callable once, and computes
+    ``D1`` and the rows there with :func:`divide`'s division and
+    :func:`dot`'s sums written out, so each part is bit for bit that of the
+    row's own evaluation.
 
     Each system callable is called once per point it is sampled at, the
-    Lagrangian after its gradients.  The rule, the z rule and whether
-    gradients are registered are read here, once for all the evaluations,
-    which only test the resulting flags.  The partials combine the
+    Lagrangian after its gradients.  The rule, the z rule and the gradients
+    are read here, once for all the evaluations, which only test the
+    resulting flags.  The partials combine the
     gradients on Python numbers, each operation rounded as numpy's on the
     same gradient arrays.  The gradients, ``A(q_d)`` and the offset are
     taken as the system returns them, a numpy array costing one
@@ -411,6 +415,8 @@ def step_evaluator(
     trap = rule.position_rule is _TRAPEZOIDAL
     first = rule.z_rule is _FIRST_ORDER
     gradients, lagrangian = system.lagrangian_gradients, system.lagrangian
+    if gradients is None:
+        gradients = difference_gradients(lagrangian)
     t_d = t + 0.5 * h if mid else t
     t_next = t + h
     m = system.dim_c
@@ -419,7 +425,7 @@ def step_evaluator(
     if a_q is not None and m and not mid:
         a_rows, offset_q = a_q, numbers(offset(q))
 
-    def evaluate(q_next, z_next, with_ld=False, partials=True, rows=True):
+    def evaluate(q_next, z_next, with_ld=False, partials=True):
         v = (q_next - q) / h
         q_d = 0.5 * (q + q_next) if mid else q
         if q_next.ndim == 2:
@@ -469,10 +475,8 @@ def step_evaluator(
                 batch.append((t_d, q_d, v, d1, None, d3, None, None, constraint))
             return batch
         z_d = z if first else 0.5 * (z + z_next)
-        d1 = d2 = d3 = d4 = ld = constraint = None
-        if partials and gradients is None:
-            d1, d2, d3, d4 = _partials_fd(system, rule, t, q, q_next, z, z_next, first)
-        elif partials:
+        d1 = d2 = d3 = d4 = ld = None
+        if partials:
             if trap:
                 gq0, gv0, gz0 = gradients(t, q, v, z_d)
                 gq1, gv1, gz1 = gradients(t_next, q_next, v, z_d)
@@ -503,14 +507,12 @@ def step_evaluator(
                 raise EvaluationError(
                     f"non-finite discrete Lagrangian at t={t}, q={q}, q_next={q_next}, "
                     f"z={z}, z_next={z_next}")
-        if rows:
-            if a_rows is not None:
-                constraint = constraint_rows(a_rows, v.tolist(), offset_q)
-            elif m:
-                constraint = constraint_rows(numbers(matrix(q_d)), v.tolist(),
-                                             numbers(offset(q_d)))
-            else:
-                constraint = []
+        if a_rows is not None:
+            constraint = constraint_rows(a_rows, v.tolist(), offset_q)
+        elif m:
+            constraint = constraint_rows(numbers(matrix(q_d)), v.tolist(), numbers(offset(q_d)))
+        else:
+            constraint = []
         return t_d, q_d, v, d1, d2, d3, d4, ld, constraint
 
     return evaluate
@@ -528,8 +530,7 @@ def evaluate_discrete_lagrangian(
     """Discrete Lagrangian ``L_d(q, q', z, z')`` over one step starting at
     ``t``; complex when an argument is (see :func:`complex_step`).  It is
     :func:`step_evaluator`'s."""
-    evaluate = step_evaluator(system, rule, t, q, z)
-    return evaluate(q_next, z_next, with_ld=True, partials=False, rows=False)[7]
+    return step_evaluator(system, rule, t, q, z)(q_next, z_next, True, False)[7]
 
 
 def partials_of_Ld(
@@ -543,10 +544,9 @@ def partials_of_Ld(
 ):
     """Partial derivatives ``(D1, D2, D3, D4)`` of the discrete Lagrangian
     with respect to its two configuration and two z arguments; ``D1`` and
-    ``D2`` are lists of Python numbers.  They are :func:`step_evaluator`'s,
-    analytic when the system registers gradients, else finite differences.
+    ``D2`` are lists of Python numbers.  They are :func:`step_evaluator`'s.
     """
-    return step_evaluator(system, rule, t, q, z)(q_next, z_next, rows=False)[3:7]
+    return step_evaluator(system, rule, t, q, z)(q_next, z_next)[3:7]
 
 
 def discrete_constraint(
@@ -587,43 +587,35 @@ def initial_acceleration(
     ``(q, z) -> (v0, zdot)``) and the drift ``d/dt [A(q) v0 + b(q)]`` (along
     ``v0``).  With registered gradients these derivatives are complex steps
     (:func:`complex_step`), exact to round-off; without, central differences
-    of the central-difference momentum at the coarser probe ``eps^(1/4)``.
-    A ``t`` dependence of the momentum is a real central difference either
-    way, the contract not making ``t`` complex-safe; it is 0 where nothing
-    depends on ``t``.  The system is affine in ``(a, lam)``, so one solve is
-    exact: the product of :func:`~nhcontact.newton.lu_factor`'s inverse and
-    the right-hand side.  Redundant constraint rows, which make the system
-    singular, are solved by least squares, and a saddle system that is not
-    finite gives NaN rates (:func:`least_squares`).
+    of :func:`difference_gradients` at :data:`NESTED_STEP`.  A ``t``
+    dependence of the momentum is a real central difference either way, at
+    :data:`CENTRAL_STEP` with registered gradients, the contract not making
+    ``t`` complex-safe; it is 0 where nothing depends on ``t``.  The system
+    is affine in ``(a, lam)``, so one solve is exact: the product of
+    :func:`~nhcontact.newton.lu_factor`'s inverse and the right-hand side.
+    Redundant constraint rows, which make the system singular, are solved
+    by least squares, and a saddle system that is not finite gives NaN rates
+    (:func:`least_squares`).
     """
     from .newton import SingularJacobian, lu_factor, lu_solve  # newton imports model
 
     n, m = system.dim_q, system.dim_c
     q0 = np.asarray(q0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    lagrangian, gradients = system.lagrangian, system.lagrangian_gradients
-    zdot = float(lagrangian(0.0, q0, v0, 0.0))
-    if gradients is not None:
-        def momentum(t, q, v, z):
-            return gradients(t, q, v, z)[1]
-
-        gq, gv, gz = gradients(0.0, q0, v0, 0.0)
-        derivative, probe = complex_step, SQRT_EPS
-    else:
-        def momentum(t, q, v, z):
-            return central_difference(lambda x: lagrangian(t, q, x, z), v)
-
-        gq = central_difference(lambda x: lagrangian(0.0, x, v0, 0.0), q0)
-        gv = momentum(0.0, q0, v0, 0.0)
-        gz = float(central_difference(lambda x: lagrangian(0.0, q0, v0, x[0]), [0.0])[0])
-        # differencing a finite-difference momentum needs a coarser probe,
-        # or the inner differencing noise dominates the outer quotient
-        probe = float(np.finfo(float).eps ** 0.25)
+    gradients, derivative, probe = system.lagrangian_gradients, complex_step, CENTRAL_STEP
+    if gradients is None:
+        # a derivative of difference gradients is a difference of differences
+        gradients, probe = difference_gradients(system.lagrangian), NESTED_STEP
 
         def derivative(f, x, direction):
             e = probe / max(1.0, float(np.max(np.abs(direction))))
             return (np.asarray(f(x + e * direction)) - np.asarray(f(x - e * direction))) / (2 * e)
 
+    def momentum(t, q, v, z):
+        return gradients(t, q, v, z)[1]
+
+    zdot = float(system.lagrangian(0.0, q0, v0, 0.0))
+    gq, gv, gz = gradients(0.0, q0, v0, 0.0)
     mass = np.stack([derivative(lambda v: momentum(0.0, q0, v, 0.0), v0, unit)
                      for unit in np.eye(n)], axis=-1)
     pdot = derivative(lambda x: momentum(0.0, x[:n], v0, x[n]),

@@ -21,11 +21,12 @@ that already meets the tolerance.
 A fresh Jacobian comes from the caller's builder when it passes one: the
 contact and Lagrange-d'Alembert steps build theirs exactly, from the
 columns known in closed form and complex steps for the rest.  Otherwise it
-is :func:`fd_jacobian`.  Newton gives up after :data:`MAX_ITERATIONS`, ten
-iterations: with an exact Jacobian, a step too coarse to resolve can
-otherwise wander for dozens of iterations onto a spurious root, while no
-step of the catalog needs more than seven (Radau5 caps its simplified
-Newton at seven; Hairer & Wanner, section IV.8).
+is :func:`fd_jacobian`, as for a system without gradients.  Newton gives
+up after :data:`MAX_ITERATIONS`, ten iterations: with an exact Jacobian, a
+step too coarse to resolve can otherwise wander for dozens of iterations
+onto a spurious root, while no step of the catalog needs more than seven
+(Radau5 caps its simplified Newton at seven; Hairer & Wanner, section
+IV.8).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import Array, EvaluationError, SolverFailure, central_difference
+from .model import NESTED_STEP, Array, EvaluationError, SolverFailure, central_difference
 
 #: Newton iterations after which :func:`newton_solve` gives up.
 MAX_ITERATIONS = 10
@@ -140,8 +141,10 @@ def inf_norm(values: list) -> float:
 
 
 def fd_jacobian(residual: Callable[[Array], Array], x: Array) -> Array:
-    """Central finite-difference Jacobian of ``residual`` at ``x``."""
-    return central_difference(residual, x)
+    """Central-difference Jacobian of ``residual`` at ``x``, at the step
+    :data:`~nhcontact.model.NESTED_STEP` that fits a residual of difference
+    gradients (:func:`~nhcontact.model.difference_gradients`)."""
+    return central_difference(residual, x, NESTED_STEP)
 
 
 def newton_solve(

@@ -43,7 +43,6 @@ from nhcontact.model import (
     PositionRule,
     StepState,
     ZRule,
-    central_difference,
 )
 from nhcontact.reference import DenseTrajectory
 from nhcontact.systems import DiskParams, FoucaultParams
@@ -120,49 +119,6 @@ def constraint_evaluation_point(rule: DiscretizationRule, q, q_next):
     return q
 
 
-def _partials_analytic(system, rule, t, q, q_next, z, z_next, v):
-    h = rule.h
-    if v is None:
-        v = (q_next - q) / h
-    z_d = _z_discrete(rule, z, z_next)
-    pos = rule.position_rule
-    if pos is PositionRule.LEFT_ENDPOINT:
-        gq, gv, gz = system.lagrangian_gradients(t, q, v, z_d)
-        d2 = gv / h
-        d1 = gq - d2
-    elif pos is PositionRule.MIDPOINT:
-        gq, gv, gz = system.lagrangian_gradients(t + 0.5 * h, 0.5 * (q + q_next), v, z_d)
-        half, gv_h = 0.5 * gq, gv / h
-        d1 = half - gv_h
-        d2 = half + gv_h
-    else:  # TRAPEZOIDAL
-        gq0, gv0, gz0 = system.lagrangian_gradients(t, q, v, z_d)
-        gq1, gv1, gz1 = system.lagrangian_gradients(t + h, q_next, v, z_d)
-        gv_h = 0.5 * (gv0 + gv1) / h
-        d1 = 0.5 * gq0 - gv_h
-        d2 = 0.5 * gq1 + gv_h
-        gz = 0.5 * (gz0 + gz1)
-    if rule.z_rule is ZRule.FIRST_ORDER:
-        d3, d4 = gz, 0.0
-    else:
-        d3 = d4 = 0.5 * gz
-    return np.asarray(d1), np.asarray(d2), d3, d4
-
-
-def _partials_fd(system, rule, t, q, q_next, z, z_next):
-    def ld(qa, qb, za, zb):
-        return evaluate_discrete_lagrangian(system, rule, t, qa, qb, za, zb)
-
-    d1 = central_difference(lambda x: ld(x, q_next, z, z_next), q)
-    d2 = central_difference(lambda x: ld(q, x, z, z_next), q_next)
-    d3 = float(central_difference(lambda x: ld(q, q_next, x[0], z_next), [z])[0])
-    if rule.z_rule is ZRule.FIRST_ORDER:
-        d4 = 0.0  # L_d does not see z_next under the first-order rule
-    else:
-        d4 = float(central_difference(lambda x: ld(q, q_next, z, x[0]), [z_next])[0])
-    return d1, d2, d3, d4
-
-
 def partials_of_Ld(
     system: ContactSystem,
     rule: DiscretizationRule,
@@ -176,15 +132,42 @@ def partials_of_Ld(
     """Partial derivatives ``(D1, D2, D3, D4)`` of the discrete Lagrangian
     with respect to its two configuration and two z arguments.
 
-    Uses the system's registered analytic gradients when available, otherwise
-    central finite differences on :func:`evaluate_discrete_lagrangian`.
-    ``v`` is as for :func:`evaluate_discrete_lagrangian`.  The
+    The chain rule on the system's registered gradients, or, when it
+    registers none, on the package's central differences of ``L`` at the
+    sample point (:func:`~nhcontact.model.difference_gradients`), each rule
+    written out.  ``v`` is as for :func:`evaluate_discrete_lagrangian`.  The
     partials are not checked for finiteness here: Newton checks every
     residual and Jacobian it is given (:func:`nhcontact.newton.newton_solve`).
     """
-    if system.lagrangian_gradients is not None:
-        return _partials_analytic(system, rule, t, q, q_next, z, z_next, v)
-    return _partials_fd(system, rule, t, q, q_next, z, z_next)
+    h = rule.h
+    if v is None:
+        v = (q_next - q) / h
+    z_d = _z_discrete(rule, z, z_next)
+    gradients = system.lagrangian_gradients
+    if gradients is None:
+        gradients = package.difference_gradients(system.lagrangian)
+    pos = rule.position_rule
+    if pos is PositionRule.LEFT_ENDPOINT:
+        gq, gv, gz = gradients(t, q, v, z_d)
+        d2 = np.asarray(gv) / h
+        d1 = np.asarray(gq) - d2
+    elif pos is PositionRule.MIDPOINT:
+        gq, gv, gz = gradients(t + 0.5 * h, 0.5 * (q + q_next), v, z_d)
+        half, gv_h = 0.5 * np.asarray(gq), np.asarray(gv) / h
+        d1 = half - gv_h
+        d2 = half + gv_h
+    else:  # TRAPEZOIDAL
+        gq0, gv0, gz0 = gradients(t, q, v, z_d)
+        gq1, gv1, gz1 = gradients(t + h, q_next, v, z_d)
+        gv_h = 0.5 * (np.asarray(gv0) + np.asarray(gv1)) / h
+        d1 = 0.5 * np.asarray(gq0) - gv_h
+        d2 = 0.5 * np.asarray(gq1) + gv_h
+        gz = 0.5 * (gz0 + gz1)
+    if rule.z_rule is ZRule.FIRST_ORDER:
+        d3, d4 = gz, 0.0
+    else:
+        d3 = d4 = 0.5 * gz
+    return np.asarray(d1), np.asarray(d2), d3, d4
 
 
 def discrete_constraint(

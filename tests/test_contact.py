@@ -50,7 +50,7 @@ from nhcontact.model import (
     partials_of_Ld,
     step_evaluator,
 )
-from nhcontact.newton import NewtonConfig
+from nhcontact.newton import NewtonConfig, fd_jacobian
 from nhcontact.systems import (
     FoucaultParams,
     damped_oscillator,
@@ -1104,6 +1104,76 @@ def test_step_jacobian_matches_central_difference(case, position, z_rule):
         probed = complex_step(f, x, np.eye(len(x))[n])
         assert np.array_equal(exact[:, n], np.eye(len(x))[n])
         assert exact[:, n].tobytes() == probed.tobytes()
+
+
+@pytest.mark.parametrize("eid", ["disk-2.3", "disk-4.2", "foucault-1"])
+def test_gradient_free_jacobian_matches_exact(eid):
+    # without gradients the partials are the chain rule on central
+    # differences of L (model.difference_gradients), and Newton's Jacobian
+    # is a central difference of that residual at NESTED_STEP: at the first
+    # window it is within 1e-5 of the exact one, relative to the largest
+    # entry (2.1e-8, 2.8e-7 and 1.6e-11; a difference of L_d's differences
+    # at sqrt(eps) read 4.2e-2, 3.1e-1 and 2.2e-5)
+    spec = get_experiment(eid)
+    system = build_contact_system(spec)
+    bare = replace(system, lagrangian_gradients=None)
+    window, carry = initialize_window(system, spec.rule, spec.q0, spec.v0)
+    terms = contact_window_terms(system, spec.rule, window, carry)
+    x = np.concatenate([2.0 * window.q_curr - spec.q0, [window.z_curr], np.zeros(system.dim_c)])
+    exact = exact_jacobian(contact_residual, system, spec.rule, window, terms, x)
+    bare_terms = contact_window_terms(bare, spec.rule, window, carry)
+    fd = fd_jacobian(lambda u: contact_residual(bare, spec.rule, window, bare_terms, u), x)
+    assert np.max(np.abs(fd - exact)) <= 1e-5 * np.max(np.abs(exact))
+
+
+def _iterations_per_step(system, rule, q0, v0, n_steps, tolerance):
+    """The trajectory of a contact run and its Newton iterations per step."""
+    stats = StepStats()
+    traj = run_contact(system, rule, q0, v0, n_steps, NewtonConfig(tolerance=tolerance), stats)
+    assert traj.termination.completed, traj.termination
+    return traj, stats.total_iterations / stats.steps
+
+
+@pytest.mark.parametrize("eid, agrees", [("disk-2.3", True), ("disk-3.3", True),
+                                         ("disk-4.2", False)])
+def test_gradient_free_disk_run_matches_gradient_run(eid, agrees):
+    # a catalog disk without gradients completes its 20 s within 1.5x the
+    # gradient run's Newton iterations per step (equal today), and stays
+    # nearer that run than the run's own Newton error, its distance from a
+    # run 1000 times tighter.  disk-4.2 does not: its gradient-free initial
+    # rates take the mass matrix as a difference of difference gradients,
+    # 6.7e-6 off, so its seed's q1 is 4.9e-6 off and the run ends 3.4e-3
+    # from the gradient run, against a Newton error of 3.3e-5
+    spec = get_experiment(eid)
+    system = build_contact_system(spec)
+    args = spec.rule, spec.q0, spec.v0, int(round(spec.t_final / spec.h))
+    traj, iterations = _iterations_per_step(system, *args, 1e-6)
+    free, free_iterations = _iterations_per_step(
+        replace(system, lagrangian_gradients=None), *args, 1e-6)
+    assert free_iterations <= 1.5 * iterations
+    if agrees:
+        tight, _ = _iterations_per_step(system, *args, 1e-9)
+        newton_error = np.max(np.abs(tight.configurations - traj.configurations))
+        assert np.max(np.abs(free.configurations - traj.configurations)) <= newton_error
+
+
+@pytest.mark.parametrize("position, z_rule", [(PositionRule.MIDPOINT, ZRule.SECOND_ORDER),
+                                              (PositionRule.LEFT_ENDPOINT, ZRule.FIRST_ORDER)],
+                         ids=["mid-second", "left-first"])
+def test_gradient_free_oscillator_solves_to_tight_tolerance(position, z_rule):
+    # the noise of partials from central differences of L at CENTRAL_STEP
+    # lies below a tolerance of 1e-10: the gradient-free oscillator takes
+    # about 2.04 iterations per step, against 2.00 with gradients, and stays
+    # within the tolerance of the gradient run (5.3e-11 at most); with the
+    # partials a difference of L_d's differences it failed at step 2
+    rule = DiscretizationRule(position, z_rule, 0.05)
+    args = rule, np.array([1.0]), np.array([0.0]), 300, 1e-10
+    traj, iterations = _iterations_per_step(damped_oscillator(), *args)
+    free, free_iterations = _iterations_per_step(
+        replace(damped_oscillator(), lagrangian_gradients=None), *args)
+    assert free_iterations <= 1.5 * iterations
+    for field in ("configurations", "z_values"):
+        assert np.max(np.abs(getattr(free, field) - getattr(traj, field))) <= 1e-10
 
 
 @pytest.mark.parametrize("z_rule", list(ZRule), ids=lambda r: r.value)
