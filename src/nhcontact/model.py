@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -587,14 +588,15 @@ def initial_acceleration(
     ``(q, z) -> (v0, zdot)``) and the drift ``d/dt [A(q) v0 + b(q)]`` (along
     ``v0``).  With registered gradients these derivatives are complex steps
     (:func:`complex_step`), exact to round-off; without, central differences
-    of :func:`difference_gradients` at :data:`NESTED_STEP`.  A ``t``
-    dependence of the momentum is a real central difference either way, at
-    :data:`CENTRAL_STEP` with registered gradients, the contract not making
-    ``t`` complex-safe; it is 0 where nothing depends on ``t``.  The system
-    is affine in ``(a, lam)``, so one solve is exact: the product of
+    of :func:`difference_gradients` at :data:`NESTED_STEP`, but the drift,
+    one difference of the exact ``A`` and ``b``, at :data:`CENTRAL_STEP`.
+    A ``t`` dependence of the momentum is a real central difference either
+    way, at :data:`CENTRAL_STEP` with registered gradients, the contract not
+    making ``t`` complex-safe; it is 0 where nothing depends on ``t``.  The
+    system is affine in ``(a, lam)``, so one solve is exact: the product of
     :func:`~nhcontact.newton.lu_factor`'s inverse and the right-hand side.
-    Redundant constraint rows, which make the system singular, are solved
-    by least squares, and a saddle system that is not finite gives NaN rates
+    Redundant constraint rows, which make the system singular, are solved by
+    least squares, and a saddle system that is not finite gives NaN rates
     (:func:`least_squares`).
     """
     from .newton import SingularJacobian, lu_factor, lu_solve  # newton imports model
@@ -602,14 +604,16 @@ def initial_acceleration(
     n, m = system.dim_q, system.dim_c
     q0 = np.asarray(q0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    gradients, derivative, probe = system.lagrangian_gradients, complex_step, CENTRAL_STEP
+    gradients, probe = system.lagrangian_gradients, CENTRAL_STEP
+    derivative = drift_derivative = complex_step
     if gradients is None:
         # a derivative of difference gradients is a difference of differences
         gradients, probe = difference_gradients(system.lagrangian), NESTED_STEP
 
-        def derivative(f, x, direction):
-            e = probe / max(1.0, float(np.max(np.abs(direction))))
+        def derivative(f, x, direction, step=NESTED_STEP):
+            e = step / max(1.0, float(np.max(np.abs(direction))))
             return (np.asarray(f(x + e * direction)) - np.asarray(f(x - e * direction))) / (2 * e)
+        drift_derivative = partial(derivative, step=CENTRAL_STEP)
 
     def momentum(t, q, v, z):
         return gradients(t, q, v, z)[1]
@@ -629,8 +633,8 @@ def initial_acceleration(
         return np.asarray(system.constraint_matrix(q)).reshape(m, n)
 
     a0 = matrix(q0)
-    drift = derivative(lambda x: matrix(x) @ v0 + np.asarray(system.constraint_offset(x)),
-                       q0, v0)
+    drift = drift_derivative(lambda x: matrix(x) @ v0 + np.asarray(system.constraint_offset(x)),
+                             q0, v0)
     kkt = np.zeros((n + m, n + m))
     kkt[:n, :n] = mass
     kkt[:n, n:] = -a0.T

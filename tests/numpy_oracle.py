@@ -11,7 +11,8 @@ its action row in closed form.  The functions here do the same work
 on numpy arrays and scalars, a fresh probe vector per column; the tests
 require the package's results to equal theirs bit for bit, zero signs
 included, on real arguments and on the complex-step probes of the exact
-step Jacobian.  The products with a constraint matrix and the disk's
+step Jacobian.  :func:`difference_partials_of_Ld` checks the chain rule
+itself: central differences of ``L_d``.  The products with a constraint matrix and the disk's
 ``F(t) . q`` are :func:`dot`, the package's left-to-right sum written on
 numpy scalars: numpy's own dot rounds otherwise.  A :class:`Window` is the
 two-point window ``(q_{j-1}, q_j)`` the oracles recompute the backward step
@@ -168,6 +169,21 @@ def partials_of_Ld(
     else:
         d3 = d4 = 0.5 * gz
     return np.asarray(d1), np.asarray(d2), d3, d4
+
+
+def difference_partials_of_Ld(system, rule, t, q, q_next, z, z_next):
+    """``(D1, D2, D3, D4)`` as central differences of
+    :func:`evaluate_discrete_lagrangian` in each argument: the partials'
+    reference that shares no chain rule with :func:`partials_of_Ld` or the
+    package's, so ``D4`` is 0 exactly where ``L_d`` does not see ``z_next``."""
+    def ld(qa, qb, za, zb):
+        return evaluate_discrete_lagrangian(system, rule, t, qa, qb, za, zb)
+
+    difference = package.central_difference
+    return (difference(lambda x: ld(x, q_next, z, z_next), q),
+            difference(lambda x: ld(q, x, z, z_next), q_next),
+            difference(lambda x: ld(q, q_next, x[0], z_next), [z])[0],
+            difference(lambda x: ld(q, q_next, z, x[0]), [z_next])[0])
 
 
 def discrete_constraint(

@@ -119,16 +119,19 @@ def test_z_rule_routing():
 
 @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.position_rule.value)
 def test_partials_analytic_match_finite_differences(rule):
-    analytic = oscillator(with_gradients=True)
-    numeric = oscillator(with_gradients=False)
+    # the chain-rule partials, with registered gradients and with difference
+    # ones, against central differences of L_d itself, under both z rules
+    systems = oscillator(with_gradients=True), oscillator(with_gradients=False)
     rng = np.random.default_rng(3)
     for _ in range(5):
         q, qn = rng.normal(size=1), rng.normal(size=1)
         z, zn = rng.normal(), rng.normal()
-        got = partials_of_Ld(analytic, rule, 0.3, q, qn, z, zn)
-        ref = partials_of_Ld(numeric, rule, 0.3, q, qn, z, zn)
-        for a, b in zip(got, ref):
-            assert np.allclose(a, b, rtol=1e-4, atol=1e-4)
+        for z_rule in ZRule:
+            r = replace(rule, z_rule=z_rule)
+            ref = numpy_oracle.difference_partials_of_Ld(systems[0], r, 0.3, q, qn, z, zn)
+            for system in systems:
+                for a, b in zip(partials_of_Ld(system, r, 0.3, q, qn, z, zn), ref):
+                    assert np.allclose(a, b, rtol=1e-4, atol=1e-4)
 
 
 def test_first_order_rule_has_zero_d4():
