@@ -10,7 +10,6 @@ from .analysis import (
     ErrorSeries,
     convergence_order,
     oscillation_plane_angle,
-    reconstruct_velocities,
     trajectory_error,
 )
 from .contact import (
@@ -97,7 +96,6 @@ __all__ = [
     "make_continuous_system",
     "newton_solve",
     "oscillation_plane_angle",
-    "reconstruct_velocities",
     "rkf45_integrate",
     "run_contact",
     "run_experiment",

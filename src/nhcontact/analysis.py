@@ -55,11 +55,6 @@ def reconstruct_velocities_from_arrays(configurations: Array, h: float) -> Array
     return v
 
 
-def reconstruct_velocities(traj: Trajectory) -> Array:
-    h = traj.times[1] - traj.times[0] if len(traj.times) > 1 else 1.0
-    return reconstruct_velocities_from_arrays(traj.configurations, h)
-
-
 def principal_axis_angle(points: Array) -> float:
     """Orientation (mod pi) of the dominant principal axis of a 2-d point cloud."""
     pts = np.asarray(points, dtype=float)

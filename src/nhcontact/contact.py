@@ -87,7 +87,10 @@ Consecutive steps share a discrete Lagrangian: the backward step
 ``(q_{j-1}, q_j)`` of a step is the forward step of the step before, which
 evaluated it last at exactly that point.  Each step therefore hands
 the next one a :class:`StepCarry`: its Newton factors and that evaluation's
-forward ``D2 L_d``, ``D4 L_d``, ``L_d`` and constraint rows.  The seed step
+forward ``D2 L_d``, ``D4 L_d``, ``L_d`` and constraint rows.  A residual
+returns them with its rows at every real candidate, as the ``parts`` of an
+:class:`Evaluation`; Newton hands the one it holds at a Jacobian's point to
+the builder, which reads the action row from it.  The seed step
 makes the first one (:func:`initialize_window`).  It is one more implicit
 step, solved by :func:`solve_step` on the exact Jacobian: its rows
 (:func:`seed_residual`) project the Taylor point ``q_1`` onto the discrete
@@ -101,15 +104,15 @@ worst discrete-constraint residual.
 The Lagrange-d'Alembert integrator (:mod:`nhcontact.dalembert`) differs
 only in its residual and in having no z unknown.  :func:`run_steps` and
 :func:`solve_step` take both as arguments: the residual, and ``with_z``,
-whether z is an unknown or stays at zero.  Everything else is shared: the
-seed :func:`initialize_window`, the window terms
-:func:`contact_window_terms` with their forward evaluator, the step solve
-with its Jacobian :func:`step_jacobian`, and the trajectory driver.
+whether z is an unknown or stays at zero, as it then does in every
+window.  Everything else is shared: the seed :func:`initialize_window`, the
+window terms :func:`contact_window_terms` with their forward evaluator, the
+step solve with its Jacobian :func:`step_jacobian`, and the trajectory
+driver.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -143,6 +146,17 @@ from .newton import (
 )
 
 
+class Evaluation(list):
+    """The rows of a step residual at a real candidate, a list of Python
+    numbers, with the evaluation's forward by-products as ``parts``:
+    ``(D2 L_d, D4 L_d, L_d, constraint rows)``, the fields of a
+    :class:`StepCarry` after ``factors``.  The residuals build it as
+    ``e = Evaluation(rows)`` and set ``e.parts`` after: a Python-level
+    ``__init__`` would double the cost of the hand-off."""
+
+    __slots__ = ("parts",)
+
+
 class StepCarry(NamedTuple):
     """What a step hands to the next step of its run.
 
@@ -169,7 +183,6 @@ def contact_window_terms(
     rule: DiscretizationRule,
     window: StepState,
     backward: StepCarry,
-    with_z: bool = True,
 ):
     """Residual terms fixed by the window for the whole step:
     ``(D2 L_d(bwd), 1 - h D4 L_d(bwd), A(q_j)^T, forward)``, ``A(q_j)^T``
@@ -178,11 +191,11 @@ def contact_window_terms(
     (:func:`~nhcontact.model.numbers`), empty at ``m = 0``.
 
     ``forward`` is the :func:`~nhcontact.model.step_evaluator` of the
-    window's forward steps, from ``(t_j, q_j, z_j)``, z held at zero unless
-    ``with_z``: it evaluates a real candidate, a 1-D ``q_next``, and a step
-    Jacobian's complex probes, a 2-D one.  It returns the
-    discrete-constraint rows, taking ``A(q_j)`` from the window where the
-    rule samples the constraint at ``q_j``.
+    window's forward steps, from ``(t_j, q_j, z_j)``, ``z_j`` zero in every
+    window of a run without z: it evaluates a real candidate, a 1-D
+    ``q_next``, and a step Jacobian's complex probes, a 2-D one.  It
+    returns the discrete-constraint rows, taking ``A(q_j)`` from the window
+    where the rule samples the constraint at ``q_j``.
 
     ``backward`` is the carry of the step that produced the window, the
     seed step's for the first window (:func:`initialize_window`): its
@@ -200,7 +213,7 @@ def contact_window_terms(
             f"1 - h*D4 = {denom:.3e} at t={w.t_curr}: implicit z-coupling degenerate"
         )
     a = numbers(system.constraint_matrix(w.q_curr))
-    forward = step_evaluator(system, rule, w.t_curr, w.q_curr, w.z_curr if with_z else 0.0, a)
+    forward = step_evaluator(system, rule, w.t_curr, w.q_curr, w.z_curr, a)
     # the columns of the rows a; zip(*a) would lose all n of them at m = 0
     a_t = list(zip(*a)) if system.dim_c else [()] * system.dim_q
     return d2b, denom, a_t, forward
@@ -222,16 +235,15 @@ def contact_residual(
     window: StepState,
     terms,
     unknowns: Array,
-    keep: Optional[list] = None,
 ) -> list:
     """Stacked residual at a candidate ``(q_{j+1}, z_{j+1}, lambda)``, a
     list of Python numbers.
 
     ``terms`` are the window's :func:`contact_window_terms`, whose forward
     evaluator gives the partials, ``L_d`` and constraint rows in one pass.
-    A list ``keep`` is set to the forward by-products ``[D2 L_d, D4 L_d,
-    L_d, constraint rows]`` of this evaluation, the fields of a
-    :class:`StepCarry` after ``factors``.
+    At a real candidate the rows are an :class:`Evaluation`, whose ``parts``
+    are this evaluation's forward ``(D2 L_d, D4 L_d, L_d, constraint
+    rows)``.
 
     A 2-D ``unknowns`` is all the complex probes of a step Jacobian, one
     per row (:func:`step_jacobian`), and the residual is one list per probe.
@@ -274,11 +286,12 @@ def contact_residual(
     lam_rows = multiplier_rows(a_t, values[n + 1:])
     _, _, _, d1f, d2f, d3f, d4f, ld_fwd, constraint = forward(unknowns[:n], z_next, True)
     factor = 1.0 + h * d3f
-    momentum = [a + b - c for a, b, c in
-                zip(d1f, divide([b * factor for b in d2b], denom), lam_rows)]
-    if keep is not None:
-        keep[:] = d2f, d4f, ld_fwd, constraint
-    return [*momentum, z_next - window.z_curr - h * ld_fwd, *constraint]
+    rows = Evaluation([a + b - c for a, b, c in
+                       zip(d1f, divide([b * factor for b in d2b], denom), lam_rows)])
+    rows.append(z_next - window.z_curr - h * ld_fwd)
+    rows += constraint
+    rows.parts = d2f, d4f, ld_fwd, constraint
+    return rows
 
 
 def step_jacobian(
@@ -347,16 +360,18 @@ def solve_step(
     ``(q_next, z_next, lam, carry, iterations)``, ``z_next`` being ``0.0``
     when z is not an unknown (``with_z`` false).
 
-    The step solves ``residual(system, rule, window, terms, u, keep) = 0``
-    for ``u = (q_{j+1}, z_{j+1}, lambda)``, without ``z_{j+1}`` unless
+    The step solves ``residual(system, rule, window, terms, u) = 0`` for
+    ``u = (q_{j+1}, z_{j+1}, lambda)``, without ``z_{j+1}`` unless
     ``with_z``, the window's :func:`contact_window_terms` computed once,
     before Newton.  ``carry`` is the previous step's, the seed step's for
     the first window.  Newton starts from its factors, if any; fresh
     Jacobians are :func:`step_jacobian` when the system registers Lagrangian
     gradients, finite differences otherwise, each taking its action row from
-    the real evaluation at its point.  The carry's forward by-products serve
-    as the window's backward ones: the driver builds each window from the
-    step before, whose forward step is the window's backward one.
+    the :class:`Evaluation` Newton holds at its point.  Newton returns right
+    after evaluating the residual at the solution, so the last evaluation's
+    ``parts`` are the returned carry's.  The carry's forward by-products
+    serve as the window's backward ones: the driver builds each window from
+    the step before, whose forward step is the window's backward one.
 
     ``starts`` are the start vectors of ``u``, tried in order, each with
     the factors the step began with, until Newton converges from one; if it
@@ -366,24 +381,19 @@ def solve_step(
     """
     w = window
     n = system.dim_q
-    terms = contact_window_terms(system, rule, w, carry, with_z)
-    # (unknowns, by-products) of the last two real evaluations, newest last.
-    # Newton builds a Jacobian at the iterate it evaluated last, or, after a
-    # dropped chord iterate, at the one before; it returns right after
-    # evaluating the residual at the solution
-    kept = deque(maxlen=2)
+    terms = contact_window_terms(system, rule, w, carry)
+    latest = None
 
     def f(u):
-        keep = []
-        kept.append((u, keep))
-        return residual(system, rule, w, terms, u, keep)
+        nonlocal latest
+        latest = residual(system, rule, w, terms, u)
+        return latest
 
     build = None
     if system.lagrangian_gradients is not None:
-        def build(u):
-            d2, d4, _, _ = next(keep for x, keep in kept if x is u)
+        def build(u, fu):
             return step_jacobian(lambda probes: residual(system, rule, w, terms, probes),
-                                 u, terms[2], rule, (d2, d4))
+                                 u, terms[2], rule, fu.parts[:2])
     last = len(starts) - 1
     for i, start in enumerate(starts):
         try:
@@ -392,7 +402,7 @@ def solve_step(
         except NUMERICAL_FAILURES:
             if i == last:
                 raise
-    carry = StepCarry(factors, *kept[-1][1])
+    carry = StepCarry(factors, *latest.parts)
     if with_z:
         return x[:n], float(x[n]), x[n + 1:], carry, iterations
     return x[:n], 0.0, x[n:], carry, iterations
@@ -406,7 +416,6 @@ def seed_residual(
     window: StepState,
     terms,
     unknowns: Array,
-    keep: Optional[list] = None,
 ) -> list:
     """The seed step's residual at a candidate ``(q1, z1, mu)``, without
     ``z1`` unless ``with_z``, a list of Python numbers:
@@ -415,10 +424,11 @@ def seed_residual(
 
     ``target`` is the Taylor point as a list of floats, and ``terms`` are
     the :func:`contact_window_terms` of the seed window, ``q0`` and
-    ``z = 0`` at ``t = 0``.  ``keep`` and a 2-D ``unknowns`` are as for
-    :func:`contact_residual`, ``A(q0)^T mu`` from row 0: the complex probes
-    of the step Jacobian read the rows alone, so the evaluator gives them
-    the constraint rows and no partials.
+    ``z = 0`` at ``t = 0``.  The :class:`Evaluation` at a real candidate
+    and a 2-D ``unknowns`` are as for :func:`contact_residual`, ``A(q0)^T
+    mu`` from row 0: the complex probes of the step Jacobian read the rows
+    alone, so the evaluator gives them the constraint rows and no
+    partials.
     :func:`initialize_window` solves it with ``target`` and ``with_z``
     bound.
     """
@@ -437,13 +447,13 @@ def seed_residual(
         return rows
     q1, z1 = unknowns[:n], unknowns.item(n) if with_z else 0.0
     mu_rows = multiplier_rows(a_t, unknowns[n + with_z:].tolist())
-    *_, d2, _, d4, ld, constraint = forward(q1, z1, with_z, keep is not None)
-    rows = [x - t - c for x, t, c in zip(q1.tolist(), target, mu_rows)]
-    if keep is not None:
-        keep[:] = d2, d4, ld, constraint
+    *_, d2, _, d4, ld, constraint = forward(q1, z1, with_z)
+    rows = Evaluation([x - t - c for x, t, c in zip(q1.tolist(), target, mu_rows)])
     if with_z:
         rows.append(z1 - h * ld)
-    return rows + constraint
+    rows += constraint
+    rows.parts = d2, d4, ld, constraint
+    return rows
 
 
 def initialize_window(

@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Optional
 
-from .contact import StepStats, multiplier_rows, run_steps
+from .contact import Evaluation, StepStats, multiplier_rows, run_steps
 from .model import (
     Array,
     ContactSystem,
@@ -42,25 +42,24 @@ def la_residual(
     window: StepState,
     terms,
     unknowns: Array,
-    keep: Optional[list] = None,
 ) -> list:
     """Forced discrete Euler-Lagrange residual plus discrete constraints, a
     list of Python numbers computed as
     :func:`~nhcontact.contact.contact_residual` is.
 
     ``terms`` are the window's
-    :func:`~nhcontact.contact.contact_window_terms`, built without z
-    (``with_z`` false) for a run; the factor ``1 - h D4 L_d`` among them is
+    :func:`~nhcontact.contact.contact_window_terms`, whose ``z_j`` is zero
+    in every window of a run; the factor ``1 - h D4 L_d`` among them is
     not used (it is 1 for a z-free Lagrangian).  Their forward evaluator
     gives the partials, the constraint rows and the sample point
     ``(t_d, q_d, v)`` of the force ``F^e``, whose quadrature is
     ``h * F^e(t_d, q_d, v)``, in one pass; z is held at zero.  The force is
     taken as the system returns it, a numpy array costing one ``tolist()``.
-    ``keep`` and a 2-D ``unknowns``, all the probes of a step Jacobian in
-    one call, one list each, are as for
-    :func:`~nhcontact.contact.contact_residual`, with ``None`` for the
-    discrete Lagrangian, which this residual never evaluates, and
-    ``A(q_j)^T lambda`` from row 0.
+    The :class:`~nhcontact.contact.Evaluation` at a real candidate and a
+    2-D ``unknowns``, all the probes of a step Jacobian in one call, one
+    list each, are as for :func:`~nhcontact.contact.contact_residual`, with
+    ``None`` for the discrete Lagrangian, which this residual never
+    evaluates, and ``A(q_j)^T lambda`` from row 0.
     """
     n, h = system.dim_q, rule.h
     d2b, _, a_t, forward = terms
@@ -73,11 +72,11 @@ def la_residual(
                 for t_d, q_d, v, d1f, _, _, _, _, constraint in probes]
     lam_rows = multiplier_rows(a_t, unknowns[n:].tolist())
     t_d, q_d, v, d1f, d2f, _, d4f, _, constraint = forward(unknowns[:n], 0.0)
-    momentum = [h * (a + b) + h * f - c for a, b, f, c in
-                zip(d1f, d2b, numbers(force(t_d, q_d, v)), lam_rows)]
-    if keep is not None:
-        keep[:] = d2f, d4f, None, constraint
-    return momentum + constraint
+    rows = Evaluation([h * (a + b) + h * f - c for a, b, f, c in
+                       zip(d1f, d2b, numbers(force(t_d, q_d, v)), lam_rows)])
+    rows += constraint
+    rows.parts = d2f, d4f, None, constraint
+    return rows
 
 
 def run_la(

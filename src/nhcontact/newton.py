@@ -152,7 +152,7 @@ def newton_solve(
     x0: Array,
     config: NewtonConfig = NewtonConfig(),
     jacobian: Optional[LUFactors] = None,
-    build_jacobian: Optional[Callable[[Array], Array]] = None,
+    build_jacobian: Optional[Callable[[Array, list], Array]] = None,
 ):
     """Solve ``residual(x) = 0`` to inf-norm ``config.tolerance``.
 
@@ -160,10 +160,12 @@ def newton_solve(
     anything numpy converts to a float array.
 
     Without ``jacobian`` every iteration builds and factors a fresh
-    Jacobian: ``build_jacobian(x)``, or :func:`fd_jacobian` of ``residual``
-    when that is not given.  ``x`` is then the very array whose residual
-    Newton evaluated last, or, after a dropped chord iterate, the one
-    evaluated before it, so a builder may reuse what that evaluation left.
+    Jacobian: ``build_jacobian(x, fx)``, or :func:`fd_jacobian` of
+    ``residual`` when that is not given.  ``fx`` is the residual Newton
+    holds at ``x``, the very list ``residual(x)`` returned (or its
+    ``tolist()``): ``x`` is the iterate Newton evaluated last, or, after a
+    dropped chord iterate, the one evaluated before it, so a builder may
+    reuse what that evaluation carries without evaluating it again.
     Given the factors of an earlier Jacobian, it first takes chord
     iterations with them, for as long as each one cuts the residual
     inf-norm to :data:`CHORD_CONTRACTION` of the one before.  The first
@@ -211,7 +213,7 @@ def newton_solve(
                 start = x, fx, norm
             else:
                 jac = (fd_jacobian(residual, x) if build_jacobian is None
-                       else build_jacobian(x))
+                       else build_jacobian(x, fx))
                 if not np.isfinite(jac).all():
                     raise EvaluationError(
                         f"Jacobian is not finite at Newton iteration {iteration}")

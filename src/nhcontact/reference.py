@@ -23,7 +23,6 @@ solves its linear systems, as every Newton does, with LAPACK's inverse
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -324,9 +323,9 @@ def implicit_dae_integrate(
 
     Each step's Newton starts from the Jacobian factors the previous step
     ended with (see :func:`~nhcontact.newton.newton_solve`).  A fresh
-    Jacobian takes forward differences from the residual Newton holds at its
-    point, each probe shifting ``y_i`` by ``SQRT_EPS max(1, |y_i|)``.  When
-    ``y`` has the layout ``(q, qdot, z, lambda)`` of
+    Jacobian takes forward differences from the residual Newton hands the
+    builder at its point, each probe shifting ``y_i`` by ``SQRT_EPS max(1,
+    |y_i|)``.  When ``y`` has the layout ``(q, qdot, z, lambda)`` of
     :func:`make_continuous_system`, ``2 n + 1 + m`` entries, only the q,
     qdot and z columns are probed: the multipliers enter the momentum rows
     alone, as ``-A(q)^T lambda``, so their columns are ``-A(q)^T`` there and
@@ -341,31 +340,21 @@ def implicit_dae_integrate(
     size = len(states[0])
     probed = 2 * n + 1 if size == 2 * n + 1 + m else size
 
-    def evaluate(u):
+    def residual(u):
         if len(states) == 1:
             ydot = (u - states[-1]) / h
         else:
             ydot = (3.0 * u - 4.0 * states[-1] + states[-2]) / (2.0 * h)
         return system.residual(times[-1] + h, u, ydot)
 
-    # (iterate, residual) of Newton's last two evaluations, newest last: it
-    # builds a Jacobian at the iterate it evaluated last, or, after a dropped
-    # chord iterate, at the one before
-    evaluated = deque(maxlen=2)
-
-    def residual(u):
-        fx = evaluate(u)
-        evaluated.append((u, fx))
-        return fx
-
-    def build_jacobian(u):
-        fx = np.asarray(next(f for x, f in evaluated if x is u), dtype=float)
+    def build_jacobian(u, fu):
+        fu = np.asarray(fu, dtype=float)
         jac = np.zeros((size, size))
         for i in range(probed):
             e = SQRT_EPS * max(1.0, abs(u[i]))
             shifted = u.copy()
             shifted[i] += e
-            jac[:, i] = (np.asarray(evaluate(shifted), dtype=float) - fx) / e
+            jac[:, i] = (np.asarray(residual(shifted), dtype=float) - fu) / e
         if probed < size:
             jac[n:2 * n, probed:] = -np.asarray(system.constraint_matrix(u[:n])).T
         return jac

@@ -88,11 +88,11 @@ def kernels(lib, args: tuple) -> dict:
     """The three timed callables of one recorded window."""
     system, rule, window, residual, with_z, carry, solver, starts = args
     solve_step = lib.contact.solve_step
-    terms = lib.contact.contact_window_terms(system, rule, window, carry, with_z)
+    terms = lib.contact.contact_window_terms(system, rule, window, carry)
     x = np.array(starts[0])
     fresh = carry._replace(factors=None)
     return {
-        "residual": lambda: residual(system, rule, window, terms, x, []),
+        "residual": lambda: residual(system, rule, window, terms, x),
         "step fresh": lambda: solve_step(system, rule, window, residual, with_z, fresh,
                                          solver, starts),
         "step factors": lambda: solve_step(system, rule, window, residual, with_z, carry,

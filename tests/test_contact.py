@@ -185,10 +185,9 @@ def exact_jacobian(residual, system, rule, window, terms, x):
     """The step Jacobian at ``x`` as :func:`solve_step` builds it: the action
     row from the real evaluation at ``x``, all the complex probes in one
     residual call, without ``L_d``."""
-    keep = []
-    residual(system, rule, window, terms, x, keep)
     return step_jacobian(lambda probes: residual(system, rule, window, terms, probes),
-                         x, terms[2], rule, keep[:2])
+                         x, terms[2], rule,
+                         residual(system, rule, window, terms, x).parts[:2])
 
 
 ORACLE_CASES = [(name, position, z_rule)
@@ -295,8 +294,7 @@ def test_seed_jacobian_bit_identical_to_column_loop(name, position, z_rule, with
     rng = np.random.default_rng(7)
     q0 = q + 0.05 * rng.normal(size=n)
     seed = StepState(q0, 0.0, 0.0)
-    terms = contact_window_terms(system, rule, seed, StepCarry(None, [0.0] * n, 0.0, 0.0, []),
-                                 with_z)
+    terms = contact_window_terms(system, rule, seed, StepCarry(None, [0.0] * n, 0.0, 0.0, []))
     for _ in range(3):
         target = (q0 + 0.05 * rng.normal(size=n)).tolist()
         residual = partial(seed_residual, target, with_z)
@@ -374,8 +372,7 @@ def test_sequence_returns_bit_identical_to_array_returns(name, position, z_rule)
     qj = qm + 0.05 * rng.normal(size=n)
     zm, zj = rng.normal(size=2) if with_z else (0.0, 0.0)
     window = Window(qm, qj, zm, zj, 1.3)
-    terms = [contact_window_terms(s, rule, state(window), window_carry(s, rule, window, with_z),
-                                  with_z)
+    terms = [contact_window_terms(s, rule, state(window), window_carry(s, rule, window, with_z))
              for s in (system, twin)]
     x = np.concatenate([qj + 0.05 * rng.normal(size=n), rng.normal(size=int(with_z) + m)])
     for unknowns in [x] + [x + 1j * COMPLEX_STEP * e for e in np.eye(len(x))]:
@@ -435,8 +432,7 @@ def test_residual_calls_each_system_callable_once_per_point(eid, counts, shared)
     x = np.concatenate([2.0 * window.q_curr - spec.q0, [window.z_curr],
                         np.zeros(system.dim_c)])
     calls.clear()
-    keep = []
-    contact_residual(system, spec.rule, window, terms, x, keep)
+    evaluation = contact_residual(system, spec.rule, window, terms, x)
     assert {name: len(args) for name, args in calls.items()} == counts
     check_points()
 
@@ -457,7 +453,7 @@ def test_residual_calls_each_system_callable_once_per_point(eid, counts, shared)
 
     terms = terms[:3] + (evaluate_probes,)
     step_jacobian(lambda us: contact_residual(system, spec.rule, window, terms, us),
-                  x, terms[2], spec.rule, keep[:2])
+                  x, terms[2], spec.rule, evaluation.parts[:2])
     probe_counts = {name: k for name, k in counts.items() if name != "lagrangian"}
     columns = system.dim_q + (spec.rule.z_rule is ZRule.SECOND_ORDER)
     assert probes == [probe_counts] * columns
@@ -1199,10 +1195,10 @@ def test_jacobian_action_row_comes_from_its_own_point(monkeypatch):
     # from that point's own real evaluation, not from the last one
     evaluated, last = {}, []
 
-    def recording(system, rule, window, terms, unknowns, keep=None):
-        values = contact_residual(system, rule, window, terms, unknowns, keep)
-        if keep is not None:
-            evaluated[unknowns.tobytes()] = tuple(keep[:2])
+    def recording(system, rule, window, terms, unknowns):
+        values = contact_residual(system, rule, window, terms, unknowns)
+        if unknowns.ndim == 1:
+            evaluated[unknowns.tobytes()] = values.parts[:2]
             last[:] = [unknowns.tobytes()]
         return values
 

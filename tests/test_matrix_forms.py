@@ -115,13 +115,14 @@ def _results(m, redundant, form, rule, monkeypatch):
     for name, residual, with_z in (("contact", contact_residual, True),
                                    ("la", la_residual, False)):
         out[f"{name} seed"] = _seed(system, rule, with_z)
-        terms = contact_window_terms(system, rule, window, carry, with_z)
+        # z stays at zero in every window of a run without z
+        point = window if with_z else window._replace(z_curr=0.0)
+        terms = contact_window_terms(system, rule, point, carry)
         u = x if with_z else np.delete(x, 3)
-        keep = []
-        out[f"{name} residual"] = residual(system, rule, window, terms, u, keep)
+        rows = out[f"{name} residual"] = residual(system, rule, point, terms, u)
         out[f"{name} jacobian"] = step_jacobian(
-            lambda probes: residual(system, rule, window, terms, probes),
-            u, terms[2], rule, keep[:2])
+            lambda probes: residual(system, rule, point, terms, probes),
+            u, terms[2], rule, rows.parts[:2])
     out["contact run"] = run_contact(system, rule, Q0, V0, 20)
     out["la run"] = run_la(system, rule, Q0, V0, 20)
 
@@ -137,8 +138,7 @@ def _results(m, redundant, form, rule, monkeypatch):
     monkeypatch.setattr(nhcontact.reference, "newton_solve", capturing)
     out["dae run"] = implicit_dae_integrate(continuous, y, 0.5 * y, (0.0, 0.1), 0.05)
     residual, build = builders[-1]
-    residual(y)
-    out["dae jacobian"] = build(y)
+    out["dae jacobian"] = build(y, residual(y))
     return out
 
 

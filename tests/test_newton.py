@@ -56,7 +56,8 @@ def test_solve_dense_matches_numpy_solve(k):
 
 def array_newton_solve(residual, x0, config, jacobian=None, build_jacobian=None):
     """:func:`newton_solve` with each residual kept as a numpy array, the
-    oracle for its loop on Python floats."""
+    oracle for its loop on Python floats; a builder gets the residual's
+    array at its point."""
     x = np.array(x0, dtype=float)
     chord = jacobian is not None
     start = None
@@ -77,7 +78,7 @@ def array_newton_solve(residual, x0, config, jacobian=None, build_jacobian=None)
                 start = x, fx, norm
             else:
                 jac = (fd_jacobian(residual, x) if build_jacobian is None
-                       else build_jacobian(x))
+                       else build_jacobian(x, fx))
                 if not np.all(np.isfinite(jac)):
                     raise EvaluationError(
                         f"Jacobian is not finite at Newton iteration {iteration}")
@@ -103,28 +104,36 @@ def test_newton_solve_bit_identical_to_array_loop():
                 a[-1] = a[0] if k > 1 else 0.0
             bound = np.inf if kind != 4 else 1.5 * (np.max(np.abs(x0)) + 1.0)
 
+            def f(x):
+                if np.max(np.abs(x)) > bound:
+                    return np.full(k, np.nan)
+                return a @ x + bend * np.sin(x) - c
+
             def jac(x):
                 return a + bend * np.diag(np.cos(x))
+
+            def build(x, fx):
+                # the residual Newton holds at x, as a list or the oracle's array
+                assert np.asarray(fx, dtype=float).tobytes() == f(x).tobytes()
+                return jac(x)
 
             carried = None
             if kind == 2:  # close to the Jacobian: chord iterates are kept
                 carried = lu_factor(jac(x0) * (1.0 + 0.02 * rng.normal(size=(k, k))))
             elif kind in (3, 4):  # too large or too small: chord iterates dropped
                 carried = lu_factor(jac(x0) * (3.0 if kind == 3 else 0.2))
-            build = jac if kind in (1, 2, 4, 5) else None
+            builder = build if kind in (1, 2, 4, 5) else None
             outcomes = []
             for solve in (newton_solve, array_newton_solve):
                 points = []
 
                 def residual(x):
                     points.append(x.tobytes())
-                    if np.max(np.abs(x)) > bound:
-                        return np.full(k, np.nan)
-                    return a @ x + bend * np.sin(x) - c
+                    return f(x)
 
                 try:
                     x, iters, lu = solve(residual, x0, NewtonConfig(tolerance=1e-10),
-                                         carried, build)
+                                         carried, builder)
                     factors = lu and lu.inverse.tobytes()
                     outcome = (x.tobytes(), iters, lu is carried, factors)
                     if carried is not None:
@@ -233,7 +242,7 @@ def test_newton_rejects_an_infinite_jacobian():
     # a Jacobian holding inf fails before factoring, as one holding NaN does
     jac = np.array([[1.0, 0.0], [0.0, np.inf]])
     with pytest.raises(EvaluationError, match="Jacobian is not finite at Newton iteration 0"):
-        newton_solve(lambda x: x - 1.0, np.zeros(2), NewtonConfig(), build_jacobian=lambda x: jac)
+        newton_solve(lambda x: x - 1.0, np.zeros(2), NewtonConfig(), build_jacobian=lambda x, fx: jac)
 
 
 @pytest.mark.parametrize("k", [0, 1, 4, 9])
@@ -265,7 +274,7 @@ def test_newton_builds_jacobians_with_given_callable(monkeypatch):
     monkeypatch.setattr(newton, "fd_jacobian", None)  # never called
     built = []
 
-    def exact(x):
+    def exact(x, fx):
         built.append(x.copy())
         return np.array([[2.0 * x[0]]])
 
@@ -359,6 +368,29 @@ def test_newton_chord_iterations_until_they_stop_contracting(monkeypatch):
                                       stale)
     assert np.array_equal(x, [0.5, -1.0]) and iters == 1 and jacobian is stale
     assert len(builds) == 1
+
+
+def test_newton_hands_the_builder_the_residual_it_holds():
+    # after a dropped chord iterate Newton builds at the chord step's start,
+    # from the very list it evaluated there, and evaluates no point twice
+    evaluated, built = [], []
+
+    def residual(x):
+        fx = [x[0] - 1.0, x[1] + 2.0 * x[0]]
+        evaluated.append((x.tobytes(), fx))
+        return fx
+
+    def build(x, fx):
+        built.append((x.tobytes(), fx))
+        return np.array([[1.0, 0.0], [2.0, 1.0]])
+
+    stale = lu_factor(np.array([[2.0, 0.0], [4.0, 2.0]]))
+    x, iters, _ = newton_solve(residual, np.zeros(2), NewtonConfig(), stale, build)
+    assert np.allclose(x, [1.0, -2.0]) and iters == 2
+    # the start, the dropped chord iterate and the solution, each once
+    assert len(evaluated) == len({point for point, _ in evaluated}) == 3
+    (point, fx), = built
+    assert point == evaluated[0][0] and fx is evaluated[0][1]
 
 
 def test_newton_drops_a_chord_iterate_with_non_finite_residual():

@@ -323,13 +323,54 @@ def test_bdf2_jacobian_matches_central_difference(eid, monkeypatch):
     residual, build = builders[-1]
     n, m = continuous.dim_q, continuous.dim_c
     u = traj.states[-1] + 1e-3 * np.random.default_rng(3).standard_normal(len(y0))
-    residual(u)
-    jac = build(u)
+    jac = build(u, residual(u))
     fd = central_difference(lambda v: np.asarray(residual(v), dtype=float), u)
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
     closed = np.zeros((len(u), m))
     closed[n:2 * n] = -np.asarray(continuous.constraint_matrix(u[:n])).T
     assert np.array_equal(jac[:, 2 * n + 1:], closed)
+
+
+def test_bdf2_jacobian_costs_its_probed_columns(monkeypatch):
+    # a fresh Jacobian evaluates the residual once per probed column, 2 n + 1
+    # on the disk, and never at its own point, whose residual Newton hands it
+    import nhcontact.reference
+
+    counts = {"newton": 0, "builds": 0, "system": 0}
+    builders = []
+
+    def capturing(residual, x0, config, jacobian=None, build_jacobian=None):
+        def counted(u):
+            counts["newton"] += 1
+            return residual(u)
+
+        def building(u, fu):
+            counts["builds"] += 1
+            return build_jacobian(u, fu)
+
+        builders.append((residual, build_jacobian))
+        return newton_solve(counted, x0, config, jacobian, building)
+
+    monkeypatch.setattr(nhcontact.reference, "newton_solve", capturing)
+    spec = get_experiment("disk-2.3")
+    system = build_contact_system(spec)
+    continuous = make_continuous_system(system)
+
+    def counting(*args):
+        counts["system"] += 1
+        return continuous.residual(*args)
+
+    y0, ydot0 = consistent_init(system, spec.q0, spec.v0)
+    traj = implicit_dae_integrate(dataclasses.replace(continuous, residual=counting),
+                                  y0, ydot0, (0.0, 10 * spec.h), spec.h)
+    assert traj.completed and counts["builds"] >= 1
+    probed = 2 * continuous.dim_q + 1
+    assert counts["system"] == counts["newton"] + probed * counts["builds"]
+    residual, build = builders[-1]
+    fu = residual(traj.states[-1])
+    before = counts["system"]
+    build(traj.states[-1], fu)
+    assert counts["system"] - before == probed
 
 
 def test_consistent_init_foucault():
